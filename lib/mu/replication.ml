@@ -388,66 +388,47 @@ let prepare_phase t ~idx =
 
 (* --- accept phase (Listing 2, lines 31-37) ----------------------------- *)
 
-let stage_entry t value =
-  let c = Replica.cal t in
-  (* Copying the request into the RDMA-registered buffer is the leader's
-     per-request CPU cost — the throughput wall of Fig. 7. *)
-  Sim.Host.cpu t.Replica.host
-    (c.Sim.Calibration.memcpy_request
-    + int_of_float (float_of_int (Bytes.length value) *. c.Sim.Calibration.memcpy_byte));
-  Log.encode_slot t.Replica.log ~proposal:t.Replica.prop_num ~value
-
-let post_accept t ~tag ~idx ~img =
+(* One RDMA write per confirmed follower covers [List.length imgs]
+   physically contiguous slots starting at [idx]: a doorbell-batched group,
+   of which a single slot is the k = 1 case. The caller guarantees the
+   range does not cross the circular-log wrap boundary, so slot images
+   concatenate (at slot stride) into a single wire buffer; slots before
+   the last are padded to the full stride, which matches a freshly zeroed
+   slot tail. The persistence-domain flush, like the NIC doorbell, is paid
+   once for the whole group — the amortization that makes batching a
+   throughput lever. *)
+let post_accept t ~tag ~idx ~imgs =
   check_own_permission t;
   let log = t.Replica.log in
   (* A durable local append must also reach the persistence domain. *)
   if t.Replica.config.Config.persistent_log then
     Sim.Host.cpu t.Replica.host (Replica.cal t).Sim.Calibration.pmem_flush;
-  Log.write_slot_raw_local log idx img;
+  List.iteri (fun i img -> Log.write_slot_raw_local log (idx + i) img) imgs;
+  let buf =
+    match imgs with
+    | [] -> invalid_arg "Replication.post_accept: empty slot range"
+    | [ img ] -> img
+    | imgs ->
+      let stride = Log.slot_size log in
+      let k = List.length imgs in
+      let last = List.nth imgs (k - 1) in
+      let buf = Bytes.make (((k - 1) * stride) + Bytes.length last) '\000' in
+      List.iteri (fun i img -> Bytes.blit img 0 buf (i * stride) (Bytes.length img)) imgs;
+      buf
+  in
   List.iter
     (fun p ->
       post_tracked t p ~tag ~post:(fun wr_id ->
-          Rdma.Qp.post_write p.Replica.repl_qp ~wr_id ~src:img ~src_off:0
-            ~len:(Bytes.length img) ~mr:p.Replica.remote_log_mr
+          Rdma.Qp.post_write p.Replica.repl_qp ~wr_id ~src:buf ~src_off:0
+            ~len:(Bytes.length buf) ~mr:p.Replica.remote_log_mr
             ~dst_off:(Log.slot_offset log idx)))
     (confirmed_peers t)
-
-(* Doorbell-batched accept: one RDMA write per confirmed follower covers
-   [List.length imgs] physically contiguous slots starting at [idx]. The
-   caller guarantees the range does not cross the circular-log wrap
-   boundary, so slot images concatenate (at slot stride) into a single
-   wire buffer; slots before the last are padded to the full stride,
-   which matches a freshly zeroed slot tail. The persistence-domain
-   flush, like the NIC doorbell, is paid once for the whole group — the
-   amortization that makes batching a throughput lever. *)
-let post_accept_range t ~tag ~idx ~imgs =
-  match imgs with
-  | [] -> ()
-  | [ img ] -> post_accept t ~tag ~idx ~img
-  | imgs ->
-    check_own_permission t;
-    let log = t.Replica.log in
-    if t.Replica.config.Config.persistent_log then
-      Sim.Host.cpu t.Replica.host (Replica.cal t).Sim.Calibration.pmem_flush;
-    List.iteri (fun i img -> Log.write_slot_raw_local log (idx + i) img) imgs;
-    let stride = Log.slot_size log in
-    let k = List.length imgs in
-    let last = List.nth imgs (k - 1) in
-    let buf = Bytes.make (((k - 1) * stride) + Bytes.length last) '\000' in
-    List.iteri (fun i img -> Bytes.blit img 0 buf (i * stride) (Bytes.length img)) imgs;
-    List.iter
-      (fun p ->
-        post_tracked t p ~tag ~post:(fun wr_id ->
-            Rdma.Qp.post_write p.Replica.repl_qp ~wr_id ~src:buf ~src_off:0
-              ~len:(Bytes.length buf) ~mr:p.Replica.remote_log_mr
-              ~dst_off:(Log.slot_offset log idx)))
-      (confirmed_peers t)
 
 let accept_phase t ~prop_num ~value ~idx =
   tspan t "accept" @@ fun () ->  t.Replica.metrics.Metrics.accept_rounds <- t.Replica.metrics.Metrics.accept_rounds + 1;
   let img = Log.encode_slot t.Replica.log ~proposal:prop_num ~value in
   let tag = fresh_tag () in
-  post_accept t ~tag ~idx ~img;
+  post_accept t ~tag ~idx ~imgs:[ img ];
   ignore (await_tag t ~tag ~needed:(remote_majority t))
 
 (* --- log-space backpressure (§5.3) ------------------------------------- *)

@@ -44,28 +44,20 @@ val abort : Replica.t -> string -> 'a
 (** Mark the replica as needing a new confirmed-followers set and raise
     {!Aborted}. *)
 
-(** {1 Lower-level helpers for the pipelined fast path (§7.4)}
+(** {1 Lower-level helpers for the windowed fast path (§7.4)}
 
     These expose the accept-phase plumbing so that {!Smr} can keep several
     outstanding slot writes in flight. They assume omit-prepare is active. *)
 
-val stage_entry : Replica.t -> bytes -> Bytes.t
-(** Encode an entry image with the current proposal number and pay the
-    leader-side staging cost (the request memcpy — the Fig. 7 throughput
-    wall). *)
-
-val post_accept : Replica.t -> tag:int -> idx:int -> img:Bytes.t -> unit
-(** Write the entry image locally and post one RDMA Write per confirmed
-    follower for slot [idx], tagging completions with [tag]. *)
-
-val post_accept_range : Replica.t -> tag:int -> idx:int -> imgs:Bytes.t list -> unit
-(** Doorbell-batched accept: write [imgs] into the contiguous slot range
+val post_accept : Replica.t -> tag:int -> idx:int -> imgs:Bytes.t list -> unit
+(** Write the non-empty entry images [imgs] into the contiguous slot range
     starting at [idx] locally, then post {e one} RDMA Write per confirmed
     follower covering the whole range (slot images concatenated at slot
-    stride), tagging each peer's single completion with [tag]. The range
-    must not cross the circular-log wrap boundary — callers cap group
-    size at [Log.slots - (idx mod Log.slots)]. With [persistent_log], the
-    flush cost is paid once for the group. *)
+    stride), tagging each peer's single completion with [tag]. A single
+    image is a plain one-slot accept. The range must not cross the
+    circular-log wrap boundary — callers cap group size at
+    [Log.slots - (idx mod Log.slots)]. With [persistent_log], the flush
+    cost is paid once for the group. *)
 
 val remote_majority : Replica.t -> int
 (** Number of remote completions that constitute a majority with self. *)

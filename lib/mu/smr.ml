@@ -290,20 +290,106 @@ let serve_simple t (r : Replica.t) =
       | exception Replication.Aborted _ -> requeue t reqs
     end
 
-(* Pipelined service: a window of outstanding slot writes (Fig. 7). *)
-type pending = { idx : int; mutable acks : int; reqs : request list; bspan : int }
+(* Windowed service (Fig. 7, §7.4 extended): up to [cfg.max_outstanding]
+   groups of slot writes in flight. Each fill step gathers up to
+   [cfg.doorbell] batches, stages them into that many contiguous log
+   slots, and rings the NIC once — a single RDMA write per confirmed
+   follower covers the whole slot range, and one completion per peer
+   acknowledges the group. Commit then advances the FUO past the group in
+   one move, amortizing both the wire and the commit bookkeeping over k
+   entries. Pipelining is the k = 1 case. *)
+type slot = { idx : int; reqs : request list; span : int }
+type group = { first : int; count : int; mutable acks : int; slots : slot list }
 
-let serve_pipelined t (r : Replica.t) =
+let serve_windowed t (r : Replica.t) =
   let c = Replica.cal r in
-  let pending : pending Queue.t = Queue.create () in
-  let restore_pending () =
+  let window : group Queue.t = Queue.create () in
+  let inflight_slots () = Queue.fold (fun acc g -> acc + g.count) 0 window in
+  let restore_window () =
     Queue.iter
-      (fun slot ->
-        if slot.bspan <> 0 then
-          Sim.Engine.span_close t.engine ~args:[ ("outcome", "aborted") ] slot.bspan;
-        requeue t slot.reqs)
-      pending;
-    Queue.clear pending
+      (fun g ->
+        List.iter
+          (fun s ->
+            if s.span <> 0 then
+              Sim.Engine.span_close t.engine ~args:[ ("outcome", "aborted") ] s.span;
+            requeue t s.reqs)
+          g.slots)
+      window;
+    Queue.clear window
+  in
+  let open_group first =
+    let base = Log.fuo r.Replica.log + inflight_slots () in
+    (* One wire write must stay physically contiguous, so a group never
+       crosses the circular-log wrap boundary (§5.3). *)
+    let room = Log.slots r.Replica.log - (base mod Log.slots r.Replica.log) in
+    let limit = max 1 (min t.cfg.Config.doorbell room) in
+    let rec gather acc count =
+      if count = limit then (List.rev acc, count)
+      else
+        match Sim.Engine.Chan.poll t.incoming with
+        | Some next -> gather (gather_batch t next :: acc) (count + 1)
+        | None -> (List.rev acc, count)
+    in
+    let batches, count = gather [ gather_batch t first ] 1 in
+    Sim.Host.cpu r.Replica.host (attach_cost t);
+    List.iter
+      (List.iter (fun req ->
+           Sim.Host.cpu r.Replica.host (stage_cost t (Bytes.length req.payload))))
+      batches;
+    Replication.wait_log_space r ~idx:(base + count - 1);
+    let slots =
+      List.mapi
+        (fun i reqs ->
+          let idx = base + i in
+          let span =
+            if not (Sim.Engine.provenance_on t.engine) then 0
+            else
+              Sim.Engine.span_open t.engine ~pid:r.Replica.id
+                ~args:
+                  [
+                    ("reqs", string_of_int (List.length reqs));
+                    ("idx", string_of_int idx);
+                    ("doorbell", string_of_int count);
+                  ]
+                "batch"
+          in
+          prov_pickup t span reqs;
+          (match r.Replica.tel with
+          | Some tel -> Telem.batch_occupancy tel (List.length reqs)
+          | None -> ());
+          { idx; reqs; span })
+        batches
+    in
+    let imgs =
+      List.map
+        (fun s ->
+          let value = encode_batch (List.map (fun req -> req.payload) s.reqs) in
+          Log.encode_slot r.Replica.log ~proposal:r.Replica.prop_num ~value)
+        slots
+    in
+    Replication.post_accept r ~tag:base ~idx:base ~imgs;
+    Queue.push { first = base; count; acks = 0; slots } window
+  in
+  (* Commit whole groups in order from the head of the window. *)
+  let commit_ready needed =
+    let committed = ref false in
+    while (not (Queue.is_empty window)) && (Queue.peek window).acks >= needed do
+      let head = Queue.pop window in
+      Log.set_fuo r.Replica.log (head.first + head.count);
+      Replica.apply_committed r;
+      let e = Replica.engine r in
+      if Sim.Engine.traced e then
+        Sim.Engine.trace_counter e ~cat:"mu" ~pid:r.Replica.id "fuo"
+          ~value:(head.first + head.count);
+      List.iter
+        (fun s ->
+          if s.span <> 0 then
+            Sim.Engine.span_close t.engine ~args:[ ("outcome", "committed") ] s.span;
+          fill_responses t r s.idx s.reqs)
+        head.slots;
+      committed := true
+    done;
+    !committed
   in
   try
     (* Make sure omit-prepare is active so the fast path below is valid. *)
@@ -311,215 +397,34 @@ let serve_pipelined t (r : Replica.t) =
       ignore (Replication.propose r noop);
     let needed = Replication.remote_majority r in
     while r.Replica.role = Replica.Leader && not r.Replica.stop do
-      (* Fill the window. *)
-      let filled = ref false in
-      if Queue.length pending < t.cfg.Config.max_outstanding then begin
+      let filled =
+        Queue.length window < t.cfg.Config.max_outstanding
+        &&
         match Sim.Engine.Chan.poll t.incoming with
         | Some first ->
-          let reqs = gather_batch t first in
-          Sim.Host.cpu r.Replica.host (attach_cost t);
-          List.iter
-            (fun req ->
-              Sim.Host.cpu r.Replica.host (stage_cost t (Bytes.length req.payload)))
-            reqs;
-          let idx = Log.fuo r.Replica.log + Queue.length pending in
-          Replication.wait_log_space r ~idx;
-          let bspan =
-            Sim.Engine.span_open t.engine ~pid:r.Replica.id
-              ~args:
-                [ ("reqs", string_of_int (List.length reqs)); ("idx", string_of_int idx) ]
-              "batch"
-          in
-          prov_pickup t bspan reqs;
-          (match r.Replica.tel with
-          | Some tel -> Telem.batch_occupancy tel (List.length reqs)
-          | None -> ());
-          let value = encode_batch (List.map (fun req -> req.payload) reqs) in
-          let img = Log.encode_slot r.Replica.log ~proposal:r.Replica.prop_num ~value in
-          Replication.post_accept r ~tag:idx ~idx ~img;
-          Queue.push { idx; acks = 0; reqs; bspan } pending;
-          filled := true
-        | None -> ()
-      end;
-      (* Drain completions; block briefly when there is nothing to send. *)
-      let timeout =
-        if !filled then 0
-        else if Queue.is_empty pending then c.Sim.Calibration.fd_read_interval
-        else 2_000
+          open_group first;
+          true
+        | None -> false
       in
-      (if timeout > 0 || not !filled then
+      (* Drain completions; block briefly when there is nothing to send. *)
+      (if not filled then
+         let timeout =
+           if Queue.is_empty window then c.Sim.Calibration.fd_read_interval else 2_000
+         in
          match Replication.drain_completion r ~timeout with
          | Some (_, tag) ->
-           Queue.iter (fun slot -> if slot.idx = tag then slot.acks <- slot.acks + 1) pending
+           Queue.iter (fun g -> if g.first = tag then g.acks <- g.acks + 1) window
          | None -> ());
-      (* Commit in order from the head of the window. *)
-      let continue_ = ref true in
-      let committed = ref false in
-      while !continue_ && not (Queue.is_empty pending) do
-        let head = Queue.peek pending in
-        if head.acks >= needed then begin
-          ignore (Queue.pop pending);
-          Log.set_fuo r.Replica.log (head.idx + 1);
-          Replica.apply_committed r;
-          let e = Replica.engine r in
-          if Sim.Engine.traced e then
-            Sim.Engine.trace_counter e ~cat:"mu" ~pid:r.Replica.id "fuo"
-              ~value:(head.idx + 1);
-          if head.bspan <> 0 then
-            Sim.Engine.span_close t.engine ~args:[ ("outcome", "committed") ]
-              head.bspan;
-          fill_responses t r head.idx head.reqs;
-          committed := true
-        end
-        else continue_ := false
-      done;
       (* Let same-instant client fibers woken by the commit enqueue their
          next requests before the next fill attempt polls the queue. *)
-      if !committed then Sim.Engine.yield t.engine
+      if commit_ready needed then Sim.Engine.yield t.engine
     done;
-    restore_pending ()
-  with Replication.Aborted _ -> restore_pending ()
-
-(* Doorbell service (§7.4 extended): like serve_pipelined, but each fill
-   step gathers up to [cfg.doorbell] batches, stages them into that many
-   contiguous log slots, and rings the NIC once — a single RDMA write
-   per confirmed follower covers the whole slot range, and one
-   completion per peer acknowledges the group. Commit then advances the
-   FUO past the group in one move, amortizing both the wire and the
-   commit bookkeeping over k entries. *)
-type dslot = { didx : int; dreqs : request list; dspan : int }
-
-type dgroup = {
-  first : int;
-  count : int;
-  mutable dacks : int;
-  slots : dslot list;
-}
-
-let serve_doorbell t (r : Replica.t) =
-  let c = Replica.cal r in
-  let pending : dgroup Queue.t = Queue.create () in
-  let inflight_slots () = Queue.fold (fun acc g -> acc + g.count) 0 pending in
-  let restore_pending () =
-    Queue.iter
-      (fun g ->
-        List.iter
-          (fun s ->
-            if s.dspan <> 0 then
-              Sim.Engine.span_close t.engine ~args:[ ("outcome", "aborted") ] s.dspan;
-            requeue t s.dreqs)
-          g.slots)
-      pending;
-    Queue.clear pending
-  in
-  try
-    if r.Replica.need_new_followers || not r.Replica.skip_prepare then
-      ignore (Replication.propose r noop);
-    let needed = Replication.remote_majority r in
-    while r.Replica.role = Replica.Leader && not r.Replica.stop do
-      (* Fill: gather up to [doorbell] batches into one contiguous group. *)
-      let filled = ref false in
-      if Queue.length pending < t.cfg.Config.max_outstanding then begin
-        match Sim.Engine.Chan.poll t.incoming with
-        | Some first ->
-          let base = Log.fuo r.Replica.log + inflight_slots () in
-          (* One wire write must stay physically contiguous, so a group
-             never crosses the circular-log wrap boundary (§5.3). *)
-          let room = Log.slots r.Replica.log - (base mod Log.slots r.Replica.log) in
-          let limit = max 1 (min t.cfg.Config.doorbell room) in
-          let batches = ref [ gather_batch t first ] in
-          let nbatches = ref 1 in
-          let more = ref true in
-          while !nbatches < limit && !more do
-            match Sim.Engine.Chan.poll t.incoming with
-            | Some next ->
-              batches := gather_batch t next :: !batches;
-              incr nbatches
-            | None -> more := false
-          done;
-          let batches = List.rev !batches in
-          Sim.Host.cpu r.Replica.host (attach_cost t);
-          List.iter
-            (List.iter (fun req ->
-                 Sim.Host.cpu r.Replica.host (stage_cost t (Bytes.length req.payload))))
-            batches;
-          Replication.wait_log_space r ~idx:(base + !nbatches - 1);
-          let slots =
-            List.mapi
-              (fun i reqs ->
-                let didx = base + i in
-                let dspan =
-                  Sim.Engine.span_open t.engine ~pid:r.Replica.id
-                    ~args:
-                      [
-                        ("reqs", string_of_int (List.length reqs));
-                        ("idx", string_of_int didx);
-                        ("doorbell", string_of_int !nbatches);
-                      ]
-                    "batch"
-                in
-                prov_pickup t dspan reqs;
-                (match r.Replica.tel with
-                | Some tel -> Telem.batch_occupancy tel (List.length reqs)
-                | None -> ());
-                { didx; dreqs = reqs; dspan })
-              batches
-          in
-          let imgs =
-            List.map
-              (fun s ->
-                let value = encode_batch (List.map (fun req -> req.payload) s.dreqs) in
-                Log.encode_slot r.Replica.log ~proposal:r.Replica.prop_num ~value)
-              slots
-          in
-          Replication.post_accept_range r ~tag:base ~idx:base ~imgs;
-          Queue.push { first = base; count = !nbatches; dacks = 0; slots } pending;
-          filled := true
-        | None -> ()
-      end;
-      let timeout =
-        if !filled then 0
-        else if Queue.is_empty pending then c.Sim.Calibration.fd_read_interval
-        else 2_000
-      in
-      (if timeout > 0 || not !filled then
-         match Replication.drain_completion r ~timeout with
-         | Some (_, tag) ->
-           Queue.iter (fun g -> if g.first = tag then g.dacks <- g.dacks + 1) pending
-         | None -> ());
-      (* Commit whole groups in order from the head of the window. *)
-      let continue_ = ref true in
-      let committed = ref false in
-      while !continue_ && not (Queue.is_empty pending) do
-        let head = Queue.peek pending in
-        if head.dacks >= needed then begin
-          ignore (Queue.pop pending);
-          Log.set_fuo r.Replica.log (head.first + head.count);
-          Replica.apply_committed r;
-          let e = Replica.engine r in
-          if Sim.Engine.traced e then
-            Sim.Engine.trace_counter e ~cat:"mu" ~pid:r.Replica.id "fuo"
-              ~value:(head.first + head.count);
-          List.iter
-            (fun s ->
-              if s.dspan <> 0 then
-                Sim.Engine.span_close t.engine ~args:[ ("outcome", "committed") ]
-                  s.dspan;
-              fill_responses t r s.didx s.dreqs)
-            head.slots;
-          committed := true
-        end
-        else continue_ := false
-      done;
-      if !committed then Sim.Engine.yield t.engine
-    done;
-    restore_pending ()
-  with Replication.Aborted _ -> restore_pending ()
+    restore_window ()
+  with Replication.Aborted _ -> restore_window ()
 
 let leader_service t (r : Replica.t) =
   let c = Replica.cal r in
-  let doorbell = t.cfg.Config.doorbell > 1 in
-  let pipelined = t.cfg.Config.max_outstanding > 1 in
+  let windowed = t.cfg.Config.max_outstanding > 1 || t.cfg.Config.doorbell > 1 in
   (* Degraded-mode tracking: a window opens at the first establish that
      fails (no quorum of permission acks — the leader can commit nothing
      and requests park in the queue) and closes when an establish
@@ -554,8 +459,7 @@ let leader_service t (r : Replica.t) =
        else if r.Replica.need_new_followers then begin
          if establish t r then close_degraded () else enter_degraded ()
        end
-       else if doorbell then serve_doorbell t r
-       else if pipelined then serve_pipelined t r
+       else if windowed then serve_windowed t r
        else serve_simple t r);
       loop ()
     end
