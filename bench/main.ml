@@ -543,21 +543,7 @@ let serving () =
   (* Acceptance: at every shard count, the largest batch (doorbell on)
      must commit more requests per us than unbatched replication. *)
   let max_batch = List.fold_left max 1 batches in
-  let cell sc b =
-    List.find_opt
-      (fun (p : Serving.Surface.point) ->
-        p.Serving.Surface.shards = sc && p.Serving.Surface.batch = b)
-      points
-  in
-  let ok =
-    List.for_all
-      (fun sc ->
-        match (cell sc 1, cell sc max_batch) with
-        | Some p1, Some pk ->
-          pk.Serving.Surface.committed_per_us > p1.Serving.Surface.committed_per_us
-        | _ -> false)
-      shard_counts
-  in
+  let ok = Serving.Surface.batching_beats_unbatched points ~batch:max_batch in
   record_check "serving_batching_beats_unbatched" ok
     (Printf.sprintf "batch %d out-commits batch 1 at shard counts %s" max_batch
        (String.concat "," (List.map string_of_int shard_counts)));

@@ -367,8 +367,10 @@ let serve_windowed t (r : Replica.t) =
           Log.encode_slot r.Replica.log ~proposal:r.Replica.prop_num ~value)
         slots
     in
-    Replication.post_accept r ~tag:base ~idx:base ~imgs;
-    Queue.push { first = base; count; acks = 0; slots } window
+    (* In the window before the post: if the post aborts, the group's
+       requests are requeued with the rest. *)
+    Queue.push { first = base; count; acks = 0; slots } window;
+    Replication.post_accept r ~tag:base ~idx:base ~imgs
   in
   (* Commit whole groups in order from the head of the window. *)
   let commit_ready needed =
@@ -396,25 +398,42 @@ let serve_windowed t (r : Replica.t) =
     if r.Replica.need_new_followers || not r.Replica.skip_prepare then
       ignore (Replication.propose r noop);
     let needed = Replication.remote_majority r in
-    while r.Replica.role = Replica.Leader && not r.Replica.stop do
-      let filled =
-        Queue.length window < t.cfg.Config.max_outstanding
-        &&
-        match Sim.Engine.Chan.poll t.incoming with
-        | Some first ->
-          open_group first;
-          true
-        | None -> false
+    (* A leader asked to grow its confirmed followers (a replica rejoined)
+       stops opening groups, lets the window drain, and returns so that
+       [leader_service] re-establishes. *)
+    let regrow () = r.Replica.need_new_followers in
+    while
+      r.Replica.role = Replica.Leader
+      && (not r.Replica.stop)
+      && not (regrow () && Queue.is_empty window)
+    do
+      let inflight = Queue.length window in
+      (* Wait policy. An idle leader waits on its queue, so an arrival is
+         picked up the instant it lands. A busy one opens another group
+         only once a full batch is queued; until then it waits for the
+         next completion, so requests that arrive while the wire is busy
+         share a slot instead of each taking one. *)
+      let next =
+        if inflight = 0 then
+          Sim.Engine.Chan.recv_timeout t.incoming c.Sim.Calibration.fd_read_interval
+        else if
+          inflight < t.cfg.Config.max_outstanding
+          && Sim.Engine.Chan.length t.incoming >= t.cfg.Config.max_batch
+          && not (regrow ())
+        then Sim.Engine.Chan.poll t.incoming
+        else None
       in
-      (* Drain completions; block briefly when there is nothing to send. *)
-      (if not filled then
-         let timeout =
-           if Queue.is_empty window then c.Sim.Calibration.fd_read_interval else 2_000
-         in
-         match Replication.drain_completion r ~timeout with
-         | Some (_, tag) ->
-           Queue.iter (fun g -> if g.first = tag then g.acks <- g.acks + 1) window
-         | None -> ());
+      (match next with
+      | Some first
+        when r.Replica.role <> Replica.Leader || r.Replica.stop || regrow () ->
+        requeue t [ first ]
+      | Some first -> open_group first
+      | None when inflight > 0 -> (
+        match Replication.drain_completion r ~timeout:2_000 with
+        | Some (_, tag) ->
+          Queue.iter (fun g -> if g.first = tag then g.acks <- g.acks + 1) window
+        | None -> ())
+      | None -> ());
       (* Let same-instant client fibers woken by the commit enqueue their
          next requests before the next fill attempt polls the queue. *)
       if commit_ready needed then Sim.Engine.yield t.engine
@@ -574,17 +593,18 @@ let submit_admitted ~retry t payload =
   in
   let req = { payload; resp; prov; submitted = Sim.Engine.now t.engine } in
   Sim.Engine.Chan.send t.incoming req;
-  if retry then
-    Sim.Engine.spawn t.engine ~name:"client-retry" (fun () ->
-        let rec watch () =
-          Sim.Engine.sleep t.engine client_retry_interval;
+  if retry then begin
+    (* A timer, not a fiber: it re-arms only while the reply is unfilled. *)
+    let rec arm () =
+      Sim.Engine.schedule_after t.engine client_retry_interval (fun () ->
           if (not (Sim.Engine.Ivar.is_filled resp)) && not t.stopped then begin
             Sim.Engine.span_point t.engine ~span:prov "client_retry";
             Sim.Engine.Chan.send t.incoming req;
-            watch ()
-          end
-        in
-        watch ());
+            arm ()
+          end)
+    in
+    arm ()
+  end;
   resp
 
 let submit_async ?(retry = true) t payload =

@@ -85,19 +85,19 @@ let client_fiber e s ~shard ~proc ~ops ~think ~keys ~history ~on_done =
   done;
   on_done ()
 
+let default_config =
+  {
+    Mu.Config.default with
+    Mu.Config.log_slots = 4096;
+    recycle_interval = 1_000_000;
+    durable_state = true;
+  }
+
 let run ?(clients_per_shard = 2) ?(ops_per_client = 20) ?(think = 100_000)
-    ?(horizon = 2_000_000_000) ~seed ~n ~shards scenario =
+    ?(horizon = 2_000_000_000) ?(config = default_config) ~seed ~n ~shards scenario =
   if shards < 1 then invalid_arg "Serving.Chaos.run: shards must be >= 1";
   let e = Sim.Engine.create ~seed () in
-  let cfg =
-    {
-      Mu.Config.default with
-      Mu.Config.n;
-      log_slots = 4096;
-      recycle_interval = 1_000_000;
-      durable_state = true;
-    }
-  in
+  let cfg = { config with Mu.Config.n } in
   let s =
     Mu.Sharded.create e Sim.Calibration.default cfg ~shards
       ~make_app:(fun ~shard:_ ~replica:_ -> Apps.Kv_store.smr_app ())

@@ -36,6 +36,7 @@ val run :
   ?ops_per_client:int ->
   ?think:int ->
   ?horizon:int ->
+  ?config:Mu.Config.t ->
   seed:int64 ->
   n:int ->
   shards:int ->
@@ -43,8 +44,12 @@ val run :
   outcome
 (** One run. Defaults: 2 clients per shard, 20 ops each, 100 µs think
     time (stretching the history across the fault window), 2 s safety
-    horizon. Replicas use durable state so [Restart] events can
-    recover. Scenario host ids address shard 0's replicas. *)
+    horizon. Each shard runs [config] with its replica count set to [n].
+    The default config serves one slot at a time from a 4096-slot log
+    with 1 ms recycling and durable state, so [Restart] events recover
+    from NVM; a windowed serve config (for example {!Surface.config})
+    puts the leader's windowed loop under the faults. Scenario host ids
+    address shard 0's replicas. *)
 
 val keys_for : shards:int -> shard:int -> count:int -> string array
 (** [count] keys that provably route to [shard] under

@@ -53,6 +53,17 @@ let point_of ~shards ~batch ~doorbell (r : Tier.report) =
     p99_ns = r.Tier.p99_ns;
   }
 
+let batching_beats_unbatched points ~batch =
+  let cell sc b = List.find_opt (fun p -> p.shards = sc && p.batch = b) points in
+  let shard_counts = List.sort_uniq compare (List.map (fun p -> p.shards) points) in
+  shard_counts <> []
+  && List.for_all
+       (fun sc ->
+         match (cell sc 1, cell sc batch) with
+         | Some p1, Some pk -> pk.committed_per_us > p1.committed_per_us
+         | _ -> false)
+       shard_counts
+
 let sweep setup ~shard_counts ~batches ~clients ~think_ns ~duration =
   List.concat_map
     (fun shards ->

@@ -47,3 +47,8 @@ val sweep :
   point list
 (** The full matrix, row-major in [shard_counts]. Deterministic per
     setup seed. *)
+
+val batching_beats_unbatched : point list -> batch:int -> bool
+(** The surface's acceptance check: at every shard count in [points],
+    the [batch] cell commits more requests per µs than the batch-1
+    cell. False when a cell is missing. *)

@@ -301,6 +301,77 @@ let doorbell_deterministic () =
   in
   check "doorbell runs byte-identical per seed" true (run () = run ())
 
+(* The windowed loop with one-request batches: 4 groups of up to 4 slots
+   outstanding. *)
+let windowed_cfg = { Mu.Config.default with Mu.Config.max_outstanding = 4; doorbell = 4 }
+
+let windowed_idle_pickup () =
+  (* An idle windowed leader waits on its queue, not on its completion
+     queue: a request that lands after a quiet spell longer than the
+     failure detector's read interval (40 us) is replicated at once
+     instead of sitting out the rest of that interval. *)
+  let latencies = ref [] in
+  Util.run_scenario ~until:60_000_000_000 (fun e ->
+      let smr =
+        Mu.Smr.create e Util.default_cal windowed_cfg ~make_app:(fun _ ->
+            Mu.Smr.stateless_app Fun.id)
+      in
+      Mu.Smr.start smr;
+      Sim.Engine.spawn e ~name:"client" (fun () ->
+          Mu.Smr.wait_live smr;
+          for i = 1 to 5 do
+            Sim.Engine.sleep e (50_000 + (i * 13_000));
+            let t0 = Sim.Engine.now e in
+            ignore (Mu.Smr.submit smr (Bytes.of_string (Printf.sprintf "idle%d" i)));
+            latencies := (Sim.Engine.now e - t0) :: !latencies
+          done;
+          Mu.Smr.stop smr;
+          Sim.Engine.halt e))
+  |> ignore;
+  check_int "every idle submit answered" 5 (List.length !latencies);
+  List.iter
+    (fun ns -> check "reply within 5 us of an idle submit" true (ns <= 5_000))
+    !latencies
+
+let windowed_readmits_rejoined_follower () =
+  (* A follower restarted under a busy windowed leader rejoins at log
+     parity and asks the leader to grow its confirmed followers; the
+     leader must re-establish and take it back, or the cluster keeps
+     serving one failure away from a stall. *)
+  let readmitted = ref false in
+  Util.run_scenario ~until:60_000_000_000 (fun e ->
+      let smr =
+        Mu.Smr.create e Util.default_cal windowed_cfg ~make_app:(fun _ ->
+            Mu.Smr.stateless_app Fun.id)
+      in
+      Mu.Smr.start smr;
+      Sim.Engine.spawn e ~name:"client" (fun () ->
+          Mu.Smr.wait_live smr;
+          let leader = Option.get (Mu.Smr.serving_leader smr) in
+          let victim = (leader.Mu.Replica.id + 1) mod 3 in
+          let traffic n =
+            for i = 1 to n do
+              ignore (Mu.Smr.submit smr (Bytes.of_string (Printf.sprintf "t%d" i)))
+            done
+          in
+          traffic 20;
+          Sim.Host.stop_process (Mu.Smr.replica smr victim).Mu.Replica.host;
+          traffic 20;
+          Mu.Smr.restart_replica smr ~id:victim;
+          Util.wait_for (fun () -> Mu.Smr.rejoins smr <> []) e;
+          let deadline = Sim.Engine.now e + 50_000_000 in
+          while
+            (not (List.mem victim leader.Mu.Replica.confirmed))
+            && Sim.Engine.now e < deadline
+          do
+            traffic 5
+          done;
+          readmitted := List.mem victim leader.Mu.Replica.confirmed;
+          Mu.Smr.stop smr;
+          Sim.Engine.halt e))
+  |> ignore;
+  check "rejoined follower is confirmed again" true !readmitted
+
 (* --- tier --------------------------------------------------------------- *)
 
 let tier_setup seed = { Workload.Experiments.default_setup with seed }
@@ -361,12 +432,35 @@ let tier_deterministic () =
   in
   check "tier runs deterministic per seed" true (run () = run ())
 
+(* The bench's quick serving surface (`bench/main.exe --quick --seed 42
+   --only serving`), run twice in process: the Zipf/Poisson population,
+   router, admission control and windowed doorbell replication must
+   give byte-identical traces and identical points, and batching must
+   pay off at every shard count. *)
+let quick_surface () =
+  let tracer = Trace.Tracer.create () in
+  let setup = { (tier_setup 42L) with Workload.Experiments.trace = Some tracer } in
+  let points =
+    Serving.Surface.sweep setup ~shard_counts:[ 1; 2; 4 ] ~batches:[ 1; 8 ]
+      ~clients:200_000 ~think_ns:10_000_000 ~duration:1_000_000
+  in
+  (points, Trace.Tracer.recorded tracer, Trace.Tracer.chrome_string tracer)
+
+let surface_deterministic () =
+  let points, recorded, trace = quick_surface () in
+  let points', recorded', trace' = quick_surface () in
+  check_int "same event count" recorded recorded';
+  check "traces byte-identical" true (String.equal trace trace');
+  check "points identical" true (points = points');
+  check "batch 8 out-commits batch 1 at every shard count" true
+    (Serving.Surface.batching_beats_unbatched points ~batch:8)
+
 (* --- sharded chaos (satellite 3) ---------------------------------------- *)
 
-let sharded_chaos scenario_name =
+let sharded_chaos ?config scenario_name =
   match Faults.Scenario.by_name scenario_name ~n:3 with
   | None -> Alcotest.failf "unknown scenario %s" scenario_name
-  | Some scenario -> Serving.Chaos.run ~seed:41L ~n:3 ~shards:2 scenario
+  | Some scenario -> Serving.Chaos.run ?config ~seed:41L ~n:3 ~shards:2 scenario
 
 let sharded_chaos_kill_restart () =
   let o = sharded_chaos "kill-restart" in
@@ -376,6 +470,21 @@ let sharded_chaos_kill_restart () =
 
 let sharded_chaos_partition () =
   let o = sharded_chaos "partition-leader" in
+  check "partition passes" true (Serving.Chaos.passed o);
+  check "history non-trivial" true (o.Serving.Chaos.ops >= 80)
+
+(* The same faults with the windowed leader loop serving: batches of 8,
+   doorbell groups of 4 slots, 4 groups outstanding. *)
+let windowed = Serving.Surface.config ~batch:8 ~doorbell:4
+
+let windowed_chaos_kill_restart () =
+  let o = sharded_chaos ~config:windowed "kill-restart" in
+  check "kill-restart passes" true (Serving.Chaos.passed o);
+  check "rejoin completed" true (o.Serving.Chaos.rejoins >= 1);
+  check "history non-trivial" true (o.Serving.Chaos.ops >= 80)
+
+let windowed_chaos_partition () =
+  let o = sharded_chaos ~config:windowed "partition-leader" in
   check "partition passes" true (Serving.Chaos.passed o);
   check "history non-trivial" true (o.Serving.Chaos.ops >= 80)
 
@@ -395,9 +504,15 @@ let suite =
     ("doorbell faster when saturated", `Quick, doorbell_faster_when_saturated);
     ("doorbell survives log wrap", `Quick, doorbell_survives_log_wrap);
     ("doorbell deterministic", `Quick, doorbell_deterministic);
+    ("windowed leader picks up after idle", `Quick, windowed_idle_pickup);
+    ("windowed leader readmits rejoined follower", `Quick,
+     windowed_readmits_rejoined_follower);
     ("tier smoke", `Quick, tier_smoke);
     ("tier sheds under pressure", `Quick, tier_sheds_under_pressure);
     ("tier deterministic", `Quick, tier_deterministic);
+    ("surface deterministic, batching wins", `Quick, surface_deterministic);
     ("sharded chaos: kill-restart", `Quick, sharded_chaos_kill_restart);
     ("sharded chaos: partition", `Quick, sharded_chaos_partition);
+    ("windowed chaos: kill-restart", `Quick, windowed_chaos_kill_restart);
+    ("windowed chaos: partition", `Quick, windowed_chaos_partition);
   ]
