@@ -555,18 +555,14 @@ let serving () =
 let monitor_log : Monitor.Log.t option ref = ref None
 let monitor_windows = ref 0
 
-let monitor () =
-  section "monitor" "online SLO monitor: deterministic alerting through kill-restart chaos";
-  Fmt.pr
-    "  The monitor plane (DESIGN.md \xc2\xa716) rides the telemetry sampler during a@.\
-    \  kill-restart chaos run: virtual-time SLO windows close every 20 us and a@.\
-    \  hysteresis rule engine turns breaches into fire/clear alert edges.@.";
-  let scenario = Option.get (Faults.Scenario.by_name ~n:3 "kill-restart") in
+(* One monitored chaos run: print its outcome and alert log. *)
+let monitored_run name =
+  let scenario = Option.get (Faults.Scenario.by_name ~n:3 name) in
   let reg = Telemetry.Registry.create () in
   let sampler = Telemetry.Sampler.create reg ~interval:10_000 in
   let online = ref None in
   (* Dense traffic (think 50 us) keeps every window non-empty so the rate
-     rules do not flap; the run outlives the 25 ms restart so the rejoin
+     rules do not flap; the run outlives the restart so the rejoin
      watchdog sees the catch-up in flight. Deliberately not [scale]d. *)
   let o =
     Workload.Chaos.run ~metrics:sampler
@@ -576,8 +572,6 @@ let monitor () =
   in
   let online = Option.get !online in
   let log = Monitor.Online.log online in
-  monitor_log := Some log;
-  monitor_windows := Monitor.Online.windows online;
   Fmt.pr "  %a@." Workload.Chaos.pp_outcome o;
   Fmt.pr "  windows evaluated: %d; alert edges: %d@." (Monitor.Online.windows online)
     (Monitor.Log.length log);
@@ -585,20 +579,33 @@ let monitor () =
   (match Monitor.Log.firing log with
   | [] -> ()
   | still -> Fmt.pr "  still firing at halt: %s@." (String.concat ", " still));
-  let edges rule =
-    let es = List.filter (fun (en : Monitor.Log.entry) -> en.rule = rule)
-        (Monitor.Log.entries log) in
-    ( List.exists (fun (en : Monitor.Log.entry) -> en.edge = `Fire) es,
-      List.exists (fun (en : Monitor.Log.entry) -> en.edge = `Clear) es )
+  (online, log)
+
+let monitor () =
+  section "monitor" "online SLO monitor: deterministic alerting through kill-restart chaos";
+  Fmt.pr
+    "  The monitor plane (DESIGN.md \xc2\xa716) rides the telemetry sampler during a@.\
+    \  kill-restart chaos run: virtual-time SLO windows close every 20 us and a@.\
+    \  hysteresis rule engine turns breaches into fire/clear alert edges. A@.\
+    \  restart-backlog run, whose rejoin pulls a whole outage backlog, shows@.\
+    \  the rejoin watchdog.@.";
+  let online, log = monitored_run "kill-restart" in
+  monitor_log := Some log;
+  monitor_windows := Monitor.Online.windows online;
+  let _, backlog_log = monitored_run "restart-backlog" in
+  let check_edges rule name log =
+    let es =
+      List.filter (fun (en : Monitor.Log.entry) -> en.rule = rule) (Monitor.Log.entries log)
+    in
+    let fired = List.exists (fun (en : Monitor.Log.entry) -> en.edge = `Fire) es in
+    let cleared = List.exists (fun (en : Monitor.Log.entry) -> en.edge = `Clear) es in
+    let ok = fired && cleared in
+    record_check ("monitor_" ^ rule ^ "_edges") ok
+      (Printf.sprintf "%s fired=%b cleared=%b during %s" rule fired cleared name);
+    Fmt.pr "  check: %s fires and clears: %s@." rule (if ok then "OK" else "FAIL")
   in
-  List.iter
-    (fun rule ->
-      let fired, cleared = edges rule in
-      let ok = fired && cleared in
-      record_check ("monitor_" ^ rule ^ "_edges") ok
-        (Printf.sprintf "%s fired=%b cleared=%b during kill-restart" rule fired cleared);
-      Fmt.pr "  check: %s fires and clears: %s@." rule (if ok then "OK" else "FAIL"))
-    [ "quorum_loss"; "rejoin_lag" ]
+  check_edges "quorum_loss" "kill-restart" log;
+  check_edges "rejoin_lag" "restart-backlog" backlog_log
 
 (* --- Observability self-profiling ----------------------------------------- *)
 

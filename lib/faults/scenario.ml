@@ -306,7 +306,23 @@ let kill_restart ~n:_ =
       ];
   }
 
-let named = [ "crash-leader"; "partition-leader"; "lossy-fabric"; "kill-restart" ]
+let restart_backlog ~n:_ =
+  (* Stop the initial leader's process and reboot it 5ms later, before
+     the new leader's recycler (first pass at 10ms) has reclaimed
+     anything: the rebooted replica replays its durable log and pulls the
+     whole outage backlog from the new leader, one rate-bounded batch at
+     a time, under traffic — a rejoin that lags for hundreds of us. *)
+  {
+    name = "restart-backlog";
+    events =
+      [
+        { at = 1_000_000; action = Stop_process 0 };
+        { at = 6_000_000; action = Restart 0 };
+      ];
+  }
+
+let named =
+  [ "crash-leader"; "partition-leader"; "lossy-fabric"; "kill-restart"; "restart-backlog" ]
 
 let by_name name ~n =
   match name with
@@ -314,6 +330,7 @@ let by_name name ~n =
   | "partition-leader" -> Some (partition_leader ~n)
   | "lossy-fabric" -> Some (lossy_fabric ~n)
   | "kill-restart" -> Some (kill_restart ~n)
+  | "restart-backlog" -> Some (restart_backlog ~n)
   | _ -> None
 
 (* --- coverage ------------------------------------------------------------ *)

@@ -79,6 +79,12 @@ val kill_restart : n:int -> t
     then durable-state restore, §5.4 re-admission and log catch-up to
     parity under traffic. *)
 
+val restart_backlog : n:int -> t
+(** Stop the initial leader's process at 1ms and reboot it at 6ms,
+    before the new leader has recycled any entry: the rebooted replica
+    replays its durable log and pulls the whole outage backlog at the
+    bounded catch-up rate, so its rejoin lags measurably. *)
+
 val named : string list
 val by_name : string -> n:int -> t option
 

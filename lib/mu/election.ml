@@ -39,6 +39,36 @@ let clamp c v =
   let lo = c.Sim.Calibration.score_min and hi = c.Sim.Calibration.score_max in
   if v < lo then lo else if v > hi then hi else v
 
+(* Flip this replica's verdict on [pid]: the alive table, a trace instant
+   named [name], and the provenance election span. *)
+let flip t pid ~score verdict name =
+  Hashtbl.replace t.Replica.alive pid verdict;
+  let e = Replica.engine t in
+  if Sim.Engine.traced e then
+    Sim.Engine.trace_instant e ~cat:"mu" ~pid:t.Replica.id
+      ~args:[ ("peer", string_of_int pid); ("score", string_of_int score) ]
+      name;
+  (* Provenance: suspecting the replica we believed was leader opens an
+     election span — closed by the role fiber on takeover, or here when
+     the suspicion turns out to be a false alarm. *)
+  if verdict = false && pid = t.Replica.leader_estimate && t.Replica.election_span = 0
+  then
+    t.Replica.election_span <-
+      Sim.Engine.span_open e ~pid:t.Replica.id ~parent:0
+        ~args:[ ("suspect", string_of_int pid) ]
+        "election"
+  else if verdict && t.Replica.election_span <> 0 && pid < t.Replica.id then begin
+    Sim.Engine.span_close e ~pid:t.Replica.id
+      ~args:[ ("outcome", "false_alarm") ]
+      t.Replica.election_span;
+    t.Replica.election_span <- 0
+  end
+
+let readmit t pid =
+  let score = (Replica.cal t).Sim.Calibration.score_max in
+  Hashtbl.replace t.Replica.scores pid score;
+  if not (is_alive t pid) then flip t pid ~score true "recover"
+
 (* One monitor fiber per peer id: read its counter, score it, update the
    alive table with hysteresis. The peer record is re-resolved by id on
    every round — a rebooted peer reappears under the same id with fresh
@@ -83,37 +113,11 @@ let monitor_fiber t pid =
       (match t.Replica.tel with
       | Some tel -> Telem.set_score tel ~peer:p.Replica.pid score
       | None -> ());
-      let alive = Option.value (Hashtbl.find_opt t.Replica.alive p.Replica.pid) ~default:true in
-      let e = Replica.engine t in
-      let flip verdict name =
-        Hashtbl.replace t.Replica.alive p.Replica.pid verdict;
-        if Sim.Engine.traced e then
-          Sim.Engine.trace_instant e ~cat:"mu" ~pid:t.Replica.id
-            ~args:
-              [ ("peer", string_of_int p.Replica.pid); ("score", string_of_int score) ]
-            name;
-        (* Provenance: suspecting the replica we believed was leader opens
-           an election span — closed by the role fiber on takeover, or here
-           when the suspicion turns out to be a false alarm. *)
-        if verdict = false && p.Replica.pid = t.Replica.leader_estimate
-           && t.Replica.election_span = 0
-        then
-          t.Replica.election_span <-
-            Sim.Engine.span_open e ~pid:t.Replica.id ~parent:0
-              ~args:[ ("suspect", string_of_int p.Replica.pid) ]
-              "election"
-        else if verdict && t.Replica.election_span <> 0
-                && p.Replica.pid < t.Replica.id
-        then begin
-          Sim.Engine.span_close e ~pid:t.Replica.id
-            ~args:[ ("outcome", "false_alarm") ]
-            t.Replica.election_span;
-          t.Replica.election_span <- 0
-        end
-      in
-      if alive && score < c.Sim.Calibration.score_fail then flip false "suspect"
+      let alive = is_alive t p.Replica.pid in
+      if alive && score < c.Sim.Calibration.score_fail then
+        flip t p.Replica.pid ~score false "suspect"
       else if (not alive) && score > c.Sim.Calibration.score_recover then
-        flip true "recover";
+        flip t p.Replica.pid ~score true "recover";
       loop ()
   in
   loop ()

@@ -30,4 +30,11 @@ val current_leader : Replica.t -> int
 val is_alive : Replica.t -> int -> bool
 (** Whether this replica currently believes peer [id] to be alive. *)
 
+val readmit : Replica.t -> int -> unit
+(** [readmit t pid] lifts [pid]'s score to the cap and, if [t] suspects
+    it, flips it alive through the same transition the monitor takes
+    ("recover" instant, election span). The restart pipeline calls it on
+    the survivors once a rejoined incarnation reaches log parity,
+    releasing the floor score it pinned while rewiring. *)
+
 val read_own_heartbeat : Replica.t -> int64

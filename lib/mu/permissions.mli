@@ -28,6 +28,12 @@ val acked : Replica.t -> gen:int64 -> int list
 (** Ids (possibly including our own) whose ack slot carries [gen] — read
     from local memory, no communication. *)
 
+val pending_request : Replica.t -> (int * int64) option
+(** The request the permission fiber would serve next: the lowest
+    requester id whose generation in our request array exceeds the last
+    one we granted it, with that generation. [None] when every request
+    has been served. *)
+
 val grant_self_local : Replica.t -> gen:int64 -> unit
 (** Process our own request locally without waiting for the spinning
     thread (used in tests). *)

@@ -225,8 +225,12 @@ let unwire t ~pid =
     (* Volatile per-peer state must go with the connection. In particular
        a rebooted incarnation of [pid] restarts its permission request
        generation at zero, so keeping the stale last-granted generation
-       would make this replica ignore its permission requests forever. *)
+       would make this replica ignore its permission requests forever.
+       The request it last wrote into our background MR goes too: left in
+       place, our permission fiber would grant it to the new incarnation
+       the moment it is rewired, revoking whoever serves now. *)
     Hashtbl.remove t.last_granted pid;
+    Rdma.Mr.set_i64 t.bg_mr ~off:(bg_req_offset pid) 0L;
     Hashtbl.remove t.last_hb pid;
     Hashtbl.remove t.scores pid;
     Hashtbl.remove t.alive pid;

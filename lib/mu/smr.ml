@@ -468,10 +468,19 @@ let leader_service t (r : Replica.t) =
       | None -> ());
     Recovery.Degrade.enter deg ~now:(Sim.Engine.now t.engine)
   in
+  (* The election rule: a lower id alive in our own view outranks us, and
+     our role fiber will demote us at its next tick. Establishing first
+     would only revoke that replica's permissions and start a duel. *)
+  let outranked () =
+    List.exists
+      (fun p -> p.Replica.pid < r.Replica.id && Election.is_alive r p.Replica.pid)
+      r.Replica.peers
+  in
   let rec loop () =
     if r.Replica.stop || r.Replica.removed then ()
     else begin
-      (if r.Replica.role <> Replica.Leader then begin
+      (if r.Replica.role <> Replica.Leader || (r.Replica.need_new_followers && outranked ())
+       then begin
          close_degraded ();
          Sim.Host.idle r.Replica.host c.Sim.Calibration.fd_read_interval
        end
@@ -911,11 +920,19 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
             [ ("entries", string_of_int p.Recovery.Catchup.entries);
               ("ns", string_of_int (now - t0)) ]
           "rejoin_parity";
-      (* At log parity, start the planes and ask the current leader to
+      (* At log parity, start the planes, release the floor score the
+         rewiring pinned on the survivors, and ask the current leader to
          grow its confirmed-follower set: its next establish() writes us
          a permission request, our permission fiber acks it, and
-         Listing 6 pushes any entries decided during the hand-off. *)
+         Listing 6 pushes any entries decided during the hand-off. If we
+         are now the lowest live id, the survivors see us alive at once
+         and the current leader yields instead (see [leader_service]), so
+         fail-back is a single hand-off. *)
       start_replica t newcomer;
+      Array.iter
+        (fun (r : Replica.t) ->
+          if r.Replica.id <> id && not r.Replica.removed then Election.readmit r id)
+        t.replicas;
       (match serving_leader t with
       | Some l when l.Replica.id <> id -> l.Replica.need_new_followers <- true
       | Some _ | None -> ());
@@ -975,7 +992,7 @@ let restart_fiber t id =
       (* 3. Rewire the survivors to the new incarnation: tear down every
          stale connection to the dead host, connect fresh QPs, and pin
          the newcomer's score at the floor so elections ignore it until
-         real heartbeats lift it past the hysteresis band. No yield
+         it reaches log parity, where [rejoin_fiber] releases it. No yield
          happens in this block, so no fiber observes a half-wired
          cluster. *)
       let config_floor = ref 0 in

@@ -4,10 +4,11 @@
    run by the replica that is behind instead of the leader): read the
    leader's FUO, pull missed slot images one batch at a time over the
    always-readable replication QP, install and apply them, then idle
-   before the next batch. The idle between batches is the rate bound —
-   catch-up shares the leader's NIC with the replication hot path, so an
-   unthrottled reader would inflate commit tail latency exactly when the
-   cluster is busiest.
+   after every full batch. The idle is the rate bound — catch-up shares
+   the leader's NIC with the replication hot path, so an unthrottled
+   reader would inflate commit tail latency exactly when the cluster is
+   busiest. Once the backlog is under one batch the reader closes it
+   without idling, so it converges on a leader that keeps committing.
 
    The driver is written against closures so it can be unit-tested
    without a cluster and so the caller owns all protocol details (which
@@ -67,7 +68,12 @@ let run ~batch ~idle_ns ~idle ~target ~fuo ~pull ~install ~commit ~recheckpoint 
         in
         pull_batch start;
         p.rounds <- p.rounds + 1;
-        idle idle_ns;
+        (* Idle after a full batch (the rate bound) or a round that fell
+           short of [upto] (a failed read). A backlog under one batch is
+           closed at once: idling there would let a leader that commits
+           during the idle stay ahead for ever. *)
+        let reached = fuo () in
+        if reached - start >= batch || reached < upto then idle idle_ns;
         loop ()
   in
   loop ()

@@ -3,9 +3,11 @@
     Listing 5's read-and-copy loop, driven by the replica that is behind:
     pull missed slot images from the current leader in batches of
     [batch], installing and committing each contiguous prefix, idling
-    [idle_ns] between batches so recovery traffic cannot starve the
-    replication hot path. Runs until the local FUO reaches the leader's
-    (log parity) or [stopped] turns true.
+    [idle_ns] after every full batch so recovery traffic cannot starve
+    the replication hot path. A backlog under one batch is pulled again
+    at once, without an idle, so the driver converges while the leader
+    keeps committing. Runs until the local FUO reaches the leader's (log
+    parity) or [stopped] turns true.
 
     Written against closures — the caller supplies the actual RDMA reads,
     slot decoding and apply logic — so the loop is unit-testable without

@@ -139,17 +139,20 @@ let chaos_alert_log_deterministic () =
     (Monitor.Log.to_json (Monitor.Online.log m2));
   check_int "same seed: same window count" (Monitor.Online.windows m1)
     (Monitor.Online.windows m2);
-  (* the kill-restart story must produce both watchdog edges *)
-  let entries = Monitor.Log.entries (Monitor.Online.log m1) in
-  let has rule edge =
+  let has m rule edge =
     List.exists
       (fun (en : Monitor.Log.entry) -> en.rule = rule && en.edge = edge)
-      entries
+      (Monitor.Log.entries (Monitor.Online.log m))
   in
-  check "quorum_loss fires" true (has "quorum_loss" `Fire);
-  check "quorum_loss clears" true (has "quorum_loss" `Clear);
-  check "rejoin_lag fires" true (has "rejoin_lag" `Fire);
-  check "rejoin_lag clears" true (has "rejoin_lag" `Clear);
+  (* the kill-restart story must bracket the leader's degraded window *)
+  check "quorum_loss fires" true (has m1 "quorum_loss" `Fire);
+  check "quorum_loss clears" true (has m1 "quorum_loss" `Clear);
+  (* a rejoin that pulls a whole outage backlog lags for hundreds of us:
+     the watchdog fires while it is in flight and clears at parity *)
+  let ob, mb = run_monitored ~scenario:"restart-backlog" 7L in
+  check "backlog run passes" true (Workload.Chaos.passed ob);
+  check "rejoin_lag fires" true (has mb "rejoin_lag" `Fire);
+  check "rejoin_lag clears" true (has mb "rejoin_lag" `Clear);
   (* same property through a partition scenario (smaller run) *)
   let _, p1 = run_monitored ~scenario:"partition-leader" ~ops:150 11L in
   let _, p2 = run_monitored ~scenario:"partition-leader" ~ops:150 11L in

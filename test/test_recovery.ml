@@ -67,8 +67,39 @@ let catchup_reaches_parity () =
     check "all installed" true (Array.for_all Fun.id installed);
     check_int "local fuo at parity" 10 !fuo;
     check_int "ceil(10/4) rounds" 3 p.Recovery.Catchup.rounds;
-    check "idled between rounds (rate bound)" true (!idles >= 3)
+    (* The rate bound: one idle per full batch (4 + 4), none after the
+       short final round that closed the backlog. *)
+    check_int "idled after full batches only" 2 !idles
   | Recovery.Catchup.Stopped _ -> Alcotest.fail "catch-up stopped unexpectedly"
+
+(* A leader that keeps committing while the reader catches up: one new
+   entry per 5 time units, against 1 unit per read and 20 per idle. A
+   reader that idled after every round would hand the leader 4 more
+   entries each time and never reach parity; one that goes straight back
+   once under a batch closes the gap. *)
+let catchup_converges_on_advancing_target () =
+  let clock = ref 0 in
+  let tick n = clock := !clock + n in
+  let fuo = ref 0 in
+  match
+    Recovery.Catchup.run ~batch:64 ~idle_ns:20 ~idle:tick
+      ~target:(fun () ->
+        tick 1;
+        Some (100 + (!clock / 5)))
+      ~fuo:(fun () -> !fuo)
+      ~pull:(fun _ ->
+        tick 1;
+        Recovery.Catchup.Entry (Bytes.create 1))
+      ~install:(fun _ _ -> ())
+      ~commit:(fun i -> fuo := i)
+      ~recheckpoint:(fun () -> ())
+      ~stopped:(fun () -> !clock > 1_000_000)
+      ()
+  with
+  | Recovery.Catchup.Parity p ->
+    check "local fuo reached the moving target" true (!fuo >= 100 + (!clock / 5) - 1);
+    check "pulled past the initial backlog" true (p.Recovery.Catchup.entries > 100)
+  | Recovery.Catchup.Stopped _ -> Alcotest.fail "catch-up never reached parity"
 
 let catchup_recheckpoints_after_recycle () =
   let fuo = ref 0 in
@@ -261,6 +292,36 @@ let leader_kill_restart_fails_back () =
       check "no invariant violations" true
         (Mu.Invariants.check_all (Mu.Smr.replicas smr) = []))
 
+(* Rewiring a restarted replica must not leave its previous
+   incarnation's permission request behind on the survivors: granting it
+   would revoke the serving leader and hand the survivors' logs to a
+   replica that has not asked for them. *)
+let rewire_leaves_no_pending_request () =
+  with_smr (fun e smr ->
+      Mu.Smr.wait_live smr;
+      put smr "a" "1" 1;
+      let r0 = Mu.Smr.replica smr 0 in
+      Sim.Host.stop_process r0.Mu.Replica.host;
+      Util.wait_for
+        (fun () ->
+          match Mu.Smr.serving_leader smr with
+          | Some l -> l.Mu.Replica.id = 1 && not l.Mu.Replica.need_new_followers
+          | None -> false)
+        e;
+      put smr "b" "2" 2;
+      Mu.Smr.restart_replica smr ~id:0;
+      (* The restart pipeline rewires without yielding; one yield lets it
+         run and nothing else at this instant. *)
+      Sim.Engine.yield e;
+      check "fresh incarnation wired" true (Mu.Smr.replica smr 0 != r0);
+      List.iter
+        (fun id ->
+          check
+            (Printf.sprintf "no pending request on replica %d" id)
+            true
+            (Mu.Permissions.pending_request (Mu.Smr.replica smr id) = None))
+        [ 1; 2 ])
+
 (* Restarting a replica whose process was stopped (not killed) recovers
    the same way — stop-vs-kill differ in how state survives, not in
    whether rejoin works. *)
@@ -358,6 +419,89 @@ let quorum_loss_sheds_then_resumes () =
       put smr "resumed" "yes" 102;
       Alcotest.(check (option string)) "resumed" (Some "yes") (get smr "resumed" 103))
 
+(* Stop the serving leader and restart it, [rounds] times in one
+   long-lived durable cluster, under open-loop KV traffic (one request
+   every 5 us, each its own client). Every round must settle — the
+   rejoin at parity and a leader that is not regrowing its followers —
+   within 100 ms, and the whole history must be linearizable. Each
+   restart used to leave stale permission state behind that made later
+   rounds stall. Kept under ten rounds: leaders change faster than
+   [recycle_interval], so the recycler never runs and the log fills. *)
+let repeated_leader_restarts_settle ~seed ~rounds =
+  let cfg = { durable_cfg with Mu.Config.max_batch = 8 } in
+  with_smr ~cfg ~seed (fun e smr ->
+      Mu.Smr.wait_live smr;
+      let rng = Sim.Rng.split (Sim.Engine.rng e) in
+      let history = ref [] and open_ops = ref 0 and generating = ref true in
+      Sim.Engine.spawn e ~name:"generator" (fun () ->
+          let i = ref 0 in
+          while !generating do
+            let proc = !i in
+            incr i;
+            let key = Printf.sprintf "k%d" (Sim.Rng.int rng 1000) in
+            let cmd =
+              if Sim.Rng.bool rng then Apps.Kv_store.Get { key }
+              else Apps.Kv_store.Put { key; value = Printf.sprintf "v%d" proc }
+            in
+            let invoked = Sim.Engine.now e in
+            incr open_ops;
+            Sim.Engine.spawn e ~name:"request" (fun () ->
+                let payload = Apps.Kv_store.encode_command ~client:(proc + 2) ~req_id:1 cmd in
+                let reply =
+                  Apps.Kv_store.decode_reply
+                    (Sim.Engine.Ivar.read (Mu.Smr.submit_async smr payload))
+                in
+                let kind =
+                  match cmd, reply with
+                  | Apps.Kv_store.Put { value; _ }, _ -> Workload.Linearizability.Write value
+                  | _, Some (Apps.Kv_store.Value v) -> Workload.Linearizability.Read (Some v)
+                  | _, _ -> Workload.Linearizability.Read None
+                in
+                history :=
+                  {
+                    Workload.Linearizability.proc;
+                    invoked;
+                    responded = Sim.Engine.now e;
+                    key;
+                    kind;
+                  }
+                  :: !history;
+                decr open_ops);
+            Sim.Engine.sleep e 5_000
+          done);
+      let within limit pred =
+        let deadline = Sim.Engine.now e + limit in
+        while (not (pred ())) && Sim.Engine.now e < deadline do
+          Sim.Engine.sleep e 10_000
+        done;
+        pred ()
+      in
+      for round = 1 to rounds do
+        Sim.Engine.sleep e 2_500_000;
+        let l = Option.get (Mu.Smr.serving_leader smr) in
+        Sim.Host.stop_process l.Mu.Replica.host;
+        Sim.Engine.sleep e 2_000_000;
+        Mu.Smr.restart_replica smr ~id:l.Mu.Replica.id;
+        let settled () =
+          List.length (Mu.Smr.rejoins smr) = round
+          && Mu.Smr.restarts_in_flight smr = 0
+          &&
+          match Mu.Smr.serving_leader smr with
+          | Some r -> not r.Mu.Replica.need_new_followers
+          | None -> false
+        in
+        if not (within 100_000_000 settled) then
+          Alcotest.failf "seed %Ld: round %d did not settle within 100 ms" seed round
+      done;
+      generating := false;
+      check "every request answered" true (within 100_000_000 (fun () -> !open_ops = 0));
+      check "history linearizable" true (Workload.Linearizability.check !history);
+      check "no invariant violations" true
+        (Mu.Invariants.check_all (Mu.Smr.replicas smr) = []))
+
+let repeated_leader_restarts () =
+  List.iter (fun seed -> repeated_leader_restarts_settle ~seed ~rounds:8) [ 1L; 3L ]
+
 (* --- determinism --------------------------------------------------------- *)
 
 (* Same seed + kill-restart scenario ⇒ byte-identical traces, rejoin
@@ -365,25 +509,32 @@ let quorum_loss_sheds_then_resumes () =
    invisible (identical bytes) — recovery support costs nothing until
    used. *)
 let recovery_runs_are_deterministic () =
-  let scenario = Option.get (Faults.Scenario.by_name ~n:3 "kill-restart") in
-  let run seed =
+  let run ~n seed =
+    let scenario = Option.get (Faults.Scenario.by_name ~n "kill-restart") in
     let tr = Trace.Tracer.create ~capacity:(1 lsl 18) () in
     let o =
-      Workload.Chaos.run ~trace:tr ~ops_per_client:60 ~think:100_000 ~seed ~n:3 scenario
+      Workload.Chaos.run ~trace:tr ~ops_per_client:60 ~think:100_000 ~seed ~n scenario
     in
     (Trace.Tracer.chrome_string tr, o)
   in
-  let t1, o1 = run 7L in
-  let t2, o2 = run 7L in
-  Alcotest.(check string) "same seed, identical trace bytes" t1 t2;
-  check "run passed" true (Workload.Chaos.passed o1);
-  check "rejoin happened" true (o1.Workload.Chaos.rejoins <> []);
-  check_int "same rejoins" (List.length o1.Workload.Chaos.rejoins)
-    (List.length o2.Workload.Chaos.rejoins);
-  check "entries pulled during rejoin" true
-    (List.exists (fun r -> r.Mu.Smr.entries_pulled > 0) o1.Workload.Chaos.rejoins);
-  let t3, _ = run 8L in
-  check "different seed diverges" true (t1 <> t3)
+  let check_case ~n seed =
+    let t1, o1 = run ~n seed in
+    let t2, o2 = run ~n seed in
+    let label what = Printf.sprintf "n=%d seed %Ld: %s" n seed what in
+    Alcotest.(check string) (label "same seed, identical trace bytes") t1 t2;
+    check (label "run passed") true (Workload.Chaos.passed o1);
+    check (label "rejoin happened") true (o1.Workload.Chaos.rejoins <> []);
+    check_int (label "same rejoins") (List.length o1.Workload.Chaos.rejoins)
+      (List.length o2.Workload.Chaos.rejoins);
+    check (label "entries pulled during rejoin") true
+      (List.exists (fun r -> r.Mu.Smr.entries_pulled > 0) o1.Workload.Chaos.rejoins);
+    t1
+  in
+  let t7 = check_case ~n:3 7L in
+  (* The five-replica cluster too. *)
+  ignore (check_case ~n:5 11L);
+  let t8, _ = run ~n:3 8L in
+  check "different seed diverges" true (t7 <> t8)
 
 let durable_off_run_is_unchanged () =
   let scenario = Option.get (Faults.Scenario.by_name ~n:3 "crash-leader") in
@@ -400,15 +551,20 @@ let suite =
     ("nvm regions persist", `Quick, nvm_regions_persist);
     ("durable members round-trip", `Quick, durable_members_roundtrip);
     ("catch-up reaches parity", `Quick, catchup_reaches_parity);
+    ("catch-up converges on an advancing target", `Quick,
+      catchup_converges_on_advancing_target);
     ("catch-up recheckpoints after recycle", `Quick, catchup_recheckpoints_after_recycle);
     ("catch-up stops and waits", `Quick, catchup_stops_and_waits);
     ("backpressure bounds the queue", `Quick, backpressure_bounds_queue);
     ("degraded-window accounting", `Quick, degrade_window_accounting);
     ("follower kill-restart reaches parity", `Quick, follower_kill_restart_reaches_parity);
     ("leader kill-restart fails back", `Quick, leader_kill_restart_fails_back);
+    ("rewire leaves no pending permission request", `Quick,
+      rewire_leaves_no_pending_request);
     ("stopped process restarts", `Quick, stopped_process_restarts);
     ("restart of running replica is a no-op", `Quick, restart_of_running_replica_is_noop);
     ("quorum loss sheds then resumes", `Quick, quorum_loss_sheds_then_resumes);
+    ("repeated leader restarts settle", `Quick, repeated_leader_restarts);
     ("recovery runs deterministic", `Quick, recovery_runs_are_deterministic);
     ("durable off is unchanged", `Quick, durable_off_run_is_unchanged);
   ]
