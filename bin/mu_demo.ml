@@ -401,7 +401,7 @@ let chaos_cmd =
       & info [ "scenario" ] ~docv:"SCENARIO"
           ~doc:
             "Named scenario (crash-leader, partition-leader, lossy-fabric, \
-             kill-restart, restart-backlog) or a scenario JSON file.")
+             kill-restart, restart-backlog, quorum-loss) or a scenario JSON file.")
   in
   let trace_arg =
     Arg.(
@@ -688,7 +688,7 @@ let watch_cmd =
       & info [ "scenario" ] ~docv:"SCENARIO"
           ~doc:
             "Named scenario (crash-leader, partition-leader, lossy-fabric, \
-             kill-restart, restart-backlog) or a scenario JSON file.")
+             kill-restart, restart-backlog, quorum-loss) or a scenario JSON file.")
   in
   let clients_arg =
     Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Closed-loop clients.")

@@ -321,8 +321,16 @@ let restart_backlog ~n:_ =
       ];
   }
 
+let quorum_loss ~n =
+  (* Kill a majority of the followers at 5ms and reboot one at 10ms: the
+     leader stays up but is degraded until that replica rejoins. *)
+  let kill i = { at = 5_000_000; action = Kill_host (i + 1) } in
+  let events = List.init ((n / 2) + 1) kill @ [ { at = 10_000_000; action = Restart 1 } ] in
+  { name = "quorum-loss"; events }
+
 let named =
-  [ "crash-leader"; "partition-leader"; "lossy-fabric"; "kill-restart"; "restart-backlog" ]
+  [ "crash-leader"; "partition-leader"; "lossy-fabric"; "kill-restart"; "restart-backlog";
+    "quorum-loss" ]
 
 let by_name name ~n =
   match name with
@@ -331,6 +339,7 @@ let by_name name ~n =
   | "lossy-fabric" -> Some (lossy_fabric ~n)
   | "kill-restart" -> Some (kill_restart ~n)
   | "restart-backlog" -> Some (restart_backlog ~n)
+  | "quorum-loss" -> Some (quorum_loss ~n)
   | _ -> None
 
 (* --- coverage ------------------------------------------------------------ *)

@@ -85,6 +85,10 @@ val restart_backlog : n:int -> t
     replays its durable log and pulls the whole outage backlog at the
     bounded catch-up rate, so its rejoin lags measurably. *)
 
+val quorum_loss : n:int -> t
+(** Kill a majority of the followers at 5ms, reboot one at 10ms: the
+    leader loses its quorum until that replica rejoins. *)
+
 val named : string list
 val by_name : string -> n:int -> t option
 

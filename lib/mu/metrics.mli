@@ -6,9 +6,9 @@
     how often the permission fast path fell back to a QP restart). *)
 
 type t = {
-  mutable proposes : int;  (** Propose calls started. *)
+  mutable proposes : int;  (** Propose calls started (establish, config entries). *)
   mutable commits : int;  (** Propose calls that returned. *)
-  mutable aborts : int;  (** Propose calls that aborted (§4.1). *)
+  mutable aborts : int;  (** Proposes and leader windows that aborted (§4.1). *)
   mutable prepare_phases : int;  (** Prepare phases executed (not omitted). *)
   mutable accept_rounds : int;  (** Accept-phase write rounds. *)
   mutable catch_up_entries : int;  (** Entries copied in (Listing 5). *)

@@ -87,36 +87,17 @@ let note_recycler t ~pid ~tag ~status =
           "recycler_write_failed"
   end
 
-(* Consume completions until [needed] successes with tag [tag] have been
-   seen; returns the peer ids that succeeded. Completions from older tags
-   are discarded if successful — but any error completion means this
-   leader lost write permission somewhere (or a follower died) and aborts
-   the call, matching "abort if any write fails" (Listing 2). *)
-let await_tag t ~tag ~needed =
-  let successes = ref [] in
-  while List.length !successes < needed do
-    let wc = Rdma.Cq.await t.Replica.repl_cq in
-    match Hashtbl.find_opt t.Replica.inflight wc.Rdma.Verbs.wr_id with
-    | None -> () (* stale: belongs to an aborted round *)
-    | Some (pid, tg) -> (
-      Hashtbl.remove t.Replica.inflight wc.Rdma.Verbs.wr_id;
-      note_recycler t ~pid ~tag:tg ~status:wc.Rdma.Verbs.status;
-      match wc.Rdma.Verbs.status with
-      | Rdma.Verbs.Success -> if tg = tag then successes := pid :: !successes
-      | Rdma.Verbs.Remote_access_error | Rdma.Verbs.Operation_timeout | Rdma.Verbs.Flushed
-        ->
-        abort t
-          (Fmt.str "operation on peer %d failed: %a" pid Rdma.Verbs.pp_wc_status
-             wc.Rdma.Verbs.status))
-  done;
-  !successes
-
-let drain_completion t ~timeout =
-  match Rdma.Cq.await_timeout t.Replica.repl_cq timeout with
+let drain_completion ?timeout t =
+  let wc =
+    match timeout with
+    | None -> Some (Rdma.Cq.await t.Replica.repl_cq)
+    | Some ns -> Rdma.Cq.await_timeout t.Replica.repl_cq ns
+  in
+  match wc with
   | None -> None
   | Some wc -> (
     match Hashtbl.find_opt t.Replica.inflight wc.Rdma.Verbs.wr_id with
-    | None -> None
+    | None -> None (* stale: belongs to an aborted round *)
     | Some (pid, tg) -> (
       Hashtbl.remove t.Replica.inflight wc.Rdma.Verbs.wr_id;
       note_recycler t ~pid ~tag:tg ~status:wc.Rdma.Verbs.status;
@@ -127,6 +108,20 @@ let drain_completion t ~timeout =
         abort t
           (Fmt.str "operation on peer %d failed: %a" pid Rdma.Verbs.pp_wc_status
              wc.Rdma.Verbs.status)))
+
+(* Consume completions until [needed] successes with tag [tag] have been
+   seen; returns the peer ids that succeeded. Completions from older tags
+   are discarded if successful — but any error completion means this
+   leader lost write permission somewhere (or a follower died) and aborts
+   the call, matching "abort if any write fails" (Listing 2). *)
+let await_tag t ~tag ~needed =
+  let successes = ref [] in
+  while List.length !successes < needed do
+    match drain_completion t with
+    | Some (pid, tg) when tg = tag -> successes := pid :: !successes
+    | Some _ | None -> ()
+  done;
+  !successes
 
 (* --- permission acquisition (Listing 2, lines 8-12) ------------------- *)
 
@@ -277,13 +272,12 @@ let become_leader t =
    next propose — after being brought up to date, "the behavior is the
    same as if ℓ just became leader and its initial confirmed followers set
    was C ∪ S". *)
+let stragglers t =
+  let fresh id = id <> t.Replica.id && not (List.mem id t.Replica.confirmed) in
+  List.filter fresh (Permissions.acked t ~gen:t.Replica.req_gen)
+
 let grow_followers t =
-  let acks = Permissions.acked t ~gen:t.Replica.req_gen in
-  let newcomers =
-    List.filter
-      (fun id -> id <> t.Replica.id && not (List.mem id t.Replica.confirmed))
-      acks
-  in
+  let newcomers = stragglers t in
   if newcomers <> [] then begin
     List.iter
       (fun id ->
@@ -431,6 +425,24 @@ let accept_phase t ~prop_num ~value ~idx =
   post_accept t ~tag ~idx ~imgs:[ img ];
   ignore (await_tag t ~tag ~needed:(remote_majority t))
 
+(* --- commit: one report of each commit to every view ------------------- *)
+
+let commit ?(within = fun f -> f ()) ?since t ~upto =
+  let e = Replica.engine t in
+  let t0 = Sim.Engine.now e in
+  within (fun () ->
+      Log.set_fuo t.Replica.log upto;
+      Replica.apply_committed t);
+  (match t.Replica.tel with
+  | Some tel ->
+    let now = Sim.Engine.now e in
+    Telem.commit_ns tel (now - t0);
+    Telem.commit_fuo tel upto;
+    Option.iter (fun s -> Telem.replication_ns tel (now - s)) since
+  | None -> ());
+  if Sim.Engine.traced e then
+    Sim.Engine.trace_counter e ~cat:"mu" ~pid:t.Replica.id "fuo" ~value:upto
+
 (* --- log-space backpressure (§5.3) ------------------------------------- *)
 
 let wait_log_space t ~idx =
@@ -463,23 +475,10 @@ let propose t value =
         in
         let v = match adopted with Some v -> v | None -> value in
         accept_phase t ~prop_num ~value:v ~idx;
-        let e = Replica.engine t in
-        let commit_t0 = Sim.Engine.now e in
-        tspan t "commit" (fun () ->
-            Log.set_fuo t.Replica.log (idx + 1);
-            Replica.apply_committed t);
-        (match t.Replica.tel with
-        | Some tel ->
-          Telem.commit_ns tel (Sim.Engine.now e - commit_t0);
-          Telem.commit_fuo tel (idx + 1)
-        | None -> ());
-        if Sim.Engine.traced e then
-          Sim.Engine.trace_counter e ~cat:"mu" ~pid:t.Replica.id "fuo" ~value:(idx + 1);
+        (* Only our own value's commit ends the client-visible replication. *)
+        let since = if adopted = None then t.Replica.propose_started_at else None in
+        commit t ~within:(tspan t "commit") ?since ~upto:(idx + 1);
         if adopted = None then committed_at := idx
       done;
       t.Replica.metrics.Metrics.commits <- t.Replica.metrics.Metrics.commits + 1;
-      (match t.Replica.tel, t.Replica.propose_started_at with
-      | Some tel, Some t0 ->
-        Telem.replication_ns tel (Sim.Engine.now (Replica.engine t) - t0)
-      | _ -> ());
       !committed_at)

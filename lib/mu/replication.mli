@@ -34,20 +34,20 @@ val propose : Replica.t -> bytes -> int
     host, and [r] must believe itself leader. Raises {!Aborted} on any
     failed operation or lost permission. *)
 
-val become_leader : Replica.t -> unit
-(** The leader-change preamble: permission acquisition, confirmed-follower
-    construction, leader catch-up and follower update. Called implicitly
-    by {!propose} when needed; exposed for fail-over experiments that time
-    it separately. *)
-
-val abort : Replica.t -> string -> 'a
-(** Mark the replica as needing a new confirmed-followers set and raise
-    {!Aborted}. *)
-
 (** {1 Lower-level helpers for the windowed fast path (§7.4)}
 
     These expose the accept-phase plumbing so that {!Smr} can keep several
     outstanding slot writes in flight. They assume omit-prepare is active. *)
+
+val commit :
+  ?within:((unit -> unit) -> unit) -> ?since:int -> Replica.t -> upto:int -> unit
+(** Every leader commit: advance the FUO to [upto], apply, emit the trace's
+    [fuo] counter and record [mu_fuo], [mu_commit_apply_ns] and, from
+    [since], [mu_replication_latency_ns]. [within] wraps FUO move and apply. *)
+
+val stragglers : Replica.t -> int list
+(** Peers whose permission ack landed after the confirmed-follower set was
+    settled (§4.2), a local read. {!propose} admits them. *)
 
 val post_accept : Replica.t -> tag:int -> idx:int -> imgs:Bytes.t list -> unit
 (** Write the non-empty entry images [imgs] into the contiguous slot range
@@ -62,10 +62,10 @@ val post_accept : Replica.t -> tag:int -> idx:int -> imgs:Bytes.t list -> unit
 val remote_majority : Replica.t -> int
 (** Number of remote completions that constitute a majority with self. *)
 
-val drain_completion : Replica.t -> timeout:int -> (int * int) option
+val drain_completion : ?timeout:int -> Replica.t -> (int * int) option
 (** Consume one completion from the replication CQ: [Some (peer, tag)] on
-    success, [None] on timeout or a stale (unmatched) completion. Raises
-    {!Aborted} on an error completion. *)
+    success, [None] on timeout (blocks without one) or a stale completion.
+    Raises {!Aborted} on an error completion. *)
 
 val wait_log_space : Replica.t -> idx:int -> unit
 (** Block while slot [idx] would overrun the circular log (§5.3 — "the log

@@ -131,8 +131,6 @@ let decode_batch value =
 
 let noop = encode_batch []
 
-let mu_log_fuo_offset = Log.fuo_offset
-
 (* --- commit hook -------------------------------------------------------- *)
 
 let apply_config _t (r : Replica.t) op =
@@ -263,59 +261,49 @@ let establish t (r : Replica.t) =
         Sim.Host.idle r.Replica.host 50_000;
         false)
 
-(* Simple service: one propose at a time (Figs. 3-5 configuration). *)
-let serve_simple t (r : Replica.t) =
-  let c = Replica.cal r in
-  match Sim.Engine.Chan.recv_timeout t.incoming c.Sim.Calibration.fd_read_interval with
-  | None -> ()
-  | Some first ->
-    if r.Replica.role <> Replica.Leader then requeue t [ first ]
-    else begin
-      let reqs = gather_batch t first in
-      Sim.Engine.with_span t.engine ~pid:r.Replica.id
-        ~args:[ ("reqs", string_of_int (List.length reqs)) ]
-        "batch"
-      @@ fun batch_span ->
-      prov_pickup t batch_span reqs;
-      (match r.Replica.tel with
-      | Some tel -> Telem.batch_occupancy tel (List.length reqs)
-      | None -> ());
-      Sim.Host.cpu r.Replica.host (attach_cost t);
-      List.iter
-        (fun req -> Sim.Host.cpu r.Replica.host (stage_cost t (Bytes.length req.payload)))
-        reqs;
-      let value = encode_batch (List.map (fun req -> req.payload) reqs) in
-      match Replication.propose r value with
-      | idx -> fill_responses t r idx reqs
-      | exception Replication.Aborted _ -> requeue t reqs
-    end
-
-(* Windowed service (Fig. 7, §7.4 extended): up to [cfg.max_outstanding]
+(* The leader's service loop (§4, §7.4): up to [cfg.max_outstanding]
    groups of slot writes in flight. Each fill step gathers up to
    [cfg.doorbell] batches, stages them into that many contiguous log
    slots, and rings the NIC once — a single RDMA write per confirmed
    follower covers the whole slot range, and one completion per peer
    acknowledges the group. Commit then advances the FUO past the group in
    one move, amortizing both the wire and the commit bookkeeping over k
-   entries. Pipelining is the k = 1 case. *)
+   entries. Pipelining is the k = 1 case; the default configuration is a
+   window of one slot, one batch replicated at a time (Figs. 3-5). *)
 type slot = { idx : int; reqs : request list; span : int }
-type group = { first : int; count : int; mutable acks : int; slots : slot list }
+
+type group =
+  { first : int; count : int; posted : int; mutable acks : int; slots : slot list }
 
 let serve_windowed t (r : Replica.t) =
   let c = Replica.cal r in
+  let e = t.engine in
   let window : group Queue.t = Queue.create () in
   let inflight_slots () = Queue.fold (fun acc g -> acc + g.count) 0 window in
+  (* One "accept" async span per group, post to quorum ack, keyed by leader. *)
+  let accept_id g = ((r.Replica.id + 1) lsl 40) lor g.first in
+  let end_accept g outcome =
+    if Sim.Engine.traced e then
+      Sim.Engine.trace_async_end e ~cat:"mu" ~pid:r.Replica.id ~id:(accept_id g)
+        ~args:[ ("outcome", outcome) ] "accept"
+  in
+  (* The oldest group in flight is the replication activity fate sharing watches (§5.1). *)
+  let note_oldest () =
+    r.Replica.propose_started_at <- Option.map (fun g -> g.posted) (Queue.peek_opt window)
+  in
   let restore_window () =
     Queue.iter
       (fun g ->
+        end_accept g "aborted";
         List.iter
           (fun s ->
             if s.span <> 0 then
-              Sim.Engine.span_close t.engine ~args:[ ("outcome", "aborted") ] s.span;
+              Sim.Engine.span_close e ~args:[ ("outcome", "aborted") ] s.span;
             requeue t s.reqs)
           g.slots)
       window;
-    Queue.clear window
+    Queue.clear window;
+    note_oldest ()
   in
   let open_group first =
     let base = Log.fuo r.Replica.log + inflight_slots () in
@@ -331,27 +319,16 @@ let serve_windowed t (r : Replica.t) =
         | None -> (List.rev acc, count)
     in
     let batches, count = gather [ gather_batch t first ] 1 in
-    Sim.Host.cpu r.Replica.host (attach_cost t);
-    List.iter
-      (List.iter (fun req ->
-           Sim.Host.cpu r.Replica.host (stage_cost t (Bytes.length req.payload))))
-      batches;
-    Replication.wait_log_space r ~idx:(base + count - 1);
     let slots =
       List.mapi
         (fun i reqs ->
           let idx = base + i in
           let span =
-            if not (Sim.Engine.provenance_on t.engine) then 0
+            if not (Sim.Engine.provenance_on e) then 0
             else
-              Sim.Engine.span_open t.engine ~pid:r.Replica.id
-                ~args:
-                  [
-                    ("reqs", string_of_int (List.length reqs));
-                    ("idx", string_of_int idx);
-                    ("doorbell", string_of_int count);
-                  ]
-                "batch"
+              let arg k v = (k, string_of_int v) in
+              Sim.Engine.span_open e ~pid:r.Replica.id "batch"
+                ~args:[ arg "reqs" (List.length reqs); arg "idx" idx; arg "doorbell" count ]
           in
           prov_pickup t span reqs;
           (match r.Replica.tel with
@@ -360,64 +337,72 @@ let serve_windowed t (r : Replica.t) =
           { idx; reqs; span })
         batches
     in
-    let imgs =
-      List.map
-        (fun s ->
-          let value = encode_batch (List.map (fun req -> req.payload) s.reqs) in
-          Log.encode_slot r.Replica.log ~proposal:r.Replica.prop_num ~value)
-        slots
+    Sim.Host.cpu r.Replica.host (attach_cost t);
+    let stage req = Sim.Host.cpu r.Replica.host (stage_cost t (Bytes.length req.payload)) in
+    List.iter (fun s -> List.iter stage s.reqs) slots;
+    Replication.wait_log_space r ~idx:(base + count - 1);
+    let img s =
+      let value = encode_batch (List.map (fun req -> req.payload) s.reqs) in
+      Log.encode_slot r.Replica.log ~proposal:r.Replica.prop_num ~value
     in
+    let g = { first = base; count; posted = Sim.Engine.now e; acks = 0; slots } in
+    if Sim.Engine.traced e then
+      Sim.Engine.trace_async_begin e ~cat:"mu" ~pid:r.Replica.id ~id:(accept_id g)
+        ~args:[ ("idx", string_of_int base); ("slots", string_of_int count) ]
+        "accept";
     (* In the window before the post: if the post aborts, the group's
        requests are requeued with the rest. *)
-    Queue.push { first = base; count; acks = 0; slots } window;
-    Replication.post_accept r ~tag:base ~idx:base ~imgs
+    Queue.push g window;
+    if Queue.length window = 1 then note_oldest ();
+    Replication.post_accept r ~tag:base ~idx:base ~imgs:(List.map img slots)
   in
   (* Commit whole groups in order from the head of the window. *)
   let commit_ready needed =
     let committed = ref false in
     while (not (Queue.is_empty window)) && (Queue.peek window).acks >= needed do
       let head = Queue.pop window in
-      Log.set_fuo r.Replica.log (head.first + head.count);
-      Replica.apply_committed r;
-      let e = Replica.engine r in
-      if Sim.Engine.traced e then
-        Sim.Engine.trace_counter e ~cat:"mu" ~pid:r.Replica.id "fuo"
-          ~value:(head.first + head.count);
+      end_accept head "committed";
+      Replication.commit r ~since:head.posted ~upto:(head.first + head.count);
       List.iter
         (fun s ->
           if s.span <> 0 then
-            Sim.Engine.span_close t.engine ~args:[ ("outcome", "committed") ] s.span;
+            Sim.Engine.span_close e ~args:[ ("outcome", "committed") ] s.span;
           fill_responses t r s.idx s.reqs)
         head.slots;
       committed := true
     done;
+    if !committed then note_oldest ();
     !committed
   in
+  (* A leader that must grow its confirmed followers stops opening groups,
+     drains the window and returns: a replica rejoined ([leader_service]
+     re-establishes), or a request arrived with a §4.2 straggler's ack
+     pending (the propose on re-entry admits it; an idle leader waits). *)
+  let straggler = ref false in
+  let regrow () = r.Replica.need_new_followers || !straggler in
   try
     (* Make sure omit-prepare is active so the fast path below is valid. *)
-    if r.Replica.need_new_followers || not r.Replica.skip_prepare then
+    if regrow () || (not r.Replica.skip_prepare) || Replication.stragglers r <> [] then
       ignore (Replication.propose r noop);
     let needed = Replication.remote_majority r in
-    (* A leader asked to grow its confirmed followers (a replica rejoined)
-       stops opening groups, lets the window drain, and returns so that
-       [leader_service] re-establishes. *)
-    let regrow () = r.Replica.need_new_followers in
     while
       r.Replica.role = Replica.Leader
       && (not r.Replica.stop)
       && not (regrow () && Queue.is_empty window)
     do
       let inflight = Queue.length window in
+      let full = inflight >= t.cfg.Config.max_outstanding in
       (* Wait policy. An idle leader waits on its queue, so an arrival is
          picked up the instant it lands. A busy one opens another group
          only once a full batch is queued; until then it waits for the
          next completion, so requests that arrive while the wire is busy
-         share a slot instead of each taking one. *)
+         share a slot instead of each taking one. A full window blocks on
+         the completion queue, with no timer, as a lone propose does. *)
       let next =
         if inflight = 0 then
           Sim.Engine.Chan.recv_timeout t.incoming c.Sim.Calibration.fd_read_interval
         else if
-          inflight < t.cfg.Config.max_outstanding
+          (not full)
           && Sim.Engine.Chan.length t.incoming >= t.cfg.Config.max_batch
           && not (regrow ())
         then Sim.Engine.Chan.poll t.incoming
@@ -427,23 +412,27 @@ let serve_windowed t (r : Replica.t) =
       | Some first
         when r.Replica.role <> Replica.Leader || r.Replica.stop || regrow () ->
         requeue t [ first ]
+      | Some first when Replication.stragglers r <> [] ->
+        straggler := true;
+        requeue t [ first ]
       | Some first -> open_group first
       | None when inflight > 0 -> (
-        match Replication.drain_completion r ~timeout:2_000 with
+        let timeout = if full then None else Some 2_000 in
+        match Replication.drain_completion r ?timeout with
         | Some (_, tag) ->
           Queue.iter (fun g -> if g.first = tag then g.acks <- g.acks + 1) window
         | None -> ())
       | None -> ());
       (* Let same-instant client fibers woken by the commit enqueue their
-         next requests before the next fill attempt polls the queue. *)
-      if commit_ready needed then Sim.Engine.yield t.engine
+         next requests before the next fill attempt polls the queue. An
+         empty window waits on the queue anyway. *)
+      if commit_ready needed && not (Queue.is_empty window) then Sim.Engine.yield e
     done;
     restore_window ()
   with Replication.Aborted _ -> restore_window ()
 
 let leader_service t (r : Replica.t) =
   let c = Replica.cal r in
-  let windowed = t.cfg.Config.max_outstanding > 1 || t.cfg.Config.doorbell > 1 in
   (* Degraded-mode tracking: a window opens at the first establish that
      fails (no quorum of permission acks — the leader can commit nothing
      and requests park in the queue) and closes when an establish
@@ -487,8 +476,7 @@ let leader_service t (r : Replica.t) =
        else if r.Replica.need_new_followers then begin
          if establish t r then close_degraded () else enter_degraded ()
        end
-       else if windowed then serve_windowed t r
-       else serve_simple t r);
+       else serve_windowed t r);
       loop ()
     end
   in
@@ -699,7 +687,7 @@ let propose_config_entry t op =
                let wr = Replica.fresh_wr_id r in
                Hashtbl.replace r.Replica.inflight wr (p.Replica.pid, Replica.config_tag);
                Rdma.Qp.post_write p.Replica.repl_qp ~wr_id:wr ~src:fuo_buf ~src_off:0
-                 ~len:8 ~mr:p.Replica.remote_log_mr ~dst_off:mu_log_fuo_offset
+                 ~len:8 ~mr:p.Replica.remote_log_mr ~dst_off:Log.fuo_offset
              | Some _ | None -> ()
            with Replication.Aborted _ -> ());
           Sim.Engine.Ivar.fill done_ ());
@@ -832,7 +820,7 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
     | None -> None
     | Some p ->
       let buf = Bytes.create 8 in
-      if read_remote p ~src_off:mu_log_fuo_offset ~len:8 ~dst:buf then
+      if read_remote p ~src_off:Log.fuo_offset ~len:8 ~dst:buf then
         Some (Int64.to_int (Bytes.get_int64_le buf 0))
       else None
   in

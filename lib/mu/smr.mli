@@ -7,12 +7,10 @@
     §4) → apply → respond. Followers replay committed entries into their
     application copies.
 
-    Two service loops, chosen by configuration:
-    - {b simple}: one propose at a time ([max_outstanding = 1],
-      [max_batch = 1]) — the latency-oriented setup of Figs. 3–5;
-    - {b pipelined}: up to [max_outstanding] slots in flight, each carrying
-      up to [max_batch] coalesced requests — the throughput setup of
-      Fig. 7.
+    One service loop: up to [max_outstanding] groups in flight, each of
+    [doorbell] slots (one RDMA write per follower) of up to [max_batch]
+    requests. The default window of one slot is the latency setup of
+    Figs. 3–5; wider windows are the throughput setup of Fig. 7.
 
     Delivery guarantee: entries commit in log order and are injected
     exactly once per replica. A request whose leader aborts mid-propose is

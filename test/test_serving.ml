@@ -372,6 +372,101 @@ let windowed_readmits_rejoined_follower () =
   |> ignore;
   check "rejoined follower is confirmed again" true !readmitted
 
+(* A straggler (§4.2): r1 is paused while r0 establishes, so r0 settles
+   on {2}. Resumed, r1's permission fiber acks the still-pending request,
+   and the next request the leader picks up admits r1 — brought up to
+   date, then fed new entries. Run under the default window of one slot
+   and under a window of 4 groups of 4 slots. *)
+let leader_admits_straggler cfg () =
+  let seen = Array.make 3 [] in
+  let settled = ref [] and grown = ref [] in
+  Util.run_scenario ~until:60_000_000_000 (fun e ->
+      let smr =
+        Mu.Smr.create e Util.default_cal cfg ~make_app:(fun id ->
+            Mu.Smr.stateless_app (fun req ->
+                seen.(id) <- Bytes.to_string req :: seen.(id);
+                req))
+      in
+      Mu.Smr.start smr;
+      let r0 = Mu.Smr.replica smr 0 and r1 = Mu.Smr.replica smr 1 in
+      Sim.Engine.spawn e ~name:"client" (fun () ->
+          Sim.Host.pause r1.Mu.Replica.host;
+          Mu.Smr.wait_live smr;
+          ignore (Mu.Smr.submit smr (Bytes.of_string "a"));
+          settled := r0.Mu.Replica.confirmed;
+          Sim.Host.resume r1.Mu.Replica.host;
+          Sim.Engine.sleep e 2_000_000;
+          ignore (Mu.Smr.submit smr (Bytes.of_string "b"));
+          grown := r0.Mu.Replica.confirmed;
+          ignore (Mu.Smr.submit smr (Bytes.of_string "c"));
+          Sim.Engine.sleep e 1_000_000;
+          Mu.Smr.stop smr;
+          Sim.Engine.halt e))
+  |> ignore;
+  Alcotest.(check (list int)) "settled on a majority" [ 2 ] !settled;
+  Alcotest.(check (list int)) "straggler admitted" [ 1; 2 ] !grown;
+  (* A follower applies an entry once the next one lands, so "c" only
+     tells it that "b" was decided. *)
+  Alcotest.(check (list string)) "straggler applied old and new entries" [ "a"; "b" ]
+    (List.rev seen.(1))
+
+(* Every leader commit feeds the commit telemetry, whichever path made
+   it: the establish no-op propose or a window group. The trace's fuo
+   counter marks each commit once, so it counts both. *)
+let window_commits_feed_telemetry () =
+  let reg = Telemetry.Registry.create () in
+  let tracer = Trace.Tracer.create () in
+  let leader = ref None in
+  Util.run_scenario ~until:60_000_000_000 (fun e ->
+      Sim.Engine.set_metrics e reg;
+      Trace.Tracer.attach tracer e;
+      let smr =
+        Mu.Smr.create e Util.default_cal (Serving.Surface.config ~batch:8 ~doorbell:4)
+          ~make_app:(fun _ -> Mu.Smr.stateless_app Fun.id)
+      in
+      Mu.Smr.start smr;
+      Sim.Engine.spawn e ~name:"load" (fun () ->
+          Mu.Smr.wait_live smr;
+          leader := Mu.Smr.leader smr;
+          let left = ref 16 in
+          for c = 1 to 16 do
+            Sim.Engine.spawn e ~name:"client" (fun () ->
+                for i = 1 to 20 do
+                  ignore (Mu.Smr.submit smr (Bytes.of_string (Printf.sprintf "c%d-%d" c i)))
+                done;
+                decr left;
+                if !left = 0 then begin
+                  Mu.Smr.stop smr;
+                  Sim.Engine.halt e
+                end)
+          done))
+  |> ignore;
+  let l = Option.get !leader in
+  let labels = [ ("replica", string_of_int l.Mu.Replica.id) ] in
+  let hist name =
+    match Telemetry.Registry.find reg ~labels name with
+    | Some { Telemetry.Registry.kind = Telemetry.Registry.Histogram h; _ } ->
+      Telemetry.Hdr.count h
+    | _ -> Alcotest.failf "%s not registered" name
+  in
+  let commits =
+    List.length
+      (List.filter
+         (fun (ev : Sim.Probe.event) ->
+           ev.kind = Sim.Probe.Counter && ev.name = "fuo" && ev.pid = l.Mu.Replica.id)
+         (Trace.Tracer.events tracer))
+  in
+  check_int "no trace drops" 0 (Trace.Tracer.dropped tracer);
+  check "groups batched requests" true (commits > 1 && commits < 320);
+  check_int "one mu_commit_apply_ns sample per commit" commits (hist "mu_commit_apply_ns");
+  check_int "one mu_replication_latency_ns sample per commit" commits
+    (hist "mu_replication_latency_ns");
+  match Telemetry.Registry.find reg ~labels "mu_fuo" with
+  | Some { Telemetry.Registry.kind = Telemetry.Registry.Gauge g; _ } ->
+    check_int "mu_fuo is the leader's FUO" (Mu.Log.fuo l.Mu.Replica.log)
+      (Telemetry.Registry.Gauge.value g)
+  | _ -> Alcotest.fail "mu_fuo not registered"
+
 (* --- tier --------------------------------------------------------------- *)
 
 let tier_setup seed = { Workload.Experiments.default_setup with seed }
@@ -507,6 +602,9 @@ let suite =
     ("windowed leader picks up after idle", `Quick, windowed_idle_pickup);
     ("windowed leader readmits rejoined follower", `Quick,
      windowed_readmits_rejoined_follower);
+    ("leader admits straggler", `Quick, leader_admits_straggler Mu.Config.default);
+    ("windowed leader admits straggler", `Quick, leader_admits_straggler windowed_cfg);
+    ("window commits feed telemetry", `Quick, window_commits_feed_telemetry);
     ("tier smoke", `Quick, tier_smoke);
     ("tier sheds under pressure", `Quick, tier_sheds_under_pressure);
     ("tier deterministic", `Quick, tier_deterministic);
