@@ -29,7 +29,7 @@ let encode_msg ~seq payload =
 
 let decode_msg buf off =
   let seq = Int64.to_int (Rdma.Mr.get_i64 buf ~off) in
-  let len = Int32.to_int (Bytes.get_int32_le (Rdma.Mr.buffer buf) (off + 8)) in
+  let len = Int32.to_int (Rdma.Mr.get_i32 buf ~off:(off + 8)) in
   (seq, Rdma.Mr.get_bytes buf ~off:(off + 12) ~len)
 
 let server engine cal ~host ~clients ~handler =
@@ -50,10 +50,10 @@ let server engine cal ~host ~clients ~handler =
       cq = Rdma.Cq.create engine;
     }
   in
-  (* The hook stands in for the server's slot-polling loop: the poll phase
-     is charged explicitly when the request is picked up. *)
-  Rdma.Mr.set_write_hook req_mr
-    (Some (fun ~off ~len:_ -> Sim.Engine.Chan.send t.doorbell (off / slot_size)));
+  (* The watch stands in for the server's slot-polling loop: the poll
+     phase is charged explicitly when the request is picked up. *)
+  Rdma.Mr.watch req_mr ~off:0 ~len:(clients * slot_size) (fun ~off ~len:_ ->
+      Sim.Engine.Chan.send t.doorbell (off / slot_size));
   Sim.Host.spawn host ~name:"herd-server" (fun () ->
       let last_seq = Array.make clients 0 in
       let rng = Sim.Host.rng host in
@@ -104,17 +104,15 @@ let connect srv ~id ~host =
       c_wr = 0; c_wait = None }
   in
   Hashtbl.replace srv.resp_targets id (s_qp, c_resp_mr);
-  Rdma.Mr.set_write_hook c_resp_mr
-    (Some
-       (fun ~off:_ ~len:_ ->
-         match t.c_wait with
-         | Some (expect, iv) ->
-           let seq, payload = decode_msg t.c_resp_mr 0 in
-           if seq = expect then begin
-             t.c_wait <- None;
-             Sim.Engine.Ivar.fill iv payload
-           end
-         | None -> ()));
+  Rdma.Mr.watch c_resp_mr ~off:0 ~len:slot_size (fun ~off:_ ~len:_ ->
+      match t.c_wait with
+      | Some (expect, iv) ->
+        let seq, payload = decode_msg t.c_resp_mr 0 in
+        if seq = expect then begin
+          t.c_wait <- None;
+          Sim.Engine.Ivar.fill iv payload
+        end
+      | None -> ());
   t
 
 let call t payload =

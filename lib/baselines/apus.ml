@@ -20,11 +20,9 @@ let create (c : Common.t) =
   List.iter
     (fun j ->
       let doorbell = Sim.Engine.Chan.create c.Common.engine in
-      Rdma.Mr.set_write_hook c.Common.mrs.(j)
-        (Some
-           (fun ~off ~len:_ ->
-             if off = req_off then
-               Sim.Engine.Chan.send doorbell (Rdma.Mr.get_i64 c.Common.mrs.(j) ~off:req_off)));
+      let mr = c.Common.mrs.(j) in
+      Rdma.Mr.watch mr ~off:0 ~len:(Rdma.Mr.size mr) (fun ~off ~len:_ ->
+          if off = req_off then Sim.Engine.Chan.send doorbell (Rdma.Mr.get_i64 mr ~off:req_off));
       Sim.Host.spawn c.Common.hosts.(j) ~name:"apus-follower" (fun () ->
           let rng = Sim.Host.rng c.Common.hosts.(j) in
           let last_acked = ref 0L in

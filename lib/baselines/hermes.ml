@@ -12,8 +12,9 @@ let create (c : Common.t) =
   List.iter
     (fun j ->
       let doorbell = Sim.Engine.Chan.create c.Common.engine in
-      Rdma.Mr.set_write_hook c.Common.mrs.(j)
-        (Some (fun ~off ~len:_ -> if off = inv_off then Sim.Engine.Chan.send doorbell ()));
+      let mr = c.Common.mrs.(j) in
+      Rdma.Mr.watch mr ~off:0 ~len:(Rdma.Mr.size mr) (fun ~off ~len:_ ->
+          if off = inv_off then Sim.Engine.Chan.send doorbell ());
       Sim.Host.spawn c.Common.hosts.(j) ~name:"hermes-member" (fun () ->
           let rng = Sim.Host.rng c.Common.hosts.(j) in
           let rec loop () =
@@ -29,11 +30,9 @@ let create (c : Common.t) =
           loop ()))
     members;
   let acks = Sim.Engine.Chan.create c.Common.engine in
-  Rdma.Mr.set_write_hook c.Common.mrs.(0)
-    (Some
-       (fun ~off ~len:_ ->
-         if off < 8 * n then
-           Sim.Engine.Chan.send acks (off / 8, Rdma.Mr.get_i64 c.Common.mrs.(0) ~off)));
+  let coord = c.Common.mrs.(0) in
+  Rdma.Mr.watch coord ~off:0 ~len:(Rdma.Mr.size coord) (fun ~off ~len:_ ->
+      if off < 8 * n then Sim.Engine.Chan.send acks (off / 8, Rdma.Mr.get_i64 coord ~off));
   let seq = ref 0 in
   let replicate payload =
     incr seq;

@@ -137,7 +137,7 @@ let role_fiber t ~on_role_change =
       t.Replica.leader_estimate <- leader;
       (match t.Replica.role, leader = t.Replica.id with
       | Replica.Follower, true ->
-        t.Replica.role <- Replica.Leader;
+        Replica.set_role t Replica.Leader;
         t.Replica.role_generation <- t.Replica.role_generation + 1;
         (match t.Replica.tel with Some tel -> Telem.election tel | None -> ());
         t.Replica.need_new_followers <- true;
@@ -160,7 +160,7 @@ let role_fiber t ~on_role_change =
         end;
         on_role_change Replica.Leader
       | Replica.Leader, false ->
-        t.Replica.role <- Replica.Follower;
+        Replica.set_role t Replica.Follower;
         t.Replica.role_generation <- t.Replica.role_generation + 1;
         (match t.Replica.tel with Some tel -> Telem.demotion tel | None -> ());
         L.info (fun m ->

@@ -57,6 +57,12 @@ let set_fuo t v = Rdma.Mr.set_i64 t.mr ~off:fuo_offset (Int64.of_int v)
    the canary lands after the data it guards; a reader validates the
    length field (written before the canary) and then checks the canary at
    [entry_header + length]. *)
+let validate ~proposal ~value ~byte ~canary =
+  let complete =
+    match canary with Flag -> byte <> '\000' | Checksum -> byte = checksum ~proposal ~value
+  in
+  if complete then Some { proposal; value } else None
+
 let decode_image buf off ~value_cap ~canary =
   let proposal = Bytes.get_int64_le buf off in
   if proposal = 0L then None
@@ -64,18 +70,25 @@ let decode_image buf off ~value_cap ~canary =
     let len = Int32.to_int (Bytes.get_int32_le buf (off + 8)) in
     if len < 0 || len > value_cap then None
     else
-      let value = Bytes.sub buf (off + entry_header) len in
-      let byte = Bytes.get buf (off + entry_header + len) in
-      let complete =
-        match canary with
-        | Flag -> byte <> '\000'
-        | Checksum -> byte = checksum ~proposal ~value
-      in
-      if complete then Some { proposal; value } else None
+      validate ~proposal ~canary
+        ~value:(Bytes.sub buf (off + entry_header) len)
+        ~byte:(Bytes.get buf (off + entry_header + len))
 
+(* The same decoding read straight from the MR: an empty slot costs one
+   load and allocates nothing. *)
 let read_slot t idx =
-  decode_image (Rdma.Mr.buffer t.mr) (slot_offset t idx) ~value_cap:t.value_cap
-    ~canary:t.canary
+  let off = slot_offset t idx in
+  let proposal = Rdma.Mr.get_i64 t.mr ~off in
+  if proposal = 0L then None
+  else
+    let len = Int32.to_int (Rdma.Mr.get_i32 t.mr ~off:(off + 8)) in
+    if len < 0 || len > t.value_cap then None
+    else
+      let byte = Rdma.Mr.get_char t.mr ~off:(off + entry_header + len) in
+      if t.canary = Flag && byte = '\000' then None
+      else
+        validate ~proposal ~canary:t.canary ~byte
+          ~value:(Rdma.Mr.get_bytes t.mr ~off:(off + entry_header) ~len)
 
 let read_slot_raw t idx = Rdma.Mr.get_bytes t.mr ~off:(slot_offset t idx) ~len:t.slot_size
 
@@ -103,8 +116,7 @@ let write_slot_raw_local t idx img =
 let write_slot_local t idx ~proposal ~value =
   write_slot_raw_local t idx (encode_slot t ~proposal ~value)
 
-let zero_slot_local t idx =
-  Rdma.Mr.set_bytes t.mr ~off:(slot_offset t idx) (Bytes.make t.slot_size '\000')
+let zero_slot_local t idx = Rdma.Mr.zero t.mr ~off:(slot_offset t idx) ~len:t.slot_size
 
 let pp ppf t =
   Fmt.pf ppf "log{minProp=%Ld; fuo=%d" (min_proposal t) (fuo t);

@@ -93,10 +93,15 @@ let start t =
       let rec loop () =
         if t.Replica.stop || t.Replica.removed then ()
         else begin
+          Sim.Host.arm t.Replica.perm_bell;
+          (* After serving a request the thread rescans one interval later,
+             so same-instant requests are served one poll apart; an empty
+             scan parks until the request array is written. *)
           (match pending_request t with
-          | Some (requester, gen) -> handle_request t requester gen
-          | None -> ());
-          Sim.Host.idle host poll_interval;
+          | Some (requester, gen) ->
+            handle_request t requester gen;
+            Sim.Host.idle host poll_interval
+          | None -> Sim.Host.park t.Replica.perm_bell ~period:poll_interval);
           loop ()
         end
       in

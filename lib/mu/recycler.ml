@@ -70,7 +70,7 @@ let zero_ranges t ~from_idx ~to_idx =
           let n = min chunk_slots (run - !off) in
           let byte_off = Log.slot_offset log (phys_start + !off) in
           let zeros = Bytes.make (n * slot_size) '\000' in
-          Rdma.Mr.set_bytes (Log.mr log) ~off:byte_off zeros;
+          Rdma.Mr.zero (Log.mr log) ~off:byte_off ~len:(n * slot_size);
           List.iter
             (fun p ->
               (* Demote-safety: between two chunks the permission manager

@@ -14,11 +14,14 @@ let self_advance_fuo t =
   done;
   !progressed
 
+(* A poll that finds nothing parks until the log is stored into (as a
+   follower) or the role changes, and resumes on its 1 µs grid. *)
 let start t =
   Sim.Host.spawn t.Replica.host ~name:"replayer" (fun () ->
       let rec loop () =
         if t.Replica.stop || t.Replica.removed then ()
         else begin
+          Sim.Host.arm t.Replica.replay_bell;
           let advanced =
             if t.Replica.role = Replica.Follower then self_advance_fuo t else false
           in
@@ -26,7 +29,8 @@ let start t =
           Replica.apply_committed t;
           let progressed = advanced || t.Replica.applied > before in
           if progressed then Sim.Host.check t.Replica.host
-          else Sim.Host.idle t.Replica.host t.Replica.config.Config.replayer_poll;
+          else
+            Sim.Host.park t.Replica.replay_bell ~period:t.Replica.config.Config.replayer_poll;
           loop ()
         end
       in

@@ -48,6 +48,9 @@ type t = {
   tel : Telem.t option;
   mutable removed : bool;
   mutable stop : bool;
+  replay_bell : Sim.Host.doorbell;
+  perm_bell : Sim.Host.doorbell;
+  ack_bell : Sim.Host.doorbell;
 }
 
 (* Background-plane layout: heartbeat counter, log head, then the
@@ -80,7 +83,7 @@ let create_unwired eng calib config ~id =
      write-through durable, and a region left by a previous incarnation
      of this id is picked up as-is — a rebooted replica comes up with its
      pre-crash log already in place. *)
-  let log_backing =
+  let log_mem =
     if config.Config.durable_state then
       Some
         (Recovery.Durable.log_backing (Sim.Engine.nvm eng)
@@ -88,49 +91,69 @@ let create_unwired eng calib config ~id =
     else None
   in
   let log_mr =
-    Rdma.Mr.register ~persistent:config.Config.persistent_log ?backing:log_backing host
+    Rdma.Mr.register ~persistent:config.Config.persistent_log ?mem:log_mem host
       ~size:log_size ~access:Rdma.Verbs.access_rw
   in
   let bg_mr =
     Rdma.Mr.register host ~size:(bg_size ~n:config.Config.n) ~access:Rdma.Verbs.access_rw
   in
-  {
-    config;
-    host;
-    id;
-    log =
-      Log.attach
-        ~canary:(if config.Config.checksum_canary then Log.Checksum else Log.Flag)
-        log_mr ~slots:config.Config.log_slots ~value_cap:config.Config.value_cap;
-    bg_mr;
-    repl_cq = Rdma.Cq.create eng;
-    peers = [];
-    leader_estimate = 0;
-    scores = Hashtbl.create 8;
-    alive = Hashtbl.create 8;
-    last_hb = Hashtbl.create 8;
-    role = Follower;
-    role_generation = 0;
-    perm_holder = None;
-    last_granted = Hashtbl.create 8;
-    req_gen = 0L;
-    confirmed = [];
-    need_new_followers = true;
-    prop_num = 0L;
-    skip_prepare = false;
-    wr_seq = 0;
-    inflight = Hashtbl.create 64;
-    propose_started_at = None;
-    election_span = 0;
-    applied = 0;
-    on_commit = (fun _ _ -> ());
-    zeroed_up_to = 0;
-    recycler_outstanding = 0;
-    metrics = Metrics.create ();
-    tel = Telem.of_engine eng ~id;
-    removed = false;
-    stop = false;
-  }
+  let t =
+    {
+      config;
+      host;
+      id;
+      log =
+        Log.attach
+          ~canary:(if config.Config.checksum_canary then Log.Checksum else Log.Flag)
+          log_mr ~slots:config.Config.log_slots ~value_cap:config.Config.value_cap;
+      bg_mr;
+      repl_cq = Rdma.Cq.create eng;
+      peers = [];
+      leader_estimate = 0;
+      scores = Hashtbl.create 8;
+      alive = Hashtbl.create 8;
+      last_hb = Hashtbl.create 8;
+      role = Follower;
+      role_generation = 0;
+      perm_holder = None;
+      last_granted = Hashtbl.create 8;
+      req_gen = 0L;
+      confirmed = [];
+      need_new_followers = true;
+      prop_num = 0L;
+      skip_prepare = false;
+      wr_seq = 0;
+      inflight = Hashtbl.create 64;
+      propose_started_at = None;
+      election_span = 0;
+      applied = 0;
+      on_commit = (fun _ _ -> ());
+      zeroed_up_to = 0;
+      recycler_outstanding = 0;
+      metrics = Metrics.create ();
+      tel = Telem.of_engine eng ~id;
+      removed = false;
+      stop = false;
+      replay_bell = Sim.Host.doorbell host;
+      perm_bell = Sim.Host.doorbell host;
+      ack_bell = Sim.Host.doorbell host;
+    }
+  in
+  (* A leader applies its own commits, so only a follower's log stores
+     can give its replayer work. *)
+  Rdma.Mr.watch log_mr ~off:0 ~len:log_size (fun ~off:_ ~len:_ ->
+      if t.role = Follower then Sim.Host.ring t.replay_bell);
+  Rdma.Mr.watch bg_mr ~off:(bg_req_offset 0) ~len:(8 * max_replicas) (fun ~off:_ ~len:_ ->
+      Sim.Host.ring t.perm_bell);
+  Rdma.Mr.watch bg_mr ~off:(bg_ack_offset 0) ~len:(8 * max_replicas) (fun ~off:_ ~len:_ ->
+      Sim.Host.ring t.ack_bell);
+  t
+
+(* Who is wired in decides whose requests the permission manager serves
+   and how many acks make a majority. *)
+let membership_changed t =
+  Sim.Host.ring t.perm_bell;
+  Sim.Host.ring t.ack_bell
 
 let already_wired a b = List.exists (fun p -> p.pid = b.id) a.peers
 
@@ -212,6 +235,8 @@ let wire a b =
     let insert ps p = List.sort (fun x y -> compare x.pid y.pid) (p :: ps) in
     a.peers <- insert a.peers peer_of_b;
     b.peers <- insert b.peers peer_of_a;
+    membership_changed a;
+    membership_changed b;
     persist_members a;
     persist_members b
   end
@@ -234,6 +259,7 @@ let unwire t ~pid =
     Hashtbl.remove t.last_hb pid;
     Hashtbl.remove t.scores pid;
     Hashtbl.remove t.alive pid;
+    membership_changed t;
     let confirmed = List.filter (fun i -> i <> pid) t.confirmed in
     if confirmed <> t.confirmed then begin
       t.confirmed <- confirmed;
@@ -268,6 +294,11 @@ let fresh_wr_id t =
   t.wr_seq
 
 let is_leader t = t.role = Leader
+
+let set_role t role =
+  t.role <- role;
+  Sim.Host.ring t.replay_bell
+
 let quorum_size t = List.length t.peers + 1
 let majority t = (quorum_size t / 2) + 1
 

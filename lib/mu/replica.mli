@@ -44,7 +44,7 @@ type t = {
   scores : (int, int) Hashtbl.t;  (** Pull-score per peer id. *)
   alive : (int, bool) Hashtbl.t;
   last_hb : (int, int64) Hashtbl.t;
-  mutable role : role;
+  mutable role : role;  (** Change it with {!set_role}. *)
   mutable role_generation : int;  (** Bumped on every role change. *)
   (* --- permission state (§5.2) --- *)
   mutable perm_holder : int option;  (** Who may write my log. *)
@@ -76,6 +76,16 @@ type t = {
   tel : Telem.t option;  (** Registry-backed telemetry; [None] when off. *)
   mutable removed : bool;  (** Membership: removed from the group (§5.4). *)
   mutable stop : bool;  (** Shut this replica's fibers down. *)
+  (* --- parked pollers (see {!Sim.Host.park}) --- *)
+  replay_bell : Sim.Host.doorbell;
+      (** The replayer's: rung by any store into the log while a follower,
+          and by every role change. *)
+  perm_bell : Sim.Host.doorbell;
+      (** The permission manager's: rung by stores into the request array
+          and by membership changes. *)
+  ack_bell : Sim.Host.doorbell;
+      (** A leader waiting for permission acks: rung by stores into the ack
+          array and by membership changes. *)
 }
 
 (** {1 Background-plane memory layout} *)
@@ -130,6 +140,11 @@ val peer : t -> int -> peer
 val peer_opt : t -> int -> peer option
 val fresh_wr_id : t -> int
 val is_leader : t -> bool
+
+val set_role : t -> role -> unit
+(** The one place a role changes: a parked replayer must notice, since a
+    follower commits by piggybacking and a leader does not. *)
+
 val majority : t -> int
 
 val quorum_size : t -> int

@@ -131,12 +131,13 @@ let acquire_followers t =
   let gen = Permissions.request_permissions t in
   let deadline = Sim.Engine.now (Replica.engine t) + 500_000_000 in
   let rec wait_majority () =
+    Sim.Host.arm t.Replica.ack_bell;
     let acks = Permissions.acked t ~gen in
     if List.length acks >= Replica.majority t then acks
     else if Sim.Engine.now (Replica.engine t) > deadline then
       abort t "no majority of permission acks"
     else begin
-      Sim.Host.idle host Permissions.poll_interval;
+      Sim.Host.park ~until:deadline t.Replica.ack_bell ~period:Permissions.poll_interval;
       wait_majority ()
     end
   in

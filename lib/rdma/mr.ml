@@ -1,48 +1,70 @@
+(* A watch is shared by every alias of a registration: overlapping MRs
+   are one piece of memory, so a store through either is seen by both. *)
+type watch = { lo : int; hi : int; fn : off:int -> len:int -> unit }
+
 type t = {
   host : Sim.Host.t;
-  buf : Bytes.t;
+  mem : Sim.Mem.t;
+  watches : watch list ref;
   mutable access : Verbs.access;
   mutable valid : bool;
-  mutable write_hook : (off:int -> len:int -> unit) option;
   persistent : bool;
 }
 
-let register ?(persistent = false) ?backing host ~size ~access =
+let register ?(persistent = false) ?mem host ~size ~access =
   if size <= 0 then invalid_arg "Mr.register: size must be positive";
-  let buf =
-    match backing with
-    | None -> Bytes.make size '\000'
-    | Some b ->
-      if Bytes.length b <> size then
-        invalid_arg "Mr.register: backing size does not match region size";
-      b
+  let mem =
+    match mem with
+    | None -> Sim.Mem.create size
+    | Some m ->
+      if Sim.Mem.size m <> size then
+        invalid_arg "Mr.register: memory size does not match region size";
+      m
   in
-  { host; buf; access; valid = true; write_hook = None; persistent }
+  { host; mem; watches = ref []; access; valid = true; persistent }
 
-let alias t ~access =
-  {
-    host = t.host;
-    buf = t.buf;
-    access;
-    valid = true;
-    write_hook = None;
-    persistent = t.persistent;
-  }
+let alias t ~access = { t with access; valid = true }
 let host t = t.host
-let size t = Bytes.length t.buf
+let size t = Sim.Mem.size t.mem
 let access t = t.access
 let set_access t access = t.access <- access
 let invalidate t = t.valid <- false
 let is_valid t = t.valid
-let buffer t = t.buf
-let in_bounds t ~off ~len = off >= 0 && len >= 0 && off + len <= Bytes.length t.buf
-let set_write_hook t hook = t.write_hook <- hook
+let in_bounds t ~off ~len = off >= 0 && len >= 0 && off <= size t - len
 let is_persistent t = t.persistent
 
-let notify_write t ~off ~len =
-  match t.write_hook with None -> () | Some hook -> hook ~off ~len
+let watch t ~off ~len fn =
+  if not (in_bounds t ~off ~len) then invalid_arg "Mr.watch: range out of bounds";
+  t.watches := !(t.watches) @ [ { lo = off; hi = off + len; fn } ]
 
-let get_i64 t ~off = Bytes.get_int64_le t.buf off
-let set_i64 t ~off v = Bytes.set_int64_le t.buf off v
-let get_bytes t ~off ~len = Bytes.sub t.buf off len
-let set_bytes t ~off b = Bytes.blit b 0 t.buf off (Bytes.length b)
+let rec fire ws ~off ~len =
+  match ws with
+  | [] -> ()
+  | w :: rest ->
+    if off < w.hi && off + len > w.lo then w.fn ~off ~len;
+    fire rest ~off ~len
+
+let[@inline] stored t ~off ~len =
+  match !(t.watches) with [] -> () | ws -> fire ws ~off ~len
+
+let get_i64 t ~off = Sim.Mem.get_i64 t.mem off
+let get_i32 t ~off = Sim.Mem.get_i32 t.mem off
+let get_char t ~off = Sim.Mem.get_char t.mem off
+let get_bytes t ~off ~len = Sim.Mem.sub t.mem ~off ~len
+
+let set_i64 t ~off v =
+  Sim.Mem.set_i64 t.mem off v;
+  stored t ~off ~len:8
+
+let set_bytes t ~off b =
+  let len = Bytes.length b in
+  Sim.Mem.blit_from_bytes b 0 t.mem off len;
+  stored t ~off ~len
+
+let write_from t ~off ~src ~src_off ~len =
+  Sim.Mem.blit_from_bytes src src_off t.mem off len;
+  stored t ~off ~len
+
+let zero t ~off ~len =
+  Sim.Mem.fill t.mem ~off ~len '\000';
+  stored t ~off ~len

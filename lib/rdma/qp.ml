@@ -353,9 +353,7 @@ let post_write t ~wr_id ~src ~src_off ~len ~mr ~dst_off =
   let payload = Bytes.sub src src_off len in
   post t ~wr_id ~kind:`Write ~payload_out:len ~payload_back:0 ~mr ~off:dst_off ~len
     ~need_write:true
-    ~apply:(fun () ->
-      Bytes.blit payload 0 (Mr.buffer mr) dst_off len;
-      Mr.notify_write mr ~off:dst_off ~len)
+    ~apply:(fun () -> Mr.write_from mr ~off:dst_off ~src:payload ~src_off:0 ~len)
     ~on_complete:(fun () -> ())
 
 let post_read t ~wr_id ~dst ~dst_off ~len ~mr ~src_off =
@@ -364,7 +362,7 @@ let post_read t ~wr_id ~dst ~dst_off ~len ~mr ~src_off =
   let snapshot = ref Bytes.empty in
   post t ~wr_id ~kind:`Read ~payload_out:0 ~payload_back:len ~mr ~off:src_off ~len
     ~need_write:false
-    ~apply:(fun () -> snapshot := Bytes.sub (Mr.buffer mr) src_off len)
+    ~apply:(fun () -> snapshot := Mr.get_bytes mr ~off:src_off ~len)
     ~on_complete:(fun () -> Bytes.blit !snapshot 0 dst dst_off len)
 
 (* --- two-sided Send/Receive -------------------------------------------- *)

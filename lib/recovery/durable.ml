@@ -24,21 +24,18 @@ let meta_size = 2 + (4 * 64)
 let write_members region members =
   let members = List.sort_uniq compare members in
   if List.length members > 64 then invalid_arg "Durable.write_members: too many members";
-  Bytes.fill region 0 (Bytes.length region) '\000';
-  Bytes.set region 0 meta_magic;
-  Bytes.set region 1 (Char.chr (List.length members));
-  List.iteri
-    (fun i id -> Bytes.set_int32_le region (2 + (4 * i)) (Int32.of_int id))
-    members
+  Sim.Mem.fill region ~off:0 ~len:(Sim.Mem.size region) '\000';
+  Sim.Mem.set_char region 0 meta_magic;
+  Sim.Mem.set_char region 1 (Char.chr (List.length members));
+  List.iteri (fun i id -> Sim.Mem.set_i32 region (2 + (4 * i)) (Int32.of_int id)) members
 
 let read_members region =
-  if Bytes.length region < 2 || Bytes.get region 0 <> meta_magic then None
+  if Sim.Mem.size region < 2 || Sim.Mem.get_char region 0 <> meta_magic then None
   else begin
-    let count = Char.code (Bytes.get region 1) in
-    if Bytes.length region < 2 + (4 * count) then None
+    let count = Char.code (Sim.Mem.get_char region 1) in
+    if Sim.Mem.size region < 2 + (4 * count) then None
     else
-      Some
-        (List.init count (fun i -> Int32.to_int (Bytes.get_int32_le region (2 + (4 * i)))))
+      Some (List.init count (fun i -> Int32.to_int (Sim.Mem.get_i32 region (2 + (4 * i)))))
   end
 
 (* Open (or re-open) a replica's durable regions. *)

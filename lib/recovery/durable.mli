@@ -15,19 +15,19 @@ val log_region : string
 val meta_region : string
 val meta_size : int
 
-val log_backing : Sim.Nvm.t -> owner:int -> size:int -> Bytes.t
+val log_backing : Sim.Nvm.t -> owner:int -> size:int -> Sim.Mem.t
 (** Open (or create) the owner's durable log region. *)
 
-val meta_backing : Sim.Nvm.t -> owner:int -> Bytes.t
+val meta_backing : Sim.Nvm.t -> owner:int -> Sim.Mem.t
 (** Open (or create) the owner's durable membership region. *)
 
 val has_durable_state : Sim.Nvm.t -> owner:int -> bool
 (** Whether a previous incarnation of [owner] left a durable log. *)
 
-val write_members : Bytes.t -> int list -> unit
+val write_members : Sim.Mem.t -> int list -> unit
 (** Overwrite the meta region with a member list (deduplicated,
     sorted; at most 64 ids). *)
 
-val read_members : Bytes.t -> int list option
+val read_members : Sim.Mem.t -> int list option
 (** Decode the member list; [None] if the region is blank or from an
     incompatible layout. *)

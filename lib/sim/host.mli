@@ -57,3 +57,39 @@ val pause : t -> unit
 val resume : t -> unit
 val stop_process : t -> unit
 val kill_host : t -> unit
+
+(** {1 Parked pollers}
+
+    A fiber that busy-polls memory every [period] ns can park instead
+    of sleeping when a poll finds nothing to do. Parking schedules no
+    event; the fiber wakes only when its doorbell is rung (by a store
+    into the memory it watches, see {!Rdma.Mr.watch}), at the first
+    instant of its old poll grid — the park instant plus a multiple of
+    [period] — at or after the ring. Since a poll observes only memory,
+    the skipped polls are exactly those that would have seen no change,
+    and the woken poll runs at the instant the busy loop would have
+    noticed the store. Pause and crash behave as for {!idle}: pausing
+    the host wakes each parked poller at its next grid tick, where it
+    blocks until {!resume} and then polls at the resume instant. *)
+
+type doorbell
+
+val doorbell : t -> doorbell
+(** A fresh doorbell for one poller of this host. It starts rung, so
+    the first {!park} polls again after one period. *)
+
+val arm : doorbell -> unit
+(** Call at the start of each poll: rings from here on mean the poll may
+    have missed a store. *)
+
+val ring : doorbell -> unit
+(** A watched store happened now. Wakes the parked poller at its next
+    grid instant; otherwise only marks the doorbell rung. Ignored for a
+    crashed process. *)
+
+val park : ?until:int -> doorbell -> period:int -> unit
+(** After a poll that found nothing to do: if the doorbell was rung
+    since {!arm}, sleep [period] as the busy loop did; otherwise suspend
+    until a ring, or until the first grid instant past [until] when
+    given. Honours pause and crash states like {!idle}. Must be called
+    from a fiber of the doorbell's host. *)

@@ -4,30 +4,31 @@
    identity* (the replica id), so a restarted host re-opens them and
    finds the bytes its previous incarnation wrote.
 
-   Write-through is modelled by handing out the region's backing bytes
-   directly (see [Rdma.Mr.register ~backing]): every store into the
-   mapped region *is* a store into NVM, with no copy and no extra
-   virtual time. Latency of flushing to the persistence domain is
-   modelled separately ([Calibration.pmem_flush], used by the
+   Write-through is modelled by handing out the region's memory
+   directly (see [Rdma.Mr.register ~mem]): every store into the mapped
+   region *is* a store into NVM, with no copy and no extra virtual time.
+   Regions are zero-on-demand [Mem] pages, so a large log region costs
+   nothing until it is written. Latency of flushing to the persistence
+   domain is modelled separately ([Calibration.pmem_flush], used by the
    persistent-log path); this module is only about survival. *)
 
-type t = { regions : (int * string, Bytes.t) Hashtbl.t }
+type t = { regions : (int * string, Mem.t) Hashtbl.t }
 
 let create () = { regions = Hashtbl.create 16 }
 
 let region t ~owner ~name ~size =
   if size <= 0 then invalid_arg "Nvm.region: size must be positive";
   match Hashtbl.find_opt t.regions (owner, name) with
-  | Some b ->
-    if Bytes.length b <> size then
+  | Some m ->
+    if Mem.size m <> size then
       invalid_arg
         (Printf.sprintf "Nvm.region: %s/%d exists with size %d, requested %d" name owner
-           (Bytes.length b) size);
-    b
+           (Mem.size m) size);
+    m
   | None ->
-    let b = Bytes.make size '\000' in
-    Hashtbl.replace t.regions (owner, name) b;
-    b
+    let m = Mem.create size in
+    Hashtbl.replace t.regions (owner, name) m;
+    m
 
 let mem t ~owner ~name = Hashtbl.mem t.regions (owner, name)
 

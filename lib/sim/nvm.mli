@@ -3,17 +3,18 @@
     Named byte regions keyed by an owner id (the machine identity, e.g.
     a replica id) that survive {!Host.kill_host}: a restarted host
     re-opens its regions and finds the bytes written before the crash.
-    Regions are handed out as raw backing bytes — registering an MR over
-    one ({!Rdma.Mr.register}[ ~backing]) makes every write to the region
-    write-through to NVM by construction. Creating or opening a region
-    consumes no virtual time and no randomness, so runs that never
-    restart a host are unaffected by durable state being on. *)
+    Regions are handed out as {!Mem.t} pages — registering an MR over
+    one ({!Rdma.Mr.register}[ ~mem]) makes every write to the region
+    write-through to NVM by construction. Pages are zero-on-demand, so
+    a region costs memory only where it has been written. Creating or
+    opening a region consumes no virtual time and no randomness, so runs
+    that never restart a host are unaffected by durable state being on. *)
 
 type t
 
 val create : unit -> t
 
-val region : t -> owner:int -> name:string -> size:int -> Bytes.t
+val region : t -> owner:int -> name:string -> size:int -> Mem.t
 (** Open (or create, zero-filled) the region [name] of [owner]. Raises
     [Invalid_argument] if it exists with a different size. *)
 

@@ -811,8 +811,7 @@ let ablation_failure_detector setup =
     Rdma.Qp.set_access qb Rdma.Verbs.access_rw;
     let interval = 100_000 in
     let last_arrival = ref 0 in
-    Rdma.Mr.set_write_hook mr_b
-      (Some (fun ~off:_ ~len:_ -> last_arrival := Sim.Engine.now e));
+    Rdma.Mr.watch mr_b ~off:0 ~len:64 (fun ~off:_ ~len:_ -> last_arrival := Sim.Engine.now e);
     let seq = ref 0 in
     Sim.Host.spawn a ~name:"hb-push" (fun () ->
         let buf = Bytes.create 8 in

@@ -30,4 +30,5 @@ let () =
       ("monitor", Test_monitor.suite);
       ("profile", Test_profile.suite);
       ("modelcheck", Test_modelcheck.suite);
+      ("park", Test_park.suite);
     ]

@@ -1,0 +1,295 @@
+(* Parked pollers and zero-on-demand memory: the replayer and the
+   permission manager observe memory at the instants of their old busy
+   poll grids, an idle cluster schedules few events, a large log costs
+   nothing until written, and the page store behaves like flat bytes. *)
+
+let check = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
+
+let count_events e =
+  let n = ref 0 in
+  Sim.Engine.set_profiler e
+    {
+      Sim.Engine.prof_event = (fun ~now:_ -> incr n);
+      prof_attr = (fun ~pid:_ ~tid:_ ~spans:_ -> ());
+      prof_fiber = (fun ~tid:_ ~pid:_ ~name:_ -> ());
+      prof_span = (fun ~id:_ ~name:_ -> ());
+      prof_host = (fun ~pid:_ ~name:_ -> ());
+    };
+  n
+
+(* Run [smr] until its first commit, then halt. *)
+let run_until_live e smr =
+  Sim.Engine.spawn e ~name:"driver" (fun () ->
+      Mu.Smr.wait_live smr;
+      Sim.Engine.halt e);
+  Sim.Engine.run ~until:1_000_000_000 e
+
+let app _ = Mu.Smr.stateless_app (fun _ -> Bytes.empty)
+
+(* --- event and allocation budgets ---------------------------------------- *)
+
+let idle_event_budget () =
+  let e = Util.engine () in
+  let events = count_events e in
+  let smr = Mu.Smr.create e Util.default_cal Mu.Config.default ~make_app:app in
+  Mu.Smr.start smr;
+  run_until_live e smr;
+  Sim.Engine.run ~until:(Sim.Engine.now e + 100_000) e;
+  let n0 = !events and t0 = Sim.Engine.now e in
+  Sim.Engine.run ~until:(t0 + 1_000_000) e;
+  let per_us = float_of_int (!events - n0) /. 1000. in
+  if per_us > 4.0 then
+    Alcotest.failf "idle cluster schedules %.2f events per virtual us (budget 4)" per_us
+
+let build_allocation_budget () =
+  let cfg = { Mu.Config.default with Mu.Config.log_slots = 16_384; value_cap = 1024 } in
+  let e = Util.engine () in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let smr = Mu.Smr.create e Util.default_cal cfg ~make_app:app in
+  Mu.Smr.start smr;
+  run_until_live e smr;
+  let mib = ((Gc.quick_stat ()).Gc.major_words -. before) *. 8. /. 1048576. in
+  if mib >= 4.0 then Alcotest.failf "building a live cluster took %.1f MiB of major words" mib
+
+(* --- poll-grid pinning ------------------------------------------------------ *)
+
+(* Replicas with no fibers running; replica 0 may write every log. *)
+let bare_cluster () =
+  let e = Util.engine () in
+  let rs = Mu.Replica.create_cluster e Util.default_cal Mu.Config.default in
+  Array.iter
+    (fun (r : Mu.Replica.t) ->
+      if r.Mu.Replica.id <> 0 then
+        Rdma.Qp.set_access (Mu.Replica.peer r 0).Mu.Replica.repl_qp Rdma.Verbs.access_rw)
+    rs;
+  (e, rs)
+
+(* First instant of the grid [origin + k * period] at or after [at]. *)
+let grid ~origin ~period at = origin + ((at - origin + period - 1) / period * period)
+
+let replayer_applies_on_grid () =
+  let e, rs = bare_cluster () in
+  let leader = rs.(0) and f = rs.(1) in
+  let log = f.Mu.Replica.log in
+  let stored = ref 0 and applied = ref [] in
+  Rdma.Mr.watch (Mu.Log.mr log) ~off:0 ~len:(Rdma.Mr.size (Mu.Log.mr log))
+    (fun ~off:_ ~len:_ -> stored := Sim.Engine.now e);
+  f.Mu.Replica.on_commit <- (fun idx _ -> applied := (idx, Sim.Engine.now e) :: !applied);
+  Mu.Replayer.start f;
+  let p = Mu.Replica.peer leader 1 in
+  let write_slot idx =
+    let img = Mu.Log.encode_slot log ~proposal:8L ~value:(Bytes.of_string "v") in
+    Rdma.Qp.post_write p.Mu.Replica.repl_qp ~wr_id:idx ~src:img ~src_off:0
+      ~len:(Bytes.length img) ~mr:p.Mu.Replica.remote_log_mr ~dst_off:(Mu.Log.slot_offset log idx);
+    ignore (Rdma.Cq.await leader.Mu.Replica.repl_cq)
+  in
+  let arrivals = Array.make 4 0 in
+  let pause_at = 20_500 and resume_at = 23_700 in
+  Sim.Engine.schedule e ~at:pause_at (fun () -> Sim.Host.pause f.Mu.Replica.host);
+  Sim.Engine.schedule e ~at:resume_at (fun () -> Sim.Host.resume f.Mu.Replica.host);
+  Sim.Host.spawn leader.Mu.Replica.host ~name:"writer" (fun () ->
+      List.iter
+        (fun (idx, at) ->
+          Sim.Engine.sleep e (at - Sim.Engine.now e);
+          write_slot idx;
+          arrivals.(idx) <- !stored)
+        [ (0, 12_345); (1, 12_345); (2, 21_000); (3, 30_000) ]);
+  Sim.Engine.run ~until:100_000 e;
+  check "slot 2 lands inside the pause" true
+    (arrivals.(2) > pause_at && arrivals.(2) < resume_at);
+  (* Entry i is applied once entry i+1 exists (commit piggybacking). *)
+  Alcotest.(check (list (pair int int)))
+    "apply instants"
+    [
+      (0, grid ~origin:0 ~period:1000 arrivals.(1));
+      (1, resume_at);
+      (2, grid ~origin:resume_at ~period:1000 arrivals.(3));
+    ]
+    (List.rev !applied)
+
+let permission_manager_grants_on_grid () =
+  let e, rs = bare_cluster () in
+  let r0 = rs.(0) and r1 = rs.(1) in
+  let stored = ref [] and grants = ref [] and ends = ref [] in
+  Rdma.Mr.watch r1.Mu.Replica.bg_mr ~off:(Mu.Replica.bg_req_offset 0) ~len:8
+    (fun ~off:_ ~len:_ -> stored := Sim.Engine.now e :: !stored);
+  Sim.Probe.set_sink (Sim.Engine.probe e) (fun ev ->
+      if ev.Sim.Probe.name = "perm_grant" && ev.Sim.Probe.pid = 1 then
+        match ev.Sim.Probe.kind with
+        | Sim.Probe.Span_begin -> grants := ev.Sim.Probe.ts :: !grants
+        | Sim.Probe.Span_end -> ends := ev.Sim.Probe.ts :: !ends
+        | _ -> ());
+  Mu.Permissions.start r1;
+  Sim.Host.spawn r0.Mu.Replica.host ~name:"requester" (fun () ->
+      List.iter
+        (fun at ->
+          Sim.Engine.sleep e (at - Sim.Engine.now e);
+          ignore (Mu.Permissions.request_permissions r0))
+        [ 7_777; 1_000_001 ]);
+  Sim.Engine.run ~until:2_000_000 e;
+  (* Serving a request occupies the thread; it rescans one interval after
+     the grant ends, and that rescan starts its grid afresh. *)
+  match List.rev !stored, List.rev !grants, List.rev !ends with
+  | [ s1; s2 ], [ g1; g2 ], [ end1; _ ] ->
+    check_int "first grant on the 2 us grid" (grid ~origin:0 ~period:2000 s1) g1;
+    check_int "second grant on the grid after the first"
+      (grid ~origin:(end1 + Mu.Permissions.poll_interval) ~period:2000 s2)
+      g2
+  | s, g, _ ->
+    Alcotest.failf "expected two requests and two grants, got %d and %d" (List.length s)
+      (List.length g)
+
+(* --- page store --------------------------------------------------------------- *)
+
+let page = Sim.Mem.page_size
+
+type op =
+  | Set_i64 of int * int64
+  | Set_i32 of int * int32
+  | Set_char of int * char
+  | Blit of int * string
+  | Fill of int * int * char
+
+let pp_op = function
+  | Set_i64 (o, v) -> Printf.sprintf "set_i64 %d %Ld" o v
+  | Set_i32 (o, v) -> Printf.sprintf "set_i32 %d %ld" o v
+  | Set_char (o, c) -> Printf.sprintf "set_char %d %C" o c
+  | Blit (o, s) -> Printf.sprintf "blit %d (%d bytes)" o (String.length s)
+  | Fill (o, n, c) -> Printf.sprintf "fill %d %d %C" o n c
+
+(* Offsets cluster around page boundaries and the region's ends, with a
+   few out of bounds. *)
+let offset_gen size =
+  QCheck.Gen.(
+    let boundary = map2 (fun k d -> (k * page) + d) (0 -- (size / page)) (-9 -- 9) in
+    frequency
+      [
+        (4, boundary); (2, 0 -- (size - 1)); (1, map (fun d -> size + d) (-9 -- 3)); (1, -3 -- -1);
+      ])
+
+let op_gen size =
+  QCheck.Gen.(
+    let off = offset_gen size in
+    oneof
+      [
+        map2 (fun o v -> Set_i64 (o, v)) off (map Int64.of_int int);
+        map2 (fun o v -> Set_i32 (o, v)) off (map Int32.of_int int);
+        map2 (fun o c -> Set_char (o, c)) off printable;
+        map2 (fun o s -> Blit (o, s)) off (string_size (0 -- 300));
+        map3 (fun o n c -> Fill (o, n, c)) off (0 -- 300) (oneofl [ '\000'; 'z' ]);
+      ])
+
+let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None
+
+(* The store lands, or fails with [Invalid_argument], alike on both. *)
+let apply_both mem flat op =
+  let paged, reference =
+    match op with
+    | Set_i64 (o, v) -> ((fun () -> Sim.Mem.set_i64 mem o v), fun () -> Bytes.set_int64_le flat o v)
+    | Set_i32 (o, v) -> ((fun () -> Sim.Mem.set_i32 mem o v), fun () -> Bytes.set_int32_le flat o v)
+    | Set_char (o, c) -> ((fun () -> Sim.Mem.set_char mem o c), fun () -> Bytes.set flat o c)
+    | Blit (o, s) ->
+      let b = Bytes.of_string s and n = String.length s in
+      ((fun () -> Sim.Mem.blit_from_bytes b 0 mem o n), fun () -> Bytes.blit b 0 flat o n)
+    | Fill (o, n, c) ->
+      ((fun () -> Sim.Mem.fill mem ~off:o ~len:n c), fun () -> Bytes.fill flat o n c)
+  in
+  outcome paged = outcome reference
+
+(* Every read agrees at the op's offset, including straddling and
+   out-of-bounds ones. *)
+let reads_agree mem flat o =
+  outcome (fun () -> Sim.Mem.get_i64 mem o) = outcome (fun () -> Bytes.get_int64_le flat o)
+  && outcome (fun () -> Sim.Mem.get_i32 mem o) = outcome (fun () -> Bytes.get_int32_le flat o)
+  && outcome (fun () -> Sim.Mem.get_char mem o) = outcome (fun () -> Bytes.get flat o)
+  && outcome (fun () -> Sim.Mem.sub mem ~off:o ~len:17) = outcome (fun () -> Bytes.sub flat o 17)
+
+let op_offset = function
+  | Set_i64 (o, _) | Set_i32 (o, _) | Set_char (o, _) | Blit (o, _) | Fill (o, _, _) -> o
+
+let page_store_model =
+  let sizes = [ 1; 64; page; page + 1; (3 * page) + 100 ] in
+  QCheck.Test.make ~name:"page store matches flat bytes" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (size, ops) ->
+          Printf.sprintf "size %d: %s" size (String.concat "; " (List.map pp_op ops)))
+        Gen.(
+          oneofl sizes >>= fun size ->
+          map (fun ops -> (size, ops)) (list_size (1 -- 40) (op_gen size))))
+    (fun (size, ops) ->
+      let mem = Sim.Mem.create size and flat = Bytes.make size '\000' in
+      List.for_all
+        (fun op -> apply_both mem flat op && reads_agree mem flat (op_offset op))
+        ops
+      && Sim.Mem.sub mem ~off:0 ~len:size = flat
+      && Sim.Mem.pages_materialized mem <= (size + page - 1) / page)
+
+let pages_on_demand () =
+  let mem = Sim.Mem.create ((4 * page) + 10) in
+  check_int "nothing materialized" 0 (Sim.Mem.pages_materialized mem);
+  Sim.Mem.fill mem ~off:0 ~len:(Sim.Mem.size mem) '\000';
+  check_int "zero fill keeps zero pages" 0 (Sim.Mem.pages_materialized mem);
+  Sim.Mem.set_i64 mem (page - 4) 0x0102030405060708L;
+  check_int "a straddling store touches two pages" 2 (Sim.Mem.pages_materialized mem);
+  check "straddling read" true (Sim.Mem.get_i64 mem (page - 4) = 0x0102030405060708L);
+  Sim.Mem.set_char mem ((4 * page) + 9) 'x';
+  check_int "the short last page" 3 (Sim.Mem.pages_materialized mem);
+  check "last byte" true (Sim.Mem.get_char mem ((4 * page) + 9) = 'x')
+
+let aliases_share_pages_and_watches () =
+  let e = Util.engine () in
+  let h = Util.host e ~id:0 in
+  let mr = Rdma.Mr.register h ~size:(2 * page) ~access:Rdma.Verbs.access_rw in
+  let seen = ref [] in
+  Rdma.Mr.watch mr ~off:(page - 8) ~len:16 (fun ~off ~len -> seen := (off, len) :: !seen);
+  let ro = Rdma.Mr.alias mr ~access:Rdma.Verbs.access_ro in
+  Rdma.Mr.set_i64 ro ~off:(page - 4) 42L;
+  check "alias store visible through the original" true
+    (Rdma.Mr.get_i64 mr ~off:(page - 4) = 42L);
+  Rdma.Mr.set_i64 mr ~off:0 1L;
+  Rdma.Mr.zero ro ~off:(page + 4) ~len:100;
+  Alcotest.(check (list (pair int int)))
+    "watch fires for overlapping stores through either MR"
+    [ (page - 4, 8); (page + 4, 100) ]
+    (List.rev !seen);
+  (match Rdma.Mr.get_i64 mr ~off:((2 * page) - 4) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "out-of-bounds read accepted");
+  match Rdma.Mr.set_bytes mr ~off:((2 * page) - 1) (Bytes.make 2 'x') with
+  | exception Invalid_argument _ -> check "failed store fires no watch" true (List.length !seen = 2)
+  | () -> Alcotest.fail "out-of-bounds store accepted"
+
+let nvm_region_reopened () =
+  let e = Util.engine () in
+  let nvm = Sim.Engine.nvm e in
+  let size = (2 * page) + 8 in
+  let region = Sim.Nvm.region nvm ~owner:5 ~name:"log" ~size in
+  let h1 = Util.host e ~id:0 in
+  let mr1 = Rdma.Mr.register h1 ~mem:region ~size ~access:Rdma.Verbs.access_rw in
+  let old_fired = ref 0 in
+  Rdma.Mr.watch mr1 ~off:0 ~len:size (fun ~off:_ ~len:_ -> incr old_fired);
+  Rdma.Mr.set_bytes mr1 ~off:(page - 3) (Bytes.of_string "durable");
+  Sim.Host.kill_host h1;
+  (* The restarted incarnation maps the same region. *)
+  let h2 = Util.host e ~id:0 in
+  let region' = Sim.Nvm.region nvm ~owner:5 ~name:"log" ~size in
+  let mr2 = Rdma.Mr.register h2 ~mem:region' ~size ~access:Rdma.Verbs.access_rw in
+  Alcotest.(check string) "bytes survive the restart" "durable"
+    (Bytes.to_string (Rdma.Mr.get_bytes mr2 ~off:(page - 3) ~len:7));
+  Rdma.Mr.set_i64 mr2 ~off:0 7L;
+  check_int "the dead incarnation's watch stays silent" 1 !old_fired;
+  check_int "pages written so far" 2 (Sim.Mem.pages_materialized region')
+
+let suite =
+  [
+    ("idle event budget", `Quick, idle_event_budget);
+    ("build allocation budget", `Quick, build_allocation_budget);
+    ("replayer applies on its poll grid", `Quick, replayer_applies_on_grid);
+    ("permission manager grants on its poll grid", `Quick, permission_manager_grants_on_grid);
+    ("pages on demand", `Quick, pages_on_demand);
+    ("aliases share pages and watches", `Quick, aliases_share_pages_and_watches);
+    ("nvm region reopened after restart", `Quick, nvm_region_reopened);
+    QCheck_alcotest.to_alcotest page_store_model;
+  ]

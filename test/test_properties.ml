@@ -437,7 +437,7 @@ let qp_fifo_property =
             sizes;
           (* Final memory: the last write's byte at offset 0. *)
           let last = List.length sizes - 1 in
-          if Bytes.get (Rdma.Mr.buffer mr) 0 <> Char.chr (last mod 256) then result := false);
+          if Rdma.Mr.get_char mr ~off:0 <> Char.chr (last mod 256) then result := false);
       Sim.Engine.run e;
       !result)
 
@@ -529,7 +529,8 @@ let run_determinism =
           |> List.map (fun (r : Mu.Replica.t) ->
                  ( Mu.Log.fuo r.Mu.Replica.log,
                    r.Mu.Replica.applied,
-                   Bytes.to_string (Rdma.Mr.buffer (Mu.Log.mr r.Mu.Replica.log)) )) )
+                   let mr = Mu.Log.mr r.Mu.Replica.log in
+                   Bytes.to_string (Rdma.Mr.get_bytes mr ~off:0 ~len:(Rdma.Mr.size mr)) )) )
       in
       run () = run ())
 

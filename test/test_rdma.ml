@@ -269,7 +269,8 @@ let write_hook_fires () =
       let _a, b, qa, _qb, cq_a, _ = Util.qp_pair e in
       let mr_b = Rdma.Mr.register b ~size:64 ~access:Rdma.Verbs.access_rw in
       let seen = ref [] in
-      Rdma.Mr.set_write_hook mr_b (Some (fun ~off ~len -> seen := (off, len) :: !seen));
+      Rdma.Mr.watch mr_b ~off:0 ~len:(Rdma.Mr.size mr_b) (fun ~off ~len ->
+          seen := (off, len) :: !seen);
       Rdma.Qp.post_write qa ~wr_id:1 ~src:(Bytes.make 8 'x') ~src_off:0 ~len:8 ~mr:mr_b
         ~dst_off:24;
       ignore (Rdma.Cq.await cq_a);

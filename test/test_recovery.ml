@@ -13,15 +13,15 @@ let nvm_regions_persist () =
   let nvm = Sim.Nvm.create () in
   check "fresh region unknown" false (Sim.Nvm.mem nvm ~owner:0 ~name:"log");
   let r = Sim.Nvm.region nvm ~owner:0 ~name:"log" ~size:64 in
-  Bytes.set r 0 'x';
+  Sim.Mem.set_char r 0 'x';
   check "region now known" true (Sim.Nvm.mem nvm ~owner:0 ~name:"log");
-  (* Re-opening returns the same backing bytes, not a copy. *)
+  (* Re-opening returns the same memory, not a copy. *)
   let r' = Sim.Nvm.region nvm ~owner:0 ~name:"log" ~size:64 in
   check "same bytes on reopen" true (r == r');
-  check "write visible" true (Bytes.get r' 0 = 'x');
+  check "write visible" true (Sim.Mem.get_char r' 0 = 'x');
   (* Same name under a different owner is a distinct region. *)
   let other = Sim.Nvm.region nvm ~owner:1 ~name:"log" ~size:64 in
-  check "per-owner isolation" true (Bytes.get other 0 = '\000');
+  check "per-owner isolation" true (Sim.Mem.get_char other 0 = '\000');
   (* Size mismatch is a programming error. *)
   (match Sim.Nvm.region nvm ~owner:0 ~name:"log" ~size:128 with
   | exception Invalid_argument _ -> ()

@@ -94,7 +94,7 @@ let replayer_respects_remote_fuo () =
 let leader_does_not_self_advance () =
   let _e, rs = bare_cluster () in
   let r = rs.(0) in
-  r.Mu.Replica.role <- Mu.Replica.Leader;
+  Mu.Replica.set_role r Mu.Replica.Leader;
   fill_slot r 0 "a";
   fill_slot r 1 "b";
   (* The fiber guards on the follower role; the helper itself is exposed
@@ -110,7 +110,7 @@ let recycle_zeroes_below_min_head () =
   let e, rs = bare_cluster () in
   let leader = rs.(0) and f1 = rs.(1) and f2 = rs.(2) in
   (* Simulate an established leader with 6 committed entries. *)
-  leader.Mu.Replica.role <- Mu.Replica.Leader;
+  Mu.Replica.set_role leader Mu.Replica.Leader;
   leader.Mu.Replica.need_new_followers <- false;
   leader.Mu.Replica.confirmed <- [ 1; 2 ];
   Array.iter
@@ -143,7 +143,7 @@ let recycle_counts_all_peers_not_just_confirmed () =
      confirmed set still holds the log back. *)
   let e, rs = bare_cluster () in
   let leader = rs.(0) and f1 = rs.(1) and f2 = rs.(2) in
-  leader.Mu.Replica.role <- Mu.Replica.Leader;
+  Mu.Replica.set_role leader Mu.Replica.Leader;
   leader.Mu.Replica.need_new_followers <- false;
   leader.Mu.Replica.confirmed <- [ 1 ];
   (* f2 NOT confirmed *)
@@ -168,7 +168,7 @@ let recycle_counts_all_peers_not_just_confirmed () =
 let recycle_skips_dead_hosts () =
   let e, rs = bare_cluster () in
   let leader = rs.(0) and f1 = rs.(1) and f2 = rs.(2) in
-  leader.Mu.Replica.role <- Mu.Replica.Leader;
+  Mu.Replica.set_role leader Mu.Replica.Leader;
   leader.Mu.Replica.need_new_followers <- false;
   leader.Mu.Replica.confirmed <- [ 1 ];
   Array.iter
@@ -195,7 +195,7 @@ let recycled_slots_are_reusable () =
     bare_cluster ~cfg:{ Mu.Config.default with Mu.Config.log_slots = 8; recycle_slack = 2 } ()
   in
   let leader = rs.(0) in
-  leader.Mu.Replica.role <- Mu.Replica.Leader;
+  Mu.Replica.set_role leader Mu.Replica.Leader;
   leader.Mu.Replica.need_new_followers <- false;
   leader.Mu.Replica.confirmed <- [ 1; 2 ];
   Array.iter

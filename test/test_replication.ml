@@ -396,7 +396,7 @@ let partition_heals () =
    replica's published log head at [entries]. *)
 let established_leader rs entries =
   let leader = rs.(0) in
-  leader.Mu.Replica.role <- Mu.Replica.Leader;
+  Mu.Replica.set_role leader Mu.Replica.Leader;
   leader.Mu.Replica.need_new_followers <- false;
   leader.Mu.Replica.confirmed <-
     Array.to_list rs |> List.filter_map (fun (r : Mu.Replica.t) ->

@@ -182,6 +182,27 @@ let failover_trace_deterministic () =
   check "different seed differs" true
     (Trace.Tracer.chrome_string a <> Trace.Tracer.chrome_string c)
 
+(* The quick fig3 sweep (bench --quick --only fig3): every payload and
+   attach mode at 5000 samples, into one trace. *)
+let run_traced_fig3 seed =
+  let tr = Trace.Tracer.create () in
+  let setup = { E.seed; cal = Util.default_cal; trace = Some tr; metrics = None; faults = None; provenance = false; on_engine = None } in
+  List.iter
+    (fun (payload, attach) ->
+      ignore (E.mu_replication_latency setup ~samples:5_000 ~payload ~attach))
+    [
+      (32, Mu.Config.Standalone); (64, Mu.Config.Standalone); (128, Mu.Config.Standalone);
+      (256, Mu.Config.Standalone); (512, Mu.Config.Standalone); (32, Mu.Config.Direct);
+      (50, Mu.Config.Direct); (64, Mu.Config.Handover); (64, Mu.Config.Handover);
+    ];
+  tr
+
+let fig3_trace_deterministic () =
+  let a = run_traced_fig3 42L and b = run_traced_fig3 42L in
+  check "equal event counts" true (Trace.Tracer.recorded a = Trace.Tracer.recorded b);
+  check_str "byte-identical chrome export"
+    (Trace.Tracer.chrome_string a) (Trace.Tracer.chrome_string b)
+
 let failover_phase_breakdown () =
   let tr = run_traced_failover 7L in
   let bd = Trace.Tracer.breakdown tr in
@@ -205,5 +226,6 @@ let suite =
     Alcotest.test_case "chrome event shape" `Quick chrome_event_shape;
     Alcotest.test_case "tracer on live engine" `Quick tracer_engine_integration;
     Alcotest.test_case "trace determinism" `Quick failover_trace_deterministic;
+    Alcotest.test_case "fig3 latency trace determinism" `Quick fig3_trace_deterministic;
     Alcotest.test_case "failover phase breakdown" `Quick failover_phase_breakdown;
   ]
