@@ -476,8 +476,11 @@ let recovery () =
     \  and rejoins the quorum at exact log parity.@.";
   let scenario = Option.get (Faults.Scenario.by_name ~n:3 "kill-restart") in
   let o =
-    Workload.Chaos.run ~ops_per_client:(scale 600 / 10) ~think:100_000 ~seed:!seed ~n:3
-      scenario
+    Workload.Chaos.run
+      {
+        (Workload.Chaos.spec ~seed:!seed ~n:3 scenario) with
+        clients = Random { clients = 4; ops = scale 600 / 10; think = 100_000 };
+      }
   in
   recovery_outcome := Some o;
   Fmt.pr "  %a@." Workload.Chaos.pp_outcome o;
@@ -566,10 +569,14 @@ let monitored_run ?(interval = 10_000) name =
      rules do not flap; the run outlives the restart so the rejoin
      watchdog sees the catch-up in flight. Deliberately not [scale]d. *)
   let o =
-    Workload.Chaos.run ~metrics:sampler
+    Workload.Chaos.run
       ~on_engine:(fun e ->
+        Workload.Experiments.attach_sampler sampler e;
         online := Some (Monitor.Online.attach ~window_ns:(2 * interval) e sampler))
-      ~ops_per_client:600 ~think:50_000 ~seed:!seed ~n:3 scenario
+      {
+        (Workload.Chaos.spec ~seed:!seed ~n:3 scenario) with
+        clients = Random { clients = 4; ops = 600; think = 50_000 };
+      }
   in
   let online = Option.get !online in
   let log = Monitor.Online.log online in

@@ -352,6 +352,7 @@ let chaos_cmd =
     (* --trace applies to the single-scenario and --replay modes (one
        engine per run); a sweep spans many engines and ignores it. *)
     let tracer = Option.map (fun _ -> Trace.Tracer.create ()) trace_file in
+    let on_engine e = Option.iter (fun tr -> Trace.Tracer.attach tr e) tracer in
     let code =
       match replay, sweep with
       | Some file, _ ->
@@ -361,8 +362,8 @@ let chaos_cmd =
         | Error msg ->
           Fmt.epr "%s@." msg;
           2
-        | Ok (seed, n, scenario) ->
-          let o = Workload.Chaos.run ?trace:tracer ~seed ~n scenario in
+        | Ok spec ->
+          let o = Workload.Chaos.run ~on_engine spec in
           Fmt.pr "%a@." Workload.Chaos.pp_outcome o;
           finish ~repro_file (if Workload.Chaos.passed o then [] else [ o ]))
       | None, Some count ->
@@ -380,7 +381,10 @@ let chaos_cmd =
         finish ~repro_file result.Workload.Chaos.failures
       | None, None ->
         let scenario = scenario_or_die ~n scenario_spec in
-        let o = Workload.Chaos.run ?trace:tracer ~seed:(Int64.of_int seed) ~n scenario in
+        let o =
+          Workload.Chaos.run ~on_engine
+            (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n scenario)
+        in
         Fmt.pr "%a@." Workload.Chaos.pp_outcome o;
         finish ~repro_file (if Workload.Chaos.passed o then [] else [ o ])
     in
@@ -433,7 +437,7 @@ let chaos_cmd =
       value
       & opt (some string) None
       & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, write the minimized repro (seed, scenario, violation) to \
+          ~doc:"On failure, write the minimized repro (the whole run spec and the violation) to \
                 $(docv).")
   in
   Cmd.v
@@ -623,8 +627,9 @@ let watch_cmd =
     let monitor = ref None in
     let alerts = ref 0 in
     let o =
-      Workload.Chaos.run ~metrics:sampler
+      Workload.Chaos.run
         ~on_engine:(fun e ->
+          Workload.Experiments.attach_sampler sampler e;
           let m = Monitor.Online.attach ~window_ns:window e sampler in
           Monitor.Online.on_alert m (fun entry ->
             incr alerts;
@@ -658,7 +663,10 @@ let watch_cmd =
                     ()
                 end);
           monitor := Some m)
-        ~clients ~ops_per_client:ops ~think ~seed:(Int64.of_int seed) ~n scenario
+        {
+          (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n scenario) with
+          clients = Random { clients; ops; think };
+        }
     in
     Fmt.pr "---@.%a@." Workload.Chaos.pp_outcome o;
     (match !monitor with
@@ -846,35 +854,37 @@ let explain_cmd =
       (List.rev !order);
     (tr, tree)
   and explain_chaos seed n spec ops_opt =
-    let seed_override, n, scenario, is_repro =
+    (* A repro replays its run verbatim. For a named scenario or scenario
+       file, think time stretches a small history across the faults (5 ms
+       in) so requests are genuinely in flight at the fail-over — more
+       load instead would explode the linearizability check. *)
+    let of_scenario scenario =
+      {
+        (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n scenario) with
+        clients = Random { clients = 4; ops = Option.value ops_opt ~default:60; think = 100_000 };
+      }
+    in
+    let spec =
       if Sys.file_exists spec then begin
         let s = read_file spec in
         match Workload.Chaos.parse_repro s with
-        | Ok (seed, n, scenario) -> (Some seed, n, scenario, true)
+        | Ok spec -> spec
         | Error _ -> (
           match Faults.Scenario.of_string s with
-          | Ok sc -> (None, n, sc, false)
+          | Ok sc -> of_scenario sc
           | Error msg ->
             Fmt.epr "%s: %s@." spec msg;
             exit 2)
       end
-      else (None, n, scenario_or_die ~n spec, false)
-    in
-    let seed = Option.value seed_override ~default:(Int64.of_int seed) in
-    (* A repro must replay the failing run exactly, so it keeps the
-       library's client defaults. For a plain scenario, think time
-       stretches a small history across the named faults (5 ms in) so
-       requests are genuinely in flight at the fail-over — more load
-       instead would explode the linearizability check. *)
-    let ops_per_client, think =
-      match ops_opt with
-      | Some v -> (Some v, Some 100_000)
-      | None -> if is_repro then (None, None) else (Some 60, Some 100_000)
+      else of_scenario (scenario_or_die ~n spec)
     in
     let tr = Trace.Tracer.create ~capacity:(1 lsl 21) () in
     let o =
-      Workload.Chaos.run ~trace:tr ~provenance:true ?ops_per_client ?think ~seed ~n
-        scenario
+      Workload.Chaos.run
+        ~on_engine:(fun e ->
+          Trace.Tracer.attach tr e;
+          Sim.Engine.set_provenance e true)
+        spec
     in
     let events = Trace.Tracer.events tr in
     let tree = Prov.Tree.of_events events in
@@ -967,7 +977,7 @@ let explain_cmd =
             "Explain a chaos run instead of a latency run: a named scenario \
              (crash-leader, partition-leader, lossy-fabric, kill-restart), a scenario \
              JSON file, or a minimized repro written by 'mu_demo chaos --repro' (which \
-             pins seed and cluster size).")
+             replays its run verbatim).")
   in
   let n_arg =
     Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas (chaos mode).")
@@ -979,8 +989,8 @@ let explain_cmd =
       & info [ "ops" ] ~docv:"N"
           ~doc:
             "Operations per chaos client (default: 60 with 100us think time, which \
-             stretches the run across the named scenarios' fault windows; repro files \
-             keep the original run's parameters).")
+             stretches the run across the named scenarios' fault windows). Ignored \
+             for repro files, which replay the original run.")
   in
   let json_arg =
     Arg.(
@@ -1131,8 +1141,11 @@ let profile_cmd =
         let scenario = scenario_or_die ~n scenario_spec in
         measured (fun () ->
             ignore
-              (Workload.Chaos.run ~on_engine ~provenance:true ~seed:(Int64.of_int seed)
-                 ~n scenario));
+              (Workload.Chaos.run
+                 ~on_engine:(fun e ->
+                   Sim.Engine.set_provenance e true;
+                   on_engine e)
+                 (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n scenario)));
         Printf.sprintf "chaos %s n=%d" scenario_spec n
       | `Serve ->
         measured (fun () ->

@@ -4,28 +4,6 @@ let schema = "mu-verify-repro/1"
 
 (* --- encode --------------------------------------------------------------- *)
 
-let cmd_to_json = function
-  | Apps.Kv_store.Get { key } ->
-    Faults.Json.Obj [ ("op", Faults.Json.Str "get"); ("key", Faults.Json.Str key) ]
-  | Apps.Kv_store.Put { key; value } ->
-    Faults.Json.Obj
-      [
-        ("op", Faults.Json.Str "put");
-        ("key", Faults.Json.Str key);
-        ("value", Faults.Json.Str value);
-      ]
-  | Apps.Kv_store.Delete { key } ->
-    Faults.Json.Obj
-      [ ("op", Faults.Json.Str "delete"); ("key", Faults.Json.Str key) ]
-
-let op_to_json (op : Workload.Chaos.scripted_op) =
-  Faults.Json.Obj
-    [
-      ("think", Faults.Json.num_of_int op.s_think);
-      ("req", Faults.Json.num_of_int op.s_req);
-      ("cmd", cmd_to_json op.s_cmd);
-    ]
-
 let to_string b =
   let t = b.b_triple in
   Faults.Json.to_string
@@ -36,11 +14,7 @@ let to_string b =
          ("n", Faults.Json.num_of_int t.Shrink.t_n);
          ("inject", Faults.Json.num_of_int t.Shrink.t_inject);
          ("scenario", Faults.Scenario.to_json t.Shrink.t_scenario);
-         ( "history",
-           Faults.Json.List
-             (List.map
-                (fun client -> Faults.Json.List (List.map op_to_json client))
-                t.Shrink.t_history) );
+         ("history", Workload.Chaos.script_to_json t.Shrink.t_history);
          ( "verdict",
            Faults.Json.Str (Conformance.verdict_to_string b.b_verdict) );
        ])
@@ -53,34 +27,6 @@ let field name conv j =
   match Option.bind (Faults.Json.member name j) conv with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "repro: missing or bad %S" name)
-
-let cmd_of_json j =
-  let* key = field "key" Faults.Json.to_str j in
-  match Option.bind (Faults.Json.member "op" j) Faults.Json.to_str with
-  | Some "get" -> Ok (Apps.Kv_store.Get { key })
-  | Some "delete" -> Ok (Apps.Kv_store.Delete { key })
-  | Some "put" ->
-    let* value = field "value" Faults.Json.to_str j in
-    Ok (Apps.Kv_store.Put { key; value })
-  | Some op -> Error (Printf.sprintf "repro: unknown op %S" op)
-  | None -> Error "repro: missing or bad \"op\""
-
-let op_of_json j =
-  let* s_think = field "think" Faults.Json.to_int j in
-  let* s_req = field "req" Faults.Json.to_int j in
-  let* s_cmd =
-    match Faults.Json.member "cmd" j with
-    | Some cj -> cmd_of_json cj
-    | None -> Error "repro: missing \"cmd\""
-  in
-  Ok { Workload.Chaos.s_think; s_req; s_cmd }
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
 
 let of_string s =
   let* j = Faults.Json.of_string s in
@@ -105,14 +51,8 @@ let of_string s =
   in
   let* () = Faults.Scenario.validate ~n scenario in
   let* history =
-    match Option.bind (Faults.Json.member "history" j) Faults.Json.to_list with
-    | Some clients ->
-      map_result
-        (fun cj ->
-          match Faults.Json.to_list cj with
-          | Some ops -> map_result op_of_json ops
-          | None -> Error "repro: history client is not a list")
-        clients
+    match Faults.Json.member "history" j with
+    | Some hj -> Workload.Chaos.script_of_json hj
     | None -> Error "repro: missing or bad \"history\""
   in
   let* b_verdict =

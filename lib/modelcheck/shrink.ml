@@ -14,16 +14,14 @@ type result = {
 
 let ops t = List.fold_left (fun acc c -> acc + List.length c) 0 t.t_history
 
-let run ?horizon t =
+let run t =
   let saved = !Apps.Kv_store.test_only_lose_put_every in
   Apps.Kv_store.test_only_lose_put_every := t.t_inject;
   Fun.protect
     ~finally:(fun () -> Apps.Kv_store.test_only_lose_put_every := saved)
     (fun () ->
-      let outcome =
-        Workload.Chaos.run ?horizon ~script:t.t_history ~seed:t.t_seed ~n:t.t_n
-          t.t_scenario
-      in
+      let spec = Workload.Chaos.spec ~seed:t.t_seed ~n:t.t_n t.t_scenario in
+      let outcome = Workload.Chaos.run { spec with clients = Script t.t_history } in
       let verdict, witness = Conformance.judge outcome in
       { verdict; witness; outcome })
 

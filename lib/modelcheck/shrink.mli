@@ -26,9 +26,9 @@ type result = {
   outcome : Workload.Chaos.outcome;
 }
 
-val run : ?horizon:int -> triple -> result
-(** Execute the triple: set the injection flag, drive the cluster through
-    {!Workload.Chaos.run}'s [script] mode, judge the recorded replies.
+val run : triple -> result
+(** Execute the triple: set the injection flag, run its history as a
+    {!Workload.Chaos.Script} on one default group, judge the recorded replies.
     The flag is restored on exit, even on raise. *)
 
 type shrunk = {

@@ -49,6 +49,44 @@ let default =
     durable_ns = 0;
   }
 
+type value = Int of int | Bool of bool | Attach of attach_mode
+
+let fields =
+  let int name get set =
+    (name, (fun c -> Int (get c)), fun c -> function Int v -> Some (set c v) | _ -> None)
+  in
+  let bool name get set =
+    (name, (fun c -> Bool (get c)), fun c -> function Bool v -> Some (set c v) | _ -> None)
+  in
+  [
+    int "n" (fun c -> c.n) (fun c v -> { c with n = v });
+    int "log_slots" (fun c -> c.log_slots) (fun c v -> { c with log_slots = v });
+    int "value_cap" (fun c -> c.value_cap) (fun c v -> { c with value_cap = v });
+    ( "attach",
+      (fun c -> Attach c.attach),
+      fun c -> function Attach v -> Some { c with attach = v } | _ -> None );
+    int "max_batch" (fun c -> c.max_batch) (fun c v -> { c with max_batch = v });
+    int "max_outstanding" (fun c -> c.max_outstanding) (fun c v -> { c with max_outstanding = v });
+    int "grow_followers_grace" (fun c -> c.grow_followers_grace) (fun c v ->
+        { c with grow_followers_grace = v });
+    int "recycle_interval" (fun c -> c.recycle_interval) (fun c v -> { c with recycle_interval = v });
+    int "recycle_slack" (fun c -> c.recycle_slack) (fun c v -> { c with recycle_slack = v });
+    bool "fate_sharing" (fun c -> c.fate_sharing) (fun c v -> { c with fate_sharing = v });
+    int "fate_sharing_stuck_after" (fun c -> c.fate_sharing_stuck_after) (fun c v ->
+        { c with fate_sharing_stuck_after = v });
+    int "replayer_poll" (fun c -> c.replayer_poll) (fun c v -> { c with replayer_poll = v });
+    bool "disable_omit_prepare" (fun c -> c.disable_omit_prepare) (fun c v ->
+        { c with disable_omit_prepare = v });
+    bool "checksum_canary" (fun c -> c.checksum_canary) (fun c v -> { c with checksum_canary = v });
+    bool "persistent_log" (fun c -> c.persistent_log) (fun c v -> { c with persistent_log = v });
+    bool "durable_state" (fun c -> c.durable_state) (fun c v -> { c with durable_state = v });
+    int "queue_limit" (fun c -> c.queue_limit) (fun c v -> { c with queue_limit = v });
+    int "rejoin_batch" (fun c -> c.rejoin_batch) (fun c v -> { c with rejoin_batch = v });
+    int "rejoin_idle" (fun c -> c.rejoin_idle) (fun c v -> { c with rejoin_idle = v });
+    int "doorbell" (fun c -> c.doorbell) (fun c v -> { c with doorbell = v });
+    int "durable_ns" (fun c -> c.durable_ns) (fun c v -> { c with durable_ns = v });
+  ]
+
 let majority t = (t.n / 2) + 1
 
 let validate t =

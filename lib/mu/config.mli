@@ -79,6 +79,13 @@ type t = {
 val default : t
 (** 3 replicas, 8192 slots, 1 KiB values, standalone, no batching. *)
 
+type value = Int of int | Bool of bool | Attach of attach_mode
+
+val fields : (string * (t -> value) * (t -> value -> t option)) list
+(** Every field of {!t} by name, in declaration order, with its getter
+    and setter (which rejects a value of the wrong kind): the one table a
+    config serializer walks, e.g. the chaos repro's writer and parser. *)
+
 val majority : t -> int
 (** ⌊n/2⌋ + 1. *)
 

@@ -1,7 +1,9 @@
 (* Chaos harness: run a Mu cluster under an injected fault scenario while
-   KV clients collect a real-time history, then check the two safety nets
-   the paper's claims rest on — the Appendix A invariants over replica
-   state and linearizability of the observed history (§2.2). *)
+   KV clients collect a real-time history, then check the safety nets the
+   paper's claims rest on — the Appendix A invariants over replica state
+   and linearizability of the observed history (§2.2), plus isolation of
+   the history across shards. Every run is a Mu.Sharded cluster (§8); a
+   single group is one shard. *)
 
 type scripted_op = { s_think : int; s_req : int; s_cmd : Apps.Kv_store.command }
 
@@ -14,14 +16,43 @@ type recorded = {
   r_reply : Apps.Kv_store.reply option;
 }
 
-type outcome = {
+type clients =
+  | Random of { clients : int; ops : int; think : int }
+  | Script of scripted_op list list
+
+type spec = {
   seed : int64;
-  n : int;
+  config : Mu.Config.t;
+  shards : int;
+  horizon : int;
   scenario : Faults.Scenario.t;
+  clients : clients;
+}
+
+let spec ~seed ~n scenario =
+  {
+    seed;
+    config =
+      {
+        Mu.Config.default with
+        Mu.Config.n;
+        log_slots = 4096;
+        recycle_interval = 1_000_000;
+        durable_state = true;
+      };
+    shards = 1;
+    horizon = 2_000_000_000;
+    scenario;
+    clients = Random { clients = 4; ops = 25; think = 0 };
+  }
+
+type outcome = {
+  spec : spec;
   completed : bool;
   ops : int;
   committed : int;
   linearizable : bool;
+  isolated : bool;
   witness : Linearizability.witness option;
   record : recorded list;
   violations : Mu.Invariants.violation list;
@@ -30,11 +61,14 @@ type outcome = {
   degraded_ns : int;
 }
 
-let passed o = o.linearizable && o.violations = [] && o.completed
+let passed o = o.linearizable && o.isolated && o.violations = [] && o.completed
 
 let pp_outcome ppf o =
-  Fmt.pf ppf "%-18s seed=%-8Ld n=%d  %4d ops, %4d committed%s  %s"
-    o.scenario.Faults.Scenario.name o.seed o.n o.ops o.committed
+  let s = o.spec in
+  Fmt.pf ppf "%-18s seed=%-8Ld n=%d%s  %4d ops, %4d committed%s  %s"
+    s.scenario.Faults.Scenario.name s.seed s.config.Mu.Config.n
+    (if s.shards = 1 then "" else Printf.sprintf " shards=%d" s.shards)
+    o.ops o.committed
     (match o.rejoins with
     | [] -> ""
     | rs ->
@@ -52,105 +86,75 @@ let pp_outcome ppf o =
        String.concat ", "
          ((if o.completed then [] else [ "stalled" ])
          @ (if o.linearizable then [] else [ "NOT LINEARIZABLE" ])
+         @ (if o.isolated then [] else [ "FOREIGN READ" ])
          @
          match o.violations with
          | [] -> []
          | vs -> [ Printf.sprintf "%d invariant violation(s)" (List.length vs) ]));
   (* Passing outcomes keep their historical one-line format; the witness
-     only ever extends a failing line, so existing golden output (CI
-     double-run [cmp]) is unchanged. *)
+     only ever extends a failing line. *)
   match o.witness with
   | None -> ()
   | Some w -> Fmt.pf ppf "@\n  %a" Linearizability.pp_witness w
 
-(* One client fiber: closed-loop Puts/Gets on a small shared key space,
-   each op recorded with its invocation/response times. Request ids make
-   retries idempotent (the KV app deduplicates), so the at-least-once
-   delivery of SMR under leader change stays linearizable. *)
-let client_fiber e smr ~proc ~ops ~think ~keys ~history ~pending ~on_done =
-  let rng = Sim.Rng.split (Sim.Engine.rng e) in
-  Mu.Smr.wait_live smr;
-  for i = 1 to ops do
-    if think > 0 && i > 1 then Sim.Engine.sleep e think;
-    let key = keys.(Sim.Rng.int rng (Array.length keys)) in
-    let cmd =
-      if Sim.Rng.bool rng then
-        Apps.Kv_store.Put { key; value = Printf.sprintf "c%d-%d" proc i }
-      else Apps.Kv_store.Get { key }
-    in
-    let payload = Apps.Kv_store.encode_command ~client:proc ~req_id:i cmd in
-    let invoked = Sim.Engine.now e in
-    Hashtbl.replace pending proc (invoked, key, cmd);
-    (* The client_op span labels the detached "request" span that
-       [Smr.submit] opens underneath it with (proc, req, key, op), so
-       [mu_demo explain] can name the requests caught in a fail-over.
-       A shed reply (degraded leader past its queue bound) is retried
-       after a back-off under the same invocation time: the operation is
-       still one linearizability event, it just took longer to admit. *)
-    let rec attempt () =
-      let reply = Mu.Smr.submit smr payload in
-      if Mu.Smr.is_retryable reply then begin
-        Sim.Engine.sleep e 500_000;
-        attempt ()
-      end
-      else reply
-    in
-    let reply =
-      Sim.Engine.span_scope e
-        ~args:
-          [
-            ("proc", string_of_int proc);
-            ("req", string_of_int i);
-            ("key", key);
-            ( "op",
-              match cmd with
-              | Apps.Kv_store.Put _ -> "put"
-              | Apps.Kv_store.Get _ -> "get"
-              | Apps.Kv_store.Delete _ -> "delete" );
-          ]
-        "client_op" attempt
-    in
-    let responded = Sim.Engine.now e in
-    Hashtbl.remove pending proc;
-    let kind =
-      match cmd, Apps.Kv_store.decode_reply reply with
-      | Apps.Kv_store.Put { value; _ }, _ -> Linearizability.Write value
-      | Apps.Kv_store.Get _, Some (Apps.Kv_store.Value v) ->
-        Linearizability.Read (Some v)
-      | (Apps.Kv_store.Get _ | Apps.Kv_store.Delete _), _ ->
-        Linearizability.Read None
-    in
-    history :=
-      { Linearizability.proc; invoked; responded; key; kind } :: !history
-  done;
-  on_done ()
+(* The first [count] keys of the fixed candidate list "a" .. "z", "k26",
+   "k27", ... that route to [shard]; at one shard, "a"; "b"; "c". *)
+let keys_for ~shards ~shard ~count =
+  let rec go i acc =
+    if List.length acc = count then Array.of_list (List.rev acc)
+    else
+      let k =
+        if i < 26 then String.make 1 (Char.chr (97 + i)) else Printf.sprintf "k%d" i
+      in
+      go (i + 1) (if Mu.Sharded.key_hash k mod shards = shard then k :: acc else acc)
+  in
+  go 0 []
 
-(* One scripted client fiber: replays a generated op list verbatim —
-   think gap, request id and command all come from the script — and
-   records every decoded reply so the modelcheck conformance layer can
-   compare the run against the pure reference model. Shed replies retry
-   with the same back-off as the random clients, under the same
-   invocation time. *)
-let scripted_fiber e smr ~proc ~script ~records ~pending ~on_done =
-  Mu.Smr.wait_live smr;
+let key_of = function Apps.Kv_store.Get { key } | Delete { key } | Put { key; _ } -> key
+let op_name = function Apps.Kv_store.Get _ -> "get" | Put _ -> "put" | Delete _ -> "delete"
+
+(* A random client's closed-loop Puts/Gets on a small key space, drawn
+   from its private stream. Values are unique per (proc, op), so every
+   read names the one put it observed. *)
+let random_script rng ~proc ~ops ~think ~keys =
+  List.init ops (fun i ->
+      let key = keys.(Sim.Rng.int rng (Array.length keys)) in
+      let s_cmd =
+        if Sim.Rng.bool rng then
+          Apps.Kv_store.Put { key; value = Printf.sprintf "c%d-%d" proc (i + 1) }
+        else Apps.Kv_store.Get { key }
+      in
+      { s_think = (if i = 0 then 0 else think); s_req = i + 1; s_cmd })
+
+(* One client fiber: submits its ops in order, each routed by key, and
+   records every decoded reply with its invocation/response times.
+   Request ids make retries idempotent (the KV app deduplicates), so the
+   at-least-once delivery of SMR under leader change stays linearizable. *)
+let client_fiber e s ~proc ~script ~records ~pending ~on_done =
+  Mu.Sharded.wait_live s;
   List.iter
     (fun { s_think; s_req; s_cmd } ->
       if s_think > 0 then Sim.Engine.sleep e s_think;
+      let key = key_of s_cmd in
       let payload = Apps.Kv_store.encode_command ~client:proc ~req_id:s_req s_cmd in
-      let invoked = Sim.Engine.now e in
-      Hashtbl.replace pending proc (invoked, s_req, s_cmd);
+      let r =
+        { r_proc = proc; r_req = s_req; r_invoked = Sim.Engine.now e; r_responded = max_int;
+          r_cmd = s_cmd; r_reply = None }
+      in
+      Hashtbl.replace pending proc r;
+      (* The client_op span labels the detached "request" span that
+         [Smr.submit] opens underneath it with (proc, req, key, op), so
+         [mu_demo explain] can name the requests caught in a fail-over.
+         A shed reply (degraded leader past its queue bound) is retried
+         after a back-off under the same invocation time: the operation is
+         still one linearizability event, it just took longer to admit. *)
       let rec attempt () =
-        let reply = Mu.Smr.submit smr payload in
+        let reply = Mu.Sharded.submit s ~key payload in
         if Mu.Smr.is_retryable reply then begin
           Sim.Engine.sleep e 500_000;
           attempt ()
         end
         else reply
-      in
-      let key =
-        match s_cmd with
-        | Apps.Kv_store.Get { key } | Apps.Kv_store.Delete { key } -> key
-        | Apps.Kv_store.Put { key; _ } -> key
       in
       let reply =
         Sim.Engine.span_scope e
@@ -159,25 +163,13 @@ let scripted_fiber e smr ~proc ~script ~records ~pending ~on_done =
               ("proc", string_of_int proc);
               ("req", string_of_int s_req);
               ("key", key);
-              ( "op",
-                match s_cmd with
-                | Apps.Kv_store.Put _ -> "put"
-                | Apps.Kv_store.Get _ -> "get"
-                | Apps.Kv_store.Delete _ -> "delete" );
+              ("op", op_name s_cmd);
             ]
           "client_op" attempt
       in
-      let responded = Sim.Engine.now e in
       Hashtbl.remove pending proc;
       records :=
-        {
-          r_proc = proc;
-          r_req = s_req;
-          r_invoked = invoked;
-          r_responded = responded;
-          r_cmd = s_cmd;
-          r_reply = Apps.Kv_store.decode_reply reply;
-        }
+        { r with r_responded = Sim.Engine.now e; r_reply = Apps.Kv_store.decode_reply reply }
         :: !records)
     script;
   on_done ()
@@ -187,257 +179,281 @@ let scripted_fiber e smr ~proc ~script ~records ~pending ~on_done =
    taken effect); a read that never answered (or answered garbage)
    observed nothing and is dropped. *)
 let history_of_recorded r =
-  let key =
-    match r.r_cmd with
-    | Apps.Kv_store.Get { key } | Apps.Kv_store.Delete { key } -> key
-    | Apps.Kv_store.Put { key; _ } -> key
-  in
-  let kind =
-    match (r.r_cmd, r.r_reply) with
-    | Apps.Kv_store.Put { value; _ }, _ -> Some (Linearizability.Write value)
-    | Apps.Kv_store.Delete _, _ -> Some Linearizability.Erase
-    | Apps.Kv_store.Get _, Some (Apps.Kv_store.Value v) ->
-      Some (Linearizability.Read (Some v))
-    | Apps.Kv_store.Get _, Some _ -> Some (Linearizability.Read None)
-    | Apps.Kv_store.Get _, None -> None
-  in
-  Option.map
-    (fun kind ->
-      {
-        Linearizability.proc = r.r_proc;
-        invoked = r.r_invoked;
-        responded = r.r_responded;
-        key;
-        kind;
-      })
-    kind
-
-let run ?trace ?metrics ?on_engine ?(provenance = false) ?(clients = 4)
-    ?(ops_per_client = 25) ?(think = 0) ?(horizon = 2_000_000_000)
-    ?(durable = true) ?(queue_limit = 0) ?script ~seed ~n scenario =
-  let e = Sim.Engine.create ~seed () in
-  (match trace with Some tr -> Trace.Tracer.attach tr e | None -> ());
-  if provenance then Sim.Engine.set_provenance e true;
-  (* Same shape as Experiments.run_sim: the sampler fiber ticks on
-     virtual time and dies with the engine; attaching it consumes no
-     PRNG, so the protocol schedule is unchanged. *)
-  (match metrics with
-  | Some sampler ->
-    Sim.Engine.set_metrics e (Telemetry.Sampler.registry sampler);
-    Telemetry.Sampler.start_epoch sampler;
-    let interval = Telemetry.Sampler.interval sampler in
-    Sim.Engine.spawn e ~name:"telemetry-sampler" (fun () ->
-        let rec loop () =
-          Telemetry.Sampler.tick sampler ~now:(Sim.Engine.now e);
-          Sim.Engine.sleep e interval;
-          loop ()
-        in
-        loop ())
-  | None -> ());
-  (match on_engine with Some f -> f e | None -> ());
-  let cfg =
+  let op kind =
     {
-      Mu.Config.default with
-      Mu.Config.n;
-      log_slots = 4096;
-      recycle_interval = 1_000_000;
-      durable_state = durable;
-      queue_limit;
+      Linearizability.proc = r.r_proc;
+      invoked = r.r_invoked;
+      responded = r.r_responded;
+      key = key_of r.r_cmd;
+      kind;
     }
   in
-  let smr =
-    Mu.Smr.create e Sim.Calibration.default cfg ~make_app:(fun _ ->
-        Apps.Kv_store.smr_app ())
+  match (r.r_cmd, r.r_reply) with
+  | Apps.Kv_store.Put { value; _ }, _ -> Some (op (Linearizability.Write value))
+  | Apps.Kv_store.Delete _, _ -> Some (op Linearizability.Erase)
+  | Apps.Kv_store.Get _, Some (Apps.Kv_store.Value v) ->
+    Some (op (Linearizability.Read (Some v)))
+  | Apps.Kv_store.Get _, Some _ -> Some (op (Linearizability.Read None))
+  | Apps.Kv_store.Get _, None -> None
+
+(* Isolation: every read of [Some v] observed a put of [v] to that same
+   key. Shards share no state, so a read served by the wrong group shows
+   up here as a value never put to its key. *)
+let isolated history =
+  let open Linearizability in
+  let puts = Hashtbl.create 64 in
+  List.iter
+    (fun op -> match op.kind with Write v -> Hashtbl.replace puts (op.key, v) () | _ -> ())
+    history;
+  List.for_all
+    (fun op -> match op.kind with Read (Some v) -> Hashtbl.mem puts (op.key, v) | _ -> true)
+    history
+
+let run ?(on_engine = ignore) spec =
+  let e = Sim.Engine.create ~seed:spec.seed () in
+  on_engine e;
+  let s =
+    Mu.Sharded.create e Sim.Calibration.default spec.config ~shards:spec.shards
+      ~make_app:(fun ~shard:_ ~replica:_ -> Apps.Kv_store.smr_app ())
   in
-  Mu.Smr.start smr;
-  (* Host lookups re-resolve through the cluster on every event: a
-     restart replaces the replica (and its host) under the same id, and
-     later faults must land on the new incarnation. *)
+  Mu.Sharded.start s;
+  let groups = List.init spec.shards (Mu.Sharded.shard s) in
+  let sum f = List.fold_left (fun acc g -> acc + f g) 0 groups in
+  (* Scenario host ids are shard 0's replica ids. Host lookups re-resolve
+     through the cluster on every event: a restart replaces the replica
+     (and its host) under the same id, and later faults must land on the
+     new incarnation. *)
+  let target = Mu.Sharded.shard s 0 in
   Faults.Injector.install e
     ~hosts:(fun pid ->
-      if pid >= 0 && pid < Array.length (Mu.Smr.replicas smr) then
-        Some (Mu.Smr.replica smr pid).Mu.Replica.host
+      if pid >= 0 && pid < Array.length (Mu.Smr.replicas target) then
+        Some (Mu.Smr.replica target pid).Mu.Replica.host
       else None)
-    ~restart:(fun pid -> Mu.Smr.restart_replica smr ~id:pid)
-    scenario;
-  let history = ref [] in
+    ~restart:(fun pid -> Mu.Smr.restart_replica target ~id:pid)
+    spec.scenario;
+  (* (proc, script) per client fiber, the script built at fiber start: a
+     random client splits its stream there, before it waits for a leader. *)
+  let clients =
+    match spec.clients with
+    | Script scripts -> List.mapi (fun i script -> (i + 1, fun () -> script)) scripts
+    | Random { clients; ops; think } ->
+      List.concat_map
+        (fun shard ->
+          let keys = keys_for ~shards:spec.shards ~shard ~count:3 in
+          List.init clients (fun c ->
+              let proc = (shard * clients) + c + 1 in
+              ( proc,
+                fun () ->
+                  random_script (Sim.Rng.split (Sim.Engine.rng e)) ~proc ~ops ~think ~keys
+              )))
+        (List.init spec.shards Fun.id)
+  in
   let records = ref [] in
   let pending = Hashtbl.create 8 in
-  let spending = Hashtbl.create 8 in
-  let nclients =
-    match script with Some ss -> List.length ss | None -> clients
-  in
-  let remaining = ref nclients in
+  let remaining = ref (List.length clients) in
   let completed = ref false in
-  let keys = [| "a"; "b"; "c" |] in
   let on_done () =
     decr remaining;
     if !remaining = 0 then begin
-      (* Quiesce: run past the last scheduled restart (clients
-         often finish before a late restart fires), give any
-         rejoin pipeline a bounded window to reach log parity,
-         then let stragglers (replayers, recycler, elections
-         after the last fault) settle before the state checks.
-         Only restarts extend the run — they are the one fault
-         whose effect (a completed rejoin) the outcome reports. *)
+      (* Quiesce: run past the last scheduled restart (clients often
+         finish before a late restart fires), give any rejoin pipeline a
+         bounded window to reach log parity, then let stragglers
+         (replayers, recycler, elections after the last fault) settle
+         before the state checks. Only restarts extend the run — they are
+         the one fault whose effect (a completed rejoin) the outcome
+         reports. *)
       let restart_horizon =
         List.fold_left
           (fun a ev ->
             match ev.Faults.Scenario.action with
             | Faults.Scenario.Restart _ -> max a ev.Faults.Scenario.at
             | _ -> a)
-          0 scenario.Faults.Scenario.events
+          0 spec.scenario.Faults.Scenario.events
       in
       if Sim.Engine.now e < restart_horizon + 1_000 then
         Sim.Engine.sleep e (restart_horizon + 1_000 - Sim.Engine.now e);
       let budget = ref 100 in
-      while Mu.Smr.restarts_in_flight smr > 0 && !budget > 0 do
+      while sum Mu.Smr.restarts_in_flight > 0 && !budget > 0 do
         decr budget;
         Sim.Engine.sleep e 1_000_000
       done;
       Sim.Engine.sleep e 5_000_000;
       completed := true;
-      Mu.Smr.stop smr;
+      Mu.Sharded.stop s;
       Sim.Engine.halt e
     end
   in
-  (match script with
-  | Some scripts ->
-    List.iteri
-      (fun i script ->
-        let proc = i + 1 in
-        Sim.Engine.spawn e
-          ~name:(Printf.sprintf "chaos-client-%d" proc)
-          (fun () ->
-            scripted_fiber e smr ~proc ~script ~records ~pending:spending
-              ~on_done))
-      scripts
-  | None ->
-    for proc = 1 to clients do
+  List.iter
+    (fun (proc, script) ->
       Sim.Engine.spawn e
         ~name:(Printf.sprintf "chaos-client-%d" proc)
         (fun () ->
-          client_fiber e smr ~proc ~ops:ops_per_client ~think ~keys ~history
-            ~pending ~on_done)
-    done);
-  Sim.Engine.run ~until:horizon e;
+          client_fiber e s ~proc ~script:(script ()) ~records ~pending ~on_done))
+    clients;
+  Sim.Engine.run ~until:spec.horizon e;
   (* A run that stalled (e.g. a scenario that left no majority) still gets
-     checked for safety: writes that never responded may or may not have
-     taken effect, so they stay in the history with an open interval —
-     the checker may linearize them anywhere after their invocation.
-     Unresponded reads observed nothing and are dropped. *)
-  let record, history =
-    match script with
-    | None ->
-      let history = !history in
-      let history =
-        if !completed then history
-        else
-          Hashtbl.fold
-            (fun proc (invoked, key, cmd) acc ->
-              match cmd with
-              | Apps.Kv_store.Put { value; _ } ->
-                {
-                  Linearizability.proc;
-                  invoked;
-                  responded = max_int;
-                  key;
-                  kind = Linearizability.Write value;
-                }
-                :: acc
-              | Apps.Kv_store.Get _ | Apps.Kv_store.Delete _ -> acc)
-            pending history
-      in
-      ([], history)
-    | Some _ ->
-      let record =
-        Hashtbl.fold
-          (fun proc (invoked, req, cmd) acc ->
-            {
-              r_proc = proc;
-              r_req = req;
-              r_invoked = invoked;
-              r_responded = max_int;
-              r_cmd = cmd;
-              r_reply = None;
-            }
-            :: acc)
-          spending !records
-      in
-      let record =
-        List.sort
-          (fun a b ->
-            compare (a.r_invoked, a.r_proc, a.r_req)
-              (b.r_invoked, b.r_proc, b.r_req))
-          record
-      in
-      (record, List.filter_map history_of_recorded record)
+     checked for safety: ops still pending at the horizon are recorded
+     unanswered, so their history view keeps writes with an open interval
+     — the checker may linearize them anywhere after their invocation. *)
+  let record =
+    Hashtbl.fold (fun _ r acc -> r :: acc) pending !records
+    |> List.sort (fun a b ->
+           compare (a.r_invoked, a.r_proc, a.r_req) (b.r_invoked, b.r_proc, b.r_req))
   in
-  (* Re-read the replica array: restarts swap entries in place, and the
-     safety checks must see the final incarnations. *)
-  let replicas = Mu.Smr.replicas smr in
+  let history = List.filter_map history_of_recorded record in
   let witness = Linearizability.witness history in
+  (* Re-read the replica arrays: restarts swap entries in place, and the
+     safety checks must see the final incarnations. *)
   {
-    seed;
-    n;
-    scenario;
+    spec;
     completed = !completed;
     ops = List.length history;
     committed =
-      Array.fold_left (fun acc r -> max acc (Mu.Log.fuo r.Mu.Replica.log)) 0 replicas;
+      sum (fun g ->
+          Array.fold_left (fun acc r -> max acc (Mu.Log.fuo r.Mu.Replica.log)) 0 (Mu.Smr.replicas g));
     linearizable = Option.is_none witness;
+    isolated = isolated history;
     witness;
     record;
-    violations = Mu.Invariants.check_all replicas;
-    rejoins = Mu.Smr.rejoins smr;
-    shed = Mu.Smr.shed_requests smr;
-    degraded_ns = Mu.Smr.degraded_total_ns smr;
+    violations = List.concat_map (fun g -> Mu.Invariants.check_all (Mu.Smr.replicas g)) groups;
+    rejoins = List.concat_map Mu.Smr.rejoins groups;
+    shed = sum Mu.Smr.shed_requests;
+    degraded_ns = sum Mu.Smr.degraded_total_ns;
   }
 
-(* --- minimized repro ----------------------------------------------------- *)
+(* --- repro ---------------------------------------------------------------- *)
 
-(* Everything needed to replay a failing run byte-for-byte: the seed, the
-   replica count and the full scenario. The violation summary is carried
-   for humans; replay only needs the first three. *)
+let cmd_to_json cmd =
+  Faults.Json.(
+    match cmd with
+    | Apps.Kv_store.Get { key } -> Obj [ ("op", Str "get"); ("key", Str key) ]
+    | Apps.Kv_store.Put { key; value } ->
+      Obj [ ("op", Str "put"); ("key", Str key); ("value", Str value) ]
+    | Apps.Kv_store.Delete { key } -> Obj [ ("op", Str "delete"); ("key", Str key) ])
+
+let script_to_json script =
+  let op o =
+    Faults.Json.(
+      Obj [ ("think", num_of_int o.s_think); ("req", num_of_int o.s_req); ("cmd", cmd_to_json o.s_cmd) ])
+  in
+  Faults.Json.List (List.map (fun c -> Faults.Json.List (List.map op c)) script)
+
+let script_of_json j =
+  let get conv name j =
+    match Option.bind (Faults.Json.member name j) conv with
+    | Some v -> v
+    | None -> failwith (Printf.sprintf "repro: missing or bad %S" name)
+  in
+  let list j =
+    match Faults.Json.to_list j with
+    | Some l -> l
+    | None -> failwith "repro: script is not a list of lists"
+  in
+  let cmd j =
+    let key = get Faults.Json.to_str "key" j in
+    match get Faults.Json.to_str "op" j with
+    | "get" -> Apps.Kv_store.Get { key }
+    | "delete" -> Apps.Kv_store.Delete { key }
+    | "put" -> Apps.Kv_store.Put { key; value = get Faults.Json.to_str "value" j }
+    | op -> failwith (Printf.sprintf "repro: unknown op %S" op)
+  in
+  let op o =
+    let think = get Faults.Json.to_int "think" o and req = get Faults.Json.to_int "req" o in
+    { s_think = think; s_req = req; s_cmd = cmd (get Option.some "cmd" o) }
+  in
+  try Ok (List.map (fun c -> List.map op (list c)) (list j))
+  with Failure m -> Error m
+
+(* Mu.Config.fields as JSON: (name, write, read into a config). *)
+let config_fields =
+  let attaches = Mu.Config.[ ("standalone", Standalone); ("direct", Direct); ("handover", Handover) ] in
+  let to_json = function
+    | Mu.Config.Int i -> Faults.Json.num_of_int i
+    | Bool b -> Faults.Json.Bool b
+    | Attach a -> Faults.Json.Str (fst (List.find (fun (_, x) -> x = a) attaches))
+  in
+  let of_json = function
+    | Faults.Json.Bool b -> Some (Mu.Config.Bool b)
+    | Str s -> Option.map (fun a -> Mu.Config.Attach a) (List.assoc_opt s attaches)
+    | j -> Option.map (fun i -> Mu.Config.Int i) (Faults.Json.to_int j)
+  in
+  List.map
+    (fun (name, get, set) ->
+      (name, (fun c -> to_json (get c)), fun c j -> Option.bind (of_json j) (set c)))
+    Mu.Config.fields
+
+(* The whole spec, with the config fields inline, plus a violation
+   summary for humans; replay reads everything but the summary. *)
 let repro_json o =
+  let s = o.spec in
+  let num = Faults.Json.num_of_int in
   Faults.Json.to_string
     (Faults.Json.Obj
-       [
-         ("seed", Faults.Json.Str (Int64.to_string o.seed));
-         ("n", Faults.Json.num_of_int o.n);
-         ("scenario", Faults.Scenario.to_json o.scenario);
-         ( "violation",
-           Faults.Json.Str
-             (if not o.linearizable then "history not linearizable"
-              else if o.violations <> [] then
-                Fmt.str "%a" (Fmt.list Mu.Invariants.pp_violation) o.violations
-              else if not o.completed then "liveness stall (clients never finished)"
-              else "none") );
-       ])
+       ([ ("seed", Faults.Json.Str (Int64.to_string s.seed)) ]
+       @ List.map (fun (name, write, _) -> (name, write s.config)) config_fields
+       @ [ ("shards", num s.shards); ("horizon", num s.horizon) ]
+       @ (match s.clients with
+         | Random { clients; ops; think } ->
+           [ ("clients", num clients); ("ops", num ops); ("think", num think) ]
+         | Script script -> [ ("script", script_to_json script) ])
+       @ [
+           ("scenario", Faults.Scenario.to_json s.scenario);
+           ( "violation",
+             Faults.Json.Str
+               (if not o.linearizable then "history not linearizable"
+                else if not o.isolated then "read of a value never put to its key"
+                else if o.violations <> [] then
+                  Fmt.str "%a" (Fmt.list Mu.Invariants.pp_violation) o.violations
+                else if not o.completed then "liveness stall (clients never finished)"
+                else "none") );
+         ]))
 
-let parse_repro s =
+(* A field missing from the document reads as its default-spec value, so
+   repros that carry only seed, n and scenario still replay. *)
+let parse_repro str =
   let ( let* ) = Result.bind in
-  let* j = Faults.Json.of_string s in
+  let* j = Faults.Json.of_string str in
+  let opt name conv default =
+    match Faults.Json.member name j with
+    | None -> Ok default
+    | Some v -> Option.to_result ~none:(Printf.sprintf "repro: bad %S" name) (conv v)
+  in
   let* seed =
     match Option.bind (Faults.Json.member "seed" j) Faults.Json.to_str with
-    | Some s -> (
-      match Int64.of_string_opt s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "repro: bad seed %S" s))
+    | Some s -> Option.to_result ~none:(Printf.sprintf "repro: bad seed %S" s) (Int64.of_string_opt s)
     | None -> Error "repro: missing \"seed\""
-  in
-  let* n =
-    match Option.bind (Faults.Json.member "n" j) Faults.Json.to_int with
-    | Some n -> Ok n
-    | None -> Error "repro: missing \"n\""
   in
   let* scenario =
     match Faults.Json.member "scenario" j with
     | Some sj -> Faults.Scenario.of_json sj
     | None -> Error "repro: missing \"scenario\""
   in
-  let* () = Faults.Scenario.validate ~n scenario in
-  Ok (seed, n, scenario)
+  let d = spec ~seed ~n:Mu.Config.default.n scenario in
+  let* config =
+    List.fold_left
+      (fun acc (name, _, read) ->
+        let* c = acc in
+        opt name (read c) c)
+      (Ok d.config) config_fields
+  in
+  let* shards = opt "shards" Faults.Json.to_int d.shards in
+  let* horizon = opt "horizon" Faults.Json.to_int d.horizon in
+  let* clients =
+    match (Faults.Json.member "script" j, d.clients) with
+    | Some sj, _ -> Result.map (fun s -> Script s) (script_of_json sj)
+    | None, Random r ->
+      let* clients = opt "clients" Faults.Json.to_int r.clients in
+      let* ops = opt "ops" Faults.Json.to_int r.ops in
+      let* think = opt "think" Faults.Json.to_int r.think in
+      Ok (Random { clients; ops; think })
+    | None, (Script _ as c) -> Ok c
+  in
+  let* () = if shards >= 1 then Ok () else Error "repro: shards must be >= 1" in
+  let* () =
+    try Ok (Mu.Config.validate config) with Invalid_argument m -> Error ("repro: " ^ m)
+  in
+  let* () = Faults.Scenario.validate ~n:config.Mu.Config.n scenario in
+  Ok { seed; config; shards; horizon; scenario; clients }
 
 (* --- randomized sweep ----------------------------------------------------- *)
 
@@ -462,7 +478,7 @@ let sweep ?(count = 50) ?(ns = [ 3; 5 ]) ?log ~seed () =
       Faults.Scenario.generate (Sim.Rng.create run_seed) ~n ~horizon:40_000_000
     in
     scenarios := scenario :: !scenarios;
-    let o = run ~seed:run_seed ~n scenario in
+    let o = run (spec ~seed:run_seed ~n scenario) in
     if not (passed o) then failures := o :: !failures;
     match log with Some f -> f i o | None -> ()
   done;

@@ -1,25 +1,14 @@
 (** Chaos runner: Mu under injected faults, checked for safety.
 
-    Each run builds a fresh cluster of [n] replicas serving the KV
-    application, installs a {!Faults.Scenario.t} over the engine, and
-    drives closed-loop clients whose operations are recorded as a
-    real-time history. After the run, two independent safety checks fire:
-    the Appendix A invariants over raw replica state
-    ({!Mu.Invariants.check_all}) and linearizability of the observed
-    history ({!Linearizability.check}) — the paper's §2.2 claims,
-    checked empirically under every scenario the generator can produce.
-
-    Determinism: same [seed] + same scenario ⇒ an identical run, to the
-    byte, including any attached trace — which makes {!repro_json} a
-    complete reproduction of a failure. *)
-
-(** {1 Scripted histories}
-
-    The modelcheck conformance runner (lib/modelcheck) drives the same
-    harness with a {e generated} history instead of the built-in random
-    clients: one op list per client, each op carrying its request id and
-    a think gap, and every response recorded verbatim so it can be
-    checked against the pure reference model. *)
+    A run is a {!spec}: a fresh [shards × config.n] {!Mu.Sharded} cluster
+    serving the KV application (a single group is [shards = 1]), a
+    {!Faults.Scenario.t} on shard 0's replicas, and closed-loop clients
+    whose ops are recorded as a real-time history. Three safety checks
+    then fire over all shards: the Appendix A invariants
+    ({!Mu.Invariants.check_all}), linearizability of the history (per key,
+    so per shard) and isolation — every read of [Some v] saw a put of [v]
+    to that same key (§2.2, §8). The same spec replays to the byte,
+    traces included, so {!repro_json} is a complete reproduction. *)
 
 type scripted_op = {
   s_think : int;  (** Virtual-ns pause before submitting this op. *)
@@ -36,87 +25,76 @@ type recorded = {
   r_reply : Apps.Kv_store.reply option;  (** [None] = unanswered. *)
 }
 
-type outcome = {
+type clients =
+  | Random of { clients : int; ops : int; think : int }
+      (** [clients] per shard (shard [s]'s are procs [s·clients + 1 ..]),
+          each submitting [ops] Puts/Gets on the {!keys_for} its shard,
+          [think] virtual ns apart, drawn from a {!Sim.Rng.split} taken
+          at fiber start. *)
+  | Script of scripted_op list list
+      (** One fiber per list (client [i] is proc [i + 1]) replaying its
+          ops verbatim, each routed by key. *)
+
+type spec = {
   seed : int64;
-  n : int;
+  config : Mu.Config.t;  (** Every group's config; [n] is [config.n]. *)
+  shards : int;
+  horizon : int;
+      (** Virtual-ns bound on a stalled run; writes still pending there
+          stay in the history with an open response interval. *)
   scenario : Faults.Scenario.t;
-  completed : bool;
-      (** All client operations finished before the safety horizon. A
-          stall means the scenario (or a bug) cost the cluster liveness;
-          safety is still checked. *)
+  clients : clients;
+}
+
+val spec : seed:int64 -> n:int -> Faults.Scenario.t -> spec
+(** One group of [n] replicas on {!Mu.Config.default} with a 4096-slot
+    log, 1 ms recycling and durable state (so [Restart] events recover
+    from NVM); 4 random clients × 25 ops, no think time; a 2 s horizon. *)
+
+type outcome = {
+  spec : spec;
+  completed : bool;  (** All clients finished before the horizon. *)
   ops : int;  (** Operations in the checked history. *)
-  committed : int;  (** Highest FUO reached by any replica. *)
+  committed : int;  (** Sum over shards of the highest FUO reached. *)
   linearizable : bool;
+  isolated : bool;
   witness : Linearizability.witness option;
       (** Minimal failing sub-history when not linearizable. *)
-  record : recorded list;
-      (** Scripted runs only: every op with its observed reply, sorted by
-          (invocation, proc, req). Empty for the built-in random clients. *)
+  record : recorded list;  (** Every op and reply, by (invocation, proc, req). *)
   violations : Mu.Invariants.violation list;
-  rejoins : Mu.Smr.rejoin list;
-      (** Completed kill→restart→rejoin pipelines (oldest first). *)
+  rejoins : Mu.Smr.rejoin list;  (** Completed kill→restart→rejoin pipelines. *)
   shed : int;  (** Requests shed by a degraded leader's queue bound. *)
   degraded_ns : int;  (** Total quorum-lost window duration. *)
 }
 
 val passed : outcome -> bool
-(** Completed, linearizable, and invariant-clean. *)
+(** Completed, linearizable, isolated and invariant-clean. *)
 
 val pp_outcome : outcome Fmt.t
-(** One line; on a linearizability failure, the minimal counterexample
-    witness follows on indented lines. *)
+(** One line; a linearizability witness follows on indented lines. *)
 
-val run :
-  ?trace:Trace.Tracer.t ->
-  ?metrics:Telemetry.Sampler.t ->
-  ?on_engine:(Sim.Engine.t -> unit) ->
-  ?provenance:bool ->
-  ?clients:int ->
-  ?ops_per_client:int ->
-  ?think:int ->
-  ?horizon:int ->
-  ?durable:bool ->
-  ?queue_limit:int ->
-  ?script:scripted_op list list ->
-  seed:int64 ->
-  n:int ->
-  Faults.Scenario.t ->
-  outcome
-(** One chaos run. [horizon] (default 2 virtual seconds) bounds a stalled
-    run; writes still pending at the horizon stay in the history with an
-    open response interval, so a write that took effect but never
-    answered cannot fake a linearizability violation. [provenance]
-    (default false) additionally records causal request spans for
-    [mu_demo explain] — each client op wraps its request span with
-    (proc, req, key, op) labels; a provenance-off run is byte-identical
-    with or without the flag. [think] (default 0) inserts a fixed
-    virtual-ns pause between a client's operations — use it to stretch a
-    small (checker-friendly) history across a scenario's fault window
-    instead of piling on operations. [durable] (default true) backs each
-    replica's log with simulated NVM so [restart] events can recover it;
-    [queue_limit] (default 0 = unbounded) bounds the leader's incoming
-    queue — shed requests answer with {!Mu.Smr.retryable_error} and the
-    clients here back off and retry under the same invocation time.
-    [metrics] attaches a telemetry sampler exactly as
-    {!Experiments.run_sim} does (new epoch, virtual-time tick fiber);
-    [on_engine] runs after the engine is fully configured but before the
-    cluster starts — the hook the online monitor attaches through. Both
-    consume no PRNG; the protocol schedule is unchanged. [script]
-    replaces the built-in random clients with one fiber per listed
-    client, replaying the given op lists verbatim (client i is proc
-    i+1); [clients]/[ops_per_client]/[think] are ignored and every
-    submitted op lands in {!outcome.record} with its observed reply. A
-    run without [script] is byte-identical to one built before the
-    option existed. *)
+val run : ?on_engine:(Sim.Engine.t -> unit) -> spec -> outcome
+(** One run. [on_engine] sees the fresh engine before the cluster is
+    built: the one hook observers attach through (tracer, provenance,
+    telemetry sampler, online monitor, in that order). A shed reply is
+    retried after 500 µs under the same invocation time. *)
 
-(** {1 Minimized repro} *)
+val keys_for : shards:int -> shard:int -> count:int -> string array
+(** The first [count] keys of a fixed candidate list (["a"], ["b"],
+    ["c"], ...) that route to [shard] under {!Mu.Sharded.key_hash}. *)
+
+(** {1 Repro} *)
 
 val repro_json : outcome -> string
-(** Seed + n + scenario + violation summary, as one JSON document. *)
+(** The whole spec (config fields inline, the script if any) plus a
+    violation summary, as one JSON document. *)
 
-val parse_repro : string -> (int64 * int * Faults.Scenario.t, string) result
-(** Recover the replay inputs from a repro file; {!run} on them
-    reproduces the failing run byte-identically. *)
+val parse_repro : string -> (spec, string) result
+(** The spec of a repro; {!run} replays it byte-identically. A missing
+    field reads as its {!spec} default. *)
+
+val script_to_json : scripted_op list list -> Faults.Json.t
+val script_of_json : Faults.Json.t -> (scripted_op list list, string) result
 
 (** {1 Randomized sweep} *)
 
@@ -124,21 +102,12 @@ type sweep = {
   runs : int;
   failures : outcome list;
   coverage : Faults.Scenario.coverage;
-      (** What the generator actually exercised across the sweep: action
-          counts, partition shapes, crash/restart mix. Surfaced so a
-          sweep can never silently narrow its fault coverage. *)
+      (** What the generator exercised, so a sweep never silently narrows. *)
 }
 
 val sweep :
-  ?count:int ->
-  ?ns:int list ->
-  ?log:(int -> outcome -> unit) ->
-  seed:int64 ->
-  unit ->
-  sweep
-(** [sweep ~seed ()] runs [count] (default 50) random scenarios, cycling
-    cluster sizes through [ns] (default [[3; 5]]). Every run's seed is
-    drawn from a root PRNG seeded with [seed], and its scenario is
-    generated from that per-run seed — so each failure replays from one
-    64-bit number, and {!repro_json} of a failing outcome is a complete
-    repro. [log] observes every outcome as it completes. *)
+  ?count:int -> ?ns:int list -> ?log:(int -> outcome -> unit) -> seed:int64 -> unit -> sweep
+(** [count] (default 50) generated scenarios, cluster sizes cycling
+    through [ns] (default [[3; 5]]). Each run's seed comes from a root
+    PRNG seeded with [seed], its scenario from that seed, so a failure
+    replays from one number. [log] observes every outcome. *)

@@ -28,27 +28,27 @@ let install_faults setup e smr =
         else None)
       scenario
 
-(* Run one simulation to completion of the experiment body. Each run is a
-   fresh engine (virtual time restarts at 0), so a shared sampler opens a
-   new epoch per run; the sampler fiber ticks on virtual time and dies
-   with the engine. *)
+(* Each engine is fresh (virtual time restarts at 0), so a shared sampler
+   opens a new epoch per engine; the sampler fiber ticks on virtual time
+   and dies with the engine. *)
+let attach_sampler sampler e =
+  Sim.Engine.set_metrics e (Telemetry.Sampler.registry sampler);
+  Telemetry.Sampler.start_epoch sampler;
+  let interval = Telemetry.Sampler.interval sampler in
+  Sim.Engine.spawn e ~name:"telemetry-sampler" (fun () ->
+      let rec loop () =
+        Telemetry.Sampler.tick sampler ~now:(Sim.Engine.now e);
+        Sim.Engine.sleep e interval;
+        loop ()
+      in
+      loop ())
+
+(* Run one simulation to completion of the experiment body. *)
 let run_sim setup ?until f =
   let e = Sim.Engine.create ~seed:setup.seed () in
   (match setup.trace with Some tr -> Trace.Tracer.attach tr e | None -> ());
   if setup.provenance then Sim.Engine.set_provenance e true;
-  (match setup.metrics with
-  | Some sampler ->
-    Sim.Engine.set_metrics e (Telemetry.Sampler.registry sampler);
-    Telemetry.Sampler.start_epoch sampler;
-    let interval = Telemetry.Sampler.interval sampler in
-    Sim.Engine.spawn e ~name:"telemetry-sampler" (fun () ->
-        let rec loop () =
-          Telemetry.Sampler.tick sampler ~now:(Sim.Engine.now e);
-          Sim.Engine.sleep e interval;
-          loop ()
-        in
-        loop ())
-  | None -> ());
+  Option.iter (fun sampler -> attach_sampler sampler e) setup.metrics;
   (match setup.on_engine with Some f -> f e | None -> ());
   let result = ref None in
   Sim.Engine.spawn e ~name:"experiment" (fun () ->

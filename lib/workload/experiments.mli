@@ -37,6 +37,12 @@ type setup = {
 
 val default_setup : setup
 
+val attach_sampler : Telemetry.Sampler.t -> Sim.Engine.t -> unit
+(** Attach the sampler's registry to the engine ({!Sim.Engine.set_metrics}),
+    open a new sampler epoch and spawn the fiber that ticks it on virtual
+    time. Consumes no engine PRNG. {!run_sim} attaches [setup.metrics]
+    this way; chaos runs call it from their [on_engine] hook. *)
+
 val run_sim : setup -> ?until:int -> (Sim.Engine.t -> 'a) -> 'a
 (** Run one simulation to completion of [f]: a fresh engine seeded from
     the setup, with tracer/provenance/metrics-sampler attached per the

@@ -186,52 +186,110 @@ let generator_produces_valid_scenarios () =
         [ 3; 5 ])
     [ 1L; 2L; 3L; 42L; -7L; 123456789L ]
 
+module Chaos = Workload.Chaos
+
+let named ~n ~seed name = Chaos.spec ~seed ~n (Option.get (Faults.Scenario.by_name ~n name))
+
+(* A traced run: its outcome and Chrome trace bytes. *)
+let traced spec =
+  let tr = Trace.Tracer.create ~capacity:65536 () in
+  let o = Chaos.run ~on_engine:(Trace.Tracer.attach tr) spec in
+  (o, Trace.Tracer.chrome_string tr)
+
 (* The tentpole guarantee: the same seed and scenario replay to the byte.
    Two full chaos runs (cluster + clients + injected faults) must emit
    identical traces; a different seed must not. *)
 let chaos_run_is_deterministic () =
-  let scenario =
-    Option.get (Faults.Scenario.by_name ~n:3 "crash-leader")
-  in
-  let trace seed =
-    let tr = Trace.Tracer.create ~capacity:65536 () in
-    let o = Workload.Chaos.run ~trace:tr ~seed ~n:3 scenario in
-    (Trace.Tracer.chrome_string tr, o)
-  in
-  let t1, o1 = trace 7L in
-  let t2, o2 = trace 7L in
+  let o1, t1 = traced (named ~n:3 ~seed:7L "crash-leader") in
+  let o2, t2 = traced (named ~n:3 ~seed:7L "crash-leader") in
   Alcotest.(check string) "same seed, identical trace bytes" t1 t2;
-  check "same outcome" true (Workload.Chaos.passed o1 = Workload.Chaos.passed o2);
-  check_int "same op count" o1.Workload.Chaos.ops o2.Workload.Chaos.ops;
-  let t3, _ = trace 8L in
+  check "same outcome" true (Chaos.passed o1 = Chaos.passed o2);
+  check_int "same op count" o1.Chaos.ops o2.Chaos.ops;
+  let _, t3 = traced (named ~n:3 ~seed:8L "crash-leader") in
   check "different seed diverges" true (t1 <> t3)
 
-let chaos_named_scenarios_pass () =
-  List.iter
-    (fun name ->
-      let scenario = Option.get (Faults.Scenario.by_name ~n:3 name) in
-      let o = Workload.Chaos.run ~seed:11L ~n:3 scenario in
-      if not (Workload.Chaos.passed o) then
-        Alcotest.fail (Fmt.str "%s: %a" name Workload.Chaos.pp_outcome o))
-    Faults.Scenario.named
+(* The sharded rows: two groups of three, two clients per shard × 20 ops
+   at 100 us think time, faults on shard 0; default and windowed
+   (batches of 8, doorbell groups of 4, 4 groups outstanding) configs. *)
+let sharded ?config name =
+  let s = named ~n:3 ~seed:41L name in
+  {
+    s with
+    Chaos.config = Option.value config ~default:s.Chaos.config;
+    shards = 2;
+    clients = Random { clients = 2; ops = 20; think = 100_000 };
+  }
 
-(* A minimized repro replays the exact run it came from. *)
+(* One table of chaos runs: (spec, minimum ops, rejoin expected). Every
+   row runs twice; both runs must give the same outcome text and trace
+   bytes, and pass (completed, linearizable, isolated, invariant-clean). *)
+let chaos_table =
+  let windowed = Serving.Surface.config ~batch:8 ~doorbell:4 in
+  List.concat_map
+    (fun name -> [ (named ~n:3 ~seed:7L name, 1, false); (named ~n:5 ~seed:11L name, 1, false) ])
+    [ "crash-leader"; "partition-leader"; "lossy-fabric" ]
+  @ List.map (fun name -> (named ~n:3 ~seed:11L name, 1, false)) Faults.Scenario.named
+  @ [
+      (sharded "kill-restart", 80, true);
+      (sharded "partition-leader", 80, false);
+      (sharded ~config:windowed "kill-restart", 80, true);
+      (sharded ~config:windowed "partition-leader", 80, false);
+    ]
+
+let chaos_table_double_runs_pass () =
+  List.iter
+    (fun (spec, min_ops, rejoin) ->
+      let o1, t1 = traced spec in
+      let o2, t2 = traced spec in
+      let line = Fmt.str "%a" Chaos.pp_outcome o1 in
+      Alcotest.(check string) "same outcome text" line (Fmt.str "%a" Chaos.pp_outcome o2);
+      check (line ^ ": same trace bytes") true (String.equal t1 t2);
+      check (line ^ ": passes") true (Chaos.passed o1);
+      check (line ^ ": history non-trivial") true (o1.Chaos.ops >= min_ops);
+      if rejoin then check (line ^ ": rejoin completed") true (o1.Chaos.rejoins <> []))
+    chaos_table
+
+let chaos_sweep_passes () =
+  let s = Chaos.sweep ~count:20 ~seed:42L () in
+  check_int "runs" 20 s.Chaos.runs;
+  List.iter (fun o -> Alcotest.fail (Fmt.str "%a" Chaos.pp_outcome o)) s.Chaos.failures
+
+(* A repro replays the exact run it came from: a default single-group run
+   and a sharded, windowed one with non-default clients. *)
 let repro_round_trips_and_replays () =
-  let scenario = Option.get (Faults.Scenario.by_name ~n:3 "partition-leader") in
-  let o = Workload.Chaos.run ~seed:21L ~n:3 scenario in
-  let repro = Workload.Chaos.repro_json o in
-  match Workload.Chaos.parse_repro repro with
-  | Error m -> Alcotest.fail m
-  | Ok (seed, n, scenario') ->
-    check "seed preserved" true (seed = 21L);
-    check_int "n preserved" 3 n;
-    check "scenario preserved" true (scenario' = scenario);
-    let o' = Workload.Chaos.run ~seed ~n scenario' in
-    check_int "replay: same ops" o.Workload.Chaos.ops o'.Workload.Chaos.ops;
-    check_int "replay: same committed" o.Workload.Chaos.committed
-      o'.Workload.Chaos.committed;
-    check "replay: same verdict" true
-      (Workload.Chaos.passed o = Workload.Chaos.passed o')
+  let windowed =
+    {
+      (sharded ~config:(Serving.Surface.config ~batch:8 ~doorbell:4) "partition-leader") with
+      Chaos.seed = 21L;
+    }
+  in
+  List.iter
+    (fun spec ->
+      let o = Chaos.run spec in
+      match Chaos.parse_repro (Chaos.repro_json o) with
+      | Error m -> Alcotest.fail m
+      | Ok spec' ->
+        check "spec preserved" true (spec' = spec);
+        let o' = Chaos.run spec' in
+        check "replay: equal outcome" true (o' = o);
+        check_int "replay: same ops" o.Chaos.ops o'.Chaos.ops)
+    [ named ~n:3 ~seed:21L "partition-leader"; windowed ];
+  (* A repro that carries only seed, n and scenario reads the rest as the
+     default spec. *)
+  let scenario = Faults.Scenario.partition_leader ~n:5 in
+  let repro fields =
+    Faults.Json.to_string
+      (Faults.Json.Obj
+         ([ ("seed", Faults.Json.Str "9"); ("n", Faults.Json.num_of_int 5) ]
+         @ fields
+         @ [ ("scenario", Faults.Scenario.to_json scenario) ]))
+  in
+  check "short repro reads as the default spec" true
+    (Chaos.parse_repro (repro []) = Ok (Chaos.spec ~seed:9L ~n:5 scenario));
+  check "zero shards rejected" true
+    (Result.is_error (Chaos.parse_repro (repro [ ("shards", Faults.Json.num_of_int 0) ])));
+  check "invalid config rejected" true
+    (Result.is_error (Chaos.parse_repro (repro [ ("doorbell", Faults.Json.num_of_int 0) ])))
 
 (* A scenario that kills a majority must stall — and the stalled run must
    still be judged safe (no invariant violation, incomplete ops handled)
@@ -248,10 +306,10 @@ let chaos_majority_loss_stalls_safely () =
         ];
     }
   in
-  let o = Workload.Chaos.run ~seed:5L ~n:3 ~horizon:300_000_000 scenario in
-  check "stalled" true (not o.Workload.Chaos.completed);
-  check "still linearizable" true o.Workload.Chaos.linearizable;
-  check "no invariant violations" true (o.Workload.Chaos.violations = [])
+  let o = Chaos.run { (Chaos.spec ~seed:5L ~n:3 scenario) with horizon = 300_000_000 } in
+  check "stalled" true (not o.Chaos.completed);
+  check "still linearizable" true o.Chaos.linearizable;
+  check "no invariant violations" true (o.Chaos.violations = [])
 
 let suite =
   [
@@ -262,7 +320,8 @@ let suite =
     ("named scenarios resolve", `Quick, named_scenarios_resolve);
     ("generator produces valid scenarios", `Quick, generator_produces_valid_scenarios);
     ("chaos run deterministic (trace bytes)", `Quick, chaos_run_is_deterministic);
-    ("named scenarios pass chaos", `Quick, chaos_named_scenarios_pass);
+    ("chaos table: double runs pass", `Quick, chaos_table_double_runs_pass);
+    ("chaos sweep seed 42 passes", `Quick, chaos_sweep_passes);
     ("repro round-trips and replays", `Quick, repro_round_trips_and_replays);
     ("majority loss stalls safely", `Quick, chaos_majority_loss_stalls_safely);
   ]

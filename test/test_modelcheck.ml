@@ -254,6 +254,9 @@ let witness_erase_semantics () =
 
 let op think req cmd = { Workload.Chaos.s_think = think; s_req = req; s_cmd = cmd }
 
+let scripted ~seed scenario script =
+  Workload.Chaos.run { (Workload.Chaos.spec ~seed ~n:3 scenario) with clients = Script script }
+
 let scripted_run_records_replies () =
   let script =
     [
@@ -266,7 +269,7 @@ let scripted_run_records_replies () =
     ]
   in
   let scenario = { Faults.Scenario.name = "none"; events = [] } in
-  let o = Workload.Chaos.run ~script ~seed:3L ~n:3 scenario in
+  let o = scripted ~seed:3L scenario script in
   check "completed" true o.Workload.Chaos.completed;
   check_int "every op recorded" 4 (List.length o.Workload.Chaos.record);
   check "every op answered" true
@@ -290,7 +293,7 @@ let scripted_run_deterministic () =
     [ [ op 0 1 (Apps.Kv_store.Put { key = "a"; value = "x" }) ] ]
   in
   let scenario = Faults.Scenario.crash_leader ~n:3 in
-  let r () = Workload.Chaos.run ~script ~seed:9L ~n:3 scenario in
+  let r () = scripted ~seed:9L scenario script in
   check "same seed, same record" true
     ((r ()).Workload.Chaos.record = (r ()).Workload.Chaos.record)
 
@@ -311,6 +314,48 @@ let crash_leader_scripted_conformant () =
   let r = Modelcheck.Shrink.run t in
   check "conformant across fail-over" true
     (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass)
+
+(* The first model check outside the default configuration: a generated
+   history on two windowed shards (batches of 8, doorbell groups of 4)
+   through a leader crash on shard 0. It must conform to the KV model;
+   with the lost-put bug injected it must not, and the outcome must carry
+   a linearizability witness. *)
+let sharded_windowed_script_judged () =
+  let script =
+    Modelcheck.History.generate ~clients:3 ~ops_per_client:8 (Sim.Rng.create 5L)
+  in
+  let spec =
+    {
+      (Workload.Chaos.spec ~seed:5L ~n:3 (Faults.Scenario.crash_leader ~n:3)) with
+      config = Serving.Surface.config ~batch:8 ~doorbell:4;
+      shards = 2;
+      clients = Script script;
+    }
+  in
+  let run inject =
+    let saved = !Apps.Kv_store.test_only_lose_put_every in
+    Apps.Kv_store.test_only_lose_put_every := inject;
+    Fun.protect
+      ~finally:(fun () -> Apps.Kv_store.test_only_lose_put_every := saved)
+      (fun () -> Workload.Chaos.run spec)
+  in
+  let shards =
+    List.concat_map
+      (List.map (fun op ->
+           match op.Workload.Chaos.s_cmd with
+           | Apps.Kv_store.Get { key } | Put { key; _ } | Delete { key } ->
+             Mu.Sharded.key_hash key mod 2))
+      script
+  in
+  check "history spans both shards" true (List.mem 0 shards && List.mem 1 shards);
+  let o = run 0 in
+  check "clean run passes" true (Workload.Chaos.passed o);
+  check "clean run conformant" true
+    (fst (Modelcheck.Conformance.judge o) = Modelcheck.Conformance.Pass);
+  let bad = run 3 in
+  check "lost put not conformant" true
+    (fst (Modelcheck.Conformance.judge bad) = Modelcheck.Conformance.Not_conformant);
+  check "lost put has a linearizability witness" true (bad.Workload.Chaos.witness <> None)
 
 let rejoin_survives_minority_self_claimant () =
   (* Regression for a liveness bug this harness found: an isolated
@@ -507,6 +552,7 @@ let suite =
     ("scripted run records replies", `Quick, scripted_run_records_replies);
     ("scripted run deterministic", `Quick, scripted_run_deterministic);
     ("crash-leader scripted conformant", `Quick, crash_leader_scripted_conformant);
+    ("sharded windowed script judged", `Quick, sharded_windowed_script_judged);
     ("rejoin survives minority self-claimant", `Quick,
       rejoin_survives_minority_self_claimant);
     ("fault-free sweep passes", `Quick, fault_free_like_sweep_passes);

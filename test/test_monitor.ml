@@ -124,10 +124,14 @@ let run_monitored ?(scenario = "kill-restart") ?(ops = 600) ?(think = 50_000)
   let sampler = Telemetry.Sampler.create reg ~interval in
   let online = ref None in
   let o =
-    Workload.Chaos.run ~metrics:sampler
+    Workload.Chaos.run
       ~on_engine:(fun e ->
+        Workload.Experiments.attach_sampler sampler e;
         online := Some (Monitor.Online.attach ~window_ns:(2 * interval) e sampler))
-      ~ops_per_client:ops ~think ~seed ~n:3 scenario
+      {
+        (Workload.Chaos.spec ~seed ~n:3 scenario) with
+        clients = Random { clients = 4; ops; think };
+      }
   in
   (o, Option.get !online)
 
@@ -178,12 +182,17 @@ let monitor_off_trace_identical () =
     let reg = Telemetry.Registry.create () in
     let sampler = Telemetry.Sampler.create reg ~interval:10_000 in
     let on_engine e =
+      Trace.Tracer.attach tr e;
+      Workload.Experiments.attach_sampler sampler e;
       if with_monitor then
         ignore (Monitor.Online.attach ~window_ns:20_000 e sampler)
     in
     let o =
-      Workload.Chaos.run ~trace:tr ~metrics:sampler ~on_engine ~ops_per_client:150
-        ~think:50_000 ~seed:7L ~n:3 scenario
+      Workload.Chaos.run ~on_engine
+        {
+          (Workload.Chaos.spec ~seed:7L ~n:3 scenario) with
+          clients = Random { clients = 4; ops = 150; think = 50_000 };
+        }
     in
     (o, tr)
   in

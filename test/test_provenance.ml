@@ -23,8 +23,14 @@ let chaos_run ?(provenance = true) seed =
   let scenario = Option.get (Faults.Scenario.by_name "crash-leader" ~n:3) in
   let o =
     (* 60 ops x 100 us think stretches each client past the 5 ms crash. *)
-    Workload.Chaos.run ~trace:tr ~provenance ~ops_per_client:60 ~think:100_000 ~seed ~n:3
-      scenario
+    Workload.Chaos.run
+      ~on_engine:(fun e ->
+        Trace.Tracer.attach tr e;
+        if provenance then Sim.Engine.set_provenance e true)
+      {
+        (Workload.Chaos.spec ~seed ~n:3 scenario) with
+        clients = Random { clients = 4; ops = 60; think = 100_000 };
+      }
   in
   (tr, o, Tree.of_events (Trace.Tracer.events tr))
 

@@ -513,7 +513,11 @@ let recovery_runs_are_deterministic () =
     let scenario = Option.get (Faults.Scenario.by_name ~n "kill-restart") in
     let tr = Trace.Tracer.create ~capacity:(1 lsl 18) () in
     let o =
-      Workload.Chaos.run ~trace:tr ~ops_per_client:60 ~think:100_000 ~seed ~n scenario
+      Workload.Chaos.run ~on_engine:(Trace.Tracer.attach tr)
+        {
+          (Workload.Chaos.spec ~seed ~n scenario) with
+          clients = Random { clients = 4; ops = 60; think = 100_000 };
+        }
     in
     (Trace.Tracer.chrome_string tr, o)
   in
@@ -540,7 +544,10 @@ let durable_off_run_is_unchanged () =
   let scenario = Option.get (Faults.Scenario.by_name ~n:3 "crash-leader") in
   let run durable =
     let tr = Trace.Tracer.create ~capacity:(1 lsl 18) () in
-    ignore (Workload.Chaos.run ~trace:tr ~durable ~seed:7L ~n:3 scenario);
+    let spec = Workload.Chaos.spec ~seed:7L ~n:3 scenario in
+    ignore
+      (Workload.Chaos.run ~on_engine:(Trace.Tracer.attach tr)
+         { spec with config = { spec.config with durable_state = durable } });
     Trace.Tracer.chrome_string tr
   in
   Alcotest.(check string) "durable backing invisible without restarts" (run false)

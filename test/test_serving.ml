@@ -114,9 +114,12 @@ let router_agrees_with_sharded () =
       done)
 
 let chaos_keys_route_to_shard () =
+  Alcotest.(check (array string))
+    "one shard: the single-group keys" [| "a"; "b"; "c" |]
+    (Workload.Chaos.keys_for ~shards:1 ~shard:0 ~count:3);
   let shards = 4 in
   for shard = 0 to shards - 1 do
-    let keys = Serving.Chaos.keys_for ~shards ~shard ~count:3 in
+    let keys = Workload.Chaos.keys_for ~shards ~shard ~count:3 in
     check_int "enough keys" 3 (Array.length keys);
     Array.iter
       (fun k -> check_int "routes to shard" shard (Mu.Sharded.key_hash k mod shards))
@@ -550,39 +553,6 @@ let surface_deterministic () =
   check "batch 8 out-commits batch 1 at every shard count" true
     (Serving.Surface.batching_beats_unbatched points ~batch:8)
 
-(* --- sharded chaos (satellite 3) ---------------------------------------- *)
-
-let sharded_chaos ?config scenario_name =
-  match Faults.Scenario.by_name scenario_name ~n:3 with
-  | None -> Alcotest.failf "unknown scenario %s" scenario_name
-  | Some scenario -> Serving.Chaos.run ?config ~seed:41L ~n:3 ~shards:2 scenario
-
-let sharded_chaos_kill_restart () =
-  let o = sharded_chaos "kill-restart" in
-  check "kill-restart passes" true (Serving.Chaos.passed o);
-  check "rejoin completed" true (o.Serving.Chaos.rejoins >= 1);
-  check "history non-trivial" true (o.Serving.Chaos.ops >= 80)
-
-let sharded_chaos_partition () =
-  let o = sharded_chaos "partition-leader" in
-  check "partition passes" true (Serving.Chaos.passed o);
-  check "history non-trivial" true (o.Serving.Chaos.ops >= 80)
-
-(* The same faults with the windowed leader loop serving: batches of 8,
-   doorbell groups of 4 slots, 4 groups outstanding. *)
-let windowed = Serving.Surface.config ~batch:8 ~doorbell:4
-
-let windowed_chaos_kill_restart () =
-  let o = sharded_chaos ~config:windowed "kill-restart" in
-  check "kill-restart passes" true (Serving.Chaos.passed o);
-  check "rejoin completed" true (o.Serving.Chaos.rejoins >= 1);
-  check "history non-trivial" true (o.Serving.Chaos.ops >= 80)
-
-let windowed_chaos_partition () =
-  let o = sharded_chaos ~config:windowed "partition-leader" in
-  check "partition passes" true (Serving.Chaos.passed o);
-  check "history non-trivial" true (o.Serving.Chaos.ops >= 80)
-
 let suite =
   [
     ("poisson gap mean", `Quick, poisson_gap_mean);
@@ -609,8 +579,4 @@ let suite =
     ("tier sheds under pressure", `Quick, tier_sheds_under_pressure);
     ("tier deterministic", `Quick, tier_deterministic);
     ("surface deterministic, batching wins", `Quick, surface_deterministic);
-    ("sharded chaos: kill-restart", `Quick, sharded_chaos_kill_restart);
-    ("sharded chaos: partition", `Quick, sharded_chaos_partition);
-    ("windowed chaos: kill-restart", `Quick, windowed_chaos_kill_restart);
-    ("windowed chaos: partition", `Quick, windowed_chaos_partition);
   ]
