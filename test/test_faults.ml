@@ -188,13 +188,9 @@ let generator_produces_valid_scenarios () =
 
 module Chaos = Workload.Chaos
 
-let named ~n ~seed name = Chaos.spec ~seed ~n (Option.get (Faults.Scenario.by_name ~n name))
-
-(* A traced run: its outcome and Chrome trace bytes. *)
-let traced spec =
-  let tr = Trace.Tracer.create ~capacity:65536 () in
-  let o = Chaos.run ~on_engine:(Trace.Tracer.attach tr) spec in
-  (o, Trace.Tracer.chrome_string tr)
+let named = Util.chaos_named
+let traced = Util.chaos_traced
+let sharded = Util.chaos_sharded
 
 (* The tentpole guarantee: the same seed and scenario replay to the byte.
    Two full chaos runs (cluster + clients + injected faults) must emit
@@ -208,46 +204,17 @@ let chaos_run_is_deterministic () =
   let _, t3 = traced (named ~n:3 ~seed:8L "crash-leader") in
   check "different seed diverges" true (t1 <> t3)
 
-(* The sharded rows: two groups of three, two clients per shard × 20 ops
-   at 100 us think time, faults on shard 0; default and windowed
-   (batches of 8, doorbell groups of 4, 4 groups outstanding) configs. *)
-let sharded ?config name =
-  let s = named ~n:3 ~seed:41L name in
-  {
-    s with
-    Chaos.config = Option.value config ~default:s.Chaos.config;
-    shards = 2;
-    clients = Random { clients = 2; ops = 20; think = 100_000 };
-  }
-
-(* One table of chaos runs: (spec, minimum ops, rejoin expected). Every
-   row runs twice; both runs must give the same outcome text and trace
-   bytes, and pass (completed, linearizable, isolated, invariant-clean). *)
-let chaos_table =
-  let windowed = Serving.Surface.config ~batch:8 ~doorbell:4 in
-  List.concat_map
-    (fun name -> [ (named ~n:3 ~seed:7L name, 1, false); (named ~n:5 ~seed:11L name, 1, false) ])
-    [ "crash-leader"; "partition-leader"; "lossy-fabric" ]
-  @ List.map (fun name -> (named ~n:3 ~seed:11L name, 1, false)) Faults.Scenario.named
-  @ [
-      (sharded "kill-restart", 80, true);
-      (sharded "partition-leader", 80, false);
-      (sharded ~config:windowed "kill-restart", 80, true);
-      (sharded ~config:windowed "partition-leader", 80, false);
-    ]
-
+(* The chaos table: every row runs twice through [Util.chaos_row]. *)
 let chaos_table_double_runs_pass () =
   List.iter
-    (fun (spec, min_ops, rejoin) ->
-      let o1, t1 = traced spec in
-      let o2, t2 = traced spec in
-      let line = Fmt.str "%a" Chaos.pp_outcome o1 in
-      Alcotest.(check string) "same outcome text" line (Fmt.str "%a" Chaos.pp_outcome o2);
-      check (line ^ ": same trace bytes") true (String.equal t1 t2);
-      check (line ^ ": passes") true (Chaos.passed o1);
-      check (line ^ ": history non-trivial") true (o1.Chaos.ops >= min_ops);
-      if rejoin then check (line ^ ": rejoin completed") true (o1.Chaos.rejoins <> []))
-    chaos_table
+    (fun name ->
+      Util.chaos_row (named ~n:3 ~seed:7L name);
+      Util.chaos_row (named ~n:5 ~seed:11L name))
+    [ "crash-leader"; "partition-leader"; "lossy-fabric" ]
+
+(* Every named scenario at n = 3, seed 11, is a row of the table. *)
+let chaos_named_scenarios_pass () =
+  List.iter (fun name -> Util.chaos_row (named ~n:3 ~seed:11L name)) Faults.Scenario.named
 
 let chaos_sweep_passes () =
   let s = Chaos.sweep ~count:20 ~seed:42L () in
@@ -321,6 +288,7 @@ let suite =
     ("generator produces valid scenarios", `Quick, generator_produces_valid_scenarios);
     ("chaos run deterministic (trace bytes)", `Quick, chaos_run_is_deterministic);
     ("chaos table: double runs pass", `Quick, chaos_table_double_runs_pass);
+    ("named scenarios pass chaos", `Quick, chaos_named_scenarios_pass);
     ("chaos sweep seed 42 passes", `Quick, chaos_sweep_passes);
     ("repro round-trips and replays", `Quick, repro_round_trips_and_replays);
     ("majority loss stalls safely", `Quick, chaos_majority_loss_stalls_safely);

@@ -553,6 +553,15 @@ let surface_deterministic () =
   check "batch 8 out-commits batch 1 at every shard count" true
     (Serving.Surface.batching_beats_unbatched points ~batch:8)
 
+(* --- sharded chaos: rows of the chaos table ---------------------------- *)
+
+(* The same faults with the windowed leader loop serving: batches of 8,
+   doorbell groups of 4 slots, 4 groups outstanding. *)
+let windowed = Serving.Surface.config ~batch:8 ~doorbell:4
+
+let sharded_chaos ?config ?rejoin name () =
+  Util.chaos_row ~min_ops:80 ?rejoin (Util.chaos_sharded ?config name)
+
 let suite =
   [
     ("poisson gap mean", `Quick, poisson_gap_mean);
@@ -579,4 +588,8 @@ let suite =
     ("tier sheds under pressure", `Quick, tier_sheds_under_pressure);
     ("tier deterministic", `Quick, tier_deterministic);
     ("surface deterministic, batching wins", `Quick, surface_deterministic);
+    ("sharded chaos: kill-restart", `Quick, sharded_chaos ~rejoin:true "kill-restart");
+    ("sharded chaos: partition", `Quick, sharded_chaos "partition-leader");
+    ("windowed chaos: kill-restart", `Quick, sharded_chaos ~config:windowed ~rejoin:true "kill-restart");
+    ("windowed chaos: partition", `Quick, sharded_chaos ~config:windowed "partition-leader");
   ]

@@ -65,3 +65,41 @@ let leader_of smr e =
     (fun () -> match Mu.Smr.leader smr with Some _ -> true | None -> false)
     e;
   Option.get (Mu.Smr.leader smr)
+
+(* --- chaos rows --------------------------------------------------------- *)
+
+(* A named scenario as a default chaos spec. *)
+let chaos_named ~n ~seed name =
+  Workload.Chaos.spec ~seed ~n (Option.get (Faults.Scenario.by_name ~n name))
+
+(* A traced chaos run: its outcome and Chrome trace bytes. *)
+let chaos_traced spec =
+  let tr = Trace.Tracer.create ~capacity:65536 () in
+  let o = Workload.Chaos.run ~on_engine:(Trace.Tracer.attach tr) spec in
+  (o, Trace.Tracer.chrome_string tr)
+
+(* One chaos row: the spec runs twice; both runs must give the same
+   outcome text and trace bytes, and pass (completed, linearizable,
+   isolated, invariant-clean) with at least [min_ops] ops and, if
+   [rejoin], a completed rejoin. *)
+let chaos_row ?(min_ops = 1) ?(rejoin = false) spec =
+  let o1, t1 = chaos_traced spec in
+  let o2, t2 = chaos_traced spec in
+  let line = Fmt.str "%a" Workload.Chaos.pp_outcome o1 in
+  Alcotest.(check string) "same outcome text" line (Fmt.str "%a" Workload.Chaos.pp_outcome o2);
+  Alcotest.(check bool) (line ^ ": same trace bytes") true (String.equal t1 t2);
+  Alcotest.(check bool) (line ^ ": passes") true (Workload.Chaos.passed o1);
+  Alcotest.(check bool) (line ^ ": history non-trivial") true (o1.Workload.Chaos.ops >= min_ops);
+  if rejoin then
+    Alcotest.(check bool) (line ^ ": rejoin completed") true (o1.Workload.Chaos.rejoins <> [])
+
+(* The sharded rows: two groups of three, two clients per shard × 20 ops
+   at 100 us think time, faults on shard 0. *)
+let chaos_sharded ?config name =
+  let s = chaos_named ~n:3 ~seed:41L name in
+  {
+    s with
+    Workload.Chaos.config = Option.value config ~default:s.Workload.Chaos.config;
+    shards = 2;
+    clients = Random { clients = 2; ops = 20; think = 100_000 };
+  }
