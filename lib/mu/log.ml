@@ -12,12 +12,14 @@ type slot = { proposal : int64; value : bytes }
 
 (* One-byte entry checksum, never zero so an absent entry (zeroed slot)
    can always be told apart from a present one. *)
+let checksum_of ~proposal ~len ~sum =
+  let p = Int64.to_int (Int64.logand proposal 0xffffL) in
+  Char.chr (1 + (((p land 0xff) + (p lsr 8) + len + sum) mod 255))
+
 let checksum ~proposal ~value =
-  let acc = ref (Int64.to_int (Int64.logand proposal 0xffL)) in
-  acc := !acc + Int64.to_int (Int64.logand (Int64.shift_right_logical proposal 8) 0xffL);
-  acc := !acc + Bytes.length value;
-  Bytes.iter (fun c -> acc := !acc + Char.code c) value;
-  Char.chr (1 + (!acc mod 255))
+  let sum = ref 0 in
+  Bytes.iter (fun c -> sum := !sum + Char.code c) value;
+  checksum_of ~proposal ~len:(Bytes.length value) ~sum:!sum
 
 let header_size = 16
 let min_proposal_offset = 0
@@ -89,6 +91,27 @@ let read_slot t idx =
       else
         validate ~proposal ~canary:t.canary ~byte
           ~value:(Rdma.Mr.get_bytes t.mr ~off:(off + entry_header) ~len)
+
+(* [read_slot t idx <> None] without copying the value out: the header
+   and canary are read in place, and a checksum sums the value bytes
+   where they lie. *)
+let slot_filled t idx =
+  let off = slot_offset t idx in
+  let proposal = Rdma.Mr.get_i64 t.mr ~off in
+  (not (Int64.equal proposal 0L))
+  &&
+  let len = Int32.to_int (Rdma.Mr.get_i32 t.mr ~off:(off + 8)) in
+  len >= 0 && len <= t.value_cap
+  &&
+  let byte = Rdma.Mr.get_char t.mr ~off:(off + entry_header + len) in
+  match t.canary with
+  | Flag -> byte <> '\000'
+  | Checksum ->
+    let sum = ref 0 in
+    for i = off + entry_header to off + entry_header + len - 1 do
+      sum := !sum + Char.code (Rdma.Mr.get_char t.mr ~off:i)
+    done;
+    byte = checksum_of ~proposal ~len ~sum:!sum
 
 let read_slot_raw t idx = Rdma.Mr.get_bytes t.mr ~off:(slot_offset t idx) ~len:t.slot_size
 

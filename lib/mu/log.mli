@@ -72,6 +72,10 @@ val set_fuo : t -> int -> unit
 val read_slot : t -> int -> slot option
 (** [None] while empty or incomplete (canary unset). *)
 
+val slot_filled : t -> int -> bool
+(** [slot_filled t i = (read_slot t i <> None)], read in place: no copy
+    of the value is made. *)
+
 val read_slot_raw : t -> int -> Bytes.t
 (** The raw slot image (for copying logs during leader catch-up). *)
 

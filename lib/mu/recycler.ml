@@ -69,8 +69,8 @@ let zero_ranges t ~from_idx ~to_idx =
         while !off < run do
           let n = min chunk_slots (run - !off) in
           let byte_off = Log.slot_offset log (phys_start + !off) in
-          let zeros = Bytes.make (n * slot_size) '\000' in
-          Rdma.Mr.zero (Log.mr log) ~off:byte_off ~len:(n * slot_size);
+          let len = n * slot_size in
+          Rdma.Mr.zero (Log.mr log) ~off:byte_off ~len;
           List.iter
             (fun p ->
               (* Demote-safety: between two chunks the permission manager
@@ -89,8 +89,8 @@ let zero_ranges t ~from_idx ~to_idx =
                 Hashtbl.replace t.Replica.inflight wr
                   (p.Replica.pid, Replica.recycler_tag);
                 t.Replica.recycler_outstanding <- t.Replica.recycler_outstanding + 1;
-                Rdma.Qp.post_write p.Replica.repl_qp ~wr_id:wr ~src:zeros ~src_off:0
-                  ~len:(Bytes.length zeros) ~mr:p.Replica.remote_log_mr ~dst_off:byte_off
+                Rdma.Qp.post_zero p.Replica.repl_qp ~wr_id:wr ~len ~mr:p.Replica.remote_log_mr
+                  ~dst_off:byte_off
               end)
             cf;
           off := !off + n

@@ -1,18 +1,32 @@
+exception Ring_full of { replica : int; fuo : int }
+
+let () =
+  Printexc.register_printer (function
+    | Ring_full { replica; fuo } ->
+      Some (Printf.sprintf "Replayer.Ring_full(replica %d, fuo %d)" replica fuo)
+    | _ -> None)
+
+(* Slot [fuo] is decided once [fuo + 1] is filled: the leader would not
+   have started [fuo + 1] otherwise (commit piggybacking). The leader
+   never runs more than [log_slots - recycle_slack] slots ahead of the
+   slowest follower's log head (§5.3), so a longer run of filled slots
+   means the ring is full of entries nobody recycled; walking it would
+   never end. *)
 let self_advance_fuo t =
   let log = t.Replica.log in
-  let progressed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let fuo = Log.fuo log in
-    match Log.read_slot log fuo, Log.read_slot log (fuo + 1) with
-    | Some _, Some _ ->
-      (* Entry [fuo] is decided: the leader would not have started
-         [fuo+1] otherwise (commit piggybacking). *)
-      Log.set_fuo log (fuo + 1);
-      progressed := true
-    | Some _, None | None, _ -> continue_ := false
-  done;
-  !progressed
+  let cfg = t.Replica.config in
+  let bound = cfg.Config.log_slots - cfg.Config.recycle_slack in
+  let start = Log.fuo log in
+  let rec go fuo =
+    if Log.slot_filled log (fuo + 1) then begin
+      if fuo - start >= bound then raise (Ring_full { replica = t.Replica.id; fuo });
+      go (fuo + 1)
+    end
+    else fuo
+  in
+  let fuo = if Log.slot_filled log start then go start else start in
+  if fuo > start then Log.set_fuo log fuo;
+  fuo > start
 
 (* A poll that finds nothing parks until the log is stored into (as a
    follower) or the role changes, and resumes on its 1 µs grid. *)

@@ -21,7 +21,14 @@
 val start : Replica.t -> unit
 (** Spawn the replayer fiber. *)
 
+exception Ring_full of { replica : int; fuo : int }
+(** Raised by {!self_advance_fuo} when more than [log_slots -
+    recycle_slack] consecutive slots past the FUO are filled: more than
+    a leader may run ahead of a follower's log head, so the ring holds
+    entries nobody recycled and the walk would never end. *)
+
 val self_advance_fuo : Replica.t -> bool
 (** One round of Listing 7: advance the FUO over complete entries whose
-    successor exists. Returns whether progress was made. Exposed for unit
-    tests. *)
+    successor exists, at most [log_slots - recycle_slack] slots; raises
+    {!Ring_full} past that. Returns whether progress was made. Exposed
+    for unit tests. *)

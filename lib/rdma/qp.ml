@@ -345,16 +345,24 @@ let post t ~wr_id ~kind ~payload_out ~payload_back ~mr ~off ~len ~need_write ~ap
       ~before:(fun () -> ())
       ()
 
+(* Both Writes go through here, so a zero Write costs, faults and draws
+   exactly what a payload Write of the same length does. *)
+let post_write_op t ~wr_id ~len ~mr ~dst_off apply =
+  post t ~wr_id ~kind:`Write ~payload_out:len ~payload_back:0 ~mr ~off:dst_off ~len
+    ~need_write:true ~apply ~on_complete:(fun () -> ())
+
 let post_write t ~wr_id ~src ~src_off ~len ~mr ~dst_off =
   if src_off < 0 || len < 0 || src_off + len > Bytes.length src then
     invalid_arg "Qp.post_write: bad source range";
   (* Inline semantics: the payload is captured at post time regardless of
      later changes to [src]. *)
   let payload = Bytes.sub src src_off len in
-  post t ~wr_id ~kind:`Write ~payload_out:len ~payload_back:0 ~mr ~off:dst_off ~len
-    ~need_write:true
-    ~apply:(fun () -> Mr.write_from mr ~off:dst_off ~src:payload ~src_off:0 ~len)
-    ~on_complete:(fun () -> ())
+  post_write_op t ~wr_id ~len ~mr ~dst_off (fun () ->
+      Mr.write_from mr ~off:dst_off ~src:payload ~src_off:0 ~len)
+
+let post_zero t ~wr_id ~len ~mr ~dst_off =
+  if len < 0 then invalid_arg "Qp.post_zero: negative length";
+  post_write_op t ~wr_id ~len ~mr ~dst_off (fun () -> Mr.zero mr ~off:dst_off ~len)
 
 let post_read t ~wr_id ~dst ~dst_off ~len ~mr ~src_off =
   if dst_off < 0 || len < 0 || dst_off + len > Bytes.length dst then

@@ -70,6 +70,11 @@ val post_write :
 (** One-sided RDMA Write of [len] bytes into the remote region [mr] at
     [dst_off]. [mr] must belong to the peer's host. *)
 
+val post_zero : t -> wr_id:int -> len:int -> mr:Mr.t -> dst_off:int -> unit
+(** An RDMA Write of [len] zero bytes into [mr] at [dst_off]: the same
+    cost, faults and random draws as {!post_write} of [len] bytes, with
+    no source buffer. Log recycling uses it. *)
+
 val post_read :
   t -> wr_id:int -> dst:Bytes.t -> dst_off:int -> len:int -> mr:Mr.t -> src_off:int -> unit
 (** One-sided RDMA Read of [len] bytes from the remote region [mr]; data

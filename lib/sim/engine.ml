@@ -67,6 +67,8 @@ type t = {
   root_rng : Rng.t;
   mutable halted : bool;
   mutable running : bool;
+  mutable limit : int; (* the current [run ~until] limit *)
+  mutable fast_forwards : int; (* sleeps continued in place, see [sleep] *)
   probe : Probe.t;
   fabric : Fabric.t;
   nvm : Nvm.t;
@@ -116,6 +118,8 @@ let create ?(seed = 1L) () =
     root_rng = Rng.create seed;
     halted = false;
     running = false;
+    limit = max_int;
+    fast_forwards = 0;
     probe = Probe.create ();
     fabric = Fabric.create ();
     nvm = Nvm.create ();
@@ -457,7 +461,38 @@ let spawn t ?(name = "fiber") ?(pid = -1) f =
         t.cur_pid <- -1;
         raise e)
 
-let sleep (_ : t) delay = Effect.perform (Sleep delay)
+(* Fast-forward. A sleep whose wake instant [at] is strictly earlier
+   than every pending event would queue a timer and then a wake that are
+   the next two events to run, whatever else is queued: nothing can be
+   scheduled in between, because nothing else runs. Continuing the fiber
+   in place at [at] is then the same execution minus two queue round
+   trips, provided the run would have reached [at] (not halted, within
+   [run ~until]) and the sleeper is a fiber of this engine (its handler
+   is the one that would have parked it). Anything that watches the
+   event stream — a probe sink, profiler, self-cost sampler or metrics
+   registry — would see the two skipped events, so an observed engine
+   always takes the slow path. Skipped events consume no sequence
+   numbers, which only renumbers later ties without reordering them. *)
+let unobserved t =
+  (match Probe.sink t.probe with None -> true | Some _ -> false)
+  && (match t.prof with None -> true | Some _ -> false)
+  && (match t.selfcost with None -> true | Some _ -> false)
+  && not t.tel_on
+
+let sleep t delay =
+  let d = if delay > 0 then delay else 0 in
+  if
+    t.cur_fiber <> 0 && (not t.halted)
+    && d <= t.limit - t.now
+    && unobserved t
+    && not (Wheel.due_by t.events (t.now + d))
+  then begin
+    t.now <- t.now + d;
+    t.fast_forwards <- t.fast_forwards + 1
+  end
+  else Effect.perform (Sleep delay)
+
+let fast_forwards t = t.fast_forwards
 let yield t = sleep t 0
 
 let run ?until t =
@@ -465,6 +500,7 @@ let run ?until t =
   t.running <- true;
   t.halted <- false;
   let limit = match until with None -> max_int | Some u -> u in
+  t.limit <- limit;
   let rec loop () =
     if not t.halted then begin
       let at = Wheel.next_key t.events in

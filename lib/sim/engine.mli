@@ -241,7 +241,16 @@ val suspend : (('a -> unit) -> unit) -> 'a
     The building block for all other waiting primitives. *)
 
 val sleep : t -> int -> unit
-(** Suspend for the given number of virtual nanoseconds. *)
+(** Suspend for the given number of virtual nanoseconds. When no event
+    is due before the wake instant, the run reaches it and nothing
+    observes the event stream (no probe sink, profiler, self-cost
+    sampler or metrics registry), the fiber continues in place with the
+    clock moved forward instead: the same execution, without the two
+    events a suspension costs. *)
+
+val fast_forwards : t -> int
+(** Sleeps that continued in place (see {!sleep}) over the engine's
+    life. *)
 
 val yield : t -> unit
 (** Suspend and resume at the same instant, after already-queued events. *)

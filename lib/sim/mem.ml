@@ -118,13 +118,20 @@ let sub t ~off ~len =
   go off 0 len;
   b
 
+(* Zeros over a whole page hand it back to the shared zero page, so a
+   region that is written, then cleared (a recycled log range), costs
+   nothing again until its next store. *)
 let fill t ~off ~len c =
   check t off len;
   let rec go d n =
     if n > 0 then begin
       let i = d lsr page_bits and o = d land page_mask in
       let k = min n (page_size - o) in
-      if not (c = '\000' && t.pages.(i) == zero_page) then Bytes.fill (wpage t i) o k c;
+      let p = t.pages.(i) in
+      if c <> '\000' then Bytes.fill (wpage t i) o k c
+      else if p == zero_page then ()
+      else if o = 0 && k = Bytes.length p then t.pages.(i) <- zero_page
+      else Bytes.fill p o k c;
       go (d + k) (n - k)
     end
   in

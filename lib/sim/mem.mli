@@ -45,4 +45,5 @@ val sub : t -> off:int -> len:int -> Bytes.t
 
 val fill : t -> off:int -> len:int -> char -> unit
 (** Store [len] copies of a byte. Filling a never-written page with
-    zeros leaves it unmaterialized. *)
+    zeros leaves it unmaterialized, and zeros over a whole page return
+    it to the shared zero page. *)

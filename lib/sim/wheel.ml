@@ -120,20 +120,35 @@ let push t ~key ~seq value =
     t.count <- t.count + 1
   end
 
+(* Index of the lowest set bit of a nonzero 32-bit word: [x land (-x)]
+   isolates the bit, and multiplying that power of two by a de Bruijn
+   constant puts a distinct 5-bit pattern in the top bits of the word. *)
+let debruijn = 0x077CB531
+
+let debruijn_index =
+  let tbl = Array.make 32 0 in
+  for i = 0 to 31 do
+    tbl.((((1 lsl i) * debruijn) land 0xFFFF_FFFF) lsr 27) <- i
+  done;
+  tbl
+
+let[@inline] lowest_bit x =
+  Array.unsafe_get debruijn_index ((((x land -x) * debruijn) land 0xFFFF_FFFF) lsr 27)
+
 (* First occupied slot of level [l] at index >= [from]; -1 if none. *)
 let scan t l from =
   if from > mask then -1
   else begin
-    let res = ref (-1) in
-    let b = ref ((l * slots) + from) in
-    let stop = (l * slots) + mask in
-    while !res < 0 && !b <= stop do
-      let rest = t.occ.(!b lsr 5) lsr (!b land 31) in
-      if rest = 0 then b := ((!b lsr 5) + 1) lsl 5 (* next word *)
-      else if rest land 1 = 1 then res := !b
-      else incr b
+    let base = l * slots in
+    let b = base + from in
+    let last = (base + mask) lsr 5 in
+    let w = ref (b lsr 5) in
+    let x = ref (t.occ.(!w) land (-1 lsl (b land 31))) in
+    while !x = 0 && !w < last do
+      incr w;
+      x := t.occ.(!w)
     done;
-    if !res < 0 then -1 else !res - (l * slots)
+    if !x = 0 then -1 else (!w lsl 5) + lowest_bit !x - base
   end
 
 (* Move every event of bucket [b] (level >= 1) one or more levels down,
@@ -226,6 +241,42 @@ let peek_key t =
   if Heap.length t.past > 0 then Heap.peek_key t.past
   else if locate t then Some (t.now, t.bseqs.(t.cur).(t.head))
   else None
+
+(* Whether the wheel proper holds a key <= [at], for [at >= t.now].
+   Every level-l event sorts before every event above it, so only the
+   lowest non-empty level matters. There the first live slot gives the
+   exact minimum at level 0 (a slot holds one key) and a lower bound of
+   its span above; a span straddling [at] is settled by its bucket's
+   keys. The drained-but-unretired [cur] bucket keeps its bit until the
+   next [locate], so it counts only while it has unconsumed events. *)
+let wheel_due t at =
+  let l =
+    if t.lvl.(0) > 0 then 0 else if t.lvl.(1) > 0 then 1 else if t.lvl.(2) > 0 then 2 else 3
+  in
+  let shift = l * bits in
+  let from = ((t.now lsr shift) land mask) + if l = 0 then 0 else 1 in
+  let s = scan t l from in
+  let s = if l = 0 && s >= 0 && s = t.cur && t.head >= t.sizes.(s) then scan t l (s + 1) else s in
+  if s < 0 then false
+  else begin
+    let start = t.now land lnot ((1 lsl (shift + bits)) - 1) lor (s lsl shift) in
+    if start > at then false
+    else if start + (1 lsl shift) - 1 <= at then true
+    else begin
+      let b = (l * slots) + s in
+      let keys = t.bkeys.(b) in
+      let found = ref false in
+      for i = 0 to t.sizes.(b) - 1 do
+        if keys.(i) <= at then found := true
+      done;
+      !found
+    end
+  end
+
+let due_by t at =
+  (Heap.length t.past > 0 && Heap.top_key t.past <= at)
+  || (t.count > 0 && at >= t.now && wheel_due t at)
+  || (Heap.length t.overflow > 0 && Heap.top_key t.overflow <= at)
 
 let pop_exn t =
   if Heap.length t.past > 0 then begin

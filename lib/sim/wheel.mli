@@ -36,6 +36,11 @@ val next_key : 'a t -> int
 val peek_key : 'a t -> (int * int) option
 (** Key and sequence of the minimum element, if any. *)
 
+val due_by : 'a t -> int -> bool
+(** [due_by t at]: whether some element has key [<= at]. Unlike
+    {!next_key} it never moves the wheel clock or cascades, so asking
+    cannot send later pushes into the past heap. Allocation-free. *)
+
 val pop_exn : 'a t -> 'a
 (** Remove and return the minimum element. Raises [Invalid_argument]
     when empty. Allocation-free. *)

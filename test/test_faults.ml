@@ -212,6 +212,32 @@ let chaos_table_double_runs_pass () =
       Util.chaos_row (named ~n:5 ~seed:11L name))
     [ "crash-leader"; "partition-leader"; "lossy-fabric" ]
 
+(* Fast-forwarded sleeps are the same execution: every row of the chaos
+   table, run bare (sleeps continue in place) and with a probe sink
+   attached (every sleep takes the timer/wake event pair), gives the
+   same outcome text and the same recorded history. *)
+let chaos_table_fast_forward_identical () =
+  List.iter
+    (fun spec ->
+      let slow_engine = ref None and fast_engine = ref None in
+      let slow =
+        Chaos.run
+          ~on_engine:(fun e ->
+            slow_engine := Some e;
+            Sim.Probe.set_sink (Sim.Engine.probe e) ignore)
+          spec
+      in
+      let fast = Chaos.run ~on_engine:(fun e -> fast_engine := Some e) spec in
+      let line = Fmt.str "%a" Chaos.pp_outcome slow in
+      Alcotest.(check string) "same outcome text" line (Fmt.str "%a" Chaos.pp_outcome fast);
+      check (line ^ ": same history") true (slow.Chaos.record = fast.Chaos.record);
+      let ff r = Sim.Engine.fast_forwards (Option.get !r) in
+      check_int (line ^ ": observed run never fast-forwards") 0 (ff slow_engine);
+      check (line ^ ": bare run fast-forwards") true (ff fast_engine > 0))
+    (List.concat_map
+       (fun name -> [ named ~n:3 ~seed:7L name; named ~n:5 ~seed:11L name ])
+       [ "crash-leader"; "partition-leader"; "lossy-fabric" ])
+
 (* Every named scenario at n = 3, seed 11, is a row of the table. *)
 let chaos_named_scenarios_pass () =
   List.iter (fun name -> Util.chaos_row (named ~n:3 ~seed:11L name)) Faults.Scenario.named
@@ -288,6 +314,7 @@ let suite =
     ("generator produces valid scenarios", `Quick, generator_produces_valid_scenarios);
     ("chaos run deterministic (trace bytes)", `Quick, chaos_run_is_deterministic);
     ("chaos table: double runs pass", `Quick, chaos_table_double_runs_pass);
+    ("chaos table: fast-forward identical", `Quick, chaos_table_fast_forward_identical);
     ("named scenarios pass chaos", `Quick, chaos_named_scenarios_pass);
     ("chaos sweep seed 42 passes", `Quick, chaos_sweep_passes);
     ("repro round-trips and replays", `Quick, repro_round_trips_and_replays);

@@ -197,6 +197,69 @@ let checksum_canary_roundtrip () =
   Mu.Log.write_slot_raw_local log 2 (Bytes.sub img 0 (Bytes.length img - 1));
   check "torn write invisible" true (Mu.Log.read_slot log 2 = None)
 
+(* [slot_filled] is [read_slot <> None] without the copy: compared on
+   random header/value/canary images (lengths in and out of range, every
+   canary byte class), torn writes (a valid image cut short or with one
+   byte flipped) and zeroed slots, under both canaries. *)
+let slot_filled_matches_read_slot () =
+  let rng = Sim.Rng.create 17L in
+  List.iter
+    (fun canary ->
+      let e = Util.engine () in
+      let h = Util.host e ~id:0 in
+      let slots = 8 and value_cap = 40 in
+      let mr =
+        Rdma.Mr.register h ~size:(Mu.Log.required_size ~slots ~value_cap)
+          ~access:Rdma.Verbs.access_rw
+      in
+      let log = Mu.Log.attach ~canary mr ~slots ~value_cap in
+      let slot_size = Mu.Log.slot_size log in
+      let random_value () =
+        Bytes.init (Sim.Rng.int rng (value_cap + 1)) (fun _ -> Char.chr (Sim.Rng.int rng 256))
+      in
+      for trial = 1 to 3000 do
+        let idx = Sim.Rng.int rng slots in
+        Mu.Log.zero_slot_local log idx;
+        (match trial mod 3 with
+        | 0 ->
+          (* random image *)
+          let img = Bytes.init slot_size (fun _ -> Char.chr (Sim.Rng.int rng 256)) in
+          if Sim.Rng.bool rng then Bytes.set_int64_le img 0 (Int64.of_int (Sim.Rng.int rng 3));
+          let len = Sim.Rng.int rng (value_cap + 5) - 2 in
+          Bytes.set_int32_le img 8 (Int32.of_int len);
+          if len >= 0 && len <= value_cap then
+            Bytes.set img (12 + len)
+              (match Sim.Rng.int rng 3 with
+              | 0 -> '\000'
+              | 1 -> '\001'
+              | _ -> Char.chr (Sim.Rng.int rng 256));
+          Mu.Log.write_slot_raw_local log idx img
+        | 1 ->
+          (* torn: a valid image cut short, or with one byte flipped *)
+          let img =
+            Mu.Log.encode_slot log
+              ~proposal:(Int64.of_int (1 + Sim.Rng.int rng 100_000))
+              ~value:(random_value ())
+          in
+          let n = Bytes.length img in
+          if Sim.Rng.bool rng then
+            Mu.Log.write_slot_raw_local log idx (Bytes.sub img 0 (Sim.Rng.int rng n))
+          else begin
+            let i = Sim.Rng.int rng n in
+            Bytes.set img i (Char.chr (Char.code (Bytes.get img i) lxor (1 + Sim.Rng.int rng 255)));
+            Mu.Log.write_slot_raw_local log idx img
+          end
+        | _ ->
+          (* whole entry, then maybe zeroed again *)
+          Mu.Log.write_slot_local log idx
+            ~proposal:(Int64.of_int (1 + trial))
+            ~value:(random_value ());
+          if Sim.Rng.bool rng then Mu.Log.zero_slot_local log idx);
+        if Mu.Log.slot_filled log idx <> (Mu.Log.read_slot log idx <> None) then
+          Alcotest.failf "trial %d: slot_filled disagrees with read_slot" trial
+      done)
+    [ Mu.Log.Flag; Mu.Log.Checksum ]
+
 let suite =
   [
     ("header fields", `Quick, header_fields);
@@ -217,4 +280,5 @@ let suite =
     ("attach rejects small mr", `Quick, attach_rejects_small_mr);
     ("checksum canary detects corruption", `Quick, checksum_canary_detects_corruption);
     ("checksum canary roundtrip", `Quick, checksum_canary_roundtrip);
+    ("slot filled matches read slot", `Quick, slot_filled_matches_read_slot);
   ]

@@ -238,6 +238,29 @@ let pages_on_demand () =
   check_int "the short last page" 3 (Sim.Mem.pages_materialized mem);
   check "last byte" true (Sim.Mem.get_char mem ((4 * page) + 9) = 'x')
 
+(* Zeros over a whole page hand it back to the shared zero page; a
+   partial zero fill keeps the page's own bytes. *)
+let zero_fill_returns_pages () =
+  let mem = Sim.Mem.create ((3 * page) + 10) in
+  Sim.Mem.fill mem ~off:0 ~len:(Sim.Mem.size mem) 'x';
+  check_int "every page written" 4 (Sim.Mem.pages_materialized mem);
+  Sim.Mem.fill mem ~off:1 ~len:page '\000';
+  check_int "partial zero fills keep their pages" 4 (Sim.Mem.pages_materialized mem);
+  Sim.Mem.fill mem ~off:page ~len:(page + 1) '\000';
+  check_int "a whole page goes back" 3 (Sim.Mem.pages_materialized mem);
+  Sim.Mem.fill mem ~off:(3 * page) ~len:10 '\000';
+  check_int "so does the short last page" 2 (Sim.Mem.pages_materialized mem);
+  check "byte 0 kept" true (Sim.Mem.get_char mem 0 = 'x');
+  for off = 1 to (2 * page) do
+    if Sim.Mem.get_char mem off <> '\000' then Alcotest.failf "byte %d not zero" off
+  done;
+  check "untouched tail of page 2 kept" true (Sim.Mem.get_char mem ((2 * page) + 1) = 'x');
+  check "short page reads zero" true (Sim.Mem.get_i64 mem (3 * page) = 0L);
+  Sim.Mem.set_char mem (page + 5) 'y';
+  check_int "a store re-materializes" 3 (Sim.Mem.pages_materialized mem);
+  check "fresh page is zero around the store" true
+    (Sim.Mem.get_char mem (page + 4) = '\000' && Sim.Mem.get_char mem (page + 5) = 'y')
+
 let aliases_share_pages_and_watches () =
   let e = Util.engine () in
   let h = Util.host e ~id:0 in
@@ -289,6 +312,7 @@ let suite =
     ("replayer applies on its poll grid", `Quick, replayer_applies_on_grid);
     ("permission manager grants on its poll grid", `Quick, permission_manager_grants_on_grid);
     ("pages on demand", `Quick, pages_on_demand);
+    ("zero fill returns pages", `Quick, zero_fill_returns_pages);
     ("aliases share pages and watches", `Quick, aliases_share_pages_and_watches);
     ("nvm region reopened after restart", `Quick, nvm_region_reopened);
     QCheck_alcotest.to_alcotest page_store_model;

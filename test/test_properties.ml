@@ -362,16 +362,23 @@ let engine_event_order =
    levels, far-future overflow heap (beyond the 2^32 horizon) and past
    heap (pushes behind an advanced wheel clock) are all exercised.
    Pushes use a globally monotonic seq, the contract the engine
-   provides and the wheel's bucket ordering relies on. *)
+   provides and the wheel's bucket ordering relies on. Three more ops
+   aim at the wheel's bit scan and its due check: pushes at the last
+   popped key (they land in the drained-but-unretired current bucket),
+   pushes into slot 0, 31, 32 or 255 of a level relative to that key
+   (the first and last bit of an occupancy word, and both sides of a
+   word boundary), and [Wheel.due_by] queries against the reference
+   minimum — before and after the pop they precede. *)
 let event_queue_matches_reference =
   QCheck.Test.make ~name:"event queue matches sorted-list reference (heap and wheel)"
     ~count:150
-    QCheck.(make Gen.(list_size (1 -- 150) (pair (0 -- 100) (0 -- 5))))
+    QCheck.(make Gen.(list_size (1 -- 150) (pair (0 -- 100) (0 -- 9))))
     (fun ops ->
-      let run_backend push pop =
+      let run_backend ?due push pop =
         let reference = ref [] in
         let seq = ref 0 in
         let ok = ref true in
+        let last = ref 0 in
         let do_pop () =
           match pop () with
           | None -> ok := !ok && !reference = []
@@ -379,23 +386,34 @@ let event_queue_matches_reference =
             (match List.sort compare !reference with
             | m :: _ -> ok := !ok && m = (k, s)
             | [] -> ok := false);
+            last := k;
             reference := List.filter (fun x -> x <> (k, s)) !reference
+        in
+        let do_push key =
+          incr seq;
+          push ~key ~seq:!seq (key, !seq);
+          reference := (key, !seq) :: !reference
         in
         List.iter
           (fun (k, tag) ->
-            if tag >= 4 then do_pop ()
-            else begin
-              let key =
-                match tag with
-                | 0 -> k (* level 0 *)
-                | 1 -> k * 1_009 (* levels 1-2 *)
-                | 2 -> (k * 524_287) land 0xFFFFFF (* level 3 *)
-                | _ -> k * 1_000_003 * 4_096 (* overflow beyond 2^32 *)
-              in
-              incr seq;
-              push ~key ~seq:!seq (key, !seq);
-              reference := (key, !seq) :: !reference
-            end)
+            match tag with
+            | 0 -> do_push k (* level 0 *)
+            | 1 -> do_push (k * 1_009) (* levels 1-2 *)
+            | 2 -> do_push ((k * 524_287) land 0xFFFFFF) (* level 3 *)
+            | 3 -> do_push (k * 1_000_003 * 4_096) (* overflow beyond 2^32 *)
+            | 4 | 5 -> do_pop ()
+            | 6 -> do_push !last
+            | 7 ->
+              let l = k mod 4 and slot = [| 0; 31; 32; 255 |].(k / 4 mod 4) in
+              let span = 1 lsl (8 * (l + 1)) in
+              do_push (!last land lnot (span - 1) lor (slot lsl (8 * l)) lor (k land 7))
+            | _ -> (
+              match due with
+              | None -> ()
+              | Some due_by ->
+                let at = !last + (k * k) in
+                let expect = List.exists (fun (key, _) -> key <= at) !reference in
+                ok := !ok && due_by at = expect))
           ops;
         while !reference <> [] && !ok do
           do_pop ()
@@ -406,8 +424,37 @@ let event_queue_matches_reference =
       let wheel = Sim.Wheel.create () in
       run_backend (fun ~key ~seq v -> Sim.Heap.push heap ~key ~seq v) (fun () ->
           Sim.Heap.pop heap)
-      && run_backend (fun ~key ~seq v -> Sim.Wheel.push wheel ~key ~seq v) (fun () ->
-             Sim.Wheel.pop wheel))
+      && run_backend ~due:(Sim.Wheel.due_by wheel)
+           (fun ~key ~seq v -> Sim.Wheel.push wheel ~key ~seq v)
+           (fun () -> Sim.Wheel.pop wheel))
+
+(* The bit scan's word edges and the drained-but-unretired current
+   bucket, spelled out: events in slots 0, 31, 32 and 255 of level 0,
+   then of level 1, pop in key order, and the due check sees each one
+   exactly from its key on while the emptied bucket stays invisible. *)
+let wheel_scan_edges () =
+  let w = Sim.Wheel.create () in
+  let seq = ref 0 in
+  let push key =
+    incr seq;
+    Sim.Wheel.push w ~key ~seq:!seq key
+  in
+  let keys = [ 0; 31; 32; 255; 256 * 31; 256 * 32; 256 * 255; 256 * 256 ] in
+  List.iter push (List.rev keys);
+  List.iter
+    (fun k ->
+      if k > 0 && Sim.Wheel.due_by w (k - 1) then Alcotest.failf "due before %d" k;
+      if not (Sim.Wheel.due_by w k) then Alcotest.failf "not due at %d" k;
+      match Sim.Wheel.pop w with
+      | Some got when got = k ->
+        (* The bucket [k] came from is drained but not yet retired. *)
+        if Sim.Wheel.due_by w k then Alcotest.failf "drained bucket %d still due" k;
+        push k;
+        if not (Sim.Wheel.due_by w k) then Alcotest.failf "refilled bucket %d not due" k;
+        if Sim.Wheel.pop w <> Some k then Alcotest.failf "refill of %d lost" k
+      | _ -> Alcotest.failf "expected %d" k)
+    keys;
+  Alcotest.(check bool) "drained" true (Sim.Wheel.is_empty w && not (Sim.Wheel.due_by w max_int))
 
 (* QP FIFO under randomized payload sizes and timing: writes posted on one
    QP always apply in order, so the last write's value persists and every
@@ -631,3 +678,4 @@ let suite =
       lin_checker_matches_bruteforce;
       consensus_safety;
     ]
+  @ [ ("wheel scan edges and drained bucket", `Quick, wheel_scan_edges) ]

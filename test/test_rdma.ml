@@ -39,6 +39,50 @@ let mr_alias_shares_memory () =
 
 (* --- Write/Read happy path ------------------------------------------------ *)
 
+(* [post_zero] is a Write of zeros with no source buffer: over the same
+   posts it must give the same completion instants and statuses, leave
+   the host's random stream in the same place and the target memory in
+   the same state as [post_write] of a zero buffer of that length —
+   inline and DMA-fetched lengths, volatile and persistent targets, with
+   and without a lossy link. *)
+let post_zero_costs_like_write () =
+  let run ~zero ~len ~persistent ~lossy =
+    let e = Util.engine ~seed:3L () in
+    let a, b, qa, _qb, cq_a, _ = Util.qp_pair e in
+    if lossy then begin
+      Sim.Fabric.set_loss (Sim.Engine.fabric e) ~src:0 ~dst:1 0.3;
+      Sim.Fabric.set_loss (Sim.Engine.fabric e) ~src:1 ~dst:0 0.3
+    end;
+    let mr_b = Rdma.Mr.register ~persistent b ~size:16_384 ~access:Rdma.Verbs.access_rw in
+    Rdma.Mr.set_bytes mr_b ~off:0 (Bytes.make 16_384 'x');
+    let zeros = Bytes.make len '\000' in
+    let completions = ref [] in
+    Sim.Engine.spawn e (fun () ->
+        for i = 1 to 20 do
+          let dst_off = i * 512 in
+          if zero then Rdma.Qp.post_zero qa ~wr_id:i ~len ~mr:mr_b ~dst_off
+          else Rdma.Qp.post_write qa ~wr_id:i ~src:zeros ~src_off:0 ~len ~mr:mr_b ~dst_off;
+          let c = Rdma.Cq.await cq_a in
+          completions := (Sim.Engine.now e, c.Rdma.Verbs.status) :: !completions
+        done);
+    Sim.Engine.run e;
+    ( List.rev !completions,
+      Sim.Rng.int64 (Sim.Host.rng a),
+      Bytes.to_string (Rdma.Mr.get_bytes mr_b ~off:0 ~len:16_384) )
+  in
+  List.iter
+    (fun (len, persistent, lossy) ->
+      let w = run ~zero:false ~len ~persistent ~lossy
+      and z = run ~zero:true ~len ~persistent ~lossy in
+      check (Printf.sprintf "len %d persistent %b lossy %b" len persistent lossy) true (w = z))
+    [
+      (32, false, false);
+      (4096, false, false);
+      (32, true, false);
+      (4096, true, true);
+      (200, false, true);
+    ]
+
 let write_delivers_data () =
   Util.run_fiber (fun e ->
       let _a, b, qa, _qb, cq_a, _ = Util.qp_pair e in
@@ -434,6 +478,7 @@ let suite =
     ("mr typed access", `Quick, mr_typed_access);
     ("mr alias shares memory", `Quick, mr_alias_shares_memory);
     ("write delivers data", `Quick, write_delivers_data);
+    ("post zero costs like write", `Quick, post_zero_costs_like_write);
     ("write takes time", `Quick, write_takes_time);
     ("write inline snapshot", `Quick, write_inline_snapshot);
     ("read returns data", `Quick, read_returns_data);

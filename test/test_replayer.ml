@@ -104,6 +104,58 @@ let leader_does_not_self_advance () =
     (r.Mu.Replica.role = Mu.Replica.Leader);
   check_int "leader fuo managed by propose only" 0 (Mu.Log.fuo r.Mu.Replica.log)
 
+(* A small ring: 128 slots, of which a leader may run 112 ahead. *)
+let small_ring = { Mu.Config.default with Mu.Config.log_slots = 128; recycle_slack = 16 }
+
+let self_advance_bounded_by_ring () =
+  let _e, rs = bare_cluster ~cfg:small_ring () in
+  let r = rs.(1) in
+  (* 113 filled slots: 112 advances, the most a follower can be owed. *)
+  for i = 0 to 112 do
+    fill_slot r i "x"
+  done;
+  check "advances" true (Mu.Replayer.self_advance_fuo r);
+  check_int "fuo after the longest legal run" 112 (Mu.Log.fuo r.Mu.Replica.log);
+  (* One slot more is a run no leader can have written. *)
+  let _e, rs = bare_cluster ~cfg:small_ring () in
+  let r = rs.(1) in
+  for i = 0 to 113 do
+    fill_slot r i "x"
+  done;
+  check "one past the bound raises" true
+    (try
+       ignore (Mu.Replayer.self_advance_fuo r);
+       false
+     with Mu.Replayer.Ring_full { fuo; _ } -> fuo = 112)
+
+(* Every slot filled and never recycled: the walk used to go round the
+   ring forever. It must stop with [Ring_full], from a direct call and
+   out of a running replayer fiber, in bounded wall time. *)
+let full_ring_raises () =
+  let wall0 = Sys.time () in
+  let _e, rs = bare_cluster ~cfg:small_ring () in
+  let r = rs.(1) in
+  for i = 0 to 127 do
+    fill_slot r i "x"
+  done;
+  check "direct call raises" true
+    (try
+       ignore (Mu.Replayer.self_advance_fuo r);
+       false
+     with Mu.Replayer.Ring_full { replica; _ } -> replica = 1);
+  let e, rs = bare_cluster ~cfg:small_ring () in
+  let r = rs.(2) in
+  for i = 0 to 127 do
+    fill_slot r i "x"
+  done;
+  Mu.Replayer.start r;
+  check "replayer fiber crashes with Ring_full" true
+    (try
+       Sim.Engine.run ~until:1_000_000 e;
+       false
+     with Sim.Engine.Fiber_crash (_, Mu.Replayer.Ring_full { replica; _ }) -> replica = 2);
+  check "bounded cpu time" true (Sys.time () -. wall0 < 10.0)
+
 (* --- recycler --------------------------------------------------------------- *)
 
 let recycle_zeroes_below_min_head () =
@@ -226,6 +278,8 @@ let suite =
     ("replayer applies and publishes head", `Quick, replayer_fiber_applies_and_publishes_head);
     ("replayer respects remote FUO", `Quick, replayer_respects_remote_fuo);
     ("leader does not self-advance", `Quick, leader_does_not_self_advance);
+    ("self-advance bounded by ring", `Quick, self_advance_bounded_by_ring);
+    ("full ring raises", `Quick, full_ring_raises);
     ("recycle zeroes below minHead", `Quick, recycle_zeroes_below_min_head);
     ("recycle counts all peers", `Quick, recycle_counts_all_peers_not_just_confirmed);
     ("recycle skips dead hosts", `Quick, recycle_skips_dead_hosts);

@@ -64,6 +64,75 @@ let rng_exponential_mean () =
   done;
   check "mean near 250" true (abs_float (Sim.Stats.Summary.mean s -. 250.0) < 10.0)
 
+(* The first 1000 [int64], [float] and [gaussian] draws of seeds 1, 7
+   and 42, one fresh generator per (seed, kind), pinned to the streams
+   of the boxed-state generator this one replaced: the digest of the
+   draws printed one per line ([%Ld], or [%h] for floats), plus the
+   first and last draw spelled out. *)
+let rng_streams_pinned () =
+  let pins =
+    [
+      (`I, 1L, "516b047ee9545a146bfcf3c29631e3e8",
+        "-7995527694508729151", "-1794520960540127305");
+      (`I, 7L, "b6d2136f78707a7b48f2ce899b30385b",
+        "7191089600892374487", "-7524393952142688274");
+      (`I, 42L, "fdb153cc276140ed15f7d0f4fc4a28a8",
+        "-4767286540954276203", "7352439375932947048");
+      (`F, 1L, "dff5ad509ad1ff4fee2b511a664b3661",
+        "0x1.22145bd91204bp-1", "0x1.ce3129636a069p-1");
+      (`F, 7L, "ff287841fab8f8d304cc2b38660b4776",
+        "0x1.8f2f879164c82p-2", "0x1.2f27f72208dffp-1");
+      (`F, 42L, "c51fa03b1af34a7cebe8ae7f649f2e51",
+        "0x1.7bae644c5fd6dp-1", "0x1.982472a14c4fep-2");
+      (`G, 1L, "925647c1c4e24adb699685c2ae07aaa7",
+        "-0x1.ced805e687297p-6", "-0x1.dcf8d66562cf2p-1");
+      (`G, 7L, "a6d89791e1d93661f0590c762e24ef6e",
+        "0x1.5d70229cdee63p+0", "-0x1.befe8366c8fb4p-1");
+      (`G, 42L, "ebe39463969c6a3b4210824b64d20be8",
+        "0x1.a8ac4b546f509p-2", "0x1.1689a309f5326p+0");
+    ]
+  in
+  List.iter
+    (fun (kind, seed, digest, first, last) ->
+      let r = Sim.Rng.create seed in
+      let draws =
+        List.init 1000 (fun _ ->
+            match kind with
+            | `I -> Printf.sprintf "%Ld" (Sim.Rng.int64 r)
+            | `F -> Printf.sprintf "%h" (Sim.Rng.float r)
+            | `G -> Printf.sprintf "%h" (Sim.Rng.gaussian r))
+      in
+      let kind_name = match kind with `I -> "int64" | `F -> "float" | `G -> "gaussian" in
+      let name = Printf.sprintf "seed %Ld %s" seed kind_name in
+      Alcotest.(check string) (name ^ " first") first (List.hd draws);
+      Alcotest.(check string) (name ^ " last") last (List.nth draws 999);
+      Alcotest.(check string) (name ^ " digest") digest
+        (Digest.to_hex (Digest.string (String.concat "" (List.map (fun d -> d ^ "\n") draws)))))
+    pins
+
+(* Drawing must not allocate: the state and the Box-Muller spare are
+   stored unboxed. Measured over many draws from outside the module, as
+   every caller draws. A [float] result crossing a call that is not
+   inlined is boxed for the caller (two words); nothing else may be. *)
+let rng_draws_allocation_free () =
+  let r = Sim.Rng.create 5L in
+  let acc = ref 0 and sink = Array.make 1 0.0 in
+  let n = 100_000 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let int_words = words (fun () -> for _ = 1 to n do acc := !acc + Sim.Rng.int r 1000 done) in
+  let bool_words = words (fun () -> for _ = 1 to n do if Sim.Rng.bool r then incr acc done) in
+  let float_words = words (fun () -> for _ = 1 to n do sink.(0) <- Sim.Rng.float r done) in
+  let gauss_words = words (fun () -> for _ = 1 to n do sink.(0) <- Sim.Rng.gaussian r done) in
+  let report what w = Printf.sprintf "%s draws: %.2f minor words each" what w in
+  check (report "int" int_words) true (int_words < 0.01);
+  check (report "bool" bool_words) true (bool_words < 0.01);
+  check (report "float" float_words) true (float_words <= 2.01);
+  check (report "gaussian" gauss_words) true (gauss_words <= 2.01)
+
 (* --- Distribution ------------------------------------------------------- *)
 
 let dist_sampling_matches_mean () =
@@ -388,6 +457,100 @@ let engine_until_halt_keeps_clock () =
   Sim.Engine.run ~until:1_000 e;
   check_int "halt pins clock at the halting event" 100 (Sim.Engine.now e)
 
+(* --- fast-forward: a sleep nothing can interrupt continues in place --- *)
+
+let engine_sleep_fast_forwards () =
+  let e = Util.engine () in
+  let woke = ref [] in
+  Sim.Engine.spawn e (fun () ->
+      for _ = 1 to 5 do
+        Sim.Engine.sleep e 100;
+        woke := Sim.Engine.now e :: !woke
+      done;
+      Sim.Engine.yield e);
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "woke on time" [ 100; 200; 300; 400; 500 ] (List.rev !woke);
+  check_int "every sleep and the yield continued in place" 6 (Sim.Engine.fast_forwards e);
+  check_int "nothing left queued" 0 (Sim.Engine.pending_events e)
+
+(* An event due exactly at the wake instant runs first, as it would
+   ahead of the timer it was queued before. *)
+let engine_no_fast_forward_into_due_event () =
+  let e = Util.engine () in
+  let order = ref [] in
+  Sim.Engine.spawn e (fun () ->
+      Sim.Engine.schedule e ~at:100 (fun () -> order := "event" :: !order);
+      Sim.Engine.sleep e 100;
+      order := "fiber" :: !order;
+      (* Due one tick after the wake instant: this sleep may skip it. *)
+      Sim.Engine.schedule e ~at:201 (fun () -> order := "later" :: !order);
+      Sim.Engine.sleep e 100;
+      order := "fiber" :: !order);
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "order" [ "event"; "fiber"; "fiber"; "later" ] (List.rev !order);
+  check_int "only the sleep before the later event fast-forwards" 1 (Sim.Engine.fast_forwards e)
+
+let engine_no_fast_forward_past_until () =
+  let e = Util.engine () in
+  let woke = ref (-1) in
+  Sim.Engine.spawn e (fun () ->
+      Sim.Engine.sleep e 100;
+      woke := Sim.Engine.now e);
+  Sim.Engine.run ~until:50 e;
+  check_int "clock stops at the limit" 50 (Sim.Engine.now e);
+  check_int "fiber still asleep" (-1) !woke;
+  check_int "no fast-forward across the limit" 0 (Sim.Engine.fast_forwards e);
+  Sim.Engine.run ~until:100 e;
+  check_int "wakes in the next run, at the limit itself" 100 !woke
+
+let engine_no_fast_forward_after_halt () =
+  let e = Util.engine () in
+  let woke = ref false in
+  Sim.Engine.spawn e (fun () ->
+      Sim.Engine.halt e;
+      Sim.Engine.sleep e 100;
+      woke := true);
+  Sim.Engine.run e;
+  check "halted run does not continue the sleeper" false !woke;
+  check_int "clock pinned at the halting event" 0 (Sim.Engine.now e);
+  check_int "no fast-forward" 0 (Sim.Engine.fast_forwards e)
+
+(* Every observer sees the timer/wake pair, so each turns fast-forward
+   off; the virtual outcome is the same either way. *)
+let engine_no_fast_forward_when_observed () =
+  let run attach =
+    let e = Util.engine () in
+    attach e;
+    let woke = ref [] in
+    Sim.Engine.spawn e (fun () ->
+        for _ = 1 to 3 do
+          Sim.Engine.sleep e 10;
+          woke := Sim.Engine.now e :: !woke
+        done);
+    Sim.Engine.run e;
+    (Sim.Engine.fast_forwards e, List.rev !woke)
+  in
+  let profiler =
+    {
+      Sim.Engine.prof_event = (fun ~now:_ -> ());
+      prof_attr = (fun ~pid:_ ~tid:_ ~spans:_ -> ());
+      prof_fiber = (fun ~tid:_ ~pid:_ ~name:_ -> ());
+      prof_span = (fun ~id:_ ~name:_ -> ());
+      prof_host = (fun ~pid:_ ~name:_ -> ());
+    }
+  in
+  Alcotest.(check (pair int (list int))) "bare" (3, [ 10; 20; 30 ]) (run ignore);
+  List.iter
+    (fun (name, attach) ->
+      Alcotest.(check (pair int (list int))) name (0, [ 10; 20; 30 ]) (run attach))
+    [
+      ("probe sink", fun e -> Sim.Probe.set_sink (Sim.Engine.probe e) ignore);
+      ("profiler", fun e -> Sim.Engine.set_profiler e profiler);
+      ("metrics registry", fun e -> Sim.Engine.set_metrics e (Telemetry.Registry.create ()));
+      ( "self-cost sampler",
+        fun e -> Sim.Engine.set_selfcost e (Sim.Engine.selfcost_create ~clock:Sys.time ()) );
+    ]
+
 (* Regression (PR 8): the provenance span-stack table must not retain an
    entry per fiber that ever opened a span; entries are dropped when the
    fiber's stack empties, keeping the table bounded by fibers with an
@@ -670,6 +833,8 @@ let suite =
     ("rng split independent", `Quick, rng_split_independent);
     ("rng gaussian moments", `Quick, rng_gaussian_moments);
     ("rng exponential mean", `Quick, rng_exponential_mean);
+    ("rng streams pinned", `Quick, rng_streams_pinned);
+    ("rng draws allocation-free", `Quick, rng_draws_allocation_free);
     ("distribution means", `Quick, dist_sampling_matches_mean);
     ("distribution nonnegative", `Quick, dist_nonnegative);
     ("distribution pareto minimum", `Quick, dist_pareto_minimum);
@@ -698,6 +863,11 @@ let suite =
     ("engine span stacks bounded", `Quick, engine_span_stacks_bounded);
     ("engine resume allocation bounded", `Quick, engine_resume_allocation_bounded);
     ("engine sleep", `Quick, engine_sleep);
+    ("engine sleep fast-forwards", `Quick, engine_sleep_fast_forwards);
+    ("engine no fast-forward into due event", `Quick, engine_no_fast_forward_into_due_event);
+    ("engine no fast-forward past until", `Quick, engine_no_fast_forward_past_until);
+    ("engine no fast-forward after halt", `Quick, engine_no_fast_forward_after_halt);
+    ("engine no fast-forward when observed", `Quick, engine_no_fast_forward_when_observed);
     ("engine fiber crash propagates", `Quick, engine_fiber_crash_propagates);
     ("engine determinism", `Quick, engine_determinism);
     ("disabled hooks allocation-free", `Quick, disabled_hooks_allocation_free);
