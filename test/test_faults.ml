@@ -314,9 +314,9 @@ let suite =
     ("generator produces valid scenarios", `Quick, generator_produces_valid_scenarios);
     ("chaos run deterministic (trace bytes)", `Quick, chaos_run_is_deterministic);
     ("chaos table: double runs pass", `Quick, chaos_table_double_runs_pass);
-    ("chaos table: fast-forward identical", `Quick, chaos_table_fast_forward_identical);
     ("named scenarios pass chaos", `Quick, chaos_named_scenarios_pass);
     ("chaos sweep seed 42 passes", `Quick, chaos_sweep_passes);
     ("repro round-trips and replays", `Quick, repro_round_trips_and_replays);
     ("majority loss stalls safely", `Quick, chaos_majority_loss_stalls_safely);
+    ("chaos table: fast-forward identical", `Quick, chaos_table_fast_forward_identical);
   ]
