@@ -1111,14 +1111,17 @@ let () =
            \"stacks\":%d,\"frames\":%d,\"selfcost\":[%s]}"
           p.pr_rounds p.pr_span_ns p.pr_idle_ns p.pr_stacks p.pr_frames selfcost)
    | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"checks\":[";
-   List.iteri
-     (fun i (name, ok, detail) ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b
-         (Printf.sprintf "{\"name\":\"%s\",\"ok\":%b,\"detail\":\"%s\"}" name ok detail))
-     (List.rev !checks);
-   Buffer.add_string b "]";
+   (* A failing check's detail may carry quotes and newlines (a
+      linearizability witness), so the array is printed as JSON values. *)
+   Buffer.add_string b ",\"checks\":";
+   Buffer.add_string b
+     (Faults.Json.to_string
+        (Faults.Json.List
+           (List.map
+              (fun (name, ok, detail) ->
+                Faults.Json.Obj
+                  [ ("name", Str name); ("ok", Bool ok); ("detail", Str detail) ])
+              (List.rev !checks))));
    let core = Buffer.contents b in
    let oc = open_out !results_file in
    output_string oc ("{\"schema\":\"mu-bench-results/1\"," ^ core ^ "}\n");
@@ -1179,9 +1182,10 @@ let () =
    | None -> ()
    | Some file ->
      let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
+     let str v = Faults.Json.to_string (Faults.Json.Str v) in
      output_string oc
-       (Printf.sprintf "{\"schema\":\"mu-bench-results/1\",\"rev\":%S,\"stamp\":%S,%s}\n"
-          !git_rev !stamp core);
+       (Printf.sprintf "{\"schema\":\"mu-bench-results/1\",\"rev\":%s,\"stamp\":%s,%s}\n"
+          (str !git_rev) (str !stamp) core);
      close_out oc;
      Fmt.pr "History appended to %s@." file);
   Fmt.pr "@.done.@.";

@@ -452,8 +452,8 @@ let chaos_cmd =
 
 (* --- verify -------------------------------------------------------------------- *)
 
-(* Model-based property testing (DESIGN.md §19): generated (seed,
-   scenario, history) triples run through the real cluster and judged
+(* Model-based property testing (DESIGN.md §19): generated chaos specs
+   with scripted clients run through the real cluster and judged
    against the pure KV model; the first failure is shrunk to a minimized,
    byte-stable repro bundle that --replay re-executes byte-identically. *)
 
@@ -468,7 +468,7 @@ let verify_cmd =
     let log = if quiet then fun _ -> () else fun s -> Fmt.pr "%s@." s in
     match replay with
     | Some file ->
-      (* Replay a committed bundle: re-execute its triple and re-emit the
+      (* Replay a committed bundle: re-execute its spec and re-emit the
          bundle with the verdict observed — byte-identical to the input
          exactly when the failure still reproduces. *)
       (match Modelcheck.Repro.of_string (read_file file) with
@@ -514,10 +514,8 @@ let verify_cmd =
       | None -> exit 0
       | Some (bundle, shrunk) ->
         Fmt.pr "minimized to %d ops, %d fault events in %d reruns%s@."
-          (Modelcheck.Shrink.ops bundle.Modelcheck.Repro.b_triple)
-          (List.length
-             bundle.Modelcheck.Repro.b_triple.Modelcheck.Shrink.t_scenario
-               .Faults.Scenario.events)
+          (Modelcheck.Shrink.ops bundle.Modelcheck.Repro.b_spec)
+          (List.length bundle.Modelcheck.Repro.b_spec.scenario.Faults.Scenario.events)
           shrunk.Modelcheck.Shrink.reruns
           (if shrunk.Modelcheck.Shrink.exhausted then
              " (budget exhausted — may not be minimal)"

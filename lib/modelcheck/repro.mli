@@ -1,14 +1,16 @@
-(** Byte-stable repro bundles (schema [mu-verify-repro/1]).
+(** Byte-stable repro bundles (schema [mu-verify-repro/2]).
 
-    A bundle is everything {!Shrink.run} needs to re-execute a minimized
-    failing triple — seed, cluster size, injection flag, fault scenario,
-    scripted history — plus the expected verdict. The codec is canonical:
-    printing preserves a fixed field order and {!of_string} followed by
-    {!to_string} is the identity on any bundle this module printed, so
-    CI can replay a committed bundle and [cmp] the re-emitted bytes. *)
+    A bundle is a chaos repro — the whole {!Workload.Chaos.spec}, printed
+    by {!Workload.Chaos.spec_fields}, with a script — plus the injection
+    rate {!Shrink.run} needs and the expected verdict. Printing keeps a
+    fixed field order and {!of_string} followed by {!to_string} is the
+    identity on any bundle this module printed, so a committed bundle
+    replays and re-emits byte-identically. {!Workload.Chaos.parse_repro}
+    reads a bundle's spec. *)
 
 type t = {
-  b_triple : Shrink.triple;
+  b_spec : Workload.Chaos.spec;  (** [clients = Script _]. *)
+  b_inject : int;  (** {!Apps.Kv_store.test_only_lose_put_every} (0 = off). *)
   b_verdict : Conformance.verdict;
 }
 
@@ -16,5 +18,7 @@ val schema : string
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
-(** Strict: unknown schema, missing fields, bad op or verdict strings are
-    errors, with a field path in the message. *)
+(** Strict: an unknown schema, a missing seed, scenario, script, inject or
+    verdict, and bad op or verdict strings are errors naming the field.
+    [mu-verify-repro/1] bundles still parse, their [history] read as the
+    script. *)

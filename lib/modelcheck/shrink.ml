@@ -1,27 +1,21 @@
-type triple = {
-  t_seed : int64;
-  t_n : int;
-  t_inject : int;
-  t_scenario : Faults.Scenario.t;
-  t_history : Workload.Chaos.scripted_op list list;
-}
-
 type result = {
   verdict : Conformance.verdict;
   witness : Conformance.witness option;
   outcome : Workload.Chaos.outcome;
 }
 
-let ops t = List.fold_left (fun acc c -> acc + List.length c) 0 t.t_history
+let script (s : Workload.Chaos.spec) =
+  match s.clients with Script c -> c | Random _ -> []
 
-let run t =
+let ops s = List.fold_left (fun acc c -> acc + List.length c) 0 (script s)
+
+let run ~inject spec =
   let saved = !Apps.Kv_store.test_only_lose_put_every in
-  Apps.Kv_store.test_only_lose_put_every := t.t_inject;
+  Apps.Kv_store.test_only_lose_put_every := inject;
   Fun.protect
     ~finally:(fun () -> Apps.Kv_store.test_only_lose_put_every := saved)
     (fun () ->
-      let spec = Workload.Chaos.spec ~seed:t.t_seed ~n:t.t_n t.t_scenario in
-      let outcome = Workload.Chaos.run { spec with clients = Script t.t_history } in
+      let outcome = Workload.Chaos.run spec in
       let verdict, witness = Conformance.judge outcome in
       { verdict; witness; outcome })
 
@@ -30,19 +24,21 @@ let run t =
 (* Drop empty client lists; the script shape (list per client) is
    otherwise preserved so proc numbering of survivors shifts minimally
    and deterministically. *)
-let prune history = List.filter (fun c -> c <> []) history
+let with_script (s : Workload.Chaos.spec) history =
+  { s with clients = Script (List.filter (fun c -> c <> []) history) }
 
 (* Every candidate one structural move away, best (biggest cut) first.
-   The enumeration order is a pure function of the triple — the heart of
+   The enumeration order is a pure function of the spec — the heart of
    shrink determinism. *)
-let candidates t =
+let candidates (s : Workload.Chaos.spec) =
   let cs = ref [] in
   let add c = cs := c :: !cs in
-  let nclients = List.length t.t_history in
+  let history = script s in
+  let nclients = List.length history in
   (* 1. Drop one whole client. *)
   if nclients > 1 then
     for i = nclients - 1 downto 0 do
-      add { t with t_history = prune (List.filteri (fun j _ -> j <> i) t.t_history) }
+      add (with_script s (List.filteri (fun j _ -> j <> i) history))
     done;
   (* 2. Truncate one client to its first half. *)
   List.iteri
@@ -50,16 +46,11 @@ let candidates t =
       let len = List.length c in
       if len > 1 then
         add
-          {
-            t with
-            t_history =
-              prune
-                (List.mapi
-                   (fun j c' ->
-                     if j = i then List.filteri (fun k _ -> k < len / 2) c' else c')
-                   t.t_history);
-          })
-    t.t_history;
+          (with_script s
+             (List.mapi
+                (fun j c' -> if j = i then List.filteri (fun k _ -> k < len / 2) c' else c')
+                history)))
+    history;
   (* 3. Delete one op, scanning each client back to front. *)
   List.iteri
     (fun i c ->
@@ -67,49 +58,44 @@ let candidates t =
       for k = len - 1 downto 0 do
         if len > 1 || nclients > 1 then
           add
-            {
-              t with
-              t_history =
-                prune
-                  (List.mapi
-                     (fun j c' ->
-                       if j = i then List.filteri (fun k' _ -> k' <> k) c' else c')
-                     t.t_history);
-            }
+            (with_script s
+               (List.mapi
+                  (fun j c' -> if j = i then List.filteri (fun k' _ -> k' <> k) c' else c')
+                  history))
       done)
-    t.t_history;
+    history;
   (* 4. Drop one fault event, last scheduled first; dropping a stop/kill
      can orphan a restart, so invalid scenarios are skipped here rather
      than spent from the rerun budget. *)
-  let nevents = List.length t.t_scenario.Faults.Scenario.events in
+  let n = s.config.Mu.Config.n in
+  let nevents = List.length s.scenario.Faults.Scenario.events in
   for i = nevents - 1 downto 0 do
-    match Faults.Scenario.drop_event t.t_scenario i with
-    | Some sc when Result.is_ok (Faults.Scenario.validate ~n:t.t_n sc) ->
-      add { t with t_scenario = sc }
+    match Faults.Scenario.drop_event s.scenario i with
+    | Some sc when Result.is_ok (Faults.Scenario.validate ~n sc) -> add { s with scenario = sc }
     | _ -> ()
   done;
   (* 5. Shrink the cluster. *)
-  if t.t_n > 3 && Result.is_ok (Faults.Scenario.validate ~n:3 t.t_scenario) then
-    add { t with t_n = 3 };
+  if n > 3 && Result.is_ok (Faults.Scenario.validate ~n:3 s.scenario) then
+    add { s with config = { s.config with n = 3 } };
   List.rev !cs
 
 type shrunk = {
-  minimized : triple;
+  minimized : Workload.Chaos.spec;
   final : result;
   reruns : int;
   exhausted : bool;
 }
 
-let describe t =
+let describe (s : Workload.Chaos.spec) =
   Fmt.str "%d clients / %d ops, %d fault events, n=%d"
-    (List.length t.t_history) (ops t)
-    (List.length t.t_scenario.Faults.Scenario.events)
-    t.t_n
+    (List.length (script s)) (ops s)
+    (List.length s.scenario.Faults.Scenario.events)
+    s.config.Mu.Config.n
 
-let shrink ?(budget = 500) ?(log = fun _ -> ()) t r =
+let shrink ?(budget = 500) ?(log = fun _ -> ()) ~inject spec r =
   if not (Conformance.failing r.verdict) then
-    invalid_arg "Shrink.shrink: triple does not fail";
-  let current = ref t in
+    invalid_arg "Shrink.shrink: spec does not fail";
+  let current = ref spec in
   let current_result = ref r in
   let reruns = ref 0 in
   let exhausted = ref false in
@@ -122,9 +108,9 @@ let shrink ?(budget = 500) ?(log = fun _ -> ()) t r =
         if !reruns >= budget then exhausted := true
         else begin
           incr reruns;
-          let cr = run cand in
+          let cr = run ~inject cand in
           if Conformance.failing cr.verdict then begin
-            (* Greedy: restart the scan from the smaller triple. *)
+            (* Greedy: restart the scan from the smaller spec. *)
             current := cand;
             current_result := cr;
             progress := true;

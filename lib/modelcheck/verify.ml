@@ -10,75 +10,51 @@ type report = {
 
 let sweep ?(cases = 25) ?(ns = [ 3; 5 ]) ?(inject = 0) ?(clients = 3)
     ?(ops_per_client = 8) ?budget ?(log = fun _ -> ()) ~seed () =
-  let root = Sim.Rng.create seed in
-  let ns = Array.of_list ns in
-  let verdicts = ref [] in
-  let scenarios = ref [] in
-  let stats = ref { History.h_ops = 0; h_puts = 0; h_gets = 0; h_deletes = 0 } in
-  let first_failure = ref None in
-  for i = 0 to cases - 1 do
-    let run_seed = Sim.Rng.int64 root in
-    let n = ns.(i mod Array.length ns) in
-    (* One per-case PRNG feeds scenario then history: the whole case
-       replays from run_seed alone. *)
-    let crng = Sim.Rng.create run_seed in
-    let scenario = Faults.Scenario.generate crng ~n ~horizon:40_000_000 in
-    let history = History.generate ~clients ~ops_per_client crng in
-    scenarios := scenario :: !scenarios;
-    let s = History.stats history in
-    stats :=
-      {
-        History.h_ops = !stats.History.h_ops + s.History.h_ops;
-        h_puts = !stats.History.h_puts + s.History.h_puts;
-        h_gets = !stats.History.h_gets + s.History.h_gets;
-        h_deletes = !stats.History.h_deletes + s.History.h_deletes;
-      };
-    let triple =
-      {
-        Shrink.t_seed = run_seed;
-        t_n = n;
-        t_inject = inject;
-        t_scenario = scenario;
-        t_history = history;
-      }
-    in
-    let r = Shrink.run triple in
-    verdicts := (run_seed, n, r.Shrink.verdict) :: !verdicts;
-    log
-      (Fmt.str "case %3d  seed=%-20Ld n=%d  %-18s %s" i run_seed n
-         scenario.Faults.Scenario.name
-         (Conformance.verdict_to_string r.Shrink.verdict));
-    if Conformance.failing r.Shrink.verdict && !first_failure = None then
-      first_failure := Some (triple, r)
-  done;
+  (* Each case's PRNG feeds its scenario, then its history: the whole
+     case replays from its seed alone. *)
+  let runs =
+    List.mapi
+      (fun i ((spec : Workload.Chaos.spec), crng) ->
+        let history = History.generate ~clients ~ops_per_client crng in
+        let spec = { spec with clients = Script history } in
+        let r = Shrink.run ~inject spec in
+        log
+          (Fmt.str "case %3d  seed=%-20Ld n=%d  %-18s %s" i spec.seed spec.config.Mu.Config.n
+             spec.scenario.Faults.Scenario.name
+             (Conformance.verdict_to_string r.Shrink.verdict));
+        (spec, history, r))
+      (Workload.Chaos.cases ~count:cases ~ns ~seed)
+  in
+  let verdicts =
+    List.map
+      (fun ((s : Workload.Chaos.spec), _, r) -> (s.seed, s.config.Mu.Config.n, r.Shrink.verdict))
+      runs
+  in
   let minimized, first_witness =
-    match !first_failure with
+    match List.find_opt (fun (_, _, r) -> Conformance.failing r.Shrink.verdict) runs with
     | None -> (None, None)
-    | Some (triple, r) ->
-      let shrunk = Shrink.shrink ?budget ~log triple r in
+    | Some (spec, _, r) ->
+      let shrunk = Shrink.shrink ?budget ~log ~inject spec r in
       ( Some
           ( {
-              Repro.b_triple = shrunk.Shrink.minimized;
+              Repro.b_spec = shrunk.Shrink.minimized;
+              b_inject = inject;
               b_verdict = shrunk.Shrink.final.Shrink.verdict;
             },
             shrunk ),
         r.Shrink.witness )
   in
-  let verdicts = List.rev !verdicts in
   {
     cases;
-    failed =
-      List.length
-        (List.filter (fun (_, _, v) -> Conformance.failing v) verdicts);
+    failed = List.length (List.filter (fun (_, _, v) -> Conformance.failing v) verdicts);
     verdicts;
-    coverage = Faults.Scenario.coverage (List.rev !scenarios);
-    op_stats = !stats;
+    coverage =
+      Faults.Scenario.coverage (List.map (fun ((s : Workload.Chaos.spec), _, _) -> s.scenario) runs);
+    op_stats = History.stats (List.concat_map (fun (_, h, _) -> h) runs);
     first_witness;
     minimized;
   }
 
 let replay (b : Repro.t) =
-  let r = Shrink.run b.Repro.b_triple in
-  ( r,
-    Repro.to_string
-      { Repro.b_triple = b.Repro.b_triple; b_verdict = r.Shrink.verdict } )
+  let r = Shrink.run ~inject:b.b_inject b.b_spec in
+  (r, Repro.to_string { b with b_verdict = r.Shrink.verdict })

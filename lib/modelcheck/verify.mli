@@ -1,11 +1,11 @@
-(** The verify sweep: generated (seed, scenario, history) triples driven
+(** The verify sweep: generated chaos specs with scripted clients, driven
     through the real cluster and judged against the pure model, with the
     first failure shrunk to a minimized repro bundle.
 
-    Each case derives a scenario {e and} a history from one per-case
-    seed (drawn from a root PRNG), so a failing case is replayable from
-    a single 64-bit number — and the emitted bundle carries scenario and
-    history explicitly anyway, so a repro outlives generator changes. *)
+    Each case is a {!Workload.Chaos.cases} case whose PRNG then draws the
+    history, so a failing case is replayable from a single 64-bit number —
+    and the emitted bundle carries the whole spec explicitly anyway, so a
+    repro outlives generator changes. *)
 
 type report = {
   cases : int;
@@ -31,7 +31,7 @@ val sweep :
   seed:int64 ->
   unit ->
   report
-(** [cases] (default 25) generated triples, cluster sizes cycling through
+(** [cases] (default 25) generated specs, cluster sizes cycling through
     [ns] (default [[3; 5]]); [inject] (default 0) sets
     {!Apps.Kv_store.test_only_lose_put_every} for every run — the
     self-test hook; [clients] × [ops_per_client] (default 3 × 8) shape
@@ -39,6 +39,6 @@ val sweep :
     observes one line per case plus shrink progress. *)
 
 val replay : Repro.t -> Shrink.result * string
-(** Re-execute a bundle's triple and re-emit the bundle with the verdict
+(** Re-execute a bundle's spec and re-emit the bundle with the verdict
     the run actually produced: byte-identical to the input exactly when
     the failure still reproduces. *)

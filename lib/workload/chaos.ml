@@ -382,37 +382,23 @@ let config_fields =
       (name, (fun c -> to_json (get c)), fun c j -> Option.bind (of_json j) (set c)))
     Mu.Config.fields
 
-(* The whole spec, with the config fields inline, plus a violation
-   summary for humans; replay reads everything but the summary. *)
-let repro_json o =
-  let s = o.spec in
+(* The whole spec as JSON object fields, the config fields inline: the
+   one codec for chaos repros and verify bundles. *)
+let spec_fields s =
   let num = Faults.Json.num_of_int in
-  Faults.Json.to_string
-    (Faults.Json.Obj
-       ([ ("seed", Faults.Json.Str (Int64.to_string s.seed)) ]
-       @ List.map (fun (name, write, _) -> (name, write s.config)) config_fields
-       @ [ ("shards", num s.shards); ("horizon", num s.horizon) ]
-       @ (match s.clients with
-         | Random { clients; ops; think } ->
-           [ ("clients", num clients); ("ops", num ops); ("think", num think) ]
-         | Script script -> [ ("script", script_to_json script) ])
-       @ [
-           ("scenario", Faults.Scenario.to_json s.scenario);
-           ( "violation",
-             Faults.Json.Str
-               (if not o.linearizable then "history not linearizable"
-                else if not o.isolated then "read of a value never put to its key"
-                else if o.violations <> [] then
-                  Fmt.str "%a" (Fmt.list Mu.Invariants.pp_violation) o.violations
-                else if not o.completed then "liveness stall (clients never finished)"
-                else "none") );
-         ]))
+  [ ("seed", Faults.Json.Str (Int64.to_string s.seed)) ]
+  @ List.map (fun (name, write, _) -> (name, write s.config)) config_fields
+  @ [ ("shards", num s.shards); ("horizon", num s.horizon) ]
+  @ (match s.clients with
+    | Random { clients; ops; think } ->
+      [ ("clients", num clients); ("ops", num ops); ("think", num think) ]
+    | Script script -> [ ("script", script_to_json script) ])
+  @ [ ("scenario", Faults.Scenario.to_json s.scenario) ]
 
 (* A field missing from the document reads as its default-spec value, so
    repros that carry only seed, n and scenario still replay. *)
-let parse_repro str =
+let spec_of_json j =
   let ( let* ) = Result.bind in
-  let* j = Faults.Json.of_string str in
   let opt name conv default =
     match Faults.Json.member name j with
     | None -> Ok default
@@ -455,6 +441,25 @@ let parse_repro str =
   let* () = Faults.Scenario.validate ~n:config.Mu.Config.n scenario in
   Ok { seed; config; shards; horizon; scenario; clients }
 
+(* The spec plus a violation summary for humans; replay reads everything
+   but the summary. *)
+let repro_json o =
+  Faults.Json.to_string
+    (Faults.Json.Obj
+       (spec_fields o.spec
+       @ [
+           ( "violation",
+             Faults.Json.Str
+               (if not o.linearizable then "history not linearizable"
+                else if not o.isolated then "read of a value never put to its key"
+                else if o.violations <> [] then
+                  Fmt.str "%a" (Fmt.list Mu.Invariants.pp_violation) o.violations
+                else if not o.completed then "liveness stall (clients never finished)"
+                else "none") );
+         ]))
+
+let parse_repro str = Result.bind (Faults.Json.of_string str) spec_of_json
+
 (* --- randomized sweep ----------------------------------------------------- *)
 
 type sweep = {
@@ -463,27 +468,37 @@ type sweep = {
   coverage : Faults.Scenario.coverage;
 }
 
-(* Each iteration derives its own seed from the sweep's root PRNG; the
-   scenario is generated from that seed and the engine is seeded with it
-   too, so one 64-bit number replays the whole run. *)
-let sweep ?(count = 50) ?(ns = [ 3; 5 ]) ?log ~seed () =
+(* Each case derives its own seed from the root PRNG; the scenario is
+   generated from that seed and the engine is seeded with it too, so one
+   64-bit number replays the whole run. *)
+let cases ~count ~ns ~seed =
   let root = Sim.Rng.create seed in
   let ns = Array.of_list ns in
-  let failures = ref [] in
-  let scenarios = ref [] in
-  for i = 0 to count - 1 do
-    let run_seed = Sim.Rng.int64 root in
-    let n = ns.(i mod Array.length ns) in
-    let scenario =
-      Faults.Scenario.generate (Sim.Rng.create run_seed) ~n ~horizon:40_000_000
-    in
-    scenarios := scenario :: !scenarios;
-    let o = run (spec ~seed:run_seed ~n scenario) in
-    if not (passed o) then failures := o :: !failures;
-    match log with Some f -> f i o | None -> ()
-  done;
+  let rec go i =
+    if i >= count then []
+    else
+      let run_seed = Sim.Rng.int64 root in
+      let n = ns.(i mod Array.length ns) in
+      let rng = Sim.Rng.create run_seed in
+      let case =
+        (spec ~seed:run_seed ~n (Faults.Scenario.generate rng ~n ~horizon:40_000_000), rng)
+      in
+      case :: go (i + 1)
+  in
+  go 0
+
+let sweep ?(count = 50) ?(ns = [ 3; 5 ]) ?(log = fun _ _ -> ()) ~seed () =
+  let specs = List.map fst (cases ~count ~ns ~seed) in
+  let outcomes =
+    List.mapi
+      (fun i spec ->
+        let o = run spec in
+        log i o;
+        o)
+      specs
+  in
   {
     runs = count;
-    failures = List.rev !failures;
-    coverage = Faults.Scenario.coverage (List.rev !scenarios);
+    failures = List.filter (fun o -> not (passed o)) outcomes;
+    coverage = Faults.Scenario.coverage (List.map (fun s -> s.scenario) specs);
   }

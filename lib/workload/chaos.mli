@@ -85,16 +85,20 @@ val keys_for : shards:int -> shard:int -> count:int -> string array
 
 (** {1 Repro} *)
 
+val spec_fields : spec -> (string * Faults.Json.t) list
+(** The whole spec as JSON object fields: seed, the config fields inline,
+    shards, horizon, the random clients or the script, the scenario. The
+    one codec both the chaos repro and the verify bundle print. *)
+
+val spec_of_json : Faults.Json.t -> (spec, string) result
+(** Inverse of {!spec_fields} on an object; other fields are ignored. A
+    missing field reads as its {!spec} default, except seed and scenario. *)
+
 val repro_json : outcome -> string
-(** The whole spec (config fields inline, the script if any) plus a
-    violation summary, as one JSON document. *)
+(** {!spec_fields} plus a violation summary, as one JSON document. *)
 
 val parse_repro : string -> (spec, string) result
-(** The spec of a repro; {!run} replays it byte-identically. A missing
-    field reads as its {!spec} default. *)
-
-val script_to_json : scripted_op list list -> Faults.Json.t
-val script_of_json : Faults.Json.t -> (scripted_op list list, string) result
+(** The spec of a repro; {!run} replays it byte-identically. *)
 
 (** {1 Randomized sweep} *)
 
@@ -105,9 +109,15 @@ type sweep = {
       (** What the generator exercised, so a sweep never silently narrows. *)
 }
 
+val cases : count:int -> ns:int list -> seed:int64 -> (spec * Sim.Rng.t) list
+(** [count] generated cases, cluster sizes cycling through [ns]. Case
+    [i] is the default {!spec} at a seed drawn from a root PRNG seeded
+    with [seed], with a scenario generated from a PRNG created from that
+    seed. The PRNG comes back positioned after the scenario, so a caller
+    can draw the rest of the case (a history) from it: one number still
+    replays the case. *)
+
 val sweep :
   ?count:int -> ?ns:int list -> ?log:(int -> outcome -> unit) -> seed:int64 -> unit -> sweep
-(** [count] (default 50) generated scenarios, cluster sizes cycling
-    through [ns] (default [[3; 5]]). Each run's seed comes from a root
-    PRNG seeded with [seed], its scenario from that seed, so a failure
-    replays from one number. [log] observes every outcome. *)
+(** Runs the {!cases} (default 50, [ns] default [[3; 5]]). [log]
+    observes every outcome. *)

@@ -1,5 +1,5 @@
 (* Tests for lib/modelcheck: pure reference models, the conformance
-   checker, history generation, the triple shrinker and the repro
+   checker, history generation, the spec shrinker and the repro
    bundle codec (DESIGN.md §19). *)
 
 let check = Alcotest.(check bool)
@@ -254,8 +254,10 @@ let witness_erase_semantics () =
 
 let op think req cmd = { Workload.Chaos.s_think = think; s_req = req; s_cmd = cmd }
 
-let scripted ~seed scenario script =
-  Workload.Chaos.run { (Workload.Chaos.spec ~seed ~n:3 scenario) with clients = Script script }
+let script_spec ~seed scenario script =
+  { (Workload.Chaos.spec ~seed ~n:3 scenario) with clients = Script script }
+
+let scripted ~seed scenario script = Workload.Chaos.run (script_spec ~seed scenario script)
 
 let scripted_run_records_replies () =
   let script =
@@ -302,18 +304,22 @@ let crash_leader_scripted_conformant () =
     Modelcheck.History.generate ~clients:2 ~ops_per_client:6 ~think_max:4_000_000
       (Sim.Rng.create 17L)
   in
-  let t =
-    {
-      Modelcheck.Shrink.t_seed = 17L;
-      t_n = 3;
-      t_inject = 0;
-      t_scenario = Faults.Scenario.crash_leader ~n:3;
-      t_history = history;
-    }
+  let r =
+    Modelcheck.Shrink.run ~inject:0
+      (script_spec ~seed:17L (Faults.Scenario.crash_leader ~n:3) history)
   in
-  let r = Modelcheck.Shrink.run t in
   check "conformant across fail-over" true
     (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass)
+
+let sharded_windowed_script =
+  Modelcheck.History.generate ~clients:3 ~ops_per_client:8 (Sim.Rng.create 5L)
+
+let sharded_windowed_spec =
+  {
+    (script_spec ~seed:5L (Faults.Scenario.crash_leader ~n:3) sharded_windowed_script) with
+    config = Serving.Surface.config ~batch:8 ~doorbell:4;
+    shards = 2;
+  }
 
 (* The first model check outside the default configuration: a generated
    history on two windowed shards (batches of 8, doorbell groups of 4)
@@ -321,24 +327,8 @@ let crash_leader_scripted_conformant () =
    with the lost-put bug injected it must not, and the outcome must carry
    a linearizability witness. *)
 let sharded_windowed_script_judged () =
-  let script =
-    Modelcheck.History.generate ~clients:3 ~ops_per_client:8 (Sim.Rng.create 5L)
-  in
-  let spec =
-    {
-      (Workload.Chaos.spec ~seed:5L ~n:3 (Faults.Scenario.crash_leader ~n:3)) with
-      config = Serving.Surface.config ~batch:8 ~doorbell:4;
-      shards = 2;
-      clients = Script script;
-    }
-  in
-  let run inject =
-    let saved = !Apps.Kv_store.test_only_lose_put_every in
-    Apps.Kv_store.test_only_lose_put_every := inject;
-    Fun.protect
-      ~finally:(fun () -> Apps.Kv_store.test_only_lose_put_every := saved)
-      (fun () -> Workload.Chaos.run spec)
-  in
+  let script = sharded_windowed_script in
+  let run inject = (Modelcheck.Shrink.run ~inject sharded_windowed_spec).outcome in
   let shards =
     List.concat_map
       (List.map (fun op ->
@@ -371,8 +361,8 @@ let rejoin_survives_minority_self_claimant () =
   in
   match Modelcheck.Repro.of_string bundle_json with
   | Error e -> Alcotest.fail e
-  | Ok bundle ->
-    let r = Modelcheck.Shrink.run bundle.Modelcheck.Repro.b_triple in
+  | Ok { b_spec; b_inject; _ } ->
+    let r = Modelcheck.Shrink.run ~inject:b_inject b_spec in
     check "run passes" true
       (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass);
     check_int "replica 1 rejoined" 1
@@ -407,17 +397,17 @@ let injected_bug_caught_and_shrunk () =
     check "shrink reached fixpoint" false shrunk.Modelcheck.Shrink.exhausted;
     check "minimized still fails" true
       (Modelcheck.Conformance.failing bundle.Modelcheck.Repro.b_verdict);
-    let t = bundle.Modelcheck.Repro.b_triple in
+    let t = bundle.Modelcheck.Repro.b_spec in
     check "<= 6 ops" true (Modelcheck.Shrink.ops t <= 6);
     check "<= 2 fault actions" true
-      (List.length t.Modelcheck.Shrink.t_scenario.Faults.Scenario.events <= 2);
-    (* Re-running the minimized triple independently still fails. *)
-    let r = Modelcheck.Shrink.run t in
+      (List.length t.scenario.Faults.Scenario.events <= 2);
+    (* Re-running the minimized spec independently still fails. *)
+    let r = Modelcheck.Shrink.run ~inject:3 t in
     check "independent rerun fails" true
       (Modelcheck.Conformance.failing r.Modelcheck.Shrink.verdict)
 
 let shrink_deterministic () =
-  (* Same failing triple, shrunk twice, must yield byte-identical
+  (* Same failing spec, shrunk twice, must yield byte-identical
      bundles. *)
   let go () =
     let report =
@@ -430,21 +420,17 @@ let shrink_deterministic () =
   in
   check_str "same minimized bundle" (go ()) (go ())
 
-let passing_triple_rejected_by_shrinker () =
+let passing_spec_rejected_by_shrinker () =
   let t =
-    {
-      Modelcheck.Shrink.t_seed = 5L;
-      t_n = 3;
-      t_inject = 0;
-      t_scenario = { Faults.Scenario.name = "none"; events = [] };
-      t_history = [ [ op 0 1 (Apps.Kv_store.Put { key = "a"; value = "x" }) ] ];
-    }
+    script_spec ~seed:5L
+      { Faults.Scenario.name = "none"; events = [] }
+      [ [ op 0 1 (Apps.Kv_store.Put { key = "a"; value = "x" }) ] ]
   in
-  let r = Modelcheck.Shrink.run t in
-  check "triple passes" true (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass);
-  check "shrinker refuses passing triple" true
+  let r = Modelcheck.Shrink.run ~inject:0 t in
+  check "spec passes" true (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass);
+  check "shrinker refuses passing spec" true
     (try
-       ignore (Modelcheck.Shrink.shrink t r);
+       ignore (Modelcheck.Shrink.shrink ~inject:0 t r);
        false
      with Invalid_argument _ -> true)
 
@@ -452,21 +438,16 @@ let passing_triple_rejected_by_shrinker () =
 
 let sample_bundle () =
   {
-    Modelcheck.Repro.b_triple =
-      {
-        Modelcheck.Shrink.t_seed = -3721L;
-        t_n = 3;
-        t_inject = 3;
-        t_scenario = Faults.Scenario.kill_restart ~n:3;
-        t_history =
+    Modelcheck.Repro.b_spec =
+      script_spec ~seed:(-3721L) (Faults.Scenario.kill_restart ~n:3)
+        [
           [
-            [
-              op 0 1 (Apps.Kv_store.Put { key = "a"; value = "v1.1" });
-              op 250_000 2 (Apps.Kv_store.Get { key = "a" });
-            ];
-            [ op 10 1 (Apps.Kv_store.Delete { key = "b" }) ];
+            op 0 1 (Apps.Kv_store.Put { key = "a"; value = "v1.1" });
+            op 250_000 2 (Apps.Kv_store.Get { key = "a" });
           ];
-      };
+          [ op 10 1 (Apps.Kv_store.Delete { key = "b" }) ];
+        ];
+    b_inject = 3;
     b_verdict = Modelcheck.Conformance.Not_conformant;
   }
 
@@ -480,15 +461,26 @@ let repro_roundtrip () =
     check_str "byte-stable reprint" s (Modelcheck.Repro.to_string b');
     check "rejects unknown schema" true
       (Result.is_error
-         (Modelcheck.Repro.of_string {|{"schema":"mu-verify-repro/999"}|}))
+         (Modelcheck.Repro.of_string {|{"schema":"mu-verify-repro/999"}|}));
+    match Faults.Json.of_string s with
+    | Ok (Faults.Json.Obj fields) ->
+      List.iter
+        (fun k ->
+          let doc = Faults.Json.to_string (Faults.Json.Obj (List.remove_assoc k fields)) in
+          check ("rejects missing " ^ k) true (Result.is_error (Modelcheck.Repro.of_string doc)))
+        [ "seed"; "scenario"; "script"; "inject"; "verdict" ]
+    | _ -> Alcotest.fail "bundle is not an object"
+
+let read_golden () =
+  let ic = open_in_bin "golden/verify_repro.json" in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
 
 let repro_golden_byte_stable () =
   (* The committed bundle must parse and re-print to the identical bytes:
-     any codec drift breaks CI's byte-compare replay of old repros. *)
-  let ic = open_in_bin "golden/verify_repro.json" in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
+     any codec drift breaks the byte-compare replay of old repros. *)
+  let s = read_golden () in
   match Modelcheck.Repro.of_string s with
   | Error e -> Alcotest.failf "golden bundle does not parse: %s" e
   | Ok b -> check_str "golden bytes stable" s (Modelcheck.Repro.to_string b)
@@ -536,6 +528,66 @@ let chaos_sweep_reports_coverage () =
     s.Workload.Chaos.coverage.Faults.Scenario.scenarios;
   check_int "sweep ran" 2 s.Workload.Chaos.runs
 
+(* --- verify sweeps end to end ------------------------------------------------ *)
+
+(* The CLI's default sweep, [mu_demo verify --cases 20 --ns 3,5 --seed 7]. *)
+let verify_clean_sweep () =
+  let report = Modelcheck.Verify.sweep ~cases:20 ~ns:[ 3; 5 ] ~seed:7L () in
+  check_int "20/20 conformant" 0 report.Modelcheck.Verify.failed;
+  check_int "cases" 20 report.Modelcheck.Verify.cases
+
+(* [mu_demo verify --cases 4 --ns 3 --seed 7 --inject-lose-put 3]
+   minimizes to the committed golden bundle, in a fixed number of reruns. *)
+let verify_injected_sweep_golden () =
+  let report = Modelcheck.Verify.sweep ~cases:4 ~ns:[ 3 ] ~inject:3 ~seed:7L () in
+  match report.Modelcheck.Verify.minimized with
+  | None -> Alcotest.fail "injected bug not caught"
+  | Some (bundle, shrunk) ->
+    check_str "golden bytes" (read_golden ()) (Modelcheck.Repro.to_string bundle);
+    check_int "reruns" 44 shrunk.Modelcheck.Shrink.reruns
+
+let verify_replay_golden () =
+  let s = read_golden () in
+  match Modelcheck.Repro.of_string s with
+  | Error e -> Alcotest.failf "golden bundle does not parse: %s" e
+  | Ok b ->
+    let r, bytes = Modelcheck.Verify.replay b in
+    check "verdict reproduces" true (r.Modelcheck.Shrink.verdict = b.Modelcheck.Repro.b_verdict);
+    check_str "re-emitted bytes" s bytes
+
+(* Shrinking a spec keeps what it does not shrink: the two windowed shards
+   of [sharded windowed script judged] survive into the bundle, which
+   replays and reads back as the same chaos spec. *)
+let shrink_keeps_spec_fields () =
+  let spec = sharded_windowed_spec in
+  let r = Modelcheck.Shrink.run ~inject:3 spec in
+  check "start fails" true (Modelcheck.Conformance.failing r.Modelcheck.Shrink.verdict);
+  let shrunk = Modelcheck.Shrink.shrink ~inject:3 spec r in
+  let m = shrunk.Modelcheck.Shrink.minimized in
+  check "shrunk still fails"
+    true
+    (Modelcheck.Conformance.failing shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.verdict);
+  check "fewer ops" true (Modelcheck.Shrink.ops m < Modelcheck.Shrink.ops spec);
+  check_int "shards kept" 2 m.shards;
+  check "windowed config kept" true (m.config = spec.config);
+  let b =
+    {
+      Modelcheck.Repro.b_spec = m;
+      b_inject = 3;
+      b_verdict = shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.verdict;
+    }
+  in
+  let s = Modelcheck.Repro.to_string b in
+  (match Modelcheck.Repro.of_string s with
+  | Error e -> Alcotest.failf "bundle does not parse: %s" e
+  | Ok b' ->
+    check "bundle parses to itself" true (b' = b);
+    check_str "bundle reprints" s (Modelcheck.Repro.to_string b'));
+  let r', bytes = Modelcheck.Verify.replay b in
+  check "replays to the same verdict" true (r'.Modelcheck.Shrink.verdict = b.b_verdict);
+  check_str "replay re-emits the bundle" s bytes;
+  check "chaos reads the bundle's spec" true (Workload.Chaos.parse_repro s = Ok m)
+
 let suite =
   [
     ("kv model semantics", `Quick, kv_model_semantics);
@@ -558,10 +610,14 @@ let suite =
     ("fault-free sweep passes", `Quick, fault_free_like_sweep_passes);
     ("injected bug caught and shrunk", `Slow, injected_bug_caught_and_shrunk);
     ("shrink deterministic", `Slow, shrink_deterministic);
-    ("passing triple rejected by shrinker", `Quick, passing_triple_rejected_by_shrinker);
+    ("passing triple rejected by shrinker", `Quick, passing_spec_rejected_by_shrinker);
     ("repro roundtrip", `Quick, repro_roundtrip);
     ("repro golden byte stable", `Quick, repro_golden_byte_stable);
     ("replay re-emits bundle", `Slow, replay_reemits_bundle);
     ("scenario coverage explicit", `Quick, sweep_coverage_no_silent_gaps);
     ("chaos sweep coverage", `Quick, chaos_sweep_reports_coverage);
+    ("verify sweep: clean 20 cases", `Quick, verify_clean_sweep);
+    ("verify sweep: injected to golden", `Quick, verify_injected_sweep_golden);
+    ("verify replay: golden bytes", `Quick, verify_replay_golden);
+    ("shrink keeps spec fields", `Quick, shrink_keeps_spec_fields);
   ]
