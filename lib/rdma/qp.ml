@@ -102,7 +102,6 @@ let disconnect t =
   mark_err t;
   match t.peer with Some p -> mark_err p | None -> ()
 let outstanding t = t.outstanding
-let link_up t = t.link.up
 let set_link_up t up = t.link.up <- up
 
 let tel_post t =

@@ -59,8 +59,6 @@ val disconnect : t -> unit
 val outstanding : t -> int
 (** Posted but not yet completed work requests on this QP. *)
 
-val link_up : t -> bool
-
 val set_link_up : t -> bool -> unit
 (** Partition injection: when down, operations in either direction time
     out. *)

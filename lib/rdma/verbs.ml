@@ -4,14 +4,7 @@ let access_none = { remote_read = false; remote_write = false }
 let access_ro = { remote_read = true; remote_write = false }
 let access_rw = { remote_read = true; remote_write = true }
 
-let pp_access ppf a =
-  Fmt.pf ppf "%c%c" (if a.remote_read then 'r' else '-') (if a.remote_write then 'w' else '-')
-
 type qp_state = Reset | Init | Rtr | Rts | Err
-
-let pp_qp_state ppf s =
-  Fmt.string ppf
-    (match s with Reset -> "RESET" | Init -> "INIT" | Rtr -> "RTR" | Rts -> "RTS" | Err -> "ERR")
 
 type wc_status = Success | Remote_access_error | Operation_timeout | Flushed
 
@@ -29,12 +22,3 @@ type wc = {
   status : wc_status;
   byte_len : int;
 }
-
-let pp_wc ppf wc =
-  Fmt.pf ppf "wc{id=%d;%s;%a;%dB}" wc.wr_id
-    (match wc.kind with
-    | `Write -> "write"
-    | `Read -> "read"
-    | `Send -> "send"
-    | `Recv -> "recv")
-    pp_wc_status wc.status wc.byte_len

@@ -12,13 +12,10 @@ type access = { remote_read : bool; remote_write : bool }
 val access_none : access
 val access_ro : access
 val access_rw : access
-val pp_access : access Fmt.t
 
 (** QP states, as in ibverbs. Only RTS can post; only RTR/RTS accept
     incoming operations; ERR flushes everything (§5.2). *)
 type qp_state = Reset | Init | Rtr | Rts | Err
-
-val pp_qp_state : qp_state Fmt.t
 
 (** Work-completion status. [Flushed] is returned for work posted to (or
     pending on) a QP in the ERR state — this is how a deposed leader
@@ -40,5 +37,3 @@ type wc = {
   byte_len : int;  (** Bytes transferred ([`Recv]: payload received). *)
 }
 (** Work completion: identifies the work request and its outcome. *)
-
-val pp_wc : wc Fmt.t

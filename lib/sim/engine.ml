@@ -177,13 +177,11 @@ let set_profiler t p = t.prof <- Some p
 let clear_profiler t = t.prof <- None
 let profiled t = match t.prof with Some _ -> true | None -> false
 let set_selfcost t sc = t.selfcost <- Some sc
-let clear_selfcost t = t.selfcost <- None
 
 (* Tracing ------------------------------------------------------------- *)
 
 let probe t = t.probe
 let traced t = Probe.enabled t.probe
-let current_fiber t = t.cur_fiber
 
 let emit t ~kind ?(cat = "sim") ?pid ?tid ?(id = 0) ?(args = []) name =
   match Probe.sink t.probe with

@@ -109,7 +109,6 @@ val selfcost_create : ?stride:int -> clock:(unit -> float) -> unit -> selfcost
 (** [stride] (default 64): measure one queue op in [stride]. *)
 
 val set_selfcost : t -> selfcost -> unit
-val clear_selfcost : t -> unit
 
 val selfcost_queue : selfcost -> int * int * float
 (** [(ops, sampled, wall_s)]: total queue ops, ops measured, and wall
@@ -144,9 +143,6 @@ val traced : t -> bool
 (** [true] iff a sink is installed. Guard argument-list construction on
     hot paths with this. *)
 
-val current_fiber : t -> int
-(** Id of the fiber whose segment is executing (0 = scheduler). *)
-
 val trace_instant :
   t -> ?cat:string -> ?pid:int -> ?tid:int -> ?args:(string * string) list -> string -> unit
 
@@ -168,8 +164,6 @@ val trace_counter : t -> ?cat:string -> ?pid:int -> string -> value:int -> unit
 
 val trace_meta_process : t -> pid:int -> string -> unit
 (** Name a host for trace viewers; emitted by {!Host.create}. *)
-
-val trace_meta_thread : t -> pid:int -> tid:int -> string -> unit
 
 val trace_span :
   t -> ?cat:string -> ?pid:int -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
@@ -196,16 +190,12 @@ val provenance_on : t -> bool
     attribution identity; with no sink the span events themselves go
     nowhere). Guard argument construction on hot paths with this. *)
 
-val current_span : t -> int
-(** Innermost open {!with_span} span of the executing fiber (0 = none).
-    Fiber-local: tracked per fiber across suspensions. *)
-
 val span_open : t -> ?pid:int -> ?parent:int -> ?args:(string * string) list -> string -> int
 (** Open a {e detached} span and return its id (0 when provenance is off).
-    [parent] defaults to {!current_span}. Detached spans may be closed from
-    a different fiber (e.g. an RDMA post closed by its completion) and may
-    overlap their siblings; the caller owns the id and must {!span_close}
-    it. *)
+    [parent] defaults to the executing fiber's innermost open
+    {!with_span} span. Detached spans may be closed from a different fiber
+    (e.g. an RDMA post closed by its completion) and may overlap their
+    siblings; the caller owns the id and must {!span_close} it. *)
 
 val span_close : t -> ?pid:int -> ?args:(string * string) list -> int -> unit
 (** Close a span by id; extra [args] (e.g. a completion status) attach to
@@ -220,9 +210,10 @@ val span_edge : t -> ?pid:int -> kind:string -> src:int -> dst:int -> unit -> un
 
 val with_span : t -> ?pid:int -> ?args:(string * string) list -> string -> (int -> 'a) -> 'a
 (** [with_span t name f] runs [f id] inside a stack-scoped span: the span
-    becomes {!current_span} for the dynamic extent of [f] (parenting both
-    nested [with_span]s and detached {!span_open}s), and is closed when [f]
-    returns or raises. [f] receives 0 when provenance is off. *)
+    is the fiber's innermost open span for the dynamic extent of [f]
+    (parenting both nested [with_span]s and detached {!span_open}s), and
+    is closed when [f] returns or raises. [f] receives 0 when provenance
+    is off. *)
 
 val span_scope : t -> ?pid:int -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** {!with_span} when the body does not need the span id. *)

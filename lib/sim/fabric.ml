@@ -12,8 +12,6 @@ type t = {
 
 let create () = { links = Hashtbl.create 16; perm_fail = Hashtbl.create 4 }
 
-let quiet t = Hashtbl.length t.links = 0 && Hashtbl.length t.perm_fail = 0
-
 let find t ~src ~dst =
   if Hashtbl.length t.links = 0 then None else Hashtbl.find_opt t.links (src, dst)
 

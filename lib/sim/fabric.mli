@@ -29,15 +29,9 @@ type t
 
 val create : unit -> t
 
-val quiet : t -> bool
-(** No faults installed at all. *)
-
 val find : t -> src:int -> dst:int -> fault option
 (** The fault installed on the directed link, if any. O(1), allocation
     free when the table is empty. *)
-
-val edit : t -> src:int -> dst:int -> fault
-(** Find-or-create the directed link's fault record. *)
 
 val block : t -> src:int -> dst:int -> unit
 val unblock : t -> src:int -> dst:int -> unit

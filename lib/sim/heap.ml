@@ -71,7 +71,6 @@ let push t ~key ~seq value =
 
 let top_key t = if t.size = 0 then max_int else t.keys.(0)
 let top_seq t = if t.size = 0 then max_int else t.seqs.(0)
-let peek_key t = if t.size = 0 then None else Some (t.keys.(0), t.seqs.(0))
 
 let sift_down t =
   let i = ref 0 in

@@ -18,12 +18,8 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> key:int -> seq:int -> 'a -> unit
 
-val peek_key : 'a t -> (int * int) option
-(** Key and sequence of the minimum element, if any. *)
-
 val top_key : 'a t -> int
-(** Key of the minimum element; [max_int] when empty. Allocation-free
-    companion to {!peek_key} for hot loops. *)
+(** Key of the minimum element; [max_int] when empty. Allocation-free. *)
 
 val top_seq : 'a t -> int
 (** Sequence of the minimum element; [max_int] when empty. *)

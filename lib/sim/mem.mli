@@ -1,13 +1,16 @@
 (** Zero-on-demand paged memory.
 
     A region is a fixed-size byte range split into pages of
-    {!page_size} bytes (the last page, or a region smaller than one
-    page, is cut to the region's end). Every page starts out as a
-    shared read-only zero page and gets its own bytes on the first
-    store that touches it, so a large region that is mostly never
-    written (a 16 384-slot consensus log, say) costs a pointer per page
-    until it is used. Reads and writes may straddle page boundaries;
-    the accessors allocate nothing except {!sub}'s result.
+    {!page_size} bytes, grouped 256 to a directory that covers 64 KiB
+    (the last page, or a region smaller than one page, is cut to the
+    region's end). Every directory starts out as a shared read-only
+    zero directory of shared zero pages; the first store into a page
+    gives its directory, then the page, a copy of their own. A large
+    region that is mostly never written (a 16 384-slot consensus log,
+    say) costs a pointer per 64 KiB until it is used, and a log entry
+    of a few dozen bytes costs one or two small pages. Reads and writes
+    may straddle page boundaries; the accessors allocate nothing except
+    {!sub}'s result.
 
     Every access is bounds-checked against the region and raises
     [Invalid_argument] when it falls outside. *)
@@ -15,7 +18,8 @@
 type t
 
 val page_size : int
-(** 64 KiB. *)
+(** 256 bytes: a few log entries, so a slot-sized store materializes
+    little more than it writes. *)
 
 val create : int -> t
 (** A zero-filled region of the given size (> 0). *)
@@ -45,5 +49,6 @@ val sub : t -> off:int -> len:int -> Bytes.t
 
 val fill : t -> off:int -> len:int -> char -> unit
 (** Store [len] copies of a byte. Filling a never-written page with
-    zeros leaves it unmaterialized, and zeros over a whole page return
-    it to the shared zero page. *)
+    zeros leaves it unmaterialized, and zeros over a whole page (or a
+    whole 64 KiB directory) return it to the shared zero page (or
+    directory). *)

@@ -9,8 +9,8 @@
     Four levels of 256 slots cover a 2^32-tick horizon with O(1)
     push and amortised-O(1) pop; events beyond the horizon wait in an
     overflow min-heap, and events pushed behind the wheel clock (which
-    [peek_key]/[next_key] may advance past a [run ~until] limit) go to
-    a small "past" heap that always drains first. Buckets are parallel
+    [next_key] may advance past a [run ~until] limit) go to a small
+    "past" heap that always drains first. Buckets are parallel
     int/payload arrays and a push/pop cycle allocates nothing; vacated
     payload slots are cleared immediately so retired event closures are
     never retained by the queue. *)
@@ -28,13 +28,9 @@ val push : 'a t -> key:int -> seq:int -> 'a -> unit
     comparisons. *)
 
 val next_key : 'a t -> int
-(** Key of the minimum element; [max_int] when empty. Allocation-free
-    companion to {!peek_key} for hot loops. May advance the internal
-    wheel clock (cascading upper levels down), which never changes the
-    pop order. *)
-
-val peek_key : 'a t -> (int * int) option
-(** Key and sequence of the minimum element, if any. *)
+(** Key of the minimum element; [max_int] when empty. Allocation-free,
+    for hot loops. May advance the internal wheel clock (cascading upper
+    levels down), which never changes the pop order. *)
 
 val due_by : 'a t -> int -> bool
 (** [due_by t at]: whether some element has key [<= at]. Unlike

@@ -31,4 +31,5 @@ let () =
       ("profile", Test_profile.suite);
       ("modelcheck", Test_modelcheck.suite);
       ("park", Test_park.suite);
+      ("determinism", Test_determinism.suite);
     ]

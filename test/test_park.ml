@@ -144,6 +144,9 @@ let permission_manager_grants_on_grid () =
 
 let page = Sim.Mem.page_size
 
+(* One directory of the two-level store spans 256 pages (64 KiB). *)
+let dir = 256 * page
+
 type op =
   | Set_i64 of int * int64
   | Set_i32 of int * int32
@@ -158,16 +161,21 @@ let pp_op = function
   | Blit (o, s) -> Printf.sprintf "blit %d (%d bytes)" o (String.length s)
   | Fill (o, n, c) -> Printf.sprintf "fill %d %d %C" o n c
 
-(* Offsets cluster around page boundaries and the region's ends, with a
-   few out of bounds. *)
+(* Offsets cluster around page and directory boundaries and the
+   region's ends, with a few out of bounds. *)
 let offset_gen size =
   QCheck.Gen.(
-    let boundary = map2 (fun k d -> (k * page) + d) (0 -- (size / page)) (-9 -- 9) in
+    let near unit = map2 (fun k d -> (k * unit) + d) (0 -- (size / unit)) (-9 -- 9) in
     frequency
       [
-        (4, boundary); (2, 0 -- (size - 1)); (1, map (fun d -> size + d) (-9 -- 3)); (1, -3 -- -1);
+        (3, near page);
+        (2, near dir);
+        (2, 0 -- (size - 1));
+        (1, map (fun d -> size + d) (-9 -- 3));
+        (1, -3 -- -1);
       ])
 
+(* Fills are short, or long enough to cover whole pages and directories. *)
 let op_gen size =
   QCheck.Gen.(
     let off = offset_gen size in
@@ -177,7 +185,11 @@ let op_gen size =
         map2 (fun o v -> Set_i32 (o, v)) off (map Int32.of_int int);
         map2 (fun o c -> Set_char (o, c)) off printable;
         map2 (fun o s -> Blit (o, s)) off (string_size (0 -- 300));
-        map3 (fun o n c -> Fill (o, n, c)) off (0 -- 300) (oneofl [ '\000'; 'z' ]);
+        map3
+          (fun o n c -> Fill (o, n, c))
+          off
+          (oneof [ 0 -- 300; 0 -- (size + 10) ])
+          (oneofl [ '\000'; 'z' ]);
       ])
 
 let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None
@@ -209,7 +221,9 @@ let op_offset = function
   | Set_i64 (o, _) | Set_i32 (o, _) | Set_char (o, _) | Blit (o, _) | Fill (o, _, _) -> o
 
 let page_store_model =
-  let sizes = [ 1; 64; page; page + 1; (3 * page) + 100 ] in
+  let sizes =
+    [ 1; 64; page; page + 1; (3 * page) + 100; dir; dir + 1; (2 * dir) + (3 * page) + 100 ]
+  in
   QCheck.Test.make ~name:"page store matches flat bytes" ~count:300
     QCheck.(
       make
@@ -224,22 +238,30 @@ let page_store_model =
         (fun op -> apply_both mem flat op && reads_agree mem flat (op_offset op))
         ops
       && Sim.Mem.sub mem ~off:0 ~len:size = flat
-      && Sim.Mem.pages_materialized mem <= (size + page - 1) / page)
+      && Sim.Mem.pages_materialized mem <= (size + page - 1) / page
+      &&
+      (Sim.Mem.fill mem ~off:0 ~len:size '\000';
+       Sim.Mem.pages_materialized mem = 0))
 
 let pages_on_demand () =
-  let mem = Sim.Mem.create ((4 * page) + 10) in
+  check_int "pages are 256 bytes" 256 page;
+  let mem = Sim.Mem.create (dir + (4 * page) + 10) in
   check_int "nothing materialized" 0 (Sim.Mem.pages_materialized mem);
   Sim.Mem.fill mem ~off:0 ~len:(Sim.Mem.size mem) '\000';
   check_int "zero fill keeps zero pages" 0 (Sim.Mem.pages_materialized mem);
   Sim.Mem.set_i64 mem (page - 4) 0x0102030405060708L;
   check_int "a straddling store touches two pages" 2 (Sim.Mem.pages_materialized mem);
   check "straddling read" true (Sim.Mem.get_i64 mem (page - 4) = 0x0102030405060708L);
-  Sim.Mem.set_char mem ((4 * page) + 9) 'x';
-  check_int "the short last page" 3 (Sim.Mem.pages_materialized mem);
-  check "last byte" true (Sim.Mem.get_char mem ((4 * page) + 9) = 'x')
+  Sim.Mem.set_i32 mem (dir - 2) 0x0a0b0c0dl;
+  check_int "so does one across a directory edge" 4 (Sim.Mem.pages_materialized mem);
+  check "read across the directory edge" true (Sim.Mem.get_i32 mem (dir - 2) = 0x0a0b0c0dl);
+  Sim.Mem.set_char mem (dir + (4 * page) + 9) 'x';
+  check_int "the short last page" 5 (Sim.Mem.pages_materialized mem);
+  check "last byte" true (Sim.Mem.get_char mem (dir + (4 * page) + 9) = 'x')
 
-(* Zeros over a whole page hand it back to the shared zero page; a
-   partial zero fill keeps the page's own bytes. *)
+(* Zeros over a whole page hand it back to the shared zero page, and
+   zeros over whole directories hand back every page in them; a partial
+   zero fill keeps the page's own bytes. *)
 let zero_fill_returns_pages () =
   let mem = Sim.Mem.create ((3 * page) + 10) in
   Sim.Mem.fill mem ~off:0 ~len:(Sim.Mem.size mem) 'x';
@@ -259,7 +281,21 @@ let zero_fill_returns_pages () =
   Sim.Mem.set_char mem (page + 5) 'y';
   check_int "a store re-materializes" 3 (Sim.Mem.pages_materialized mem);
   check "fresh page is zero around the store" true
-    (Sim.Mem.get_char mem (page + 4) = '\000' && Sim.Mem.get_char mem (page + 5) = 'y')
+    (Sim.Mem.get_char mem (page + 4) = '\000' && Sim.Mem.get_char mem (page + 5) = 'y');
+  let mem = Sim.Mem.create ((2 * dir) + 10) in
+  Sim.Mem.fill mem ~off:0 ~len:(Sim.Mem.size mem) 'x';
+  check_int "three directories written" 513 (Sim.Mem.pages_materialized mem);
+  Sim.Mem.fill mem ~off:(dir - 1) ~len:(dir + 11) '\000';
+  check_int "whole directories go back, the partial page stays" 256
+    (Sim.Mem.pages_materialized mem);
+  check "last byte before the zeros kept" true (Sim.Mem.get_char mem (dir - 2) = 'x');
+  check "directory reads zero" true (Sim.Mem.get_i64 mem (dir + 100) = 0L);
+  Sim.Mem.set_char mem ((2 * dir) + 9) 'z';
+  check_int "a store re-materializes in a returned directory" 257
+    (Sim.Mem.pages_materialized mem);
+  check "fresh directory is zero around the store" true
+    (Sim.Mem.get_char mem ((2 * dir) + 8) = '\000'
+    && Sim.Mem.get_char mem ((2 * dir) + 9) = 'z')
 
 let aliases_share_pages_and_watches () =
   let e = Util.engine () in
@@ -305,6 +341,58 @@ let nvm_region_reopened () =
   check_int "the dead incarnation's watch stays silent" 1 !old_fired;
   check_int "pages written so far" 2 (Sim.Mem.pages_materialized region')
 
+(* The count behind the simulator's resident memory: a 16 384-slot log
+   at the slot stride of [value_cap] 1024 (1040 B), every slot holding
+   an 82-byte KV entry, materializes only the pages its entries touch,
+   at most two per slot. Zeroing it in the recycler's chunks (256 KiB
+   of slots, 252 at this stride) returns every page a chunk fully
+   covers. *)
+let log_footprint_at_slot_stride () =
+  let slots = 16_384 and value_cap = 1024 in
+  let size = Mu.Log.required_size ~slots ~value_cap in
+  let mem = Sim.Mem.create size in
+  let e = Util.engine () in
+  let mr = Rdma.Mr.register (Util.host e ~id:0) ~mem ~size ~access:Rdma.Verbs.access_rw in
+  let log = Mu.Log.attach mr ~slots ~value_cap in
+  let stride = Mu.Log.slot_size log and value = Bytes.make 69 'v' in
+  check_int "the log stride" 1040 stride;
+  let entry = Mu.Log.entry_bytes ~value_len:(Bytes.length value) in
+  check_int "82-byte entries" 82 entry;
+  let npages = (size + page - 1) / page in
+  let written = Array.make npages false and covered = Array.make npages false in
+  for idx = 0 to slots - 1 do
+    Mu.Log.write_slot_local log idx ~proposal:1L ~value;
+    let off = Mu.Log.slot_offset log idx in
+    for p = off / page to (off + entry - 1) / page do
+      written.(p) <- true
+    done
+  done;
+  let count f =
+    let n = ref 0 in
+    for p = 0 to npages - 1 do
+      if f p then incr n
+    done;
+    !n
+  in
+  let pages = Sim.Mem.pages_materialized mem in
+  check_int "exactly the pages the entries touch" (count (Array.get written)) pages;
+  check "at most two 256-byte pages per written slot" true (pages * page <= 2 * 256 * slots);
+  let chunk = 262_144 / stride in
+  check_int "the recycler's chunk" 252 chunk;
+  let idx = ref 0 in
+  while !idx < slots do
+    let n = min chunk (slots - !idx) in
+    let off = Mu.Log.slot_offset log !idx and len = n * stride in
+    Rdma.Mr.zero mr ~off ~len;
+    for p = off / page to (off + len - 1) / page do
+      if p * page >= off && min size ((p + 1) * page) <= off + len then covered.(p) <- true
+    done;
+    idx := !idx + n
+  done;
+  check_int "every page a chunk covers is returned"
+    (count (fun p -> written.(p) && not covered.(p)))
+    (Sim.Mem.pages_materialized mem)
+
 let suite =
   [
     ("idle event budget", `Quick, idle_event_budget);
@@ -316,4 +404,5 @@ let suite =
     ("aliases share pages and watches", `Quick, aliases_share_pages_and_watches);
     ("nvm region reopened after restart", `Quick, nvm_region_reopened);
     QCheck_alcotest.to_alcotest page_store_model;
+    ("log footprint at slot stride", `Quick, log_footprint_at_slot_stride);
   ]
