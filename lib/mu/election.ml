@@ -8,8 +8,6 @@ let is_alive t id =
   if id = t.Replica.id then true
   else Option.value (Hashtbl.find_opt t.Replica.alive id) ~default:true
 
-let current_leader t = t.Replica.leader_estimate
-
 (* Replication-plane activity check for fate sharing: a propose call in
    flight for longer than the configured bound means the replication
    thread is stuck and we should stop advertising liveness (§5.1). *)

@@ -24,9 +24,6 @@ val start : Replica.t -> on_role_change:(Replica.role -> unit) -> unit
     [on_role_change] fires from the role fiber whenever this replica's
     role flips. *)
 
-val current_leader : Replica.t -> int
-(** This replica's current leader estimate. *)
-
 val is_alive : Replica.t -> int -> bool
 (** Whether this replica currently believes peer [id] to be alive. *)
 

@@ -133,12 +133,3 @@ let check_all replicas =
       single_writer replicas;
       applied_within_fuo replicas;
     ]
-
-let assert_all replicas =
-  match check_all replicas with
-  | [] -> ()
-  | violations ->
-    failwith
-      (Fmt.str "@[<v>safety invariants violated:@,%a@]"
-         (Fmt.list ~sep:Fmt.cut pp_violation)
-         violations)

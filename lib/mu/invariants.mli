@@ -26,9 +26,4 @@ val check_all : Replica.t array -> violation list
 
 val agreement : Replica.t array -> violation list
 val no_holes : Replica.t array -> violation list
-val decided_at_majority : Replica.t array -> violation list
 val single_writer : Replica.t array -> violation list
-val applied_within_fuo : Replica.t array -> violation list
-
-val assert_all : Replica.t array -> unit
-(** Raise [Failure] with a rendered report if any invariant is violated. *)

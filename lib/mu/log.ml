@@ -44,7 +44,6 @@ let attach ?(canary = Flag) mr ~slots ~value_cap =
 
 let mr t = t.mr
 let slots t = t.slots
-let value_cap t = t.value_cap
 let slot_size t = t.slot_size
 let slot_offset t idx = header_size + (idx mod t.slots * t.slot_size)
 let entry_bytes ~value_len = entry_header + value_len + 1
@@ -140,17 +139,3 @@ let write_slot_local t idx ~proposal ~value =
   write_slot_raw_local t idx (encode_slot t ~proposal ~value)
 
 let zero_slot_local t idx = Rdma.Mr.zero t.mr ~off:(slot_offset t idx) ~len:t.slot_size
-
-let pp ppf t =
-  Fmt.pf ppf "log{minProp=%Ld; fuo=%d" (min_proposal t) (fuo t);
-  let shown = ref 0 in
-  let idx = ref 0 in
-  while !shown < 8 && !idx < t.slots do
-    (match read_slot t !idx with
-    | Some s ->
-      incr shown;
-      Fmt.pf ppf "; [%d]=(%Ld,%dB)" !idx s.proposal (Bytes.length s.value)
-    | None -> ());
-    incr idx
-  done;
-  Fmt.pf ppf "}"

@@ -48,7 +48,6 @@ val attach : ?canary:canary_mode -> Rdma.Mr.t -> slots:int -> value_cap:int -> t
 
 val mr : t -> Rdma.Mr.t
 val slots : t -> int
-val value_cap : t -> int
 
 (** {1 Offsets, for composing one-sided operations} *)
 
@@ -90,6 +89,3 @@ val decode_slot : ?canary:canary_mode -> Bytes.t -> slot option
 val write_slot_local : t -> int -> proposal:int64 -> value:bytes -> unit
 val write_slot_raw_local : t -> int -> Bytes.t -> unit
 val zero_slot_local : t -> int -> unit
-
-val pp : t Fmt.t
-(** Debug rendering of header and first non-empty slots. *)

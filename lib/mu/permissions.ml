@@ -85,8 +85,6 @@ let pending_request t =
       if Int64.compare gen (last_granted t id) > 0 then Some (id, gen) else None)
     ids
 
-let grant_self_local t ~gen = handle_request t t.Replica.id gen
-
 let start t =
   Sim.Host.spawn t.Replica.host ~name:"perm-mgmt" (fun () ->
       let host = t.Replica.host in

@@ -34,9 +34,5 @@ val pending_request : Replica.t -> (int * int64) option
     one we granted it, with that generation. [None] when every request
     has been served. *)
 
-val grant_self_local : Replica.t -> gen:int64 -> unit
-(** Process our own request locally without waiting for the spinning
-    thread (used in tests). *)
-
 val poll_interval : int
 (** Virtual ns between scans of the request array. *)

@@ -53,8 +53,6 @@ type t = {
   mutable stopped : bool;
 }
 
-let engine t = t.engine
-let config t = t.cfg
 let replicas t = t.replicas
 let replica t id = t.replicas.(id)
 let rejoins t = List.rev t.rejoins

@@ -42,8 +42,6 @@ val start : ?client_service:bool -> t -> unit
     harnesses (e.g. the standalone latency benches, §7.1) that drive
     {!Replication.propose} themselves. *)
 
-val engine : t -> Sim.Engine.t
-val config : t -> Config.t
 val replicas : t -> Replica.t array
 val replica : t -> int -> Replica.t
 
@@ -68,15 +66,12 @@ val submit_async : ?retry:bool -> t -> bytes -> bytes Sim.Engine.Ivar.ivar
     When [config.queue_limit] is positive and the incoming queue is
     already at the bound — the signature of a quorum-lost leader parking
     requests — the request is {e shed}: the ivar fills immediately with
-    {!retryable_error} and nothing is enqueued. *)
-
-val retryable_error : bytes
-(** Response sentinel for shed requests. Its first byte ['!'] is
-    reserved: no application response starts with it. *)
+    the retryable-error sentinel and nothing is enqueued. *)
 
 val is_retryable : bytes -> bool
 (** Whether a response is the shed sentinel (clients should back off and
-    retry; the request was never enqueued). *)
+    retry; the request was never enqueued). The sentinel's first byte
+    ['!'] is reserved: no application response starts with it. *)
 
 val submit : t -> bytes -> bytes
 (** {!submit_async} then block (must run inside a fiber). *)
@@ -141,7 +136,7 @@ val restarts_in_flight : t -> int
 (** Restart pipelines currently running (admission, catch-up, …). *)
 
 val shed_requests : t -> int
-(** Requests refused with {!retryable_error} by the queue bound. *)
+(** Requests refused with the retryable-error sentinel by the queue bound. *)
 
 val queue_depth : t -> int
 (** Client requests currently parked in the incoming queue (submitted

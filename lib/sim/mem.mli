@@ -1,16 +1,24 @@
 (** Zero-on-demand paged memory.
 
     A region is a fixed-size byte range split into pages of
-    {!page_size} bytes, grouped 256 to a directory that covers 64 KiB
-    (the last page, or a region smaller than one page, is cut to the
-    region's end). Every directory starts out as a shared read-only
-    zero directory of shared zero pages; the first store into a page
-    gives its directory, then the page, a copy of their own. A large
-    region that is mostly never written (a 16 384-slot consensus log,
-    say) costs a pointer per 64 KiB until it is used, and a log entry
-    of a few dozen bytes costs one or two small pages. Reads and writes
-    may straddle page boundaries; the accessors allocate nothing except
-    {!sub}'s result.
+    {!page_size} bytes, grouped 256 to a directory that covers 64 KiB.
+    Every directory starts out as a shared read-only zero directory
+    whose pages all read as zeros; the first store into a page gives
+    its directory a copy of its own and the page bytes of its own. A
+    large region that is mostly never written (a 16 384-slot consensus
+    log, say) costs a pointer per 64 KiB until it is used, and a log
+    entry of a few dozen bytes costs one or two pages.
+
+    Page bytes live in a slab owned by the region: chunks of 16 pages
+    that hold no pointers, so the garbage collector neither scans nor
+    copies them, cut to the pages a small region has (one store into a
+    64-byte region costs one page). Pages that a zero fill returns are
+    reused, zeroed, by later stores, so a region that is written and
+    cleared over and over (a recycled log) stops allocating once its
+    slab covers the most pages it ever holds at once. Reads and writes
+    may straddle page boundaries; loads allocate nothing except {!sub}'s
+    result, and a store allocates only to give its directory a copy of
+    its own or to grow the slab.
 
     Every access is bounds-checked against the region and raises
     [Invalid_argument] when it falls outside. *)
@@ -50,5 +58,5 @@ val sub : t -> off:int -> len:int -> Bytes.t
 val fill : t -> off:int -> len:int -> char -> unit
 (** Store [len] copies of a byte. Filling a never-written page with
     zeros leaves it unmaterialized, and zeros over a whole page (or a
-    whole 64 KiB directory) return it to the shared zero page (or
-    directory). *)
+    whole 64 KiB directory) return it to the shared zeros: the page to
+    the slab for reuse, the directory to the shared zero directory. *)

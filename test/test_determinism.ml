@@ -54,6 +54,69 @@ let chaos ~n ~seed name () =
            (Util.chaos_named ~n ~seed name)
           : Workload.Chaos.outcome))
 
+(* A bench figure run with a telemetry sampler at the bench's default
+   interval. [f setup sampler] runs the figure, checks it and returns its
+   results; the row's exports are the metric dump and those results. *)
+let with_sampler f () =
+  let sampler = Telemetry.Sampler.create (Telemetry.Registry.create ()) ~interval:50_000 in
+  let setup =
+    {
+      E.seed = 42L;
+      cal = Util.default_cal;
+      trace = None;
+      metrics = Some sampler;
+      faults = None;
+      provenance = false;
+      on_engine = None;
+    }
+  in
+  let results = f setup sampler in
+  [
+    ("metrics", Telemetry.Export.json ~sampler (Telemetry.Sampler.registry sampler));
+    ("results", Faults.Json.to_string results);
+  ]
+
+(* p50, p99 and p99.9 in ns, as the bench's results file has them. *)
+let samples_json s =
+  let module S = Sim.Stats.Samples in
+  let n v = Faults.Json.Num (float_of_int v) in
+  Faults.Json.Obj
+    [ ("p50", n (S.median s)); ("p99", n (S.percentile s 99.0)); ("p999", n (S.percentile s 99.9)) ]
+
+(* fig3 at the quick bench's 5 000 samples per configuration; the 64 B
+   standalone median must sit in the calibrated band, 0.9–2.0 µs. *)
+let fig3 setup _ =
+  let standalone p = (Printf.sprintf "standalone %dB" p, p, Mu.Config.Standalone) in
+  let rows =
+    List.map
+      (fun (name, payload, attach) ->
+        (name, E.mu_replication_latency setup ~samples:5_000 ~payload ~attach))
+      (List.map standalone [ 32; 64; 128; 256; 512 ]
+      @ [
+          ("attached LiQ 32B (direct)", 32, Mu.Config.Direct);
+          ("attached HERD 50B (direct)", 50, Mu.Config.Direct);
+          ("attached mcd 64B (handover)", 64, Mu.Config.Handover);
+          ("attached rds 64B (handover)", 64, Mu.Config.Handover);
+        ])
+  in
+  let p50 = Sim.Stats.Samples.median (List.assoc "standalone 64B" rows) in
+  Alcotest.(check bool) "64 B replication median in calibrated band" true
+    (p50 >= 900 && p50 <= 2_000);
+  Faults.Json.Obj (List.map (fun (name, s) -> (name, samples_json s)) rows)
+
+(* fig6 at the quick bench's 100 rounds; some follower's score for the
+   paused leader must fall below 2 and, after the resume, climb above 6. *)
+let fig6 setup sampler =
+  let r = E.failover setup ~rounds:100 in
+  Alcotest.(check bool) "score timeline crosses fail then recover" true
+    (Telemetry.Dashboard.has_fail_recover_crossing ~fail:2 ~recover:6 sampler);
+  Faults.Json.Obj
+    [
+      ("total", samples_json r.E.total);
+      ("detection", samples_json r.E.detection);
+      ("switch", samples_json r.E.switch);
+    ]
+
 let folded f () = [ ("folded", Vt.to_folded_string (f ())) ]
 
 let both f () =
@@ -78,6 +141,8 @@ let rows =
       first = folded (failover ~seed:42L ~rounds:50);
       second = folded (failover ~selfcost:true ~seed:42L ~rounds:50);
     };
+    twice "fig3 metrics and results" (with_sampler fig3);
+    twice "fig6 metrics and results" (with_sampler fig6);
   ]
 
 let check_row r () =

@@ -220,6 +220,35 @@ let reads_agree mem flat o =
 let op_offset = function
   | Set_i64 (o, _) | Set_i32 (o, _) | Set_char (o, _) | Blit (o, _) | Fill (o, _, _) -> o
 
+(* Page reuse: every byte is set to 'p', a zero fill over whole pages
+   hands them back, and partial-page stores of a new pattern ('a'..'f')
+   then land in those pages. A page handed out again must read zero
+   wherever the new stores did not write. Draws the first returned page,
+   the number returned and the stores. *)
+let reuse_gen size =
+  QCheck.Gen.(
+    let pages = (size + page - 1) / page in
+    0 -- (pages - 1) >>= fun first ->
+    1 -- (pages - first) >>= fun n ->
+    let lo = first * page and hi = min size ((first + n) * page) in
+    let off = lo -- (hi - 1) and pattern = char_range 'a' 'f' in
+    let store =
+      oneof
+        [
+          map2 (fun o c -> Set_char (o, c)) off pattern;
+          map2 (fun o s -> Blit (o, s)) off (string_size ~gen:pattern (1 -- (page / 2)));
+          map2
+            (fun o s -> Set_i32 (o, Bytes.get_int32_le (Bytes.of_string s) 0))
+            off (string_size ~gen:pattern (return 4));
+        ]
+    in
+    map (fun stores -> (first, n, stores)) (list_size (1 -- 8) store))
+
+(* The fills that set every byte, then return pages [first, first + n). *)
+let reuse_fills size (first, n, _) =
+  let lo = first * page in
+  [ Fill (0, size, 'p'); Fill (lo, min size ((first + n) * page) - lo, '\000') ]
+
 let page_store_model =
   let sizes =
     [ 1; 64; page; page + 1; (3 * page) + 100; dir; dir + 1; (2 * dir) + (3 * page) + 100 ]
@@ -227,18 +256,29 @@ let page_store_model =
   QCheck.Test.make ~name:"page store matches flat bytes" ~count:300
     QCheck.(
       make
-        ~print:(fun (size, ops) ->
-          Printf.sprintf "size %d: %s" size (String.concat "; " (List.map pp_op ops)))
+        ~print:(fun (size, ops, ((_, _, stores) as reuse)) ->
+          Printf.sprintf "size %d: %s; then %s" size
+            (String.concat "; " (List.map pp_op ops))
+            (String.concat "; " (List.map pp_op (reuse_fills size reuse @ stores))))
         Gen.(
           oneofl sizes >>= fun size ->
-          map (fun ops -> (size, ops)) (list_size (1 -- 40) (op_gen size))))
-    (fun (size, ops) ->
+          map2
+            (fun ops reuse -> (size, ops, reuse))
+            (list_size (1 -- 40) (op_gen size))
+            (reuse_gen size)))
+    (fun (size, ops, ((_, n, stores) as reuse)) ->
       let mem = Sim.Mem.create size and flat = Bytes.make size '\000' in
-      List.for_all
-        (fun op -> apply_both mem flat op && reads_agree mem flat (op_offset op))
-        ops
+      let pages = (size + page - 1) / page in
+      let run =
+        List.for_all (fun op -> apply_both mem flat op && reads_agree mem flat (op_offset op))
+      in
+      run ops
       && Sim.Mem.sub mem ~off:0 ~len:size = flat
-      && Sim.Mem.pages_materialized mem <= (size + page - 1) / page
+      && Sim.Mem.pages_materialized mem <= pages
+      && run (reuse_fills size reuse)
+      && Sim.Mem.pages_materialized mem = pages - n
+      && run stores
+      && Sim.Mem.sub mem ~off:0 ~len:size = flat
       &&
       (Sim.Mem.fill mem ~off:0 ~len:size '\000';
        Sim.Mem.pages_materialized mem = 0))
@@ -393,6 +433,51 @@ let log_footprint_at_slot_stride () =
     (count (fun p -> written.(p) && not covered.(p)))
     (Sim.Mem.pages_materialized mem)
 
+(* The slab's mechanism as a count: a log written, zeroed in the
+   recycler's chunks and written again takes every page of the second
+   pass from the pages the zero fills returned. The second pass
+   materializes the same pages as the first, allocates no major-heap
+   words, and allocates no minor words per page: at most 16 per store,
+   which covers the store call's closure and the 64 KiB directories that
+   whole-directory zero fills returned and the stores make again. A
+   written 64-byte region costs no more than one page. *)
+let warm_log_stores_allocate_no_pages () =
+  let slots = 16_384 and value_cap = 1024 in
+  let size = Mu.Log.required_size ~slots ~value_cap in
+  let mem = Sim.Mem.create size in
+  let e = Util.engine () in
+  let mr = Rdma.Mr.register (Util.host e ~id:0) ~mem ~size ~access:Rdma.Verbs.access_rw in
+  let log = Mu.Log.attach mr ~slots ~value_cap in
+  let stride = Mu.Log.slot_size log and entry = Bytes.make 82 'v' in
+  check_int "the log stride" 1040 stride;
+  check_int "82-byte entries" 82 (Mu.Log.entry_bytes ~value_len:69);
+  let write () =
+    for idx = 0 to slots - 1 do
+      Sim.Mem.blit_from_bytes entry 0 mem (Mu.Log.slot_offset log idx) 82
+    done
+  in
+  write ();
+  let first = Sim.Mem.pages_materialized mem in
+  let chunk = 262_144 / stride in
+  check_int "the recycler's chunk" 252 chunk;
+  let idx = ref 0 in
+  while !idx < slots do
+    let n = min chunk (slots - !idx) in
+    Sim.Mem.fill mem ~off:(Mu.Log.slot_offset log !idx) ~len:(n * stride) '\000';
+    idx := !idx + n
+  done;
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  write ();
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  check_int "the second pass materializes the same pages" first
+    (Sim.Mem.pages_materialized mem);
+  check "no major-heap words" true (major1 -. promoted1 -. (major0 -. promoted0) = 0.);
+  check "at most 16 minor words per store" true (minor1 -. minor0 <= 16. *. float_of_int slots);
+  let small = Sim.Mem.create 64 in
+  Sim.Mem.set_i64 small 8 1L;
+  check "a written 64-byte region holds at most 64 words" true
+    (Obj.reachable_words (Obj.repr small) <= 64)
+
 let suite =
   [
     ("idle event budget", `Quick, idle_event_budget);
@@ -405,4 +490,5 @@ let suite =
     ("nvm region reopened after restart", `Quick, nvm_region_reopened);
     QCheck_alcotest.to_alcotest page_store_model;
     ("log footprint at slot stride", `Quick, log_footprint_at_slot_stride);
+    ("warm log stores allocate no pages", `Quick, warm_log_stores_allocate_no_pages);
   ]
