@@ -481,8 +481,8 @@ let verify_cmd =
           (Modelcheck.Conformance.verdict_to_string
              bundle.Modelcheck.Repro.b_verdict)
           (Modelcheck.Conformance.verdict_to_string r.Modelcheck.Shrink.verdict);
-        (match r.Modelcheck.Shrink.witness with
-        | Some w -> Fmt.pr "%a@." Modelcheck.Conformance.pp_witness w
+        (match r.Modelcheck.Shrink.outcome.Workload.Chaos.witness with
+        | Some w -> Fmt.pr "%a@." Workload.Chaos.pp_witness w
         | None -> ());
         List.iter
           (fun v -> Fmt.pr "invariant: %a@." Mu.Invariants.pp_violation v)
@@ -508,7 +508,7 @@ let verify_cmd =
       Fmt.pr "history mix: %a@." Modelcheck.History.pp_stats
         report.Modelcheck.Verify.op_stats;
       (match report.Modelcheck.Verify.first_witness with
-      | Some w -> Fmt.pr "first failure: %a@." Modelcheck.Conformance.pp_witness w
+      | Some w -> Fmt.pr "first failure: %a@." Workload.Chaos.pp_witness w
       | None -> ());
       (match report.Modelcheck.Verify.minimized with
       | None -> exit 0
@@ -520,8 +520,8 @@ let verify_cmd =
           (if shrunk.Modelcheck.Shrink.exhausted then
              " (budget exhausted — may not be minimal)"
            else "");
-        (match shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.witness with
-        | Some w -> Fmt.pr "%a@." Modelcheck.Conformance.pp_witness w
+        (match shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.outcome.Workload.Chaos.witness with
+        | Some w -> Fmt.pr "%a@." Workload.Chaos.pp_witness w
         | None -> ());
         (match repro_file with
         | Some file ->

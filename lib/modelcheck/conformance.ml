@@ -1,191 +1,20 @@
-open Workload.Chaos
+type verdict = Pass | Not_conformant | Invariant_violation | Crash | Stall
 
-(* One linearization step of the per-key model: given the key's current
-   value, does this recorded reply fit, and what value results? An
-   unanswered write/delete has no reply to contradict — it may always be
-   linearized (at worst dead last, where it affects nothing retained). *)
-let step state (r : recorded) =
-  match (r.r_cmd, r.r_reply) with
-  | Apps.Kv_store.Put { value; _ }, (Some Apps.Kv_store.Stored | None) ->
-    Some (Some value)
-  | Apps.Kv_store.Put _, Some _ -> None
-  | Apps.Kv_store.Get _, Some (Apps.Kv_store.Value v) ->
-    if state = Some v then Some state else None
-  | Apps.Kv_store.Get _, Some Apps.Kv_store.Not_found ->
-    if state = None then Some state else None
-  | Apps.Kv_store.Get _, _ -> None
-  | Apps.Kv_store.Delete _, Some Apps.Kv_store.Deleted ->
-    if state <> None then Some None else None
-  | Apps.Kv_store.Delete _, Some Apps.Kv_store.Not_found ->
-    if state = None then Some None else None
-  | Apps.Kv_store.Delete _, None -> Some None
-  | Apps.Kv_store.Delete _, Some _ -> None
+let strings =
+  [
+    (Pass, "pass");
+    (Not_conformant, "not-conformant");
+    (Invariant_violation, "invariant-violation");
+    (Crash, "crash");
+    (Stall, "stall");
+  ]
 
-(* Wing & Gong over one key's recorded ops: a candidate for the next
-   linearization point is any remaining op not real-time-after another
-   remaining op. *)
-let check_key ops =
-  let arr = Array.of_list ops in
-  let n = Array.length arr in
-  let used = Array.make n false in
-  let rec go remaining state =
-    if remaining = 0 then true
-    else begin
-      let min_res = ref max_int in
-      for i = 0 to n - 1 do
-        if (not used.(i)) && arr.(i).r_responded < !min_res then
-          min_res := arr.(i).r_responded
-      done;
-      let rec try_candidates i =
-        if i >= n then false
-        else if used.(i) || arr.(i).r_invoked > !min_res then try_candidates (i + 1)
-        else
-          match step state arr.(i) with
-          | Some state' ->
-            used.(i) <- true;
-            if go (remaining - 1) state' then true
-            else begin
-              used.(i) <- false;
-              try_candidates (i + 1)
-            end
-          | None -> try_candidates (i + 1)
-      in
-      try_candidates 0
-    end
-  in
-  go n None
+let verdict_to_string v = List.assoc v strings
+let verdict_of_string s = List.find_map (fun (v, s') -> if s = s' then Some v else None) strings
 
-let key_of (r : recorded) =
-  match r.r_cmd with
-  | Apps.Kv_store.Get { key } | Apps.Kv_store.Delete { key } -> key
-  | Apps.Kv_store.Put { key; _ } -> key
-
-(* Unanswered reads observed nothing; everything else is checkable. *)
-let checkable (r : recorded) =
-  match (r.r_cmd, r.r_reply) with Apps.Kv_store.Get _, None -> false | _ -> true
-
-let by_key records =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      if checkable r then begin
-        let key = key_of r in
-        let cur = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
-        Hashtbl.replace tbl key (r :: cur)
-      end)
-    records;
-  Hashtbl.fold (fun k ops acc -> (k, List.rev ops) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* --- minimal witness ------------------------------------------------------ *)
-
-(* Sound removal guard, mirroring Linearizability.removable: dropping [o]
-   from a conformant sub-history must keep it conformant, so a candidate
-   that still fails is a genuine counterexample. Reads only constrain;
-   a write is kept while any retained read observed its value or any
-   retained delete answered [Deleted] (its success may rest on this
-   write); a delete is kept while any retained reply asserts absence
-   ([Not_found] from a read or another delete). *)
-let removable retained (o : recorded) =
-  let depends pred = List.exists (fun r -> r != o && pred r) retained in
-  match o.r_cmd with
-  | Apps.Kv_store.Get _ -> true
-  | Apps.Kv_store.Put { value; _ } ->
-    not
-      (depends (fun r ->
-           match (r.r_cmd, r.r_reply) with
-           | Apps.Kv_store.Get _, Some (Apps.Kv_store.Value v) -> v = value
-           | Apps.Kv_store.Delete _, Some Apps.Kv_store.Deleted -> true
-           | _ -> false))
-  | Apps.Kv_store.Delete _ ->
-    not
-      (depends (fun r ->
-           match (r.r_cmd, r.r_reply) with
-           | ( (Apps.Kv_store.Get _ | Apps.Kv_store.Delete _),
-               Some Apps.Kv_store.Not_found ) ->
-             true
-           | _ -> false))
-
-let minimize_key ops =
-  let ops =
-    List.stable_sort
-      (fun a b ->
-        compare (a.r_invoked, a.r_responded, a.r_proc, a.r_req)
-          (b.r_invoked, b.r_responded, b.r_proc, b.r_req))
-      ops
-  in
-  let current = ref ops in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun o ->
-        let kept = List.filter (fun x -> x != o) !current in
-        if
-          List.memq o !current && removable !current o && kept <> []
-          && not (check_key kept)
-        then begin
-          current := kept;
-          progress := true
-        end)
-      (List.rev !current)
-  done;
-  !current
-
-type witness = { ckey : string; cops : recorded list }
-
-let check records =
-  let rec first_failing = function
-    | [] -> None
-    | (key, ops) :: rest ->
-      if check_key ops then first_failing rest else Some (key, ops)
-  in
-  match first_failing (by_key records) with
-  | None -> None
-  | Some (key, ops) -> Some { ckey = key; cops = minimize_key ops }
-
-let pp_recorded ppf (r : recorded) =
-  let reply =
-    match r.r_reply with
-    | Some rep -> Fmt.str "%a" Apps.Kv_store.pp_reply rep
-    | None -> "(no reply)"
-  in
-  if r.r_responded = max_int then
-    Fmt.pf ppf "proc %d req %d  [%d, open)  %a -> PENDING" r.r_proc r.r_req
-      r.r_invoked Apps.Kv_store.pp_command r.r_cmd
-  else
-    Fmt.pf ppf "proc %d req %d  [%d, %d]  %a -> %s" r.r_proc r.r_req r.r_invoked
-      r.r_responded Apps.Kv_store.pp_command r.r_cmd reply
-
-let pp_witness ppf w =
-  Fmt.pf ppf "key %S: %d-op non-conformant sub-history" w.ckey
-    (List.length w.cops);
-  (* Forced newlines: printed outside any formatting box. *)
-  List.iter (fun r -> Fmt.pf ppf "@\n    %a" pp_recorded r) w.cops
-
-(* --- verdicts ------------------------------------------------------------- *)
-
-type verdict = Pass | Not_conformant | Invariant_violation | Stall
-
-let verdict_to_string = function
-  | Pass -> "pass"
-  | Not_conformant -> "not-conformant"
-  | Invariant_violation -> "invariant-violation"
-  | Stall -> "stall"
-
-let verdict_of_string = function
-  | "pass" -> Some Pass
-  | "not-conformant" -> Some Not_conformant
-  | "invariant-violation" -> Some Invariant_violation
-  | "stall" -> Some Stall
-  | _ -> None
-
-let failing = function Pass -> false | _ -> true
-
-let judge (o : outcome) =
-  match check o.record with
-  | Some w -> (Not_conformant, Some w)
-  | None ->
-    if o.violations <> [] then (Invariant_violation, None)
-    else if not o.completed then (Stall, None)
-    else (Pass, None)
+let judge (o : Workload.Chaos.outcome) =
+  if o.witness <> None then Not_conformant
+  else if o.violations <> [] then Invariant_violation
+  else if o.crash <> None then Crash
+  else if not o.completed then Stall
+  else Pass

@@ -1,48 +1,25 @@
-(** Conformance of a recorded cluster run against the pure KV model.
+(** Verdicts of the verify sweep.
 
-    {!Workload.Linearizability} checks the history as an abstract
-    register — it cannot tell a [Deleted] from a [Not_found] reply. This
-    checker linearizes the {e recorded replies} against {!Model.Kv}
-    semantics: there must exist a single sequential order, consistent
-    with real time, in which every committed reply is exactly what the
-    pure model returns. A write acknowledged [Stored] whose value no
-    later read can observe (the injected-bug self-test, DESIGN.md §19)
-    fails here even though every replica agrees — the Appendix A
-    invariants are blind to it by construction.
-
-    Keys are independent under KV semantics, so the search runs per key
-    (Wing & Gong backtracking with the key's value as the state), which
-    keeps it exact yet fast on the small generated histories. *)
-
-type witness = { ckey : string; cops : Workload.Chaos.recorded list }
-(** A minimal non-conformant sub-history on one key: every op retained is
-    needed — dropping any (under the soundness guard) makes the rest
-    linearizable. *)
-
-val check : Workload.Chaos.recorded list -> witness option
-(** [None] = conformant. Unanswered reads are ignored (they observed
-    nothing); unanswered writes and deletes may be linearized anywhere
-    after invocation or — equivalently, since they always succeed — at
-    the very end. *)
-
-val pp_witness : witness Fmt.t
-
-(** {1 Verdicts} *)
+    There is one linearizability search ({!Workload.Linearizability.Make})
+    and two models on it: the abstract register, kept for benchmark and
+    example histories, and the KV reply model {!Workload.Chaos.check}.
+    {!Workload.Chaos.run} judges every run once with the KV reply model;
+    this module only ranks that outcome into a verdict, so [mu_demo chaos]
+    and [mu_demo verify] cannot disagree about a run. *)
 
 type verdict =
   | Pass
   | Not_conformant  (** Replies inconsistent with every model order. *)
   | Invariant_violation  (** Appendix A failed on raw replica state. *)
+  | Crash  (** A fiber raised and stopped the run. *)
   | Stall  (** Clients never finished before the horizon. *)
 
 val verdict_to_string : verdict -> string
 val verdict_of_string : string -> verdict option
 (** Stable strings for the repro bundle: ["pass"], ["not-conformant"],
-    ["invariant-violation"], ["stall"]. *)
+    ["invariant-violation"], ["crash"], ["stall"]. *)
 
-val judge : Workload.Chaos.outcome -> verdict * witness option
-(** Overall verdict of a scripted run, most specific first: model
-    non-conformance (with its witness), then invariant violations, then
-    a liveness stall. *)
-
-val failing : verdict -> bool
+val judge : Workload.Chaos.outcome -> verdict
+(** Overall verdict of a run, most specific first: model non-conformance
+    (the outcome's witness), then invariant violations, then a crash,
+    then a liveness stall. *)

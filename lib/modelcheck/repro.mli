@@ -14,8 +14,6 @@ type t = {
   b_verdict : Conformance.verdict;
 }
 
-val schema : string
-
 val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Strict: an unknown schema, a missing seed, scenario, script, inject or

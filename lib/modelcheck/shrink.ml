@@ -1,8 +1,4 @@
-type result = {
-  verdict : Conformance.verdict;
-  witness : Conformance.witness option;
-  outcome : Workload.Chaos.outcome;
-}
+type result = { verdict : Conformance.verdict; outcome : Workload.Chaos.outcome }
 
 let script (s : Workload.Chaos.spec) =
   match s.clients with Script c -> c | Random _ -> []
@@ -16,8 +12,7 @@ let run ~inject spec =
     ~finally:(fun () -> Apps.Kv_store.test_only_lose_put_every := saved)
     (fun () ->
       let outcome = Workload.Chaos.run spec in
-      let verdict, witness = Conformance.judge outcome in
-      { verdict; witness; outcome })
+      { verdict = Conformance.judge outcome; outcome })
 
 (* --- candidate enumeration ------------------------------------------------ *)
 
@@ -93,7 +88,7 @@ let describe (s : Workload.Chaos.spec) =
     s.config.Mu.Config.n
 
 let shrink ?(budget = 500) ?(log = fun _ -> ()) ~inject spec r =
-  if not (Conformance.failing r.verdict) then
+  if r.verdict = Conformance.Pass then
     invalid_arg "Shrink.shrink: spec does not fail";
   let current = ref spec in
   let current_result = ref r in
@@ -109,7 +104,7 @@ let shrink ?(budget = 500) ?(log = fun _ -> ()) ~inject spec r =
         else begin
           incr reruns;
           let cr = run ~inject cand in
-          if Conformance.failing cr.verdict then begin
+          if cr.verdict <> Conformance.Pass then begin
             (* Greedy: restart the scan from the smaller spec. *)
             current := cand;
             current_result := cr;

@@ -13,8 +13,7 @@
 
 type result = {
   verdict : Conformance.verdict;
-  witness : Conformance.witness option;
-  outcome : Workload.Chaos.outcome;
+  outcome : Workload.Chaos.outcome;  (** Its [witness] backs a [Not_conformant]. *)
 }
 
 val run : inject:int -> Workload.Chaos.spec -> result

@@ -4,7 +4,7 @@ type report = {
   verdicts : (int64 * int * Conformance.verdict) list;
   coverage : Faults.Scenario.coverage;
   op_stats : History.stats;
-  first_witness : Conformance.witness option;
+  first_witness : Workload.Chaos.witness option;
   minimized : (Repro.t * Shrink.shrunk) option;
 }
 
@@ -31,7 +31,7 @@ let sweep ?(cases = 25) ?(ns = [ 3; 5 ]) ?(inject = 0) ?(clients = 3)
       runs
   in
   let minimized, first_witness =
-    match List.find_opt (fun (_, _, r) -> Conformance.failing r.Shrink.verdict) runs with
+    match List.find_opt (fun (_, _, r) -> r.Shrink.verdict <> Conformance.Pass) runs with
     | None -> (None, None)
     | Some (spec, _, r) ->
       let shrunk = Shrink.shrink ?budget ~log ~inject spec r in
@@ -42,11 +42,11 @@ let sweep ?(cases = 25) ?(ns = [ 3; 5 ]) ?(inject = 0) ?(clients = 3)
               b_verdict = shrunk.Shrink.final.Shrink.verdict;
             },
             shrunk ),
-        r.Shrink.witness )
+        r.Shrink.outcome.witness )
   in
   {
     cases;
-    failed = List.length (List.filter (fun (_, _, v) -> Conformance.failing v) verdicts);
+    failed = List.length (List.filter (fun (_, _, v) -> v <> Conformance.Pass) verdicts);
     verdicts;
     coverage =
       Faults.Scenario.coverage (List.map (fun ((s : Workload.Chaos.spec), _, _) -> s.scenario) runs);

@@ -14,7 +14,7 @@ type report = {
       (** Per case: (seed, n, verdict), in execution order. *)
   coverage : Faults.Scenario.coverage;  (** Fault mix actually generated. *)
   op_stats : History.stats;  (** Op mix actually generated. *)
-  first_witness : Conformance.witness option;
+  first_witness : Workload.Chaos.witness option;
       (** The first failure's witness from its {e un}shrunk run. *)
   minimized : (Repro.t * Shrink.shrunk) option;
       (** First failure shrunk to a bundle; [None] when all cases pass. *)

@@ -1,8 +1,8 @@
 (* Chaos harness: run a Mu cluster under an injected fault scenario while
    KV clients collect a real-time history, then check the safety nets the
    paper's claims rest on — the Appendix A invariants over replica state
-   and linearizability of the observed history (§2.2), plus isolation of
-   the history across shards. Every run is a Mu.Sharded cluster (§8); a
+   and linearizability of the recorded replies under KV semantics (§2.2),
+   plus isolation of the history across shards. Every run is a Mu.Sharded cluster (§8); a
    single group is one shard. *)
 
 type scripted_op = { s_think : int; s_req : int; s_cmd : Apps.Kv_store.command }
@@ -15,6 +15,91 @@ type recorded = {
   r_cmd : Apps.Kv_store.command;
   r_reply : Apps.Kv_store.reply option;
 }
+
+let key_of = function Apps.Kv_store.Get { key } | Delete { key } | Put { key; _ } -> key
+
+(* --- the KV reply model ----------------------------------------------------- *)
+
+(* One key's value as the linearization state: a recorded op fits when
+   its reply is exactly what the KV application returns from that value.
+   An unanswered write or delete has no reply to contradict — it may
+   always be linearized (at worst dead last, where it affects nothing
+   retained). *)
+module Kv_check = Linearizability.Make (struct
+  type state = string option
+  type op = recorded
+
+  let init = None
+  let key r = key_of r.r_cmd
+  let invoked r = r.r_invoked
+  let responded r = r.r_responded
+
+  let fits state r =
+    match (r.r_cmd, r.r_reply) with
+    | Apps.Kv_store.Put _, (Some Apps.Kv_store.Stored | None) -> true
+    | Get _, Some (Value v) -> state = Some v
+    | Get _, Some Not_found | Delete _, Some Not_found -> state = None
+    | Delete _, Some Deleted -> state <> None
+    | Delete _, None -> true
+    | _ -> false
+
+  let next state r =
+    match r.r_cmd with Apps.Kv_store.Put { value; _ } -> Some value | Delete _ -> None | Get _ -> state
+
+  (* Reads only constrain; a write is kept while any retained read
+     observed its value or any retained delete answered [Deleted] (its
+     success may rest on this write); a delete is kept while any retained
+     reply asserts absence ([Not_found] from a read or another delete). *)
+  let removable retained o =
+    let depends pred = List.exists (fun r -> r != o && pred r.r_cmd r.r_reply) retained in
+    match o.r_cmd with
+    | Apps.Kv_store.Get _ -> true
+    | Put { value; _ } ->
+      not
+        (depends (fun cmd reply ->
+             match (cmd, reply) with
+             | Apps.Kv_store.Get _, Some (Apps.Kv_store.Value v) -> v = value
+             | Delete _, Some Deleted -> true
+             | _ -> false))
+    | Delete _ ->
+      not
+        (depends (fun cmd reply ->
+             match (cmd, reply) with
+             | (Apps.Kv_store.Get _ | Delete _), Some Apps.Kv_store.Not_found -> true
+             | _ -> false))
+
+  let order a b =
+    compare (a.r_invoked, a.r_responded, a.r_proc, a.r_req)
+      (b.r_invoked, b.r_responded, b.r_proc, b.r_req)
+end)
+
+type witness = Kv_check.witness = {
+  wkey : string;
+  wops : recorded list;
+  wpending : recorded list;
+}
+
+(* A read that never answered (or answered garbage) observed nothing. *)
+let checkable r = match (r.r_cmd, r.r_reply) with Apps.Kv_store.Get _, None -> false | _ -> true
+
+let check records = Kv_check.check (List.filter checkable records)
+let witness records = Kv_check.witness (List.filter checkable records)
+
+let pp_recorded ppf r =
+  if r.r_responded = max_int then
+    Fmt.pf ppf "proc %d req %d  [%d, open)  %a -> PENDING" r.r_proc r.r_req r.r_invoked
+      Apps.Kv_store.pp_command r.r_cmd
+  else
+    Fmt.pf ppf "proc %d req %d  [%d, %d]  %a -> %a" r.r_proc r.r_req r.r_invoked r.r_responded
+      Apps.Kv_store.pp_command r.r_cmd
+      (Fmt.option ~none:(Fmt.any "(no reply)") Apps.Kv_store.pp_reply)
+      r.r_reply
+
+let pp_witness ppf w =
+  Fmt.pf ppf "key %S: %d-op non-conformant sub-history" w.wkey (List.length w.wops);
+  (* Forced newlines, not box breaks: the witness is embedded in outcome
+     lines printed outside any formatting box. *)
+  List.iter (fun r -> Fmt.pf ppf "@\n    %a" pp_recorded r) w.wops
 
 type clients =
   | Random of { clients : int; ops : int; think : int }
@@ -53,15 +138,16 @@ type outcome = {
   committed : int;
   linearizable : bool;
   isolated : bool;
-  witness : Linearizability.witness option;
+  witness : witness option;
   record : recorded list;
   violations : Mu.Invariants.violation list;
+  crash : string option;
   rejoins : Mu.Smr.rejoin list;
   shed : int;
   degraded_ns : int;
 }
 
-let passed o = o.linearizable && o.isolated && o.violations = [] && o.completed
+let passed o = o.linearizable && o.isolated && o.violations = [] && o.crash = None && o.completed
 
 let pp_outcome ppf o =
   let s = o.spec in
@@ -84,7 +170,9 @@ let pp_outcome ppf o =
     (if passed o then "ok"
      else
        String.concat ", "
-         ((if o.completed then [] else [ "stalled" ])
+         ((match o.crash with
+          | Some m -> [ "CRASH " ^ m ]
+          | None -> if o.completed then [] else [ "stalled" ])
          @ (if o.linearizable then [] else [ "NOT LINEARIZABLE" ])
          @ (if o.isolated then [] else [ "FOREIGN READ" ])
          @
@@ -95,7 +183,7 @@ let pp_outcome ppf o =
      only ever extends a failing line. *)
   match o.witness with
   | None -> ()
-  | Some w -> Fmt.pf ppf "@\n  %a" Linearizability.pp_witness w
+  | Some w -> Fmt.pf ppf "@\n  %a" pp_witness w
 
 (* The first [count] keys of the fixed candidate list "a" .. "z", "k26",
    "k27", ... that route to [shard]; at one shard, "a"; "b"; "c". *)
@@ -110,7 +198,6 @@ let keys_for ~shards ~shard ~count =
   in
   go 0 []
 
-let key_of = function Apps.Kv_store.Get { key } | Delete { key } | Put { key; _ } -> key
 let op_name = function Apps.Kv_store.Get _ -> "get" | Put _ -> "put" | Delete _ -> "delete"
 
 (* A random client's closed-loop Puts/Gets on a small key space, drawn
@@ -174,40 +261,23 @@ let client_fiber e s ~proc ~script ~records ~pending ~on_done =
     script;
   on_done ()
 
-(* Linearizability view of one recorded op. Deletes are erases; a write
-   or erase that never answered stays with an open interval (it may have
-   taken effect); a read that never answered (or answered garbage)
-   observed nothing and is dropped. *)
-let history_of_recorded r =
-  let op kind =
-    {
-      Linearizability.proc = r.r_proc;
-      invoked = r.r_invoked;
-      responded = r.r_responded;
-      key = key_of r.r_cmd;
-      kind;
-    }
-  in
-  match (r.r_cmd, r.r_reply) with
-  | Apps.Kv_store.Put { value; _ }, _ -> Some (op (Linearizability.Write value))
-  | Apps.Kv_store.Delete _, _ -> Some (op Linearizability.Erase)
-  | Apps.Kv_store.Get _, Some (Apps.Kv_store.Value v) ->
-    Some (op (Linearizability.Read (Some v)))
-  | Apps.Kv_store.Get _, Some _ -> Some (op (Linearizability.Read None))
-  | Apps.Kv_store.Get _, None -> None
-
 (* Isolation: every read of [Some v] observed a put of [v] to that same
    key. Shards share no state, so a read served by the wrong group shows
    up here as a value never put to its key. *)
-let isolated history =
-  let open Linearizability in
+let isolated record =
   let puts = Hashtbl.create 64 in
   List.iter
-    (fun op -> match op.kind with Write v -> Hashtbl.replace puts (op.key, v) () | _ -> ())
-    history;
+    (fun r ->
+      match r.r_cmd with
+      | Apps.Kv_store.Put { key; value } -> Hashtbl.replace puts (key, value) ()
+      | _ -> ())
+    record;
   List.for_all
-    (fun op -> match op.kind with Read (Some v) -> Hashtbl.mem puts (op.key, v) | _ -> true)
-    history
+    (fun r ->
+      match (r.r_cmd, r.r_reply) with
+      | Apps.Kv_store.Get { key }, Some (Apps.Kv_store.Value v) -> Hashtbl.mem puts (key, v)
+      | _ -> true)
+    record
 
 let run ?(on_engine = ignore) spec =
   let e = Sim.Engine.create ~seed:spec.seed () in
@@ -290,32 +360,40 @@ let run ?(on_engine = ignore) spec =
         (fun () ->
           client_fiber e s ~proc ~script:(script ()) ~records ~pending ~on_done))
     clients;
-  Sim.Engine.run ~until:spec.horizon e;
+  (* A fiber that raises stops the run where it stands; the crash is one
+     more failed check, and the run is judged like a stalled one. *)
+  let crash =
+    match Sim.Engine.run ~until:spec.horizon e with
+    | () -> None
+    | exception Sim.Engine.Fiber_crash (fiber, exn) ->
+      Some (Printf.sprintf "%s: %s" fiber (Printexc.to_string exn))
+  in
   (* A run that stalled (e.g. a scenario that left no majority) still gets
      checked for safety: ops still pending at the horizon are recorded
-     unanswered, so their history view keeps writes with an open interval
-     — the checker may linearize them anywhere after their invocation. *)
+     unanswered, writes with an open interval — the checker may linearize
+     them anywhere after their invocation. *)
   let record =
     Hashtbl.fold (fun _ r acc -> r :: acc) pending !records
     |> List.sort (fun a b ->
            compare (a.r_invoked, a.r_proc, a.r_req) (b.r_invoked, b.r_proc, b.r_req))
   in
-  let history = List.filter_map history_of_recorded record in
-  let witness = Linearizability.witness history in
+  let checked = List.filter checkable record in
+  let witness = Kv_check.witness checked in
   (* Re-read the replica arrays: restarts swap entries in place, and the
      safety checks must see the final incarnations. *)
   {
     spec;
     completed = !completed;
-    ops = List.length history;
+    ops = List.length checked;
     committed =
       sum (fun g ->
           Array.fold_left (fun acc r -> max acc (Mu.Log.fuo r.Mu.Replica.log)) 0 (Mu.Smr.replicas g));
     linearizable = Option.is_none witness;
-    isolated = isolated history;
+    isolated = isolated record;
     witness;
     record;
     violations = List.concat_map (fun g -> Mu.Invariants.check_all (Mu.Smr.replicas g)) groups;
+    crash;
     rejoins = List.concat_map Mu.Smr.rejoins groups;
     shed = sum Mu.Smr.shed_requests;
     degraded_ns = sum Mu.Smr.degraded_total_ns;
@@ -454,8 +532,12 @@ let repro_json o =
                 else if not o.isolated then "read of a value never put to its key"
                 else if o.violations <> [] then
                   Fmt.str "%a" (Fmt.list Mu.Invariants.pp_violation) o.violations
-                else if not o.completed then "liveness stall (clients never finished)"
-                else "none") );
+                else
+                  match o.crash with
+                  | Some m -> "fiber crash: " ^ m
+                  | None ->
+                    if not o.completed then "liveness stall (clients never finished)" else "none"
+               ) );
          ]))
 
 let parse_repro str = Result.bind (Faults.Json.of_string str) spec_of_json

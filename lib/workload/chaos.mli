@@ -5,10 +5,13 @@
     {!Faults.Scenario.t} on shard 0's replicas, and closed-loop clients
     whose ops are recorded as a real-time history. Three safety checks
     then fire over all shards: the Appendix A invariants
-    ({!Mu.Invariants.check_all}), linearizability of the history (per key,
-    so per shard) and isolation — every read of [Some v] saw a put of [v]
-    to that same key (§2.2, §8). The same spec replays to the byte,
-    traces included, so {!repro_json} is a complete reproduction. *)
+    ({!Mu.Invariants.check_all}), linearizability of the recorded replies
+    against the KV application's semantics ({!check}: one search in
+    {!Linearizability.Make}, per key, so per shard) and isolation — every
+    read of [Some v] saw a put of [v] to that same key (§2.2, §8). A run
+    is judged once, by this module; the verify sweep reads the same
+    outcome. The same spec replays to the byte, traces included, so
+    {!repro_json} is a complete reproduction. *)
 
 type scripted_op = {
   s_think : int;  (** Virtual-ns pause before submitting this op. *)
@@ -24,6 +27,36 @@ type recorded = {
   r_cmd : Apps.Kv_store.command;
   r_reply : Apps.Kv_store.reply option;  (** [None] = unanswered. *)
 }
+
+(** {1 The KV reply model}
+
+    A recorded history is linearizable when a single sequential order,
+    consistent with real time, gives every recorded reply exactly as the
+    KV application returns it: a read sees the last put, [Deleted]
+    asserts the key existed, [Not_found] that it did not. A write
+    acknowledged [Stored] whose value no later read can observe (the
+    injected-bug self-test, DESIGN.md §19) fails here even though every
+    replica agrees — the Appendix A invariants are blind to it by
+    construction. Unanswered reads are ignored (they observed nothing);
+    unanswered writes and deletes may be linearized anywhere after
+    invocation or — equivalently, since they always succeed — at the
+    very end. *)
+
+type witness = {
+  wkey : string;  (** The failing key. *)
+  wops : recorded list;
+      (** Minimal non-conformant sub-history, by (invocation, response,
+          proc, req): dropping any op the soundness guard allows makes
+          the rest linearizable. *)
+  wpending : recorded list;  (** Ops in [wops] never answered. *)
+}
+
+val check : recorded list -> bool
+val witness : recorded list -> witness option
+(** [None] iff {!check}. *)
+
+val pp_witness : witness Fmt.t
+(** The key, then one recorded op per indented line. *)
 
 type clients =
   | Random of { clients : int; ops : int; think : int }
@@ -56,22 +89,27 @@ type outcome = {
   completed : bool;  (** All clients finished before the horizon. *)
   ops : int;  (** Operations in the checked history. *)
   committed : int;  (** Sum over shards of the highest FUO reached. *)
-  linearizable : bool;
+  linearizable : bool;  (** {!check} on the record. *)
   isolated : bool;
-  witness : Linearizability.witness option;
-      (** Minimal failing sub-history when not linearizable. *)
+  witness : witness option;  (** Minimal failing sub-history when not linearizable. *)
   record : recorded list;  (** Every op and reply, by (invocation, proc, req). *)
   violations : Mu.Invariants.violation list;
+  crash : string option;
+      (** ["fiber: exception"] when a fiber raised and stopped the run
+          ({!Sim.Engine.Fiber_crash}); the run is then checked as it
+          stood. *)
   rejoins : Mu.Smr.rejoin list;  (** Completed kill→restart→rejoin pipelines. *)
   shed : int;  (** Requests shed by a degraded leader's queue bound. *)
   degraded_ns : int;  (** Total quorum-lost window duration. *)
 }
 
 val passed : outcome -> bool
-(** Completed, linearizable, isolated and invariant-clean. *)
+(** Completed without a crash, linearizable, isolated and
+    invariant-clean. *)
 
 val pp_outcome : outcome Fmt.t
-(** One line; a linearizability witness follows on indented lines. *)
+(** One line naming every failed check (a crash with its message); a
+    linearizability witness follows on indented lines. *)
 
 val run : ?on_engine:(Sim.Engine.t -> unit) -> spec -> outcome
 (** One run. [on_engine] sees the fresh engine before the cluster is

@@ -76,11 +76,10 @@ type order_flow = {
   spread : int;
   mutable next_id : int;
   mutable open_ids : int list;
-  mutable placed : int;
 }
 
 let order_flow ?(midpoint = 10_000) ?(spread = 10) rng =
-  { rng; midpoint; spread; next_id = 1; open_ids = []; placed = 0 }
+  { rng; midpoint; spread; next_id = 1; open_ids = [] }
 
 let next_order t =
   let fresh_id () =
@@ -93,7 +92,6 @@ let next_order t =
     (* Random walk of the midpoint keeps the book moving. *)
     t.midpoint <- max 100 (t.midpoint + Sim.Rng.int t.rng 5 - 2);
     let id = fresh_id () in
-    t.placed <- t.placed + 1;
     Apps.Exchange.Market
       {
         id;
@@ -110,7 +108,6 @@ let next_order t =
   end
   else begin
     let id = fresh_id () in
-    t.placed <- t.placed + 1;
     let side = if Sim.Rng.bool t.rng then Apps.Order_book.Buy else Apps.Order_book.Sell in
     let off = Sim.Rng.int t.rng t.spread in
     let price =
@@ -122,5 +119,3 @@ let next_order t =
     if List.length t.open_ids < 512 then t.open_ids <- id :: t.open_ids;
     Apps.Exchange.Limit { id; side; price; qty = 1 + Sim.Rng.int t.rng 10 }
   end
-
-let order_flow_orders_placed t = t.placed

@@ -46,4 +46,3 @@ val order_flow : ?midpoint:int -> ?spread:int -> Sim.Rng.t -> order_flow
 val next_order : order_flow -> Apps.Exchange.command
 (** Generate the next command; ids are unique and increasing. *)
 
-val order_flow_orders_placed : order_flow -> int

@@ -3,10 +3,15 @@
    are the virtual-time profiler's (DESIGN.md §18): folded and
    speedscope exports of `mu_demo profile --mode failover` and
    `--mode chaos`, and the self-cost sampler attached beside the
-   profiler leaving the folded export as the bare run's. *)
+   profiler leaving the folded export as the bare run's. Then the bench
+   figures' metrics, and `mu_demo explain`'s span trees (DESIGN.md §13),
+   with the check that provenance off leaves no trace of it. *)
 
 module E = Workload.Experiments
 module Vt = Profile.Vt
+
+let setup ?trace ?metrics ?on_engine ~provenance seed =
+  { E.seed; cal = Util.default_cal; trace; metrics; faults = None; provenance; on_engine }
 
 (* One run with a profiler (and, given [selfcost], the wall-clock
    self-cost sampler) on every engine it creates, provenance on, as
@@ -31,18 +36,8 @@ let profiled ?(selfcost = false) f =
 
 let failover ?selfcost ~seed ~rounds () =
   profiled ?selfcost (fun on_engine ->
-      let setup =
-        {
-          E.seed;
-          cal = Util.default_cal;
-          trace = None;
-          metrics = None;
-          faults = None;
-          provenance = true;
-          on_engine = Some on_engine;
-        }
-      in
-      ignore (E.failover setup ~rounds : E.failover_stats))
+      ignore
+        (E.failover (setup ~on_engine ~provenance:true seed) ~rounds : E.failover_stats))
 
 let chaos ~n ~seed name () =
   profiled (fun on_engine ->
@@ -59,18 +54,7 @@ let chaos ~n ~seed name () =
    results; the row's exports are the metric dump and those results. *)
 let with_sampler f () =
   let sampler = Telemetry.Sampler.create (Telemetry.Registry.create ()) ~interval:50_000 in
-  let setup =
-    {
-      E.seed = 42L;
-      cal = Util.default_cal;
-      trace = None;
-      metrics = Some sampler;
-      faults = None;
-      provenance = false;
-      on_engine = None;
-    }
-  in
-  let results = f setup sampler in
+  let results = f (setup ~metrics:sampler ~provenance:false 42L) sampler in
   [
     ("metrics", Telemetry.Export.json ~sampler (Telemetry.Sampler.registry sampler));
     ("results", Faults.Json.to_string results);
@@ -117,6 +101,52 @@ let fig6 setup sampler =
       ("switch", samples_json r.E.switch);
     ]
 
+(* `mu_demo explain --seed 42 --samples 500`: the latency run traced with
+   provenance on, its span tree exported. *)
+let explain_latency () =
+  let samples = 500 in
+  let tr = Trace.Tracer.create ~capacity:((samples + 200) * 256) () in
+  ignore
+    (E.mu_replication_latency (setup ~trace:tr ~provenance:true 42L) ~samples ~payload:64
+       ~attach:Mu.Config.Standalone
+      : Sim.Stats.Samples.t);
+  [ ("span tree", Provenance.Export.json_string (Provenance.Tree.of_events (Trace.Tracer.events tr))) ]
+
+(* `mu_demo explain --chaos crash-leader --seed 7`: 4 clients x 60 ops
+   100 us apart across the fault, provenance on; the outcome line and the
+   span tree. *)
+let explain_chaos () =
+  let spec =
+    {
+      (Util.chaos_named ~n:3 ~seed:7L "crash-leader") with
+      clients = Random { clients = 4; ops = 60; think = 100_000 };
+    }
+  in
+  let tr = Trace.Tracer.create ~capacity:(1 lsl 21) () in
+  let o =
+    Workload.Chaos.run
+      ~on_engine:(fun e ->
+        Trace.Tracer.attach tr e;
+        Sim.Engine.set_provenance e true)
+      spec
+  in
+  Alcotest.(check bool) "chaos run passes" true (Workload.Chaos.passed o);
+  [
+    ("outcome", Fmt.str "%a" Workload.Chaos.pp_outcome o);
+    ("span tree", Provenance.Export.json_string (Provenance.Tree.of_events (Trace.Tracer.events tr)));
+  ]
+
+(* `bench --quick --only fig6 --trace F`: an ordinary traced run, where
+   provenance is off by default, emits no event in cat "prov". *)
+let fig6_trace_without_provenance () =
+  let tr = Trace.Tracer.create () in
+  ignore (E.failover (setup ~trace:tr ~provenance:false 42L) ~rounds:100 : E.failover_stats);
+  let events = Trace.Tracer.events tr in
+  Alcotest.(check bool) "trace recorded fail-overs" true
+    (List.exists (fun (ev : Sim.Probe.event) -> ev.cat = "failover") events);
+  Alcotest.(check int) "prov events" 0
+    (List.length (List.filter (fun (ev : Sim.Probe.event) -> ev.cat = "prov") events))
+
 let folded f () = [ ("folded", Vt.to_folded_string (f ())) ]
 
 let both f () =
@@ -143,6 +173,8 @@ let rows =
     };
     twice "fig3 metrics and results" (with_sampler fig3);
     twice "fig6 metrics and results" (with_sampler fig6);
+    twice "explain latency span tree" explain_latency;
+    twice "explain chaos outcome and span tree" explain_chaos;
   ]
 
 let check_row r () =
@@ -153,4 +185,6 @@ let check_row r () =
       Alcotest.(check bool) (what ^ " exports are byte-identical") true (String.equal x y))
     a b
 
-let suite = List.map (fun r -> Alcotest.test_case r.name `Quick (check_row r)) rows
+let suite =
+  List.map (fun r -> Alcotest.test_case r.name `Quick (check_row r)) rows
+  @ [ Alcotest.test_case "fig6 trace without provenance" `Quick fig6_trace_without_provenance ]

@@ -130,7 +130,7 @@ let conformance_sequential_pass () =
         (Apps.Kv_store.Get { key = "a" });
     ]
   in
-  check "conformant" true (Modelcheck.Conformance.check records = None)
+  check "conformant" true (Workload.Chaos.check records)
 
 let conformance_catches_lost_update () =
   (* The injected-bug shape: a Put acked Stored whose value a later read
@@ -144,12 +144,12 @@ let conformance_catches_lost_update () =
         (Apps.Kv_store.Get { key = "a" });
     ]
   in
-  match Modelcheck.Conformance.check records with
+  match Workload.Chaos.witness records with
   | None -> Alcotest.fail "lost update not caught"
   | Some w ->
-    check_str "witness key" "a" w.Modelcheck.Conformance.ckey;
+    check_str "witness key" "a" w.Workload.Chaos.wkey;
     check_int "witness is the minimal pair" 2
-      (List.length w.Modelcheck.Conformance.cops)
+      (List.length w.Workload.Chaos.wops)
 
 let conformance_delete_reply_semantics () =
   (* [Deleted] asserts the key existed: with no possible prior value, the
@@ -162,7 +162,7 @@ let conformance_delete_reply_semantics () =
     ]
   in
   check "deleted-without-put caught" true
-    (Modelcheck.Conformance.check records <> None)
+    (not (Workload.Chaos.check records))
 
 let conformance_concurrency_flexible () =
   (* A read overlapping a put may order either side of it. *)
@@ -177,7 +177,7 @@ let conformance_concurrency_flexible () =
         (Apps.Kv_store.Get { key = "a" });
     ]
   in
-  check "both orders admitted" true (Modelcheck.Conformance.check records = None)
+  check "both orders admitted" true (Workload.Chaos.check records)
 
 let conformance_pending_write_harmless () =
   (* An unanswered put may be linearized last, so it can never manufacture
@@ -191,7 +191,7 @@ let conformance_pending_write_harmless () =
     ]
   in
   check "pending write placed last" true
-    (Modelcheck.Conformance.check records = None)
+    (Workload.Chaos.check records)
 
 (* --- linearizability witness (workload layer) ------------------------------ *)
 
@@ -287,7 +287,7 @@ let scripted_run_records_replies () =
        | _ -> true
      in
      sorted o.Workload.Chaos.record);
-  let verdict, _ = Modelcheck.Conformance.judge o in
+  let verdict = Modelcheck.Conformance.judge o in
   check "fault-free run conformant" true (verdict = Modelcheck.Conformance.Pass)
 
 let scripted_run_deterministic () =
@@ -341,10 +341,10 @@ let sharded_windowed_script_judged () =
   let o = run 0 in
   check "clean run passes" true (Workload.Chaos.passed o);
   check "clean run conformant" true
-    (fst (Modelcheck.Conformance.judge o) = Modelcheck.Conformance.Pass);
+    (Modelcheck.Conformance.judge o = Modelcheck.Conformance.Pass);
   let bad = run 3 in
   check "lost put not conformant" true
-    (fst (Modelcheck.Conformance.judge bad) = Modelcheck.Conformance.Not_conformant);
+    (Modelcheck.Conformance.judge bad = Modelcheck.Conformance.Not_conformant);
   check "lost put has a linearizability witness" true (bad.Workload.Chaos.witness <> None)
 
 let rejoin_survives_minority_self_claimant () =
@@ -396,7 +396,7 @@ let injected_bug_caught_and_shrunk () =
   | Some (bundle, shrunk) ->
     check "shrink reached fixpoint" false shrunk.Modelcheck.Shrink.exhausted;
     check "minimized still fails" true
-      (Modelcheck.Conformance.failing bundle.Modelcheck.Repro.b_verdict);
+      (bundle.Modelcheck.Repro.b_verdict <> Modelcheck.Conformance.Pass);
     let t = bundle.Modelcheck.Repro.b_spec in
     check "<= 6 ops" true (Modelcheck.Shrink.ops t <= 6);
     check "<= 2 fault actions" true
@@ -404,7 +404,7 @@ let injected_bug_caught_and_shrunk () =
     (* Re-running the minimized spec independently still fails. *)
     let r = Modelcheck.Shrink.run ~inject:3 t in
     check "independent rerun fails" true
-      (Modelcheck.Conformance.failing r.Modelcheck.Shrink.verdict)
+      (r.Modelcheck.Shrink.verdict <> Modelcheck.Conformance.Pass)
 
 let shrink_deterministic () =
   (* Same failing spec, shrunk twice, must yield byte-identical
@@ -471,8 +471,8 @@ let repro_roundtrip () =
         [ "seed"; "scenario"; "script"; "inject"; "verdict" ]
     | _ -> Alcotest.fail "bundle is not an object"
 
-let read_golden () =
-  let ic = open_in_bin "golden/verify_repro.json" in
+let read_golden ?(file = "verify_repro.json") () =
+  let ic = open_in_bin (Filename.concat "golden" file) in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
@@ -555,18 +555,88 @@ let verify_replay_golden () =
     check "verdict reproduces" true (r.Modelcheck.Shrink.verdict = b.Modelcheck.Repro.b_verdict);
     check_str "re-emitted bytes" s bytes
 
+(* Bugs the default-config sweep found, shrunk by [mu_demo verify --cases
+   50 --seed S --repro F]. Each replays to its current verdict and bytes
+   until its fix lands, when it flips to [pass]. *)
+let replay_found_bug file verdict =
+  let s = read_golden ~file () in
+  match Modelcheck.Repro.of_string s with
+  | Error e -> Alcotest.failf "%s does not parse: %s" file e
+  | Ok b ->
+    let r, bytes = Modelcheck.Verify.replay b in
+    check "verdict reproduces" true (r.Modelcheck.Shrink.verdict = verdict);
+    check_str "re-emitted bytes" s bytes;
+    (b, r.Modelcheck.Shrink.outcome)
+
+(* Seed 42: a put acknowledged before a pause/resume of the old leader,
+   then deletes of its key that answer [not_found]. [mu_demo chaos
+   --replay] judges the same spec and must fail it with the same
+   witness. *)
+let golden_seed42_not_conformant () =
+  let b, o = replay_found_bug "verify_seed42.json" Modelcheck.Conformance.Not_conformant in
+  match o.Workload.Chaos.witness with
+  | None -> Alcotest.fail "no witness"
+  | Some w ->
+    check_str "witness key" "b" w.Workload.Chaos.wkey;
+    check_int "witness ops" 5 (List.length w.Workload.Chaos.wops);
+    let chaos = Workload.Chaos.run b.Modelcheck.Repro.b_spec in
+    check "chaos fails it too" false (Workload.Chaos.passed chaos);
+    check "same witness" true (chaos.Workload.Chaos.witness = o.Workload.Chaos.witness)
+
+(* Seed 3: a replica restarted after a partition trips Lemma A.11's guard
+   in its rejoin fiber. The run stops with the crash recorded, and the
+   holes it left below the FUO rank the verdict as an invariant
+   violation. *)
+let golden_seed3_crash () =
+  let _, o =
+    replay_found_bug "verify_seed3.json" Modelcheck.Conformance.Invariant_violation
+  in
+  match o.Workload.Chaos.crash with
+  | None -> Alcotest.fail "no crash recorded"
+  | Some m ->
+    check "rejoin fiber named" true (String.starts_with ~prefix:"replica2/rejoin: " m);
+    check "outcome line names the crash" true
+      (Util.contains_substring (Fmt.str "%a" Workload.Chaos.pp_outcome o) ("CRASH " ^ m))
+
+(* Most specific first: non-conformance, invariant violation, crash,
+   stall. *)
+let judge_ranks_verdicts () =
+  let o =
+    scripted ~seed:3L { Faults.Scenario.name = "none"; events = [] }
+      [ [ op 0 1 (Apps.Kv_store.Get { key = "a" }) ] ]
+  in
+  let judge o = Modelcheck.Conformance.verdict_to_string (Modelcheck.Conformance.judge o) in
+  check_str "clean" "pass" (judge o);
+  let stalled = { o with Workload.Chaos.completed = false } in
+  check_str "stall" "stall" (judge stalled);
+  let crashed = { stalled with crash = Some "f: Failure(\"x\")" } in
+  check_str "crash before stall" "crash" (judge crashed);
+  check "crash alone fails the run" false (Workload.Chaos.passed { o with crash = crashed.crash });
+  let violated =
+    { crashed with violations = [ { Mu.Invariants.replica = 0; index = None; message = "m" } ] }
+  in
+  check_str "invariant violation before crash" "invariant-violation" (judge violated);
+  let bad_read =
+    {
+      (List.hd o.record) with
+      Workload.Chaos.r_reply = Some (Apps.Kv_store.Value "never-put");
+    }
+  in
+  check_str "non-conformance first" "not-conformant"
+    (judge { violated with witness = Workload.Chaos.witness [ bad_read ] })
+
 (* Shrinking a spec keeps what it does not shrink: the two windowed shards
    of [sharded windowed script judged] survive into the bundle, which
    replays and reads back as the same chaos spec. *)
 let shrink_keeps_spec_fields () =
   let spec = sharded_windowed_spec in
   let r = Modelcheck.Shrink.run ~inject:3 spec in
-  check "start fails" true (Modelcheck.Conformance.failing r.Modelcheck.Shrink.verdict);
+  check "start fails" true (r.Modelcheck.Shrink.verdict <> Modelcheck.Conformance.Pass);
   let shrunk = Modelcheck.Shrink.shrink ~inject:3 spec r in
   let m = shrunk.Modelcheck.Shrink.minimized in
   check "shrunk still fails"
     true
-    (Modelcheck.Conformance.failing shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.verdict);
+    (shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.verdict <> Modelcheck.Conformance.Pass);
   check "fewer ops" true (Modelcheck.Shrink.ops m < Modelcheck.Shrink.ops spec);
   check_int "shards kept" 2 m.shards;
   check "windowed config kept" true (m.config = spec.config);
@@ -620,4 +690,7 @@ let suite =
     ("verify sweep: injected to golden", `Quick, verify_injected_sweep_golden);
     ("verify replay: golden bytes", `Quick, verify_replay_golden);
     ("shrink keeps spec fields", `Quick, shrink_keeps_spec_fields);
+    ("golden: seed 42 not conformant", `Quick, golden_seed42_not_conformant);
+    ("golden: seed 3 crash", `Quick, golden_seed3_crash);
+    ("judge ranks verdicts", `Quick, judge_ranks_verdicts);
   ]

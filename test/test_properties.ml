@@ -661,6 +661,86 @@ let lin_checker_matches_bruteforce =
       in
       Workload.Linearizability.check ops = brute)
 
+(* The KV reply model against brute force, its sequential spec taken from
+   the independent reference model [Modelcheck.Model.Kv]: every order of
+   a small single-key put/get/delete history with answered replies that
+   respects real time, replayed through [Model.Kv.apply]. *)
+let kv_checker_matches_bruteforce =
+  let op_gen =
+    QCheck.Gen.(
+      map3
+        (fun proc (inv, dur) kind -> (proc, inv, inv + 1 + dur, kind))
+        (1 -- 3)
+        (pair (0 -- 20) (0 -- 10))
+        (oneof
+           [
+             return `Put;
+             map (fun v -> `Get (if v = 0 then None else Some (string_of_int v))) (0 -- 3);
+             map (fun deleted -> `Delete deleted) bool;
+           ]))
+  in
+  QCheck.Test.make ~name:"kv reply checker vs brute force" ~count:150
+    QCheck.(make Gen.(list_size (1 -- 6) op_gen))
+    (fun raw ->
+      (* Distinct put values and request ids; per-process ops sequential. *)
+      let counter = ref 0 in
+      let by_proc = Hashtbl.create 4 in
+      let records =
+        List.map
+          (fun (proc, inv, res, kind) ->
+            let last = Option.value (Hashtbl.find_opt by_proc proc) ~default:0 in
+            let inv = max inv last + 1 in
+            let res = max res (inv + 1) in
+            Hashtbl.replace by_proc proc res;
+            incr counter;
+            let cmd, reply =
+              match kind with
+              | `Put ->
+                (Apps.Kv_store.Put { key = "k"; value = string_of_int !counter }, Apps.Kv_store.Stored)
+              | `Get v ->
+                ( Apps.Kv_store.Get { key = "k" },
+                  match v with Some v -> Apps.Kv_store.Value v | None -> Apps.Kv_store.Not_found )
+              | `Delete deleted ->
+                ( Apps.Kv_store.Delete { key = "k" },
+                  if deleted then Apps.Kv_store.Deleted else Apps.Kv_store.Not_found )
+            in
+            {
+              Workload.Chaos.r_proc = proc;
+              r_req = !counter;
+              r_invoked = inv;
+              r_responded = res;
+              r_cmd = cmd;
+              r_reply = Some reply;
+            })
+          raw
+      in
+      let rec permutations = function
+        | [] -> [ [] ]
+        | l ->
+          List.concat_map
+            (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( != ) x) l)))
+            l
+      in
+      let rec respects_realtime = function
+        | [] -> true
+        | (x : Workload.Chaos.recorded) :: rest ->
+          List.for_all (fun (y : Workload.Chaos.recorded) -> y.r_responded >= x.r_invoked) rest
+          && respects_realtime rest
+      in
+      let replays seq =
+        let rec go model = function
+          | [] -> true
+          | (r : Workload.Chaos.recorded) :: rest ->
+            let model, reply = Modelcheck.Model.Kv.apply model ~client:r.r_proc ~req_id:r.r_req r.r_cmd in
+            Some reply = r.r_reply && go model rest
+        in
+        go Modelcheck.Model.Kv.empty seq
+      in
+      let brute =
+        List.exists (fun p -> respects_realtime p && replays p) (permutations records)
+      in
+      Workload.Chaos.check records = brute)
+
 let suite =
   List.map to_alcotest
     [
@@ -677,5 +757,6 @@ let suite =
       lock_service_matches_model;
       lin_checker_matches_bruteforce;
       consensus_safety;
+      kv_checker_matches_bruteforce;
     ]
   @ [ ("wheel scan edges and drained bucket", `Quick, wheel_scan_edges) ]
