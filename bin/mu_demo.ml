@@ -233,50 +233,13 @@ let metrics_cmd =
   let run seed =
     (* A short mixed workload (traffic + one fail-over), then the per-plane
        counters each replica accumulated. *)
-    let e = Sim.Engine.create ~seed:(Int64.of_int seed) () in
-    let smr =
-      Mu.Smr.create e Sim.Calibration.default Mu.Config.default ~make_app:(fun _ ->
-          Mu.Smr.stateless_app Fun.id)
-    in
-    Mu.Smr.start smr;
-    Sim.Engine.spawn e ~name:"driver" (fun () ->
-        Mu.Smr.wait_live smr;
-        for _ = 1 to 200 do
-          ignore (Mu.Smr.submit smr (Bytes.make 64 'm'))
-        done;
-        let r0 = Mu.Smr.replica smr 0 in
-        let before_failover =
-          Array.to_list (Mu.Smr.replicas smr)
-          |> List.map (fun (r : Mu.Replica.t) -> Mu.Metrics.copy r.Mu.Replica.metrics)
-        in
-        Sim.Host.pause r0.Mu.Replica.host;
-        ignore (Mu.Smr.submit smr (Bytes.make 64 'f'));
-        let after_failover =
-          Array.to_list (Mu.Smr.replicas smr)
-          |> List.map (fun (r : Mu.Replica.t) -> Mu.Metrics.copy r.Mu.Replica.metrics)
-        in
-        Fmt.pr "fail-over:  %a@." Mu.Metrics.pp
-          (Mu.Metrics.total (List.map2 Mu.Metrics.diff after_failover before_failover));
-        Sim.Host.resume r0.Mu.Replica.host;
-        Sim.Engine.sleep e 5_000_000;
-        for _ = 1 to 200 do
-          ignore (Mu.Smr.submit smr (Bytes.make 64 'm'))
-        done;
-        Sim.Engine.sleep e 2_000_000;
-        Array.iter
-          (fun (r : Mu.Replica.t) ->
-            Fmt.pr "replica %d: %a@." r.Mu.Replica.id Mu.Metrics.pp r.Mu.Replica.metrics)
-          (Mu.Smr.replicas smr);
-        Fmt.pr "cluster:   %a@." Mu.Metrics.pp
-          (Mu.Metrics.total
-             (Array.to_list (Mu.Smr.replicas smr)
-             |> List.map (fun (r : Mu.Replica.t) -> r.Mu.Replica.metrics)));
-        (match Mu.Invariants.check_all (Mu.Smr.replicas smr) with
-        | [] -> Fmt.pr "invariants: all hold@."
-        | vs -> Fmt.pr "invariants: %a@." (Fmt.list Mu.Invariants.pp_violation) vs);
-        Mu.Smr.stop smr;
-        Sim.Engine.halt e);
-    Sim.Engine.run e
+    let c = Workload.Experiments.counters ~seed:(Int64.of_int seed) () in
+    Fmt.pr "fail-over:  %a@." Mu.Metrics.pp c.failover_delta;
+    List.iter (fun (id, m) -> Fmt.pr "replica %d: %a@." id Mu.Metrics.pp m) c.replicas;
+    Fmt.pr "cluster:   %a@." Mu.Metrics.pp (Mu.Metrics.total (List.map snd c.replicas));
+    match c.violations with
+    | [] -> Fmt.pr "invariants: all hold@."
+    | vs -> Fmt.pr "invariants: %a@." (Fmt.list Mu.Invariants.pp_violation) vs
   in
   Cmd.v
     (Cmd.info "metrics"

@@ -148,13 +148,11 @@ let restore data =
   done;
   t
 
-(* Test-only injected SMR bug (DESIGN.md §19): every k-th Put is
-   acknowledged but not applied. Per-instance counter: every replica
-   applies the identical committed sequence, so all replicas lose the
-   same writes and the divergence is purely client-visible. *)
-let test_only_lose_put_every = ref 0
-
-let smr_app () =
+(* [lose_put_every] is the injected SMR bug (DESIGN.md §19): every k-th
+   Put is acknowledged but not applied. Per-instance counter: every
+   replica applies the identical committed sequence, so all replicas lose
+   the same writes and the divergence is purely client-visible. *)
+let smr_app ?(lose_put_every = 0) () =
   let store = ref (create ()) in
   let puts_applied = ref 0 in
   {
@@ -162,7 +160,6 @@ let smr_app () =
       (fun payload ->
         match decode_command payload with
         | Some (client, req_id, cmd) ->
-          let lose = !test_only_lose_put_every in
           let fresh =
             (* Dedup check first so a re-delivered Put is not counted (or
                lost) twice — replays must see the recorded reply. *)
@@ -171,12 +168,12 @@ let smr_app () =
             | _ -> true
           in
           if
-            lose > 0 && fresh
+            lose_put_every > 0 && fresh
             &&
             match cmd with
             | Put _ ->
               incr puts_applied;
-              !puts_applied mod lose = 0
+              !puts_applied mod lose_put_every = 0
             | _ -> false
           then begin
             let reply = encode_reply Stored in

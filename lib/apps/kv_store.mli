@@ -48,15 +48,15 @@ val decode_reply : Bytes.t -> reply option
 
 (** {1 SMR integration} *)
 
-val smr_app : unit -> Mu.Smr.app
+val smr_app : ?lose_put_every:int -> unit -> Mu.Smr.app
 (** A replica application: decodes commands, applies them with dedup, and
-    supports checkpoint/restore for membership changes (§5.4). *)
+    supports checkpoint/restore for membership changes (§5.4).
 
-val test_only_lose_put_every : int ref
-(** Deliberate replicated-state-machine bug for the modelcheck self-test
-    (DESIGN.md §19); [0] (the default) disables it completely. When set
-    to [k > 0], every [k]-th [Put] a {!smr_app} instance applies is
-    acknowledged [Stored] but silently not executed — a lost update.
+    [lose_put_every] is a deliberate replicated-state-machine bug for the
+    modelcheck self-test (DESIGN.md §19, a chaos spec's [inject]); [0]
+    (the default) disables it completely. With [k > 0], every [k]-th
+    [Put] this instance applies is acknowledged [Stored] but silently not
+    executed — a lost update.
     Every replica applies the same committed sequence, so all replicas
     lose the {e same} writes: the Appendix A invariants stay clean and
     only a client-visible conformance check (a read observing the stale

@@ -1,4 +1,4 @@
-type t = { b_spec : Workload.Chaos.spec; b_inject : int; b_verdict : Conformance.verdict }
+type t = { b_spec : Workload.Chaos.spec; b_verdict : Conformance.verdict }
 
 let schema = "mu-verify-repro/2"
 
@@ -6,10 +6,7 @@ let to_string b =
   Faults.Json.to_string
     (Faults.Json.Obj
        ((("schema", Faults.Json.Str schema) :: Workload.Chaos.spec_fields b.b_spec)
-       @ [
-           ("inject", Faults.Json.num_of_int b.b_inject);
-           ("verdict", Faults.Json.Str (Conformance.verdict_to_string b.b_verdict));
-         ]))
+       @ [ ("verdict", Faults.Json.Str (Conformance.verdict_to_string b.b_verdict)) ]))
 
 let ( let* ) = Result.bind
 
@@ -38,8 +35,9 @@ let of_string s =
     | Script _ -> Ok ()
     | Random _ -> Error "repro: missing \"script\""
   in
-  let* b_inject = field "inject" Faults.Json.to_int j in
+  (* A chaos repro may leave [inject] out; a bundle always states it. *)
+  let* _ = field "inject" Faults.Json.to_int j in
   let* v = field "verdict" Faults.Json.to_str j in
   match Conformance.verdict_of_string v with
-  | Some b_verdict -> Ok { b_spec; b_inject; b_verdict }
+  | Some b_verdict -> Ok { b_spec; b_verdict }
   | None -> Error (Printf.sprintf "repro: unknown verdict %S" v)

@@ -1,16 +1,15 @@
 (** Byte-stable repro bundles (schema [mu-verify-repro/2]).
 
     A bundle is a chaos repro — the whole {!Workload.Chaos.spec}, printed
-    by {!Workload.Chaos.spec_fields}, with a script — plus the injection
-    rate {!Shrink.run} needs and the expected verdict. Printing keeps a
-    fixed field order and {!of_string} followed by {!to_string} is the
-    identity on any bundle this module printed, so a committed bundle
-    replays and re-emits byte-identically. {!Workload.Chaos.parse_repro}
+    by {!Workload.Chaos.spec_fields}, with a script and its injection
+    rate — plus the expected verdict. Printing keeps a fixed field order
+    and {!of_string} followed by {!to_string} is the identity on any
+    bundle this module printed, so a committed bundle replays and
+    re-emits byte-identically. {!Workload.Chaos.parse_repro}
     reads a bundle's spec. *)
 
 type t = {
   b_spec : Workload.Chaos.spec;  (** [clients = Script _]. *)
-  b_inject : int;  (** {!Apps.Kv_store.test_only_lose_put_every} (0 = off). *)
   b_verdict : Conformance.verdict;
 }
 

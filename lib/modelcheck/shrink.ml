@@ -5,14 +5,9 @@ let script (s : Workload.Chaos.spec) =
 
 let ops s = List.fold_left (fun acc c -> acc + List.length c) 0 (script s)
 
-let run ~inject spec =
-  let saved = !Apps.Kv_store.test_only_lose_put_every in
-  Apps.Kv_store.test_only_lose_put_every := inject;
-  Fun.protect
-    ~finally:(fun () -> Apps.Kv_store.test_only_lose_put_every := saved)
-    (fun () ->
-      let outcome = Workload.Chaos.run spec in
-      { verdict = Conformance.judge outcome; outcome })
+let run spec =
+  let outcome = Workload.Chaos.run spec in
+  { verdict = Conformance.judge outcome; outcome }
 
 (* --- candidate enumeration ------------------------------------------------ *)
 
@@ -87,7 +82,7 @@ let describe (s : Workload.Chaos.spec) =
     (List.length s.scenario.Faults.Scenario.events)
     s.config.Mu.Config.n
 
-let shrink ?(budget = 500) ?(log = fun _ -> ()) ~inject spec r =
+let shrink ?(budget = 500) ?(log = fun _ -> ()) spec r =
   if r.verdict = Conformance.Pass then
     invalid_arg "Shrink.shrink: spec does not fail";
   let current = ref spec in
@@ -103,7 +98,7 @@ let shrink ?(budget = 500) ?(log = fun _ -> ()) ~inject spec r =
         if !reruns >= budget then exhausted := true
         else begin
           incr reruns;
-          let cr = run ~inject cand in
+          let cr = run cand in
           if cr.verdict <> Conformance.Pass then begin
             (* Greedy: restart the scan from the smaller spec. *)
             current := cand;

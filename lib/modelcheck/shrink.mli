@@ -5,21 +5,20 @@
     event dropped, the cluster shrunk from 5 to 3 — is re-executed
     through the real cluster ({!run}) and kept only if it {e still
     fails} (any failing verdict; a shrink step may legitimately change
-    {e how} it fails). Every other spec field (config, shards, horizon)
-    rides along unchanged. Candidates are enumerated in one fixed order
-    and every re-execution is a deterministic simulation, so the same
-    spec always shrinks to the same minimum — the property the shrink
-    determinism tests pin down. *)
+    {e how} it fails). Every other spec field (config, shards, horizon,
+    inject) rides along unchanged. Candidates are enumerated in one fixed
+    order and every re-execution is a deterministic simulation, so the
+    same spec always shrinks to the same minimum — the property the
+    shrink determinism tests pin down. *)
 
 type result = {
   verdict : Conformance.verdict;
   outcome : Workload.Chaos.outcome;  (** Its [witness] backs a [Not_conformant]. *)
 }
 
-val run : inject:int -> Workload.Chaos.spec -> result
-(** Run the spec with {!Apps.Kv_store.test_only_lose_put_every} set to
-    [inject] (0 = off) and judge the recorded replies. The flag is
-    restored on exit, even on raise. *)
+val run : Workload.Chaos.spec -> result
+(** Run the spec (its [inject] included) and judge the recorded
+    replies. *)
 
 type shrunk = {
   minimized : Workload.Chaos.spec;
@@ -31,9 +30,9 @@ type shrunk = {
 }
 
 val shrink :
-  ?budget:int -> ?log:(string -> unit) -> inject:int -> Workload.Chaos.spec -> result -> shrunk
-(** [shrink ~inject s r] with [r] a failing [run ~inject s], where [s]
-    has [clients = Script _] (a [Random] spec only loses fault events and
+  ?budget:int -> ?log:(string -> unit) -> Workload.Chaos.spec -> result -> shrunk
+(** [shrink s r] with [r] a failing [run s], where [s] has
+    [clients = Script _] (a [Random] spec only loses fault events and
     replicas). [budget] (default 500) bounds candidate re-executions.
     [log] observes accepted steps and budget exhaustion. Raises
     [Invalid_argument] if [r] passes. *)

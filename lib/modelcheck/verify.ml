@@ -16,8 +16,8 @@ let sweep ?(cases = 25) ?(ns = [ 3; 5 ]) ?(inject = 0) ?(clients = 3)
     List.mapi
       (fun i ((spec : Workload.Chaos.spec), crng) ->
         let history = History.generate ~clients ~ops_per_client crng in
-        let spec = { spec with clients = Script history } in
-        let r = Shrink.run ~inject spec in
+        let spec = { spec with clients = Script history; inject } in
+        let r = Shrink.run spec in
         log
           (Fmt.str "case %3d  seed=%-20Ld n=%d  %-18s %s" i spec.seed spec.config.Mu.Config.n
              spec.scenario.Faults.Scenario.name
@@ -34,11 +34,10 @@ let sweep ?(cases = 25) ?(ns = [ 3; 5 ]) ?(inject = 0) ?(clients = 3)
     match List.find_opt (fun (_, _, r) -> r.Shrink.verdict <> Conformance.Pass) runs with
     | None -> (None, None)
     | Some (spec, _, r) ->
-      let shrunk = Shrink.shrink ?budget ~log ~inject spec r in
+      let shrunk = Shrink.shrink ?budget ~log spec r in
       ( Some
           ( {
               Repro.b_spec = shrunk.Shrink.minimized;
-              b_inject = inject;
               b_verdict = shrunk.Shrink.final.Shrink.verdict;
             },
             shrunk ),
@@ -56,5 +55,5 @@ let sweep ?(cases = 25) ?(ns = [ 3; 5 ]) ?(inject = 0) ?(clients = 3)
   }
 
 let replay (b : Repro.t) =
-  let r = Shrink.run ~inject:b.b_inject b.b_spec in
+  let r = Shrink.run b.b_spec in
   (r, Repro.to_string { b with b_verdict = r.Shrink.verdict })

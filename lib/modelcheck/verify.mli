@@ -32,9 +32,8 @@ val sweep :
   unit ->
   report
 (** [cases] (default 25) generated specs, cluster sizes cycling through
-    [ns] (default [[3; 5]]); [inject] (default 0) sets
-    {!Apps.Kv_store.test_only_lose_put_every} for every run — the
-    self-test hook; [clients] × [ops_per_client] (default 3 × 8) shape
+    [ns] (default [[3; 5]]); [inject] (default 0) is every spec's
+    [inject] — the self-test hook; [clients] × [ops_per_client] (default 3 × 8) shape
     each history; [budget] bounds the shrinker's re-executions. [log]
     observes one line per case plus shrink progress. *)
 

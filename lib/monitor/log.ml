@@ -75,8 +75,3 @@ let pp_entry ppf e =
   Fmt.pf ppf "[%8dus] %-5s %-18s %s"
     (e.at / 1000)
     (edge_name e.edge) e.rule e.detail
-
-let pp ppf t =
-  let es = entries t in
-  if es = [] then Fmt.string ppf "no alerts"
-  else Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_entry) es

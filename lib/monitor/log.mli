@@ -42,4 +42,3 @@ val to_json : t -> string
 (** [mu-monitor-log/1]: entries in order plus the final firing set. *)
 
 val pp_entry : entry Fmt.t
-val pp : t Fmt.t

@@ -23,13 +23,10 @@ val attach :
     ignored. [rules] defaults to {!Rules.defaults}. *)
 
 val log : t -> Log.t
-val rules : t -> Rules.t list
 val firing : t -> string list
 
 val windows : t -> int
 (** Windows evaluated so far. *)
-
-val window_ns : t -> int
 
 val on_alert : t -> (Log.entry -> unit) -> unit
 (** Called on every firing/clearing edge, at the virtual time of the
@@ -38,11 +35,3 @@ val on_alert : t -> (Log.entry -> unit) -> unit
 val on_window : t -> (Slo.window -> Rules.t list -> unit) -> unit
 (** Called after every window evaluation with the closed window and the
     (already stepped) rules. *)
-
-val set_profile : t -> ((unit -> unit) -> unit) -> unit
-(** Install a self-cost wrapper: every subsequent window evaluation
-    runs inside it, so a profiler can attribute its wall-clock and
-    allocation to the monitor layer. The wrapper must call its argument
-    exactly once. *)
-
-val clear_profile : t -> unit

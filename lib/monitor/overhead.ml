@@ -87,19 +87,16 @@ let pp_sample ppf s =
   Fmt.pf ppf "%-11s %9.0f ops/s  %6.1f words/op" s.layer s.ops_per_s
     s.minor_words_per_op
 
-let pp ppf samples = Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_sample) samples
-
 (* --- run-attached sampling ----------------------------------------------
 
    The synthetic table above answers "what does a layer cost in
    isolation"; [Attached] answers "what did the layers cost in *this*
-   run". It interposes on the seams the layers already expose — the
-   probe sink (trace + provenance events), the sampler tick
-   (telemetry), the online window evaluation (monitor), the engine's
-   queue selfcost hook — and stride-samples wall-clock and minor-word
-   deltas through each. Everything here is wall-clock and therefore
-   volatile: report it, never byte-compare it. The virtual clock never
-   sees any of it, so attaching cannot change the simulation. *)
+   run". It interposes on two seams the engine already exposes — the
+   probe sink (trace + provenance events) and the queue selfcost hook —
+   and stride-samples wall-clock and minor-word deltas through each.
+   Everything here is wall-clock and therefore volatile: report it, never
+   byte-compare it. The virtual clock never sees any of it, so attaching
+   cannot change the simulation. *)
 
 module Attached = struct
   type acc = {
@@ -117,8 +114,6 @@ module Attached = struct
     wall_bias : float; (* wall seconds one empty measurement costs *)
     trace : acc;
     prov : acc;
-    tel : acc;
-    mon : acc;
     mutable queue : Sim.Engine.selfcost option;
     mutable run_wall : float;
     mutable run_words : float;
@@ -154,8 +149,6 @@ module Attached = struct
       wall_bias;
       trace = fresh_acc stride;
       prov = fresh_acc stride;
-      tel = fresh_acc stride;
-      mon = fresh_acc stride;
       queue = None;
       run_wall = 0.0;
       run_words = 0.0;
@@ -187,11 +180,6 @@ module Attached = struct
       Sim.Probe.set_sink (Sim.Engine.probe e) (fun ev ->
           let acc = if ev.Sim.Probe.cat = "prov" then t.prov else t.trace in
           measure t acc (fun () -> f ev))
-
-  let attach_sampler t sampler =
-    Telemetry.Sampler.set_profile sampler (fun body -> measure t t.tel body)
-
-  let attach_online t online = Online.set_profile online (fun body -> measure t t.mon body)
 
   let measure_run t f =
     let w0 = Gc.minor_words () in
@@ -244,8 +232,6 @@ module Attached = struct
         };
         layer "trace" t.trace;
         layer "provenance" t.prov;
-        layer "telemetry_sampler" t.tel;
-        layer "monitor" t.mon;
       ]
     in
     let acc_wall = List.fold_left (fun a r -> a +. r.r_wall_s) 0.0 rows in
@@ -278,6 +264,4 @@ module Attached = struct
       Fmt.pf ppf "%-18s %10.6f s %12.0f words  (%d events, %d sampled)" r.r_layer
         r.r_wall_s r.r_minor_words r.r_events r.r_sampled
     else Fmt.pf ppf "%-18s %10.6f s %12.0f words" r.r_layer r.r_wall_s r.r_minor_words
-
-  let pp ppf rows = Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_row) rows
 end

@@ -24,21 +24,17 @@ type sample = {
   minor_words_per_op : float;
 }
 
-val run : ?fibers:int -> ?sleeps:int -> clock:(unit -> float) -> layer -> sample
-(** Default workload: 32 fibers x 2000 sleeps. *)
-
 val run_all :
   ?fibers:int -> ?sleeps:int -> clock:(unit -> float) -> unit -> sample list
-(** One sample per {!all_layers}, in order (baseline first). *)
+(** One sample per {!all_layers}, in order (baseline first); each runs
+    32 fibers x 2000 sleeps by default. *)
 
 val pp_sample : sample Fmt.t
-val pp : sample list Fmt.t
 
 (** Run-attached self-cost sampling: per-subsystem wall-clock and
     [Gc.minor_words] attribution for a {e real} run, not the synthetic
-    workload above. Interposes on the seams the observability layers
-    already expose (probe sink, sampler tick, online window, engine
-    queue hook) with stride sampling. All numbers are wall-clock and
+    workload above. Interposes on the engine's probe sink and queue
+    hook with stride sampling. All numbers are wall-clock and
     volatile — report them, never byte-compare them; the virtual clock
     never observes any of it. *)
 module Attached : sig
@@ -55,12 +51,6 @@ module Attached : sig
       cost split on the event category (provenance events are
       [cat="prov"]). *)
 
-  val attach_sampler : t -> Telemetry.Sampler.t -> unit
-  (** Attribute sampler ticks to the telemetry layer. *)
-
-  val attach_online : t -> Online.t -> unit
-  (** Attribute window evaluations to the monitor layer. *)
-
   val measure_run : t -> (unit -> 'a) -> 'a
   (** Measure a whole run (wall + minor words); the report's
       [engine_dispatch] row is this minus every attributed seam. May be
@@ -75,10 +65,8 @@ module Attached : sig
   }
 
   val report : t -> row list
-  (** [run_total; engine_dispatch; queue_ops; trace; provenance;
-      telemetry_sampler; monitor], wall and words extrapolated from the
-      sampled fraction to all events. *)
+  (** [run_total; engine_dispatch; queue_ops; trace; provenance], wall
+      and words extrapolated from the sampled fraction to all events. *)
 
   val pp_row : row Fmt.t
-  val pp : row list Fmt.t
 end

@@ -36,41 +36,7 @@ val step : t -> Slo.window -> (edge * string) option
 
 (** {1 Built-in checks}
 
-    Constructors return a {!spec}; rules with closure state
-    (rate-of-change, stall) are fresh per call, so build a new list per
-    monitor. Checks on absent metrics evaluate to [Ok]. *)
-
-val quantile_above :
-  ?fire_after:int ->
-  ?clear_after:int ->
-  name:string ->
-  metric:string ->
-  q:float ->
-  limit_ns:int ->
-  unit ->
-  spec
-(** Windowed quantile of a latency histogram above a band limit; clean
-    when the window recorded nothing. *)
-
-val rate_floor :
-  ?fire_after:int ->
-  ?clear_after:int ->
-  name:string ->
-  metric:string ->
-  min_per_s:float ->
-  unit ->
-  spec
-(** Counter (or histogram-count) rate below a floor, in events per
-    virtual second. *)
-
-val rate_ceiling :
-  ?fire_after:int ->
-  ?clear_after:int ->
-  name:string ->
-  metric:string ->
-  max_per_s:float ->
-  unit ->
-  spec
+    Checks on absent metrics evaluate to [Ok]. *)
 
 val gauge_above :
   ?fire_after:int ->
@@ -82,36 +48,9 @@ val gauge_above :
   unit ->
   spec
 
-val rate_jump :
-  ?fire_after:int ->
-  ?clear_after:int ->
-  name:string ->
-  metric:string ->
-  factor:float ->
-  unit ->
-  spec
-(** Rate of change: this window's delta exceeds [factor] x the previous
-    window's non-zero delta. *)
-
-val leader_flap :
-  ?fire_after:int -> ?clear_after:int -> ?max_elections:int -> unit -> spec
-(** More than [max_elections] (default 1) elections in one window. *)
-
-val quorum_loss : ?fire_after:int -> ?clear_after:int -> unit -> spec
-(** [mu_quorum_lost] raised on any replica — a degraded leader. *)
-
-val quorum_stall : ?fire_after:int -> ?clear_after:int -> unit -> spec
-(** Cluster-wide first-undecided-offset not advancing across windows
-    (while non-zero). Default [fire_after] 3. A finished run keeps this
-    breaching at the tail — deterministic, and what a commit-progress
-    watchdog should say about a cluster that stopped. *)
-
-val rejoin_lag : ?fire_after:int -> ?clear_after:int -> unit -> spec
-(** A restart begun ([mu_restarts_total]) with no matching log parity
-    ([mu_rejoin_time_to_parity_ns] count) for [fire_after] (default 2)
-    consecutive windows. *)
-
 val defaults : unit -> spec list
 (** The standard rule set: commit p50/p99 latency bands, commit-rate
     floor, shed-rate ceiling, serving queue depth, replication-latency
-    burst, leader flap, quorum loss, quorum stall, rejoin lag. *)
+    burst, leader flap, quorum loss, quorum stall (a finished run keeps
+    it breaching at the tail), rejoin lag. The rate-of-change and stall
+    rules keep closure state, so build a fresh list per monitor. *)

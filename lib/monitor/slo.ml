@@ -11,7 +11,6 @@
 type agg = Max | Sum
 
 type window = {
-  epoch : int;
   index : int;
   t0 : int;
   t1 : int;
@@ -35,10 +34,9 @@ let skey (m : Telemetry.Registry.metric) =
   String.concat "\x00"
     (m.name :: List.concat_map (fun (k, v) -> [ k; v ]) m.labels)
 
-let advance t ~epoch ~t0 ~t1 samples =
+let advance t ~t0 ~t1 samples =
   let w =
     {
-      epoch;
       index = t.index;
       t0;
       t1;
@@ -79,9 +77,7 @@ let advance t ~epoch ~t0 ~t1 samples =
     samples;
   w
 
-let epoch (w : window) = w.epoch
 let index (w : window) = w.index
-let t0 (w : window) = w.t0
 let t1 (w : window) = w.t1
 let span_ns (w : window) = w.t1 - w.t0
 

@@ -22,7 +22,6 @@ type window
 
 val advance :
   t ->
-  epoch:int ->
   t0:int ->
   t1:int ->
   (Telemetry.Registry.metric * float) list ->
@@ -32,13 +31,10 @@ val advance :
 
 type agg = Max | Sum
 
-val epoch : window -> int
 val index : window -> int
 (** Window ordinal since {!create} (0-based). *)
 
-val t0 : window -> int
 val t1 : window -> int
-val span_ns : window -> int
 
 val value : window -> agg -> string -> float option
 (** Aggregate of the metric's current value across its label sets
@@ -52,9 +48,5 @@ val delta : window -> string -> float
 
 val rate_per_s : window -> string -> float
 (** [delta] normalized to events per (virtual) second. *)
-
-val hist : window -> string -> Telemetry.Hdr.t option
-(** The values recorded into the named histogram *during* this window,
-    merged across label sets; [None] when none were. *)
 
 val quantile_ns : window -> string -> float -> int option

@@ -108,9 +108,7 @@ let monitor_fiber t pid =
       in
       let score = clamp c (if advanced then score + 1 else score - 1) in
       Hashtbl.replace t.Replica.scores p.Replica.pid score;
-      (match t.Replica.tel with
-      | Some tel -> Telem.set_score tel ~peer:p.Replica.pid score
-      | None -> ());
+      Metrics.score t.Replica.metrics ~peer:p.Replica.pid score;
       let alive = is_alive t p.Replica.pid in
       if alive && score < c.Sim.Calibration.score_fail then
         flip t p.Replica.pid ~score false "suspect"
@@ -137,7 +135,7 @@ let role_fiber t ~on_role_change =
       | Replica.Follower, true ->
         Replica.set_role t Replica.Leader;
         t.Replica.role_generation <- t.Replica.role_generation + 1;
-        (match t.Replica.tel with Some tel -> Telem.election tel | None -> ());
+        Metrics.election t.Replica.metrics;
         t.Replica.need_new_followers <- true;
         L.info (fun m ->
             m "t=%dns replica %d becomes leader (gen %d)"
@@ -160,7 +158,7 @@ let role_fiber t ~on_role_change =
       | Replica.Leader, false ->
         Replica.set_role t Replica.Follower;
         t.Replica.role_generation <- t.Replica.role_generation + 1;
-        (match t.Replica.tel with Some tel -> Telem.demotion tel | None -> ());
+        Metrics.demotion t.Replica.metrics;
         L.info (fun m ->
             m "t=%dns replica %d demoted (leader estimate %d)"
               (Sim.Engine.now (Replica.engine t))

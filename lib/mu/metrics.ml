@@ -1,3 +1,33 @@
+module R = Telemetry.Registry
+module H = Telemetry.Hdr
+
+(* Registry instruments, resolved once when the replica is created on an
+   engine that carries a registry. Find-or-create: a restarted replica's
+   fresh counter value reaches the same instruments, so they accumulate
+   across incarnations while the ints below start from zero. *)
+type instruments = {
+  reg : R.t;
+  id : int;
+  replication : H.t;
+  commit_ns : H.t;
+  elections : R.counter;
+  demotions : R.counter;
+  fuo : R.gauge;
+  watermark : R.gauge;
+  skips : R.counter;
+  errors : R.counter;
+  rejoin_parity : H.t;
+  pulled : R.counter;
+  shed_requests : R.counter;
+  degraded : H.t;
+  quorum_lost : R.gauge;
+  restarts : R.counter;
+  batch_occupancy : H.t;
+  (* mu_score gauges are per (replica, peer); peers are discovered as
+     the failure detector first reads them. *)
+  score_gauges : (int, R.gauge) Hashtbl.t;
+}
+
 type t = {
   mutable proposes : int;
   mutable commits : int;
@@ -16,9 +46,46 @@ type t = {
   mutable slots_recycled : int;
   mutable recycle_skips : int;
   mutable recycler_errors : int;
+  tel : instruments option;
 }
 
-let create () =
+let instruments reg ~id =
+  let labels = [ ("replica", string_of_int id) ] in
+  let c help name = R.counter reg ~help ~labels name
+  and g help name = R.gauge reg ~help ~labels name
+  and h help name = R.histogram reg ~help ~labels name in
+  {
+    reg;
+    id;
+    replication = h "Client-visible replication latency" "mu_replication_latency_ns";
+    commit_ns = h "Leader commit (quorum write) latency" "mu_commit_apply_ns";
+    elections = c "Follower-to-leader transitions" "mu_elections_total";
+    demotions = c "Leader-to-follower transitions" "mu_demotions_total";
+    fuo = g "First undecided offset" "mu_fuo";
+    watermark = g "Log slots zeroed by the recycler" "mu_recycle_watermark";
+    skips =
+      c
+        "Recycle rounds skipped because a confirmed peer's log head was unreadable or permission was in doubt"
+        "mu_recycle_skips_total";
+    errors =
+      c "Error completions on recycler head reads and zeroing writes" "mu_recycler_errors_total";
+    rejoin_parity =
+      h "Restart-to-log-parity latency of a rejoining replica" "mu_rejoin_time_to_parity_ns";
+    pulled =
+      c "Log entries pulled from the leader during rejoin catch-up" "mu_catch_up_entries_total";
+    shed_requests =
+      c "Requests refused with a retryable error by a degraded leader's queue bound"
+        "mu_shed_requests_total";
+    degraded = h "Duration of leader degraded-mode windows (quorum lost)" "mu_degraded_ns";
+    quorum_lost = g "1 while this leader is in a degraded (quorum-lost) window" "mu_quorum_lost";
+    restarts =
+      c "Host restarts begun (a rejoin is in flight until log parity)" "mu_restarts_total";
+    batch_occupancy =
+      h "Requests coalesced per committed log entry (batch occupancy)" "mu_batch_occupancy";
+    score_gauges = Hashtbl.create 8;
+  }
+
+let create ?reg ?(id = 0) () =
   {
     proposes = 0;
     commits = 0;
@@ -37,80 +104,117 @@ let create () =
     slots_recycled = 0;
     recycle_skips = 0;
     recycler_errors = 0;
+    tel = Option.map (fun reg -> instruments reg ~id) reg;
   }
 
-let copy m = { m with proposes = m.proposes }
+(* The one list of counters, in [pp] order: its label, then the field's
+   getter and setter. An empty label prints after the previous counter as
+   "/v", which is how the permission fast and slow paths share one item. *)
+let fields =
+  [
+    ("proposes", (fun m -> m.proposes), fun m v -> m.proposes <- v);
+    ("commits", (fun m -> m.commits), fun m v -> m.commits <- v);
+    ("aborts", (fun m -> m.aborts), fun m v -> m.aborts <- v);
+    ("prepares", (fun m -> m.prepare_phases), fun m v -> m.prepare_phases <- v);
+    ("accepts", (fun m -> m.accept_rounds), fun m v -> m.accept_rounds <- v);
+    ("catch-up", (fun m -> m.catch_up_entries), fun m v -> m.catch_up_entries <- v);
+    ("update", (fun m -> m.update_entries), fun m v -> m.update_entries <- v);
+    ("grown", (fun m -> m.followers_grown), fun m v -> m.followers_grown <- v);
+    ("perm-req", (fun m -> m.permission_requests), fun m v -> m.permission_requests <- v);
+    ("perm-grant", (fun m -> m.permission_grants), fun m v -> m.permission_grants <- v);
+    ("fast/slow", (fun m -> m.perm_fast_path), fun m v -> m.perm_fast_path <- v);
+    ("", (fun m -> m.perm_slow_path), fun m v -> m.perm_slow_path <- v);
+    ("fd-reads", (fun m -> m.fd_reads), fun m v -> m.fd_reads <- v);
+    ("applied", (fun m -> m.entries_applied), fun m v -> m.entries_applied <- v);
+    ("recycled", (fun m -> m.slots_recycled), fun m v -> m.slots_recycled <- v);
+    ("recycle-skips", (fun m -> m.recycle_skips), fun m v -> m.recycle_skips <- v);
+    ("recycler-errors", (fun m -> m.recycler_errors), fun m v -> m.recycler_errors <- v);
+  ]
 
-let reset m =
-  m.proposes <- 0;
-  m.commits <- 0;
-  m.aborts <- 0;
-  m.prepare_phases <- 0;
-  m.accept_rounds <- 0;
-  m.catch_up_entries <- 0;
-  m.update_entries <- 0;
-  m.followers_grown <- 0;
-  m.permission_requests <- 0;
-  m.permission_grants <- 0;
-  m.perm_fast_path <- 0;
-  m.perm_slow_path <- 0;
-  m.fd_reads <- 0;
-  m.entries_applied <- 0;
-  m.slots_recycled <- 0;
-  m.recycle_skips <- 0;
-  m.recycler_errors <- 0
+(* A fresh counter-only value whose every field is [f] of [a]'s and [b]'s. *)
+let zip f a b =
+  let r = create () in
+  List.iter (fun (_, get, set) -> set r (f (get a) (get b))) fields;
+  r
 
-let diff a b =
-  {
-    proposes = a.proposes - b.proposes;
-    commits = a.commits - b.commits;
-    aborts = a.aborts - b.aborts;
-    prepare_phases = a.prepare_phases - b.prepare_phases;
-    accept_rounds = a.accept_rounds - b.accept_rounds;
-    catch_up_entries = a.catch_up_entries - b.catch_up_entries;
-    update_entries = a.update_entries - b.update_entries;
-    followers_grown = a.followers_grown - b.followers_grown;
-    permission_requests = a.permission_requests - b.permission_requests;
-    permission_grants = a.permission_grants - b.permission_grants;
-    perm_fast_path = a.perm_fast_path - b.perm_fast_path;
-    perm_slow_path = a.perm_slow_path - b.perm_slow_path;
-    fd_reads = a.fd_reads - b.fd_reads;
-    entries_applied = a.entries_applied - b.entries_applied;
-    slots_recycled = a.slots_recycled - b.slots_recycled;
-    recycle_skips = a.recycle_skips - b.recycle_skips;
-    recycler_errors = a.recycler_errors - b.recycler_errors;
-  }
+let copy m = zip (fun v _ -> v) m m
+let reset m = List.iter (fun (_, _, set) -> set m 0) fields
+let diff = zip ( - )
+let total ms = List.fold_left (zip ( + )) (create ()) ms
 
 let pp ppf m =
-  Fmt.pf ppf
-    "proposes=%d commits=%d aborts=%d prepares=%d accepts=%d catch-up=%d update=%d \
-     grown=%d perm-req=%d perm-grant=%d fast/slow=%d/%d fd-reads=%d applied=%d \
-     recycled=%d recycle-skips=%d recycler-errors=%d"
-    m.proposes m.commits m.aborts m.prepare_phases m.accept_rounds m.catch_up_entries
-    m.update_entries m.followers_grown m.permission_requests m.permission_grants
-    m.perm_fast_path m.perm_slow_path m.fd_reads m.entries_applied m.slots_recycled
-    m.recycle_skips m.recycler_errors
+  List.iteri
+    (fun i (label, get, _) ->
+      if label = "" then Fmt.pf ppf "/%d" (get m)
+      else Fmt.pf ppf "%s%s=%d" (if i = 0 then "" else " ") label (get m))
+    fields
 
-let total ms =
-  let acc = create () in
-  List.iter
-    (fun m ->
-      acc.proposes <- acc.proposes + m.proposes;
-      acc.commits <- acc.commits + m.commits;
-      acc.aborts <- acc.aborts + m.aborts;
-      acc.prepare_phases <- acc.prepare_phases + m.prepare_phases;
-      acc.accept_rounds <- acc.accept_rounds + m.accept_rounds;
-      acc.catch_up_entries <- acc.catch_up_entries + m.catch_up_entries;
-      acc.update_entries <- acc.update_entries + m.update_entries;
-      acc.followers_grown <- acc.followers_grown + m.followers_grown;
-      acc.permission_requests <- acc.permission_requests + m.permission_requests;
-      acc.permission_grants <- acc.permission_grants + m.permission_grants;
-      acc.perm_fast_path <- acc.perm_fast_path + m.perm_fast_path;
-      acc.perm_slow_path <- acc.perm_slow_path + m.perm_slow_path;
-      acc.fd_reads <- acc.fd_reads + m.fd_reads;
-      acc.entries_applied <- acc.entries_applied + m.entries_applied;
-      acc.slots_recycled <- acc.slots_recycled + m.slots_recycled;
-      acc.recycle_skips <- acc.recycle_skips + m.recycle_skips;
-      acc.recycler_errors <- acc.recycler_errors + m.recycler_errors)
-    ms;
-  acc
+(* --- one call per protocol fact ------------------------------------------
+
+   Each bumps the always-on int where the fact has one, then the registry
+   instrument when the replica was created with a registry. *)
+
+let recycle_skip m =
+  m.recycle_skips <- m.recycle_skips + 1;
+  match m.tel with Some i -> R.Counter.inc i.skips | None -> ()
+
+let recycler_error m =
+  m.recycler_errors <- m.recycler_errors + 1;
+  match m.tel with Some i -> R.Counter.inc i.errors | None -> ()
+
+let recycled m ~slots ~watermark =
+  m.slots_recycled <- m.slots_recycled + slots;
+  match m.tel with Some i -> R.Gauge.set i.watermark watermark | None -> ()
+
+let commit m ~t0 ~now ~upto ~since =
+  match m.tel with
+  | Some i ->
+    H.record i.commit_ns (now - t0);
+    R.Gauge.set i.fuo upto;
+    Option.iter (fun s -> H.record i.replication (now - s)) since
+  | None -> ()
+
+let score m ~peer v =
+  match m.tel with
+  | None -> ()
+  | Some i ->
+    let g =
+      match Hashtbl.find_opt i.score_gauges peer with
+      | Some g -> g
+      | None ->
+        let g =
+          R.gauge i.reg ~help:"Pull-score of a peer as seen by this replica"
+            ~labels:[ ("peer", string_of_int peer); ("replica", string_of_int i.id) ]
+            "mu_score"
+        in
+        Hashtbl.replace i.score_gauges peer g;
+        g
+    in
+    R.Gauge.set g v
+
+let election m = match m.tel with Some i -> R.Counter.inc i.elections | None -> ()
+
+let demotion m = match m.tel with Some i -> R.Counter.inc i.demotions | None -> ()
+
+let batch m reqs =
+  match m.tel with Some i -> H.record i.batch_occupancy (List.length reqs) | None -> ()
+
+let shed m = match m.tel with Some i -> R.Counter.inc i.shed_requests | None -> ()
+
+let quorum_lost m = match m.tel with Some i -> R.Gauge.set i.quorum_lost 1 | None -> ()
+
+let quorum_regained m ~degraded_ns =
+  match m.tel with
+  | Some i ->
+    H.record i.degraded degraded_ns;
+    R.Gauge.set i.quorum_lost 0
+  | None -> ()
+
+let restart m = match m.tel with Some i -> R.Counter.inc i.restarts | None -> ()
+
+let rejoined m ~parity_ns ~entries =
+  match m.tel with
+  | Some i ->
+    H.record i.rejoin_parity parity_ns;
+    if entries > 0 then R.Counter.add i.pulled entries
+  | None -> ()

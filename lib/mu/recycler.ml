@@ -1,12 +1,3 @@
-let tel_skip t =
-  t.Replica.metrics.Metrics.recycle_skips <- t.Replica.metrics.Metrics.recycle_skips + 1;
-  match t.Replica.tel with Some tel -> Telem.recycle_skip tel | None -> ()
-
-let tel_error t =
-  t.Replica.metrics.Metrics.recycler_errors <-
-    t.Replica.metrics.Metrics.recycler_errors + 1;
-  match t.Replica.tel with Some tel -> Telem.recycler_error tel | None -> ()
-
 (* Read one follower's log head (8 bytes in its background MR) over the
    misc QP; this fiber is that CQ's only consumer. Failures are returned,
    not swallowed: which ones may safely exclude the peer from the minimum
@@ -18,7 +9,7 @@ let read_log_head t (p : Replica.peer) =
   match (Rdma.Cq.await p.Replica.misc_cq).Rdma.Verbs.status with
   | Rdma.Verbs.Success -> Ok (Int64.to_int (Bytes.get_int64_le buf 0))
   | status ->
-    tel_error t;
+    Metrics.recycler_error t.Replica.metrics;
     let e = Replica.engine t in
     if Sim.Engine.traced e then
       Sim.Engine.trace_instant e ~cat:"mu" ~pid:t.Replica.id
@@ -122,7 +113,7 @@ let round_safe t results =
 
 let recycle_once t =
   let results = List.map (fun p -> (p, read_log_head t p)) t.Replica.peers in
-  if not (round_safe t results) then tel_skip t
+  if not (round_safe t results) then Metrics.recycle_skip t.Replica.metrics
   else begin
     let heads = List.filter_map (fun (_, r) -> Result.to_option r) results in
     let min_head = List.fold_left min t.Replica.applied heads in
@@ -141,12 +132,10 @@ let recycle_once t =
       (* The watermark only advances once every follower's copy of the
          range has a zeroing write posted; a cut-short round retries. *)
       if complete then begin
-        t.Replica.metrics.Metrics.slots_recycled <-
-          t.Replica.metrics.Metrics.slots_recycled + count;
         t.Replica.zeroed_up_to <- min_head;
-        match t.Replica.tel with Some tel -> Telem.recycle tel min_head | None -> ()
+        Metrics.recycled t.Replica.metrics ~slots:count ~watermark:min_head
       end
-      else tel_skip t
+      else Metrics.recycle_skip t.Replica.metrics
     end
   end
 

@@ -12,14 +12,14 @@
     follower's (§5.3). The zeroing writes are fire-and-forget: their
     completions are consumed by the propose path's completion loop, which
     shares the replication CQ, decrements [Replica.recycler_outstanding]
-    and surfaces errors in [Metrics.recycler_errors] and telemetry
-    ([mu_recycler_errors_total]) before aborting the propose.
+    and counts errors with {!Metrics.recycler_error} before aborting the
+    propose.
 
     Fault handling: a round is {e skipped} (watermark unchanged, counted
-    in [Metrics.recycle_skips] / [mu_recycle_skips_total]) when a log-head
-    read fails on a confirmed peer, when any head read reports a
-    permission error, or when mid-round this replica stops being the
-    permission holder or a replication QP leaves RTS — all signs the
+    by {!Metrics.recycle_skip}) when a log-head read fails on a confirmed
+    peer, when any head read reports a permission error, or when
+    mid-round this replica stops being the permission holder or a
+    replication QP leaves RTS — all signs the
     leader's view may be stale, in which case zeroing could erase entries
     a live replica still needs. Only a non-confirmed peer whose NIC
     stopped answering (crashed under the §2.2 crash-stop model) is

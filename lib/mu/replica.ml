@@ -45,7 +45,6 @@ type t = {
   mutable zeroed_up_to : int;
   mutable recycler_outstanding : int;
   metrics : Metrics.t;
-  tel : Telem.t option;
   mutable removed : bool;
   mutable stop : bool;
   replay_bell : Sim.Host.doorbell;
@@ -130,8 +129,7 @@ let create_unwired eng calib config ~id =
       on_commit = (fun _ _ -> ());
       zeroed_up_to = 0;
       recycler_outstanding = 0;
-      metrics = Metrics.create ();
-      tel = Telem.of_engine eng ~id;
+      metrics = Metrics.create ?reg:(Sim.Engine.metrics eng) ~id ();
       removed = false;
       stop = false;
       replay_bell = Sim.Host.doorbell host;

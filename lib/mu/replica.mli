@@ -72,8 +72,9 @@ type t = {
           been reaped yet (the propose path reaps them; see
           {!recycler_tag}). Bounds the junk a deposed leader can leave on
           the shared CQ. *)
-  metrics : Metrics.t;  (** Operation counters for observability. *)
-  tel : Telem.t option;  (** Registry-backed telemetry; [None] when off. *)
+  metrics : Metrics.t;
+      (** This incarnation's counters, with the engine's registry
+          instruments when it has one. *)
   mutable removed : bool;  (** Membership: removed from the group (§5.4). *)
   mutable stop : bool;  (** Shut this replica's fibers down. *)
   (* --- parked pollers (see {!Sim.Host.park}) --- *)
@@ -129,7 +130,7 @@ val recycler_tag : int
 (** Reserved [inflight] tag for the recycler's zeroing writes on the
     replication CQ. Their completions are reaped by the propose path,
     which decrements [recycler_outstanding] and records errors in
-    [Metrics.recycler_errors] / telemetry. *)
+    {!Metrics.recycler_error}. *)
 
 val config_tag : int
 (** Reserved [inflight] tag for membership-configuration writes. *)

@@ -73,9 +73,7 @@ let note_recycler t ~pid ~tag ~status =
     match status with
     | Rdma.Verbs.Success -> ()
     | status ->
-      t.Replica.metrics.Metrics.recycler_errors <-
-        t.Replica.metrics.Metrics.recycler_errors + 1;
-      (match t.Replica.tel with Some tel -> Telem.recycler_error tel | None -> ());
+      Metrics.recycler_error t.Replica.metrics;
       let e = Replica.engine t in
       if Sim.Engine.traced e then
         Sim.Engine.trace_instant e ~cat:"mu" ~pid:t.Replica.id
@@ -434,13 +432,7 @@ let commit ?(within = fun f -> f ()) ?since t ~upto =
   within (fun () ->
       Log.set_fuo t.Replica.log upto;
       Replica.apply_committed t);
-  (match t.Replica.tel with
-  | Some tel ->
-    let now = Sim.Engine.now e in
-    Telem.commit_ns tel (now - t0);
-    Telem.commit_fuo tel upto;
-    Option.iter (fun s -> Telem.replication_ns tel (now - s)) since
-  | None -> ());
+  Metrics.commit t.Replica.metrics ~t0 ~now:(Sim.Engine.now e) ~upto ~since;
   if Sim.Engine.traced e then
     Sim.Engine.trace_counter e ~cat:"mu" ~pid:t.Replica.id "fuo" ~value:upto
 

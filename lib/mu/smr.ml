@@ -329,9 +329,7 @@ let serve_windowed t (r : Replica.t) =
                 ~args:[ arg "reqs" (List.length reqs); arg "idx" idx; arg "doorbell" count ]
           in
           prov_pickup t span reqs;
-          (match r.Replica.tel with
-          | Some tel -> Telem.batch_occupancy tel (List.length reqs)
-          | None -> ());
+          Metrics.batch r.Replica.metrics reqs;
           { idx; reqs; span })
         batches
     in
@@ -442,17 +440,10 @@ let leader_service t (r : Replica.t) =
     | Some d ->
       t.degraded_windows <- t.degraded_windows + 1;
       t.degraded_total_ns <- t.degraded_total_ns + d;
-      (match r.Replica.tel with
-      | Some tel ->
-        Telem.degraded_ns tel d;
-        Telem.set_quorum_lost tel false
-      | None -> ())
+      Metrics.quorum_regained r.Replica.metrics ~degraded_ns:d
   in
   let enter_degraded () =
-    if not (Recovery.Degrade.active deg) then
-      (match r.Replica.tel with
-      | Some tel -> Telem.set_quorum_lost tel true
-      | None -> ());
+    if not (Recovery.Degrade.active deg) then Metrics.quorum_lost r.Replica.metrics;
     Recovery.Degrade.enter deg ~now:(Sim.Engine.now t.engine)
   in
   (* The election rule: a lower id alive in our own view outranks us, and
@@ -612,10 +603,7 @@ let submit_async ?(retry = true) t payload =
       ~depth:(Sim.Engine.Chan.length t.incoming)
   then submit_admitted ~retry t payload
   else begin
-    (match serving_leader t with
-    | Some l -> (
-      match l.Replica.tel with Some tel -> Telem.shed tel | None -> ())
-    | None -> ());
+    Option.iter (fun l -> Metrics.shed l.Replica.metrics) (serving_leader t);
     let resp = Sim.Engine.Ivar.create t.engine in
     Sim.Engine.Ivar.fill resp (Bytes.copy retryable_error);
     resp
@@ -895,11 +883,8 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
           recheckpoints = p.Recovery.Catchup.recheckpoints;
         }
         :: t.rejoins;
-      (match newcomer.Replica.tel with
-      | Some tel ->
-        Telem.rejoin_parity_ns tel (now - t0);
-        Telem.catch_up tel p.Recovery.Catchup.entries
-      | None -> ());
+      Metrics.rejoined newcomer.Replica.metrics ~parity_ns:(now - t0)
+        ~entries:p.Recovery.Catchup.entries;
       if Sim.Engine.traced e then
         Sim.Engine.trace_instant e ~cat:"mu" ~pid:id
           ~args:
@@ -935,7 +920,7 @@ let restart_fiber t id =
   then () (* already running, or a restart is already in flight *)
   else begin
     Hashtbl.replace t.restarting id ();
-    (match old_r.Replica.tel with Some tel -> Telem.restart tel | None -> ());
+    Metrics.restart old_r.Replica.metrics;
     let e = t.engine in
     let t0 = Sim.Engine.now e in
     let span =

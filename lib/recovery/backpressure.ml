@@ -20,4 +20,3 @@ let admit t ~depth =
   else true
 
 let sheds t = t.sheds
-let limit t = t.limit

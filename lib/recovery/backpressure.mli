@@ -14,4 +14,3 @@ val admit : t -> depth:int -> bool
     enabled and [depth] is already at or past it. *)
 
 val sheds : t -> int
-val limit : t -> int

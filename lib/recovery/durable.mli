@@ -11,10 +11,6 @@
     Both survive {!Sim.Host.kill_host}; a clean {!Sim.Host.stop_process}
     trivially keeps them too. *)
 
-val log_region : string
-val meta_region : string
-val meta_size : int
-
 val log_backing : Sim.Nvm.t -> owner:int -> size:int -> Sim.Mem.t
 (** Open (or create) the owner's durable log region. *)
 

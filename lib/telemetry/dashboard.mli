@@ -3,17 +3,9 @@
     Renders the latency percentile table (p50/p90/p99/p99.9, in
     microseconds, for [_ns]-suffixed histograms), the fail-over phase
     breakdown (total / detection / permission-switch medians and
-    shares), and an ASCII timeline of follower pull-scores showing the
-    crossing below the fail threshold and back above the recover
-    threshold. *)
-
-val percentile_table : ?prefix:string -> Registry.t -> string
-(** One row per non-empty [_ns] histogram (optionally filtered by name
-    prefix); empty string if there are none. *)
-
-val failover_breakdown : Registry.t -> string
-(** Median/p99 and share-of-total for the [failover_*_ns] histograms;
-    empty string if no fail-over ran. *)
+    shares), the crash-recovery and serving-tier summaries, and an
+    ASCII timeline of follower pull-scores showing the crossing below
+    the fail threshold and back above the recover threshold. *)
 
 val recovery_summary : Registry.t -> string
 (** Crash-recovery instruments: per-replica rejoin count, median
@@ -21,13 +13,6 @@ val recovery_summary : Registry.t -> string
     ([mu_rejoin_time_to_parity_ns] / [mu_catch_up_entries_total]), plus
     degraded-window and shed-request totals; empty string if no
     recovery ran. *)
-
-val serving_summary : Registry.t -> string
-(** Serving-tier instruments: one row per shard (queue depth and
-    in-flight gauges, committed/shed/retried counters, tier latency
-    p50/p99 from [serving_latency_ns]) plus the [mu_batch_occupancy]
-    histogram merged across replicas as an ASCII bar chart; empty
-    string if no serving run was recorded. *)
 
 val score_timeline : ?width:int -> ?fail:int -> ?recover:int -> Sampler.t -> string
 (** One row per (replica, peer, epoch) [mu_score] series that crossed

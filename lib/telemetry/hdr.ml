@@ -39,7 +39,6 @@ let is_empty t = t.total = 0
 let sum t = t.sum
 let min_value t = if t.total = 0 then None else Some t.min_v
 let max_value t = if t.total = 0 then None else Some t.max_v
-let mean t = if t.total = 0 then None else Some (t.sum /. float_of_int t.total)
 
 (* Position of the highest set bit of [x] (x >= 1). *)
 let msb x =

@@ -13,8 +13,6 @@
 
 type t
 
-val default_precision : int
-
 val create : ?precision:int -> unit -> t
 (** Raises [Invalid_argument] unless [precision] is in [1, 20]. *)
 
@@ -25,7 +23,6 @@ val is_empty : t -> bool
 val sum : t -> float
 val min_value : t -> int option
 val max_value : t -> int option
-val mean : t -> float option
 
 val quantile : t -> float -> int option
 (** [quantile t q] with [q] in [0, 1]: the highest value equivalent to

@@ -97,18 +97,3 @@ module Gauge = struct
   let add g n = g.gv <- g.gv + n
   let value g = g.gv
 end
-
-let pp_labels ppf labels =
-  if labels <> [] then
-    Fmt.pf ppf "{%a}"
-      (Fmt.list ~sep:(Fmt.any ",") (fun ppf (k, v) -> Fmt.pf ppf "%s=%S" k v))
-      labels
-
-let pp ppf t =
-  List.iter
-    (fun m ->
-      match m.kind with
-      | Counter c -> Fmt.pf ppf "%s%a %d@." m.name pp_labels m.labels c.cv
-      | Gauge g -> Fmt.pf ppf "%s%a %d@." m.name pp_labels m.labels g.gv
-      | Histogram h -> Fmt.pf ppf "%s%a %a@." m.name pp_labels m.labels Hdr.pp h)
-    (metrics t)

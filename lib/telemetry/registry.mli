@@ -58,5 +58,3 @@ module Gauge : sig
   val add : t -> int -> unit
   val value : t -> int
 end
-
-val pp : t Fmt.t

@@ -49,15 +49,6 @@ val subscribe : t -> subscriber -> unit
     monitor library) hook in here instead of re-reading the registry
     on their own cadence. *)
 
-val set_profile : t -> ((unit -> unit) -> unit) -> unit
-(** Install a self-cost wrapper: every subsequent {!tick} body runs
-    inside it, so a profiler can attribute the tick's wall-clock and
-    allocation to the telemetry layer. The wrapper must call its
-    argument exactly once. When unset (the default), {!tick} pays one
-    extra bool check. *)
-
-val clear_profile : t -> unit
-
 val series : t -> (Registry.metric * (int * (int * float) array) list) list
 (** All series, sorted by (name, labels); per series the epochs in
     ascending epoch order, each with its (virtual ts, value) samples in

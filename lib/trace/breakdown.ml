@@ -1,15 +1,12 @@
 type row = {
   samples : Sim.Stats.Samples.t;
   mutable total_ns : int;
-  mutable excl_ns : int;
 }
 
 (* Synchronous spans go through the shared Attrib core (which owns the
-   per-(pid, tid) stack discipline and computes exclusive time on the
-   side); async spans pair by (cat, name, id) and stay here — they may
-   overlap arbitrarily, so "exclusive" degenerates to inclusive for
-   them. The row tables and the printed output are byte-identical to
-   the pre-Attrib implementation. *)
+   per-(pid, tid) stack discipline); async spans pair by (cat, name, id)
+   and stay here — they may overlap arbitrarily. The row tables and the
+   printed output are byte-identical to the pre-Attrib implementation. *)
 type t = {
   rows : (string * string, row) Hashtbl.t; (* (cat, name) -> durations *)
   attrib : Attrib.t;
@@ -22,15 +19,14 @@ let row t key =
   match Hashtbl.find_opt t.rows key with
   | Some r -> r
   | None ->
-    let r = { samples = Sim.Stats.Samples.create (); total_ns = 0; excl_ns = 0 } in
+    let r = { samples = Sim.Stats.Samples.create (); total_ns = 0 } in
     Hashtbl.add t.rows key r;
     r
 
-let record t ~cat ~name ~excl dur =
+let record t ~cat ~name dur =
   let r = row t (cat, name) in
   Sim.Stats.Samples.add r.samples dur;
-  r.total_ns <- r.total_ns + dur;
-  r.excl_ns <- r.excl_ns + excl
+  r.total_ns <- r.total_ns + dur
 
 let create () =
   let t =
@@ -41,8 +37,8 @@ let create () =
       async_unmatched = 0;
     }
   in
-  Attrib.on_close t.attrib (fun ~cat ~name ~pid:_ ~tid:_ ~inclusive ~exclusive ->
-      record t ~cat ~name ~excl:exclusive inclusive);
+  Attrib.on_close t.attrib (fun ~cat ~name ~pid:_ ~tid:_ ~inclusive ~exclusive:_ ->
+      record t ~cat ~name inclusive);
   t
 
 let add t (ev : Sim.Probe.event) =
@@ -58,7 +54,7 @@ let add t (ev : Sim.Probe.event) =
     | Some ts ->
       Hashtbl.remove t.async_open key;
       let dur = ev.ts - ts in
-      record t ~cat:ev.cat ~name:ev.name ~excl:dur dur
+      record t ~cat:ev.cat ~name:ev.name dur
     | None -> t.async_unmatched <- t.async_unmatched + 1)
   | Sim.Probe.Instant | Sim.Probe.Counter | Sim.Probe.Meta_process
   | Sim.Probe.Meta_thread ->
@@ -76,14 +72,6 @@ let find t ~cat ~name =
 
 let total_ns t ~cat ~name =
   match Hashtbl.find_opt t.rows (cat, name) with Some r -> r.total_ns | None -> 0
-
-let exclusive_ns t ~cat ~name =
-  match Hashtbl.find_opt t.rows (cat, name) with Some r -> r.excl_ns | None -> 0
-
-let exclusive_rows t =
-  Hashtbl.fold (fun (cat, name) r acc -> (cat, name, r.excl_ns, r.total_ns) :: acc) t.rows []
-  |> List.sort (fun (c1, n1, _, _) (c2, n2, _, _) ->
-         match compare c1 c2 with 0 -> compare n1 n2 | c -> c)
 
 let pp ppf t =
   let rows = rows t in

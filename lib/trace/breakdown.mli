@@ -4,8 +4,7 @@
     Fed streaming from the tracer's sink — not from the ring buffer — so
     statistics cover the whole run even when the ring has dropped old
     events. Synchronous spans pair LIFO per (pid, tid) through the
-    shared {!Attrib} core (which also yields per-span {e exclusive}
-    time); async spans pair by (cat, name, id). Instants, counters and
+    shared {!Attrib} core; async spans pair by (cat, name, id). Instants, counters and
     metadata are ignored.
 
     This is how the fail-over decomposition of the paper's Fig. 6 is
@@ -26,14 +25,6 @@ val find : t -> cat:string -> name:string -> Sim.Stats.Samples.t option
 
 val total_ns : t -> cat:string -> name:string -> int
 (** Sum of all recorded durations for the span; 0 if absent. *)
-
-val exclusive_ns : t -> cat:string -> name:string -> int
-(** Sum of exclusive (self) durations: inclusive minus time spent in
-    nested sync spans. Equal to {!total_ns} for async spans and for
-    sync spans with no children; 0 if absent. *)
-
-val exclusive_rows : t -> (string * string * int * int) list
-(** [(cat, name, exclusive_ns, total_ns)] sorted by (cat, name). *)
 
 val unmatched : t -> int
 (** End events without a matching begin (or vice versa). *)

@@ -38,11 +38,6 @@ let add t ev =
     t.dropped <- t.dropped + 1
   end
 
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.data.((t.head + i) mod t.cap)
-  done
-
 let to_list t =
   List.init t.len (fun i -> t.data.((t.head + i) mod t.cap))
 

@@ -22,9 +22,6 @@ val dropped : t -> int
 val recorded : t -> int
 (** Total events ever added ([length + dropped]). *)
 
-val iter : t -> (Sim.Probe.event -> unit) -> unit
-(** Oldest to newest. *)
-
 val to_list : t -> Sim.Probe.event list
 (** Oldest to newest. *)
 

@@ -24,7 +24,6 @@ let sink t (ev : Sim.Probe.event) =
     Buffer.add t.ring ev
 
 let attach t engine = Sim.Probe.set_sink (Sim.Engine.probe engine) (sink t)
-let detach engine = Sim.Probe.clear_sink (Sim.Engine.probe engine)
 
 let events t = Buffer.to_list t.ring
 let recorded t = Buffer.recorded t.ring

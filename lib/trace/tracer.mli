@@ -18,7 +18,6 @@ val create : ?capacity:int -> unit -> t
     statistics, not events. *)
 
 val attach : t -> Sim.Engine.t -> unit
-val detach : Sim.Engine.t -> unit
 
 val events : t -> Sim.Probe.event list
 (** Events still in the ring, oldest first. *)

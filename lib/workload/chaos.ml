@@ -112,6 +112,7 @@ type spec = {
   horizon : int;
   scenario : Faults.Scenario.t;
   clients : clients;
+  inject : int;
 }
 
 let spec ~seed ~n scenario =
@@ -129,6 +130,7 @@ let spec ~seed ~n scenario =
     horizon = 2_000_000_000;
     scenario;
     clients = Random { clients = 4; ops = 25; think = 0 };
+    inject = 0;
   }
 
 type outcome = {
@@ -284,7 +286,7 @@ let run ?(on_engine = ignore) spec =
   on_engine e;
   let s =
     Mu.Sharded.create e Sim.Calibration.default spec.config ~shards:spec.shards
-      ~make_app:(fun ~shard:_ ~replica:_ -> Apps.Kv_store.smr_app ())
+      ~make_app:(fun ~shard:_ ~replica:_ -> Apps.Kv_store.smr_app ~lose_put_every:spec.inject ())
   in
   Mu.Sharded.start s;
   let groups = List.init spec.shards (Mu.Sharded.shard s) in
@@ -471,7 +473,7 @@ let spec_fields s =
     | Random { clients; ops; think } ->
       [ ("clients", num clients); ("ops", num ops); ("think", num think) ]
     | Script script -> [ ("script", script_to_json script) ])
-  @ [ ("scenario", Faults.Scenario.to_json s.scenario) ]
+  @ [ ("scenario", Faults.Scenario.to_json s.scenario); ("inject", num s.inject) ]
 
 (* A field missing from the document reads as its default-spec value, so
    repros that carry only seed, n and scenario still replay. *)
@@ -502,6 +504,7 @@ let spec_of_json j =
   in
   let* shards = opt "shards" Faults.Json.to_int d.shards in
   let* horizon = opt "horizon" Faults.Json.to_int d.horizon in
+  let* inject = opt "inject" Faults.Json.to_int d.inject in
   let* clients =
     match (Faults.Json.member "script" j, d.clients) with
     | Some sj, _ -> Result.map (fun s -> Script s) (script_of_json sj)
@@ -517,7 +520,7 @@ let spec_of_json j =
     try Ok (Mu.Config.validate config) with Invalid_argument m -> Error ("repro: " ^ m)
   in
   let* () = Faults.Scenario.validate ~n:config.Mu.Config.n scenario in
-  Ok { seed; config; shards; horizon; scenario; clients }
+  Ok { seed; config; shards; horizon; scenario; clients; inject }
 
 (* The spec plus a violation summary for humans; replay reads everything
    but the summary. *)

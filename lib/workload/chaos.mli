@@ -77,12 +77,16 @@ type spec = {
           stay in the history with an open response interval. *)
   scenario : Faults.Scenario.t;
   clients : clients;
+  inject : int;
+      (** The KV application's lost-put self-test rate
+          ({!Apps.Kv_store.smr_app}'s [lose_put_every]); 0 = off. *)
 }
 
 val spec : seed:int64 -> n:int -> Faults.Scenario.t -> spec
 (** One group of [n] replicas on {!Mu.Config.default} with a 4096-slot
     log, 1 ms recycling and durable state (so [Restart] events recover
-    from NVM); 4 random clients × 25 ops, no think time; a 2 s horizon. *)
+    from NVM); 4 random clients × 25 ops, no think time; a 2 s horizon;
+    no injected bug. *)
 
 type outcome = {
   spec : spec;
@@ -125,8 +129,9 @@ val keys_for : shards:int -> shard:int -> count:int -> string array
 
 val spec_fields : spec -> (string * Faults.Json.t) list
 (** The whole spec as JSON object fields: seed, the config fields inline,
-    shards, horizon, the random clients or the script, the scenario. The
-    one codec both the chaos repro and the verify bundle print. *)
+    shards, horizon, the random clients or the script, the scenario,
+    inject. The one codec both the chaos repro and the verify bundle
+    print. *)
 
 val spec_of_json : Faults.Json.t -> (spec, string) result
 (** Inverse of {!spec_fields} on an object; other fields are ignored. A

@@ -279,6 +279,11 @@ let repro_round_trips_and_replays () =
   in
   check "short repro reads as the default spec" true
     (Chaos.parse_repro (repro []) = Ok (Chaos.spec ~seed:9L ~n:5 scenario));
+  check "injection rate read" true
+    (Result.map
+       (fun (s : Chaos.spec) -> s.inject)
+       (Chaos.parse_repro (repro [ ("inject", Faults.Json.num_of_int 3) ]))
+    = Ok 3);
   check "zero shards rejected" true
     (Result.is_error (Chaos.parse_repro (repro [ ("shards", Faults.Json.num_of_int 0) ])));
   check "invalid config rejected" true

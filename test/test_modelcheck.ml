@@ -305,7 +305,7 @@ let crash_leader_scripted_conformant () =
       (Sim.Rng.create 17L)
   in
   let r =
-    Modelcheck.Shrink.run ~inject:0
+    Modelcheck.Shrink.run
       (script_spec ~seed:17L (Faults.Scenario.crash_leader ~n:3) history)
   in
   check "conformant across fail-over" true
@@ -328,7 +328,7 @@ let sharded_windowed_spec =
    a linearizability witness. *)
 let sharded_windowed_script_judged () =
   let script = sharded_windowed_script in
-  let run inject = (Modelcheck.Shrink.run ~inject sharded_windowed_spec).outcome in
+  let run inject = (Modelcheck.Shrink.run { sharded_windowed_spec with inject }).outcome in
   let shards =
     List.concat_map
       (List.map (fun op ->
@@ -361,8 +361,8 @@ let rejoin_survives_minority_self_claimant () =
   in
   match Modelcheck.Repro.of_string bundle_json with
   | Error e -> Alcotest.fail e
-  | Ok { b_spec; b_inject; _ } ->
-    let r = Modelcheck.Shrink.run ~inject:b_inject b_spec in
+  | Ok { b_spec; _ } ->
+    let r = Modelcheck.Shrink.run b_spec in
     check "run passes" true
       (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass);
     check_int "replica 1 rejoined" 1
@@ -402,7 +402,8 @@ let injected_bug_caught_and_shrunk () =
     check "<= 2 fault actions" true
       (List.length t.scenario.Faults.Scenario.events <= 2);
     (* Re-running the minimized spec independently still fails. *)
-    let r = Modelcheck.Shrink.run ~inject:3 t in
+    check_int "spec carries the injection" 3 t.inject;
+    let r = Modelcheck.Shrink.run t in
     check "independent rerun fails" true
       (r.Modelcheck.Shrink.verdict <> Modelcheck.Conformance.Pass)
 
@@ -426,11 +427,11 @@ let passing_spec_rejected_by_shrinker () =
       { Faults.Scenario.name = "none"; events = [] }
       [ [ op 0 1 (Apps.Kv_store.Put { key = "a"; value = "x" }) ] ]
   in
-  let r = Modelcheck.Shrink.run ~inject:0 t in
+  let r = Modelcheck.Shrink.run t in
   check "spec passes" true (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass);
   check "shrinker refuses passing spec" true
     (try
-       ignore (Modelcheck.Shrink.shrink ~inject:0 t r);
+       ignore (Modelcheck.Shrink.shrink t r);
        false
      with Invalid_argument _ -> true)
 
@@ -439,15 +440,18 @@ let passing_spec_rejected_by_shrinker () =
 let sample_bundle () =
   {
     Modelcheck.Repro.b_spec =
-      script_spec ~seed:(-3721L) (Faults.Scenario.kill_restart ~n:3)
-        [
-          [
-            op 0 1 (Apps.Kv_store.Put { key = "a"; value = "v1.1" });
-            op 250_000 2 (Apps.Kv_store.Get { key = "a" });
-          ];
-          [ op 10 1 (Apps.Kv_store.Delete { key = "b" }) ];
-        ];
-    b_inject = 3;
+      {
+        (script_spec ~seed:(-3721L) (Faults.Scenario.kill_restart ~n:3)
+           [
+             [
+               op 0 1 (Apps.Kv_store.Put { key = "a"; value = "v1.1" });
+               op 250_000 2 (Apps.Kv_store.Get { key = "a" });
+             ];
+             [ op 10 1 (Apps.Kv_store.Delete { key = "b" }) ];
+           ])
+        with
+        inject = 3;
+      };
     b_verdict = Modelcheck.Conformance.Not_conformant;
   }
 
@@ -629,10 +633,10 @@ let judge_ranks_verdicts () =
    of [sharded windowed script judged] survive into the bundle, which
    replays and reads back as the same chaos spec. *)
 let shrink_keeps_spec_fields () =
-  let spec = sharded_windowed_spec in
-  let r = Modelcheck.Shrink.run ~inject:3 spec in
+  let spec = { sharded_windowed_spec with inject = 3 } in
+  let r = Modelcheck.Shrink.run spec in
   check "start fails" true (r.Modelcheck.Shrink.verdict <> Modelcheck.Conformance.Pass);
-  let shrunk = Modelcheck.Shrink.shrink ~inject:3 spec r in
+  let shrunk = Modelcheck.Shrink.shrink spec r in
   let m = shrunk.Modelcheck.Shrink.minimized in
   check "shrunk still fails"
     true
@@ -643,7 +647,6 @@ let shrink_keeps_spec_fields () =
   let b =
     {
       Modelcheck.Repro.b_spec = m;
-      b_inject = 3;
       b_verdict = shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.verdict;
     }
   in

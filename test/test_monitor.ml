@@ -34,7 +34,7 @@ let slo_window_deltas () =
   Telemetry.Registry.Gauge.set g 7;
   Telemetry.Hdr.record h 100;
   Telemetry.Hdr.record h 200;
-  let w0 = Monitor.Slo.advance slo ~epoch:1 ~t0:0 ~t1:1_000 (snapshot reg) in
+  let w0 = Monitor.Slo.advance slo ~t0:0 ~t1:1_000 (snapshot reg) in
   check_int "first window sees full counter" 10
     (int_of_float (Monitor.Slo.delta w0 "ops_total"));
   check_int "histogram delta is count" 2
@@ -46,7 +46,7 @@ let slo_window_deltas () =
   Telemetry.Registry.Counter.add c 3;
   Telemetry.Registry.Gauge.set g 2;
   Telemetry.Hdr.record h 5_000;
-  let w1 = Monitor.Slo.advance slo ~epoch:1 ~t0:1_000 ~t1:2_000 (snapshot reg) in
+  let w1 = Monitor.Slo.advance slo ~t0:1_000 ~t1:2_000 (snapshot reg) in
   check_int "counter delta windowed" 3
     (int_of_float (Monitor.Slo.delta w1 "ops_total"));
   check_int "gauge reads current value" 2
@@ -76,7 +76,7 @@ let rules_hysteresis () =
     let t0 = !t in
     t := !t + 1_000;
     Monitor.Rules.step rule
-      (Monitor.Slo.advance slo ~epoch:1 ~t0 ~t1:!t (snapshot reg))
+      (Monitor.Slo.advance slo ~t0 ~t1:!t (snapshot reg))
   in
   check "one breach does not fire" true (step 50 = None);
   (match step 50 with

@@ -8,8 +8,9 @@ let check_int = Alcotest.(check int)
 (* A wired cluster with NO fibers running: tests drive state by hand.
    Replica 0 is pre-granted write access everywhere (as an established
    leader would be). *)
-let bare_cluster ?(cfg = Mu.Config.default) () =
+let bare_cluster ?(cfg = Mu.Config.default) ?reg () =
   let e = Util.engine () in
+  Option.iter (Sim.Engine.set_metrics e) reg;
   let replicas = Mu.Replica.create_cluster e Util.default_cal cfg in
   Array.iter
     (fun (r : Mu.Replica.t) ->

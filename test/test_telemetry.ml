@@ -318,12 +318,11 @@ let dashboard_recovery_section () =
   let reg = T.Registry.create () in
   check "silent without recovery metrics" true (T.Dashboard.recovery_summary reg = "");
   let labels = [ ("replica", "2") ] in
-  let tel = Mu.Telem.create reg ~id:2 in
-  Mu.Telem.rejoin_parity_ns tel 24_000;
-  Mu.Telem.catch_up tel 17;
-  Mu.Telem.shed tel;
-  Mu.Telem.shed tel;
-  Mu.Telem.degraded_ns tel 400_000;
+  let m = Mu.Metrics.create ~reg ~id:2 () in
+  Mu.Metrics.rejoined m ~parity_ns:24_000 ~entries:17;
+  Mu.Metrics.shed m;
+  Mu.Metrics.shed m;
+  Mu.Metrics.quorum_regained m ~degraded_ns:400_000;
   let s = T.Dashboard.recovery_summary reg in
   let has sub = Util.contains_substring s sub in
   check "rejoin row" true (has "replica=2");
@@ -347,6 +346,43 @@ let e2e_export_deterministic () =
   check_str "equal seeds byte-identical" (dump 42L) (dump 42L);
   check "different seed differs" true (dump 42L <> dump 43L)
 
+(* --- view consistency: one fact, the same in every view ------------------ *)
+
+let counter reg ~replica name =
+  match T.Registry.find reg ~labels:[ ("replica", string_of_int replica) ] name with
+  | Some { T.Registry.kind = T.Registry.Counter c; _ } -> T.Registry.Counter.value c
+  | _ -> Alcotest.failf "%s{replica=%d} not registered" name replica
+
+(* The revoked-head-read recycler round of the replication suite, with a
+   registry attached: the skip and the read error it counts are each one
+   call, so the leader's ints and its registry counters agree. *)
+let recycler_views_agree () =
+  let reg = T.Registry.create () in
+  let e, rs = Test_replayer.bare_cluster ~reg () in
+  let leader = Test_replication.established_leader rs 6 in
+  let f1 = rs.(1) in
+  Rdma.Qp.set_access (Mu.Replica.peer f1 0).Mu.Replica.misc_qp Rdma.Verbs.access_none;
+  Test_replication.run_recycle e leader;
+  let m = leader.Mu.Replica.metrics in
+  check_int "one skip" 1 m.Mu.Metrics.recycle_skips;
+  check "an error" true (m.Mu.Metrics.recycler_errors >= 1);
+  check_int "skips agree" m.Mu.Metrics.recycle_skips
+    (counter reg ~replica:0 "mu_recycle_skips_total");
+  check_int "errors agree" m.Mu.Metrics.recycler_errors
+    (counter reg ~replica:0 "mu_recycler_errors_total")
+
+(* Attaching a registry adds instruments, not behaviour: the [mu_demo
+   metrics] workload counts the same with and without one. *)
+let registry_leaves_counts_alone () =
+  let lines c =
+    List.map (fun (id, m) -> Fmt.str "replica %d: %a" id Mu.Metrics.pp m) c.E.replicas
+  in
+  let reg = T.Registry.create () in
+  let bare = E.counters ~seed:42L () and observed = E.counters ~reg ~seed:42L () in
+  check_int "three replicas" 3 (List.length bare.E.replicas);
+  List.iter2 (check_str "replica counts equal") (lines bare) (lines observed);
+  check "registry fed" true (counter reg ~replica:0 "mu_elections_total" >= 1)
+
 let suite =
   [
     ("hdr exact small values", `Quick, hdr_exact_small_values);
@@ -365,4 +401,6 @@ let suite =
     ("e2e failover instrumented", `Quick, e2e_failover_instrumented);
     ("dashboard recovery section", `Quick, dashboard_recovery_section);
     ("e2e export deterministic", `Quick, e2e_export_deterministic);
+    ("recycler views agree", `Quick, recycler_views_agree);
+    ("registry leaves counts alone", `Quick, registry_leaves_counts_alone);
   ]
