@@ -23,6 +23,7 @@
    history JSONL), --compare-report writes the diff to a file. *)
 
 module E = Workload.Experiments
+module J = Faults.Json
 
 let quick = ref false
 let only : string list ref = ref []
@@ -120,13 +121,17 @@ let () =
 
 let want id = (!only = [] && id <> "bechamel") || List.mem id !only || (id = "bechamel" && !with_bechamel)
 
-let setup () =
-  { E.seed = !seed; cal = Sim.Calibration.default; trace = !tracer; metrics = !sampler;
-    faults = !faults; provenance = false; on_engine = None }
+(* Every engine an experiment creates gets the run's observers, in the
+   order tracer, provenance, telemetry sampler, then [own]. *)
+let setup ?(provenance = false) ?(own = ignore) () =
+  let observe e =
+    Option.iter (fun tr -> Trace.Tracer.attach tr e) !tracer;
+    if provenance then Sim.Engine.set_provenance e true;
+    Option.iter (fun smp -> E.attach_sampler smp e) !sampler;
+    own e
+  in
+  { E.seed = !seed; cal = Sim.Calibration.default; faults = !faults; on_engine = Some observe }
 
-(* Captured for BENCH_results.json and the acceptance checks. *)
-let mu_samples : Sim.Stats.Samples.t option ref = ref None
-let failover_result : E.failover_stats option ref = ref None
 let figures_run : string list ref = ref []
 let checks : (string * bool * string) list ref = ref []
 
@@ -180,6 +185,19 @@ let pp_samples ?csv name ~paper s =
   Fmt.pr "  %-34s %-26s measured: %a@." name paper Sim.Stats.Samples.pp_us s
 
 let us ns = Sim.Stats.ns_to_us ns
+
+(* Results-document numbers. A float keeps the decimals of its printed
+   column, so equal runs give equal documents. *)
+let int = J.num_of_int
+let fixed decimals x = J.Num (float_of_string (Printf.sprintf "%.*f" decimals x))
+
+let samples_json s =
+  J.Obj
+    [
+      ("p50", int (Sim.Stats.Samples.median s));
+      ("p99", int (Sim.Stats.Samples.percentile s 99.0));
+      ("p999", int (Sim.Stats.Samples.percentile s 99.9));
+    ]
 
 (* --- Table 1 ----------------------------------------------------------- *)
 
@@ -240,15 +258,17 @@ let fig3 () =
     \  gradual growth (+35%% at 512 B); handover attach adds ~400 ns; direct less.@.";
   let s = setup () in
   let n = scale 50_000 in
-  List.iter
-    (fun payload ->
-      let r = E.mu_replication_latency s ~samples:n ~payload ~attach:Mu.Config.Standalone in
-      if payload = 64 then mu_samples := Some r;
-      pp_samples
-        (Printf.sprintf "standalone %dB" payload)
-        ~paper:(if payload <= 128 then "paper: ~1.30 us (inline)" else "paper: inline+DMA")
-        r)
-    [ 32; 64; 128; 256; 512 ];
+  let standalone =
+    List.map
+      (fun payload ->
+        let r = E.mu_replication_latency s ~samples:n ~payload ~attach:Mu.Config.Standalone in
+        pp_samples
+          (Printf.sprintf "standalone %dB" payload)
+          ~paper:(if payload <= 128 then "paper: ~1.30 us (inline)" else "paper: inline+DMA")
+          r;
+        (payload, r))
+      [ 32; 64; 128; 256; 512 ]
+  in
   pp_samples "attached LiQ 32B (direct)" ~paper:"paper: standalone + <400ns"
     (E.mu_replication_latency s ~samples:n ~payload:32 ~attach:Mu.Config.Direct);
   pp_samples "attached HERD 50B (direct)" ~paper:"paper: standalone + <400ns"
@@ -256,7 +276,8 @@ let fig3 () =
   pp_samples "attached mcd 64B (handover)" ~paper:"paper: standalone + ~400ns"
     (E.mu_replication_latency s ~samples:n ~payload:64 ~attach:Mu.Config.Handover);
   pp_samples "attached rds 64B (handover)" ~paper:"paper: standalone + ~400ns"
-    (E.mu_replication_latency s ~samples:n ~payload:64 ~attach:Mu.Config.Handover)
+    (E.mu_replication_latency s ~samples:n ~payload:64 ~attach:Mu.Config.Handover);
+  List.assoc 64 standalone
 
 (* --- Fig. 4 ------------------------------------------------------------ *)
 
@@ -269,7 +290,6 @@ let fig4 () =
   let s = setup () in
   let n = scale 50_000 in
   let mu = E.mu_replication_latency s ~samples:n ~payload:64 ~attach:Mu.Config.Standalone in
-  mu_samples := Some mu;
   pp_samples "Mu" ~paper:"paper: 1.30 us" mu;
   let mu_med = Sim.Stats.Samples.median mu in
   List.iter
@@ -283,7 +303,8 @@ let fig4 () =
       ("DARE", `Dare, "paper: ~4-5 us");
       ("APUS (mcd)", `Apus, "paper: ~4x Mu");
       ("HovercRaft", `Hovercraft, "paper: 30-60 us (excluded)");
-    ]
+    ];
+  mu
 
 (* --- Fig. 5 ------------------------------------------------------------ *)
 
@@ -337,7 +358,6 @@ let fig6 () =
     \  ~30%% of total (mean 244 us, 99p 294 us — two permission changes).@.";
   let rounds = scale 1_000 in
   let r = E.failover (setup ()) ~rounds in
-  failover_result := Some r;
   pp_samples "total fail-over" ~paper:"paper: 873 (.. 947) us" r.E.total;
   pp_samples "  detection" ~paper:"paper: ~600 us" r.E.detection;
   pp_samples "  permission switch + catch-up" ~paper:"paper: 244 (.. 294) us" r.E.switch;
@@ -355,14 +375,15 @@ let fig6 () =
     let tot = Trace.Breakdown.total_ns bd ~cat:"failover" ~name:"total" in
     if tot = 0 then begin
       Fmt.pr "  trace check: FAIL (no failover spans recorded)@.";
-      exit_code := 1
+      record_check "fig6_traced_switch_share" false "no failover spans recorded"
     end
     else begin
       let share = 100.0 *. float_of_int sw /. float_of_int tot in
       let ok = share >= 25.0 && share <= 35.0 in
       Fmt.pr "  traced perm_switch share of fail-over: %.1f%% (accept: 25-35%%) %s@." share
         (if ok then "OK" else "FAIL");
-      if not ok then exit_code := 1
+      record_check "fig6_traced_switch_share" ok
+        (Printf.sprintf "perm_switch %.1f%% of traced fail-over (accept 25-35%%)" share)
     end);
   Fmt.pr "  histogram of total fail-over (50 us buckets):@.";
   let h = Sim.Stats.Histogram.create ~bucket_width:50_000 in
@@ -392,7 +413,13 @@ let fig6 () =
   Fmt.pr "    %-12s %10.2f ms   (paper: ~30 ms; measured, RAFT-style election)@." "DARE"
     (float_of_int (Sim.Stats.Samples.median dare) /. 1.0e6);
   Fmt.pr "    %-12s %10.2f ms   (paper: >= 150 ms; modelled)@." "Hermes"
-    (med Baselines.Failover_model.hermes)
+    (med Baselines.Failover_model.hermes);
+  J.Obj
+    [
+      ("total", samples_json r.E.total);
+      ("detection", samples_json r.E.detection);
+      ("switch", samples_json r.E.switch);
+    ]
 
 (* --- Fig. 7 ------------------------------------------------------------ *)
 
@@ -465,8 +492,6 @@ let ablations () =
 
 (* --- Crash recovery ------------------------------------------------------ *)
 
-let recovery_outcome : Workload.Chaos.outcome option ref = ref None
-
 let recovery () =
   section "recovery" "crash-recovery: kill -> restart -> rejoin under traffic (DESIGN.md §14)";
   Fmt.pr
@@ -482,7 +507,6 @@ let recovery () =
         clients = Random { clients = 4; ops = scale 600 / 10; think = 100_000 };
       }
   in
-  recovery_outcome := Some o;
   Fmt.pr "  %a@." Workload.Chaos.pp_outcome o;
   List.iter
     (fun (r : Mu.Smr.rejoin) ->
@@ -501,11 +525,26 @@ let recovery () =
     (Workload.Chaos.passed o && o.Workload.Chaos.rejoins <> [])
     (Fmt.str "%a" Workload.Chaos.pp_outcome o);
   Fmt.pr "  check: rejoin reached parity, run linearizable + invariant-clean: %s@."
-    (if Workload.Chaos.passed o && o.Workload.Chaos.rejoins <> [] then "OK" else "FAIL")
+    (if Workload.Chaos.passed o && o.Workload.Chaos.rejoins <> [] then "OK" else "FAIL");
+  let rejoin (r : Mu.Smr.rejoin) =
+    J.Obj
+      [
+        ("pid", int r.pid);
+        ("rejoin_time_to_parity_ns", int (r.parity_at - r.restarted_at));
+        ("catch_up_entries", int r.entries_pulled);
+        ("pull_rounds", int r.pull_rounds);
+        ("recheckpoints", int r.recheckpoints);
+      ]
+  in
+  J.Obj
+    [
+      ("passed", Bool (Workload.Chaos.passed o));
+      ("rejoins", List (List.map rejoin o.Workload.Chaos.rejoins));
+      ("shed", int o.Workload.Chaos.shed);
+      ("degraded_ns", int o.Workload.Chaos.degraded_ns);
+    ]
 
 (* --- Serving tier -------------------------------------------------------- *)
-
-let serving_points : Serving.Surface.point list ref = ref []
 
 let serving () =
   section "serving" "serving tier: shard-count x batch-size surface (§8 x §7.4)";
@@ -523,7 +562,6 @@ let serving () =
   Fmt.pr "  (%d modeled clients, %.0f us think time, %d us per cell)@." clients
     (us think_ns) (duration / 1000);
   let points = Serving.Surface.sweep s ~shard_counts ~batches ~clients ~think_ns ~duration in
-  serving_points := points;
   Fmt.pr "  %6s %5s %8s %11s %13s %7s %9s %9s@." "shards" "batch" "doorbell" "offered/us"
     "committed/us" "shed" "p50 (us)" "p99 (us)";
   List.iter
@@ -551,12 +589,24 @@ let serving () =
     (Printf.sprintf "batch %d out-commits batch 1 at shard counts %s" max_batch
        (String.concat "," (List.map string_of_int shard_counts)));
   Fmt.pr "  check: batch %d beats batch 1 at every shard count: %s@." max_batch
-    (if ok then "OK" else "FAIL")
+    (if ok then "OK" else "FAIL");
+  let cell (p : Serving.Surface.point) =
+    J.Obj
+      [
+        ("shards", int p.shards);
+        ("batch", int p.batch);
+        ("doorbell", int p.doorbell);
+        ("offered_per_us", fixed 3 p.offered_per_us);
+        ("committed_per_us", fixed 3 p.committed_per_us);
+        ("shed", int p.shed);
+        ("suppressed", int p.suppressed);
+        ("p50_ns", int p.p50_ns);
+        ("p99_ns", int p.p99_ns);
+      ]
+  in
+  J.Obj [ ("surface", List (List.map cell points)) ]
 
 (* --- Online SLO monitor --------------------------------------------------- *)
-
-let monitor_log : Monitor.Log.t option ref = ref None
-let monitor_windows = ref 0
 
 (* One monitored chaos run: print its outcome and alert log. Windows
    are two sampler ticks. *)
@@ -599,8 +649,6 @@ let monitor () =
     \  the rejoin watchdog; a quorum-loss run, which kills two of three@.\
     \  replicas and restarts one, shows the quorum-loss alert.@.";
   let online, log = monitored_run "kill-restart" in
-  monitor_log := Some log;
-  monitor_windows := Monitor.Online.windows online;
   let _, backlog_log = monitored_run "restart-backlog" in
   (* The leader learns it lost its quorum only when its permission
      request times out (500 ms), so this run is long: sample it at 100 us. *)
@@ -617,11 +665,26 @@ let monitor () =
     Fmt.pr "  check: %s fires and clears: %s@." rule (if ok then "OK" else "FAIL")
   in
   check_edges "quorum_loss" "quorum-loss" quorum_log;
-  check_edges "rejoin_lag" "restart-backlog" backlog_log
+  check_edges "rejoin_lag" "restart-backlog" backlog_log;
+  (* Virtual-time alert edges: fully deterministic per seed. *)
+  let alert (en : Monitor.Log.entry) =
+    J.Obj
+      [
+        ("at", int en.at);
+        ("window", int en.window);
+        ("rule", Str en.rule);
+        ("edge", Str (match en.edge with `Fire -> "fire" | `Clear -> "clear"));
+      ]
+  in
+  J.Obj
+    [
+      ("windows", int (Monitor.Online.windows online));
+      ("edges", int (Monitor.Log.length log));
+      ("alerts", List (List.map alert (Monitor.Log.entries log)));
+      ("firing", List (List.map (fun r -> J.Str r) (Monitor.Log.firing log)));
+    ]
 
 (* --- Observability self-profiling ----------------------------------------- *)
-
-let overhead_samples : Monitor.Overhead.sample list ref = ref []
 
 let observability () =
   section "observability" "self-profiling: per-layer observability overhead";
@@ -631,7 +694,6 @@ let observability () =
     \  the baseline row are the per-layer hook cost.@.";
   let sleeps = if !quick then 500 else 2_000 in
   let samples = Monitor.Overhead.run_all ~sleeps ~clock:Unix.gettimeofday () in
-  overhead_samples := samples;
   List.iter (fun s -> Fmt.pr "  %a@." Monitor.Overhead.pp_sample s) samples;
   let baseline =
     List.find (fun (s : Monitor.Overhead.sample) -> s.layer = "baseline") samples
@@ -653,7 +715,18 @@ let observability () =
     (Printf.sprintf "baseline %.0f ops/s (floor 20000)"
        baseline.Monitor.Overhead.ops_per_s);
   Fmt.pr "  check: baseline throughput above generous floor: %s@."
-    (if ok_rate then "OK" else "FAIL")
+    (if ok_rate then "OK" else "FAIL");
+  (* ops_per_s is wall-clock: volatile, never byte-compared. *)
+  let layer (s : Monitor.Overhead.sample) =
+    J.Obj
+      [
+        ("layer", Str s.layer);
+        ("ops", int s.ops);
+        ("ops_per_s", fixed 0 s.ops_per_s);
+        ("minor_words_per_op", fixed 2 s.minor_words_per_op);
+      ]
+  in
+  J.Obj [ ("layers", List (List.map layer samples)) ]
 
 (* --- Engine event-rate microbench ---------------------------------------- *)
 
@@ -664,24 +737,14 @@ let observability () =
    allocation count and is machine-independent. *)
 let heap_baseline_events_per_sec = 5.92e6
 let heap_baseline_minor_words_per_event = 35.5
-
-let engine_events_per_sec : float option ref = ref None
-
-type engine_speed_stats = {
-  es_rate : float;
-  es_words_per_event : float;
-  es_heap_ops : float;
-  es_wheel_ops : float;
-}
-
-let engine_speed_stats : engine_speed_stats option ref = ref None
+let queue_depth = 8192
 
 (* Raw queue throughput at a fixed depth: a pop immediately followed by a
    push of a slightly later key, the steady-state pattern of a busy
    engine. Same op sequence for both backends, so the ratio is a
    same-box, load-insensitive measure of the wheel swap. *)
 let queue_ops_per_sec push pop =
-  let depth = 8192 and ops = if !quick then 200_000 else 2_000_000 in
+  let depth = queue_depth and ops = if !quick then 200_000 else 2_000_000 in
   let keys = Array.init 65_536 (fun i -> i * 2_654_435_761 land 0xFFFFF) in
   for i = 0 to depth - 1 do
     push ~key:keys.(i) ~seq:i
@@ -719,7 +782,6 @@ let engine_speed () =
   let events = 2 * fibers * per_fiber in
   let rate = if dt > 0.0 then float_of_int events /. dt else 0.0 in
   let words_per_event = words /. float_of_int events in
-  engine_events_per_sec := Some rate;
   Fmt.pr "  %d fibers x %d sleeps: %.2e events/s (%.0f ns/event wall)@." fibers per_fiber
     rate
     (if rate > 0.0 then 1e9 /. rate else 0.0);
@@ -743,9 +805,6 @@ let engine_speed () =
   let speedup = if heap_ops > 0.0 then wheel_ops /. heap_ops else 0.0 in
   Fmt.pr "  raw queue at depth 8192: heap %.2e ops/s, wheel %.2e ops/s (%.1fx)@." heap_ops
     wheel_ops speedup;
-  engine_speed_stats :=
-    Some { es_rate = rate; es_words_per_event = words_per_event; es_heap_ops = heap_ops;
-           es_wheel_ops = wheel_ops };
   (* Same-box, load-insensitive speedup gate for the wheel swap. *)
   let ok_queue = speedup >= 1.5 in
   record_check "engine_speed_queue_speedup" ok_queue
@@ -767,20 +826,22 @@ let engine_speed () =
   let ok_rate = rate > 500_000.0 in
   record_check "engine_speed_events_floor" ok_rate
     (Printf.sprintf "%.2e events/s (floor 5e5)" rate);
-  Fmt.pr "  check: events/s above generous floor: %s@." (if ok_rate then "OK" else "FAIL")
+  Fmt.pr "  check: events/s above generous floor: %s@." (if ok_rate then "OK" else "FAIL");
+  (* The rates are wall-clock: volatile, never byte-compared. The
+     recorded heap baselines pin what the checks compare against. *)
+  J.Obj
+    [
+      ("events_per_sec", fixed 0 rate);
+      ("minor_words_per_event", fixed 2 words_per_event);
+      ("queue_depth", int queue_depth);
+      ("heap_queue_ops_per_sec", fixed 0 heap_ops);
+      ("wheel_queue_ops_per_sec", fixed 0 wheel_ops);
+      ("queue_speedup", fixed 2 speedup);
+      ("heap_baseline_events_per_sec", fixed 0 heap_baseline_events_per_sec);
+      ("heap_baseline_minor_words_per_event", fixed 1 heap_baseline_minor_words_per_event);
+    ]
 
 (* --- Whole-run profiler ---------------------------------------------------- *)
-
-type profile_result = {
-  pr_rounds : int;
-  pr_span_ns : int;
-  pr_idle_ns : int;
-  pr_stacks : int;
-  pr_frames : int;
-  pr_selfcost : Monitor.Overhead.Attached.row list; (* volatile *)
-}
-
-let profile_result : profile_result option ref = ref None
 
 let profile_section () =
   section "profile" "whole-run profiler: exact virtual-time attribution of a fail-over run";
@@ -792,15 +853,11 @@ let profile_section () =
   let attached = Monitor.Overhead.Attached.create ~clock:Unix.gettimeofday () in
   let vts = ref [] in
   let s =
-    {
-      (setup ()) with
-      E.provenance = true;
-      on_engine =
-        Some
-          (fun e ->
-            vts := Profile.Vt.attach e :: !vts;
-            Monitor.Overhead.Attached.attach attached e);
-    }
+    setup ~provenance:true
+      ~own:(fun e ->
+        vts := Profile.Vt.attach e :: !vts;
+        Monitor.Overhead.Attached.attach attached e)
+      ()
   in
   let rounds = scale 200 in
   let _stats =
@@ -811,17 +868,7 @@ let profile_section () =
   let total = Profile.Vt.total_ns folded in
   let span = List.fold_left (fun a vt -> a + Profile.Vt.span_ns vt) 0 !vts in
   let idle = List.fold_left (fun a vt -> a + Profile.Vt.idle_ns vt) 0 !vts in
-  let frames = List.length (Profile.Report.of_folded folded) in
-  profile_result :=
-    Some
-      {
-        pr_rounds = rounds;
-        pr_span_ns = span;
-        pr_idle_ns = idle;
-        pr_stacks = List.length folded;
-        pr_frames = frames;
-        pr_selfcost = Monitor.Overhead.Attached.report attached;
-      };
+  let selfcost = Monitor.Overhead.Attached.report attached in
   Fmt.pr "%a" (fun ppf -> Profile.Report.pp ~top:8 ppf) folded;
   let ok = total = span in
   record_check "profile_exact_attribution" ok
@@ -829,9 +876,29 @@ let profile_section () =
   Fmt.pr "  check: attributed buckets sum exactly to the run span: %s@."
     (if ok then "OK" else "FAIL");
   Fmt.pr "  simulator self-cost (wall-clock, volatile):@.";
-  List.iter
-    (fun r -> Fmt.pr "    %a@." Monitor.Overhead.Attached.pp_row r)
-    (Monitor.Overhead.Attached.report attached)
+  List.iter (fun r -> Fmt.pr "    %a@." Monitor.Overhead.Attached.pp_row r) selfcost;
+  (* span/idle/stacks/frames are virtual-time and deterministic per seed;
+     selfcost rows are wall-clock and volatile. *)
+  let row (r : Monitor.Overhead.Attached.row) =
+    J.Obj
+      [
+        ("layer", Str r.r_layer);
+        ("events", int r.r_events);
+        ("sampled", int r.r_sampled);
+        ("wall_s", fixed 6 r.r_wall_s);
+        ("minor_words", fixed 0 r.r_minor_words);
+      ]
+  in
+  J.Obj
+    [
+      ("mode", Str "failover");
+      ("rounds", int rounds);
+      ("span_ns", int span);
+      ("idle_ns", int idle);
+      ("stacks", int (List.length folded));
+      ("frames", int (List.length (Profile.Report.of_folded folded)));
+      ("selfcost", List (List.map row selfcost));
+    ]
 
 (* --- Bechamel microbenchmarks ------------------------------------------- *)
 
@@ -905,27 +972,54 @@ let bechamel_suite () =
       | Some [] | None -> Fmt.pr "  %-34s (no estimate)@." name)
     (List.sort compare rows)
 
+let write_file file s =
+  let oc = open_out file in
+  output_string oc s;
+  close_out oc
+
 let () =
   Fmt.pr "Mu reproduction benchmark harness (seed %Ld%s)@." !seed
     (if !quick then ", quick mode" else "");
+  let run id f = if want id then Some (f ()) else None in
   if want "tab1" then tab1 ();
   if want "fig2" then fig2 ();
-  if want "fig3" then fig3 ();
-  if want "fig4" then fig4 ();
+  let fig3 = run "fig3" fig3 in
+  let fig4 = run "fig4" fig4 in
   if want "fig5" then fig5 ();
-  if want "fig6" then fig6 ();
+  let failover = run "fig6" fig6 in
   if want "fig7" then fig7 ();
   if
     want "ablations"
     || List.exists (fun id -> String.length id >= 8 && String.sub id 0 8 = "ablation") !only
   then ablations ();
-  if want "recovery" then recovery ();
-  if want "serving" then serving ();
-  if want "monitor" then monitor ();
-  if want "observability" then observability ();
-  if want "engine-speed" then engine_speed ();
-  if want "profile" then profile_section ();
+  let recovery = run "recovery" recovery in
+  let serving = run "serving" serving in
+  let monitor = run "monitor" monitor in
+  let observability = run "observability" observability in
+  let engine_speed = run "engine-speed" engine_speed in
+  let profile = run "profile" profile_section in
   if want "bechamel" then bechamel_suite ();
+  (* The mu-bench-results/1 fields in their fixed order; a section that
+     did not run is null. fig3 and fig4 measure the same 64 B
+     replication run (same seed and config). *)
+  let or_null = Option.value ~default:J.Null in
+  let replication = match fig3 with Some _ -> fig3 | None -> fig4 in
+  let results =
+    [
+      ("seed", J.Num (Int64.to_float !seed));
+      ("quick", J.Bool !quick);
+      ("figures", J.List (List.rev_map (fun f -> J.Str f) !figures_run));
+      ("replication_latency_ns", or_null (Option.map samples_json replication));
+      ("failover_ns", or_null failover);
+      ("recovery", or_null recovery);
+      ("serving", or_null serving);
+      ("monitor", or_null monitor);
+      ("observability", or_null observability);
+      ("engine_events_per_sec", or_null (Option.bind engine_speed (J.member "events_per_sec")));
+      ("engine_speed", or_null engine_speed);
+      ("profile", or_null profile);
+    ]
+  in
   csv_flush "fig3.csv" ~header:"configuration,median_us,p1_us,p99_us";
   csv_flush "fig4.csv" ~header:"system,median_us,p1_us,p99_us";
   csv_flush "fig5.csv" ~header:"configuration,median_us,p1_us,p99_us";
@@ -939,20 +1033,22 @@ let () =
     Fmt.pr "@.%a" Trace.Tracer.pp_summary tr;
     Fmt.pr "Chrome trace written to %s (open in ui.perfetto.dev)@." file
   | _ -> ());
-  (* --- acceptance checks -------------------------------------------------- *)
-  (match !mu_samples with
+  (* --- acceptance checks over the results ---------------------------------- *)
+  let field path =
+    List.fold_left (fun j k -> Option.bind j (J.member k)) (Some (J.Obj results)) path
+  in
+  (match Option.bind (field [ "replication_latency_ns"; "p50" ]) J.to_int with
   | None -> ()
-  | Some s ->
+  | Some p50 ->
     (* Calibrated band for 64 B standalone replication: the paper reports
        ~1.3 us median; accept [0.9, 2.0] us. *)
-    let p50 = Sim.Stats.Samples.median s in
     let ok = p50 >= 900 && p50 <= 2_000 in
     record_check "replication_p50_band" ok
       (Printf.sprintf "p50 %.2f us (accept 0.90-2.00 us)" (us p50));
     Fmt.pr "@.check: 64B replication median in calibrated band: %.2f us %s@." (us p50)
       (if ok then "OK" else "FAIL"));
-  (match !sampler, !failover_result with
-  | Some smp, Some _ ->
+  (match !sampler, field [ "failover_ns" ] with
+  | Some smp, Some (J.Obj _) ->
     (* The exported score timeline must show some follower's view of the
        paused leader crossing below the fail threshold and, after the
        resume, back above the recover threshold. *)
@@ -970,223 +1066,63 @@ let () =
     Fmt.pr "%s" (Telemetry.Dashboard.render ~sampler:smp (Telemetry.Sampler.registry smp))
   | _ -> ());
   (* --- BENCH_results.json / BENCH_history.jsonl ---------------------------- *)
-  (let b = Buffer.create 1024 in
-   let samples_json s =
-     Printf.sprintf "{\"p50\":%d,\"p99\":%d,\"p999\":%d}"
-       (Sim.Stats.Samples.median s)
-       (Sim.Stats.Samples.percentile s 99.0)
-       (Sim.Stats.Samples.percentile s 99.9)
-   in
-   Buffer.add_string b (Printf.sprintf "\"seed\":%Ld,\"quick\":%b," !seed !quick);
-   Buffer.add_string b
-     (Printf.sprintf "\"figures\":[%s],"
-        (String.concat ","
-           (List.map (fun f -> "\"" ^ f ^ "\"") (List.rev !figures_run))));
-   Buffer.add_string b "\"replication_latency_ns\":";
-   (match !mu_samples with
-   | Some s -> Buffer.add_string b (samples_json s)
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"failover_ns\":";
-   (match !failover_result with
-   | Some r ->
-     Buffer.add_string b
-       (Printf.sprintf "{\"total\":%s,\"detection\":%s,\"switch\":%s}"
-          (samples_json r.E.total) (samples_json r.E.detection) (samples_json r.E.switch))
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"recovery\":";
-   (match !recovery_outcome with
-   | Some o ->
-     let rejoins =
-       String.concat ","
-         (List.map
-            (fun (r : Mu.Smr.rejoin) ->
-              Printf.sprintf
-                "{\"pid\":%d,\"rejoin_time_to_parity_ns\":%d,\"catch_up_entries\":%d,\
-                 \"pull_rounds\":%d,\"recheckpoints\":%d}"
-                r.Mu.Smr.pid
-                (r.Mu.Smr.parity_at - r.Mu.Smr.restarted_at)
-                r.Mu.Smr.entries_pulled r.Mu.Smr.pull_rounds r.Mu.Smr.recheckpoints)
-            o.Workload.Chaos.rejoins)
+  let schema = ("schema", J.Str "mu-bench-results/1") in
+  let checks =
+    ( "checks",
+      J.List
+        (List.rev_map
+           (fun (name, ok, detail) ->
+             J.Obj [ ("name", Str name); ("ok", Bool ok); ("detail", Str detail) ])
+           !checks) )
+  in
+  let doc = J.Obj ((schema :: results) @ [ checks ]) in
+  write_file !results_file (J.to_string doc ^ "\n");
+  Fmt.pr "@.Results written to %s@." !results_file;
+  (* Regression gate: diff this run against the baseline *before* the
+     history append below makes this run the new last line. A missing
+     or incomparable baseline fails the gate — a gate that silently
+     passes on a typo'd path is no gate. *)
+  (if !compare_flag then begin
+     let baseline =
+       match !compare_with with
+       | Some f -> (
+         (* Accept a results file or a history JSONL. *)
+         match Profile.Compare.load_results f with
+         | Ok j -> Ok j
+         | Error _ -> Profile.Compare.load_last_history f)
+       | None ->
+         let hist = Option.value !history_file ~default:"BENCH_history.jsonl" in
+         Profile.Compare.load_last_history hist
      in
-     Buffer.add_string b
-       (Printf.sprintf
-          "{\"passed\":%b,\"rejoins\":[%s],\"shed\":%d,\"degraded_ns\":%d}"
-          (Workload.Chaos.passed o) rejoins o.Workload.Chaos.shed
-          o.Workload.Chaos.degraded_ns)
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"serving\":";
-   (match !serving_points with
-   | [] -> Buffer.add_string b "null"
-   | points ->
-     let cells =
-       String.concat ","
-         (List.map
-            (fun (p : Serving.Surface.point) ->
-              Printf.sprintf
-                "{\"shards\":%d,\"batch\":%d,\"doorbell\":%d,\"offered_per_us\":%.3f,\
-                 \"committed_per_us\":%.3f,\"shed\":%d,\"suppressed\":%d,\"p50_ns\":%d,\
-                 \"p99_ns\":%d}"
-                p.Serving.Surface.shards p.Serving.Surface.batch p.Serving.Surface.doorbell
-                p.Serving.Surface.offered_per_us p.Serving.Surface.committed_per_us
-                p.Serving.Surface.shed p.Serving.Surface.suppressed p.Serving.Surface.p50_ns
-                p.Serving.Surface.p99_ns)
-            points)
-     in
-     Buffer.add_string b (Printf.sprintf "{\"surface\":[%s]}" cells));
-   Buffer.add_string b ",\"monitor\":";
-   (match !monitor_log with
-   | None -> Buffer.add_string b "null"
-   | Some log ->
-     (* Virtual-time alert edges: fully deterministic per seed. *)
-     let entries =
-       String.concat ","
-         (List.map
-            (fun (en : Monitor.Log.entry) ->
-              Printf.sprintf "{\"at\":%d,\"window\":%d,\"rule\":\"%s\",\"edge\":\"%s\"}"
-                en.at en.window en.rule
-                (match en.edge with `Fire -> "fire" | `Clear -> "clear"))
-            (Monitor.Log.entries log))
-     in
-     Buffer.add_string b
-       (Printf.sprintf "{\"windows\":%d,\"edges\":%d,\"alerts\":[%s],\"firing\":[%s]}"
-          !monitor_windows (Monitor.Log.length log) entries
-          (String.concat ","
-             (List.map (fun r -> "\"" ^ r ^ "\"") (Monitor.Log.firing log)))));
-   Buffer.add_string b ",\"observability\":";
-   (match !overhead_samples with
-   | [] -> Buffer.add_string b "null"
-   | samples ->
-     (* Wall-clock fields are volatile — never byte-compared. *)
-     let rows =
-       String.concat ","
-         (List.map
-            (fun (s : Monitor.Overhead.sample) ->
-              Printf.sprintf
-                "{\"layer\":\"%s\",\"ops\":%d,\"ops_per_s\":%.0f,\
-                 \"minor_words_per_op\":%.2f}"
-                s.layer s.ops s.ops_per_s s.minor_words_per_op)
-            samples)
-     in
-     Buffer.add_string b (Printf.sprintf "{\"layers\":[%s]}" rows));
-   Buffer.add_string b ",\"engine_events_per_sec\":";
-   (match !engine_events_per_sec with
-   | Some r -> Buffer.add_string b (Printf.sprintf "%.0f" r)
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"engine_speed\":";
-   (match !engine_speed_stats with
-   | Some s ->
-     (* Wall-clock fields are volatile — never byte-compared. The
-        recorded heap baselines pin what the checks compare against. *)
-     Buffer.add_string b
-       (Printf.sprintf
-          "{\"events_per_sec\":%.0f,\"minor_words_per_event\":%.2f,\
-           \"queue_depth\":8192,\"heap_queue_ops_per_sec\":%.0f,\
-           \"wheel_queue_ops_per_sec\":%.0f,\"queue_speedup\":%.2f,\
-           \"heap_baseline_events_per_sec\":%.0f,\
-           \"heap_baseline_minor_words_per_event\":%.1f}"
-          s.es_rate s.es_words_per_event s.es_heap_ops s.es_wheel_ops
-          (if s.es_heap_ops > 0.0 then s.es_wheel_ops /. s.es_heap_ops else 0.0)
-          heap_baseline_events_per_sec heap_baseline_minor_words_per_event)
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"profile\":";
-   (match !profile_result with
-   | Some p ->
-     (* span/idle/stacks/frames are virtual-time and deterministic per
-        seed; selfcost rows are wall-clock and volatile. *)
-     let selfcost =
-       String.concat ","
-         (List.map
-            (fun (r : Monitor.Overhead.Attached.row) ->
-              Printf.sprintf
-                "{\"layer\":\"%s\",\"events\":%d,\"sampled\":%d,\"wall_s\":%.6f,\
-                 \"minor_words\":%.0f}"
-                r.Monitor.Overhead.Attached.r_layer r.Monitor.Overhead.Attached.r_events
-                r.Monitor.Overhead.Attached.r_sampled r.Monitor.Overhead.Attached.r_wall_s
-                r.Monitor.Overhead.Attached.r_minor_words)
-            p.pr_selfcost)
-     in
-     Buffer.add_string b
-       (Printf.sprintf
-          "{\"mode\":\"failover\",\"rounds\":%d,\"span_ns\":%d,\"idle_ns\":%d,\
-           \"stacks\":%d,\"frames\":%d,\"selfcost\":[%s]}"
-          p.pr_rounds p.pr_span_ns p.pr_idle_ns p.pr_stacks p.pr_frames selfcost)
-   | None -> Buffer.add_string b "null");
-   (* A failing check's detail may carry quotes and newlines (a
-      linearizability witness), so the array is printed as JSON values. *)
-   Buffer.add_string b ",\"checks\":";
-   Buffer.add_string b
-     (Faults.Json.to_string
-        (Faults.Json.List
-           (List.map
-              (fun (name, ok, detail) ->
-                Faults.Json.Obj
-                  [ ("name", Str name); ("ok", Bool ok); ("detail", Str detail) ])
-              (List.rev !checks))));
-   let core = Buffer.contents b in
-   let oc = open_out !results_file in
-   output_string oc ("{\"schema\":\"mu-bench-results/1\"," ^ core ^ "}\n");
-   close_out oc;
-   Fmt.pr "@.Results written to %s@." !results_file;
-   (* Regression gate: diff this run against the baseline *before* the
-      history append below makes this run the new last line. A missing
-      or incomparable baseline fails the gate — a gate that silently
-      passes on a typo'd path is no gate. *)
-   (if !compare_flag then begin
-      let baseline =
-        match !compare_with with
-        | Some f -> (
-          (* Accept a results file or a history JSONL. *)
-          match Profile.Compare.load_results f with
-          | Ok j -> Ok j
-          | Error _ -> Profile.Compare.load_last_history f)
-        | None ->
-          let hist = Option.value !history_file ~default:"BENCH_history.jsonl" in
-          Profile.Compare.load_last_history hist
-      in
-      let outcome =
-        match baseline with
-        | Error msg -> Error (Printf.sprintf "baseline unavailable: %s" msg)
-        | Ok baseline -> (
-          match
-            Faults.Json.of_string ("{\"schema\":\"mu-bench-results/1\"," ^ core ^ "}")
-          with
-          | Error msg -> Error (Printf.sprintf "current results unparseable: %s" msg)
-          | Ok current -> Ok (Profile.Compare.run ~baseline ~current ()))
-      in
-      match outcome with
-      | Error msg ->
-        Fmt.pr "@.=== compare vs baseline ===@.%s@." msg;
-        (match !compare_report with
-        | Some f ->
-          let oc = open_out f in
-          output_string oc (msg ^ "\n");
-          close_out oc
-        | None -> ());
-        exit_code := 1
-      | Ok r ->
-        Fmt.pr "@.=== compare vs baseline ===@.%a" Profile.Compare.pp r;
-        (match !compare_report with
-        | Some f ->
-          let oc = open_out f in
-          output_string oc (Profile.Compare.to_string r);
-          close_out oc;
-          Fmt.pr "Compare report written to %s@." f
-        | None -> ());
-        if (not r.Profile.Compare.comparable) || Profile.Compare.regressed r then
-          exit_code := 1
-    end);
-   (* Append one line per run to the history log, keyed by git revision and a
-      caller-supplied stamp (virtual or CI time — never sampled here, to keep
-      same-input runs byte-identical). *)
-   match !history_file with
-   | None -> ()
-   | Some file ->
-     let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
-     let str v = Faults.Json.to_string (Faults.Json.Str v) in
-     output_string oc
-       (Printf.sprintf "{\"schema\":\"mu-bench-results/1\",\"rev\":%s,\"stamp\":%s,%s}\n"
-          (str !git_rev) (str !stamp) core);
-     close_out oc;
-     Fmt.pr "History appended to %s@." file);
+     match baseline with
+     | Error msg ->
+       let msg = "baseline unavailable: " ^ msg in
+       Fmt.pr "@.=== compare vs baseline ===@.%s@." msg;
+       Option.iter (fun f -> write_file f (msg ^ "\n")) !compare_report;
+       exit_code := 1
+     | Ok baseline ->
+       let r = Profile.Compare.run ~baseline ~current:doc () in
+       Fmt.pr "@.=== compare vs baseline ===@.%a" Profile.Compare.pp r;
+       (match !compare_report with
+       | Some f ->
+         write_file f (Profile.Compare.to_string r);
+         Fmt.pr "Compare report written to %s@." f
+       | None -> ());
+       if (not r.Profile.Compare.comparable) || Profile.Compare.regressed r then
+         exit_code := 1
+   end);
+  (* Append one line per run to the history log, keyed by git revision and a
+     caller-supplied stamp (virtual or CI time — never sampled here, to keep
+     same-input runs byte-identical). *)
+  (match !history_file with
+  | None -> ()
+  | Some file ->
+    let line =
+      J.Obj ((schema :: ("rev", J.Str !git_rev) :: ("stamp", J.Str !stamp) :: results) @ [ checks ])
+    in
+    let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
+    output_string oc (J.to_string line ^ "\n");
+    close_out oc;
+    Fmt.pr "History appended to %s@." file);
   Fmt.pr "@.done.@.";
   exit !exit_code

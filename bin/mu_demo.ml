@@ -15,9 +15,17 @@
 
 open Cmdliner
 
+(* Observers attach through the setup's one hook, in the order tracer,
+   provenance, telemetry sampler, then the caller's own. *)
 let setup_of ?trace ?metrics ?faults ?(provenance = false) ?on_engine seed =
-  { Workload.Experiments.seed = Int64.of_int seed; cal = Sim.Calibration.default; trace;
-    metrics; faults; provenance; on_engine }
+  let observe e =
+    Option.iter (fun tr -> Trace.Tracer.attach tr e) trace;
+    if provenance then Sim.Engine.set_provenance e true;
+    Option.iter (fun smp -> Workload.Experiments.attach_sampler smp e) metrics;
+    Option.iter (fun f -> f e) on_engine
+  in
+  { Workload.Experiments.seed = Int64.of_int seed; cal = Sim.Calibration.default; faults;
+    on_engine = Some observe }
 
 (* --- fault scenarios ------------------------------------------------------ *)
 

@@ -22,8 +22,6 @@ val server :
   server
 (** Start an RPC server; [handler] executes on the server host. *)
 
-val message_capacity : int
-
 type client
 
 val connect : server -> host:Sim.Host.t -> client

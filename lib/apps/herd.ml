@@ -1,3 +1,4 @@
+(* Maximum request/response payload (bytes). *)
 let request_capacity = 256
 
 (* Slot layout (requests at the server; responses at each client):

@@ -27,9 +27,6 @@ val server :
     on the server host's fiber (its execution time must be modelled by the
     caller via {!Sim.Host.cpu} if nonzero). *)
 
-val request_capacity : int
-(** Maximum request/response payload (bytes). *)
-
 type client
 
 val connect : server -> id:int -> host:Sim.Host.t -> client

@@ -1,7 +1,5 @@
 type side = Buy | Sell
 
-let pp_side ppf s = Fmt.string ppf (match s with Buy -> "buy" | Sell -> "sell")
-
 type event =
   | Accepted of { id : int }
   | Filled of { taker : int; maker : int; price : int; qty : int }

@@ -22,8 +22,6 @@
 
 type side = Buy | Sell
 
-val pp_side : side Fmt.t
-
 type event =
   | Accepted of { id : int }
       (** Order entered the book (possibly after partial fills). *)

@@ -1,13 +1,5 @@
 type kind = Tcp_memcached | Tcp_redis | Erpc | Herd_rdma
 
-let pp_kind ppf k =
-  Fmt.string ppf
-    (match k with
-    | Tcp_memcached -> "memcached/tcp"
-    | Tcp_redis -> "redis/tcp"
-    | Erpc -> "liquibook/erpc"
-    | Herd_rdma -> "herd/rdma")
-
 let payload_size = function
   | Erpc -> 32
   | Herd_rdma -> 50

@@ -16,8 +16,6 @@
 
 type kind = Tcp_memcached | Tcp_redis | Erpc | Herd_rdma
 
-val pp_kind : kind Fmt.t
-
 val payload_size : kind -> int
 (** The paper's request sizes: 32 B for Liquibook, 50 B for HERD, 64 B
     default for the TCP stores (Fig. 3). *)

@@ -1,4 +1,8 @@
+(* Follower log-poll period (ns); a request waits U(0, interval) before
+   the follower notices it. *)
 let follower_poll_interval = 1_000
+
+(* Follower CPU cost to validate and ack one entry. *)
 let follower_process = 3_100
 let leader_poll = 400
 

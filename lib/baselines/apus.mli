@@ -13,12 +13,5 @@
     plus an explicit uniform poll-phase delay, rather than simulating
     every empty poll iteration. *)
 
-val follower_poll_interval : int
-(** Follower log-poll period (ns); a request waits U(0, interval) before
-    the follower notices it. *)
-
-val follower_process : int
-(** Follower CPU cost to validate and ack one entry. *)
-
 val create : Common.t -> Common.engine
 (** An APUS engine with node 0 as leader; spawns follower fibers. *)

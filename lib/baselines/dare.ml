@@ -1,5 +1,3 @@
-let rounds = 3
-
 (* Buffer layout on each replica: entry area at 0, tail pointer at 4096,
    commit pointer at 4104. *)
 let tail_off = 4096

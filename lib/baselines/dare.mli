@@ -10,9 +10,6 @@
     We model the three sequential one-sided rounds, each waiting for
     completion at a majority. *)
 
-val rounds : int
-(** Sequential one-sided rounds per replicated entry (3). *)
-
 val create : Common.t -> Common.engine
 (** A DARE engine with node 0 as leader. [replicate] must run in a fiber
     of node 0's host. *)

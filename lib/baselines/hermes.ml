@@ -1,3 +1,4 @@
+(* Replica CPU cost to process an INV and emit the ACK. *)
 let inv_process = 1_900
 let poll_interval = 500
 

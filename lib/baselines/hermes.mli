@@ -12,7 +12,4 @@
     replicas block on them, not the coordinator's write), so the span is
     measured up to the last ACK, as in the Hermes paper. *)
 
-val inv_process : int
-(** Replica CPU cost to process an INV and emit the ACK. *)
-
 val create : Common.t -> Common.engine

@@ -1,3 +1,4 @@
+(* Per-request replication latency. *)
 let replication =
   Sim.Distribution.Shifted
     { base = 28_000.0; jitter = Lognormal { median = 14_000.0; sigma = 0.5 } }

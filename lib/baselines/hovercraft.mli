@@ -6,9 +6,6 @@
     model so the Fig. 4 context and the fail-over comparison (~10 ms,
     §7.3) can be reported. *)
 
-val replication : Sim.Distribution.t
-(** Per-request replication latency. *)
-
 val failover : Sim.Distribution.t
 (** Fail-over latency (~10 ms). *)
 

@@ -36,11 +36,6 @@ let pp_action ppf = function
   | Perm_fail { pid; forced } -> Fmt.pf ppf "perm_fail(%d,%b)" pid forced
   | Restart pid -> Fmt.pf ppf "restart(%d)" pid
 
-let pp ppf t =
-  Fmt.pf ppf "%s:@ %a" t.name
-    Fmt.(list ~sep:semi (fun ppf e -> pf ppf "@%dns %a" e.at pp_action e.action))
-    t.events
-
 (* --- validation --------------------------------------------------------- *)
 
 let validate ~n t =

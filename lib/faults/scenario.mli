@@ -41,7 +41,6 @@ type event = { at : int  (** Virtual time, ns. *); action : action }
 type t = { name : string; events : event list }
 
 val pp_action : action Fmt.t
-val pp : t Fmt.t
 
 val validate : n:int -> t -> (unit, string) result
 (** Check every event against a cluster of [n] hosts: ids in range, no
@@ -70,27 +69,22 @@ val crash_leader : n:int -> t
 val partition_leader : n:int -> t
 (** Symmetric partition of the leader from everyone at 5ms; heal at 25ms. *)
 
-val lossy_fabric : n:int -> t
-(** 20% loss leader→followers plus 5µs extra delay on the return links
-    from 3ms; heal at 40ms. *)
-
 val kill_restart : n:int -> t
 (** Kill the initial leader's host at 5ms, reboot it at 25ms: fail-over,
     then durable-state restore, §5.4 re-admission and log catch-up to
     parity under traffic. *)
 
-val restart_backlog : n:int -> t
-(** Stop the initial leader's process at 1ms and reboot it at 6ms,
-    before the new leader has recycled any entry: the rebooted replica
-    replays its durable log and pulls the whole outage backlog at the
-    bounded catch-up rate, so its rejoin lags measurably. *)
-
-val quorum_loss : n:int -> t
-(** Kill a majority of the followers at 5ms, reboot one at 10ms: the
-    leader loses its quorum until that replica rejoins. *)
-
 val named : string list
+
 val by_name : string -> n:int -> t option
+(** The scenarios above by their [name] (["crash-leader"],
+    ["partition-leader"], ["kill-restart"]), plus three reached only by
+    name: ["lossy-fabric"] (20% loss leader→followers and 5µs extra
+    delay on the return links from 3ms, healed at 40ms),
+    ["restart-backlog"] (the leader's process stopped at 1ms and
+    rebooted at 6ms, before any entry is recycled, so its rejoin pulls
+    the whole outage backlog) and ["quorum-loss"] (a majority of the
+    followers killed at 5ms, one rebooted at 10ms). *)
 
 (** {1 Coverage}
 

@@ -17,8 +17,9 @@ type t
 
 val attach :
   ?window_ns:int -> ?rules:Rules.spec list -> Sim.Engine.t -> Telemetry.Sampler.t -> t
-(** The sampler must already have its epoch open (the run harnesses
-    call [start_epoch] before the [on_engine] hook); ticks from later
+(** The sampler must already have its epoch open (an [on_engine] hook
+    runs [Workload.Experiments.attach_sampler], which opens it, before
+    attaching the monitor); ticks from later
     epochs — a shared sampler re-attached to a newer engine — are
     ignored. [rules] defaults to {!Rules.defaults}. *)
 

@@ -12,12 +12,6 @@ type direction = [ `Lower_is_better | `Higher_is_better ]
 
 type rule = { r_path : string list; r_dir : direction; r_tol_pct : float }
 
-val default_rules : rule list
-(** Replication/failover latency percentiles (+10%), best serving
-    committed/us (−15%), minor words per event (+15%), profile span
-    (+25%). [serving.best_committed_per_us] is derived: the max over
-    the surface's cells. *)
-
 type field = {
   f_path : string;
   f_baseline : float;
@@ -37,11 +31,14 @@ type result = {
 
 val run :
   ?rules:rule list -> baseline:Faults.Json.t -> current:Faults.Json.t -> unit -> result
+(** [rules] defaults to replication/failover latency percentiles
+    (+10%), best serving committed/us (−15%), minor words per event
+    (+15%) and profile span (+25%). [serving.best_committed_per_us] is
+    derived: the max over the surface's cells. *)
 
 val regressed : result -> bool
 (** True iff comparable and some field regressed or some check broke. *)
 
-val pp_field : field Fmt.t
 val pp : result Fmt.t
 val to_string : result -> string
 

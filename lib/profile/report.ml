@@ -7,9 +7,39 @@
 
 type entry = { frame : string; self_ns : int; total_ns : int }
 
+(* Self sums the weights of stacks whose leaf is the frame; total sums
+   the weights of stacks containing the frame, once per stack. *)
 let of_folded folded =
-  Trace.Attrib.frame_totals folded
-  |> List.map (fun (frame, self_ns, total_ns) -> { frame; self_ns; total_ns })
+  let tbl : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
+  let cell f =
+    match Hashtbl.find_opt tbl f with
+    | Some c -> c
+    | None ->
+      let c = (ref 0, ref 0) in
+      Hashtbl.add tbl f c;
+      c
+  in
+  List.iter
+    (fun (frames, w) ->
+      match List.rev frames with
+      | [] -> ()
+      | leaf :: _ ->
+        let self, _ = cell leaf in
+        self := !self + w;
+        let seen = Hashtbl.create 8 in
+        List.iter
+          (fun f ->
+            if not (Hashtbl.mem seen f) then begin
+              Hashtbl.add seen f ();
+              let _, total = cell f in
+              total := !total + w
+            end)
+          frames)
+    folded;
+  Hashtbl.fold
+    (fun frame (self, total) acc -> { frame; self_ns = !self; total_ns = !total } :: acc)
+    tbl []
+  |> List.sort (fun a b -> compare a.frame b.frame)
 
 let by_self entries =
   List.sort
@@ -50,5 +80,3 @@ let pp ?(top = 15) ppf folded =
   pp_table ppf ~total (take top (by_self entries));
   Fmt.pf ppf "-- top %d by total --@." top;
   pp_table ppf ~total (take top (by_total entries))
-
-let to_string ?top folded = Fmt.str "%a" (fun ppf -> pp ?top ppf) folded

@@ -7,12 +7,7 @@
 type entry = { frame : string; self_ns : int; total_ns : int }
 
 val of_folded : (string list * int) list -> entry list
-(** Sorted by frame name (as {!Trace.Attrib.frame_totals}). *)
-
-val by_self : entry list -> entry list
-val by_total : entry list -> entry list
+(** Sorted by frame name. *)
 
 val pp : ?top:int -> Format.formatter -> (string list * int) list -> unit
 (** [top] defaults to 15. *)
-
-val to_string : ?top:int -> (string list * int) list -> string

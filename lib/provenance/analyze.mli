@@ -17,7 +17,6 @@ val phases : Tree.t -> Tree.span -> phase_row list
     (pre-order) order — deterministic. *)
 
 val phase_sum : phase_row list -> int
-val exclusive : Tree.t -> Tree.span -> int
 
 (** Detached descendant spans carrying a ["peer"] arg: the per-follower
     RDMA write/ack spans — attributes quorum stragglers to a peer. *)
@@ -65,7 +64,6 @@ type req_report = {
   verdict : outcome;
 }
 
-val report : Tree.t -> Tree.span -> req_report
 val request_reports : Tree.t -> req_report list
 
 (** Disruption windows: ["establish"] spans plus ["election"] spans that

@@ -117,8 +117,6 @@ let of_events events =
   t
 
 let points_of t id = List.filter (fun p -> p.span = id) t.points
-let edges_from t id = List.filter (fun e -> e.src = id) t.edges
-let edges_to t id = List.filter (fun e -> e.dst = id) t.edges
 
 (* Well-formedness: parents were allocated (and began) before their
    children — span ids grow monotonically, so a parent id >= child id

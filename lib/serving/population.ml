@@ -78,6 +78,5 @@ let next t ~now =
   in
   { gap_ns; client; key }
 
-let clients t = t.clients
 let arrivals t = t.arrivals
 let suppressed t = t.suppressed

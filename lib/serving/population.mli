@@ -40,7 +40,6 @@ val rate : t -> now:int -> float
 val next : t -> now:int -> arrival
 (** Draw the next arrival at virtual time [now]. *)
 
-val clients : t -> int
 val arrivals : t -> int
 (** Arrivals drawn so far. *)
 

@@ -31,6 +31,5 @@ let create ~shards =
           });
   }
 
-let shards t = t.shards
 let route t key = Mu.Sharded.key_hash key mod t.shards
 let stats t i = t.stats.(i)

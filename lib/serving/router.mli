@@ -19,7 +19,6 @@ type shard_stats = {
 type t
 
 val create : shards:int -> t
-val shards : t -> int
 
 val route : t -> string -> int
 (** [Mu.Sharded.key_hash key mod shards]. *)

@@ -3,17 +3,25 @@ type row = {
   mutable total_ns : int;
 }
 
-(* Synchronous spans go through the shared Attrib core (which owns the
-   per-(pid, tid) stack discipline); async spans pair by (cat, name, id)
-   and stay here — they may overlap arbitrarily. The row tables and the
-   printed output are byte-identical to the pre-Attrib implementation. *)
+type frame = { f_cat : string; f_name : string; f_begin : int }
+
+(* Synchronous spans nest LIFO per (pid, tid); async spans pair by
+   (cat, name, id) — they may overlap arbitrarily. *)
 type t = {
   rows : (string * string, row) Hashtbl.t; (* (cat, name) -> durations *)
-  attrib : Attrib.t;
+  stacks : (int * int, frame list ref) Hashtbl.t; (* (pid, tid) -> open frames *)
   async_open : (string * string * int, int) Hashtbl.t;
   (* (cat, name, id) -> begin_ts *)
-  mutable async_unmatched : int;
+  mutable unmatched : int;
 }
+
+let create () =
+  {
+    rows = Hashtbl.create 32;
+    stacks = Hashtbl.create 16;
+    async_open = Hashtbl.create 64;
+    unmatched = 0;
+  }
 
 let row t key =
   match Hashtbl.find_opt t.rows key with
@@ -28,39 +36,53 @@ let record t ~cat ~name dur =
   Sim.Stats.Samples.add r.samples dur;
   r.total_ns <- r.total_ns + dur
 
-let create () =
-  let t =
-    {
-      rows = Hashtbl.create 32;
-      attrib = Attrib.create ();
-      async_open = Hashtbl.create 64;
-      async_unmatched = 0;
-    }
-  in
-  Attrib.on_close t.attrib (fun ~cat ~name ~pid:_ ~tid:_ ~inclusive ~exclusive:_ ->
-      record t ~cat ~name inclusive);
-  t
+let stack t key =
+  match Hashtbl.find_opt t.stacks key with
+  | Some s -> s
+  | None ->
+    let s = ref [] in
+    Hashtbl.add t.stacks key s;
+    s
 
+(* An end pops until it finds a frame with the same (cat, name),
+   counting every skipped frame — a begin whose end was lost, e.g. a
+   fiber killed mid-span — as unmatched, and counts the end itself as
+   unmatched when no frame matches. *)
 let add t (ev : Sim.Probe.event) =
   match ev.kind with
-  | Sim.Probe.Span_begin | Sim.Probe.Span_end -> Attrib.add t.attrib ev
+  | Sim.Probe.Span_begin ->
+    let s = stack t (ev.pid, ev.tid) in
+    s := { f_cat = ev.cat; f_name = ev.name; f_begin = ev.ts } :: !s
+  | Sim.Probe.Span_end ->
+    let s = stack t (ev.pid, ev.tid) in
+    let rec pop = function
+      | [] ->
+        t.unmatched <- t.unmatched + 1;
+        []
+      | f :: rest when f.f_cat = ev.cat && f.f_name = ev.name ->
+        record t ~cat:f.f_cat ~name:f.f_name (ev.ts - f.f_begin);
+        rest
+      | _skipped :: rest ->
+        t.unmatched <- t.unmatched + 1;
+        pop rest
+    in
+    s := pop !s
   | Sim.Probe.Async_begin ->
     let key = (ev.cat, ev.name, ev.id) in
-    if Hashtbl.mem t.async_open key then t.async_unmatched <- t.async_unmatched + 1;
+    if Hashtbl.mem t.async_open key then t.unmatched <- t.unmatched + 1;
     Hashtbl.replace t.async_open key ev.ts
   | Sim.Probe.Async_end -> (
     let key = (ev.cat, ev.name, ev.id) in
     match Hashtbl.find_opt t.async_open key with
     | Some ts ->
       Hashtbl.remove t.async_open key;
-      let dur = ev.ts - ts in
-      record t ~cat:ev.cat ~name:ev.name dur
-    | None -> t.async_unmatched <- t.async_unmatched + 1)
+      record t ~cat:ev.cat ~name:ev.name (ev.ts - ts)
+    | None -> t.unmatched <- t.unmatched + 1)
   | Sim.Probe.Instant | Sim.Probe.Counter | Sim.Probe.Meta_process
   | Sim.Probe.Meta_thread ->
     ()
 
-let unmatched t = t.async_unmatched + Attrib.unmatched t.attrib
+let unmatched t = t.unmatched
 
 let rows t =
   Hashtbl.fold (fun (cat, name) r acc -> (cat, name, r.samples, r.total_ns) :: acc) t.rows []

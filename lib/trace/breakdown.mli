@@ -3,9 +3,8 @@
 
     Fed streaming from the tracer's sink — not from the ring buffer — so
     statistics cover the whole run even when the ring has dropped old
-    events. Synchronous spans pair LIFO per (pid, tid) through the
-    shared {!Attrib} core; async spans pair by (cat, name, id). Instants, counters and
-    metadata are ignored.
+    events. Synchronous spans pair LIFO per (pid, tid); async spans pair
+    by (cat, name, id). Instants, counters and metadata are ignored.
 
     This is how the fail-over decomposition of the paper's Fig. 6 is
     checked: [failover/perm_switch] and [failover/detect] rows sum to

@@ -1,16 +1,12 @@
 type setup = {
   seed : int64;
   cal : Sim.Calibration.t;
-  trace : Trace.Tracer.t option;
-  metrics : Telemetry.Sampler.t option;
   faults : Faults.Scenario.t option;
-  provenance : bool;
   on_engine : (Sim.Engine.t -> unit) option;
 }
 
 let default_setup =
-  { seed = 42L; cal = Sim.Calibration.default; trace = None; metrics = None;
-    faults = None; provenance = false; on_engine = None }
+  { seed = 42L; cal = Sim.Calibration.default; faults = None; on_engine = None }
 
 (* Inject the setup's fault scenario (if any) over a running Mu cluster;
    scenario host ids are replica ids. Experiments that build their own
@@ -46,10 +42,7 @@ let attach_sampler sampler e =
 (* Run one simulation to completion of the experiment body. *)
 let run_sim setup ?until f =
   let e = Sim.Engine.create ~seed:setup.seed () in
-  (match setup.trace with Some tr -> Trace.Tracer.attach tr e | None -> ());
-  if setup.provenance then Sim.Engine.set_provenance e true;
-  Option.iter (fun sampler -> attach_sampler sampler e) setup.metrics;
-  (match setup.on_engine with Some f -> f e | None -> ());
+  Option.iter (fun f -> f e) setup.on_engine;
   let result = ref None in
   Sim.Engine.spawn e ~name:"experiment" (fun () ->
       result := Some (f e);

@@ -7,32 +7,22 @@
 type setup = {
   seed : int64;
   cal : Sim.Calibration.t;
-  trace : Trace.Tracer.t option;
-      (** When set, every engine an experiment creates gets this tracer
-          attached; fail-over rounds additionally emit per-phase spans
-          under category ["failover"]. *)
-  metrics : Telemetry.Sampler.t option;
-      (** When set, every engine gets the sampler's registry attached
-          ({!Sim.Engine.set_metrics}) and a sampler fiber ticking on
-          virtual time; each experiment run opens a new sampler epoch.
-          Fail-over rounds additionally record [failover_*_ns]
-          histograms. *)
   faults : Faults.Scenario.t option;
       (** When set, the scenario is injected over the Mu cluster of every
           cluster experiment (replication latency, fail-over); scenario
           host ids are replica ids. Experiments with private topologies
           (baselines, microbenchmarks) ignore it. *)
-  provenance : bool;
-      (** When true (and a tracer is attached), every engine records causal
-          request spans ({!Sim.Engine.set_provenance}): the latency drivers
-          wrap each measured propose in a ["request"] span whose sync
-          children partition the end-to-end latency. Off by default — a
-          provenance-off run is byte-identical to the seed. *)
   on_engine : (Sim.Engine.t -> unit) option;
-      (** When set, called on every engine {!run_sim} creates, after
-          tracer/provenance/metrics are attached and before the
-          experiment fiber spawns — the hook the online monitor attaches
-          through. Must not consume engine PRNG. *)
+      (** The one observer hook: called on every engine {!run_sim}
+          creates, before the experiment fiber spawns. Callers attach
+          their observers here in the order tracer
+          ([Trace.Tracer.attach]), provenance
+          ({!Sim.Engine.set_provenance}), telemetry sampler
+          ({!attach_sampler}), then their own (profiler, online monitor),
+          the order {!Chaos.run}'s hook uses. With a tracer attached,
+          fail-over rounds emit per-phase spans under category
+          ["failover"]; with a registry attached, they record
+          [failover_*_ns] histograms. Must not consume engine PRNG. *)
 }
 
 val default_setup : setup
@@ -40,17 +30,17 @@ val default_setup : setup
 val attach_sampler : Telemetry.Sampler.t -> Sim.Engine.t -> unit
 (** Attach the sampler's registry to the engine ({!Sim.Engine.set_metrics}),
     open a new sampler epoch and spawn the fiber that ticks it on virtual
-    time. Consumes no engine PRNG. {!run_sim} attaches [setup.metrics]
-    this way; chaos runs call it from their [on_engine] hook. *)
+    time. Consumes no engine PRNG. Figure and chaos runs call it from
+    their [on_engine] hook. *)
 
 val run_sim : setup -> ?until:int -> (Sim.Engine.t -> 'a) -> 'a
 (** Run one simulation to completion of [f]: a fresh engine seeded from
-    the setup, with tracer/provenance/metrics-sampler attached per the
-    setup's fields, [f] spawned as the experiment fiber, and the engine
-    run (bounded by [until] when given). Fails if [f] does not complete
-    — a deadlock or an exhausted [until] budget. Exposed so external
-    drivers (e.g. the serving tier's surface sweep) compose with the
-    same instrumentation contract as the figure experiments. *)
+    the setup, handed to the setup's [on_engine] hook, [f] spawned as
+    the experiment fiber, and the engine run (bounded by [until] when
+    given). Fails if [f] does not complete — a deadlock or an exhausted
+    [until] budget. Exposed so external drivers (e.g. the serving
+    tier's surface sweep) compose with the same instrumentation contract
+    as the figure experiments. *)
 
 (** {1 Fig. 2 — permission-switch mechanisms vs log size} *)
 

@@ -11,7 +11,13 @@ module E = Workload.Experiments
 module Vt = Profile.Vt
 
 let setup ?trace ?metrics ?on_engine ~provenance seed =
-  { E.seed; cal = Util.default_cal; trace; metrics; faults = None; provenance; on_engine }
+  let observe e =
+    Option.iter (fun tr -> Trace.Tracer.attach tr e) trace;
+    if provenance then Sim.Engine.set_provenance e true;
+    Option.iter (fun smp -> E.attach_sampler smp e) metrics;
+    Option.iter (fun f -> f e) on_engine
+  in
+  { E.seed; cal = Util.default_cal; faults = None; on_engine = Some observe }
 
 (* One run with a profiler (and, given [selfcost], the wall-clock
    self-cost sampler) on every engine it creates, provenance on, as

@@ -1,6 +1,6 @@
 (* Profile library: virtual-time profiler determinism and exactness,
-   the perf-regression compare gate, wheel occupancy stats, and the
-   shared stack-attribution core. *)
+   the perf-regression compare gate, wheel occupancy stats, span pairing
+   and per-frame totals. *)
 
 module E = Workload.Experiments
 module Vt = Profile.Vt
@@ -20,11 +20,12 @@ let profiled_failover ?(rounds = 2) seed =
     {
       E.seed;
       cal = Util.default_cal;
-      trace = None;
-      metrics = None;
       faults = None;
-      provenance = true;
-      on_engine = Some (fun e -> vts := Vt.attach e :: !vts);
+      on_engine =
+        Some
+          (fun e ->
+            Sim.Engine.set_provenance e true;
+            vts := Vt.attach e :: !vts);
     }
   in
   let (_ : E.failover_stats) = E.failover setup ~rounds in
@@ -58,13 +59,11 @@ let traced_failover ~profile seed =
     {
       E.seed;
       cal = Util.default_cal;
-      trace = Some tr;
-      metrics = None;
       faults = None;
-      provenance = false;
       on_engine =
         Some
           (fun e ->
+            Trace.Tracer.attach tr e;
             eng := Some e;
             if profile then vts := Vt.attach e :: !vts);
     }
@@ -216,43 +215,32 @@ let wheel_stats () =
   check_int "behind-the-clock push goes to the past heap" 1 (Sim.Wheel.past_size w);
   check_str "past heap drains first" "late" (Sim.Wheel.pop_exn w)
 
-(* --- stack attribution core ----------------------------------------------- *)
+(* --- span pairing and frame totals ------------------------------------------ *)
 
 let ev ts kind name = { Sim.Probe.ts; kind; name; cat = "t"; pid = 1; tid = 1; id = 0; args = [] }
 
+(* Nested synchronous spans pair LIFO in Trace.Breakdown: parent open
+   0..100 with a child 20..50. *)
 let attrib_exclusive () =
-  let a = Trace.Attrib.create () in
-  let closed = ref [] in
-  Trace.Attrib.on_close a (fun ~cat:_ ~name ~pid:_ ~tid:_ ~inclusive ~exclusive ->
-      closed := (name, inclusive, exclusive) :: !closed);
-  (* parent open 0..100 with a child 20..50: parent exclusive = 70 *)
-  Trace.Attrib.add a (ev 0 Sim.Probe.Span_begin "parent");
-  Trace.Attrib.add a (ev 20 Sim.Probe.Span_begin "child");
-  Trace.Attrib.add a (ev 50 Sim.Probe.Span_end "child");
-  Trace.Attrib.add a (ev 100 Sim.Probe.Span_end "parent");
-  check_int "all frames matched" 0 (Trace.Attrib.unmatched a);
-  check_int "no frames left open" 0 (Trace.Attrib.open_frames a);
-  (match List.assoc_opt "child" (List.map (fun (n, i, x) -> (n, (i, x))) !closed) with
-  | Some (i, x) ->
-    check_int "child inclusive" 30 i;
-    check_int "child exclusive" 30 x
-  | None -> Alcotest.fail "child frame never closed");
-  match List.assoc_opt "parent" (List.map (fun (n, i, x) -> (n, (i, x))) !closed) with
-  | Some (i, x) ->
-    check_int "parent inclusive" 100 i;
-    check_int "parent exclusive (child time removed)" 70 x
-  | None -> Alcotest.fail "parent frame never closed"
+  let bd = Trace.Breakdown.create () in
+  Trace.Breakdown.add bd (ev 0 Sim.Probe.Span_begin "parent");
+  Trace.Breakdown.add bd (ev 20 Sim.Probe.Span_begin "child");
+  Trace.Breakdown.add bd (ev 50 Sim.Probe.Span_end "child");
+  Trace.Breakdown.add bd (ev 100 Sim.Probe.Span_end "parent");
+  check_int "all frames matched" 0 (Trace.Breakdown.unmatched bd);
+  check_int "child inclusive" 30 (Trace.Breakdown.total_ns bd ~cat:"t" ~name:"child");
+  check_int "parent inclusive" 100 (Trace.Breakdown.total_ns bd ~cat:"t" ~name:"parent")
 
 let attrib_frame_totals () =
   let folded = [ ([ "parent" ], 70); ([ "parent"; "child" ], 30) ] in
-  match Trace.Attrib.frame_totals folded with
-  | [ ("child", cs, ct); ("parent", ps, pt) ] ->
+  match Profile.Report.of_folded folded with
+  | [ { frame = "child"; self_ns = cs; total_ns = ct };
+      { frame = "parent"; self_ns = ps; total_ns = pt } ] ->
     check_int "child self" 30 cs;
     check_int "child total" 30 ct;
     check_int "parent self" 70 ps;
     check_int "parent total (self + child)" 100 pt
-  | other ->
-    Alcotest.failf "unexpected frame_totals shape (%d rows)" (List.length other)
+  | other -> Alcotest.failf "unexpected frame totals shape (%d rows)" (List.length other)
 
 let suite =
   [

@@ -14,7 +14,17 @@ module E = Workload.Experiments
 (* One provenance-on latency run: tracer + samples + reconstructed tree. *)
 let latency_run ?(provenance = true) ?(samples = 40) seed =
   let tr = Trace.Tracer.create ~capacity:(1 lsl 16) () in
-  let setup = { E.default_setup with E.seed; trace = Some tr; provenance } in
+  let setup =
+    {
+      E.default_setup with
+      E.seed;
+      on_engine =
+        Some
+          (fun e ->
+            Trace.Tracer.attach tr e;
+            if provenance then Sim.Engine.set_provenance e true);
+    }
+  in
   let s = E.mu_replication_latency setup ~samples ~payload:64 ~attach:Mu.Config.Standalone in
   (tr, s, Tree.of_events (Trace.Tracer.events tr))
 

@@ -537,7 +537,9 @@ let tier_deterministic () =
    pay off at every shard count. *)
 let quick_surface () =
   let tracer = Trace.Tracer.create () in
-  let setup = { (tier_setup 42L) with Workload.Experiments.trace = Some tracer } in
+  let setup =
+    { (tier_setup 42L) with Workload.Experiments.on_engine = Some (Trace.Tracer.attach tracer) }
+  in
   let points =
     Serving.Surface.sweep setup ~shard_counts:[ 1; 2; 4 ] ~batches:[ 1; 8 ]
       ~clients:200_000 ~think_ns:10_000_000 ~duration:1_000_000
