@@ -46,6 +46,14 @@ let compare_with : string option ref = ref None
 let compare_report : string option ref = ref None
 let exit_code = ref 0
 
+(* The [--only] ids, in run order; any id starting with "ablation" selects
+   the ablations. *)
+let section_ids =
+  [ "tab1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "ablations"; "recovery";
+    "serving"; "monitor"; "engine-speed"; "profile"; "bechamel" ]
+
+let is_ablation id = String.starts_with ~prefix:"ablation" id
+
 let () =
   let rec parse = function
     | [] -> ()
@@ -53,6 +61,10 @@ let () =
       quick := true;
       parse rest
     | "--only" :: id :: rest ->
+      if not (List.mem id section_ids || is_ablation id) then
+        failwith
+          (Printf.sprintf "unknown --only id: %s (valid: %s, ablation-*)" id
+             (String.concat ", " section_ids));
       only := id :: !only;
       parse rest
     | "--bechamel" :: rest ->
@@ -684,50 +696,6 @@ let monitor () =
       ("firing", List (List.map (fun r -> J.Str r) (Monitor.Log.firing log)));
     ]
 
-(* --- Observability self-profiling ----------------------------------------- *)
-
-let observability () =
-  section "observability" "self-profiling: per-layer observability overhead";
-  Fmt.pr
-    "  The same synthetic fiber workload (every op passes a span scope and a@.\
-    \  trace-counter hook) run once per instrumentation layer; deltas against@.\
-    \  the baseline row are the per-layer hook cost.@.";
-  let sleeps = if !quick then 500 else 2_000 in
-  let samples = Monitor.Overhead.run_all ~sleeps ~clock:Unix.gettimeofday () in
-  List.iter (fun s -> Fmt.pr "  %a@." Monitor.Overhead.pp_sample s) samples;
-  let baseline =
-    List.find (fun (s : Monitor.Overhead.sample) -> s.layer = "baseline") samples
-  in
-  (* Disabled hooks must stay lean: the budget covers the fiber loop and
-     the engine's own sleep bookkeeping, not per-hook allocation (the
-     exact zero-allocation claim is asserted by the sim test suite). *)
-  let ok_alloc = baseline.Monitor.Overhead.minor_words_per_op < 128.0 in
-  record_check "observability_disabled_hooks_lean" ok_alloc
-    (Printf.sprintf "baseline %.1f minor words/op (budget 128)"
-       baseline.Monitor.Overhead.minor_words_per_op);
-  Fmt.pr "  check: disabled hooks lean (%.1f words/op < 128): %s@."
-    baseline.Monitor.Overhead.minor_words_per_op
-    (if ok_alloc then "OK" else "FAIL");
-  (* Generous wall-clock floor: catches order-of-magnitude regressions
-     only, never flakes on a loaded CI box. *)
-  let ok_rate = baseline.Monitor.Overhead.ops_per_s > 20_000.0 in
-  record_check "observability_events_per_sec_floor" ok_rate
-    (Printf.sprintf "baseline %.0f ops/s (floor 20000)"
-       baseline.Monitor.Overhead.ops_per_s);
-  Fmt.pr "  check: baseline throughput above generous floor: %s@."
-    (if ok_rate then "OK" else "FAIL");
-  (* ops_per_s is wall-clock: volatile, never byte-compared. *)
-  let layer (s : Monitor.Overhead.sample) =
-    J.Obj
-      [
-        ("layer", Str s.layer);
-        ("ops", int s.ops);
-        ("ops_per_s", fixed 0 s.ops_per_s);
-        ("minor_words_per_op", fixed 2 s.minor_words_per_op);
-      ]
-  in
-  J.Obj [ ("layers", List (List.map layer samples)) ]
-
 (* --- Engine event-rate microbench ---------------------------------------- *)
 
 (* Pre-wheel baseline, measured on this box at the PR-8 cut point with the
@@ -848,47 +816,22 @@ let profile_section () =
   Fmt.pr
     "  The deterministic profiler (DESIGN.md \xc2\xa718) attributes every virtual@.\
     \  nanosecond of a fail-over run to (host, fiber, provenance-span stack);@.\
-    \  the attributed buckets sum to the run's span exactly. Self-cost rows@.\
-    \  (what the observability layers cost the wall clock) are volatile.@.";
-  let attached = Monitor.Overhead.Attached.create ~clock:Unix.gettimeofday () in
+    \  the attributed buckets sum to the run's span exactly.@.";
   let vts = ref [] in
-  let s =
-    setup ~provenance:true
-      ~own:(fun e ->
-        vts := Profile.Vt.attach e :: !vts;
-        Monitor.Overhead.Attached.attach attached e)
-      ()
-  in
+  let s = setup ~provenance:true ~own:(fun e -> vts := Profile.Vt.attach e :: !vts) () in
   let rounds = scale 200 in
-  let _stats =
-    Monitor.Overhead.Attached.measure_run attached (fun () -> E.failover s ~rounds)
-  in
+  let _stats = E.failover s ~rounds in
   List.iter Profile.Vt.finish !vts;
   let folded = Profile.Vt.folded !vts in
   let total = Profile.Vt.total_ns folded in
   let span = List.fold_left (fun a vt -> a + Profile.Vt.span_ns vt) 0 !vts in
   let idle = List.fold_left (fun a vt -> a + Profile.Vt.idle_ns vt) 0 !vts in
-  let selfcost = Monitor.Overhead.Attached.report attached in
   Fmt.pr "%a" (fun ppf -> Profile.Report.pp ~top:8 ppf) folded;
   let ok = total = span in
   record_check "profile_exact_attribution" ok
     (Printf.sprintf "folded sum %d ns vs run span %d ns over %d rounds" total span rounds);
   Fmt.pr "  check: attributed buckets sum exactly to the run span: %s@."
     (if ok then "OK" else "FAIL");
-  Fmt.pr "  simulator self-cost (wall-clock, volatile):@.";
-  List.iter (fun r -> Fmt.pr "    %a@." Monitor.Overhead.Attached.pp_row r) selfcost;
-  (* span/idle/stacks/frames are virtual-time and deterministic per seed;
-     selfcost rows are wall-clock and volatile. *)
-  let row (r : Monitor.Overhead.Attached.row) =
-    J.Obj
-      [
-        ("layer", Str r.r_layer);
-        ("events", int r.r_events);
-        ("sampled", int r.r_sampled);
-        ("wall_s", fixed 6 r.r_wall_s);
-        ("minor_words", fixed 0 r.r_minor_words);
-      ]
-  in
   J.Obj
     [
       ("mode", Str "failover");
@@ -897,7 +840,6 @@ let profile_section () =
       ("idle_ns", int idle);
       ("stacks", int (List.length folded));
       ("frames", int (List.length (Profile.Report.of_folded folded)));
-      ("selfcost", List (List.map row selfcost));
     ]
 
 (* --- Bechamel microbenchmarks ------------------------------------------- *)
@@ -988,14 +930,10 @@ let () =
   if want "fig5" then fig5 ();
   let failover = run "fig6" fig6 in
   if want "fig7" then fig7 ();
-  if
-    want "ablations"
-    || List.exists (fun id -> String.length id >= 8 && String.sub id 0 8 = "ablation") !only
-  then ablations ();
+  if List.exists is_ablation !only || want "ablations" then ablations ();
   let recovery = run "recovery" recovery in
   let serving = run "serving" serving in
   let monitor = run "monitor" monitor in
-  let observability = run "observability" observability in
   let engine_speed = run "engine-speed" engine_speed in
   let profile = run "profile" profile_section in
   if want "bechamel" then bechamel_suite ();
@@ -1014,7 +952,6 @@ let () =
       ("recovery", or_null recovery);
       ("serving", or_null serving);
       ("monitor", or_null monitor);
-      ("observability", or_null observability);
       ("engine_events_per_sec", or_null (Option.bind engine_speed (J.member "events_per_sec")));
       ("engine_speed", or_null engine_speed);
       ("profile", or_null profile);

@@ -1070,59 +1070,39 @@ let serve_cmd =
    the run is attributed to (host, fiber, open provenance-span stack) and
    the buckets sum exactly to the run's span. The folded/speedscope
    exports carry only virtual time, so equal seeds yield byte-identical
-   files; --selfcost adds the volatile wall-clock side. *)
+   files. *)
 
 let profile_cmd =
   let run () seed mode samples payload rounds scenario_spec n shards batch folded_file
-      speedscope_file top selfcost =
+      speedscope_file top =
     let vts = ref [] in
-    let attached =
-      if selfcost then
-        Some (Monitor.Overhead.Attached.create ~clock:Unix.gettimeofday ())
-      else None
-    in
-    let on_engine e =
-      vts := Profile.Vt.attach e :: !vts;
-      Option.iter (fun a -> Monitor.Overhead.Attached.attach a e) attached
-    in
-    let measured f =
-      match attached with
-      | Some a -> Monitor.Overhead.Attached.measure_run a f
-      | None -> f ()
-    in
+    let on_engine e = vts := Profile.Vt.attach e :: !vts in
     let label =
       match mode with
       | `Latency ->
-        measured (fun () ->
-            ignore
-              (Workload.Experiments.mu_replication_latency
-                 (setup_of ~provenance:true ~on_engine seed)
-                 ~samples ~payload ~attach:Mu.Config.Standalone));
+        ignore
+          (Workload.Experiments.mu_replication_latency
+             (setup_of ~provenance:true ~on_engine seed)
+             ~samples ~payload ~attach:Mu.Config.Standalone);
         Printf.sprintf "latency %dx%dB" samples payload
       | `Failover ->
-        measured (fun () ->
-            ignore
-              (Workload.Experiments.failover
-                 (setup_of ~provenance:true ~on_engine seed)
-                 ~rounds));
+        ignore
+          (Workload.Experiments.failover (setup_of ~provenance:true ~on_engine seed) ~rounds);
         Printf.sprintf "failover %d rounds" rounds
       | `Chaos ->
         let scenario = scenario_or_die ~n scenario_spec in
-        measured (fun () ->
-            ignore
-              (Workload.Chaos.run
-                 ~on_engine:(fun e ->
-                   Sim.Engine.set_provenance e true;
-                   on_engine e)
-                 (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n scenario)));
+        ignore
+          (Workload.Chaos.run
+             ~on_engine:(fun e ->
+               Sim.Engine.set_provenance e true;
+               on_engine e)
+             (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n scenario));
         Printf.sprintf "chaos %s n=%d" scenario_spec n
       | `Serve ->
-        measured (fun () ->
-            ignore
-              (Serving.Surface.run_point
-                 (setup_of ~provenance:true ~on_engine seed)
-                 ~shards ~batch ~clients:200_000 ~think_ns:10_000_000
-                 ~duration:1_000_000 ()));
+        ignore
+          (Serving.Surface.run_point
+             (setup_of ~provenance:true ~on_engine seed)
+             ~shards ~batch ~clients:200_000 ~think_ns:10_000_000 ~duration:1_000_000 ());
         Printf.sprintf "serve %d shards batch %d" shards batch
     in
     List.iter Profile.Vt.finish !vts;
@@ -1135,17 +1115,10 @@ let profile_cmd =
       Profile.Vt.write_file file (Profile.Vt.to_folded_string folded);
       Fmt.pr "folded stacks written to %s (flamegraph.pl-ready)@." file
     | None -> ());
-    (match speedscope_file with
+    match speedscope_file with
     | Some file ->
       Profile.Vt.write_file file (Profile.Vt.to_speedscope_string ~name:label folded);
       Fmt.pr "speedscope profile written to %s (open in speedscope.app)@." file
-    | None -> ());
-    match attached with
-    | Some a ->
-      Fmt.pr "simulator self-cost (wall-clock, volatile):@.";
-      List.iter
-        (fun r -> Fmt.pr "  %a@." Monitor.Overhead.Attached.pp_row r)
-        (Monitor.Overhead.Attached.report a)
     | None -> ()
   in
   let mode_arg =
@@ -1198,24 +1171,16 @@ let profile_cmd =
   let top_arg =
     Arg.(value & opt int 15 & info [ "top" ] ~docv:"K" ~doc:"Rows in the self/total tables.")
   in
-  let selfcost_arg =
-    Arg.(
-      value & flag
-      & info [ "selfcost" ]
-          ~doc:
-            "Also sample the simulator's own wall-clock and allocation cost per \
-             observability layer (volatile; never byte-compare).")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Profile a run in virtual time: exact exclusive-ns attribution to \
           host/fiber/provenance-span stacks, folded-stack and speedscope exports \
-          (byte-deterministic per seed), optional simulator self-cost sampling.")
+          (byte-deterministic per seed).")
     Term.(
       const run $ setup_logs $ seed_arg $ mode_arg $ samples_arg 5_000
       $ payload $ rounds $ scenario_arg $ n_arg $ shards $ batch $ folded_arg
-      $ speedscope_arg $ top_arg $ selfcost_arg)
+      $ speedscope_arg $ top_arg)
 
 (* --- report ------------------------------------------------------------------ *)
 
@@ -1251,16 +1216,7 @@ let render_results_sections file =
       Fmt.pr "  mode %s, %d rounds (virtual time, deterministic per seed):@."
         (str p "mode") (inum p "rounds");
       Fmt.pr "  span %d ns, idle %d ns, %d stacks, %d frames@." (inum p "span_ns")
-        (inum p "idle_ns") (inum p "stacks") (inum p "frames");
-      (match Option.bind (J.member "selfcost" p) J.to_list with
-      | Some (_ :: _ as rows) ->
-        Fmt.pr "  simulator self-cost (wall-clock, volatile):@.";
-        List.iter
-          (fun r ->
-            Fmt.pr "    %-18s %10.6f s %14.0f minor words@." (str r "layer")
-              (fnum r "wall_s") (fnum r "minor_words"))
-          rows
-      | _ -> ())
+        (inum p "idle_ns") (inum p "stacks") (inum p "frames")
     | _ -> Fmt.pr "  not recorded (run the profile section)@.")
 
 let report_cmd =

@@ -5,6 +5,7 @@ type t = {
   mrs : Rdma.Mr.t array;
   qps : Rdma.Qp.t array array;
   cqs : Rdma.Cq.t array;
+  mutable wr_seq : int;
 }
 
 let create engine cal ~n ~mr_size =
@@ -44,16 +45,14 @@ let create engine cal ~n ~mr_size =
     done
   done;
   ignore (Rdma.Exchange.lookup exchange ~peer:(Sim.Host.name hosts.(0)) ~name:"buffer");
-  { engine; cal; hosts; mrs; qps; cqs }
+  { engine; cal; hosts; mrs; qps; cqs; wr_seq = 0 }
 
 let n t = Array.length t.hosts
 let majority t = (n t / 2) + 1
 
-let wr_counter = ref 0
-
 let write_to t ~src ~dst ~data ~off =
-  incr wr_counter;
-  Rdma.Qp.post_write t.qps.(src).(dst) ~wr_id:!wr_counter ~src:data ~src_off:0
+  t.wr_seq <- t.wr_seq + 1;
+  Rdma.Qp.post_write t.qps.(src).(dst) ~wr_id:t.wr_seq ~src:data ~src_off:0
     ~len:(Bytes.length data) ~mr:t.mrs.(dst) ~dst_off:off
 
 let await_successes t ~node ~count =

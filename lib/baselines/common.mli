@@ -13,6 +13,7 @@ type t = {
   mrs : Rdma.Mr.t array;
   qps : Rdma.Qp.t array array;  (** [qps.(i).(j)]: endpoint at [i] toward [j]. *)
   cqs : Rdma.Cq.t array;  (** One per node; node [i] is the only consumer. *)
+  mutable wr_seq : int;  (** Last [wr_id] {!write_to} posted. *)
 }
 
 val create : Sim.Engine.t -> Sim.Calibration.t -> n:int -> mr_size:int -> t

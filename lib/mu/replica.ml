@@ -37,6 +37,7 @@ type t = {
   mutable prop_num : int64;
   mutable skip_prepare : bool;
   mutable wr_seq : int;
+  mutable tag_seq : int;
   inflight : (int, int * int) Hashtbl.t;
   mutable propose_started_at : int option;
   mutable election_span : int;
@@ -122,6 +123,7 @@ let create_unwired eng calib config ~id =
       prop_num = 0L;
       skip_prepare = false;
       wr_seq = 0;
+      tag_seq = 0;
       inflight = Hashtbl.create 64;
       propose_started_at = None;
       election_span = 0;
@@ -281,15 +283,22 @@ let peer t id =
 
 (* Tags in [inflight] identify which plane posted a work request on the
    shared replication CQ. Positive tags are propose/catch-up rounds
-   (Replication.fresh_tag); the reserved negative tags below mark
-   background writes whose completions the propose path reaps on the
-   posting plane's behalf. *)
+   ([fresh_tag]); the reserved negative tags below mark background
+   writes whose completions the propose path reaps on the posting
+   plane's behalf; windowed accept groups take the tags below those
+   ([group_tag]). The three ranges are disjoint, so a straggler
+   completion of one round never counts as another's ack. *)
 let recycler_tag = -2
 let config_tag = -3
+let group_tag first = -4 - first
 
 let fresh_wr_id t =
   t.wr_seq <- t.wr_seq + 1;
   t.wr_seq
+
+let fresh_tag t =
+  t.tag_seq <- t.tag_seq + 1;
+  t.tag_seq
 
 let is_leader t = t.role = Leader
 

@@ -57,6 +57,7 @@ type t = {
   mutable prop_num : int64;
   mutable skip_prepare : bool;  (** Omit-prepare optimization (§4.2). *)
   mutable wr_seq : int;
+  mutable tag_seq : int;  (** Last tag {!fresh_tag} handed out. *)
   inflight : (int, int * int) Hashtbl.t;  (** wr_id → (peer id, tag). *)
   mutable propose_started_at : int option;  (** For fate sharing (§5.1). *)
   mutable election_span : int;
@@ -135,11 +136,20 @@ val recycler_tag : int
 val config_tag : int
 (** Reserved [inflight] tag for membership-configuration writes. *)
 
+val group_tag : int -> int
+(** [group_tag first]: the [inflight] tag of a windowed accept group
+    whose first slot is [first]. Below the reserved tags, so never a
+    {!fresh_tag}. *)
+
 val engine : t -> Sim.Engine.t
 val cal : t -> Sim.Calibration.t
 val peer : t -> int -> peer
 val peer_opt : t -> int -> peer option
 val fresh_wr_id : t -> int
+
+val fresh_tag : t -> int
+(** A new positive [inflight] tag for one propose or catch-up round. *)
+
 val is_leader : t -> bool
 
 val set_role : t -> role -> unit

@@ -49,12 +49,6 @@ let check_own_permission t =
 
 (* --- completion bookkeeping ------------------------------------------- *)
 
-let fresh_tag =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    !counter
-
 let post_tracked t (p : Replica.peer) ~tag ~post =
   let wr = Replica.fresh_wr_id t in
   Hashtbl.replace t.Replica.inflight wr (p.Replica.pid, tag);
@@ -168,7 +162,7 @@ let acquire_followers t =
 let read_fuos t =
   tspan t "read_fuos" @@ fun () ->
   let cf = confirmed_peers t in
-  let tag = fresh_tag () in
+  let tag = Replica.fresh_tag t in
   let bufs =
     List.map
       (fun p ->
@@ -189,7 +183,7 @@ let copy_remote_slots t (p : Replica.peer) ~from_idx ~to_idx =
   let slot_size = Log.slot_size log in
   for idx = from_idx to to_idx - 1 do
     let buf = Bytes.create slot_size in
-    let tag = fresh_tag () in
+    let tag = Replica.fresh_tag t in
     post_tracked t p ~tag ~post:(fun wr_id ->
         Rdma.Qp.post_read p.Replica.repl_qp ~wr_id ~dst:buf ~dst_off:0 ~len:slot_size
           ~mr:p.Replica.remote_log_mr ~src_off:(Log.slot_offset log idx));
@@ -225,7 +219,7 @@ let update_followers t fuos =
   tspan t "update_followers" @@ fun () ->
   let log = t.Replica.log in
   let my_fuo = Log.fuo log in
-  let tag = fresh_tag () in
+  let tag = Replica.fresh_tag t in
   let posted = ref 0 in
   List.iter
     (fun (p, f) ->
@@ -299,7 +293,7 @@ let grow_followers t =
 
 let read_min_proposals t =
   let cf = confirmed_peers t in
-  let tag = fresh_tag () in
+  let tag = Replica.fresh_tag t in
   let bufs =
     List.map
       (fun p ->
@@ -334,7 +328,7 @@ let prepare_phase t ~idx =
      lands before the read executes. *)
   Log.set_min_proposal log prop_num;
   let cf = confirmed_peers t in
-  let tag = fresh_tag () in
+  let tag = Replica.fresh_tag t in
   let prop_buf = Bytes.create 8 in
   Bytes.set_int64_le prop_buf 0 prop_num;
   let slot_size = Log.slot_size log in
@@ -420,7 +414,7 @@ let post_accept t ~tag ~idx ~imgs =
 let accept_phase t ~prop_num ~value ~idx =
   tspan t "accept" @@ fun () ->  t.Replica.metrics.Metrics.accept_rounds <- t.Replica.metrics.Metrics.accept_rounds + 1;
   let img = Log.encode_slot t.Replica.log ~proposal:prop_num ~value in
-  let tag = fresh_tag () in
+  let tag = Replica.fresh_tag t in
   post_accept t ~tag ~idx ~imgs:[ img ];
   ignore (await_tag t ~tag ~needed:(remote_majority t))
 

@@ -350,7 +350,8 @@ let serve_windowed t (r : Replica.t) =
        requests are requeued with the rest. *)
     Queue.push g window;
     if Queue.length window = 1 then note_oldest ();
-    Replication.post_accept r ~tag:base ~idx:base ~imgs:(List.map img slots)
+    Replication.post_accept r ~tag:(Replica.group_tag base) ~idx:base
+      ~imgs:(List.map img slots)
   in
   (* Commit whole groups in order from the head of the window. *)
   let commit_ready needed =
@@ -416,7 +417,9 @@ let serve_windowed t (r : Replica.t) =
         let timeout = if full then None else Some 2_000 in
         match Replication.drain_completion r ?timeout with
         | Some (_, tag) ->
-          Queue.iter (fun g -> if g.first = tag then g.acks <- g.acks + 1) window
+          Queue.iter
+            (fun g -> if Replica.group_tag g.first = tag then g.acks <- g.acks + 1)
+            window
         | None -> ())
       | None -> ());
       (* Let same-instant client fibers woken by the commit enqueue their

@@ -3,10 +3,10 @@
    Compares the deterministic fields of a current bench results file
    against a baseline (normally the last BENCH_history.jsonl line) with
    per-field worse-direction tolerances. Volatile wall-clock fields
-   (ops_per_s, events_per_sec, queue ops/s, selfcost rows) are never
-   compared — they measure the box, not the code. Fields missing on
-   either side are skipped and listed, not failed, so baselines from
-   partial runs (--only) stay usable. *)
+   (events_per_sec, queue ops/s) are never compared — they measure the
+   box, not the code. Fields missing on either side, and checks ok in
+   the baseline but absent now, are skipped and listed, not failed, so
+   baselines from partial runs (--only) stay usable. *)
 
 module J = Faults.Json
 
@@ -58,7 +58,7 @@ type field = {
 
 type result = {
   fields : field list; (* compared fields, rule order *)
-  skipped : string list; (* fields missing on either side *)
+  skipped : string list; (* fields missing on either side, then vanished checks *)
   checks_broken : string list; (* ok in baseline, not ok in current *)
   comparable : bool; (* same schema, seed and quick flag *)
   note : string; (* why not comparable, or "" *)
@@ -121,20 +121,21 @@ let run ?(rules = default_rules) ~baseline ~current () =
     in
     let base_checks = check_map baseline in
     let cur_checks = check_map current in
-    let checks_broken =
-      List.filter_map
-        (fun (name, ok) ->
-          if not ok then None
+    let checks_broken, checks_gone =
+      List.fold_left
+        (fun (broken, gone) (name, ok) ->
+          if not ok then (broken, gone)
           else
             match List.assoc_opt name cur_checks with
-            | Some false -> Some name
-            | Some true | None -> None)
-        base_checks
+            | Some false -> (name :: broken, gone)
+            | None -> (broken, ("check " ^ name) :: gone)
+            | Some true -> (broken, gone))
+        ([], []) base_checks
     in
     {
       fields = List.rev fields;
-      skipped = List.rev skipped;
-      checks_broken;
+      skipped = List.rev_append skipped (List.rev checks_gone);
+      checks_broken = List.rev checks_broken;
       comparable = true;
       note = "";
     }

@@ -4,9 +4,10 @@
     against a baseline (normally the last [BENCH_history.jsonl] line)
     with per-field worse-direction tolerances. Volatile wall-clock
     fields are never compared. Fields missing on either side (partial
-    [--only] runs) are skipped, not failed. Baselines with a different
-    seed or quick flag are incomparable: the result says so and carries
-    no verdict. *)
+    [--only] runs), and checks ok in the baseline but absent from the
+    current document, are skipped and listed, not failed. Baselines
+    with a different seed or quick flag are incomparable: the result
+    says so and carries no verdict. *)
 
 type direction = [ `Lower_is_better | `Higher_is_better ]
 
@@ -24,6 +25,8 @@ type field = {
 type result = {
   fields : field list;
   skipped : string list;
+      (** fields missing on either side, then ["check NAME"] for each
+          check ok in the baseline and absent now *)
   checks_broken : string list; (** ok in baseline, failing now *)
   comparable : bool;
   note : string; (** why not comparable, or [""] *)

@@ -18,15 +18,14 @@ type profiler = {
 }
 
 (* Simulator self-cost sampling: wall-clock spent in the event queue,
-   stride-sampled so a profiled run stays close to full speed. Queue
-   push/pop are allocation-free, so only wall time is measured here;
-   allocation attribution for the observability layers happens in their
-   own wrappers (Monitor.Overhead.Attached). Wall-clock never feeds the
-   virtual clock, so sampling cannot perturb the simulation — it only
-   slows it. *)
+   one op in [selfcost_stride] measured so a sampled run stays close to
+   full speed. Queue push/pop are allocation-free, so only wall time is
+   measured. Wall-clock never feeds the virtual clock, so sampling cannot
+   perturb the simulation — it only slows it. *)
+let selfcost_stride = 64
+
 type selfcost = {
   sc_clock : unit -> float;
-  sc_stride : int;
   sc_bias : float; (* wall seconds an empty clock-pair measurement costs *)
   mutable sc_arm : int; (* countdown to the next measured op *)
   mutable sc_queue_ops : int; (* all queue ops (push + pop) *)
@@ -46,13 +45,11 @@ let selfcost_calibrate clock =
   done;
   !best
 
-let selfcost_create ?(stride = 64) ~clock () =
-  if stride <= 0 then invalid_arg "Engine.selfcost_create: stride must be positive";
+let selfcost_create ~clock () =
   {
     sc_clock = clock;
-    sc_stride = stride;
     sc_bias = selfcost_calibrate clock;
-    sc_arm = stride;
+    sc_arm = selfcost_stride;
     sc_queue_ops = 0;
     sc_queue_sampled = 0;
     sc_queue_wall = 0.0;
@@ -358,7 +355,7 @@ let schedule t ~at thunk =
     sc.sc_arm <- sc.sc_arm - 1;
     if sc.sc_arm > 0 then Wheel.push t.events ~key:at ~seq:t.seq thunk
     else begin
-      sc.sc_arm <- sc.sc_stride;
+      sc.sc_arm <- selfcost_stride;
       let c0 = sc.sc_clock () in
       Wheel.push t.events ~key:at ~seq:t.seq thunk;
       sc.sc_queue_wall <-
@@ -513,7 +510,7 @@ let run ?until t =
             sc.sc_arm <- sc.sc_arm - 1;
             if sc.sc_arm > 0 then Wheel.pop_exn t.events
             else begin
-              sc.sc_arm <- sc.sc_stride;
+              sc.sc_arm <- selfcost_stride;
               let c0 = sc.sc_clock () in
               let th = Wheel.pop_exn t.events in
               sc.sc_queue_wall <-

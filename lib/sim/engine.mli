@@ -105,8 +105,8 @@ type selfcost
     clock, so sampling cannot perturb the simulation. The numbers are
     volatile: never byte-compare them. *)
 
-val selfcost_create : ?stride:int -> clock:(unit -> float) -> unit -> selfcost
-(** [stride] (default 64): measure one queue op in [stride]. *)
+val selfcost_create : clock:(unit -> float) -> unit -> selfcost
+(** Measure one queue op in 64 with [clock] (wall seconds). *)
 
 val set_selfcost : t -> selfcost -> unit
 

@@ -4,8 +4,9 @@
    speedscope exports of `mu_demo profile --mode failover` and
    `--mode chaos`, and the self-cost sampler attached beside the
    profiler leaving the folded export as the bare run's. Then the bench
-   figures' metrics, and `mu_demo explain`'s span trees (DESIGN.md §13),
-   with the check that provenance off leaves no trace of it. *)
+   figures' metrics, `mu_demo explain`'s span trees (DESIGN.md §13) and
+   a traced DARE baseline, with the check that provenance off leaves no
+   trace of it. *)
 
 module E = Workload.Experiments
 module Vt = Profile.Vt
@@ -19,21 +20,16 @@ let setup ?trace ?metrics ?on_engine ~provenance seed =
   in
   { E.seed; cal = Util.default_cal; faults = None; on_engine = Some observe }
 
-(* One run with a profiler (and, given [selfcost], the wall-clock
-   self-cost sampler) on every engine it creates, provenance on, as
-   `mu_demo profile` sets them up. [f on_engine] is the run. *)
+(* One run with a profiler (and, given [selfcost], the engine's
+   wall-clock self-cost sampler) on every engine it creates, provenance
+   on, as `mu_demo profile` sets them up. [f on_engine] is the run. *)
 let profiled ?(selfcost = false) f =
   let vts = ref [] in
-  let sampler =
-    if selfcost then Some (Monitor.Overhead.Attached.create ~clock:Sys.time ()) else None
-  in
   let on_engine e =
     vts := Vt.attach e :: !vts;
-    Option.iter (fun a -> Monitor.Overhead.Attached.attach a e) sampler
+    if selfcost then Sim.Engine.set_selfcost e (Sim.Engine.selfcost_create ~clock:Sys.time ())
   in
-  (match sampler with
-  | Some a -> Monitor.Overhead.Attached.measure_run a (fun () -> f on_engine)
-  | None -> f on_engine);
+  f on_engine;
   match !vts with
   | [] -> Alcotest.fail "profiler never attached"
   | vts ->
@@ -153,6 +149,17 @@ let fig6_trace_without_provenance () =
   Alcotest.(check int) "prov events" 0
     (List.length (List.filter (fun (ev : Sim.Probe.event) -> ev.cat = "prov") events))
 
+(* `bench --only fig4 --trace F`'s DARE leg: the trace's RDMA async ids
+   are the cluster's work-request ids, so a second cluster in the same
+   process must number them as the first did. *)
+let dare_trace () =
+  let tr = Trace.Tracer.create () in
+  ignore
+    (E.baseline_replication_latency (setup ~trace:tr ~provenance:false 42L) ~samples:300
+       ~system:`Dare ~payload:64
+      : Sim.Stats.Samples.t);
+  [ ("chrome", Trace.Tracer.chrome_string tr) ]
+
 let folded f () = [ ("folded", Vt.to_folded_string (f ())) ]
 
 let both f () =
@@ -181,6 +188,7 @@ let rows =
     twice "fig6 metrics and results" (with_sampler fig6);
     twice "explain latency span tree" explain_latency;
     twice "explain chaos outcome and span tree" explain_chaos;
+    twice "dare baseline trace" dare_trace;
   ]
 
 let check_row r () =

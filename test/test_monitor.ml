@@ -1,6 +1,6 @@
 (* Monitor plane: SLO window arithmetic, rule hysteresis, the online
    evaluator's determinism through chaos, trace neutrality when the
-   monitor is off, and the overhead harness. *)
+   monitor is off, and the engine's self-cost sampler. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -209,7 +209,7 @@ let monitor_off_trace_identical () =
   check "monitor emitted alert instants" true (alerts <> []);
   check "monitor-off trace identical modulo alerts" true (rest = ev_off)
 
-(* --- Overhead harness ----------------------------------------------------- *)
+(* --- Self-cost sampler ---------------------------------------------------- *)
 
 let overhead_smoke () =
   (* Deterministic fake clock: one second per reading. *)
@@ -218,16 +218,25 @@ let overhead_smoke () =
     t := !t +. 1.0;
     !t
   in
-  let samples = Monitor.Overhead.run_all ~fibers:4 ~sleeps:50 ~clock () in
-  Alcotest.(check (list string))
-    "one sample per layer, in order"
-    (List.map Monitor.Overhead.layer_name Monitor.Overhead.all_layers)
-    (List.map (fun (s : Monitor.Overhead.sample) -> s.layer) samples);
-  List.iter
-    (fun (s : Monitor.Overhead.sample) ->
-      check_int (s.layer ^ " ops") 200 s.Monitor.Overhead.ops;
-      check (s.layer ^ " alloc sane") true (s.Monitor.Overhead.minor_words_per_op >= 0.0))
-    samples
+  let e = Util.engine () in
+  let sc = Sim.Engine.selfcost_create ~clock () in
+  Sim.Engine.set_selfcost e sc;
+  let fibers = 4 and sleeps = 50 in
+  for _ = 1 to fibers do
+    Sim.Engine.spawn e (fun () ->
+        for _ = 1 to sleeps do
+          Sim.Engine.sleep e 10
+        done)
+  done;
+  Sim.Engine.run e;
+  check_int "queue drained" 0 (Sim.Engine.pending_events e);
+  (* A spawn pushes one event and a sleep two (timer, then resume); the
+     drained queue popped every push. *)
+  let pushes = fibers * (1 + (2 * sleeps)) in
+  let ops, sampled, wall = Sim.Engine.selfcost_queue sc in
+  check_int "ops = pushes + pops" (2 * pushes) ops;
+  check_int "one op in 64 sampled" (ops / 64) sampled;
+  check "wall non-negative" true (wall >= 0.0)
 
 let suite =
   [

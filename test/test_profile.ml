@@ -188,7 +188,20 @@ let compare_check_broken () =
   in
   check "a check going ok->fail regresses" true (Profile.Compare.regressed r);
   check "the broken check is named" true
-    (r.Profile.Compare.checks_broken = [ "smr_agree" ])
+    (r.Profile.Compare.checks_broken = [ "smr_agree" ]);
+  let gone =
+    Profile.Compare.run ~baseline:base_doc
+      ~current:
+        (doc
+           {|{"schema":"mu-bench-results/1","seed":42,"quick":true,
+              "replication_latency_ns":{"p50":1000,"p99":2000},"checks":[]}|})
+      ()
+  in
+  check "a vanished check does not regress" false (Profile.Compare.regressed gone);
+  check "the vanished check is listed as skipped" true
+    (List.mem "check smr_agree" gone.Profile.Compare.skipped);
+  check "the report names it" true
+    (Util.contains_substring (Profile.Compare.to_string gone) "check smr_agree ")
 
 (* --- wheel occupancy ------------------------------------------------------ *)
 
