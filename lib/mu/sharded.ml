@@ -19,7 +19,9 @@ let shard t i = t.groups.(i)
 (* Stable string hash; independent of OCaml's randomized hashing. *)
 let key_hash key =
   let h = ref 5381 in
-  String.iter (fun c -> h := ((!h lsl 5) + !h + Char.code c) land 0x3FFFFFFF) key;
+  for i = 0 to String.length key - 1 do
+    h := ((!h lsl 5) + !h + Char.code (String.unsafe_get key i)) land 0x3FFFFFFF
+  done;
   !h
 
 let shard_of_key t key = key_hash key mod Array.length t.groups

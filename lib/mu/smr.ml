@@ -11,6 +11,9 @@ type request = {
      fail-over. *)
   prov : int;
   submitted : int;
+  (* Retry-ring slot whose timer will check this request, -1 if none
+     (see [arm_retry]). *)
+  mutable retry_slot : int;
 }
 
 (* One completed rejoin (restart → log parity), kept for harnesses and
@@ -51,6 +54,23 @@ type t = {
   mutable establish_end : int;
   mutable next_id : int;
   mutable stopped : bool;
+  (* Client retries (see [arm_retry]); built on the first armed retry. *)
+  mutable retries : retries option;
+  mutable resends : int;
+}
+
+(* Each armed retry is a timer on the engine's [client_retry_interval]
+   lane whose ticket is a slot number; [ring] maps a slot (mod its
+   power-of-two length) to the request it will check, or to [none] once
+   the reply landed. Tickets fire in arm order, so the live slots are
+   [head, next). *)
+and retries = {
+  lane : Sim.Engine.lane;
+  mutable ring : request array;
+  mutable head : int;
+  mutable next : int;
+  mutable pending : int; (* occupied slots *)
+  none : request;
 }
 
 let replicas t = t.replicas
@@ -61,6 +81,8 @@ let shed_requests t = Recovery.Backpressure.sheds t.backpressure
 let queue_depth t = Sim.Engine.Chan.length t.incoming
 let degraded_windows t = t.degraded_windows
 let degraded_total_ns t = t.degraded_total_ns
+let retries_pending t = match t.retries with Some r -> r.pending | None -> 0
+let resends t = t.resends
 
 (* Retryable-error sentinel: returned instead of an application response
    when a degraded leader sheds a request past the queue bound. The '!'
@@ -203,6 +225,73 @@ let requeue t reqs =
       Sim.Engine.Chan.send t.incoming req)
     reqs
 
+(* A request captured by a leader that then fails stays parked in that
+   leader's hands; like any SMR client, we retransmit after a timeout.
+   Requests may therefore execute more than once across a leader change
+   (at-least-once; see the interface comment). The timer is a lane
+   ticket, not a closure: the request stays reachable from [retries]
+   only until its reply lands, not from the event queue for the whole
+   interval. *)
+let client_retry_interval = 2_000_000
+
+let rec arm_retry t req =
+  let r =
+    match t.retries with
+    | Some r -> r
+    | None ->
+      let none =
+        {
+          payload = Bytes.empty;
+          resp = Sim.Engine.Ivar.create t.engine;
+          prov = 0;
+          submitted = 0;
+          retry_slot = -1;
+        }
+      in
+      let lane = Sim.Engine.lane t.engine ~delay:client_retry_interval (retry_fire t) in
+      let r = { lane; ring = Array.make 64 none; head = 0; next = 0; pending = 0; none } in
+      t.retries <- Some r;
+      r
+  in
+  let slot = r.next in
+  r.next <- slot + 1;
+  (* A stopped cluster's handler is released; its timers only keep
+     their events. *)
+  if not t.stopped then begin
+    let cap = Array.length r.ring in
+    if slot - r.head = cap then begin
+      let ring = Array.make (2 * cap) r.none in
+      for s = r.head to slot - 1 do
+        ring.(s land ((2 * cap) - 1)) <- r.ring.(s land (cap - 1))
+      done;
+      r.ring <- ring
+    end;
+    r.ring.(slot land (Array.length r.ring - 1)) <- req;
+    req.retry_slot <- slot;
+    r.pending <- r.pending + 1
+  end;
+  Sim.Engine.arm r.lane slot
+
+(* A ticket whose request is still unanswered resends it and re-arms. *)
+and retry_fire t slot =
+  match t.retries with
+  | None -> ()
+  | Some r ->
+    r.head <- slot + 1;
+    let i = slot land (Array.length r.ring - 1) in
+    let req = r.ring.(i) in
+    if req != r.none then begin
+      r.ring.(i) <- r.none;
+      r.pending <- r.pending - 1;
+      req.retry_slot <- -1;
+      if (not (Sim.Engine.Ivar.is_filled req.resp)) && not t.stopped then begin
+        Sim.Engine.span_point t.engine ~span:req.prov "client_retry";
+        t.resends <- t.resends + 1;
+        Sim.Engine.Chan.send t.incoming req;
+        arm_retry t req
+      end
+    end
+
 let fill_responses t (r : Replica.t) idx reqs =
   match Hashtbl.find_opt t.responses (r.Replica.id, idx) with
   | Some resps when List.length resps = List.length reqs ->
@@ -210,7 +299,17 @@ let fill_responses t (r : Replica.t) idx reqs =
     List.iter2
       (fun req resp ->
         if Sim.Engine.Ivar.try_fill req.resp resp && req.prov <> 0 then
-          Sim.Engine.span_close t.engine ~args:[ ("idx", string_of_int idx) ] req.prov)
+          Sim.Engine.span_close t.engine ~args:[ ("idx", string_of_int idx) ] req.prov;
+        (* Answered: its pending retry timer will find the slot empty. *)
+        match t.retries with
+        | Some r when req.retry_slot >= 0 ->
+          let i = req.retry_slot land (Array.length r.ring - 1) in
+          if r.ring.(i) == req then begin
+            r.ring.(i) <- r.none;
+            r.pending <- r.pending - 1
+          end;
+          req.retry_slot <- -1
+        | Some _ | None -> ())
       reqs resps
   | Some _ | None ->
     (* The batch executed under a different role or got superseded; the
@@ -500,6 +599,8 @@ let create eng calibration cfg ~make_app =
       establish_end = 0;
       next_id = cfg.Config.n;
       stopped = false;
+      retries = None;
+      resends = 0;
     }
   in
   Array.iter (fun r -> install_commit_hook t r) replicas;
@@ -557,12 +658,6 @@ let serving_leader t =
     in
     List.find_opt (fun c -> grants c >= majority) candidates
 
-(* A request captured by a leader that then fails stays parked in that
-   leader's hands; like any SMR client, we retransmit after a timeout.
-   Requests may therefore execute more than once across a leader change
-   (at-least-once; see the interface comment). *)
-let client_retry_interval = 2_000_000
-
 let submit_admitted ~retry t payload =
   let resp = Sim.Engine.Ivar.create t.engine in
   let prov =
@@ -580,20 +675,9 @@ let submit_admitted ~retry t payload =
       span
     end
   in
-  let req = { payload; resp; prov; submitted = Sim.Engine.now t.engine } in
+  let req = { payload; resp; prov; submitted = Sim.Engine.now t.engine; retry_slot = -1 } in
   Sim.Engine.Chan.send t.incoming req;
-  if retry then begin
-    (* A timer, not a fiber: it re-arms only while the reply is unfilled. *)
-    let rec arm () =
-      Sim.Engine.schedule_after t.engine client_retry_interval (fun () ->
-          if (not (Sim.Engine.Ivar.is_filled resp)) && not t.stopped then begin
-            Sim.Engine.span_point t.engine ~span:prov "client_retry";
-            Sim.Engine.Chan.send t.incoming req;
-            arm ()
-          end)
-    in
-    arm ()
-  end;
+  if retry then arm_retry t req;
   resp
 
 let submit_async ?(retry = true) t payload =
@@ -625,7 +709,15 @@ let wait_live t =
 
 let stop t =
   t.stopped <- true;
-  Array.iter (fun r -> r.Replica.stop <- true) t.replicas
+  Array.iter (fun r -> r.Replica.stop <- true) t.replicas;
+  (* Pending retry timers would all be no-ops now: drop the handler (it
+     holds [t]) and the requests they would have checked. *)
+  Option.iter
+    (fun r ->
+      Sim.Engine.release r.lane;
+      Array.fill r.ring 0 (Array.length r.ring) r.none;
+      r.pending <- 0)
+    t.retries
 
 (* --- membership (§5.4) -------------------------------------------------- *)
 

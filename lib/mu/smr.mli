@@ -138,6 +138,16 @@ val restarts_in_flight : t -> int
 val shed_requests : t -> int
 (** Requests refused with the retryable-error sentinel by the queue bound. *)
 
+val retries_pending : t -> int
+(** Submitted requests still waiting for their reply with a client
+    retry timer armed. The timers are tickets on the engine's
+    fixed-delay lane ({!Sim.Engine.lane}); a request stays reachable
+    from one only until its reply lands. *)
+
+val resends : t -> int
+(** Client retransmissions so far: retry timers that found their
+    request unanswered and sent it again. *)
+
 val queue_depth : t -> int
 (** Client requests currently parked in the incoming queue (submitted
     but not yet picked up by the leader service). *)

@@ -3,20 +3,28 @@
    aggregate process, and a small busy-until table models per-client
    seriality (a client thinking after its last request cannot be the
    source of the next arrival). No per-client fiber ever exists, so the
-   population size is a model parameter, not a simulator cost. *)
+   population size is a model parameter, not a simulator cost.
+
+   [next] runs once per arrival, so its per-arrival work is kept flat:
+   the busy table is an int-keyed hash table (a table sized by
+   [clients] would cost memory per modeled client), the Zipf sampler
+   resolves its CDF and a guide table once at creation, and keys are
+   formatted without Printf. Each draws exactly what the plain versions
+   drew, so arrivals are unchanged. *)
+
+module Busy = Hashtbl.Make (Int)
 
 type process = Poisson | Diurnal of { period_ns : int; amplitude : float }
 
 type t = {
   clients : int;
   think_ns : int;
-  keys : int;
-  theta : float;
   process : process;
   rng : Sim.Rng.t;
+  zipf : Sim.Rng.t -> int;
   (* client id -> virtual time until which that client is thinking.
      Entries are dropped lazily as expired picks land on them. *)
-  busy : (int, int) Hashtbl.t;
+  busy : int Busy.t;
   mutable arrivals : int;
   mutable suppressed : int;
 }
@@ -31,11 +39,10 @@ let create ?(process = Poisson) ?(theta = 0.99) ?(keys = 100_000) ~clients ~thin
   {
     clients;
     think_ns;
-    keys;
-    theta;
     process;
     rng;
-    busy = Hashtbl.create 4096;
+    zipf = Workload.Generators.zipf_sampler ~n:keys ~theta;
+    busy = Busy.create 4096;
     arrivals = 0;
     suppressed = 0;
   }
@@ -57,7 +64,7 @@ let next t ~now =
      (everyone thinking) accepts the last pick rather than spinning. *)
   let rec pick tries =
     let c = Sim.Rng.int t.rng t.clients in
-    match Hashtbl.find_opt t.busy c with
+    match Busy.find_opt t.busy c with
     | Some until when until > at ->
       if tries = 0 then c
       else begin
@@ -65,17 +72,15 @@ let next t ~now =
         pick (tries - 1)
       end
     | Some _ ->
-      Hashtbl.remove t.busy c;
+      Busy.remove t.busy c;
       c
     | None -> c
   in
   let client = pick 4 in
-  Hashtbl.replace t.busy client
+  Busy.replace t.busy client
     (at + Workload.Generators.think_gap t.rng ~mean_ns:t.think_ns);
   t.arrivals <- t.arrivals + 1;
-  let key =
-    Printf.sprintf "key-%08d" (Workload.Generators.zipf t.rng ~n:t.keys ~theta:t.theta)
-  in
+  let key = Workload.Generators.key_name (t.zipf t.rng) in
   { gap_ns; client; key }
 
 let arrivals t = t.arrivals

@@ -57,6 +57,72 @@ let selfcost_create ~clock () =
 
 let selfcost_queue sc = (sc.sc_queue_ops, sc.sc_queue_sampled, sc.sc_queue_wall)
 
+(* Fixed-delay timer lanes (Varghese & Lauck's observation): timers
+   armed at [now + d] with one constant [d] expire in the order they
+   were armed, because [now] never decreases and sequence numbers only
+   grow. A lane is therefore a FIFO of (key, seq, ticket) whose head is
+   its minimum; it needs no wheel placement, no cascade and no closure.
+   The lane belongs to the engine and is shared by every owner that arms
+   timers with that delay; a ticket carries its owner in the low
+   [owner_bits] and the owner's own int above them. Entries live in
+   three parallel int rings (grown by doubling): stores into them need
+   no write barrier, and they hold no pointer for the GC to follow. *)
+let owner_bits = 16
+let owner_mask = (1 lsl owner_bits) - 1
+
+type fifo = {
+  delay : int;
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable tickets : int array;
+  mutable first : int; (* ring index of the head *)
+  mutable len : int;
+  mutable fire : (int -> unit) array; (* handler per owner *)
+  mutable owners : int;
+}
+
+let fifo_create delay =
+  {
+    delay;
+    keys = Array.make 64 0;
+    seqs = Array.make 64 0;
+    tickets = Array.make 64 0;
+    first = 0;
+    len = 0;
+    fire = [||];
+    owners = 0;
+  }
+
+let fifo_grow q =
+  let cap = Array.length q.keys in
+  let copy a =
+    let b = Array.make (2 * cap) 0 in
+    for i = 0 to q.len - 1 do
+      b.(i) <- a.((q.first + i) land (cap - 1))
+    done;
+    b
+  in
+  q.keys <- copy q.keys;
+  q.seqs <- copy q.seqs;
+  q.tickets <- copy q.tickets;
+  q.first <- 0
+
+let fifo_push q ~key ~seq ticket =
+  if q.len = Array.length q.keys then fifo_grow q;
+  let i = (q.first + q.len) land (Array.length q.keys - 1) in
+  q.keys.(i) <- key;
+  q.seqs.(i) <- seq;
+  q.tickets.(i) <- ticket;
+  q.len <- q.len + 1
+
+let fifo_pop q =
+  let ticket = q.tickets.(q.first) in
+  q.first <- (q.first + 1) land (Array.length q.keys - 1);
+  q.len <- q.len - 1;
+  ticket
+
+let fifo_fire q ticket = q.fire.(ticket land owner_mask) (ticket lsr owner_bits)
+
 type t = {
   mutable now : int;
   mutable seq : int;
@@ -66,6 +132,8 @@ type t = {
   mutable running : bool;
   mutable limit : int; (* the current [run ~until] limit *)
   mutable fast_forwards : int; (* sleeps continued in place, see [sleep] *)
+  mutable lanes : fifo array; (* one per delay, see [lane] *)
+  mutable lane_pending : int; (* entries over all lanes *)
   probe : Probe.t;
   fabric : Fabric.t;
   nvm : Nvm.t;
@@ -101,6 +169,14 @@ type t = {
 
 exception Fiber_crash of string * exn
 
+(* A lane timer fires without the closure an observer hooks into, so
+   observers must come before the first lane entry: [arm] sends timers
+   to the wheel while one is attached, and attaching one while a lane
+   holds entries is refused rather than left to misattribute them. *)
+let check_attach t what =
+  if t.lane_pending > 0 then
+    invalid_arg (what ^ ": attach observers before any lane timer is armed")
+
 let () =
   Printexc.register_printer (function
     | Fiber_crash (name, exn) ->
@@ -108,43 +184,50 @@ let () =
     | _ -> None)
 
 let create ?(seed = 1L) () =
-  {
-    now = 0;
-    seq = 0;
-    events = Wheel.create ();
-    root_rng = Rng.create seed;
-    halted = false;
-    running = false;
-    limit = max_int;
-    fast_forwards = 0;
-    probe = Probe.create ();
-    fabric = Fabric.create ();
-    nvm = Nvm.create ();
-    next_fiber = 0;
-    cur_fiber = 0;
-    cur_pid = -1;
-    prov = false;
-    next_span = 0;
-    span_stacks = Hashtbl.create 64;
-    tel_on = false;
-    reg = None;
-    tel_events = None;
-    tel_depth = None;
-    tel_fibers = None;
-    tel_wheel = [||];
-    prof = None;
-    selfcost = None;
-  }
+  let t =
+    {
+      now = 0;
+      seq = 0;
+      events = Wheel.create ();
+      root_rng = Rng.create seed;
+      halted = false;
+      running = false;
+      limit = max_int;
+      fast_forwards = 0;
+      lanes = [||];
+      lane_pending = 0;
+      probe = Probe.create ();
+      fabric = Fabric.create ();
+      nvm = Nvm.create ();
+      next_fiber = 0;
+      cur_fiber = 0;
+      cur_pid = -1;
+      prov = false;
+      next_span = 0;
+      span_stacks = Hashtbl.create 64;
+      tel_on = false;
+      reg = None;
+      tel_events = None;
+      tel_depth = None;
+      tel_fibers = None;
+      tel_wheel = [||];
+      prof = None;
+      selfcost = None;
+    }
+  in
+  Probe.set_on_attach t.probe (fun () -> check_attach t "Probe.set_sink");
+  t
 
 let now t = t.now
 let rng t = t.root_rng
 let fabric t = t.fabric
 let nvm t = t.nvm
-let pending_events t = Wheel.length t.events
+let pending_events t = Wheel.length t.events + t.lane_pending
 
 (* Telemetry ------------------------------------------------------------ *)
 
 let set_metrics t reg =
+  check_attach t "Engine.set_metrics";
   t.tel_on <- true;
   t.reg <- Some reg;
   t.tel_events <-
@@ -170,10 +253,16 @@ let metrics t = t.reg
 
 (* Profiler ------------------------------------------------------------- *)
 
-let set_profiler t p = t.prof <- Some p
+let set_profiler t p =
+  check_attach t "Engine.set_profiler";
+  t.prof <- Some p
+
 let clear_profiler t = t.prof <- None
 let profiled t = match t.prof with Some _ -> true | None -> false
-let set_selfcost t sc = t.selfcost <- Some sc
+
+let set_selfcost t sc =
+  check_attach t "Engine.set_selfcost";
+  t.selfcost <- Some sc
 
 (* Tracing ------------------------------------------------------------- *)
 
@@ -366,6 +455,81 @@ let schedule t ~at thunk =
 let schedule_after t delay thunk = schedule t ~at:(t.now + delay) thunk
 let halt t = t.halted <- true
 
+(* Anything that watches the event stream — a probe sink, profiler,
+   self-cost sampler or metrics registry — must see every event as a
+   scheduled thunk, so an observed engine takes the slow paths of both
+   [arm] and [sleep]. *)
+let unobserved t =
+  (match Probe.sink t.probe with None -> true | Some _ -> false)
+  && (match t.prof with None -> true | Some _ -> false)
+  && (match t.selfcost with None -> true | Some _ -> false)
+  && not t.tel_on
+
+(* Lanes ------------------------------------------------------------------- *)
+
+type lane = { eng : t; q : fifo; owner : int }
+
+let lane t ~delay fire =
+  if delay < 0 then invalid_arg "Engine.lane: negative delay";
+  let q =
+    match Array.find_opt (fun q -> q.delay = delay) t.lanes with
+    | Some q -> q
+    | None ->
+      let q = fifo_create delay in
+      t.lanes <- Array.append t.lanes [| q |];
+      q
+  in
+  if q.owners > owner_mask then invalid_arg "Engine.lane: too many owners";
+  if q.owners = Array.length q.fire then begin
+    let fire = Array.make (max 4 (2 * q.owners)) ignore in
+    Array.blit q.fire 0 fire 0 q.owners;
+    q.fire <- fire
+  end;
+  q.fire.(q.owners) <- fire;
+  q.owners <- q.owners + 1;
+  { eng = t; q; owner = q.owners - 1 }
+
+(* The event is the one [schedule_after t q.delay] would queue — the same
+   key and the next seq — so swapping paths reorders nothing. *)
+let arm { eng = t; q; owner } x =
+  if x < 0 || x lsr (62 - owner_bits) <> 0 then invalid_arg "Engine.arm: ticket out of range";
+  let ticket = (x lsl owner_bits) lor owner in
+  if unobserved t then begin
+    t.seq <- t.seq + 1;
+    fifo_push q ~key:(t.now + q.delay) ~seq:t.seq ticket;
+    t.lane_pending <- t.lane_pending + 1
+  end
+  else schedule t ~at:(t.now + q.delay) (fun () -> fifo_fire q ticket)
+
+let release { q; owner; _ } = q.fire.(owner) <- ignore
+
+(* Index of the lane whose head precedes the wheel's minimum (key [at])
+   and every other lane head in (key, seq) order; -1 when the wheel's
+   head comes first. Only called with lane entries pending. *)
+let lane_first t at =
+  let best = ref (-1) and bk = ref at in
+  let bs = ref (if at = max_int then max_int else Wheel.next_seq t.events) in
+  for i = 0 to Array.length t.lanes - 1 do
+    let q = t.lanes.(i) in
+    if q.len > 0 then begin
+      let k = q.keys.(q.first) and s = q.seqs.(q.first) in
+      if k < !bk || (k = !bk && s < !bs) then begin
+        best := i;
+        bk := k;
+        bs := s
+      end
+    end
+  done;
+  !best
+
+let lanes_due t at =
+  let due = ref false in
+  for i = 0 to Array.length t.lanes - 1 do
+    let q = t.lanes.(i) in
+    if q.len > 0 && q.keys.(q.first) <= at then due := true
+  done;
+  !due
+
 (* Fibers -------------------------------------------------------------- *)
 
 type _ Effect.t +=
@@ -463,24 +627,18 @@ let spawn t ?(name = "fiber") ?(pid = -1) f =
    in place at [at] is then the same execution minus two queue round
    trips, provided the run would have reached [at] (not halted, within
    [run ~until]) and the sleeper is a fiber of this engine (its handler
-   is the one that would have parked it). Anything that watches the
-   event stream — a probe sink, profiler, self-cost sampler or metrics
-   registry — would see the two skipped events, so an observed engine
-   always takes the slow path. Skipped events consume no sequence
-   numbers, which only renumbers later ties without reordering them. *)
-let unobserved t =
-  (match Probe.sink t.probe with None -> true | Some _ -> false)
-  && (match t.prof with None -> true | Some _ -> false)
-  && (match t.selfcost with None -> true | Some _ -> false)
-  && not t.tel_on
-
+   is the one that would have parked it). An observer would see the two
+   skipped events, so an observed engine always takes the slow path.
+   Skipped events consume no sequence numbers, which only renumbers
+   later ties without reordering them. *)
 let sleep t delay =
   let d = if delay > 0 then delay else 0 in
   if
     t.cur_fiber <> 0 && (not t.halted)
     && d <= t.limit - t.now
     && unobserved t
-    && not (Wheel.due_by t.events (t.now + d))
+    && (not (Wheel.due_by t.events (t.now + d)))
+    && (t.lane_pending = 0 || not (lanes_due t (t.now + d)))
   then begin
     t.now <- t.now + d;
     t.fast_forwards <- t.fast_forwards + 1
@@ -499,7 +657,22 @@ let run ?until t =
   let rec loop () =
     if not t.halted then begin
       let at = Wheel.next_key t.events in
-      if at = max_int then () (* queue drained *)
+      let li = if t.lane_pending = 0 then -1 else lane_first t at in
+      if li >= 0 then begin
+        (* Lane entries exist only while nothing observes the engine
+           (see [arm]), so a lane event needs no observer bookkeeping. *)
+        let q = t.lanes.(li) in
+        let key = q.keys.(q.first) in
+        if key > limit then t.now <- limit
+        else begin
+          let ticket = fifo_pop q in
+          t.lane_pending <- t.lane_pending - 1;
+          t.now <- key;
+          fifo_fire q ticket;
+          loop ()
+        end
+      end
+      else if at = max_int then () (* queue drained *)
       else if at > limit then t.now <- limit
       else begin
         let thunk =

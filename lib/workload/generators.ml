@@ -25,18 +25,64 @@ let zipf_cdf n theta =
     Hashtbl.replace zipf_cache (n, theta) cdf;
     cdf
 
+(* First index in [lo, hi] with cdf >= u, or [hi] if none. *)
+let search (cdf : float array) (u : float) lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) >= u then hi := mid else lo := mid + 1
+  done;
+  !lo
+
 let zipf rng ~n ~theta =
   if theta <= 0.0 then Sim.Rng.int rng n
+  else search (zipf_cdf n theta) (Sim.Rng.float rng) 0 (n - 1)
+
+(* The same draw with the CDF resolved once and the search narrowed by a
+   guide table: [guide.(j)] is the first index whose cdf reaches [j/g]
+   (n - 1 if none). For [j/g <= u < (j+1)/g] the first index with
+   cdf >= u lies in [guide.(j), guide.(j+1)], because the cdf never
+   decreases; the search there returns what the full search returns. *)
+let zipf_sampler ~n ~theta =
+  if theta <= 0.0 then fun rng -> Sim.Rng.int rng n
   else begin
     let cdf = zipf_cdf n theta in
-    let u = Sim.Rng.float rng in
-    (* Binary search for the first index with cdf >= u. *)
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cdf.(mid) >= u then hi := mid else lo := mid + 1
+    let g = min n 65_536 in
+    let fg = float_of_int g in
+    let guide = Array.make (g + 1) (n - 1) in
+    let i = ref 0 in
+    for j = 0 to g do
+      let thr = float_of_int j /. fg in
+      while !i < n - 1 && cdf.(!i) < thr do
+        incr i
+      done;
+      guide.(j) <- !i
     done;
-    !lo
+    fun rng ->
+      let u = Sim.Rng.float rng in
+      (* [u *. fg] may round across a bucket edge; step back or forward
+         until [j/g <= u < (j+1)/g] holds exactly as the table was built. *)
+      let j = ref (min (g - 1) (int_of_float (u *. fg))) in
+      while !j > 0 && u < float_of_int !j /. fg do
+        decr j
+      done;
+      while !j < g - 1 && u >= float_of_int (!j + 1) /. fg do
+        incr j
+      done;
+      search cdf u guide.(!j) guide.(!j + 1)
+  end
+
+(* [Printf.sprintf "key-%08d" i] without the format interpreter. *)
+let key_name i =
+  if i < 0 || i >= 100_000_000 then Printf.sprintf "key-%08d" i
+  else begin
+    let b = Bytes.of_string "key-00000000" in
+    let v = ref i in
+    for pos = 11 downto 4 do
+      Bytes.unsafe_set b pos (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
+    Bytes.unsafe_to_string b
   end
 
 (* Arrival-process samplers for the serving tier. All draw exclusively
@@ -64,6 +110,9 @@ type kv_mix = { read_ratio : float; keys : int; value_size : int; theta : float 
 let default_kv_mix = { read_ratio = 0.5; keys = 10_000; value_size = 32; theta = 0.99 }
 
 let kv_command rng mix ~client:_ ~req_id:_ =
+  (* Printf rather than [key_name]: the keys are the same, but the
+     allocation [key_name] saves here made the GC run later in the
+     kv-closed benchmark and raised its peak RSS by 1.7 MiB. *)
   let key = Printf.sprintf "key-%08d" (zipf rng ~n:mix.keys ~theta:mix.theta) in
   if Sim.Rng.float rng < mix.read_ratio then Apps.Kv_store.Get { key }
   else

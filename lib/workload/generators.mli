@@ -11,6 +11,16 @@ val zipf : Sim.Rng.t -> n:int -> theta:float -> int
 (** Zipfian key index in [0, n) with skew [theta] (0 = uniform; 0.99 =
     YCSB default). Uses the standard rejection-free approximation. *)
 
+val zipf_sampler : n:int -> theta:float -> Sim.Rng.t -> int
+(** [zipf_sampler ~n ~theta] resolves the CDF once and returns a sampler
+    that draws what {!zipf} draws from the same PRNG — the same index
+    from the same single [Sim.Rng.float] — narrowing each search with a
+    guide table of up to 65 536 entries. For hot loops. *)
+
+val key_name : int -> string
+(** [key_name i] is [Printf.sprintf "key-%08d" i], without the format
+    interpreter for [i] in [\[0, 10^8)]. *)
+
 (** {1 Arrival-process samplers}
 
     Used by the serving tier's open-loop population model. Each draws

@@ -113,6 +113,19 @@ let router_agrees_with_sharded () =
           (Serving.Router.route router key)
       done)
 
+(* The routing hash is part of every shard mapping: pin it. *)
+let key_hash_pinned () =
+  List.iter
+    (fun (key, h) -> check_int key h (Mu.Sharded.key_hash key))
+    [
+      ("", 5381);
+      ("a", 177670);
+      ("key-00000000", 1032285691);
+      ("key-00012345", 1033546890);
+      ("key-99999999", 373976515);
+      ("a much longer key that wraps the 30-bit mask many times", 278260372);
+    ]
+
 let chaos_keys_route_to_shard () =
   Alcotest.(check (array string))
     "one shard: the single-group keys" [| "a"; "b"; "c" |]
@@ -573,6 +586,7 @@ let suite =
     ("population think gate", `Quick, population_think_gate);
     ("population diurnal rate", `Quick, population_diurnal_modulates_rate);
     ("router agrees with sharded", `Quick, router_agrees_with_sharded);
+    ("key hash pinned", `Quick, key_hash_pinned);
     ("chaos keys route to shard", `Quick, chaos_keys_route_to_shard);
     ("serving-off trace unperturbed", `Quick, serving_off_trace_unperturbed);
     ("doorbell default off", `Quick, doorbell_config_default_off);

@@ -289,6 +289,95 @@ let sharded_commuting_ops () =
   Sim.Engine.run ~until:120_000_000_000 e;
   check "finished" true !ok
 
+(* Client retry. Requests submitted while the leader's host is paused
+   are captured by its service loop and held there; with no reply after
+   2 ms the client resends them, and the new leader commits the resend.
+   Run bare, the retry timers sit on the engine's fixed-delay lane; with
+   a profiler attached they are wheel events. Both runs must resend at
+   the same instants — each a submit time plus a multiple of 2 ms — and
+   reply and commit identically. A watcher at each candidate instant
+   reads [Mu.Smr.resends] before the instant's timers (it was queued
+   before the submit) and again after them (it re-queues itself at the
+   same instant), so every resend is pinned to its instant. *)
+let client_retry_run ~profiled =
+  let retry_interval = 2_000_000 in
+  let e = Util.engine () in
+  if profiled then
+    Sim.Engine.set_profiler e
+      {
+        Sim.Engine.prof_event = (fun ~now:_ -> ());
+        prof_attr = (fun ~pid:_ ~tid:_ ~spans:_ -> ());
+        prof_fiber = (fun ~tid:_ ~pid:_ ~name:_ -> ());
+        prof_span = (fun ~id:_ ~name:_ -> ());
+        prof_host = (fun ~pid:_ ~name:_ -> ());
+      };
+  let commits = Hashtbl.create 16 in
+  let smr =
+    Mu.Smr.create e Util.default_cal Mu.Config.default ~make_app:(fun id ->
+        Mu.Smr.stateless_app (fun req ->
+            let k = (id, Bytes.to_string req) in
+            Hashtbl.replace commits k (1 + Option.value ~default:0 (Hashtbl.find_opt commits k));
+            Bytes.cat (Bytes.of_string "ack:") req))
+  in
+  Mu.Smr.start smr;
+  let resends = ref [] and replies = ref [] and pending_after = ref (-1) in
+  let watch at =
+    Sim.Engine.schedule e ~at (fun () ->
+        let before = Mu.Smr.resends smr in
+        Sim.Engine.schedule e ~at (fun () ->
+            let n = Mu.Smr.resends smr - before in
+            if n > 0 then resends := (at, n) :: !resends))
+  in
+  Sim.Engine.spawn e ~name:"driver" (fun () ->
+      Mu.Smr.wait_live smr;
+      let leader = Option.get (Mu.Smr.leader smr) in
+      Sim.Host.pause leader.Mu.Replica.host;
+      let open_reqs = ref 3 in
+      for i = 1 to 3 do
+        let now = Sim.Engine.now e in
+        for k = 1 to 5 do
+          watch (now + (k * retry_interval))
+        done;
+        let iv = Mu.Smr.submit_async smr (Bytes.of_string (Printf.sprintf "req-%d" i)) in
+        Sim.Engine.spawn e ~name:"client" (fun () ->
+            let reply = Sim.Engine.Ivar.read iv in
+            replies := (i, Sim.Engine.now e, Bytes.to_string reply) :: !replies;
+            decr open_reqs);
+        Sim.Engine.sleep e 1_000
+      done;
+      Sim.Engine.sleep e 5_000_000;
+      Sim.Host.resume leader.Mu.Replica.host;
+      Util.wait_for (fun () -> !open_reqs = 0) e;
+      pending_after := Mu.Smr.retries_pending smr;
+      (* Let the resumed ex-leader settle before counting commits. *)
+      Sim.Engine.sleep e 10_000_000;
+      Mu.Smr.stop smr;
+      Sim.Engine.halt e);
+  Sim.Engine.run ~until:120_000_000_000 e;
+  let commits =
+    List.sort compare (Hashtbl.fold (fun (id, p) n acc -> (id, p, n) :: acc) commits [])
+  in
+  (List.rev !resends, Mu.Smr.resends smr, List.sort compare !replies, commits, !pending_after)
+
+let client_retry_resends () =
+  let ((resends, total, replies, _, pending) as bare) = client_retry_run ~profiled:false in
+  check "at least one resend" true (total > 0);
+  check_int "every resend at a submit time plus a multiple of 2 ms" total
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 resends);
+  check_int "all three answered" 3 (List.length replies);
+  List.iter
+    (fun (i, _, reply) ->
+      Alcotest.(check string) "reply bytes" (Printf.sprintf "ack:req-%d" i) reply)
+    replies;
+  check_int "no retry timer holds a request once all replies are in" 0 pending;
+  let resends', total', replies', commits', pending' = client_retry_run ~profiled:true in
+  let _, _, _, commits, _ = bare in
+  Alcotest.(check (list (pair int int))) "same resend instants" resends resends';
+  check_int "same resend count" total total';
+  Alcotest.(check (list (triple int int string))) "same replies and reply times" replies replies';
+  Alcotest.(check (list (triple int string int))) "same commits per payload" commits commits';
+  check_int "profiled: no retry timer left" 0 pending'
+
 let stop_halts_service () =
   with_smr (fun e smr ->
       Mu.Smr.wait_live smr;
@@ -316,4 +405,5 @@ let suite =
     ("checksum canary cluster works", `Quick, checksum_canary_cluster_works);
     ("sharded commuting ops", `Quick, sharded_commuting_ops);
     ("stop halts service", `Quick, stop_halts_service);
+    ("client retry resends held requests", `Quick, client_retry_resends);
   ]

@@ -35,6 +35,30 @@ let zipf_uniform_when_theta_zero () =
   done;
   Array.iter (fun c -> check "roughly uniform" true (c > 700 && c < 1_300)) counts
 
+(* The guided sampler draws what the plain binary search draws, one
+   float per draw, so switching a hot loop to it moves no key. *)
+let zipf_sampler_matches_search () =
+  List.iter
+    (fun (n, theta) ->
+      let sample = Workload.Generators.zipf_sampler ~n ~theta in
+      let r1 = Sim.Rng.create 11L and r2 = Sim.Rng.create 11L in
+      for _ = 1 to 10_000 do
+        let want = Workload.Generators.zipf r1 ~n ~theta in
+        let got = sample r2 in
+        if got <> want then Alcotest.failf "n=%d theta=%g: %d, search gives %d" n theta got want
+      done;
+      Alcotest.(check int64)
+        (Printf.sprintf "n=%d theta=%g: same stream position" n theta)
+        (Sim.Rng.int64 r1) (Sim.Rng.int64 r2))
+    [ (1, 0.99); (2, 0.5); (10, 0.99); (1_000, 0.99); (100_000, 0.99); (70_000, 1.2); (10, 0.0) ]
+
+let key_name_matches_printf () =
+  List.iter
+    (fun i ->
+      Alcotest.(check string) (string_of_int i) (Printf.sprintf "key-%08d" i)
+        (Workload.Generators.key_name i))
+    [ 0; 1; 9; 10; 12_345; 9_999_999; 10_000_000; 99_999_999; 100_000_000; 123_456_789; -1; -42 ]
+
 let order_flow_generates_valid_commands () =
   let rng = Sim.Rng.create 6L in
   let flow = Workload.Generators.order_flow rng in
@@ -220,6 +244,8 @@ let suite =
     ("payload generator", `Quick, payload_size_and_determinism);
     ("zipf skew", `Quick, zipf_skew);
     ("zipf uniform at theta 0", `Quick, zipf_uniform_when_theta_zero);
+    ("zipf sampler matches binary search", `Quick, zipf_sampler_matches_search);
+    ("key name matches printf", `Quick, key_name_matches_printf);
     ("order flow valid", `Quick, order_flow_generates_valid_commands);
     ("lin: sequential ok", `Quick, lin_sequential_ok);
     ("lin: initial read none", `Quick, lin_initial_read_none);
