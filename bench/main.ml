@@ -989,7 +989,7 @@ let () =
     (* The exported score timeline must show some follower's view of the
        paused leader crossing below the fail threshold and, after the
        resume, back above the recover threshold. *)
-    let ok = Telemetry.Dashboard.has_fail_recover_crossing ~fail:2 ~recover:6 smp in
+    let ok = Telemetry.Dashboard.has_fail_recover_crossing smp in
     record_check "score_fail_recover_crossing" ok
       "mu_score timeline crosses <2 then >6 during fail-over";
     Fmt.pr "check: score timeline crosses fail(<2) then recover(>6): %s@."

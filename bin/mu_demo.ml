@@ -35,6 +35,13 @@ let read_file file =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let write_file file s =
+  let oc = open_out_bin file in
+  output_string oc s;
+  close_out oc
+
+let scenario_names = String.concat ", " Faults.Scenario.named
+
 (* A scenario argument is either one of the named scenarios (which depend
    on the cluster size, hence the [~n] at resolution time) or a JSON file
    produced by hand or by a failing sweep's repro. *)
@@ -48,8 +55,7 @@ let resolve_scenario ~n spec =
         (Faults.Scenario.of_string (read_file spec))
     else
       Error
-        (Printf.sprintf "unknown scenario %S (named: %s, or a JSON file)" spec
-           (String.concat ", " Faults.Scenario.named))
+        (Printf.sprintf "unknown scenario %S (named: %s, or a JSON file)" spec scenario_names)
 
 let scenario_or_die ~n spec =
   match resolve_scenario ~n spec with
@@ -69,9 +75,20 @@ let faults_arg =
     & opt (some string) None
     & info [ "faults" ] ~docv:"SCENARIO"
         ~doc:
-          "Inject a fault scenario into the experiment's Mu cluster: a named scenario \
-           (crash-leader, partition-leader, lossy-fabric, kill-restart) or a scenario \
-           JSON file.")
+          ("Inject a fault scenario into the experiment's Mu cluster: a named scenario ("
+          ^ scenario_names ^ ") or a scenario JSON file."))
+
+(* The chaos-run arguments shared by chaos, watch, explain and profile;
+   [scenario_arg] takes the subcommand's default scenario. *)
+let n_arg =
+  Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas in the chaos run's cluster.")
+
+let scenario_arg default =
+  Arg.(
+    value
+    & opt string default
+    & info [ "scenario" ] ~docv:"SCENARIO"
+        ~doc:("Named scenario (" ^ scenario_names ^ ") or a scenario JSON file."))
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed for the simulation.")
@@ -300,11 +317,6 @@ let detectors_cmd =
 (* --- chaos -------------------------------------------------------------------- *)
 
 let chaos_cmd =
-  let write_file file s =
-    let oc = open_out_bin file in
-    output_string oc s;
-    close_out oc
-  in
   let finish ~repro_file failures =
     match failures with
     | [] ->
@@ -366,18 +378,6 @@ let chaos_cmd =
     | _ -> ());
     exit code
   in
-  let n_arg =
-    Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas in the cluster.")
-  in
-  let scenario_arg =
-    Arg.(
-      value
-      & opt string "crash-leader"
-      & info [ "scenario" ] ~docv:"SCENARIO"
-          ~doc:
-            "Named scenario (crash-leader, partition-leader, lossy-fabric, \
-             kill-restart, restart-backlog, quorum-loss) or a scenario JSON file.")
-  in
   let trace_arg =
     Arg.(
       value
@@ -418,8 +418,8 @@ let chaos_cmd =
           permission failures) and check linearizability plus the Appendix A \
           invariants. Exits non-zero on any violation.")
     Term.(
-      const run $ setup_logs $ seed_arg $ n_arg $ scenario_arg $ sweep_arg $ replay_arg
-      $ repro_arg $ trace_arg)
+      const run $ setup_logs $ seed_arg $ n_arg $ scenario_arg "crash-leader" $ sweep_arg
+      $ replay_arg $ repro_arg $ trace_arg)
 
 (* --- verify -------------------------------------------------------------------- *)
 
@@ -429,11 +429,6 @@ let chaos_cmd =
    byte-stable repro bundle that --replay re-executes byte-identically. *)
 
 let verify_cmd =
-  let write_file file s =
-    let oc = open_out_bin file in
-    output_string oc s;
-    close_out oc
-  in
   let run () seed cases ns inject clients ops_per_client budget repro_file replay
       out_file quiet =
     let log = if quiet then fun _ -> () else fun s -> Fmt.pr "%s@." s in
@@ -585,7 +580,9 @@ let verify_cmd =
    alert rules at virtual-time window boundaries while the cluster runs,
    printing every firing/clearing edge as it happens plus periodic
    status lines. All times are virtual, so equal seeds produce
-   byte-identical output — CI double-runs this and cmp's stdout. *)
+   byte-identical output; the tier-1 test [chaos alert log deterministic]
+   runs a monitored kill-restart chaos run twice and compares the alert
+   logs. *)
 
 let watch_cmd =
   let run () seed n scenario_spec clients ops think window interval status_every
@@ -655,18 +652,6 @@ let watch_cmd =
       | None -> ()));
     exit (if Workload.Chaos.passed o then 0 else 1)
   in
-  let n_arg =
-    Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas in the cluster.")
-  in
-  let scenario_arg =
-    Arg.(
-      value
-      & opt string "kill-restart"
-      & info [ "scenario" ] ~docv:"SCENARIO"
-          ~doc:
-            "Named scenario (crash-leader, partition-leader, lossy-fabric, \
-             kill-restart, restart-backlog, quorum-loss) or a scenario JSON file.")
-  in
   let clients_arg =
     Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Closed-loop clients.")
   in
@@ -717,8 +702,8 @@ let watch_cmd =
           (latency bands, commit progress, quorum loss, rejoin lag) in virtual \
           time and prints every alert edge as it happens. Deterministic per seed.")
     Term.(
-      const run $ setup_logs $ seed_arg $ n_arg $ scenario_arg $ clients_arg $ ops_arg
-      $ think_arg $ window_arg $ interval_arg $ status_arg $ log_arg)
+      const run $ setup_logs $ seed_arg $ n_arg $ scenario_arg "kill-restart" $ clients_arg
+      $ ops_arg $ think_arg $ window_arg $ interval_arg $ status_arg $ log_arg)
 
 (* --- explain ------------------------------------------------------------------ *)
 
@@ -943,13 +928,10 @@ let explain_cmd =
       & opt (some string) None
       & info [ "chaos" ] ~docv:"SCENARIO"
           ~doc:
-            "Explain a chaos run instead of a latency run: a named scenario \
-             (crash-leader, partition-leader, lossy-fabric, kill-restart), a scenario \
-             JSON file, or a minimized repro written by 'mu_demo chaos --repro' (which \
-             replays its run verbatim).")
-  in
-  let n_arg =
-    Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas (chaos mode).")
+            ("Explain a chaos run instead of a latency run: a named scenario ("
+            ^ scenario_names
+            ^ "), a scenario JSON file, or a minimized repro written by 'mu_demo chaos \
+               --repro' (which replays its run verbatim)."))
   in
   let ops_arg =
     Arg.(
@@ -1138,16 +1120,6 @@ let profile_cmd =
   let rounds =
     Arg.(value & opt int 100 & info [ "rounds" ] ~docv:"N" ~doc:"Leader failures (failover mode).")
   in
-  let scenario_arg =
-    Arg.(
-      value
-      & opt string "kill-restart"
-      & info [ "scenario" ] ~docv:"SCENARIO"
-          ~doc:"Fault scenario (chaos mode): named or a JSON file.")
-  in
-  let n_arg =
-    Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas (chaos mode).")
-  in
   let shards =
     Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc:"Parallel Mu instances (serve mode).")
   in
@@ -1179,7 +1151,7 @@ let profile_cmd =
           (byte-deterministic per seed).")
     Term.(
       const run $ setup_logs $ seed_arg $ mode_arg $ samples_arg 5_000
-      $ payload $ rounds $ scenario_arg $ n_arg $ shards $ batch $ folded_arg
+      $ payload $ rounds $ scenario_arg "kill-restart" $ n_arg $ shards $ batch $ folded_arg
       $ speedscope_arg $ top_arg)
 
 (* --- report ------------------------------------------------------------------ *)

@@ -22,7 +22,6 @@ type t = {
   c : Common.t;
   nodes : node array;
   election_timeout : int * int;  (* randomized range, ns *)
-  heartbeat : int;  (* period, ns *)
   check_interval : int;
   mutable wr : int;
 }
@@ -140,7 +139,10 @@ let step t (n : node) rng hb_seq =
       end
     end
 
-let create ?(election_timeout_ms = 30.0) ?(heartbeat_ms = 5.0) c =
+(* A leader's heartbeat period, ns (DARE's published regime). *)
+let heartbeat = 5_000_000
+
+let create ?(election_timeout_ms = 30.0) c =
   let lo = int_of_float (election_timeout_ms *. 0.75 *. 1.0e6) in
   let hi = int_of_float (election_timeout_ms *. 1.25 *. 1.0e6) in
   let t =
@@ -158,7 +160,6 @@ let create ?(election_timeout_ms = 30.0) ?(heartbeat_ms = 5.0) c =
               timeout = 0;
             });
       election_timeout = (lo, hi);
-      heartbeat = int_of_float (heartbeat_ms *. 1.0e6);
       check_interval = 1_000_000;
       wr = 100_000_000;
     }
@@ -175,7 +176,7 @@ let create ?(election_timeout_ms = 30.0) ?(heartbeat_ms = 5.0) c =
             step t n rng hb_seq;
             (* Leaders pace by the heartbeat period; others poll faster. *)
             Sim.Host.idle t.c.Common.hosts.(n.id)
-              (if n.role = Leader then t.heartbeat else t.check_interval);
+              (if n.role = Leader then heartbeat else t.check_interval);
             loop ()
           in
           loop ()))

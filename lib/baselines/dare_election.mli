@@ -29,11 +29,11 @@ type role = Leader | Candidate | Follower
 type t
 (** One DARE replica group. *)
 
-val create :
-  ?election_timeout_ms:float -> ?heartbeat_ms:float -> Common.t -> t
-(** Run DARE election over an existing cluster. Defaults: 10–20 ms
-    randomized election timeout, 5 ms heartbeat period (DARE's published
-    configuration regime). Spawns one protocol fiber per node. *)
+val create : ?election_timeout_ms:float -> Common.t -> t
+(** Run DARE election over an existing cluster. The election timeout
+    (default 30 ms) is drawn per node from 0.75–1.25 times it; a leader
+    heartbeats every 5 ms, other nodes check every 1 ms. Spawns one
+    protocol fiber per node. *)
 
 val role : t -> int -> role
 val term : t -> int -> int

@@ -10,7 +10,6 @@ type outcome = Ok | Breach of string
 
 type spec = {
   name : string;
-  help : string;
   fire_after : int;
   clear_after : int;
   check : Slo.window -> outcome;
@@ -31,7 +30,6 @@ let make spec =
   { spec; breaches = 0; oks = 0; firing = false }
 
 let name t = t.spec.name
-let help t = t.spec.help
 let firing t = t.firing
 
 let step t w =
@@ -55,40 +53,34 @@ let step t w =
 
 (* --- built-in checks --------------------------------------------------- *)
 
-let spec ?(fire_after = 1) ?(clear_after = 1) ~name ~help check =
-  { name; help; fire_after; clear_after; check }
+let spec ?(fire_after = 1) ?(clear_after = 1) ~name check =
+  { name; fire_after; clear_after; check }
 
+(* The window's [q] quantile of histogram [metric] is above [limit_ns]. *)
 let quantile_above ?fire_after ?clear_after ~name ~metric ~q ~limit_ns () =
-  spec ?fire_after ?clear_after ~name
-    ~help:
-      (Printf.sprintf "p%g of %s above %dns (windowed)" (q *. 100.) metric limit_ns)
-    (fun w ->
+  spec ?fire_after ?clear_after ~name (fun w ->
       match Slo.quantile_ns w metric q with
       | Some v when v > limit_ns ->
         Breach (Printf.sprintf "p%g=%dns limit=%dns" (q *. 100.) v limit_ns)
       | _ -> Ok)
 
+(* [metric]'s per-second rate over the window is below [min_per_s]. *)
 let rate_floor ?fire_after ?clear_after ~name ~metric ~min_per_s () =
-  spec ?fire_after ?clear_after ~name
-    ~help:(Printf.sprintf "%s below %g/s" metric min_per_s)
-    (fun w ->
+  spec ?fire_after ?clear_after ~name (fun w ->
       let r = Slo.rate_per_s w metric in
       if r < min_per_s then Breach (Printf.sprintf "rate=%g/s floor=%g/s" r min_per_s)
       else Ok)
 
+(* [metric]'s per-second rate over the window is above [max_per_s]. *)
 let rate_ceiling ?fire_after ?clear_after ~name ~metric ~max_per_s () =
-  spec ?fire_after ?clear_after ~name
-    ~help:(Printf.sprintf "%s above %g/s" metric max_per_s)
-    (fun w ->
+  spec ?fire_after ?clear_after ~name (fun w ->
       let r = Slo.rate_per_s w metric in
       if r > max_per_s then
         Breach (Printf.sprintf "rate=%g/s ceiling=%g/s" r max_per_s)
       else Ok)
 
 let gauge_above ?fire_after ?clear_after ~name ~metric ~agg ~limit () =
-  spec ?fire_after ?clear_after ~name
-    ~help:(Printf.sprintf "%s above %g" metric limit)
-    (fun w ->
+  spec ?fire_after ?clear_after ~name (fun w ->
       match Slo.value w agg metric with
       | Some v when v > limit -> Breach (Printf.sprintf "value=%g limit=%g" v limit)
       | _ -> Ok)
@@ -97,9 +89,7 @@ let gauge_above ?fire_after ?clear_after ~name ~metric ~agg ~limit () =
    window's (previous must be non-zero, so a cold start cannot breach). *)
 let rate_jump ?fire_after ?clear_after ~name ~metric ~factor () =
   let prev = ref 0.0 in
-  spec ?fire_after ?clear_after ~name
-    ~help:(Printf.sprintf "%s window delta jumped by more than %gx" metric factor)
-    (fun w ->
+  spec ?fire_after ?clear_after ~name (fun w ->
       let d = Slo.delta w metric in
       let p = !prev in
       prev := d;
@@ -107,20 +97,17 @@ let rate_jump ?fire_after ?clear_after ~name ~metric ~factor () =
         Breach (Printf.sprintf "delta=%g prev=%g factor=%g" d p factor)
       else Ok)
 
+(* More than [max_elections] leader elections in one window. *)
 let leader_flap ?fire_after ?clear_after ?(max_elections = 1) () =
-  spec ?fire_after ?clear_after ~name:"leader_flap"
-    ~help:
-      (Printf.sprintf "more than %d leader election(s) in one window" max_elections)
-    (fun w ->
+  spec ?fire_after ?clear_after ~name:"leader_flap" (fun w ->
       let d = Slo.delta w "mu_elections_total" in
       if d > float_of_int max_elections then
         Breach (Printf.sprintf "elections=%g in window" d)
       else Ok)
 
+(* A leader is in a degraded (quorum-lost) window. *)
 let quorum_loss ?fire_after ?clear_after () =
-  spec ?fire_after ?clear_after ~name:"quorum_loss"
-    ~help:"a leader is in a degraded (quorum-lost) window"
-    (fun w ->
+  spec ?fire_after ?clear_after ~name:"quorum_loss" (fun w ->
       match Slo.value w Slo.Max "mu_quorum_lost" with
       | Some v when v > 0.0 -> Breach "leader degraded: quorum lost"
       | _ -> Ok)
@@ -132,9 +119,7 @@ let quorum_loss ?fire_after ?clear_after () =
    commit-progress watchdog should say about a cluster that stopped. *)
 let quorum_stall ?(fire_after = 3) ?clear_after () =
   let prev = ref (-1.0) in
-  spec ~fire_after ?clear_after ~name:"quorum_stall"
-    ~help:"first undecided offset not advancing across windows"
-    (fun w ->
+  spec ~fire_after ?clear_after ~name:"quorum_stall" (fun w ->
       match Slo.value w Slo.Max "mu_fuo" with
       | Some v ->
         let p = !prev in
@@ -145,9 +130,7 @@ let quorum_stall ?(fire_after = 3) ?clear_after () =
 (* Rejoin watchdog: a restart is in flight (restarts begun exceed
    parities reached) for too many consecutive windows. *)
 let rejoin_lag ?(fire_after = 2) ?clear_after () =
-  spec ~fire_after ?clear_after ~name:"rejoin_lag"
-    ~help:"a restarted replica has not reached log parity"
-    (fun w ->
+  spec ~fire_after ?clear_after ~name:"rejoin_lag" (fun w ->
       let restarts =
         match Slo.value w Slo.Sum "mu_restarts_total" with Some v -> v | None -> 0.0
       in

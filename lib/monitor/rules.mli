@@ -11,7 +11,6 @@ type outcome = Ok | Breach of string  (** [Breach detail] *)
 
 type spec = {
   name : string;
-  help : string;
   fire_after : int;  (** consecutive breaching windows before firing *)
   clear_after : int;  (** consecutive clean windows before clearing *)
   check : Slo.window -> outcome;
@@ -27,7 +26,6 @@ val make : spec -> t
     both >= 1. *)
 
 val name : t -> string
-val help : t -> string
 val firing : t -> bool
 
 val step : t -> Slo.window -> (edge * string) option
@@ -47,6 +45,8 @@ val gauge_above :
   limit:float ->
   unit ->
   spec
+(** Breaches while the window's [agg] of gauge [metric] is above
+    [limit]. *)
 
 val defaults : unit -> spec list
 (** The standard rule set: commit p50/p99 latency bands, commit-rate

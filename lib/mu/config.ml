@@ -7,21 +7,16 @@ type t = {
   attach : attach_mode;
   max_batch : int;
   max_outstanding : int;
-  grow_followers_grace : int;
   recycle_interval : int;
   recycle_slack : int;
   fate_sharing : bool;
   fate_sharing_stuck_after : int;
-  replayer_poll : int;
   disable_omit_prepare : bool;
   checksum_canary : bool;
   persistent_log : bool;
   durable_state : bool;
   queue_limit : int;
-  rejoin_batch : int;
-  rejoin_idle : int;
   doorbell : int;
-  durable_ns : int;
 }
 
 let default =
@@ -32,21 +27,16 @@ let default =
     attach = Standalone;
     max_batch = 1;
     max_outstanding = 1;
-    grow_followers_grace = 100_000;
     recycle_interval = 10_000_000;
     recycle_slack = 64;
     fate_sharing = false;
     fate_sharing_stuck_after = 10_000_000;
-    replayer_poll = 1_000;
     disable_omit_prepare = false;
     checksum_canary = false;
     persistent_log = false;
     durable_state = false;
     queue_limit = 0;
-    rejoin_batch = 64;
-    rejoin_idle = 20_000;
     doorbell = 1;
-    durable_ns = 0;
   }
 
 type value = Int of int | Bool of bool | Attach of attach_mode
@@ -67,24 +57,18 @@ let fields =
       fun c -> function Attach v -> Some { c with attach = v } | _ -> None );
     int "max_batch" (fun c -> c.max_batch) (fun c v -> { c with max_batch = v });
     int "max_outstanding" (fun c -> c.max_outstanding) (fun c v -> { c with max_outstanding = v });
-    int "grow_followers_grace" (fun c -> c.grow_followers_grace) (fun c v ->
-        { c with grow_followers_grace = v });
     int "recycle_interval" (fun c -> c.recycle_interval) (fun c v -> { c with recycle_interval = v });
     int "recycle_slack" (fun c -> c.recycle_slack) (fun c v -> { c with recycle_slack = v });
     bool "fate_sharing" (fun c -> c.fate_sharing) (fun c v -> { c with fate_sharing = v });
     int "fate_sharing_stuck_after" (fun c -> c.fate_sharing_stuck_after) (fun c v ->
         { c with fate_sharing_stuck_after = v });
-    int "replayer_poll" (fun c -> c.replayer_poll) (fun c v -> { c with replayer_poll = v });
     bool "disable_omit_prepare" (fun c -> c.disable_omit_prepare) (fun c v ->
         { c with disable_omit_prepare = v });
     bool "checksum_canary" (fun c -> c.checksum_canary) (fun c v -> { c with checksum_canary = v });
     bool "persistent_log" (fun c -> c.persistent_log) (fun c v -> { c with persistent_log = v });
     bool "durable_state" (fun c -> c.durable_state) (fun c v -> { c with durable_state = v });
     int "queue_limit" (fun c -> c.queue_limit) (fun c v -> { c with queue_limit = v });
-    int "rejoin_batch" (fun c -> c.rejoin_batch) (fun c v -> { c with rejoin_batch = v });
-    int "rejoin_idle" (fun c -> c.rejoin_idle) (fun c v -> { c with rejoin_idle = v });
     int "doorbell" (fun c -> c.doorbell) (fun c v -> { c with doorbell = v });
-    int "durable_ns" (fun c -> c.durable_ns) (fun c v -> { c with durable_ns = v });
   ]
 
 let majority t = (t.n / 2) + 1
@@ -96,9 +80,6 @@ let validate t =
   if t.max_batch < 1 then invalid_arg "Config: max_batch must be >= 1";
   if t.max_outstanding < 1 then invalid_arg "Config: max_outstanding must be >= 1";
   if t.queue_limit < 0 then invalid_arg "Config: queue_limit must be >= 0";
-  if t.rejoin_batch < 1 then invalid_arg "Config: rejoin_batch must be >= 1";
-  if t.rejoin_idle < 0 then invalid_arg "Config: rejoin_idle must be >= 0";
   if t.doorbell < 1 then invalid_arg "Config: doorbell must be >= 1";
   if t.doorbell > 1 && t.doorbell > t.log_slots - (2 * t.recycle_slack) then
-    invalid_arg "Config: doorbell group cannot exceed usable log window";
-  if t.durable_ns < 0 then invalid_arg "Config: durable_ns must be >= 0"
+    invalid_arg "Config: doorbell group cannot exceed usable log window"

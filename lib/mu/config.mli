@@ -19,9 +19,6 @@ type t = {
   attach : attach_mode;
   max_batch : int;  (** Requests coalesced into one entry (§7.4). *)
   max_outstanding : int;  (** Concurrent in-flight proposes (§7.4). *)
-  grow_followers_grace : int
-      (** Extra ns the leader waits for stragglers' permission acks before
-          settling on a majority ("Growing confirmed followers", §4.2). *);
   recycle_interval : int;  (** Period of the log-recycling scan (§5.3). *)
   recycle_slack : int;  (** Slots kept free so the log is never full (§5.3). *)
   fate_sharing : bool
@@ -30,7 +27,6 @@ type t = {
           implement this; we implement it behind this flag. *);
   fate_sharing_stuck_after : int
       (** A propose in flight for longer than this is considered stuck. *);
-  replayer_poll : int;  (** Follower log-poll period when idle. *)
   disable_omit_prepare : bool;
       (** Ablation switch: run the prepare phase on every propose even
           when it could be omitted (§4.2). *)
@@ -54,12 +50,6 @@ type t = {
           commit (quorum lost): past this many queued requests, new
           submissions are answered with a retryable error instead of
           enqueued. [0] disables the bound. *)
-  rejoin_batch : int;
-      (** Log entries a rejoining replica pulls from the leader per
-          catch-up round (bounded-rate Listing-5 sweep). *)
-  rejoin_idle : int;
-      (** Ns a rejoining replica idles between catch-up rounds, bounding
-          the read pressure it puts on the leader's NIC. *)
   doorbell : int;
       (** Log slots the leader may coalesce into a single doorbell-style
           RDMA write per peer: up to this many already-queued entries are
@@ -69,11 +59,6 @@ type t = {
           batching over the §7.4 pipeline). [1] (the default) disables
           doorbell batching and keeps the classic one-write-per-slot
           paths byte-identical. *)
-  durable_ns : int;
-      (** Durable-state namespace: disambiguates the {!Sim.Nvm} regions
-          of multiple Mu clusters sharing one engine (each
-          {!Sharded} group gets its shard index), so replica 0 of shard
-          1 never opens replica 0 of shard 0's durable log. *)
 }
 
 val default : t

@@ -6,6 +6,9 @@ let () =
       Some (Printf.sprintf "Replayer.Ring_full(replica %d, fuo %d)" replica fuo)
     | _ -> None)
 
+(* Follower log-poll period when idle, ns. *)
+let poll = 1_000
+
 (* Slot [fuo] is decided once [fuo + 1] is filled: the leader would not
    have started [fuo + 1] otherwise (commit piggybacking). The leader
    never runs more than [log_slots - recycle_slack] slots ahead of the
@@ -44,7 +47,7 @@ let start t =
           let progressed = advanced || t.Replica.applied > before in
           if progressed then Sim.Host.check t.Replica.host
           else
-            Sim.Host.park t.Replica.replay_bell ~period:t.Replica.config.Config.replayer_poll;
+            Sim.Host.park t.Replica.replay_bell ~period:poll;
           loop ()
         end
       in

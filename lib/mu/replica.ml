@@ -17,6 +17,7 @@ type peer = {
 
 type t = {
   config : Config.t;
+  durable_ns : int;
   host : Sim.Host.t;
   id : int;
   log : Log.t;
@@ -69,10 +70,10 @@ let cal t = Sim.Host.calibration t.host
 
 (* NVM regions are keyed by owner id; with several clusters on one
    engine (§8 sharding) the replica id alone would collide, so the
-   config's durable namespace is folded into the owner. *)
-let durable_owner config ~id = (config.Config.durable_ns * max_replicas) + id
+   cluster's durable namespace is folded into the owner. *)
+let durable_owner ~ns ~id = (ns * max_replicas) + id
 
-let create_unwired eng calib config ~id =
+let create_unwired eng calib config ~ns ~id =
   Config.validate config;
   let host = Sim.Host.create eng calib ~id ~name:(Printf.sprintf "replica%d" id) in
   let log_size =
@@ -87,7 +88,7 @@ let create_unwired eng calib config ~id =
     if config.Config.durable_state then
       Some
         (Recovery.Durable.log_backing (Sim.Engine.nvm eng)
-           ~owner:(durable_owner config ~id) ~size:log_size)
+           ~owner:(durable_owner ~ns ~id) ~size:log_size)
     else None
   in
   let log_mr =
@@ -100,6 +101,7 @@ let create_unwired eng calib config ~id =
   let t =
     {
       config;
+      durable_ns = ns;
       host;
       id;
       log =
@@ -165,7 +167,7 @@ let persist_members t =
     let meta =
       Recovery.Durable.meta_backing
         (Sim.Engine.nvm (engine t))
-        ~owner:(durable_owner t.config ~id:t.id)
+        ~owner:(durable_owner ~ns:t.durable_ns ~id:t.id)
     in
     Recovery.Durable.write_members meta (t.id :: List.map (fun p -> p.pid) t.peers)
   end
@@ -268,7 +270,10 @@ let unwire t ~pid =
     persist_members t
 
 let create_cluster eng calib config =
-  let replicas = Array.init config.Config.n (fun id -> create_unwired eng calib config ~id) in
+  let ns =
+    if config.Config.durable_state then Sim.Nvm.fresh_namespace (Sim.Engine.nvm eng) else 0
+  in
+  let replicas = Array.init config.Config.n (fun id -> create_unwired eng calib config ~ns ~id) in
   Array.iteri
     (fun i a -> Array.iteri (fun j b -> if i < j then wire a b) replicas)
     replicas;

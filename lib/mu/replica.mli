@@ -33,6 +33,9 @@ type peer = {
 
 type t = {
   config : Config.t;
+  durable_ns : int;
+      (** The cluster's {!Sim.Nvm} namespace (see {!create_cluster}),
+          folded into the owner id of this replica's durable regions. *)
   host : Sim.Host.t;
   id : int;
   log : Log.t;
@@ -108,11 +111,15 @@ val create_cluster :
   Sim.Engine.t -> Sim.Calibration.t -> Config.t -> t array
 (** Create [config.n] replicas on fresh hosts and fully connect their
     planes. Replica ids are 0..n-1; replica 0 is the expected first leader
-    (lowest id, §5.1). *)
+    (lowest id, §5.1). With [config.durable_state] on, the cluster takes
+    the engine's next NVM namespace ({!Sim.Nvm.fresh_namespace}): the
+    first durable cluster on an engine gets 0, the groups of one
+    {!Sharded} deployment their shard indices. Otherwise it is 0. *)
 
 val create_unwired :
-  Sim.Engine.t -> Sim.Calibration.t -> Config.t -> id:int -> t
-(** A replica not yet connected to anyone (for membership changes). *)
+  Sim.Engine.t -> Sim.Calibration.t -> Config.t -> ns:int -> id:int -> t
+(** A replica not yet connected to anyone (for membership changes and
+    restarts), in durable namespace [ns]. *)
 
 val wire : t -> t -> unit
 (** Connect the planes of two replicas (idempotent per pair). When

@@ -117,6 +117,10 @@ let await_tag t ~tag ~needed =
 
 (* --- permission acquisition (Listing 2, lines 8-12) ------------------- *)
 
+(* Ns a new leader waits for stragglers' permission acks once it holds a
+   majority. *)
+let grow_followers_grace = 100_000
+
 let acquire_followers t =
   tspan t "perm_acquire" @@ fun () ->
   let host = t.Replica.host in
@@ -139,7 +143,7 @@ let acquire_followers t =
   let acks =
     if List.length acks >= Replica.quorum_size t then acks
     else begin
-      Sim.Host.idle host t.Replica.config.Config.grow_followers_grace;
+      Sim.Host.idle host grow_followers_grace;
       Permissions.acked t ~gen
     end
   in

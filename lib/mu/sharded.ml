@@ -5,9 +5,6 @@ let create engine cal config ~shards ~make_app =
   {
     groups =
       Array.init shards (fun shard ->
-          (* Each group gets its own durable namespace so shards sharing
-             one engine never open each other's NVM-backed logs. *)
-          let config = { config with Config.durable_ns = shard } in
           Smr.create engine cal config ~make_app:(fun replica -> make_app ~shard ~replica));
   }
 

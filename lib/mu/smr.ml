@@ -208,15 +208,13 @@ let install_commit_hook ?(config_floor = 0) t (r : Replica.t) =
 
 (* --- leader service ----------------------------------------------------- *)
 
-let attach_cost t =
-  match t.cfg.Config.attach with
+let attach_cost (cal : Sim.Calibration.t) = function
   | Config.Standalone -> 0
-  | Config.Direct -> t.calibration.Sim.Calibration.direct_interference
-  | Config.Handover -> t.calibration.Sim.Calibration.handover_hop
+  | Config.Direct -> cal.direct_interference
+  | Config.Handover -> cal.handover_hop
 
-let stage_cost t payload_len =
-  t.calibration.Sim.Calibration.memcpy_request
-  + int_of_float (float_of_int payload_len *. t.calibration.Sim.Calibration.memcpy_byte)
+let stage_cost (cal : Sim.Calibration.t) payload_len =
+  cal.memcpy_request + int_of_float (float_of_int payload_len *. cal.memcpy_byte)
 
 let requeue t reqs =
   List.iter
@@ -432,8 +430,10 @@ let serve_windowed t (r : Replica.t) =
           { idx; reqs; span })
         batches
     in
-    Sim.Host.cpu r.Replica.host (attach_cost t);
-    let stage req = Sim.Host.cpu r.Replica.host (stage_cost t (Bytes.length req.payload)) in
+    Sim.Host.cpu r.Replica.host (attach_cost t.calibration t.cfg.Config.attach);
+    let stage req =
+      Sim.Host.cpu r.Replica.host (stage_cost t.calibration (Bytes.length req.payload))
+    in
     List.iter (fun s -> List.iter stage s.reqs) slots;
     Replication.wait_log_space r ~idx:(base + count - 1);
     let img s =
@@ -826,11 +826,15 @@ let install_checkpoint t (newcomer : Replica.t) (l : Replica.t) =
   Rdma.Mr.set_i64 newcomer.Replica.bg_mr ~off:Replica.bg_log_head_offset
     (Int64.of_int newcomer.Replica.applied)
 
+(* A replica [id] not yet wired, in this cluster's durable namespace. *)
+let fresh_incarnation t ~id =
+  Replica.create_unwired t.engine t.calibration t.cfg ~ns:t.replicas.(0).Replica.durable_ns ~id
+
 let add_replica t () =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
   propose_config_entry t (Add id);
-  let newcomer = Replica.create_unwired t.engine t.calibration t.cfg ~id in
+  let newcomer = fresh_incarnation t ~id in
   Array.iter
     (fun r -> if not r.Replica.removed then Replica.wire r newcomer)
     t.replicas;
@@ -866,6 +870,12 @@ let truncate_undecided (log : Log.t) =
     Log.zero_slot_local log !idx;
     incr idx
   done
+
+(* Catch-up pacing: a rejoining replica pulls [rejoin_batch] entries per
+   round and idles [rejoin_idle] ns after each full round, bounding the
+   read pressure it puts on the leader's NIC. *)
+let rejoin_batch = 64
+let rejoin_idle = 20_000
 
 let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
   let e = t.engine in
@@ -958,8 +968,7 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
       Sim.Engine.span_point e ~pid:id ~span "restored"
         ~args:[ ("applied", string_of_int newcomer.Replica.applied) ];
     match
-      Recovery.Catchup.run ~batch:t.cfg.Config.rejoin_batch
-        ~idle_ns:t.cfg.Config.rejoin_idle
+      Recovery.Catchup.run ~batch:rejoin_batch ~idle_ns:rejoin_idle
         ~idle:(fun ns -> Sim.Host.idle newcomer.Replica.host ns)
         ~target
         ~fuo:(fun () -> Log.fuo log)
@@ -1052,7 +1061,7 @@ let restart_fiber t id =
     else begin
       (* 2. Fresh incarnation on a new host; with durable state on, the
          log MR restores from NVM and the undecided tail is truncated. *)
-      let newcomer = Replica.create_unwired t.engine t.calibration t.cfg ~id in
+      let newcomer = fresh_incarnation t ~id in
       truncate_undecided newcomer.Replica.log;
       let durable_fuo = Log.fuo newcomer.Replica.log in
       (* 3. Rewire the survivors to the new incarnation: tear down every

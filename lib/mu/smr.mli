@@ -157,6 +157,17 @@ val degraded_total_ns : t -> int
 (** Count and total duration of completed quorum-lost windows in which a
     leader could not establish a majority of confirmed followers. *)
 
+(** {1 Leader-side request costs (§7.1)} *)
+
+val attach_cost : Sim.Calibration.t -> Config.attach_mode -> int
+(** Ns the leader's CPU spends per batch to take requests from the
+    application: none standalone, contention when they share a thread,
+    one cache-coherence hop on handover. *)
+
+val stage_cost : Sim.Calibration.t -> int -> int
+(** Ns to copy one request of this many payload bytes into the log
+    entry being built. *)
+
 (** {1 Batch framing} — exposed for tests. *)
 
 val encode_batch : bytes list -> bytes

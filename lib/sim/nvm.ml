@@ -12,9 +12,14 @@
    domain is modelled separately ([Calibration.pmem_flush], used by the
    persistent-log path); this module is only about survival. *)
 
-type t = { regions : (int * string, Mem.t) Hashtbl.t }
+type t = { regions : (int * string, Mem.t) Hashtbl.t; mutable namespaces : int }
 
-let create () = { regions = Hashtbl.create 16 }
+let create () = { regions = Hashtbl.create 16; namespaces = 0 }
+
+let fresh_namespace t =
+  let ns = t.namespaces in
+  t.namespaces <- ns + 1;
+  ns
 
 let region t ~owner ~name ~size =
   if size <= 0 then invalid_arg "Nvm.region: size must be positive";

@@ -14,6 +14,12 @@ type t
 
 val create : unit -> t
 
+val fresh_namespace : t -> int
+(** The next namespace of this store: 0, then 1, 2, ... A deployment
+    that keeps several clusters on one engine takes one per cluster and
+    folds it into its owner ids, so the clusters never open each other's
+    regions. *)
+
 val region : t -> owner:int -> name:string -> size:int -> Mem.t
 (** Open (or create, zero-filled) the region [name] of [owner]. Raises
     [Invalid_argument] if it exists with a different size. *)

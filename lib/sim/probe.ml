@@ -28,7 +28,6 @@ let set_sink t f =
   t.sink <- Some f
 
 let set_on_attach t f = t.on_attach <- f
-let clear_sink t = t.sink <- None
 let enabled t = t.sink <> None
 let emit t ev = match t.sink with None -> () | Some f -> f ev
 let sink t = t.sink

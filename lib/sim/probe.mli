@@ -42,8 +42,6 @@ val set_on_attach : t -> (unit -> unit) -> unit
 (** [set_on_attach t f] runs [f] before every {!set_sink}; the engine
     uses it to refuse an observer while a timer lane holds entries. *)
 
-val clear_sink : t -> unit
-
 val enabled : t -> bool
 (** [true] iff a sink is installed. Check this before building argument
     lists on hot paths. *)

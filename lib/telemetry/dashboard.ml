@@ -2,8 +2,11 @@
    ASCII score timeline showing follower pull-scores crossing the
    fail (<2) and recover (>6) thresholds during fail-over. *)
 
-let default_fail = 2
-let default_recover = 6
+(* Pull-score thresholds (fail below, recover above) and the timeline's
+   column count. *)
+let fail = 2
+let recover = 6
+let width = 64
 
 let ns_to_us v = float_of_int v /. 1_000.0
 
@@ -265,11 +268,11 @@ let score_series sampler =
       if m.name = "mu_score" then Some (m, epochs) else None)
     (Sampler.series sampler)
 
-let moved fail recover pts =
+let moved pts =
   Array.exists (fun (_, v) -> v < float_of_int fail) pts
   && Array.exists (fun (_, v) -> v > float_of_int recover) pts
 
-let downsample width pts =
+let downsample pts =
   let n = Array.length pts in
   if n = 0 then [||]
   else if n <= width then Array.copy pts
@@ -296,7 +299,7 @@ let first_crossing ~below pts threshold =
     pts;
   !r
 
-let fail_recover_pair ~fail ~recover pts =
+let fail_recover_pair pts =
   match first_crossing ~below:true pts fail with
   | None -> None
   | Some t_fail ->
@@ -305,19 +308,19 @@ let fail_recover_pair ~fail ~recover pts =
     | None -> None
     | Some t_rec -> Some (t_fail, t_rec))
 
-let has_fail_recover_crossing ?(fail = default_fail) ?(recover = default_recover) sampler =
+let has_fail_recover_crossing sampler =
   List.exists
     (fun (_, epochs) ->
-      List.exists (fun (_, pts) -> fail_recover_pair ~fail ~recover pts <> None) epochs)
+      List.exists (fun (_, pts) -> fail_recover_pair pts <> None) epochs)
     (score_series sampler)
 
-let score_timeline ?(width = 64) ?(fail = default_fail) ?(recover = default_recover) sampler =
+let score_timeline sampler =
   let rows =
     List.concat_map
       (fun ((m : Registry.metric), epochs) ->
         List.filter_map
           (fun (eid, pts) ->
-            if moved fail recover pts then Some (m, eid, pts) else None)
+            if moved pts then Some (m, eid, pts) else None)
           epochs)
       (score_series sampler)
   in
@@ -328,10 +331,10 @@ let score_timeline ?(width = 64) ?(fail = default_fail) ?(recover = default_reco
       (Printf.sprintf "score timeline (hex 0-f per column; fail <%d, recover >%d)\n" fail recover);
     List.iter
       (fun ((m : Registry.metric), eid, pts) ->
-        let ds = downsample width pts in
+        let ds = downsample pts in
         let line = String.init (Array.length ds) (fun i -> glyph (snd ds.(i))) in
         let annot =
-          match fail_recover_pair ~fail ~recover pts with
+          match fail_recover_pair pts with
           | Some (t_fail, t_rec) ->
             Printf.sprintf "  fail@%.1fus recover@%.1fus" (ns_to_us t_fail) (ns_to_us t_rec)
           | None -> ""

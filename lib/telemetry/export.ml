@@ -1,6 +1,8 @@
 (* Exporters. Everything iterates in Registry/Sampler's canonical sorted
    order and formats numbers through one deterministic path, so two runs
-   with equal seeds produce byte-identical files — CI diffs them. *)
+   with equal seeds produce byte-identical files (tier-1 tests: telemetry
+   [e2e export deterministic], determinism [fig3/fig6 metrics and
+   results]). *)
 
 let quantiles = [ (0.5, "0.5"); (0.9, "0.9"); (0.99, "0.99"); (0.999, "0.999") ]
 

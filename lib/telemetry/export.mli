@@ -3,7 +3,9 @@
 
     All exporters iterate in the registry's canonical sorted order and
     format numbers deterministically, so equal-seed runs produce
-    byte-identical output — the CI determinism job diffs two dumps. *)
+    byte-identical output; the tier-1 tests [e2e export deterministic]
+    and [fig3 metrics and results] / [fig6 metrics and results] compare
+    two dumps. *)
 
 val prometheus : Registry.t -> string
 (** Prometheus text exposition format. Histograms emit cumulative

@@ -132,15 +132,6 @@ let wait_for_leader e (smr : Mu.Smr.t) =
   in
   go ()
 
-let attach_cost cal = function
-  | Mu.Config.Standalone -> 0
-  | Mu.Config.Direct -> cal.Sim.Calibration.direct_interference
-  | Mu.Config.Handover -> cal.Sim.Calibration.handover_hop
-
-let stage_cost cal len =
-  cal.Sim.Calibration.memcpy_request
-  + int_of_float (float_of_int len *. cal.Sim.Calibration.memcpy_byte)
-
 let mu_latency_with_config setup ~samples ~payload ~attach cfg =
   run_sim setup (fun e ->
       let cfg = { cfg with Mu.Config.attach } in
@@ -166,9 +157,9 @@ let mu_latency_with_config setup ~samples ~payload ~attach cfg =
               "request"
               (fun () ->
                 Sim.Engine.span_scope e ~pid:leader.Mu.Replica.id "attach" (fun () ->
-                    Sim.Host.cpu leader.Mu.Replica.host (attach_cost setup.cal attach));
+                    Sim.Host.cpu leader.Mu.Replica.host (Mu.Smr.attach_cost setup.cal attach));
                 Sim.Engine.span_scope e ~pid:leader.Mu.Replica.id "stage" (fun () ->
-                    Sim.Host.cpu leader.Mu.Replica.host (stage_cost setup.cal payload));
+                    Sim.Host.cpu leader.Mu.Replica.host (Mu.Smr.stage_cost setup.cal payload));
                 try ignore (Mu.Replication.propose leader value)
                 with Mu.Replication.Aborted _ ->
                   Sim.Host.idle leader.Mu.Replica.host 100_000);

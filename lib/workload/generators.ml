@@ -122,13 +122,14 @@ let kv_command rng mix ~client:_ ~req_id:_ =
 type order_flow = {
   rng : Sim.Rng.t;
   mutable midpoint : int;
-  spread : int;
   mutable next_id : int;
   mutable open_ids : int list;
 }
 
-let order_flow ?(midpoint = 10_000) ?(spread = 10) rng =
-  { rng; midpoint; spread; next_id = 1; open_ids = [] }
+let order_flow rng = { rng; midpoint = 10_000; next_id = 1; open_ids = [] }
+
+(* Limit prices sit within [spread] ticks of the midpoint. *)
+let spread = 10
 
 let next_order t =
   let fresh_id () =
@@ -158,11 +159,11 @@ let next_order t =
   else begin
     let id = fresh_id () in
     let side = if Sim.Rng.bool t.rng then Apps.Order_book.Buy else Apps.Order_book.Sell in
-    let off = Sim.Rng.int t.rng t.spread in
+    let off = Sim.Rng.int t.rng spread in
     let price =
       match side with
-      | Apps.Order_book.Buy -> t.midpoint - t.spread + off + Sim.Rng.int t.rng (t.spread + 2)
-      | Apps.Order_book.Sell -> t.midpoint + t.spread - off - Sim.Rng.int t.rng (t.spread + 2)
+      | Apps.Order_book.Buy -> t.midpoint - spread + off + Sim.Rng.int t.rng (spread + 2)
+      | Apps.Order_book.Sell -> t.midpoint + spread - off - Sim.Rng.int t.rng (spread + 2)
     in
     let price = max 1 price in
     if List.length t.open_ids < 512 then t.open_ids <- id :: t.open_ids;

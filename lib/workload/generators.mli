@@ -51,7 +51,9 @@ val kv_command : Sim.Rng.t -> kv_mix -> client:int -> req_id:int -> Apps.Kv_stor
     drifting midpoint, occasional market orders and cancels. *)
 type order_flow
 
-val order_flow : ?midpoint:int -> ?spread:int -> Sim.Rng.t -> order_flow
+val order_flow : Sim.Rng.t -> order_flow
+(** The midpoint starts at 10 000; limit prices sit within about 10
+    ticks of it. *)
 
 val next_order : order_flow -> Apps.Exchange.command
 (** Generate the next command; ids are unique and increasing. *)

@@ -95,7 +95,7 @@ let fig3 setup _ =
 let fig6 setup sampler =
   let r = E.failover setup ~rounds:100 in
   Alcotest.(check bool) "score timeline crosses fail then recover" true
-    (Telemetry.Dashboard.has_fail_recover_crossing ~fail:2 ~recover:6 sampler);
+    (Telemetry.Dashboard.has_fail_recover_crossing sampler);
   Faults.Json.Obj
     [
       ("total", samples_json r.E.total);

@@ -661,6 +661,25 @@ let shrink_keeps_spec_fields () =
   check_str "replay re-emits the bundle" s bytes;
   check "chaos reads the bundle's spec" true (Workload.Chaos.parse_repro s = Ok m)
 
+(* [verify_repro.json] as written before the five config fields that
+   are now constants (the straggler grace, the replayer poll, the
+   rejoin batch and idle, the durable namespace) left [Mu.Config.t].
+   Those keys read as unknown and are ignored, so such a bundle still
+   replays to its verdict and re-emits as today's golden. *)
+let bundle_with_removed_config_keys =
+  {|{"schema":"mu-verify-repro/2","seed":"7191089600892374487","n":3,"log_slots":4096,"value_cap":1024,"attach":"standalone","max_batch":1,"max_outstanding":1,"grow_followers_grace":100000,"recycle_interval":1000000,"recycle_slack":64,"fate_sharing":false,"fate_sharing_stuck_after":10000000,"replayer_poll":1000,"disable_omit_prepare":false,"checksum_canary":false,"persistent_log":false,"durable_state":true,"queue_limit":0,"rejoin_batch":64,"rejoin_idle":20000,"doorbell":1,"durable_ns":0,"shards":1,"horizon":2000000000,"script":[[{"think":1580266,"req":1,"cmd":{"op":"put","key":"a","value":"v2.1"}},{"think":847933,"req":2,"cmd":{"op":"put","key":"c","value":"v2.2"}},{"think":1968191,"req":5,"cmd":{"op":"put","key":"b","value":"v2.5"}},{"think":505268,"req":6,"cmd":{"op":"get","key":"b"}}]],"scenario":{"name":"random-2","events":[]},"inject":3,"verdict":"not-conformant"}|}
+
+let old_bundle_replays_to_golden () =
+  let s = bundle_with_removed_config_keys in
+  match Modelcheck.Repro.of_string s with
+  | Error e -> Alcotest.failf "old bundle does not parse: %s" e
+  | Ok b ->
+    let r, bytes = Modelcheck.Verify.replay b in
+    check "verdict reproduces" true (r.Modelcheck.Shrink.verdict = b.Modelcheck.Repro.b_verdict);
+    check_str "recorded verdict" "not-conformant"
+      (Modelcheck.Conformance.verdict_to_string b.Modelcheck.Repro.b_verdict);
+    check_str "re-emits the golden" (read_golden ()) bytes
+
 let suite =
   [
     ("kv model semantics", `Quick, kv_model_semantics);
@@ -696,4 +715,5 @@ let suite =
     ("golden: seed 42 not conformant", `Quick, golden_seed42_not_conformant);
     ("golden: seed 3 crash", `Quick, golden_seed3_crash);
     ("judge ranks verdicts", `Quick, judge_ranks_verdicts);
+    ("old bundle replays to golden", `Quick, old_bundle_replays_to_golden);
   ]

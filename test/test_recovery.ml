@@ -553,6 +553,44 @@ let durable_off_run_is_unchanged () =
   Alcotest.(check string) "durable backing invisible without restarts" (run false)
     (run true)
 
+(* Each durable cluster takes its engine's next NVM namespace, which
+   picks its replicas' region owners: the groups of a durable sharded
+   deployment get their shard indices, a non-durable cluster takes
+   none, and a restarted replica reopens its own cluster's regions. *)
+let durable_namespaces_follow_creation () =
+  let e = Sim.Engine.create ~seed:7L () in
+  let app _ = Apps.Kv_store.smr_app () in
+  let plain = Mu.Smr.create e Util.default_cal Mu.Config.default ~make_app:app in
+  let sharded =
+    Mu.Sharded.create e Util.default_cal durable_cfg ~shards:2
+      ~make_app:(fun ~shard:_ ~replica -> app replica)
+  in
+  let smr = Mu.Smr.create e Util.default_cal durable_cfg ~make_app:app in
+  let nvm = Sim.Engine.nvm e in
+  let owns ns (r : Mu.Replica.t) =
+    check_int "namespace" ns r.durable_ns;
+    check "region owner" true (Recovery.Durable.has_durable_state nvm ~owner:((ns * 64) + r.id))
+  in
+  Array.iter
+    (fun (r : Mu.Replica.t) -> check_int "non-durable" 0 r.durable_ns)
+    (Mu.Smr.replicas plain);
+  for shard = 0 to 1 do
+    Array.iter (owns shard) (Mu.Smr.replicas (Mu.Sharded.shard sharded shard))
+  done;
+  Array.iter (owns 2) (Mu.Smr.replicas smr);
+  Mu.Smr.start smr;
+  Sim.Engine.spawn e ~name:"restart" (fun () ->
+      Mu.Smr.wait_live smr;
+      put smr "k" "v" 1;
+      Sim.Host.kill_host (Mu.Smr.replica smr 2).Mu.Replica.host;
+      Mu.Smr.restart_replica smr ~id:2;
+      Util.wait_for (fun () -> Mu.Smr.rejoins smr <> []) e;
+      owns 2 (Mu.Smr.replica smr 2);
+      Mu.Smr.stop smr;
+      Sim.Engine.halt e);
+  Sim.Engine.run ~until:120_000_000_000 e;
+  check_int "rejoined" 1 (List.length (Mu.Smr.rejoins smr))
+
 let suite =
   [
     ("nvm regions persist", `Quick, nvm_regions_persist);
@@ -574,4 +612,5 @@ let suite =
     ("repeated leader restarts settle", `Quick, repeated_leader_restarts);
     ("recovery runs deterministic", `Quick, recovery_runs_are_deterministic);
     ("durable off is unchanged", `Quick, durable_off_run_is_unchanged);
+    ("durable namespaces follow creation", `Quick, durable_namespaces_follow_creation);
   ]
