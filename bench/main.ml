@@ -23,7 +23,7 @@
    history JSONL), --compare-report writes the diff to a file. *)
 
 module E = Workload.Experiments
-module J = Faults.Json
+module J = Json
 
 let quick = ref false
 let only : string list ref = ref []
@@ -162,7 +162,7 @@ let csv_write name ~header rows =
   | None -> ()
   | Some dir ->
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let oc = open_out (Filename.concat dir name) in
+    let oc = open_out_bin (Filename.concat dir name) in
     output_string oc (header ^ "\n");
     List.iter (fun row -> output_string oc (row ^ "\n")) rows;
     close_out oc
@@ -915,7 +915,7 @@ let bechamel_suite () =
     (List.sort compare rows)
 
 let write_file file s =
-  let oc = open_out file in
+  let oc = open_out_bin file in
   output_string oc s;
   close_out oc
 
@@ -1057,7 +1057,7 @@ let () =
     let line =
       J.Obj ((schema :: ("rev", J.Str !git_rev) :: ("stamp", J.Str !stamp) :: results) @ [ checks ])
     in
-    let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
+    let oc = open_out_gen [ Open_append; Open_creat; Open_wronly; Open_binary ] 0o644 file in
     output_string oc (J.to_string line ^ "\n");
     close_out oc;
     Fmt.pr "History appended to %s@." file);

@@ -645,9 +645,7 @@ let watch_cmd =
         (Monitor.Online.firing m);
       (match log_file with
       | Some file ->
-        let oc = open_out_bin file in
-        output_string oc (Monitor.Log.to_json (Monitor.Online.log m));
-        close_out oc;
+        write_file file (Monitor.Log.to_json (Monitor.Online.log m));
         Fmt.pr "alert log written to %s@." file
       | None -> ()));
     exit (if Workload.Chaos.passed o then 0 else 1)
@@ -1094,12 +1092,12 @@ let profile_cmd =
     Fmt.pr "%a" (fun ppf -> Profile.Report.pp ~top ppf) folded;
     (match folded_file with
     | Some file ->
-      Profile.Vt.write_file file (Profile.Vt.to_folded_string folded);
+      write_file file (Profile.Vt.to_folded_string folded);
       Fmt.pr "folded stacks written to %s (flamegraph.pl-ready)@." file
     | None -> ());
     match speedscope_file with
     | Some file ->
-      Profile.Vt.write_file file (Profile.Vt.to_speedscope_string ~name:label folded);
+      write_file file (Profile.Vt.to_speedscope_string ~name:label folded);
       Fmt.pr "speedscope profile written to %s (open in speedscope.app)@." file
     | None -> ()
   in
@@ -1160,7 +1158,7 @@ let profile_cmd =
    mu-bench-results/1 file — the bench records them but the dashboard
    never showed them. *)
 let render_results_sections file =
-  let module J = Faults.Json in
+  let module J = Json in
   match Profile.Compare.load_results file with
   | Error msg ->
     Fmt.epr "%s@." msg;

@@ -1,9 +1,11 @@
-(* A minimal JSON codec — just enough for fault scenarios and repro
-   files. Hand-written because the repo deliberately carries no external
-   JSON dependency (the trace and telemetry exporters print JSON by hand
-   for the same reason). Printing is deterministic: object fields stay in
-   construction order and number formatting is stable, so equal values
-   yield byte-identical documents. *)
+(* A minimal JSON codec, and the one JSON printer of the repo: scenario
+   and repro files, bench results, telemetry exports, the alert log, span
+   trees and Chrome traces all print through it. Hand-written because the
+   repo deliberately carries no external JSON dependency; it depends on
+   nothing so that every library, down to the telemetry registry, can use
+   it. Printing is deterministic: object fields stay in construction order
+   and number formatting is stable, so equal values yield byte-identical
+   documents. *)
 
 type t =
   | Null
@@ -46,7 +48,7 @@ let print_num buf f =
     Buffer.add_string buf (Printf.sprintf "%.0f" f)
   else Buffer.add_string buf (Printf.sprintf "%.12g" f)
 
-let rec print buf = function
+let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> print_num buf f
@@ -59,7 +61,7 @@ let rec print buf = function
     List.iteri
       (fun i v ->
         if i > 0 then Buffer.add_char buf ',';
-        print buf v)
+        to_buffer buf v)
       l;
     Buffer.add_char buf ']'
   | Obj kvs ->
@@ -70,13 +72,13 @@ let rec print buf = function
         Buffer.add_char buf '"';
         escape buf k;
         Buffer.add_string buf "\":";
-        print buf v)
+        to_buffer buf v)
       kvs;
     Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 256 in
-  print buf v;
+  to_buffer buf v;
   Buffer.contents buf
 
 (* --- parsing ------------------------------------------------------------ *)

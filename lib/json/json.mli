@@ -1,6 +1,7 @@
 (** A minimal JSON value type with a deterministic printer and a strict
     parser — the repo's policy is to carry no external JSON dependency,
-    so scenario files and chaos repros use this codec. Printing preserves
+    so every JSON document the program reads or writes goes through this
+    codec. Printing preserves
     object field order and formats numbers stably, so equal values yield
     byte-identical documents. *)
 
@@ -26,6 +27,10 @@ val member : string -> t -> t option
 (** Field lookup on an object; [None] on missing field or non-object. *)
 
 val to_string : t -> string
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append [to_string v] to the buffer — for writers that stream a
+    document piecewise (Chrome traces). *)
 
 val of_string : string -> (t, string) result
 (** Strict parse of a complete document (trailing garbage is an error).

@@ -3,15 +3,15 @@ type t = { b_spec : Workload.Chaos.spec; b_verdict : Conformance.verdict }
 let schema = "mu-verify-repro/2"
 
 let to_string b =
-  Faults.Json.to_string
-    (Faults.Json.Obj
-       ((("schema", Faults.Json.Str schema) :: Workload.Chaos.spec_fields b.b_spec)
-       @ [ ("verdict", Faults.Json.Str (Conformance.verdict_to_string b.b_verdict)) ]))
+  Json.to_string
+    (Json.Obj
+       ((("schema", Json.Str schema) :: Workload.Chaos.spec_fields b.b_spec)
+       @ [ ("verdict", Json.Str (Conformance.verdict_to_string b.b_verdict)) ]))
 
 let ( let* ) = Result.bind
 
 let field name conv j =
-  match Option.bind (Faults.Json.member name j) conv with
+  match Option.bind (Json.member name j) conv with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "repro: missing or bad %S" name)
 
@@ -19,14 +19,14 @@ let field name conv j =
    facts as a /2 spec whose other fields are the chaos defaults, with
    the script under another name. *)
 let of_string s =
-  let* j = Faults.Json.of_string s in
+  let* j = Json.of_string s in
   let* j =
-    match (Faults.Json.member "schema" j, j) with
-    | Some (Faults.Json.Str v), _ when v = schema -> Ok j
-    | Some (Faults.Json.Str "mu-verify-repro/1"), Faults.Json.Obj fs ->
+    match (Json.member "schema" j, j) with
+    | Some (Json.Str v), _ when v = schema -> Ok j
+    | Some (Json.Str "mu-verify-repro/1"), Json.Obj fs ->
       let rename (k, v) = ((if k = "history" then "script" else k), v) in
-      Ok (Faults.Json.Obj (List.map rename fs))
-    | Some (Faults.Json.Str v), _ -> Error (Printf.sprintf "repro: unknown schema %S" v)
+      Ok (Json.Obj (List.map rename fs))
+    | Some (Json.Str v), _ -> Error (Printf.sprintf "repro: unknown schema %S" v)
     | _ -> Error "repro: missing \"schema\""
   in
   let* b_spec = Workload.Chaos.spec_of_json j in
@@ -36,8 +36,8 @@ let of_string s =
     | Random _ -> Error "repro: missing \"script\""
   in
   (* A chaos repro may leave [inject] out; a bundle always states it. *)
-  let* _ = field "inject" Faults.Json.to_int j in
-  let* v = field "verdict" Faults.Json.to_str j in
+  let* _ = field "inject" Json.to_int j in
+  let* v = field "verdict" Json.to_str j in
   match Conformance.verdict_of_string v with
   | Some b_verdict -> Ok { b_spec; b_verdict }
   | None -> Error (Printf.sprintf "repro: unknown verdict %S" v)

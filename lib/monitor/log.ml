@@ -1,7 +1,7 @@
 (* Alert log: the chronological firing/clearing edges a monitor
    produced, with enough context (virtual time, epoch, window ordinal)
-   to line an alert up against a trace. The JSON export is hand-built
-   in insertion order from integers and escaped strings only, so
+   to line an alert up against a trace. The JSON export is one Json
+   value in insertion order, of integers and strings only, so
    equal-seed runs serialize byte-identically. *)
 
 type entry = {
@@ -35,41 +35,27 @@ let firing t =
 
 let edge_name = function `Fire -> "fire" | `Clear -> "clear"
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"mu-monitor-log/1\",\"entries\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"seq\":%d,\"at\":%d,\"epoch\":%d,\"window\":%d,\"rule\":\"%s\",\"edge\":\"%s\",\"detail\":\"%s\"}"
-           e.seq e.at e.epoch e.window (escape e.rule) (edge_name e.edge)
-           (escape e.detail)))
-    (entries t);
-  Buffer.add_string b "],\"firing\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape r);
-      Buffer.add_char b '"')
-    (firing t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Json in
+  let entry e =
+    Obj
+      [
+        ("seq", num_of_int e.seq);
+        ("at", num_of_int e.at);
+        ("epoch", num_of_int e.epoch);
+        ("window", num_of_int e.window);
+        ("rule", Str e.rule);
+        ("edge", Str (edge_name e.edge));
+        ("detail", Str e.detail);
+      ]
+  in
+  to_string
+    (Obj
+       [
+         ("schema", Str "mu-monitor-log/1");
+         ("entries", List (List.map entry (entries t)));
+         ("firing", List (List.map (fun r -> Str r) (firing t)));
+       ])
 
 let pp_entry ppf e =
   Fmt.pf ppf "[%8dus] %-5s %-18s %s"

@@ -2,8 +2,8 @@
 
     Each entry carries the virtual time, sampler epoch and window
     ordinal of the transition, so alerts line up against traces and
-    sampler series. {!to_json} is hand-built and byte-stable — CI
-    compares same-seed runs with [cmp]. *)
+    sampler series. {!to_json} prints one [Json.t] and is byte-stable —
+    same-seed runs compare equal with [cmp]. *)
 
 type entry = {
   seq : int;

@@ -8,7 +8,7 @@
    the baseline but absent now, are skipped and listed, not failed, so
    baselines from partial runs (--only) stay usable. *)
 
-module J = Faults.Json
+module J = Json
 
 type direction = [ `Lower_is_better | `Higher_is_better ]
 

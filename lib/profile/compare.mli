@@ -33,7 +33,7 @@ type result = {
 }
 
 val run :
-  ?rules:rule list -> baseline:Faults.Json.t -> current:Faults.Json.t -> unit -> result
+  ?rules:rule list -> baseline:Json.t -> current:Json.t -> unit -> result
 (** [rules] defaults to replication/failover latency percentiles
     (+10%), best serving committed/us (−15%), minor words per event
     (+15%) and profile span (+25%). [serving.best_committed_per_us] is
@@ -45,8 +45,8 @@ val regressed : result -> bool
 val pp : result Fmt.t
 val to_string : result -> string
 
-val load_results : string -> (Faults.Json.t, string) Stdlib.result
+val load_results : string -> (Json.t, string) Stdlib.result
 (** Parse a whole results file as one JSON document. *)
 
-val load_last_history : string -> (Faults.Json.t, string) Stdlib.result
+val load_last_history : string -> (Json.t, string) Stdlib.result
 (** Parse the last non-empty line of a JSONL history file. *)

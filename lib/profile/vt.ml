@@ -152,7 +152,7 @@ let to_folded_string folded =
    exclusive nanoseconds as weight. Built on the repo's own JSON codec
    (printing is deterministic: construction order, stable numbers). *)
 let to_speedscope_string ?(name = "mu virtual time") folded =
-  let module J = Faults.Json in
+  let module J = Json in
   let frame_index : (string, int) Hashtbl.t = Hashtbl.create 256 in
   let frames_rev = ref [] in
   let n_frames = ref 0 in
@@ -203,8 +203,3 @@ let to_speedscope_string ?(name = "mu virtual time") folded =
       ]
   in
   J.to_string doc ^ "\n"
-
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc

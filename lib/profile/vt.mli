@@ -62,6 +62,3 @@ val to_folded_string : (string list * int) list -> string
 val to_speedscope_string : ?name:string -> (string list * int) list -> string
 (** Speedscope file-format JSON (one ["sampled"] profile, unit
     nanoseconds, weights = exclusive ns). *)
-
-val write_file : string -> string -> unit
-(** [write_file path contents]. *)

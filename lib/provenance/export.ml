@@ -1,76 +1,62 @@
 (* Span-tree exporters: a standalone JSON document (schema
-   "mu-provenance/1") and Chrome-trace extra events (nestable-async phases
-   per span + flow arrows per causal edge) to overlay on the regular
-   Perfetto export.
+   "mu-provenance/1") and Chrome-trace phases (nestable-async per span +
+   flow arrows per causal edge) to overlay on the regular Perfetto
+   export.
 
-   Determinism rules match Trace.Chrome: integer virtual-ns timestamps (the
-   JSON document) or fixed-point µs via Chrome.fixed_ts (trace events),
-   strings escaped by Chrome.json_string, spans in ascending id, edges and
-   points in stream order. Same seed => byte-identical output. *)
+   Both print through the Json codec: the document as one value, the
+   overlay through Trace.Chrome's event printer. Timestamps are integer
+   virtual ns (document) or Chrome's fixed-point µs (overlay); spans go
+   in ascending id, edges and points in stream order. Same seed =>
+   byte-identical output. *)
 
-let add_args b args =
-  Stdlib.Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Stdlib.Buffer.add_char b ',';
-      Stdlib.Buffer.add_string b (Trace.Chrome.json_string k);
-      Stdlib.Buffer.add_char b ':';
-      Stdlib.Buffer.add_string b (Trace.Chrome.json_string v))
-    args;
-  Stdlib.Buffer.add_char b '}'
-
-let add_span b (s : Tree.span) =
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "{\"id\":%d,\"parent\":%d,\"name\":%s,\"pid\":%d,\"tid\":%d" s.Tree.id
-       s.Tree.parent
-       (Trace.Chrome.json_string s.Tree.name)
-       s.Tree.pid s.Tree.tid);
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf ",\"start\":%d,\"end\":%d,\"sync\":%b,\"args\":" s.Tree.start s.Tree.finish
-       s.Tree.sync);
-  add_args b s.Tree.args;
-  Stdlib.Buffer.add_string b ",\"end_args\":";
-  add_args b s.Tree.end_args;
-  Stdlib.Buffer.add_string b ",\"children\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Stdlib.Buffer.add_char b ',';
-      Stdlib.Buffer.add_string b (string_of_int c))
-    s.Tree.children;
-  Stdlib.Buffer.add_string b "]}"
+let strings args = List.map (fun (k, v) -> (k, Json.Str v)) args
 
 let json_string (t : Tree.t) =
-  let b = Stdlib.Buffer.create 65536 in
-  Stdlib.Buffer.add_string b "{\"schema\":\"mu-provenance/1\",\"spans\":[\n";
-  let first = ref true in
-  let sep () = if !first then first := false else Stdlib.Buffer.add_string b ",\n" in
-  Tree.fold t
-    (fun () s ->
-      sep ();
-      add_span b s)
-    ();
-  Stdlib.Buffer.add_string b "\n],\"edges\":[";
-  List.iteri
-    (fun i (e : Tree.edge) ->
-      if i > 0 then Stdlib.Buffer.add_char b ',';
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf "\n{\"src\":%d,\"dst\":%d,\"kind\":%s,\"ts\":%d}" e.src e.dst
-           (Trace.Chrome.json_string e.ekind)
-           e.ets))
-    t.Tree.edges;
-  Stdlib.Buffer.add_string b "],\"points\":[";
-  List.iteri
-    (fun i (p : Tree.point) ->
-      if i > 0 then Stdlib.Buffer.add_char b ',';
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf "\n{\"span\":%d,\"name\":%s,\"ts\":%d,\"pid\":%d,\"args\":" p.span
-           (Trace.Chrome.json_string p.pname)
-           p.pts p.ppid);
-      add_args b p.pargs;
-      Stdlib.Buffer.add_char b '}')
-    t.Tree.points;
-  Stdlib.Buffer.add_string b (Printf.sprintf "],\"dropped\":%d}\n" t.Tree.dropped);
-  Stdlib.Buffer.contents b
+  let open Json in
+  let span (s : Tree.span) =
+    Obj
+      [
+        ("id", num_of_int s.id);
+        ("parent", num_of_int s.parent);
+        ("name", Str s.name);
+        ("pid", num_of_int s.pid);
+        ("tid", num_of_int s.tid);
+        ("start", num_of_int s.start);
+        ("end", num_of_int s.finish);
+        ("sync", Bool s.sync);
+        ("args", Obj (strings s.args));
+        ("end_args", Obj (strings s.end_args));
+        ("children", List (List.map num_of_int s.children));
+      ]
+  in
+  let edge (e : Tree.edge) =
+    Obj
+      [
+        ("src", num_of_int e.src);
+        ("dst", num_of_int e.dst);
+        ("kind", Str e.ekind);
+        ("ts", num_of_int e.ets);
+      ]
+  in
+  let point (p : Tree.point) =
+    Obj
+      [
+        ("span", num_of_int p.span);
+        ("name", Str p.pname);
+        ("ts", num_of_int p.pts);
+        ("pid", num_of_int p.ppid);
+        ("args", Obj (strings p.pargs));
+      ]
+  in
+  to_string
+    (Obj
+       [
+         ("schema", Str "mu-provenance/1");
+         ("spans", List (List.rev (Tree.fold t (fun acc s -> span s :: acc) [])));
+         ("edges", List (List.map edge t.edges));
+         ("points", List (List.map point t.points));
+         ("dropped", num_of_int t.dropped);
+       ])
 
 let write_json path t =
   let oc = open_out_bin path in
@@ -82,43 +68,16 @@ let write_json path t =
    span phases. Open spans get no "e" — Perfetto renders them to the end of
    the trace, which is exactly right for lost requests. *)
 
-let out_pid p = if p < 0 then Trace.Chrome.engine_pid else p
-
-let span_phase ~ph ~ts ~pid ~name ~id args =
-  let b = Stdlib.Buffer.create 128 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "{\"name\":%s,\"cat\":\"prov\",\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"id\":\"0x%x\""
-       (Trace.Chrome.json_string name)
-       ph (Trace.Chrome.fixed_ts ts) (out_pid pid) id);
-  if args <> [] then begin
-    Stdlib.Buffer.add_string b ",\"args\":";
-    add_args b args
-  end;
-  Stdlib.Buffer.add_char b '}';
-  Stdlib.Buffer.contents b
-
-let flow_phase ~ph ~ts ~pid ~kind ~id =
-  Printf.sprintf
-    "{\"name\":%s,\"cat\":\"prov_edge\",\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"id\":\"0x%x\"%s}"
-    (Trace.Chrome.json_string kind)
-    ph (Trace.Chrome.fixed_ts ts) (out_pid pid) id
-    (if ph = "f" then ",\"bp\":\"e\"" else "")
-
 let trace_events (t : Tree.t) =
   let evs = ref [] in
   Tree.fold t
     (fun () (s : Tree.span) ->
-      evs :=
-        span_phase ~ph:"b" ~ts:s.Tree.start ~pid:s.Tree.pid ~name:s.Tree.name ~id:s.Tree.id
-          (("span", string_of_int s.Tree.id)
-          :: ("parent", string_of_int s.Tree.parent)
-          :: s.Tree.args)
-        :: !evs;
-      if not (Tree.is_open s) then
-        evs :=
-          span_phase ~ph:"e" ~ts:s.Tree.finish ~pid:s.Tree.pid ~name:s.Tree.name
-            ~id:s.Tree.id s.Tree.end_args
-          :: !evs)
+      let phase ph ts args =
+        { Trace.Chrome.ph; name = s.name; cat = "prov"; ts; pid = s.pid; id = s.id; args }
+      in
+      let ids = [ ("span", string_of_int s.id); ("parent", string_of_int s.parent) ] in
+      evs := phase "b" s.start (strings (ids @ s.args)) :: !evs;
+      if not (Tree.is_open s) then evs := phase "e" s.finish (strings s.end_args) :: !evs)
     ();
   List.iteri
     (fun i (e : Tree.edge) ->
@@ -126,9 +85,12 @@ let trace_events (t : Tree.t) =
       | Some src, Some dst ->
         (* Flow ids must not collide with span ids used above; offset into
            a disjoint range keyed by edge index. *)
-        let fid = 0x1000000 + i in
-        evs := flow_phase ~ph:"s" ~ts:e.ets ~pid:src.Tree.pid ~kind:e.ekind ~id:fid :: !evs;
-        evs := flow_phase ~ph:"f" ~ts:e.ets ~pid:dst.Tree.pid ~kind:e.ekind ~id:fid :: !evs
+        let id = 0x1000000 + i in
+        let flow ph (s : Tree.span) =
+          { Trace.Chrome.ph; name = e.ekind; cat = "prov_edge"; ts = e.ets; pid = s.pid; id;
+            args = [] }
+        in
+        evs := flow "f" dst :: flow "s" src :: !evs
       | _ -> ())
-    t.Tree.edges;
+    t.edges;
   List.rev !evs

@@ -1,8 +1,9 @@
 (** Deterministic span-tree exporters.
 
-    Both exporters follow the {!Trace.Chrome} determinism rules: integer
-    virtual-time arithmetic only, spans in ascending id, edges/points in
-    stream order — equal seeds produce byte-identical output. *)
+    Both print through the [Json] codec and follow the {!Trace.Chrome}
+    determinism rules: integer virtual-time arithmetic only, spans in
+    ascending id, edges/points in stream order — equal seeds produce
+    byte-identical output. *)
 
 val json_string : Tree.t -> string
 (** Standalone JSON document, schema ["mu-provenance/1"]: all spans
@@ -12,8 +13,7 @@ val json_string : Tree.t -> string
 
 val write_json : string -> Tree.t -> unit
 
-val trace_events : Tree.t -> string list
-(** Pre-rendered Chrome-trace event objects for
-    [Trace.Chrome.to_buffer ~extra]: one nestable-async ["b"]/["e"] pair
-    per span (open spans get no ["e"]) plus flow ["s"]/["f"] arrows for
-    every causal edge. *)
+val trace_events : Tree.t -> Trace.Chrome.phase list
+(** Chrome-trace phases for [Trace.Chrome.to_buffer ~extra]: one
+    nestable-async ["b"]/["e"] pair per span (open spans get no ["e"])
+    plus flow ["s"]/["f"] arrows for every causal edge. *)

@@ -57,6 +57,22 @@ let selfcost_create ~clock () =
 
 let selfcost_queue sc = (sc.sc_queue_ops, sc.sc_queue_sampled, sc.sc_queue_wall)
 
+(* Every queue op under sampling is one [selfcost_tick], which says
+   whether to time it; a timed op reads [sc_clock] before it and hands
+   that reading to [selfcost_record] after it. *)
+let[@inline] selfcost_tick sc =
+  sc.sc_queue_ops <- sc.sc_queue_ops + 1;
+  sc.sc_arm <- sc.sc_arm - 1;
+  if sc.sc_arm > 0 then false
+  else begin
+    sc.sc_arm <- selfcost_stride;
+    true
+  end
+
+let[@inline] selfcost_record sc c0 =
+  sc.sc_queue_wall <- sc.sc_queue_wall +. Float.max 0.0 (sc.sc_clock () -. c0 -. sc.sc_bias);
+  sc.sc_queue_sampled <- sc.sc_queue_sampled + 1
+
 (* Fixed-delay timer lanes (Varghese & Lauck's observation): timers
    armed at [now + d] with one constant [d] expire in the order they
    were armed, because [now] never decreases and sequence numbers only
@@ -438,19 +454,11 @@ let schedule t ~at thunk =
   t.seq <- t.seq + 1;
   let thunk = match t.prof with None -> thunk | Some p -> prof_wrap t p thunk in
   match t.selfcost with
-  | None -> Wheel.push t.events ~key:at ~seq:t.seq thunk
-  | Some sc ->
-    sc.sc_queue_ops <- sc.sc_queue_ops + 1;
-    sc.sc_arm <- sc.sc_arm - 1;
-    if sc.sc_arm > 0 then Wheel.push t.events ~key:at ~seq:t.seq thunk
-    else begin
-      sc.sc_arm <- selfcost_stride;
-      let c0 = sc.sc_clock () in
-      Wheel.push t.events ~key:at ~seq:t.seq thunk;
-      sc.sc_queue_wall <-
-        sc.sc_queue_wall +. Float.max 0.0 (sc.sc_clock () -. c0 -. sc.sc_bias);
-      sc.sc_queue_sampled <- sc.sc_queue_sampled + 1
-    end
+  | Some sc when selfcost_tick sc ->
+    let c0 = sc.sc_clock () in
+    Wheel.push t.events ~key:at ~seq:t.seq thunk;
+    selfcost_record sc c0
+  | _ -> Wheel.push t.events ~key:at ~seq:t.seq thunk
 
 let schedule_after t delay thunk = schedule t ~at:(t.now + delay) thunk
 let halt t = t.halted <- true
@@ -677,20 +685,12 @@ let run ?until t =
       else begin
         let thunk =
           match t.selfcost with
-          | None -> Wheel.pop_exn t.events
-          | Some sc ->
-            sc.sc_queue_ops <- sc.sc_queue_ops + 1;
-            sc.sc_arm <- sc.sc_arm - 1;
-            if sc.sc_arm > 0 then Wheel.pop_exn t.events
-            else begin
-              sc.sc_arm <- selfcost_stride;
-              let c0 = sc.sc_clock () in
-              let th = Wheel.pop_exn t.events in
-              sc.sc_queue_wall <-
-                sc.sc_queue_wall +. Float.max 0.0 (sc.sc_clock () -. c0 -. sc.sc_bias);
-              sc.sc_queue_sampled <- sc.sc_queue_sampled + 1;
-              th
-            end
+          | Some sc when selfcost_tick sc ->
+            let c0 = sc.sc_clock () in
+            let th = Wheel.pop_exn t.events in
+            selfcost_record sc c0;
+            th
+          | _ -> Wheel.pop_exn t.events
         in
         t.now <- at;
         if t.tel_on then begin

@@ -1,5 +1,6 @@
 (* Exporters. Everything iterates in Registry/Sampler's canonical sorted
-   order and formats numbers through one deterministic path, so two runs
+   order and formats numbers deterministically (the text formats through
+   [num], JSON through the Json codec's printer), so two runs
    with equal seeds produce byte-identical files (tier-1 tests: telemetry
    [e2e export deterministic], determinism [fig3/fig6 metrics and
    results]). *)
@@ -130,103 +131,61 @@ let series_csv sampler =
 
 (* --- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) labels)
-  ^ "}"
-
 let json ?sampler reg =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"schema\":\"mu-telemetry/1\",\"metrics\":[";
-  let first = ref true in
-  List.iter
-    (fun (m : Registry.metric) ->
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s," (json_escape m.name)
-           (json_labels m.labels));
-      (match m.kind with
-      | Registry.Counter c ->
-        Buffer.add_string b
-          (Printf.sprintf "\"kind\":\"counter\",\"value\":%d" (Registry.Counter.value c))
-      | Registry.Gauge g ->
-        Buffer.add_string b
-          (Printf.sprintf "\"kind\":\"gauge\",\"value\":%d" (Registry.Gauge.value g))
-      | Registry.Histogram h ->
-        Buffer.add_string b
-          (Printf.sprintf "\"kind\":\"histogram\",\"count\":%d,\"sum\":%s" (Hdr.count h)
-             (num (Hdr.sum h)));
-        (match Hdr.min_value h, Hdr.max_value h with
-        | Some lo, Some hi -> Buffer.add_string b (Printf.sprintf ",\"min\":%d,\"max\":%d" lo hi)
-        | _ -> ());
-        Buffer.add_string b ",\"quantiles\":{";
-        let qfirst = ref true in
-        List.iter
-          (fun (q, qs) ->
-            match Hdr.quantile h q with
-            | Some v ->
-              if not !qfirst then Buffer.add_char b ',';
-              qfirst := false;
-              Buffer.add_string b (Printf.sprintf "\"%s\":%d" qs v)
-            | None -> ())
-          quantiles;
-        Buffer.add_string b "},\"buckets\":[";
-        let bfirst = ref true in
-        Hdr.iter_buckets h (fun ~lo ~hi ~count ->
-            if not !bfirst then Buffer.add_char b ',';
-            bfirst := false;
-            Buffer.add_string b (Printf.sprintf "[%d,%d,%d]" lo hi count));
-        Buffer.add_char b ']');
-      Buffer.add_char b '}')
-    (Registry.metrics reg);
-  Buffer.add_string b "],\"series\":[";
-  (match sampler with
-  | None -> ()
-  | Some s ->
-    let sfirst = ref true in
-    List.iter
-      (fun ((m : Registry.metric), epochs) ->
-        if not !sfirst then Buffer.add_char b ',';
-        sfirst := false;
-        Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"epochs\":[" (json_escape m.name)
-             (json_labels m.labels));
-        let efirst = ref true in
-        List.iter
-          (fun (eid, pts) ->
-            if not !efirst then Buffer.add_char b ',';
-            efirst := false;
-            Buffer.add_string b (Printf.sprintf "{\"epoch\":%d,\"points\":[" eid);
-            Array.iteri
-              (fun i (ts, v) ->
-                if i > 0 then Buffer.add_char b ',';
-                Buffer.add_string b (Printf.sprintf "[%d,%s]" ts (num v)))
-              pts;
-            Buffer.add_string b "]}")
-          epochs;
-        Buffer.add_string b "]}")
-      (Sampler.series s));
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Json in
+  let head (m : Registry.metric) =
+    [ ("name", Str m.name); ("labels", Obj (List.map (fun (k, v) -> (k, Str v)) m.labels)) ]
+  in
+  let metric (m : Registry.metric) =
+    match m.kind with
+    | Registry.Counter c ->
+      head m @ [ ("kind", Str "counter"); ("value", num_of_int (Registry.Counter.value c)) ]
+    | Registry.Gauge g ->
+      head m @ [ ("kind", Str "gauge"); ("value", num_of_int (Registry.Gauge.value g)) ]
+    | Registry.Histogram h ->
+      let buckets = ref [] in
+      Hdr.iter_buckets h (fun ~lo ~hi ~count ->
+          buckets := List (List.map num_of_int [ lo; hi; count ]) :: !buckets);
+      head m
+      @ [
+          ("kind", Str "histogram");
+          ("count", num_of_int (Hdr.count h));
+          ("sum", Num (Hdr.sum h));
+        ]
+      @ (match Hdr.min_value h, Hdr.max_value h with
+        | Some lo, Some hi -> [ ("min", num_of_int lo); ("max", num_of_int hi) ]
+        | _ -> [])
+      @ [
+          ( "quantiles",
+            Obj
+              (List.filter_map
+                 (fun (q, qs) -> Option.map (fun v -> (qs, num_of_int v)) (Hdr.quantile h q))
+                 quantiles) );
+          ("buckets", List (List.rev !buckets));
+        ]
+  in
+  let series s =
+    List.map
+      (fun (m, epochs) ->
+        let point (ts, v) = List [ num_of_int ts; Num v ] in
+        let epoch (eid, pts) =
+          Obj [ ("epoch", num_of_int eid); ("points", List (List.map point (Array.to_list pts))) ]
+        in
+        Obj (head m @ [ ("epochs", List (List.map epoch epochs)) ]))
+      (Sampler.series s)
+  in
+  to_string
+    (Obj
+       [
+         ("schema", Str "mu-telemetry/1");
+         ("metrics", List (List.map (fun m -> Obj (metric m)) (Registry.metrics reg)));
+         ("series", List (Option.fold ~none:[] ~some:series sampler));
+       ])
 
 (* --- files --------------------------------------------------------------- *)
 
 let write_string path s =
-  let oc = open_out path in
+  let oc = open_out_bin path in
   output_string oc s;
   close_out oc
 

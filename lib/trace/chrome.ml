@@ -2,52 +2,49 @@
    (ui.perfetto.dev) and chrome://tracing.
 
    Determinism: timestamps are integer nanoseconds rendered as fixed-point
-   microseconds ("%d.%03d") — no float formatting anywhere on the event
-   path — and process/thread metadata is emitted in sorted order, so equal
-   seeds produce byte-identical files. *)
-
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Stdlib.Buffer.add_string b "\\\""
-      | '\\' -> Stdlib.Buffer.add_string b "\\\\"
-      | '\n' -> Stdlib.Buffer.add_string b "\\n"
-      | '\r' -> Stdlib.Buffer.add_string b "\\r"
-      | '\t' -> Stdlib.Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Stdlib.Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Stdlib.Buffer.add_char b c)
-    s
-
-let add_str b s =
-  Stdlib.Buffer.add_char b '"';
-  buf_escape b s;
-  Stdlib.Buffer.add_char b '"'
+   microseconds ("%d.%03d"), numeric args are integers (which the Json
+   printer writes exactly up to 2^52), and process/thread metadata is
+   emitted in sorted order, so equal seeds produce byte-identical files. *)
 
 (* Host -1 ("no host": scheduler, experiment harness fibers) maps to a
    synthetic high pid — trace viewers dislike negative pids. *)
 let engine_pid = 65535
 let out_pid p = if p < 0 then engine_pid else p
 
-let add_ts b ns = Stdlib.Buffer.add_string b (Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000))
+let fixed_ts ns = Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000)
 
-let add_args b args =
-  Stdlib.Buffer.add_string b ",\"args\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Stdlib.Buffer.add_char b ',';
-      add_str b k;
-      Stdlib.Buffer.add_char b ':';
-      (* Numeric-looking values go out as JSON numbers so Perfetto can
-         plot counters. *)
-      match int_of_string_opt v with
-      | Some n -> Stdlib.Buffer.add_string b (string_of_int n)
-      | None -> add_str b v)
-    args;
+type phase = {
+  ph : string;
+  name : string;
+  cat : string;
+  ts : int;
+  pid : int;
+  id : int;
+  args : (string * Json.t) list;
+}
+
+(* The one event printer. The phase letter decides the phase-specific
+   fields: thread-scoped instants, ids for async and flow phases, and
+   the enclosing-slice binding point for flow ends. *)
+let add_event b ~ph ~name ~cat ~ts ~pid ~tid ~id args =
+  Stdlib.Buffer.add_string b "{\"name\":";
+  Json.to_buffer b (Json.Str name);
+  Stdlib.Buffer.add_string b ",\"cat\":";
+  Json.to_buffer b (Json.Str cat);
+  Printf.bprintf b ",\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":%d" ph (fixed_ts ts)
+    (out_pid pid) tid;
+  (match ph with
+  | "i" -> Stdlib.Buffer.add_string b ",\"s\":\"t\""
+  | "b" | "e" | "s" | "f" -> Printf.bprintf b ",\"id\":\"0x%x\"" id
+  | _ -> ());
+  if ph = "f" then Stdlib.Buffer.add_string b ",\"bp\":\"e\"";
+  if args <> [] then begin
+    Stdlib.Buffer.add_string b ",\"args\":";
+    Json.to_buffer b (Json.Obj args)
+  end;
   Stdlib.Buffer.add_char b '}'
 
-let add_event b (ev : Sim.Probe.event) =
+let add_probe b (ev : Sim.Probe.event) =
   let ph =
     match ev.kind with
     | Sim.Probe.Instant -> "i"
@@ -59,44 +56,21 @@ let add_event b (ev : Sim.Probe.event) =
     | Sim.Probe.Meta_process -> "M"
     | Sim.Probe.Meta_thread -> "M"
   in
-  Stdlib.Buffer.add_string b "{\"name\":";
-  add_str b ev.name;
-  Stdlib.Buffer.add_string b ",\"cat\":";
-  add_str b (if ev.cat = "" then "sim" else ev.cat);
-  Stdlib.Buffer.add_string b ",\"ph\":\"";
-  Stdlib.Buffer.add_string b ph;
-  Stdlib.Buffer.add_string b "\",\"ts\":";
-  add_ts b ev.ts;
-  Stdlib.Buffer.add_string b (Printf.sprintf ",\"pid\":%d,\"tid\":%d" (out_pid ev.pid) ev.tid);
-  (match ev.kind with
-  | Sim.Probe.Instant -> Stdlib.Buffer.add_string b ",\"s\":\"t\""
-  | Sim.Probe.Async_begin | Sim.Probe.Async_end ->
-    Stdlib.Buffer.add_string b (Printf.sprintf ",\"id\":\"0x%x\"" ev.id)
-  | _ -> ());
-  if ev.args <> [] then add_args b ev.args;
-  Stdlib.Buffer.add_char b '}'
+  (* Numeric-looking values go out as JSON numbers so Perfetto can plot
+     counters. *)
+  let arg (k, v) =
+    (k, match int_of_string_opt v with Some n -> Json.num_of_int n | None -> Json.Str v)
+  in
+  add_event b ~ph ~name:ev.name
+    ~cat:(if ev.cat = "" then "sim" else ev.cat)
+    ~ts:ev.ts ~pid:ev.pid ~tid:ev.tid ~id:ev.id (List.map arg ev.args)
 
 let add_meta b ~name ~pid ?tid value =
-  Stdlib.Buffer.add_string b "{\"name\":\"";
-  Stdlib.Buffer.add_string b name;
-  Stdlib.Buffer.add_string b (Printf.sprintf "\",\"ph\":\"M\",\"pid\":%d" (out_pid pid));
-  (match tid with
-  | Some tid -> Stdlib.Buffer.add_string b (Printf.sprintf ",\"tid\":%d" tid)
-  | None -> ());
-  Stdlib.Buffer.add_string b ",\"args\":{\"name\":";
-  add_str b value;
-  Stdlib.Buffer.add_string b "}}"
-
-(* Helpers for building raw trace events outside this module (the
-   provenance exporter renders flow and nestable-async phases that have no
-   [Probe.kind]); using these keeps escaping and timestamp formatting — and
-   hence byte-determinism — in one place. *)
-let json_string s =
-  let b = Stdlib.Buffer.create (String.length s + 2) in
-  add_str b s;
-  Stdlib.Buffer.contents b
-
-let fixed_ts ns = Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000)
+  Printf.bprintf b "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d" name (out_pid pid);
+  Option.iter (Printf.bprintf b ",\"tid\":%d") tid;
+  Stdlib.Buffer.add_string b ",\"args\":";
+  Json.to_buffer b (Json.Obj [ ("name", Json.Str value) ]);
+  Stdlib.Buffer.add_char b '}'
 
 let to_buffer b ?(extra = []) ~processes ~threads events =
   Stdlib.Buffer.add_string b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
@@ -117,12 +91,12 @@ let to_buffer b ?(extra = []) ~processes ~threads events =
   List.iter
     (fun ev ->
       sep ();
-      add_event b ev)
+      add_probe b ev)
     events;
   List.iter
-    (fun json ->
+    (fun (p : phase) ->
       sep ();
-      Stdlib.Buffer.add_string b json)
+      add_event b ~ph:p.ph ~name:p.name ~cat:p.cat ~ts:p.ts ~pid:p.pid ~tid:0 ~id:p.id p.args)
     extra;
   Stdlib.Buffer.add_string b "\n]}\n"
 

@@ -15,29 +15,35 @@
 val engine_pid : int
 (** Synthetic pid (65535) that hostless events are exported under. *)
 
-val json_string : string -> string
-(** Escape and quote a string exactly as the event path does. *)
-
 val fixed_ts : int -> string
 (** Virtual ns as fixed-point µs ("%d.%03d"), the only timestamp format
     this exporter emits. *)
 
-(** [extra] is a list of pre-rendered JSON event objects appended verbatim
-    after the probe events — the provenance exporter uses it for flow and
-    nestable-async phases that have no {!Sim.Probe.kind}. Callers are
-    responsible for rendering them with {!json_string}/{!fixed_ts} so the
-    file stays byte-deterministic. *)
+(** A trace phase with no {!Sim.Probe.kind}: the provenance exporter's
+    nestable-async spans (["b"]/["e"]) and flow arrows (["s"]/["f"]).
+    [extra] phases are printed after the probe events by the same event
+    printer, on thread 0, with [id] as the async or flow id and [args]
+    (if any) as the event's ["args"] object. *)
+type phase = {
+  ph : string;
+  name : string;
+  cat : string;
+  ts : int;  (** virtual ns *)
+  pid : int;
+  id : int;
+  args : (string * Json.t) list;
+}
 
 val to_buffer :
   Stdlib.Buffer.t ->
-  ?extra:string list ->
+  ?extra:phase list ->
   processes:(int * string) list ->
   threads:((int * int) * string) list ->
   Sim.Probe.event list ->
   unit
 
 val to_string :
-  ?extra:string list ->
+  ?extra:phase list ->
   processes:(int * string) list ->
   threads:((int * int) * string) list ->
   Sim.Probe.event list ->
@@ -45,7 +51,7 @@ val to_string :
 
 val write_file :
   string ->
-  ?extra:string list ->
+  ?extra:phase list ->
   processes:(int * string) list ->
   threads:((int * int) * string) list ->
   Sim.Probe.event list ->

@@ -404,7 +404,7 @@ let run ?(on_engine = ignore) spec =
 (* --- repro ---------------------------------------------------------------- *)
 
 let cmd_to_json cmd =
-  Faults.Json.(
+  Json.(
     match cmd with
     | Apps.Kv_store.Get { key } -> Obj [ ("op", Str "get"); ("key", Str key) ]
     | Apps.Kv_store.Put { key; value } ->
@@ -413,32 +413,32 @@ let cmd_to_json cmd =
 
 let script_to_json script =
   let op o =
-    Faults.Json.(
+    Json.(
       Obj [ ("think", num_of_int o.s_think); ("req", num_of_int o.s_req); ("cmd", cmd_to_json o.s_cmd) ])
   in
-  Faults.Json.List (List.map (fun c -> Faults.Json.List (List.map op c)) script)
+  Json.List (List.map (fun c -> Json.List (List.map op c)) script)
 
 let script_of_json j =
   let get conv name j =
-    match Option.bind (Faults.Json.member name j) conv with
+    match Option.bind (Json.member name j) conv with
     | Some v -> v
     | None -> failwith (Printf.sprintf "repro: missing or bad %S" name)
   in
   let list j =
-    match Faults.Json.to_list j with
+    match Json.to_list j with
     | Some l -> l
     | None -> failwith "repro: script is not a list of lists"
   in
   let cmd j =
-    let key = get Faults.Json.to_str "key" j in
-    match get Faults.Json.to_str "op" j with
+    let key = get Json.to_str "key" j in
+    match get Json.to_str "op" j with
     | "get" -> Apps.Kv_store.Get { key }
     | "delete" -> Apps.Kv_store.Delete { key }
-    | "put" -> Apps.Kv_store.Put { key; value = get Faults.Json.to_str "value" j }
+    | "put" -> Apps.Kv_store.Put { key; value = get Json.to_str "value" j }
     | op -> failwith (Printf.sprintf "repro: unknown op %S" op)
   in
   let op o =
-    let think = get Faults.Json.to_int "think" o and req = get Faults.Json.to_int "req" o in
+    let think = get Json.to_int "think" o and req = get Json.to_int "req" o in
     { s_think = think; s_req = req; s_cmd = cmd (get Option.some "cmd" o) }
   in
   try Ok (List.map (fun c -> List.map op (list c)) (list j))
@@ -448,14 +448,14 @@ let script_of_json j =
 let config_fields =
   let attaches = Mu.Config.[ ("standalone", Standalone); ("direct", Direct); ("handover", Handover) ] in
   let to_json = function
-    | Mu.Config.Int i -> Faults.Json.num_of_int i
-    | Bool b -> Faults.Json.Bool b
-    | Attach a -> Faults.Json.Str (fst (List.find (fun (_, x) -> x = a) attaches))
+    | Mu.Config.Int i -> Json.num_of_int i
+    | Bool b -> Json.Bool b
+    | Attach a -> Json.Str (fst (List.find (fun (_, x) -> x = a) attaches))
   in
   let of_json = function
-    | Faults.Json.Bool b -> Some (Mu.Config.Bool b)
+    | Json.Bool b -> Some (Mu.Config.Bool b)
     | Str s -> Option.map (fun a -> Mu.Config.Attach a) (List.assoc_opt s attaches)
-    | j -> Option.map (fun i -> Mu.Config.Int i) (Faults.Json.to_int j)
+    | j -> Option.map (fun i -> Mu.Config.Int i) (Json.to_int j)
   in
   List.map
     (fun (name, get, set) ->
@@ -465,8 +465,8 @@ let config_fields =
 (* The whole spec as JSON object fields, the config fields inline: the
    one codec for chaos repros and verify bundles. *)
 let spec_fields s =
-  let num = Faults.Json.num_of_int in
-  [ ("seed", Faults.Json.Str (Int64.to_string s.seed)) ]
+  let num = Json.num_of_int in
+  [ ("seed", Json.Str (Int64.to_string s.seed)) ]
   @ List.map (fun (name, write, _) -> (name, write s.config)) config_fields
   @ [ ("shards", num s.shards); ("horizon", num s.horizon) ]
   @ (match s.clients with
@@ -480,17 +480,17 @@ let spec_fields s =
 let spec_of_json j =
   let ( let* ) = Result.bind in
   let opt name conv default =
-    match Faults.Json.member name j with
+    match Json.member name j with
     | None -> Ok default
     | Some v -> Option.to_result ~none:(Printf.sprintf "repro: bad %S" name) (conv v)
   in
   let* seed =
-    match Option.bind (Faults.Json.member "seed" j) Faults.Json.to_str with
+    match Option.bind (Json.member "seed" j) Json.to_str with
     | Some s -> Option.to_result ~none:(Printf.sprintf "repro: bad seed %S" s) (Int64.of_string_opt s)
     | None -> Error "repro: missing \"seed\""
   in
   let* scenario =
-    match Faults.Json.member "scenario" j with
+    match Json.member "scenario" j with
     | Some sj -> Faults.Scenario.of_json sj
     | None -> Error "repro: missing \"scenario\""
   in
@@ -502,16 +502,16 @@ let spec_of_json j =
         opt name (read c) c)
       (Ok d.config) config_fields
   in
-  let* shards = opt "shards" Faults.Json.to_int d.shards in
-  let* horizon = opt "horizon" Faults.Json.to_int d.horizon in
-  let* inject = opt "inject" Faults.Json.to_int d.inject in
+  let* shards = opt "shards" Json.to_int d.shards in
+  let* horizon = opt "horizon" Json.to_int d.horizon in
+  let* inject = opt "inject" Json.to_int d.inject in
   let* clients =
-    match (Faults.Json.member "script" j, d.clients) with
+    match (Json.member "script" j, d.clients) with
     | Some sj, _ -> Result.map (fun s -> Script s) (script_of_json sj)
     | None, Random r ->
-      let* clients = opt "clients" Faults.Json.to_int r.clients in
-      let* ops = opt "ops" Faults.Json.to_int r.ops in
-      let* think = opt "think" Faults.Json.to_int r.think in
+      let* clients = opt "clients" Json.to_int r.clients in
+      let* ops = opt "ops" Json.to_int r.ops in
+      let* think = opt "think" Json.to_int r.think in
       Ok (Random { clients; ops; think })
     | None, (Script _ as c) -> Ok c
   in
@@ -525,12 +525,12 @@ let spec_of_json j =
 (* The spec plus a violation summary for humans; replay reads everything
    but the summary. *)
 let repro_json o =
-  Faults.Json.to_string
-    (Faults.Json.Obj
+  Json.to_string
+    (Json.Obj
        (spec_fields o.spec
        @ [
            ( "violation",
-             Faults.Json.Str
+             Json.Str
                (if not o.linearizable then "history not linearizable"
                 else if not o.isolated then "read of a value never put to its key"
                 else if o.violations <> [] then
@@ -543,7 +543,7 @@ let repro_json o =
                ) );
          ]))
 
-let parse_repro str = Result.bind (Faults.Json.of_string str) spec_of_json
+let parse_repro str = Result.bind (Json.of_string str) spec_of_json
 
 (* --- randomized sweep ----------------------------------------------------- *)
 

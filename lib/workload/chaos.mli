@@ -127,13 +127,13 @@ val keys_for : shards:int -> shard:int -> count:int -> string array
 
 (** {1 Repro} *)
 
-val spec_fields : spec -> (string * Faults.Json.t) list
+val spec_fields : spec -> (string * Json.t) list
 (** The whole spec as JSON object fields: seed, the config fields inline,
     shards, horizon, the random clients or the script, the scenario,
     inject. The one codec both the chaos repro and the verify bundle
     print. *)
 
-val spec_of_json : Faults.Json.t -> (spec, string) result
+val spec_of_json : Json.t -> (spec, string) result
 (** Inverse of {!spec_fields} on an object; other fields are ignored. A
     missing field reads as its {!spec} default, except seed and scenario. *)
 

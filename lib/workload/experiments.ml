@@ -132,6 +132,25 @@ let wait_for_leader e (smr : Mu.Smr.t) =
   in
   go ()
 
+let try_propose leader payload =
+  try ignore (Mu.Replication.propose leader payload) with Mu.Replication.Aborted _ -> ()
+
+(* A standalone Smr whose leader has established its followers with one
+   "boot" proposal, ready for the Fig. 5 cross-check handlers to
+   replicate on. *)
+let boot_standalone e setup cfg =
+  let smr =
+    Mu.Smr.create e setup.cal cfg ~make_app:(fun _ -> Mu.Smr.stateless_app (fun _ -> Bytes.empty))
+  in
+  Mu.Smr.start ~client_service:false smr;
+  let leader = wait_for_leader e smr in
+  let established = Sim.Engine.Ivar.create e in
+  Sim.Host.spawn leader.Mu.Replica.host ~name:"establish" (fun () ->
+      try_propose leader (Bytes.of_string "boot");
+      Sim.Engine.Ivar.fill established ());
+  Sim.Engine.Ivar.read established;
+  (smr, leader)
+
 let mu_latency_with_config setup ~samples ~payload ~attach cfg =
   run_sim setup (fun e ->
       let cfg = { cfg with Mu.Config.attach } in
@@ -327,21 +346,9 @@ let herd_real setup ~samples ~replicated =
         run_with execute host
       end
       else begin
-        let smr =
-          Mu.Smr.create e setup.cal (standalone_config ()) ~make_app:(fun _ ->
-              Mu.Smr.stateless_app (fun _ -> Bytes.empty))
-        in
-        Mu.Smr.start ~client_service:false smr;
-        let leader = wait_for_leader e smr in
-        let established = Sim.Engine.Ivar.create e in
-        Sim.Host.spawn leader.Mu.Replica.host ~name:"establish" (fun () ->
-            (try ignore (Mu.Replication.propose leader (Bytes.of_string "boot"))
-             with Mu.Replication.Aborted _ -> ());
-            Sim.Engine.Ivar.fill established ());
-        Sim.Engine.Ivar.read established;
+        let smr, leader = boot_standalone e setup (standalone_config ()) in
         let handler payload =
-          (try ignore (Mu.Replication.propose leader payload)
-           with Mu.Replication.Aborted _ -> ());
+          try_propose leader payload;
           execute payload
         in
         run_with handler leader.Mu.Replica.host;
@@ -383,25 +390,14 @@ let liquibook_real setup ~samples ~replicated =
         run_with (execute setup.cal host) host
       end
       else begin
-        let smr =
-          Mu.Smr.create e setup.cal
-            { (standalone_config ()) with Mu.Config.attach = Mu.Config.Direct }
-            ~make_app:(fun _ -> Mu.Smr.stateless_app (fun _ -> Bytes.empty))
+        let smr, leader =
+          boot_standalone e setup { (standalone_config ()) with Mu.Config.attach = Mu.Config.Direct }
         in
-        Mu.Smr.start ~client_service:false smr;
-        let leader = wait_for_leader e smr in
-        let established = Sim.Engine.Ivar.create e in
-        Sim.Host.spawn leader.Mu.Replica.host ~name:"establish" (fun () ->
-            (try ignore (Mu.Replication.propose leader (Bytes.of_string "boot"))
-             with Mu.Replication.Aborted _ -> ());
-            Sim.Engine.Ivar.fill established ());
-        Sim.Engine.Ivar.read established;
         let host = leader.Mu.Replica.host in
         let handler payload =
           (* Capture-replicate-execute (Fig. 1), direct attach mode. *)
           Sim.Host.cpu host (setup.cal.Sim.Calibration.direct_interference);
-          (try ignore (Mu.Replication.propose leader payload)
-           with Mu.Replication.Aborted _ -> ());
+          try_propose leader payload;
           execute setup.cal host payload
         in
         run_with handler host;

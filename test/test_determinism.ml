@@ -59,14 +59,14 @@ let with_sampler f () =
   let results = f (setup ~metrics:sampler ~provenance:false 42L) sampler in
   [
     ("metrics", Telemetry.Export.json ~sampler (Telemetry.Sampler.registry sampler));
-    ("results", Faults.Json.to_string results);
+    ("results", Json.to_string results);
   ]
 
 (* p50, p99 and p99.9 in ns, as the bench's results file has them. *)
 let samples_json s =
   let module S = Sim.Stats.Samples in
-  let n v = Faults.Json.Num (float_of_int v) in
-  Faults.Json.Obj
+  let n v = Json.Num (float_of_int v) in
+  Json.Obj
     [ ("p50", n (S.median s)); ("p99", n (S.percentile s 99.0)); ("p999", n (S.percentile s 99.9)) ]
 
 (* fig3 at the quick bench's 5 000 samples per configuration; the 64 B
@@ -88,7 +88,7 @@ let fig3 setup _ =
   let p50 = Sim.Stats.Samples.median (List.assoc "standalone 64B" rows) in
   Alcotest.(check bool) "64 B replication median in calibrated band" true
     (p50 >= 900 && p50 <= 2_000);
-  Faults.Json.Obj (List.map (fun (name, s) -> (name, samples_json s)) rows)
+  Json.Obj (List.map (fun (name, s) -> (name, samples_json s)) rows)
 
 (* fig6 at the quick bench's 100 rounds; some follower's score for the
    paused leader must fall below 2 and, after the resume, climb above 6. *)
@@ -96,7 +96,7 @@ let fig6 setup sampler =
   let r = E.failover setup ~rounds:100 in
   Alcotest.(check bool) "score timeline crosses fail then recover" true
     (Telemetry.Dashboard.has_fail_recover_crossing sampler);
-  Faults.Json.Obj
+  Json.Obj
     [
       ("total", samples_json r.E.total);
       ("detection", samples_json r.E.detection);

@@ -271,9 +271,9 @@ let repro_round_trips_and_replays () =
      default spec. *)
   let scenario = Faults.Scenario.partition_leader ~n:5 in
   let repro fields =
-    Faults.Json.to_string
-      (Faults.Json.Obj
-         ([ ("seed", Faults.Json.Str "9"); ("n", Faults.Json.num_of_int 5) ]
+    Json.to_string
+      (Json.Obj
+         ([ ("seed", Json.Str "9"); ("n", Json.num_of_int 5) ]
          @ fields
          @ [ ("scenario", Faults.Scenario.to_json scenario) ]))
   in
@@ -282,12 +282,12 @@ let repro_round_trips_and_replays () =
   check "injection rate read" true
     (Result.map
        (fun (s : Chaos.spec) -> s.inject)
-       (Chaos.parse_repro (repro [ ("inject", Faults.Json.num_of_int 3) ]))
+       (Chaos.parse_repro (repro [ ("inject", Json.num_of_int 3) ]))
     = Ok 3);
   check "zero shards rejected" true
-    (Result.is_error (Chaos.parse_repro (repro [ ("shards", Faults.Json.num_of_int 0) ])));
+    (Result.is_error (Chaos.parse_repro (repro [ ("shards", Json.num_of_int 0) ])));
   check "invalid config rejected" true
-    (Result.is_error (Chaos.parse_repro (repro [ ("doorbell", Faults.Json.num_of_int 0) ])))
+    (Result.is_error (Chaos.parse_repro (repro [ ("doorbell", Json.num_of_int 0) ])))
 
 (* A scenario that kills a majority must stall — and the stalled run must
    still be judged safe (no invariant violation, incomplete ops handled)

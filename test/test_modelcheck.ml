@@ -466,11 +466,11 @@ let repro_roundtrip () =
     check "rejects unknown schema" true
       (Result.is_error
          (Modelcheck.Repro.of_string {|{"schema":"mu-verify-repro/999"}|}));
-    match Faults.Json.of_string s with
-    | Ok (Faults.Json.Obj fields) ->
+    match Json.of_string s with
+    | Ok (Json.Obj fields) ->
       List.iter
         (fun k ->
-          let doc = Faults.Json.to_string (Faults.Json.Obj (List.remove_assoc k fields)) in
+          let doc = Json.to_string (Json.Obj (List.remove_assoc k fields)) in
           check ("rejects missing " ^ k) true (Result.is_error (Modelcheck.Repro.of_string doc)))
         [ "seed"; "scenario"; "script"; "inject"; "verdict" ]
     | _ -> Alcotest.fail "bundle is not an object"

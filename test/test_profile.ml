@@ -4,7 +4,7 @@
 
 module E = Workload.Experiments
 module Vt = Profile.Vt
-module J = Faults.Json
+module J = Json
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

@@ -111,6 +111,45 @@ let off_is_invisible () =
   check "identical latency samples on vs off" true
     (Sim.Stats.Samples.to_list s_on = Sim.Stats.Samples.to_list s_off)
 
+(* --- every exported document is JSON ------------------------------------ *)
+
+(* Each document the program writes must parse with the one codec; the
+   three printed as one [Json.t] (telemetry, alert log, span tree) must
+   also reprint to their exact bytes. The streamed Chrome trace (fixed-point
+   timestamps, one event per line) only has to parse. Names and details
+   carry characters that need escaping. *)
+let exports_parse_as_json () =
+  let reg = Telemetry.Registry.create () in
+  let labels = [ ("path", "a\\b \"q\"\n\tend") ] in
+  Telemetry.Registry.Counter.add (Telemetry.Registry.counter reg ~labels "ops") 3;
+  Telemetry.Registry.Gauge.set (Telemetry.Registry.gauge reg "depth") (-2);
+  let h = Telemetry.Registry.histogram reg ~labels "lat_ns" in
+  List.iter (Telemetry.Hdr.record h) [ 900; 1_200; 45_000 ];
+  let smp = Telemetry.Sampler.create reg ~interval:1_000 in
+  Telemetry.Sampler.start_epoch smp;
+  List.iter (fun now -> Telemetry.Sampler.tick smp ~now) [ 0; 1_000; 2_000 ];
+  let log = Monitor.Log.create () in
+  ignore
+    (Monitor.Log.add log ~at:5_000 ~epoch:0 ~window:1 ~rule:"p99 \"slo\"" ~edge:`Fire
+       ~detail:"p99=12us > 10us\r\n\001");
+  ignore (Monitor.Log.add log ~at:9_000 ~epoch:0 ~window:2 ~rule:"avail" ~edge:`Fire ~detail:"");
+  let tr, _, t = chaos_run 7L in
+  let chrome =
+    Trace.Chrome.to_string ~extra:(Export.trace_events t) ~processes:(Trace.Tracer.processes tr)
+      ~threads:(Trace.Tracer.threads tr) (Trace.Tracer.events tr)
+  in
+  List.iter
+    (fun (name, doc, reprints) ->
+      match Json.of_string doc with
+      | Error e -> Alcotest.failf "%s does not parse: %s" name e
+      | Ok v -> if reprints then check_str (name ^ " reprints") doc (Json.to_string v))
+    [
+      ("telemetry export", Telemetry.Export.json ~sampler:smp reg, true);
+      ("alert log", Monitor.Log.to_json log, true);
+      ("span tree", Export.json_string t, true);
+      ("chrome trace with overlay", chrome, false);
+    ]
+
 (* --- fail-over forensics ------------------------------------------------- *)
 
 let chaos_forensics () =
@@ -145,4 +184,5 @@ let suite =
     Alcotest.test_case "same seed, identical export" `Quick same_seed_identical_export;
     Alcotest.test_case "provenance off is invisible" `Quick off_is_invisible;
     Alcotest.test_case "chaos fail-over forensics" `Quick chaos_forensics;
+    Alcotest.test_case "exports parse as JSON" `Quick exports_parse_as_json;
   ]
