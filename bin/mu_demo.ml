@@ -322,13 +322,14 @@ let chaos_cmd =
     | [] ->
       Fmt.pr "all runs passed (invariants + linearizability)@.";
       0
-    | worst :: _ ->
+    | first :: _ ->
       (match repro_file with
       | Some file ->
-        write_file file (Workload.Chaos.repro_json worst);
-        Fmt.pr "minimized repro written to %s@." file
+        write_file file (Workload.Chaos.repro_json first);
+        Fmt.pr "repro written to %s (not shrunk: mu_demo verify writes a shrunk bundle)@." file
       | None ->
-        Fmt.pr "minimized repro: %s@." (Workload.Chaos.repro_json worst));
+        Fmt.pr "repro (not shrunk: mu_demo verify writes a shrunk bundle): %s@."
+          (Workload.Chaos.repro_json first));
       1
   in
   let run () seed n scenario_spec sweep replay repro_file trace_file =
@@ -339,8 +340,8 @@ let chaos_cmd =
     let code =
       match replay, sweep with
       | Some file, _ ->
-        (* Replay a failing run from its minimized repro: same seed, same
-           scenario, byte-identical execution. *)
+        (* Replay a failing run from its repro: same seed, same scenario,
+           byte-identical execution. *)
         (match Workload.Chaos.parse_repro (read_file file) with
         | Error msg ->
           Fmt.epr "%s@." msg;
@@ -401,15 +402,16 @@ let chaos_cmd =
       value
       & opt (some string) None
       & info [ "replay" ] ~docv:"REPRO"
-          ~doc:"Replay a failing run from a minimized-repro file written by --repro.")
+          ~doc:"Replay a failing run from a repro file written by --repro.")
   in
   let repro_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, write the minimized repro (the whole run spec and the violation) to \
-                $(docv).")
+          ~doc:"On failure, write the first failing run's repro (its whole run spec and the \
+                violation, not shrunk) to $(docv). $(b,verify) shrinks a failure to a \
+                minimized bundle.")
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -928,8 +930,8 @@ let explain_cmd =
           ~doc:
             ("Explain a chaos run instead of a latency run: a named scenario ("
             ^ scenario_names
-            ^ "), a scenario JSON file, or a minimized repro written by 'mu_demo chaos \
-               --repro' (which replays its run verbatim)."))
+            ^ "), a scenario JSON file, or a repro written by 'mu_demo chaos --repro' \
+               (which replays its run verbatim)."))
   in
   let ops_arg =
     Arg.(

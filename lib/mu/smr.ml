@@ -535,18 +535,22 @@ let leader_service t (r : Replica.t) =
      fails (no quorum of permission acks — the leader can commit nothing
      and requests park in the queue) and closes when an establish
      succeeds or leadership is lost. Pure bookkeeping, no virtual time. *)
-  let deg = Recovery.Degrade.create () in
+  let since = ref None in
   let close_degraded () =
-    match Recovery.Degrade.leave deg ~now:(Sim.Engine.now t.engine) with
+    match !since with
     | None -> ()
-    | Some d ->
+    | Some t0 ->
+      since := None;
+      let d = Sim.Engine.now t.engine - t0 in
       t.degraded_windows <- t.degraded_windows + 1;
       t.degraded_total_ns <- t.degraded_total_ns + d;
       Metrics.quorum_regained r.Replica.metrics ~degraded_ns:d
   in
   let enter_degraded () =
-    if not (Recovery.Degrade.active deg) then Metrics.quorum_lost r.Replica.metrics;
-    Recovery.Degrade.enter deg ~now:(Sim.Engine.now t.engine)
+    if Option.is_none !since then begin
+      Metrics.quorum_lost r.Replica.metrics;
+      since := Some (Sim.Engine.now t.engine)
+    end
   in
   (* The election rule: a lower id alive in our own view outranks us, and
      our role fiber will demote us at its next tick. Establishing first

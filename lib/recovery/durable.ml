@@ -6,8 +6,9 @@
      FUO/minProposal header survive a crash.
    - [meta_region]: the membership configuration as last known to this
      replica, rewritten on every wiring change (§5.4 config entries are
-     also in the log, but the compact member list is what a rebooting
-     replica reads first).
+     also in the log). A rebooting replica does not read it: the restart
+     path rebuilds membership from the survivors ([Smr.restart_fiber],
+     step 3).
 
    The meta codec is deliberately tiny and versioned by a magic byte so
    a region from an incompatible build decodes to [None] instead of

@@ -5,8 +5,10 @@
     - the {b log} region backs the consensus-log MR directly, so slot
       writes and the FUO/minProposal header are write-through durable;
     - the {b meta} region holds the membership configuration as last
-      written by this replica (updated on every wiring change), read
-      back first thing on reboot.
+      written by this replica (updated on every wiring change). The
+      restart path does not read it back: it rebuilds membership from
+      the surviving replicas ([Smr.restart_fiber], step 3); only tests
+      call {!read_members}.
 
     Both survive {!Sim.Host.kill_host}; a clean {!Sim.Host.stop_process}
     trivially keeps them too. *)

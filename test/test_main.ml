@@ -12,7 +12,6 @@ let () =
       ("membership", Test_membership.suite);
       ("order-book", Test_order_book.suite);
       ("apps", Test_apps.suite);
-      ("lock-service", Test_lock_service.suite);
       ("herd", Test_herd.suite);
       ("baselines", Test_baselines.suite);
       ("dare-election", Test_dare_election.suite);

@@ -546,62 +546,6 @@ let qp_fifo_property =
       Sim.Engine.run e;
       !result)
 
-(* The lock service against a simple model: an owner option plus a FIFO
-   list per lock. *)
-let lock_service_matches_model =
-  QCheck.Test.make ~name:"lock service matches a model" ~count:100
-    QCheck.(
-      make
-        Gen.(list_size (1 -- 150) (pair (0 -- 1) (pair (1 -- 4) (0 -- 2)))))
-    (fun ops ->
-      let t = Apps.Lock_service.create () in
-      let model_owner = Hashtbl.create 4 in
-      let model_queue : (string, int list ref) Hashtbl.t = Hashtbl.create 4 in
-      let q lock =
-        match Hashtbl.find_opt model_queue lock with
-        | Some r -> r
-        | None ->
-          let r = ref [] in
-          Hashtbl.replace model_queue lock r;
-          r
-      in
-      List.for_all
-        (fun (op, (client, lock_i)) ->
-          let lock = Printf.sprintf "L%d" lock_i in
-          match op with
-          | 0 -> (
-            let reply =
-              Apps.Lock_service.apply t (Apps.Lock_service.Acquire { client; lock })
-            in
-            match Hashtbl.find_opt model_owner lock with
-            | None ->
-              Hashtbl.replace model_owner lock client;
-              (match reply with Apps.Lock_service.Granted _ -> true | _ -> false)
-            | Some owner when owner = client -> (
-              match reply with Apps.Lock_service.Granted _ -> true | _ -> false)
-            | Some _ ->
-              let waiters = q lock in
-              if not (List.mem client !waiters) then waiters := !waiters @ [ client ];
-              (match reply with
-              | Apps.Lock_service.Queued { position } ->
-                List.nth_opt !waiters (position - 1) = Some client
-              | _ -> false))
-          | _ -> (
-            let reply =
-              Apps.Lock_service.apply t (Apps.Lock_service.Release { client; lock })
-            in
-            match Hashtbl.find_opt model_owner lock with
-            | Some owner when owner = client ->
-              let waiters = q lock in
-              (match !waiters with
-              | next :: rest ->
-                Hashtbl.replace model_owner lock next;
-                waiters := rest
-              | [] -> Hashtbl.remove model_owner lock);
-              reply = Apps.Lock_service.Released
-            | Some _ | None -> reply = Apps.Lock_service.Not_held))
-        ops)
-
 (* Whole-run determinism: two simulations from the same seed produce
    byte-identical replica logs — the property that makes every experiment
    in this repository reproducible. *)
@@ -813,7 +757,6 @@ let suite =
       lane_order_matches_reference;
       run_determinism;
       qp_fifo_property;
-      lock_service_matches_model;
       lin_checker_matches_bruteforce;
       consensus_safety;
       kv_checker_matches_bruteforce;

@@ -1,5 +1,5 @@
-(* Tests for the reusable RDMA layers of §6: the QP exchange (connection
-   bootstrap + region directory) and the quorum write helper. *)
+(* Tests for the reusable RDMA layer of §6: the QP exchange (connection
+   bootstrap + region directory). *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -61,165 +61,10 @@ let exchange_unknown_service () =
        false
      with Not_found -> true)
 
-(* --- Quorum ------------------------------------------------------------------ *)
-
-(* Three hosts: h0 writes to h1 and h2 through one shared CQ. *)
-let quorum_rig e =
-  let h0 = Util.host e ~id:0 and h1 = Util.host e ~id:1 and h2 = Util.host e ~id:2 in
-  let cq0 = Rdma.Cq.create e in
-  let mk peer =
-    let q0 = Rdma.Qp.create h0 ~cq:cq0 in
-    let qp = Rdma.Qp.create peer ~cq:(Rdma.Cq.create e) in
-    Rdma.Qp.connect q0 qp;
-    Rdma.Qp.set_access qp Rdma.Verbs.access_rw;
-    let mr = Rdma.Mr.register peer ~size:64 ~access:Rdma.Verbs.access_rw in
-    (q0, qp, mr)
-  in
-  (h0, cq0, mk h1, mk h2)
-
-let quorum_majority_returns_early () =
-  Util.run_fiber (fun e ->
-      let _h0, cq0, (q1, _, mr1), (q2, _, mr2) = quorum_rig e in
-      let q = Rdma.Quorum.create cq0 in
-      let data = Bytes.make 8 'q' in
-      let t0 = Sim.Engine.now e in
-      let r =
-        Rdma.Quorum.post_and_wait q ~needed:1
-          ~post:
-            [
-              (fun ~wr_id ->
-                Rdma.Qp.post_write q1 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr1 ~dst_off:0);
-              (fun ~wr_id ->
-                Rdma.Qp.post_write q2 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr2 ~dst_off:0);
-            ]
-      in
-      let dt = Sim.Engine.now e - t0 in
-      check_int "one success suffices" 1 (List.length r.Rdma.Quorum.succeeded);
-      check_int "one still pending" 1 r.Rdma.Quorum.pending;
-      check "returned at first completion" true (dt < 2_500);
-      (* The straggler is absorbed by the next round, not miscounted. *)
-      let r2 =
-        Rdma.Quorum.post_and_wait q ~needed:2
-          ~post:
-            [
-              (fun ~wr_id ->
-                Rdma.Qp.post_write q1 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr1 ~dst_off:0);
-              (fun ~wr_id ->
-                Rdma.Qp.post_write q2 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr2 ~dst_off:0);
-            ]
-      in
-      check_int "both of round 2" 2 (List.length r2.Rdma.Quorum.succeeded);
-      Rdma.Quorum.drain q)
-
-let quorum_error_raises () =
-  Util.run_fiber (fun e ->
-      let _h0, cq0, (q1, _, mr1), (q2, qp2, mr2) = quorum_rig e in
-      Rdma.Qp.set_access qp2 Rdma.Verbs.access_ro;
-      let q = Rdma.Quorum.create cq0 in
-      let data = Bytes.make 8 'x' in
-      check "error surfaces" true
-        (try
-           ignore
-             (Rdma.Quorum.post_and_wait q ~needed:2
-                ~post:
-                  [
-                    (fun ~wr_id ->
-                      Rdma.Qp.post_write q1 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr1
-                        ~dst_off:0);
-                    (fun ~wr_id ->
-                      Rdma.Qp.post_write q2 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr2
-                        ~dst_off:0);
-                  ]);
-           false
-         with Rdma.Quorum.Operation_failed { index = 1; _ } -> true))
-
-(* Regression: an error completion from an abandoned round (here a NIC
-   timeout from a partitioned follower — exactly what a new leader's first
-   propose after fail-over sees) must not abort the round that merely
-   shares the CQ. *)
-let quorum_stale_failure_ignored () =
-  Util.run_fiber (fun e ->
-      let _h0, cq0, (q1, _, mr1), (q2, _, mr2) = quorum_rig e in
-      Rdma.Qp.set_link_up q2 false;
-      let q = Rdma.Quorum.create cq0 in
-      let data = Bytes.make 8 's' in
-      let post_both =
-        [
-          (fun ~wr_id ->
-            Rdma.Qp.post_write q1 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr1 ~dst_off:0);
-          (fun ~wr_id ->
-            Rdma.Qp.post_write q2 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr2 ~dst_off:0);
-        ]
-      in
-      (* Round 1: majority of 1 returns on h1's completion; h2's write is
-         still in flight and will surface as Operation_timeout. *)
-      let r1 = Rdma.Quorum.post_and_wait q ~needed:1 ~post:post_both in
-      check_int "round 1 quorum" 1 (List.length r1.Rdma.Quorum.succeeded);
-      check_int "round 1 straggler" 1 r1.Rdma.Quorum.pending;
-      (* Let the dead link's timeout expire so the stale failure is the
-         first completion the next round consumes. *)
-      Sim.Engine.sleep e (2 * Sim.Calibration.default.Sim.Calibration.rnic_timeout);
-      let r2 =
-        Rdma.Quorum.post_and_wait q ~needed:1
-          ~post:
-            [
-              (fun ~wr_id ->
-                Rdma.Qp.post_write q1 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr1 ~dst_off:0);
-            ]
-      in
-      check_int "round 2 unaffected" 1 (List.length r2.Rdma.Quorum.succeeded);
-      check_int "stale failure counted" 1 (Rdma.Quorum.stale_failures q))
-
-(* Regression: [drain] must absorb failed leftovers, not re-raise them. *)
-let quorum_drain_absorbs_failures () =
-  Util.run_fiber (fun e ->
-      let _h0, cq0, (q1, _, mr1), (q2, _, mr2) = quorum_rig e in
-      Rdma.Qp.set_link_up q2 false;
-      let q = Rdma.Quorum.create cq0 in
-      let data = Bytes.make 8 'd' in
-      let r =
-        Rdma.Quorum.post_and_wait q ~needed:1
-          ~post:
-            [
-              (fun ~wr_id ->
-                Rdma.Qp.post_write q1 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr1 ~dst_off:0);
-              (fun ~wr_id ->
-                Rdma.Qp.post_write q2 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr2 ~dst_off:0);
-            ]
-      in
-      check_int "one pending" 1 r.Rdma.Quorum.pending;
-      Rdma.Quorum.drain q;
-      check_int "drain counted the failure" 1 (Rdma.Quorum.stale_failures q);
-      (* A fresh round on the drained tracker works normally. *)
-      let r2 =
-        Rdma.Quorum.post_and_wait q ~needed:1
-          ~post:
-            [
-              (fun ~wr_id ->
-                Rdma.Qp.post_write q1 ~wr_id ~src:data ~src_off:0 ~len:8 ~mr:mr1 ~dst_off:0);
-            ]
-      in
-      check_int "post-drain round" 1 (List.length r2.Rdma.Quorum.succeeded))
-
-let quorum_needed_validation () =
-  Util.run_fiber (fun e ->
-      let _h0, cq0, _, _ = quorum_rig e in
-      let q = Rdma.Quorum.create cq0 in
-      check "raises" true
-        (try
-           ignore (Rdma.Quorum.post_and_wait q ~needed:1 ~post:[]);
-           false
-         with Invalid_argument _ -> true))
-
 let suite =
   [
     ("exchange: dial connects and advertises", `Quick, exchange_dial_connects);
     ("exchange: tracks accepted", `Quick, exchange_tracks_accepted);
     ("exchange: rejects duplicate listener", `Quick, exchange_rejects_duplicate_listener);
     ("exchange: unknown service", `Quick, exchange_unknown_service);
-    ("quorum: majority returns early", `Quick, quorum_majority_returns_early);
-    ("quorum: error raises", `Quick, quorum_error_raises);
-    ("quorum: stale failure ignored", `Quick, quorum_stale_failure_ignored);
-    ("quorum: drain absorbs failures", `Quick, quorum_drain_absorbs_failures);
-    ("quorum: needed validation", `Quick, quorum_needed_validation);
   ]

@@ -174,27 +174,13 @@ let backpressure_bounds_queue () =
   check "limit 0 disables" true (Recovery.Backpressure.admit off ~depth:1_000_000);
   check_int "no sheds when disabled" 0 (Recovery.Backpressure.sheds off)
 
-let degrade_window_accounting () =
-  let d = Recovery.Degrade.create () in
-  check "not active" false (Recovery.Degrade.active d);
-  check "leave without enter" true (Recovery.Degrade.leave d ~now:5 = None);
-  Recovery.Degrade.enter d ~now:10;
-  Recovery.Degrade.enter d ~now:20;
-  (* second enter is a no-op *)
-  check "active" true (Recovery.Degrade.active d);
-  check "window spans from first enter" true (Recovery.Degrade.leave d ~now:110 = Some 100);
-  Recovery.Degrade.enter d ~now:200;
-  check "second window" true (Recovery.Degrade.leave d ~now:250 = Some 50);
-  check_int "windows" 2 (Recovery.Degrade.windows d);
-  check_int "total" 150 (Recovery.Degrade.total_ns d);
-  check "last" true (Recovery.Degrade.last_ns d = Some 50)
-
 (* --- end-to-end: kill, restart, rejoin ----------------------------------- *)
 
 let durable_cfg = { Mu.Config.default with Mu.Config.durable_state = true }
 
-let with_smr ?(cfg = durable_cfg) ?(seed = 7L) f =
+let with_smr ?(cfg = durable_cfg) ?(seed = 7L) ?reg f =
   let e = Sim.Engine.create ~seed () in
+  Option.iter (Sim.Engine.set_metrics e) reg;
   let smr = Mu.Smr.create e Util.default_cal cfg ~make_app:(fun _ -> Apps.Kv_store.smr_app ()) in
   Mu.Smr.start smr;
   let result = ref None in
@@ -365,10 +351,16 @@ let restart_of_running_replica_is_noop () =
 (* Quorum loss: with both followers dead the leader parks requests;
    past the queue bound it sheds with a retryable error; when one
    follower rejoins, the degraded window closes and the parked requests
-   commit. *)
+   commit. The outage is one window: the establishes that keep failing
+   inside it neither open another nor move its start, and the
+   registry's [mu_degraded_ns] histogram agrees with the Smr totals. *)
 let quorum_loss_sheds_then_resumes () =
   let cfg = { durable_cfg with Mu.Config.queue_limit = 4 } in
-  with_smr ~cfg (fun e smr ->
+  let reg = Telemetry.Registry.create () in
+  let quorum_lost =
+    Telemetry.Registry.gauge reg ~labels:[ ("replica", "0") ] "mu_quorum_lost"
+  in
+  with_smr ~cfg ~reg (fun e smr ->
       Mu.Smr.wait_live smr;
       put smr "pre" "1" 1;
       let r1 = Mu.Smr.replica smr 1 and r2 = Mu.Smr.replica smr 2 in
@@ -395,10 +387,17 @@ let quorum_loss_sheds_then_resumes () =
           | Some b -> check "shed reply is retryable" true (Mu.Smr.is_retryable b)
           | None -> Alcotest.fail "shed ivar empty")
         shed_now;
-      (* The leader notices the lost quorum (first aborted propose) and
-         opens a degraded window; nothing commits meanwhile. *)
+      (* The leader notices the lost quorum (first aborted propose); its
+         first establish fails at the permission-ack deadline and opens a
+         degraded window. Nothing commits meanwhile. *)
+      Util.wait_for (fun () -> Telemetry.Registry.Gauge.value quorum_lost = 1) e;
+      let opened_by = Sim.Engine.now e in
+      let aborts () = (Mu.Smr.replica smr 0).Mu.Replica.metrics.Mu.Metrics.aborts in
+      let aborts_at_open = aborts () in
       let committed_before = Mu.Log.fuo (Mu.Smr.replica smr 0).Mu.Replica.log in
       Sim.Engine.sleep e 30_000_000;
+      check_int "no window closed during the outage" 0 (Mu.Smr.degraded_windows smr);
+      check_int "window still open" 1 (Telemetry.Registry.Gauge.value quorum_lost);
       check "no parked request answered while degraded" true
         (List.for_all (fun iv -> not (Sim.Engine.Ivar.is_filled iv)) parked);
       check_int "nothing committed while degraded"
@@ -406,13 +405,34 @@ let quorum_loss_sheds_then_resumes () =
         (Mu.Log.fuo (Mu.Smr.replica smr 0).Mu.Replica.log);
       (* One follower rejoins: quorum is back, the window closes, parked
          requests commit. *)
+      let restarted_at = Sim.Engine.now e in
       Mu.Smr.restart_replica smr ~id:1;
       Util.wait_for (fun () -> Mu.Smr.rejoins smr <> []) e;
       Util.wait_for
         (fun () -> List.for_all (fun iv -> Sim.Engine.Ivar.is_filled iv) parked)
         e;
-      check "degraded window recorded" true (Mu.Smr.degraded_windows smr >= 1);
-      check "degraded time accrued" true (Mu.Smr.degraded_total_ns smr > 0);
+      (* An establish fails at its 500 ms permission-ack deadline, so the
+         one running across the restart fails too, inside the window. *)
+      check "another establish failed inside the window" true (aborts () > aborts_at_open);
+      check_int "one outage, one window" 1 (Mu.Smr.degraded_windows smr);
+      check_int "window closed" 0 (Telemetry.Registry.Gauge.value quorum_lost);
+      (* The window opened no later than [opened_by] and closed no
+         earlier than the restart; a start moved to a later failed
+         establish would make it far shorter. *)
+      check "window spans the outage" true
+        (Mu.Smr.degraded_total_ns smr >= restarted_at - opened_by);
+      let count, sum =
+        List.fold_left
+          (fun (c, s) (m : Telemetry.Registry.metric) ->
+            match m.kind with
+            | Telemetry.Registry.Histogram h when m.name = "mu_degraded_ns" ->
+              (c + Telemetry.Hdr.count h, s +. Telemetry.Hdr.sum h)
+            | _ -> (c, s))
+          (0, 0.0) (Telemetry.Registry.metrics reg)
+      in
+      check_int "registry windows = Smr windows" (Mu.Smr.degraded_windows smr) count;
+      check "registry degraded ns = Smr degraded ns" true
+        (sum = float_of_int (Mu.Smr.degraded_total_ns smr));
       Util.wait_for (fun () -> get smr "q" 100 <> None) e;
       check "resumed cluster serves writes" true
         (match get smr "resumed" 101 with None -> true | Some _ -> false);
@@ -601,7 +621,6 @@ let suite =
     ("catch-up recheckpoints after recycle", `Quick, catchup_recheckpoints_after_recycle);
     ("catch-up stops and waits", `Quick, catchup_stops_and_waits);
     ("backpressure bounds the queue", `Quick, backpressure_bounds_queue);
-    ("degraded-window accounting", `Quick, degrade_window_accounting);
     ("follower kill-restart reaches parity", `Quick, follower_kill_restart_reaches_parity);
     ("leader kill-restart fails back", `Quick, leader_kill_restart_fails_back);
     ("rewire leaves no pending permission request", `Quick,

@@ -466,6 +466,46 @@ let recycler_demote_safety_holds_watermark () =
   check_int "resumes after regaining permission" 6 leader.Mu.Replica.zeroed_up_to;
   check "zeroing writes posted" true (leader.Mu.Replica.recycler_outstanding > 0)
 
+(* The [inflight] tags Mu's planes share one CQ under: windowed accept
+   groups ([group_tag]), propose and catch-up rounds ([fresh_tag]) and
+   the reserved background tags (-1..-3) never collide, so a straggler of
+   one is never counted as another's ack. A completion whose wr_id is not
+   in flight is dropped as stale; a tracked one comes back with its tag. *)
+let completion_tags_never_clash () =
+  with_cluster (fun e smr ->
+      ignore (Util.leader_of smr e);
+      let r1 = Mu.Smr.replica smr 1 in
+      let reserved = [ -1; Mu.Replica.recycler_tag; Mu.Replica.config_tag ] in
+      check "reserved tags are -1..-3" true (List.sort compare reserved = [ -3; -2; -1 ]);
+      let fresh = List.init 1_000 (fun _ -> Mu.Replica.fresh_tag r1) in
+      check "round tags are positive" true (List.for_all (fun tg -> tg > 0) fresh);
+      for slot = 0 to 100_000 do
+        let g = Mu.Replica.group_tag slot in
+        if g > 0 || List.mem g reserved || List.mem g fresh then
+          Alcotest.failf "group_tag %d = %d clashes" slot g;
+        if Mu.Replica.group_tag (slot + 1) >= g then
+          Alcotest.failf "group_tag not injective at slot %d" slot
+      done;
+      let p2 = Mu.Replica.peer r1 2 in
+      let read wr_id =
+        Rdma.Qp.post_read p2.Mu.Replica.repl_qp ~wr_id ~dst:(Bytes.create 8) ~dst_off:0
+          ~len:8 ~mr:p2.Mu.Replica.remote_log_mr ~src_off:0
+      in
+      let tag = Mu.Replica.group_tag 5 in
+      let stale, tracked =
+        on_replica r1 (fun () ->
+            Rdma.Qp.repair p2.Mu.Replica.repl_qp;
+            read (Mu.Replica.fresh_wr_id r1);
+            let stale = Mu.Replication.drain_completion r1 in
+            let wr = Mu.Replica.fresh_wr_id r1 in
+            Hashtbl.replace r1.Mu.Replica.inflight wr (2, tag);
+            read wr;
+            (stale, Mu.Replication.drain_completion r1))
+      in
+      check "untracked completion is stale" true (stale = None);
+      check "tracked completion carries its tag" true (tracked = Some (2, tag));
+      check_int "nothing left in flight" 0 (Hashtbl.length r1.Mu.Replica.inflight))
+
 let suite =
   [
     ("basic propose commits", `Quick, basic_propose_commits);
@@ -490,4 +530,5 @@ let suite =
     ("partition heals", `Quick, partition_heals);
     ("recycler skips on revoked head read", `Quick, recycler_skips_on_revoked_head_read);
     ("recycler demote-safety holds watermark", `Quick, recycler_demote_safety_holds_watermark);
+    ("completion tags never clash", `Quick, completion_tags_never_clash);
   ]
