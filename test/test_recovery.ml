@@ -439,6 +439,63 @@ let quorum_loss_sheds_then_resumes () =
       put smr "resumed" "yes" 102;
       Alcotest.(check (option string)) "resumed" (Some "yes") (get smr "resumed" 103))
 
+(* Degraded-window accounting across two outages in one cluster: each
+   quorum loss opens exactly one window, the Smr totals are the sum of
+   both, and the registry's [mu_degraded_ns] histogram records one
+   sample per window with the same sum. *)
+let degrade_window_accounting () =
+  let reg = Telemetry.Registry.create () in
+  let quorum_lost =
+    Telemetry.Registry.gauge reg ~labels:[ ("replica", "0") ] "mu_quorum_lost"
+  in
+  with_smr ~reg (fun e smr ->
+      Mu.Smr.wait_live smr;
+      put smr "pre" "1" 1;
+      check_int "no window before an outage" 0 (Mu.Smr.degraded_windows smr);
+      check_int "no degraded time before an outage" 0 (Mu.Smr.degraded_total_ns smr);
+      (* Kill the followers in [dead], push one request so the leader
+         notices, and return how long the window lasted at the least. *)
+      let outage ~dead ~rejoin ~req =
+        List.iter
+          (fun id -> Sim.Host.kill_host (Mu.Smr.replica smr id).Mu.Replica.host)
+          dead;
+        let iv =
+          Mu.Smr.submit_async ~retry:false smr
+            (Apps.Kv_store.encode_command ~client:9 ~req_id:req
+               (Apps.Kv_store.Put { key = "k"; value = string_of_int req }))
+        in
+        Util.wait_for (fun () -> Telemetry.Registry.Gauge.value quorum_lost = 1) e;
+        let opened_by = Sim.Engine.now e in
+        Sim.Engine.sleep e 10_000_000;
+        check "parked while degraded" false (Sim.Engine.Ivar.is_filled iv);
+        let restarted_at = Sim.Engine.now e in
+        Mu.Smr.restart_replica smr ~id:rejoin;
+        Util.wait_for (fun () -> Telemetry.Registry.Gauge.value quorum_lost = 0) e;
+        Util.wait_for (fun () -> Sim.Engine.Ivar.is_filled iv) e;
+        Util.wait_for (fun () -> Mu.Smr.restarts_in_flight smr = 0) e;
+        restarted_at - opened_by
+      in
+      let span1 = outage ~dead:[ 1; 2 ] ~rejoin:1 ~req:10 in
+      check_int "first outage, one window" 1 (Mu.Smr.degraded_windows smr);
+      let d1 = Mu.Smr.degraded_total_ns smr in
+      check "first window spans its outage" true (d1 >= span1);
+      let span2 = outage ~dead:[ 1 ] ~rejoin:1 ~req:11 in
+      check_int "second outage, second window" 2 (Mu.Smr.degraded_windows smr);
+      let d2 = Mu.Smr.degraded_total_ns smr - d1 in
+      check "second window spans its outage" true (d2 >= span2);
+      let count, sum =
+        List.fold_left
+          (fun (c, s) (m : Telemetry.Registry.metric) ->
+            match m.kind with
+            | Telemetry.Registry.Histogram h when m.name = "mu_degraded_ns" ->
+              (c + Telemetry.Hdr.count h, s +. Telemetry.Hdr.sum h)
+            | _ -> (c, s))
+          (0, 0.0) (Telemetry.Registry.metrics reg)
+      in
+      check_int "registry records one sample per window" 2 count;
+      check "registry degraded ns = Smr degraded ns" true
+        (sum = float_of_int (Mu.Smr.degraded_total_ns smr)))
+
 (* Stop the serving leader and restart it, [rounds] times in one
    long-lived durable cluster, under open-loop KV traffic (one request
    every 5 us, each its own client). Every round must settle — the
@@ -621,6 +678,7 @@ let suite =
     ("catch-up recheckpoints after recycle", `Quick, catchup_recheckpoints_after_recycle);
     ("catch-up stops and waits", `Quick, catchup_stops_and_waits);
     ("backpressure bounds the queue", `Quick, backpressure_bounds_queue);
+    ("degraded-window accounting", `Quick, degrade_window_accounting);
     ("follower kill-restart reaches parity", `Quick, follower_kill_restart_reaches_parity);
     ("leader kill-restart fails back", `Quick, leader_kill_restart_fails_back);
     ("rewire leaves no pending permission request", `Quick,
