@@ -314,70 +314,71 @@ let detectors_cmd =
        ~doc:"Compare pull-score failure detection against push heartbeats (§5.1).")
     Term.(const run $ seed_arg)
 
-(* --- chaos -------------------------------------------------------------------- *)
+(* --- chaos and verify ------------------------------------------------------- *)
+
+(* One report printer for both sweeps: the pass count, the generated fault
+   and op mix, then the first failure shrunk to a repro bundle. Returns the
+   exit code. *)
+let print_sweep ~repro_file (report : Modelcheck.Verify.report) =
+  Fmt.pr "%d/%d cases conformant@." (report.cases - report.failed) report.cases;
+  (* Every action kind listed, zeros included, so a silently-dead
+     generator branch is visible. *)
+  Fmt.pr "%a@." Faults.Scenario.pp_coverage report.coverage;
+  Option.iter (Fmt.pr "history mix: %a@." Modelcheck.History.pp_stats) report.op_stats;
+  Option.iter (Fmt.pr "first failure: %a@." Workload.Chaos.pp_witness) report.first_witness;
+  match report.minimized with
+  | None -> 0
+  | Some (bundle, shrunk) ->
+    Fmt.pr "minimized to %d ops, %d fault events in %d reruns%s@."
+      (Modelcheck.Shrink.ops bundle.b_spec)
+      (List.length bundle.b_spec.scenario.Faults.Scenario.events)
+      shrunk.reruns
+      (if shrunk.exhausted then " (budget exhausted — may not be minimal)" else "");
+    Option.iter (Fmt.pr "%a@." Workload.Chaos.pp_witness) shrunk.final.outcome.witness;
+    (match repro_file with
+    | Some file ->
+      write_file file (Modelcheck.Repro.to_string bundle);
+      Fmt.pr "minimized repro bundle written to %s@." file
+    | None -> Fmt.pr "minimized repro bundle: %s@." (Modelcheck.Repro.to_string bundle));
+    1
+
+let repro_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "repro" ] ~docv:"FILE" ~doc)
 
 let chaos_cmd =
-  let finish ~repro_file failures =
-    match failures with
-    | [] ->
-      Fmt.pr "all runs passed (invariants + linearizability)@.";
-      0
-    | first :: _ ->
-      (match repro_file with
-      | Some file ->
-        write_file file (Workload.Chaos.repro_json first);
-        Fmt.pr "repro written to %s (not shrunk: mu_demo verify writes a shrunk bundle)@." file
-      | None ->
-        Fmt.pr "repro (not shrunk: mu_demo verify writes a shrunk bundle): %s@."
-          (Workload.Chaos.repro_json first));
-      1
-  in
-  let run () seed n scenario_spec sweep replay repro_file trace_file =
-    (* --trace applies to the single-scenario and --replay modes (one
-       engine per run); a sweep spans many engines and ignores it. *)
-    let tracer = Option.map (fun _ -> Trace.Tracer.create ()) trace_file in
-    let on_engine e = Option.iter (fun tr -> Trace.Tracer.attach tr e) tracer in
-    let code =
-      match replay, sweep with
-      | Some file, _ ->
-        (* Replay a failing run from its repro: same seed, same scenario,
-           byte-identical execution. *)
-        (match Workload.Chaos.parse_repro (read_file file) with
-        | Error msg ->
-          Fmt.epr "%s@." msg;
-          2
-        | Ok spec ->
-          let o = Workload.Chaos.run ~on_engine spec in
-          Fmt.pr "%a@." Workload.Chaos.pp_outcome o;
-          finish ~repro_file (if Workload.Chaos.passed o then [] else [ o ]))
-      | None, Some count ->
-        let result =
-          Workload.Chaos.sweep ~count ~ns:[ 3; 5 ] ~seed:(Int64.of_int seed)
-            ~log:(fun i o -> Fmt.pr "[%3d/%d] %a@." (i + 1) count Workload.Chaos.pp_outcome o)
-            ()
+  let run () seed n scenario_spec sweep repro_file trace_file =
+    match sweep with
+    | Some cases ->
+      exit
+        (print_sweep ~repro_file
+           (Modelcheck.Verify.sweep ~cases ~traffic:Spec_clients ~seed:(Int64.of_int seed)
+              ~log:(Fmt.pr "%s@.") ()))
+    | None ->
+      let tracer = Option.map (fun _ -> Trace.Tracer.create ()) trace_file in
+      let o =
+        Workload.Chaos.run
+          ~on_engine:(fun e -> Option.iter (fun tr -> Trace.Tracer.attach tr e) tracer)
+          (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n (scenario_or_die ~n scenario_spec))
+      in
+      Fmt.pr "%a@." Workload.Chaos.pp_outcome o;
+      if Workload.Chaos.passed o then Fmt.pr "all runs passed (invariants + linearizability)@."
+      else begin
+        (* The run's own spec, not shrunk: [verify --replay] re-runs it. *)
+        let bundle =
+          Modelcheck.Repro.to_string { b_spec = o.spec; b_verdict = Workload.Chaos.verdict o }
         in
-        Fmt.pr "%d/%d runs passed@."
-          (result.Workload.Chaos.runs - List.length result.Workload.Chaos.failures)
-          result.Workload.Chaos.runs;
-        (* Coverage of the generated fault mix — every action kind listed,
-           zeros included, so a silently-dead generator branch is visible. *)
-        Fmt.pr "%a@." Faults.Scenario.pp_coverage result.Workload.Chaos.coverage;
-        finish ~repro_file result.Workload.Chaos.failures
-      | None, None ->
-        let scenario = scenario_or_die ~n scenario_spec in
-        let o =
-          Workload.Chaos.run ~on_engine
-            (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n scenario)
-        in
-        Fmt.pr "%a@." Workload.Chaos.pp_outcome o;
-        finish ~repro_file (if Workload.Chaos.passed o then [] else [ o ])
-    in
-    (match tracer, trace_file with
-    | Some tr, Some file ->
-      Trace.Tracer.write_chrome tr file;
-      Fmt.pr "Chrome trace written to %s (open in ui.perfetto.dev)@." file
-    | _ -> ());
-    exit code
+        match repro_file with
+        | Some file ->
+          write_file file bundle;
+          Fmt.pr "repro bundle written to %s (not shrunk)@." file
+        | None -> Fmt.pr "repro bundle (not shrunk): %s@." bundle
+      end;
+      (match tracer, trace_file with
+      | Some tr, Some file ->
+        Trace.Tracer.write_chrome tr file;
+        Fmt.pr "Chrome trace written to %s (open in ui.perfetto.dev)@." file
+      | _ -> ());
+      exit (if Workload.Chaos.passed o then 0 else 1)
   in
   let trace_arg =
     Arg.(
@@ -385,8 +386,8 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Write a Chrome-format trace of the run to $(docv) (single-scenario and \
-             --replay modes; ignored by --sweep).")
+            "Write a Chrome-format trace of the run to $(docv) (single-scenario mode; \
+             ignored by --sweep).")
   in
   let sweep_arg =
     Arg.(
@@ -394,24 +395,9 @@ let chaos_cmd =
       & opt (some int) None
       & info [ "sweep" ] ~docv:"N"
           ~doc:
-            "Run $(docv) randomized scenarios (cluster sizes 3 and 5) instead of a \
-             single one; every run's seed derives from --seed.")
-  in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"REPRO"
-          ~doc:"Replay a failing run from a repro file written by --repro.")
-  in
-  let repro_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, write the first failing run's repro (its whole run spec and the \
-                violation, not shrunk) to $(docv). $(b,verify) shrinks a failure to a \
-                minimized bundle.")
+            "Run $(docv) randomized scenarios (cluster sizes 3 and 5, random \
+             closed-loop clients) instead of a single one; every run's seed derives \
+             from --seed, and the first failure is shrunk to a bundle.")
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -421,9 +407,12 @@ let chaos_cmd =
           invariants. Exits non-zero on any violation.")
     Term.(
       const run $ setup_logs $ seed_arg $ n_arg $ scenario_arg "crash-leader" $ sweep_arg
-      $ replay_arg $ repro_arg $ trace_arg)
-
-(* --- verify -------------------------------------------------------------------- *)
+      $ repro_arg
+          ~doc:
+            "On failure, write a repro bundle to $(docv): the failing run's whole spec \
+             and verdict (a single run is not shrunk; --sweep shrinks its first \
+             failure). $(b,verify --replay) replays it."
+      $ trace_arg)
 
 (* Model-based property testing (DESIGN.md §19): generated chaos specs
    with scripted clients run through the real cluster and judged
@@ -436,9 +425,9 @@ let verify_cmd =
     let log = if quiet then fun _ -> () else fun s -> Fmt.pr "%s@." s in
     match replay with
     | Some file ->
-      (* Replay a committed bundle: re-execute its spec and re-emit the
-         bundle with the verdict observed — byte-identical to the input
-         exactly when the failure still reproduces. *)
+      (* Replay any bundle: re-execute its spec and re-emit the bundle
+         with the verdict observed — byte-identical to the input exactly
+         when the failure still reproduces. *)
       (match Modelcheck.Repro.of_string (read_file file) with
       | Error msg ->
         Fmt.epr "%s@." msg;
@@ -446,59 +435,28 @@ let verify_cmd =
       | Ok bundle ->
         let r, bytes = Modelcheck.Verify.replay bundle in
         Fmt.pr "replay: expected %s, observed %s@."
-          (Modelcheck.Conformance.verdict_to_string
-             bundle.Modelcheck.Repro.b_verdict)
-          (Modelcheck.Conformance.verdict_to_string r.Modelcheck.Shrink.verdict);
-        (match r.Modelcheck.Shrink.outcome.Workload.Chaos.witness with
-        | Some w -> Fmt.pr "%a@." Workload.Chaos.pp_witness w
-        | None -> ());
+          (Workload.Chaos.verdict_to_string bundle.b_verdict)
+          (Workload.Chaos.verdict_to_string r.verdict);
+        Option.iter (Fmt.pr "%a@." Workload.Chaos.pp_witness) r.outcome.witness;
         List.iter
           (fun v -> Fmt.pr "invariant: %a@." Mu.Invariants.pp_violation v)
-          r.Modelcheck.Shrink.outcome.Workload.Chaos.violations;
+          r.outcome.violations;
         (match out_file with
         | Some out ->
           write_file out bytes;
           Fmt.pr "re-emitted bundle written to %s@." out
         | None -> ());
-        exit
-          (if r.Modelcheck.Shrink.verdict = bundle.Modelcheck.Repro.b_verdict
-           then 0
-           else 1))
+        exit (if r.verdict = bundle.b_verdict then 0 else 1))
     | None ->
-      let report =
-        Modelcheck.Verify.sweep ~cases ~ns ~inject ~clients ~ops_per_client
-          ~budget ~log ~seed:(Int64.of_int seed) ()
-      in
-      Fmt.pr "%d/%d cases conformant@."
-        (report.Modelcheck.Verify.cases - report.Modelcheck.Verify.failed)
-        report.Modelcheck.Verify.cases;
-      Fmt.pr "%a@." Faults.Scenario.pp_coverage report.Modelcheck.Verify.coverage;
-      Fmt.pr "history mix: %a@." Modelcheck.History.pp_stats
-        report.Modelcheck.Verify.op_stats;
-      (match report.Modelcheck.Verify.first_witness with
-      | Some w -> Fmt.pr "first failure: %a@." Workload.Chaos.pp_witness w
-      | None -> ());
-      (match report.Modelcheck.Verify.minimized with
-      | None -> exit 0
-      | Some (bundle, shrunk) ->
-        Fmt.pr "minimized to %d ops, %d fault events in %d reruns%s@."
-          (Modelcheck.Shrink.ops bundle.Modelcheck.Repro.b_spec)
-          (List.length bundle.Modelcheck.Repro.b_spec.scenario.Faults.Scenario.events)
-          shrunk.Modelcheck.Shrink.reruns
-          (if shrunk.Modelcheck.Shrink.exhausted then
-             " (budget exhausted — may not be minimal)"
-           else "");
-        (match shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.outcome.Workload.Chaos.witness with
-        | Some w -> Fmt.pr "%a@." Workload.Chaos.pp_witness w
-        | None -> ());
-        (match repro_file with
-        | Some file ->
-          write_file file (Modelcheck.Repro.to_string bundle);
-          Fmt.pr "minimized repro bundle written to %s@." file
-        | None ->
-          Fmt.pr "minimized repro bundle: %s@."
-            (Modelcheck.Repro.to_string bundle));
-        exit 1)
+      if ns = [] || List.exists (fun n -> n < 1) ns then begin
+        Fmt.epr "--ns: expected a non-empty list of cluster sizes >= 1@.";
+        exit 2
+      end;
+      exit
+        (print_sweep ~repro_file
+           (Modelcheck.Verify.sweep ~cases ~ns ~inject
+              ~traffic:(Scripted { clients; ops_per_client })
+              ~budget ~log ~seed:(Int64.of_int seed) ()))
   in
   let cases_arg =
     Arg.(
@@ -536,21 +494,14 @@ let verify_cmd =
       & info [ "shrink-budget" ] ~docv:"N"
           ~doc:"Max candidate re-executions the shrinker may spend.")
   in
-  let repro_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, write the minimized repro bundle to $(docv).")
-  in
   let replay_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "replay" ] ~docv:"BUNDLE"
           ~doc:
-            "Replay a minimized repro bundle instead of sweeping; exits 0 iff the \
-             recorded verdict reproduces.")
+            "Replay a repro bundle ($(b,verify) or $(b,chaos) --repro) instead of \
+             sweeping; exits 0 iff the recorded verdict reproduces.")
   in
   let out_arg =
     Arg.(
@@ -573,7 +524,9 @@ let verify_cmd =
           bundle.")
     Term.(
       const run $ setup_logs $ seed_arg $ cases_arg $ ns_arg $ inject_arg
-      $ clients_arg $ ops_arg $ budget_arg $ repro_arg $ replay_arg $ out_arg
+      $ clients_arg $ ops_arg $ budget_arg
+      $ repro_arg ~doc:"On failure, write the minimized repro bundle to $(docv)."
+      $ replay_arg $ out_arg
       $ quiet_arg)
 
 (* --- watch -------------------------------------------------------------------- *)
@@ -808,10 +761,11 @@ let explain_cmd =
       (List.rev !order);
     (tr, tree)
   and explain_chaos seed n spec ops_opt =
-    (* A repro replays its run verbatim. For a named scenario or scenario
-       file, think time stretches a small history across the faults (5 ms
-       in) so requests are genuinely in flight at the fail-over — more
-       load instead would explode the linearizability check. *)
+    (* A repro bundle replays its run verbatim. For a named scenario or
+       scenario file, think time stretches a small history across the
+       faults (5 ms in) so requests are genuinely in flight at the
+       fail-over — more load instead would explode the linearizability
+       check. *)
     let of_scenario scenario =
       {
         (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n scenario) with
@@ -821,13 +775,13 @@ let explain_cmd =
     let spec =
       if Sys.file_exists spec then begin
         let s = read_file spec in
-        match Workload.Chaos.parse_repro s with
-        | Ok spec -> spec
-        | Error _ -> (
+        match Modelcheck.Repro.of_string s with
+        | Ok b -> b.b_spec
+        | Error bundle_msg -> (
           match Faults.Scenario.of_string s with
           | Ok sc -> of_scenario sc
           | Error msg ->
-            Fmt.epr "%s: %s@." spec msg;
+            Fmt.epr "%s: neither a repro bundle (%s) nor a scenario (%s)@." spec bundle_msg msg;
             exit 2)
       end
       else of_scenario (scenario_or_die ~n spec)
@@ -930,8 +884,8 @@ let explain_cmd =
           ~doc:
             ("Explain a chaos run instead of a latency run: a named scenario ("
             ^ scenario_names
-            ^ "), a scenario JSON file, or a repro written by 'mu_demo chaos --repro' \
-               (which replays its run verbatim)."))
+            ^ "), a scenario JSON file, or a repro bundle written by 'mu_demo chaos' \
+               or 'mu_demo verify' --repro (which replays its run verbatim)."))
   in
   let ops_arg =
     Arg.(

@@ -399,14 +399,14 @@ let restart_fraction c =
   if c.crashes = 0 then 0.0 else float_of_int c.restarts /. float_of_int c.crashes
 
 let pp_coverage ppf c =
-  Fmt.pf ppf "coverage over %d scenario(s):" c.scenarios;
+  Fmt.pf ppf "@[<v>coverage over %d scenario(s):" c.scenarios;
   List.iter (fun (k, n) -> Fmt.pf ppf "@,  %-14s %4d" k n) c.action_counts;
   Fmt.pf ppf "@,  partition shapes: %s"
     (if c.partition_shapes = [] then "(none)"
      else
        String.concat ", "
          (List.map (fun (s, n) -> Printf.sprintf "%s x%d" s n) c.partition_shapes));
-  Fmt.pf ppf "@,  restart fraction: %.2f (%d restart(s) / %d crash(es))"
+  Fmt.pf ppf "@,  restart fraction: %.2f (%d restart(s) / %d crash(es))@]"
     (restart_fraction c) c.restarts c.crashes
 
 (* --- shrinking ----------------------------------------------------------- *)
@@ -470,6 +470,7 @@ let generate rng ~n ~horizon =
     | 3 ->
       emit start (Perm_fail { pid = victim; forced = true });
       emit stop (Perm_fail { pid = victim; forced = false })
+    | _ when n = 1 -> () (* a single host has no link to disturb *)
     | _ ->
       let dst = (victim + 1 + Sim.Rng.int rng (n - 1)) mod n in
       if Sim.Rng.bool rng then begin

@@ -111,6 +111,8 @@ val restart_fraction : coverage -> float
     budget was crash-{e recovery} rather than crash-stop. *)
 
 val pp_coverage : coverage Fmt.t
+(** A header, then one line per action kind, partition shapes and the
+    restart fraction, in a vertical box. *)
 
 (** {1 Shrinking} *)
 
@@ -128,4 +130,5 @@ val generate : Sim.Rng.t -> n:int -> horizon:int -> t
     are out at once (a crash consumes the budget, but a crash paired with
     a {!Restart} hands its slot back once the host reboots), every pause
     has a resume, every partition is healed, every probabilistic link
-    fault is cleared, so a run that keeps submitting eventually commits. *)
+    fault is cleared, so a run that keeps submitting eventually commits.
+    At [n = 1] a window holds at most a forced permission failure. *)

@@ -1,4 +1,4 @@
-type t = { b_spec : Workload.Chaos.spec; b_verdict : Conformance.verdict }
+type t = { b_spec : Workload.Chaos.spec; b_verdict : Workload.Chaos.verdict }
 
 let schema = "mu-verify-repro/2"
 
@@ -6,7 +6,7 @@ let to_string b =
   Json.to_string
     (Json.Obj
        ((("schema", Json.Str schema) :: Workload.Chaos.spec_fields b.b_spec)
-       @ [ ("verdict", Json.Str (Conformance.verdict_to_string b.b_verdict)) ]))
+       @ [ ("verdict", Json.Str (Workload.Chaos.verdict_to_string b.b_verdict)) ]))
 
 let ( let* ) = Result.bind
 
@@ -30,14 +30,9 @@ let of_string s =
     | _ -> Error "repro: missing \"schema\""
   in
   let* b_spec = Workload.Chaos.spec_of_json j in
-  let* () =
-    match b_spec.clients with
-    | Script _ -> Ok ()
-    | Random _ -> Error "repro: missing \"script\""
-  in
-  (* A chaos repro may leave [inject] out; a bundle always states it. *)
+  (* [Chaos.spec_of_json] defaults a missing [inject]; a bundle states it. *)
   let* _ = field "inject" Json.to_int j in
   let* v = field "verdict" Json.to_str j in
-  match Conformance.verdict_of_string v with
+  match Workload.Chaos.verdict_of_string v with
   | Some b_verdict -> Ok { b_spec; b_verdict }
   | None -> Error (Printf.sprintf "repro: unknown verdict %S" v)

@@ -1,13 +1,16 @@
-type result = { verdict : Conformance.verdict; outcome : Workload.Chaos.outcome }
+type result = { verdict : Workload.Chaos.verdict; outcome : Workload.Chaos.outcome }
 
 let script (s : Workload.Chaos.spec) =
   match s.clients with Script c -> c | Random _ -> []
 
-let ops s = List.fold_left (fun acc c -> acc + List.length c) 0 (script s)
+let ops (s : Workload.Chaos.spec) =
+  match s.clients with
+  | Script c -> List.fold_left (fun acc c -> acc + List.length c) 0 c
+  | Random r -> s.shards * r.clients * r.ops
 
 let run spec =
   let outcome = Workload.Chaos.run spec in
-  { verdict = Conformance.judge outcome; outcome }
+  { verdict = Workload.Chaos.verdict outcome; outcome }
 
 (* --- candidate enumeration ------------------------------------------------ *)
 
@@ -78,12 +81,13 @@ type shrunk = {
 
 let describe (s : Workload.Chaos.spec) =
   Fmt.str "%d clients / %d ops, %d fault events, n=%d"
-    (List.length (script s)) (ops s)
+    (match s.clients with Script c -> List.length c | Random r -> s.shards * r.clients)
+    (ops s)
     (List.length s.scenario.Faults.Scenario.events)
     s.config.Mu.Config.n
 
 let shrink ?(budget = 500) ?(log = fun _ -> ()) spec r =
-  if r.verdict = Conformance.Pass then
+  if r.verdict = Workload.Chaos.Pass then
     invalid_arg "Shrink.shrink: spec does not fail";
   let current = ref spec in
   let current_result = ref r in
@@ -99,14 +103,14 @@ let shrink ?(budget = 500) ?(log = fun _ -> ()) spec r =
         else begin
           incr reruns;
           let cr = run cand in
-          if cr.verdict <> Conformance.Pass then begin
+          if cr.verdict <> Workload.Chaos.Pass then begin
             (* Greedy: restart the scan from the smaller spec. *)
             current := cand;
             current_result := cr;
             progress := true;
             log
               (Fmt.str "shrink: kept %s (%s) after %d reruns" (describe cand)
-                 (Conformance.verdict_to_string cr.verdict) !reruns)
+                 (Workload.Chaos.verdict_to_string cr.verdict) !reruns)
           end
           else try_cands rest
         end

@@ -12,7 +12,7 @@
     shrink determinism tests pin down. *)
 
 type result = {
-  verdict : Conformance.verdict;
+  verdict : Workload.Chaos.verdict;
   outcome : Workload.Chaos.outcome;  (** Its [witness] backs a [Not_conformant]. *)
 }
 
@@ -38,4 +38,4 @@ val shrink :
     [Invalid_argument] if [r] passes. *)
 
 val ops : Workload.Chaos.spec -> int
-(** Total scripted ops across clients. *)
+(** Total ops across clients, scripted or random. *)

@@ -1,39 +1,43 @@
+type traffic = Scripted of { clients : int; ops_per_client : int } | Spec_clients
+
 type report = {
   cases : int;
   failed : int;
-  verdicts : (int64 * int * Conformance.verdict) list;
   coverage : Faults.Scenario.coverage;
-  op_stats : History.stats;
+  op_stats : History.stats option;
   first_witness : Workload.Chaos.witness option;
   minimized : (Repro.t * Shrink.shrunk) option;
 }
 
-let sweep ?(cases = 25) ?(ns = [ 3; 5 ]) ?(inject = 0) ?(clients = 3)
-    ?(ops_per_client = 8) ?budget ?(log = fun _ -> ()) ~seed () =
+let sweep ?(cases = 25) ?(ns = [ 3; 5 ]) ?(inject = 0)
+    ?(traffic = Scripted { clients = 3; ops_per_client = 8 }) ?budget ?(log = fun _ -> ())
+    ~seed () =
   (* Each case's PRNG feeds its scenario, then its history: the whole
      case replays from its seed alone. *)
   let runs =
     List.mapi
       (fun i ((spec : Workload.Chaos.spec), crng) ->
-        let history = History.generate ~clients ~ops_per_client crng in
-        let spec = { spec with clients = Script history; inject } in
+        let history, clients =
+          match traffic with
+          | Scripted { clients; ops_per_client } ->
+            let h = History.generate ~clients ~ops_per_client crng in
+            (h, Workload.Chaos.Script h)
+          | Spec_clients -> ([], spec.clients)
+        in
+        let spec = { spec with clients; inject } in
         let r = Shrink.run spec in
         log
           (Fmt.str "case %3d  seed=%-20Ld n=%d  %-18s %s" i spec.seed spec.config.Mu.Config.n
              spec.scenario.Faults.Scenario.name
-             (Conformance.verdict_to_string r.Shrink.verdict));
+             (Workload.Chaos.verdict_to_string r.Shrink.verdict));
         (spec, history, r))
       (Workload.Chaos.cases ~count:cases ~ns ~seed)
   in
-  let verdicts =
-    List.map
-      (fun ((s : Workload.Chaos.spec), _, r) -> (s.seed, s.config.Mu.Config.n, r.Shrink.verdict))
-      runs
-  in
+  let failures = List.filter (fun (_, _, r) -> r.Shrink.verdict <> Workload.Chaos.Pass) runs in
   let minimized, first_witness =
-    match List.find_opt (fun (_, _, r) -> r.Shrink.verdict <> Conformance.Pass) runs with
-    | None -> (None, None)
-    | Some (spec, _, r) ->
+    match failures with
+    | [] -> (None, None)
+    | (spec, _, r) :: _ ->
       let shrunk = Shrink.shrink ?budget ~log spec r in
       ( Some
           ( {
@@ -45,11 +49,13 @@ let sweep ?(cases = 25) ?(ns = [ 3; 5 ]) ?(inject = 0) ?(clients = 3)
   in
   {
     cases;
-    failed = List.length (List.filter (fun (_, _, v) -> v <> Conformance.Pass) verdicts);
-    verdicts;
+    failed = List.length failures;
     coverage =
       Faults.Scenario.coverage (List.map (fun ((s : Workload.Chaos.spec), _, _) -> s.scenario) runs);
-    op_stats = History.stats (List.concat_map (fun (_, h, _) -> h) runs);
+    op_stats =
+      (match traffic with
+      | Scripted _ -> Some (History.stats (List.concat_map (fun (_, h, _) -> h) runs))
+      | Spec_clients -> None);
     first_witness;
     minimized;
   }

@@ -1,9 +1,8 @@
 (* Chaos harness: run a Mu cluster under an injected fault scenario while
    KV clients collect a real-time history, then check the safety nets the
    paper's claims rest on — the Appendix A invariants over replica state
-   and linearizability of the recorded replies under KV semantics (§2.2),
-   plus isolation of the history across shards. Every run is a Mu.Sharded cluster (§8); a
-   single group is one shard. *)
+   and linearizability of the recorded replies under KV semantics (§2.2).
+   Every run is a Mu.Sharded cluster (§8); a single group is one shard. *)
 
 type scripted_op = { s_think : int; s_req : int; s_cmd : Apps.Kv_store.command }
 
@@ -138,8 +137,6 @@ type outcome = {
   completed : bool;
   ops : int;
   committed : int;
-  linearizable : bool;
-  isolated : bool;
   witness : witness option;
   record : recorded list;
   violations : Mu.Invariants.violation list;
@@ -149,7 +146,30 @@ type outcome = {
   degraded_ns : int;
 }
 
-let passed o = o.linearizable && o.isolated && o.violations = [] && o.crash = None && o.completed
+type verdict = Pass | Not_conformant | Invariant_violation | Crash | Stall
+
+let verdict_strings =
+  [
+    (Pass, "pass");
+    (Not_conformant, "not-conformant");
+    (Invariant_violation, "invariant-violation");
+    (Crash, "crash");
+    (Stall, "stall");
+  ]
+
+let verdict_to_string v = List.assoc v verdict_strings
+
+let verdict_of_string s =
+  List.find_map (fun (v, s') -> if s = s' then Some v else None) verdict_strings
+
+let verdict o =
+  if o.witness <> None then Not_conformant
+  else if o.violations <> [] then Invariant_violation
+  else if o.crash <> None then Crash
+  else if not o.completed then Stall
+  else Pass
+
+let passed o = verdict o = Pass
 
 let pp_outcome ppf o =
   let s = o.spec in
@@ -175,8 +195,7 @@ let pp_outcome ppf o =
          ((match o.crash with
           | Some m -> [ "CRASH " ^ m ]
           | None -> if o.completed then [] else [ "stalled" ])
-         @ (if o.linearizable then [] else [ "NOT LINEARIZABLE" ])
-         @ (if o.isolated then [] else [ "FOREIGN READ" ])
+         @ (if o.witness = None then [] else [ "NOT LINEARIZABLE" ])
          @
          match o.violations with
          | [] -> []
@@ -263,24 +282,6 @@ let client_fiber e s ~proc ~script ~records ~pending ~on_done =
     script;
   on_done ()
 
-(* Isolation: every read of [Some v] observed a put of [v] to that same
-   key. Shards share no state, so a read served by the wrong group shows
-   up here as a value never put to its key. *)
-let isolated record =
-  let puts = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      match r.r_cmd with
-      | Apps.Kv_store.Put { key; value } -> Hashtbl.replace puts (key, value) ()
-      | _ -> ())
-    record;
-  List.for_all
-    (fun r ->
-      match (r.r_cmd, r.r_reply) with
-      | Apps.Kv_store.Get { key }, Some (Apps.Kv_store.Value v) -> Hashtbl.mem puts (key, v)
-      | _ -> true)
-    record
-
 let run ?(on_engine = ignore) spec =
   let e = Sim.Engine.create ~seed:spec.seed () in
   on_engine e;
@@ -324,37 +325,39 @@ let run ?(on_engine = ignore) spec =
   let pending = Hashtbl.create 8 in
   let remaining = ref (List.length clients) in
   let completed = ref false in
+  (* Quiesce: run past the last scheduled restart (clients often finish
+     before a late restart fires), give any rejoin pipeline a bounded
+     window to reach log parity, then let stragglers (replayers, recycler,
+     elections after the last fault) settle before the state checks. Only
+     restarts extend the run — they are the one fault whose effect (a
+     completed rejoin) the outcome reports. *)
+  let quiesce () =
+    let restart_horizon =
+      List.fold_left
+        (fun a ev ->
+          match ev.Faults.Scenario.action with
+          | Faults.Scenario.Restart _ -> max a ev.Faults.Scenario.at
+          | _ -> a)
+        0 spec.scenario.Faults.Scenario.events
+    in
+    if Sim.Engine.now e < restart_horizon + 1_000 then
+      Sim.Engine.sleep e (restart_horizon + 1_000 - Sim.Engine.now e);
+    let budget = ref 100 in
+    while sum Mu.Smr.restarts_in_flight > 0 && !budget > 0 do
+      decr budget;
+      Sim.Engine.sleep e 1_000_000
+    done;
+    Sim.Engine.sleep e 5_000_000;
+    completed := true;
+    Mu.Sharded.stop s;
+    Sim.Engine.halt e
+  in
   let on_done () =
     decr remaining;
-    if !remaining = 0 then begin
-      (* Quiesce: run past the last scheduled restart (clients often
-         finish before a late restart fires), give any rejoin pipeline a
-         bounded window to reach log parity, then let stragglers
-         (replayers, recycler, elections after the last fault) settle
-         before the state checks. Only restarts extend the run — they are
-         the one fault whose effect (a completed rejoin) the outcome
-         reports. *)
-      let restart_horizon =
-        List.fold_left
-          (fun a ev ->
-            match ev.Faults.Scenario.action with
-            | Faults.Scenario.Restart _ -> max a ev.Faults.Scenario.at
-            | _ -> a)
-          0 spec.scenario.Faults.Scenario.events
-      in
-      if Sim.Engine.now e < restart_horizon + 1_000 then
-        Sim.Engine.sleep e (restart_horizon + 1_000 - Sim.Engine.now e);
-      let budget = ref 100 in
-      while sum Mu.Smr.restarts_in_flight > 0 && !budget > 0 do
-        decr budget;
-        Sim.Engine.sleep e 1_000_000
-      done;
-      Sim.Engine.sleep e 5_000_000;
-      completed := true;
-      Mu.Sharded.stop s;
-      Sim.Engine.halt e
-    end
+    if !remaining = 0 then quiesce ()
   in
+  (* With no client fiber to finish last, the run quiesces at once. *)
+  if !remaining = 0 then Sim.Engine.spawn e ~name:"chaos-quiesce" quiesce;
   List.iter
     (fun (proc, script) ->
       Sim.Engine.spawn e
@@ -390,8 +393,6 @@ let run ?(on_engine = ignore) spec =
     committed =
       sum (fun g ->
           Array.fold_left (fun acc r -> max acc (Mu.Log.fuo r.Mu.Replica.log)) 0 (Mu.Smr.replicas g));
-    linearizable = Option.is_none witness;
-    isolated = isolated record;
     witness;
     record;
     violations = List.concat_map (fun g -> Mu.Invariants.check_all (Mu.Smr.replicas g)) groups;
@@ -463,7 +464,7 @@ let config_fields =
     Mu.Config.fields
 
 (* The whole spec as JSON object fields, the config fields inline: the
-   one codec for chaos repros and verify bundles. *)
+   spec half of every repro bundle. *)
 let spec_fields s =
   let num = Json.num_of_int in
   [ ("seed", Json.Str (Int64.to_string s.seed)) ]
@@ -522,36 +523,7 @@ let spec_of_json j =
   let* () = Faults.Scenario.validate ~n:config.Mu.Config.n scenario in
   Ok { seed; config; shards; horizon; scenario; clients; inject }
 
-(* The spec plus a violation summary for humans; replay reads everything
-   but the summary. *)
-let repro_json o =
-  Json.to_string
-    (Json.Obj
-       (spec_fields o.spec
-       @ [
-           ( "violation",
-             Json.Str
-               (if not o.linearizable then "history not linearizable"
-                else if not o.isolated then "read of a value never put to its key"
-                else if o.violations <> [] then
-                  Fmt.str "%a" (Fmt.list Mu.Invariants.pp_violation) o.violations
-                else
-                  match o.crash with
-                  | Some m -> "fiber crash: " ^ m
-                  | None ->
-                    if not o.completed then "liveness stall (clients never finished)" else "none"
-               ) );
-         ]))
-
-let parse_repro str = Result.bind (Json.of_string str) spec_of_json
-
-(* --- randomized sweep ----------------------------------------------------- *)
-
-type sweep = {
-  runs : int;
-  failures : outcome list;
-  coverage : Faults.Scenario.coverage;
-}
+(* --- generated cases -------------------------------------------------------- *)
 
 (* Each case derives its own seed from the root PRNG; the scenario is
    generated from that seed and the engine is seeded with it too, so one
@@ -559,6 +531,7 @@ type sweep = {
 let cases ~count ~ns ~seed =
   let root = Sim.Rng.create seed in
   let ns = Array.of_list ns in
+  if ns = [||] then invalid_arg "Chaos.cases: no cluster size";
   let rec go i =
     if i >= count then []
     else
@@ -571,19 +544,3 @@ let cases ~count ~ns ~seed =
       case :: go (i + 1)
   in
   go 0
-
-let sweep ?(count = 50) ?(ns = [ 3; 5 ]) ?(log = fun _ _ -> ()) ~seed () =
-  let specs = List.map fst (cases ~count ~ns ~seed) in
-  let outcomes =
-    List.mapi
-      (fun i spec ->
-        let o = run spec in
-        log i o;
-        o)
-      specs
-  in
-  {
-    runs = count;
-    failures = List.filter (fun o -> not (passed o)) outcomes;
-    coverage = Faults.Scenario.coverage (List.map (fun s -> s.scenario) specs);
-  }

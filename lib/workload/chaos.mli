@@ -3,15 +3,17 @@
     A run is a {!spec}: a fresh [shards × config.n] {!Mu.Sharded} cluster
     serving the KV application (a single group is [shards = 1]), a
     {!Faults.Scenario.t} on shard 0's replicas, and closed-loop clients
-    whose ops are recorded as a real-time history. Three safety checks
-    then fire over all shards: the Appendix A invariants
-    ({!Mu.Invariants.check_all}), linearizability of the recorded replies
-    against the KV application's semantics ({!check}: one search in
-    {!Linearizability.Make}, per key, so per shard) and isolation — every
-    read of [Some v] saw a put of [v] to that same key (§2.2, §8). A run
-    is judged once, by this module; the verify sweep reads the same
-    outcome. The same spec replays to the byte, traces included, so
-    {!repro_json} is a complete reproduction. *)
+    whose ops are recorded as a real-time history. Two safety checks then
+    fire over all shards: the Appendix A invariants
+    ({!Mu.Invariants.check_all}) and linearizability of the recorded
+    replies against the KV application's semantics ({!check}: one search
+    in {!Linearizability.Make}, per key, so per shard). Isolation (§2.2,
+    §8) follows: a read of a value never put to its key fits no state of
+    the per-key model, so it always yields a {!witness}. A run is judged
+    once, by {!verdict}; [mu_demo chaos] and [mu_demo verify] both read
+    it. The same spec replays to the byte, traces included, so a
+    [Modelcheck.Repro] bundle of {!spec_fields} is a complete
+    reproduction. *)
 
 type scripted_op = {
   s_think : int;  (** Virtual-ns pause before submitting this op. *)
@@ -93,9 +95,8 @@ type outcome = {
   completed : bool;  (** All clients finished before the horizon. *)
   ops : int;  (** Operations in the checked history. *)
   committed : int;  (** Sum over shards of the highest FUO reached. *)
-  linearizable : bool;  (** {!check} on the record. *)
-  isolated : bool;
-  witness : witness option;  (** Minimal failing sub-history when not linearizable. *)
+  witness : witness option;
+      (** Minimal failing sub-history; [None] iff {!check} on the record. *)
   record : recorded list;  (** Every op and reply, by (invocation, proc, req). *)
   violations : Mu.Invariants.violation list;
   crash : string option;
@@ -107,9 +108,24 @@ type outcome = {
   degraded_ns : int;  (** Total quorum-lost window duration. *)
 }
 
+type verdict =
+  | Pass
+  | Not_conformant  (** Replies inconsistent with every KV order (a witness). *)
+  | Invariant_violation  (** Appendix A failed on raw replica state. *)
+  | Crash  (** A fiber raised and stopped the run. *)
+  | Stall  (** Clients never finished before the horizon. *)
+
+val verdict : outcome -> verdict
+(** Most specific first: non-conformance (the outcome's witness), then
+    invariant violations, then a crash, then a liveness stall. *)
+
+val verdict_to_string : verdict -> string
+val verdict_of_string : string -> verdict option
+(** Stable strings for the repro bundle: ["pass"], ["not-conformant"],
+    ["invariant-violation"], ["crash"], ["stall"]. *)
+
 val passed : outcome -> bool
-(** Completed without a crash, linearizable, isolated and
-    invariant-clean. *)
+(** [verdict o = Pass]. *)
 
 val pp_outcome : outcome Fmt.t
 (** One line naming every failed check (a crash with its message); a
@@ -125,42 +141,23 @@ val keys_for : shards:int -> shard:int -> count:int -> string array
 (** The first [count] keys of a fixed candidate list (["a"], ["b"],
     ["c"], ...) that route to [shard] under {!Mu.Sharded.key_hash}. *)
 
-(** {1 Repro} *)
+(** {1 Spec codec} *)
 
 val spec_fields : spec -> (string * Json.t) list
 (** The whole spec as JSON object fields: seed, the config fields inline,
     shards, horizon, the random clients or the script, the scenario,
-    inject. The one codec both the chaos repro and the verify bundle
-    print. *)
+    inject. The spec half of a [Modelcheck.Repro] bundle. *)
 
 val spec_of_json : Json.t -> (spec, string) result
 (** Inverse of {!spec_fields} on an object; other fields are ignored. A
     missing field reads as its {!spec} default, except seed and scenario. *)
 
-val repro_json : outcome -> string
-(** {!spec_fields} plus a violation summary, as one JSON document. *)
-
-val parse_repro : string -> (spec, string) result
-(** The spec of a repro; {!run} replays it byte-identically. *)
-
-(** {1 Randomized sweep} *)
-
-type sweep = {
-  runs : int;
-  failures : outcome list;
-  coverage : Faults.Scenario.coverage;
-      (** What the generator exercised, so a sweep never silently narrows. *)
-}
+(** {1 Generated cases} *)
 
 val cases : count:int -> ns:int list -> seed:int64 -> (spec * Sim.Rng.t) list
-(** [count] generated cases, cluster sizes cycling through [ns]. Case
-    [i] is the default {!spec} at a seed drawn from a root PRNG seeded
-    with [seed], with a scenario generated from a PRNG created from that
-    seed. The PRNG comes back positioned after the scenario, so a caller
-    can draw the rest of the case (a history) from it: one number still
-    replays the case. *)
-
-val sweep :
-  ?count:int -> ?ns:int list -> ?log:(int -> outcome -> unit) -> seed:int64 -> unit -> sweep
-(** Runs the {!cases} (default 50, [ns] default [[3; 5]]). [log]
-    observes every outcome. *)
+(** [count] generated cases, cluster sizes cycling through [ns] (non-empty,
+    or [Invalid_argument]). Case [i] is the default {!spec} at a seed
+    drawn from a root PRNG seeded with [seed], with a scenario generated
+    from a PRNG created from that seed. The PRNG comes back positioned
+    after the scenario, so a caller can draw the rest of the case (a
+    history) from it: one number still replays the case. *)

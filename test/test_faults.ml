@@ -183,7 +183,7 @@ let generator_produces_valid_scenarios () =
             (fun { Faults.Scenario.at; _ } ->
               check "event inside horizon" true (at >= 0 && at <= 40_000_000))
             s.Faults.Scenario.events)
-        [ 3; 5 ])
+        [ 1; 2; 3; 5 ])
     [ 1L; 2L; 3L; 42L; -7L; 123456789L ]
 
 module Chaos = Workload.Chaos
@@ -242,13 +242,17 @@ let chaos_table_fast_forward_identical () =
 let chaos_named_scenarios_pass () =
   List.iter (fun name -> Util.chaos_row (named ~n:3 ~seed:11L name)) Faults.Scenario.named
 
+(* [mu_demo chaos --sweep 20 --seed 42]: the spec's own random clients,
+   through the one sweep. *)
 let chaos_sweep_passes () =
-  let s = Chaos.sweep ~count:20 ~seed:42L () in
-  check_int "runs" 20 s.Chaos.runs;
-  List.iter (fun o -> Alcotest.fail (Fmt.str "%a" Chaos.pp_outcome o)) s.Chaos.failures
+  let r = Modelcheck.Verify.sweep ~cases:20 ~traffic:Spec_clients ~seed:42L () in
+  check_int "runs" 20 r.cases;
+  check_int "all pass" 0 r.failed;
+  check "no bundle" true (r.minimized = None)
 
-(* A repro replays the exact run it came from: a default single-group run
-   and a sharded, windowed one with non-default clients. *)
+(* A repro bundle replays the exact run it came from: a default
+   single-group run (random clients, no script) and a sharded, windowed
+   one with non-default clients. *)
 let repro_round_trips_and_replays () =
   let windowed =
     {
@@ -259,35 +263,35 @@ let repro_round_trips_and_replays () =
   List.iter
     (fun spec ->
       let o = Chaos.run spec in
-      match Chaos.parse_repro (Chaos.repro_json o) with
+      let bytes = Modelcheck.Repro.to_string { b_spec = spec; b_verdict = Chaos.verdict o } in
+      match Modelcheck.Repro.of_string bytes with
       | Error m -> Alcotest.fail m
-      | Ok spec' ->
-        check "spec preserved" true (spec' = spec);
-        let o' = Chaos.run spec' in
-        check "replay: equal outcome" true (o' = o);
-        check_int "replay: same ops" o.Chaos.ops o'.Chaos.ops)
+      | Ok b ->
+        check "spec preserved" true (b.b_spec = spec);
+        let r, bytes' = Modelcheck.Verify.replay b in
+        check "replay: equal outcome" true (r.outcome = o);
+        check_int "replay: same ops" o.Chaos.ops r.outcome.ops;
+        Alcotest.(check string) "replay: same bundle" bytes bytes')
     [ named ~n:3 ~seed:21L "partition-leader"; windowed ];
-  (* A repro that carries only seed, n and scenario reads the rest as the
-     default spec. *)
+  (* Spec fields that carry only seed, n and scenario read the rest as
+     the default spec. *)
   let scenario = Faults.Scenario.partition_leader ~n:5 in
-  let repro fields =
-    Json.to_string
+  let spec_of fields =
+    Chaos.spec_of_json
       (Json.Obj
          ([ ("seed", Json.Str "9"); ("n", Json.num_of_int 5) ]
          @ fields
          @ [ ("scenario", Faults.Scenario.to_json scenario) ]))
   in
-  check "short repro reads as the default spec" true
-    (Chaos.parse_repro (repro []) = Ok (Chaos.spec ~seed:9L ~n:5 scenario));
+  check "short spec reads as the default spec" true
+    (spec_of [] = Ok (Chaos.spec ~seed:9L ~n:5 scenario));
   check "injection rate read" true
-    (Result.map
-       (fun (s : Chaos.spec) -> s.inject)
-       (Chaos.parse_repro (repro [ ("inject", Json.num_of_int 3) ]))
+    (Result.map (fun (s : Chaos.spec) -> s.inject) (spec_of [ ("inject", Json.num_of_int 3) ])
     = Ok 3);
   check "zero shards rejected" true
-    (Result.is_error (Chaos.parse_repro (repro [ ("shards", Json.num_of_int 0) ])));
+    (Result.is_error (spec_of [ ("shards", Json.num_of_int 0) ]));
   check "invalid config rejected" true
-    (Result.is_error (Chaos.parse_repro (repro [ ("doorbell", Json.num_of_int 0) ])))
+    (Result.is_error (spec_of [ ("doorbell", Json.num_of_int 0) ]))
 
 (* A scenario that kills a majority must stall — and the stalled run must
    still be judged safe (no invariant violation, incomplete ops handled)
@@ -306,7 +310,7 @@ let chaos_majority_loss_stalls_safely () =
   in
   let o = Chaos.run { (Chaos.spec ~seed:5L ~n:3 scenario) with horizon = 300_000_000 } in
   check "stalled" true (not o.Chaos.completed);
-  check "still linearizable" true o.Chaos.linearizable;
+  check "still linearizable" true (o.Chaos.witness = None);
   check "no invariant violations" true (o.Chaos.violations = [])
 
 let suite =

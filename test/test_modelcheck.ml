@@ -287,8 +287,8 @@ let scripted_run_records_replies () =
        | _ -> true
      in
      sorted o.Workload.Chaos.record);
-  let verdict = Modelcheck.Conformance.judge o in
-  check "fault-free run conformant" true (verdict = Modelcheck.Conformance.Pass)
+  let verdict = Workload.Chaos.verdict o in
+  check "fault-free run conformant" true (verdict = Workload.Chaos.Pass)
 
 let scripted_run_deterministic () =
   let script =
@@ -309,7 +309,7 @@ let crash_leader_scripted_conformant () =
       (script_spec ~seed:17L (Faults.Scenario.crash_leader ~n:3) history)
   in
   check "conformant across fail-over" true
-    (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass)
+    (r.Modelcheck.Shrink.verdict = Workload.Chaos.Pass)
 
 let sharded_windowed_script =
   Modelcheck.History.generate ~clients:3 ~ops_per_client:8 (Sim.Rng.create 5L)
@@ -341,10 +341,10 @@ let sharded_windowed_script_judged () =
   let o = run 0 in
   check "clean run passes" true (Workload.Chaos.passed o);
   check "clean run conformant" true
-    (Modelcheck.Conformance.judge o = Modelcheck.Conformance.Pass);
+    (Workload.Chaos.verdict o = Workload.Chaos.Pass);
   let bad = run 3 in
   check "lost put not conformant" true
-    (Modelcheck.Conformance.judge bad = Modelcheck.Conformance.Not_conformant);
+    (Workload.Chaos.verdict bad = Workload.Chaos.Not_conformant);
   check "lost put has a linearizability witness" true (bad.Workload.Chaos.witness <> None)
 
 let rejoin_survives_minority_self_claimant () =
@@ -364,7 +364,7 @@ let rejoin_survives_minority_self_claimant () =
   | Ok { b_spec; _ } ->
     let r = Modelcheck.Shrink.run b_spec in
     check "run passes" true
-      (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass);
+      (r.Modelcheck.Shrink.verdict = Workload.Chaos.Pass);
     check_int "replica 1 rejoined" 1
       (List.length r.Modelcheck.Shrink.outcome.Workload.Chaos.rejoins)
 
@@ -372,7 +372,8 @@ let rejoin_survives_minority_self_claimant () =
 
 let fault_free_like_sweep_passes () =
   let report =
-    Modelcheck.Verify.sweep ~cases:4 ~ns:[ 3 ] ~clients:2 ~ops_per_client:5
+    Modelcheck.Verify.sweep ~cases:4 ~ns:[ 3 ]
+      ~traffic:(Scripted { clients = 2; ops_per_client = 5 })
       ~seed:23L ()
   in
   check_int "all cases pass" 0 report.Modelcheck.Verify.failed;
@@ -380,14 +381,16 @@ let fault_free_like_sweep_passes () =
   check_int "coverage covers every case" 4
     report.Modelcheck.Verify.coverage.Faults.Scenario.scenarios;
   check "op mix recorded" true
-    (report.Modelcheck.Verify.op_stats.Modelcheck.History.h_ops = 4 * 2 * 5)
+    (Option.map (fun s -> s.Modelcheck.History.h_ops) report.Modelcheck.Verify.op_stats
+    = Some (4 * 2 * 5))
 
 let injected_bug_caught_and_shrunk () =
   (* The self-test (DESIGN.md §19): with every 3rd Put silently lost by
      all replicas, invariants stay green but a generated case must catch
      the stale read and shrink to a tiny repro. *)
   let report =
-    Modelcheck.Verify.sweep ~cases:3 ~ns:[ 3 ] ~clients:2 ~ops_per_client:6
+    Modelcheck.Verify.sweep ~cases:3 ~ns:[ 3 ]
+      ~traffic:(Scripted { clients = 2; ops_per_client = 6 })
       ~inject:3 ~budget:600 ~seed:41L ()
   in
   check "bug caught" true (report.Modelcheck.Verify.failed > 0);
@@ -396,7 +399,7 @@ let injected_bug_caught_and_shrunk () =
   | Some (bundle, shrunk) ->
     check "shrink reached fixpoint" false shrunk.Modelcheck.Shrink.exhausted;
     check "minimized still fails" true
-      (bundle.Modelcheck.Repro.b_verdict <> Modelcheck.Conformance.Pass);
+      (bundle.Modelcheck.Repro.b_verdict <> Workload.Chaos.Pass);
     let t = bundle.Modelcheck.Repro.b_spec in
     check "<= 6 ops" true (Modelcheck.Shrink.ops t <= 6);
     check "<= 2 fault actions" true
@@ -405,14 +408,15 @@ let injected_bug_caught_and_shrunk () =
     check_int "spec carries the injection" 3 t.inject;
     let r = Modelcheck.Shrink.run t in
     check "independent rerun fails" true
-      (r.Modelcheck.Shrink.verdict <> Modelcheck.Conformance.Pass)
+      (r.Modelcheck.Shrink.verdict <> Workload.Chaos.Pass)
 
 let shrink_deterministic () =
   (* Same failing spec, shrunk twice, must yield byte-identical
      bundles. *)
   let go () =
     let report =
-      Modelcheck.Verify.sweep ~cases:1 ~ns:[ 3 ] ~clients:2 ~ops_per_client:6
+      Modelcheck.Verify.sweep ~cases:1 ~ns:[ 3 ]
+        ~traffic:(Scripted { clients = 2; ops_per_client = 6 })
         ~inject:1 ~budget:600 ~seed:7L ()
     in
     match report.Modelcheck.Verify.minimized with
@@ -428,7 +432,7 @@ let passing_spec_rejected_by_shrinker () =
       [ [ op 0 1 (Apps.Kv_store.Put { key = "a"; value = "x" }) ] ]
   in
   let r = Modelcheck.Shrink.run t in
-  check "spec passes" true (r.Modelcheck.Shrink.verdict = Modelcheck.Conformance.Pass);
+  check "spec passes" true (r.Modelcheck.Shrink.verdict = Workload.Chaos.Pass);
   check "shrinker refuses passing spec" true
     (try
        ignore (Modelcheck.Shrink.shrink t r);
@@ -452,7 +456,7 @@ let sample_bundle () =
         with
         inject = 3;
       };
-    b_verdict = Modelcheck.Conformance.Not_conformant;
+    b_verdict = Workload.Chaos.Not_conformant;
   }
 
 let repro_roundtrip () =
@@ -472,7 +476,13 @@ let repro_roundtrip () =
         (fun k ->
           let doc = Json.to_string (Json.Obj (List.remove_assoc k fields)) in
           check ("rejects missing " ^ k) true (Result.is_error (Modelcheck.Repro.of_string doc)))
-        [ "seed"; "scenario"; "script"; "inject"; "verdict" ]
+        [ "seed"; "scenario"; "inject"; "verdict" ];
+      (* Without a script, the bundle replays the spec's random clients. *)
+      let doc = Json.to_string (Json.Obj (List.remove_assoc "script" fields)) in
+      check "no script reads as random clients" true
+        (match Modelcheck.Repro.of_string doc with
+        | Ok { b_spec = { clients = Random _; _ }; _ } -> true
+        | _ -> false)
     | _ -> Alcotest.fail "bundle is not an object"
 
 let read_golden ?(file = "verify_repro.json") () =
@@ -491,7 +501,8 @@ let repro_golden_byte_stable () =
 
 let replay_reemits_bundle () =
   let report =
-    Modelcheck.Verify.sweep ~cases:1 ~ns:[ 3 ] ~clients:2 ~ops_per_client:6
+    Modelcheck.Verify.sweep ~cases:1 ~ns:[ 3 ]
+      ~traffic:(Scripted { clients = 2; ops_per_client = 6 })
       ~inject:1 ~budget:600 ~seed:7L ()
   in
   match report.Modelcheck.Verify.minimized with
@@ -524,13 +535,19 @@ let sweep_coverage_no_silent_gaps () =
     (List.mem_assoc "1|2" c.Faults.Scenario.partition_shapes);
   check_int "one crash" 1 c.Faults.Scenario.crashes;
   check_int "one restart" 1 c.Faults.Scenario.restarts;
-  check "restart fraction" true (Faults.Scenario.restart_fraction c = 1.0)
+  check "restart fraction" true (Faults.Scenario.restart_fraction c = 1.0);
+  (* The printed block: a header, one line per kind, shapes, fraction. *)
+  let lines = String.split_on_char '\n' (Fmt.str "%a" Faults.Scenario.pp_coverage c) in
+  check_int "one line per kind" (1 + 13 + 2) (List.length lines);
+  check_str "header alone" "coverage over 3 scenario(s):" (List.hd lines)
 
+(* The chaos sweep (the specs' own random clients) reports the fault mix
+   it generated, and no op mix: its clients draw their ops at run time. *)
 let chaos_sweep_reports_coverage () =
-  let s = Workload.Chaos.sweep ~count:2 ~ns:[ 3 ] ~seed:3L () in
-  check_int "coverage spans the sweep" 2
-    s.Workload.Chaos.coverage.Faults.Scenario.scenarios;
-  check_int "sweep ran" 2 s.Workload.Chaos.runs
+  let r = Modelcheck.Verify.sweep ~cases:2 ~ns:[ 3 ] ~traffic:Spec_clients ~seed:3L () in
+  check_int "coverage spans the sweep" 2 r.coverage.Faults.Scenario.scenarios;
+  check_int "sweep ran" 2 r.cases;
+  check "no op mix" true (r.op_stats = None)
 
 (* --- verify sweeps end to end ------------------------------------------------ *)
 
@@ -573,11 +590,10 @@ let replay_found_bug file verdict =
     (b, r.Modelcheck.Shrink.outcome)
 
 (* Seed 42: a put acknowledged before a pause/resume of the old leader,
-   then deletes of its key that answer [not_found]. [mu_demo chaos
-   --replay] judges the same spec and must fail it with the same
-   witness. *)
+   then deletes of its key that answer [not_found]. A plain chaos run of
+   the bundle's spec must fail it with the same witness. *)
 let golden_seed42_not_conformant () =
-  let b, o = replay_found_bug "verify_seed42.json" Modelcheck.Conformance.Not_conformant in
+  let b, o = replay_found_bug "verify_seed42.json" Workload.Chaos.Not_conformant in
   match o.Workload.Chaos.witness with
   | None -> Alcotest.fail "no witness"
   | Some w ->
@@ -593,7 +609,7 @@ let golden_seed42_not_conformant () =
    violation. *)
 let golden_seed3_crash () =
   let _, o =
-    replay_found_bug "verify_seed3.json" Modelcheck.Conformance.Invariant_violation
+    replay_found_bug "verify_seed3.json" Workload.Chaos.Invariant_violation
   in
   match o.Workload.Chaos.crash with
   | None -> Alcotest.fail "no crash recorded"
@@ -609,7 +625,7 @@ let judge_ranks_verdicts () =
     scripted ~seed:3L { Faults.Scenario.name = "none"; events = [] }
       [ [ op 0 1 (Apps.Kv_store.Get { key = "a" }) ] ]
   in
-  let judge o = Modelcheck.Conformance.verdict_to_string (Modelcheck.Conformance.judge o) in
+  let judge o = Workload.Chaos.verdict_to_string (Workload.Chaos.verdict o) in
   check_str "clean" "pass" (judge o);
   let stalled = { o with Workload.Chaos.completed = false } in
   check_str "stall" "stall" (judge stalled);
@@ -635,12 +651,12 @@ let judge_ranks_verdicts () =
 let shrink_keeps_spec_fields () =
   let spec = { sharded_windowed_spec with inject = 3 } in
   let r = Modelcheck.Shrink.run spec in
-  check "start fails" true (r.Modelcheck.Shrink.verdict <> Modelcheck.Conformance.Pass);
+  check "start fails" true (r.Modelcheck.Shrink.verdict <> Workload.Chaos.Pass);
   let shrunk = Modelcheck.Shrink.shrink spec r in
   let m = shrunk.Modelcheck.Shrink.minimized in
   check "shrunk still fails"
     true
-    (shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.verdict <> Modelcheck.Conformance.Pass);
+    (shrunk.Modelcheck.Shrink.final.Modelcheck.Shrink.verdict <> Workload.Chaos.Pass);
   check "fewer ops" true (Modelcheck.Shrink.ops m < Modelcheck.Shrink.ops spec);
   check_int "shards kept" 2 m.shards;
   check "windowed config kept" true (m.config = spec.config);
@@ -658,8 +674,7 @@ let shrink_keeps_spec_fields () =
     check_str "bundle reprints" s (Modelcheck.Repro.to_string b'));
   let r', bytes = Modelcheck.Verify.replay b in
   check "replays to the same verdict" true (r'.Modelcheck.Shrink.verdict = b.b_verdict);
-  check_str "replay re-emits the bundle" s bytes;
-  check "chaos reads the bundle's spec" true (Workload.Chaos.parse_repro s = Ok m)
+  check_str "replay re-emits the bundle" s bytes
 
 (* [verify_repro.json] as written before the five config fields that
    are now constants (the straggler grace, the replayer poll, the
@@ -677,8 +692,60 @@ let old_bundle_replays_to_golden () =
     let r, bytes = Modelcheck.Verify.replay b in
     check "verdict reproduces" true (r.Modelcheck.Shrink.verdict = b.Modelcheck.Repro.b_verdict);
     check_str "recorded verdict" "not-conformant"
-      (Modelcheck.Conformance.verdict_to_string b.Modelcheck.Repro.b_verdict);
+      (Workload.Chaos.verdict_to_string b.Modelcheck.Repro.b_verdict);
     check_str "re-emits the golden" (read_golden ()) bytes
+
+(* Isolation follows from linearizability: a read of a value never put to
+   its key (here put to another key) fits no state of the per-key model. *)
+let foreign_read_has_witness () =
+  let r ~proc ~at cmd reply =
+    {
+      Workload.Chaos.r_proc = proc;
+      r_req = 1;
+      r_invoked = at;
+      r_responded = at + 10;
+      r_cmd = cmd;
+      r_reply = Some reply;
+    }
+  in
+  let history =
+    [
+      r ~proc:1 ~at:0 (Apps.Kv_store.Put { key = "b"; value = "x" }) Apps.Kv_store.Stored;
+      r ~proc:2 ~at:100 (Apps.Kv_store.Get { key = "a" }) (Apps.Kv_store.Value "x");
+    ]
+  in
+  match Workload.Chaos.witness history with
+  | None -> Alcotest.fail "foreign read judged linearizable"
+  | Some w -> check_str "witness key" "a" w.Workload.Chaos.wkey
+
+(* With no client fiber, a run quiesces at once and is judged on its
+   own: no stall. *)
+let run_without_clients_passes () =
+  let sc = Faults.Scenario.crash_leader ~n:3 in
+  List.iter
+    (fun clients ->
+      let o = Workload.Chaos.run { (Workload.Chaos.spec ~seed:4L ~n:3 sc) with clients } in
+      check_str "verdict" "pass" (Workload.Chaos.verdict_to_string (Workload.Chaos.verdict o));
+      check_int "no ops" 0 o.ops)
+    [ Script []; Random { clients = 0; ops = 25; think = 0 } ]
+
+(* The chaos sweep shrinks its first failure like verify does: random
+   clients with the lost-put bug injected fail, and the bundle replays to
+   its recorded verdict, byte for byte. *)
+let random_sweep_shrinks_to_bundle () =
+  let r =
+    Modelcheck.Verify.sweep ~cases:1 ~ns:[ 3 ] ~inject:3 ~traffic:Spec_clients ~seed:42L ()
+  in
+  match r.minimized with
+  | None -> Alcotest.fail "injected bug not caught"
+  | Some (b, _) ->
+    check "random clients kept" true
+      (match b.b_spec.clients with Random _ -> true | Script _ -> false);
+    check "fails" true (b.b_verdict <> Workload.Chaos.Pass);
+    let bytes = Modelcheck.Repro.to_string b in
+    let r', bytes' = Modelcheck.Verify.replay b in
+    check "verdict reproduces" true (r'.verdict = b.b_verdict);
+    check_str "re-emitted bytes" bytes bytes'
 
 let suite =
   [
@@ -716,4 +783,7 @@ let suite =
     ("golden: seed 3 crash", `Quick, golden_seed3_crash);
     ("judge ranks verdicts", `Quick, judge_ranks_verdicts);
     ("old bundle replays to golden", `Quick, old_bundle_replays_to_golden);
+    ("foreign read has a witness", `Quick, foreign_read_has_witness);
+    ("run without clients passes", `Quick, run_without_clients_passes);
+    ("random-client sweep shrinks to a bundle", `Quick, random_sweep_shrinks_to_bundle);
   ]

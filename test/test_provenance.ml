@@ -155,7 +155,7 @@ let exports_parse_as_json () =
 let chaos_forensics () =
   let _, o, t = chaos_run 7L in
   check "run completed" true o.Workload.Chaos.completed;
-  check "linearizable" true o.Workload.Chaos.linearizable;
+  check "linearizable" true (o.Workload.Chaos.witness = None);
   let reports = An.request_reports t in
   check_int "one report per client op" o.Workload.Chaos.ops (List.length reports);
   (* crash-leader must produce at least one disruption window, and the

@@ -80,7 +80,7 @@ let chaos_traced spec =
 
 (* One chaos row: the spec runs twice; both runs must give the same
    outcome text and trace bytes, and pass (completed, linearizable,
-   isolated, invariant-clean) with at least [min_ops] ops and, if
+   invariant-clean) with at least [min_ops] ops and, if
    [rejoin], a completed rejoin. *)
 let chaos_row ?(min_ops = 1) ?(rejoin = false) spec =
   let o1, t1 = chaos_traced spec in
