@@ -142,7 +142,7 @@ let setup ?(provenance = false) ?(own = ignore) () =
     Option.iter (fun smp -> E.attach_sampler smp e) !sampler;
     own e
   in
-  { E.seed = !seed; cal = Sim.Calibration.default; faults = !faults; on_engine = Some observe }
+  { E.seed = !seed; faults = !faults; on_engine = Some observe }
 
 let figures_run : string list ref = ref []
 let checks : (string * bool * string) list ref = ref []
@@ -826,7 +826,9 @@ let profile_section () =
   let total = Profile.Vt.total_ns folded in
   let span = List.fold_left (fun a vt -> a + Profile.Vt.span_ns vt) 0 !vts in
   let idle = List.fold_left (fun a vt -> a + Profile.Vt.idle_ns vt) 0 !vts in
+  let frames = List.length (Profile.Report.of_folded folded) in
   Fmt.pr "%a" (fun ppf -> Profile.Report.pp ~top:8 ppf) folded;
+  Fmt.pr "  span %d ns, idle %d ns, %d stacks, %d frames@." span idle (List.length folded) frames;
   let ok = total = span in
   record_check "profile_exact_attribution" ok
     (Printf.sprintf "folded sum %d ns vs run span %d ns over %d rounds" total span rounds);
@@ -839,7 +841,7 @@ let profile_section () =
       ("span_ns", int span);
       ("idle_ns", int idle);
       ("stacks", int (List.length folded));
-      ("frames", int (List.length (Profile.Report.of_folded folded)));
+      ("frames", int frames);
     ]
 
 (* --- Bechamel microbenchmarks ------------------------------------------- *)

@@ -9,9 +9,6 @@ type t = {
 }
 
 let create engine cal ~n ~mr_size =
-  (* Bootstrap through the QP exchange layer, as a real deployment would:
-     every node listens, advertises its buffer, and dials its peers. *)
-  let exchange = Rdma.Exchange.create engine in
   let hosts =
     Array.init n (fun id -> Sim.Host.create engine cal ~id ~name:(Printf.sprintf "node%d" id))
   in
@@ -19,32 +16,19 @@ let create engine cal ~n ~mr_size =
     Array.map (fun h -> Rdma.Mr.register h ~size:mr_size ~access:Rdma.Verbs.access_rw) hosts
   in
   let cqs = Array.init n (fun _ -> Rdma.Cq.create engine) in
-  Array.iteri
-    (fun i h ->
-      Rdma.Exchange.listen exchange ~host:h ~service:"data"
-        ~make_cq:(fun () -> cqs.(i))
-        ~access:Rdma.Verbs.access_rw ();
-      Rdma.Exchange.advertise exchange ~host:h ~name:"buffer" mrs.(i))
-    hosts;
   let dummy = Rdma.Qp.create hosts.(0) ~cq:cqs.(0) in
   let qps = Array.make_matrix n n dummy in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let qi =
-        Rdma.Exchange.dial exchange ~host:hosts.(i)
-          ~peer:(Sim.Host.name hosts.(j))
-          ~service:"data" ~cq:cqs.(i) ~access:Rdma.Verbs.access_rw ()
-      in
-      let qj =
-        match Rdma.Exchange.accepted exchange ~host:hosts.(j) ~service:"data" with
-        | (_, qp) :: _ -> qp
-        | [] -> assert false
-      in
+      let qi = Rdma.Qp.create hosts.(i) ~cq:cqs.(i) in
+      let qj = Rdma.Qp.create hosts.(j) ~cq:cqs.(j) in
+      Rdma.Qp.connect qi qj;
+      Rdma.Qp.set_access qi Rdma.Verbs.access_rw;
+      Rdma.Qp.set_access qj Rdma.Verbs.access_rw;
       qps.(i).(j) <- qi;
       qps.(j).(i) <- qj
     done
   done;
-  ignore (Rdma.Exchange.lookup exchange ~peer:(Sim.Host.name hosts.(0)) ~name:"buffer");
   { engine; cal; hosts; mrs; qps; cqs; wr_seq = 0 }
 
 let n t = Array.length t.hosts

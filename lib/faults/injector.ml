@@ -25,7 +25,7 @@ let apply e ~hosts ?(restart = fun _ -> ()) action =
 
 (* First-class instant events per injection: a stable event name per
    action kind plus structured target args, so Perfetto can line faults up
-   with spans (and `mu_demo explain` can window fail-overs) instead of
+   with spans (and `--explain` can window fail-overs) instead of
    parsing pretty-printed text. *)
 let action_event = function
   | Scenario.Pause pid -> ("fault_pause", [ ("pid", string_of_int pid) ])

@@ -7,7 +7,7 @@ type request = {
   resp : bytes Sim.Engine.Ivar.ivar;
   (* Provenance root span of this request (0 when provenance is off) and
      its submit time; both are stable across retries, requeues and leader
-     changes — the id is what `mu_demo explain` follows through the
+     changes — the id is what `--explain` follows through the
      fail-over. *)
   prov : int;
   submitted : int;
@@ -669,7 +669,7 @@ let submit_admitted ~retry t payload =
     else begin
       (* Parent is the submitting fiber's current span, if any — the chaos
          harness wraps each client op in a span carrying (proc, key, op),
-         which then labels the request in `mu_demo explain`. *)
+         which then labels the request in `--explain`. *)
       let span =
         Sim.Engine.span_open t.engine
           ~args:[ ("len", string_of_int (Bytes.length payload)) ]

@@ -37,7 +37,7 @@ let run_point setup ~shards ~batch ?doorbell ~clients ~think_ns ~duration () =
     (fun e ->
       let rng = Sim.Rng.split (Sim.Engine.rng e) in
       let population = Population.create ~clients ~think_ns rng in
-      Tier.run e setup.Workload.Experiments.cal (config ~batch ~doorbell) ~shards
+      Tier.run e Sim.Calibration.default (config ~batch ~doorbell) ~shards
         ~population ~duration ())
 
 let point_of ~shards ~batch ~doorbell (r : Tier.report) =

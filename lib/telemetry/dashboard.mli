@@ -14,16 +14,13 @@ val recovery_summary : Registry.t -> string
     degraded-window and shed-request totals; empty string if no
     recovery ran. *)
 
-val score_timeline : Sampler.t -> string
-(** One row per (replica, peer, epoch) [mu_score] series that crossed
-    below the fail threshold (2) and above the recover threshold (6);
-    scores render as one hex digit (0-f) per column, min-in-window
-    downsampled to 64 columns, annotated with the first fail and recover
-    crossing times. *)
-
 val has_fail_recover_crossing : Sampler.t -> bool
 (** True iff some [mu_score] series drops below 2 and later rises above
     6 — the acceptance check for a detected fail-over. *)
 
 val render : ?sampler:Sampler.t -> Registry.t -> string
-(** All sections that have data, or a placeholder line if none do. *)
+(** All sections that have data, or a placeholder line if none do. The
+    score timeline has one row per (replica, peer, epoch) [mu_score]
+    series that crossed below the fail threshold (2) and above the
+    recover threshold (6), one hex digit (0-f) per column, annotated with
+    the first fail and recover crossing times. *)

@@ -252,7 +252,7 @@ let client_fiber e s ~proc ~script ~records ~pending ~on_done =
       Hashtbl.replace pending proc r;
       (* The client_op span labels the detached "request" span that
          [Smr.submit] opens underneath it with (proc, req, key, op), so
-         [mu_demo explain] can name the requests caught in a fail-over.
+         [mu_demo chaos --explain] can name the requests caught in a fail-over.
          A shed reply (degraded leader past its queue bound) is retried
          after a back-off under the same invocation time: the operation is
          still one linearizability event, it just took longer to admit. *)

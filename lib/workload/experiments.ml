@@ -1,12 +1,12 @@
 type setup = {
   seed : int64;
-  cal : Sim.Calibration.t;
   faults : Faults.Scenario.t option;
   on_engine : (Sim.Engine.t -> unit) option;
 }
 
-let default_setup =
-  { seed = 42L; cal = Sim.Calibration.default; faults = None; on_engine = None }
+let default_setup = { seed = 42L; faults = None; on_engine = None }
+
+let cal = Sim.Calibration.default
 
 (* Inject the setup's fault scenario (if any) over a running Mu cluster;
    scenario host ids are replica ids. Experiments that build their own
@@ -73,8 +73,8 @@ type fig2_row = {
 
 let fig2_permission_switch setup ~samples ~sizes =
   run_sim setup (fun e ->
-      let a = Sim.Host.create e setup.cal ~id:0 ~name:"perm-a" in
-      let b = Sim.Host.create e setup.cal ~id:1 ~name:"perm-b" in
+      let a = Sim.Host.create e cal ~id:0 ~name:"perm-a" in
+      let b = Sim.Host.create e cal ~id:1 ~name:"perm-b" in
       let cq_a = Rdma.Cq.create e and cq_b = Rdma.Cq.create e in
       let qa = Rdma.Qp.create a ~cq:cq_a and qb = Rdma.Qp.create b ~cq:cq_b in
       Rdma.Qp.connect qa qb;
@@ -99,7 +99,7 @@ let fig2_permission_switch setup ~samples ~sizes =
                    allocating multi-GiB buffers. *)
                 Sim.Stats.Samples.add rereg
                   (Sim.Distribution.sample_ns
-                     (Sim.Calibration.mr_rereg_time setup.cal ~bytes:log_size)
+                     (Sim.Calibration.mr_rereg_time cal ~bytes:log_size)
                      rng)
               done;
               {
@@ -138,9 +138,9 @@ let try_propose leader payload =
 (* A standalone Smr whose leader has established its followers with one
    "boot" proposal, ready for the Fig. 5 cross-check handlers to
    replicate on. *)
-let boot_standalone e setup cfg =
+let boot_standalone e cfg =
   let smr =
-    Mu.Smr.create e setup.cal cfg ~make_app:(fun _ -> Mu.Smr.stateless_app (fun _ -> Bytes.empty))
+    Mu.Smr.create e cal cfg ~make_app:(fun _ -> Mu.Smr.stateless_app (fun _ -> Bytes.empty))
   in
   Mu.Smr.start ~client_service:false smr;
   let leader = wait_for_leader e smr in
@@ -155,7 +155,7 @@ let mu_latency_with_config setup ~samples ~payload ~attach cfg =
   run_sim setup (fun e ->
       let cfg = { cfg with Mu.Config.attach } in
       let smr =
-        Mu.Smr.create e setup.cal cfg ~make_app:(fun _ ->
+        Mu.Smr.create e cal cfg ~make_app:(fun _ ->
             Mu.Smr.stateless_app (fun _ -> Bytes.empty))
       in
       Mu.Smr.start ~client_service:false smr;
@@ -176,9 +176,9 @@ let mu_latency_with_config setup ~samples ~payload ~attach cfg =
               "request"
               (fun () ->
                 Sim.Engine.span_scope e ~pid:leader.Mu.Replica.id "attach" (fun () ->
-                    Sim.Host.cpu leader.Mu.Replica.host (Mu.Smr.attach_cost setup.cal attach));
+                    Sim.Host.cpu leader.Mu.Replica.host (Mu.Smr.attach_cost cal attach));
                 Sim.Engine.span_scope e ~pid:leader.Mu.Replica.id "stage" (fun () ->
-                    Sim.Host.cpu leader.Mu.Replica.host (Mu.Smr.stage_cost setup.cal payload));
+                    Sim.Host.cpu leader.Mu.Replica.host (Mu.Smr.stage_cost cal payload));
                 try ignore (Mu.Replication.propose leader value)
                 with Mu.Replication.Aborted _ ->
                   Sim.Host.idle leader.Mu.Replica.host 100_000);
@@ -203,7 +203,7 @@ let mu_latency_persistence setup ~samples ~persistent =
 
 let baseline_replication_latency setup ~samples ~system ~payload =
   run_sim setup (fun e ->
-      let c = Baselines.Common.create e setup.cal ~n:3 ~mr_size:65_536 in
+      let c = Baselines.Common.create e cal ~n:3 ~mr_size:65_536 in
       let engine =
         match system with
         | `Dare -> Baselines.Dare.create c
@@ -232,8 +232,8 @@ type e2e_system = Unreplicated | With_mu | With_apus | Dare_kv
 let end_to_end_latency setup ~samples ~app ~system =
   run_sim setup (fun e ->
       let rng = Sim.Rng.split (Sim.Engine.rng e) in
-      let transport = Apps.Transport.create app setup.cal (Sim.Rng.split (Sim.Engine.rng e)) in
-      let compute = Apps.Transport.app_compute app setup.cal in
+      let transport = Apps.Transport.create app cal (Sim.Rng.split (Sim.Engine.rng e)) in
+      let compute = Apps.Transport.app_compute app cal in
       (* Request generator: real commands for the real application. *)
       let flow = Generators.order_flow rng in
       let req_counter = ref 0 in
@@ -260,7 +260,7 @@ let end_to_end_latency setup ~samples ~app ~system =
       let serve =
         match system with
         | Unreplicated ->
-          let host = Sim.Host.create e setup.cal ~id:100 ~name:"server" in
+          let host = Sim.Host.create e cal ~id:100 ~name:"server" in
           let application = make_app () in
           fun payload ->
             on_host host (fun () ->
@@ -273,7 +273,7 @@ let end_to_end_latency setup ~samples ~app ~system =
             | Apps.Transport.Tcp_memcached | Apps.Transport.Tcp_redis -> Mu.Config.Handover
           in
           let cfg = { (standalone_config ()) with Mu.Config.attach } in
-          let smr = Mu.Smr.create e setup.cal cfg ~make_app:(fun _ -> make_app ()) in
+          let smr = Mu.Smr.create e cal cfg ~make_app:(fun _ -> make_app ()) in
           Mu.Smr.start smr;
           Mu.Smr.wait_live smr;
           (* Application compute happens after replication at the leader;
@@ -287,7 +287,7 @@ let end_to_end_latency setup ~samples ~app ~system =
             ignore (Mu.Smr.submit smr payload);
             on_host leader_host (fun () -> Sim.Host.cpu leader_host compute)
         | With_apus | Dare_kv ->
-          let c = Baselines.Common.create e setup.cal ~n:3 ~mr_size:65_536 in
+          let c = Baselines.Common.create e cal ~n:3 ~mr_size:65_536 in
           let engine =
             match system with
             | With_apus -> Baselines.Apus.create c
@@ -320,10 +320,10 @@ let herd_real setup ~samples ~replicated =
   run_sim setup (fun e ->
       let out = Sim.Stats.Samples.create () in
       let run_with handler host =
-        let srv = Apps.Herd.server e setup.cal ~host ~clients:1 ~handler in
+        let srv = Apps.Herd.server e cal ~host ~clients:1 ~handler in
         let cl =
           Apps.Herd.connect srv ~id:0
-            ~host:(Sim.Host.create e setup.cal ~id:99 ~name:"herd-client")
+            ~host:(Sim.Host.create e cal ~id:99 ~name:"herd-client")
         in
         for i = 1 to samples + 50 do
           let t0 = Sim.Engine.now e in
@@ -342,11 +342,11 @@ let herd_real setup ~samples ~replicated =
         | None -> Bytes.empty
       in
       if not replicated then begin
-        let host = Sim.Host.create e setup.cal ~id:98 ~name:"herd-server" in
+        let host = Sim.Host.create e cal ~id:98 ~name:"herd-server" in
         run_with execute host
       end
       else begin
-        let smr, leader = boot_standalone e setup (standalone_config ()) in
+        let smr, leader = boot_standalone e (standalone_config ()) in
         let handler payload =
           try_propose leader payload;
           execute payload
@@ -370,8 +370,8 @@ let liquibook_real setup ~samples ~replicated =
         | None -> Bytes.empty
       in
       let run_with handler host =
-        let srv = Apps.Erpc.server e setup.cal ~host ~handler in
-        let client_host = Sim.Host.create e setup.cal ~id:97 ~name:"liq-client" in
+        let srv = Apps.Erpc.server e cal ~host ~handler in
+        let client_host = Sim.Host.create e cal ~id:97 ~name:"liq-client" in
         let cl = Apps.Erpc.connect srv ~host:client_host in
         let flow = Generators.order_flow (Sim.Rng.split (Sim.Engine.rng e)) in
         let d = Sim.Engine.Ivar.create e in
@@ -386,19 +386,19 @@ let liquibook_real setup ~samples ~replicated =
         Sim.Engine.Ivar.read d
       in
       if not replicated then begin
-        let host = Sim.Host.create e setup.cal ~id:96 ~name:"liq-server" in
-        run_with (execute setup.cal host) host
+        let host = Sim.Host.create e cal ~id:96 ~name:"liq-server" in
+        run_with (execute cal host) host
       end
       else begin
         let smr, leader =
-          boot_standalone e setup { (standalone_config ()) with Mu.Config.attach = Mu.Config.Direct }
+          boot_standalone e { (standalone_config ()) with Mu.Config.attach = Mu.Config.Direct }
         in
         let host = leader.Mu.Replica.host in
         let handler payload =
           (* Capture-replicate-execute (Fig. 1), direct attach mode. *)
-          Sim.Host.cpu host (setup.cal.Sim.Calibration.direct_interference);
+          Sim.Host.cpu host (cal.Sim.Calibration.direct_interference);
           try_propose leader payload;
-          execute setup.cal host payload
+          execute cal host payload
         in
         run_with handler host;
         Mu.Smr.stop smr
@@ -419,7 +419,7 @@ let failover setup ~rounds =
   run_sim setup (fun e ->
       let cfg = standalone_config () in
       let smr =
-        Mu.Smr.create e setup.cal cfg ~make_app:(fun _ ->
+        Mu.Smr.create e cal cfg ~make_app:(fun _ ->
             Mu.Smr.stateless_app (fun _ -> Bytes.empty))
       in
       Mu.Smr.start smr;
@@ -505,7 +505,7 @@ let failover setup ~rounds =
 
 let dare_failover setup ~rounds =
   run_sim setup (fun e ->
-      let c = Baselines.Common.create e setup.cal ~n:3 ~mr_size:65_536 in
+      let c = Baselines.Common.create e cal ~n:3 ~mr_size:65_536 in
       let d = Baselines.Dare_election.create c in
       Baselines.Dare_election.measure_failover d ~rounds)
 
@@ -588,7 +588,7 @@ let throughput_point setup ~requests ~batch ~outstanding =
         }
       in
       let smr =
-        Mu.Smr.create e setup.cal cfg ~make_app:(fun _ ->
+        Mu.Smr.create e cal cfg ~make_app:(fun _ ->
             Mu.Smr.stateless_app (fun _ -> Bytes.empty))
       in
       Mu.Smr.start smr;
@@ -644,7 +644,7 @@ let sharded_throughput setup ~requests ~shards =
         }
       in
       let s =
-        Mu.Sharded.create e setup.cal cfg ~shards ~make_app:(fun ~shard:_ ~replica:_ ->
+        Mu.Sharded.create e cal cfg ~shards ~make_app:(fun ~shard:_ ~replica:_ ->
             Mu.Smr.stateless_app (fun _ -> Bytes.empty))
       in
       Mu.Sharded.start s;
@@ -703,7 +703,7 @@ let ablation_permissions setup ~samples =
      doubling the round trips (§4.1, [23]). *)
   let disk_paxos =
     run_sim setup (fun e ->
-        let c = Baselines.Common.create e setup.cal ~n:3 ~mr_size:65_536 in
+        let c = Baselines.Common.create e cal ~n:3 ~mr_size:65_536 in
         let rng = Sim.Rng.split (Sim.Engine.rng e) in
         let out = Sim.Stats.Samples.create () in
         let followers = [ 1; 2 ] in
@@ -758,7 +758,7 @@ let spiky_cal cal =
   }
 
 let ablation_failure_detector setup =
-  let cal = spiky_cal setup.cal in
+  let cal = spiky_cal cal in
   let quiet_ns = 5_000_000_000 in
   let observation_s = 5.0 in
   (* --- pull-score (Mu, §5.1) --- *)

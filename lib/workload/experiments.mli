@@ -6,7 +6,6 @@
 
 type setup = {
   seed : int64;
-  cal : Sim.Calibration.t;
   faults : Faults.Scenario.t option;
       (** When set, the scenario is injected over the Mu cluster of every
           cluster experiment (replication latency, fail-over); scenario

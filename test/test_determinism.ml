@@ -1,11 +1,11 @@
 (* Determinism rows: each row runs a workload twice, in process, and
    requires the two runs' exports to be byte-identical. The first rows
    are the virtual-time profiler's (DESIGN.md §18): folded and
-   speedscope exports of `mu_demo profile --mode failover` and
-   `--mode chaos`, and the self-cost sampler attached beside the
+   speedscope exports of `mu_demo failover --profile` and `mu_demo
+   chaos --profile`, and the self-cost sampler attached beside the
    profiler leaving the folded export as the bare run's. Then the bench
-   figures' metrics, `mu_demo explain`'s span trees (DESIGN.md §13) and
-   a traced DARE baseline, with the check that provenance off leaves no
+   figures' metrics, the `--explain` view's span trees (DESIGN.md §13)
+   and a traced DARE baseline, with the check that provenance off leaves no
    trace of it. *)
 
 module E = Workload.Experiments
@@ -18,11 +18,11 @@ let setup ?trace ?metrics ?on_engine ~provenance seed =
     Option.iter (fun smp -> E.attach_sampler smp e) metrics;
     Option.iter (fun f -> f e) on_engine
   in
-  { E.seed; cal = Util.default_cal; faults = None; on_engine = Some observe }
+  { E.seed; faults = None; on_engine = Some observe }
 
 (* One run with a profiler (and, given [selfcost], the engine's
    wall-clock self-cost sampler) on every engine it creates, provenance
-   on, as `mu_demo profile` sets them up. [f on_engine] is the run. *)
+   on, as the `--profile` view sets them up. [f on_engine] is the run. *)
 let profiled ?(selfcost = false) f =
   let vts = ref [] in
   let on_engine e =
@@ -103,7 +103,7 @@ let fig6 setup sampler =
       ("switch", samples_json r.E.switch);
     ]
 
-(* `mu_demo explain --seed 42 --samples 500`: the latency run traced with
+(* `mu_demo latency --seed 42 --samples 500 --explain`: the run traced with
    provenance on, its span tree exported. *)
 let explain_latency () =
   let samples = 500 in
@@ -114,9 +114,9 @@ let explain_latency () =
       : Sim.Stats.Samples.t);
   [ ("span tree", Provenance.Export.json_string (Provenance.Tree.of_events (Trace.Tracer.events tr))) ]
 
-(* `mu_demo explain --chaos crash-leader --seed 7`: 4 clients x 60 ops
-   100 us apart across the fault, provenance on; the outcome line and the
-   span tree. *)
+(* `mu_demo chaos --scenario crash-leader --seed 7 --ops 60 --think 100000
+   --explain`: 4 clients x 60 ops 100 us apart across the fault,
+   provenance on; the outcome line and the span tree. *)
 let explain_chaos () =
   let spec =
     {

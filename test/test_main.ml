@@ -3,7 +3,6 @@ let () =
     [
       ("sim", Test_sim.suite);
       ("rdma", Test_rdma.suite);
-      ("rdma-layers", Test_rdma_layers.suite);
       ("log", Test_log.suite);
       ("election", Test_election.suite);
       ("permissions", Test_permissions.suite);

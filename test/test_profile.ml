@@ -19,7 +19,6 @@ let profiled_failover ?(rounds = 2) seed =
   let setup =
     {
       E.seed;
-      cal = Util.default_cal;
       faults = None;
       on_engine =
         Some
@@ -58,7 +57,6 @@ let traced_failover ~profile seed =
   let setup =
     {
       E.seed;
-      cal = Util.default_cal;
       faults = None;
       on_engine =
         Some

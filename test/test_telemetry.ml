@@ -270,7 +270,7 @@ module E = Workload.Experiments
 
 let metrics_setup seed interval =
   let s = T.Sampler.create (T.Registry.create ()) ~interval in
-  ({ E.seed; cal = Util.default_cal; faults = None; on_engine = Some (E.attach_sampler s) }, s)
+  ({ E.seed; faults = None; on_engine = Some (E.attach_sampler s) }, s)
 
 let e2e_replication_instrumented () =
   let setup, smp = metrics_setup 42L 50_000 in

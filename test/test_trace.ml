@@ -167,7 +167,7 @@ module E = Workload.Experiments
 
 let run_traced_failover seed =
   let tr = Trace.Tracer.create () in
-  let setup = { E.seed; cal = Util.default_cal; faults = None; on_engine = Some (Trace.Tracer.attach tr) } in
+  let setup = { E.seed; faults = None; on_engine = Some (Trace.Tracer.attach tr) } in
   let (_ : E.failover_stats) = E.failover setup ~rounds:2 in
   tr
 
@@ -186,7 +186,7 @@ let failover_trace_deterministic () =
    attach mode at 5000 samples, into one trace. *)
 let run_traced_fig3 seed =
   let tr = Trace.Tracer.create () in
-  let setup = { E.seed; cal = Util.default_cal; faults = None; on_engine = Some (Trace.Tracer.attach tr) } in
+  let setup = { E.seed; faults = None; on_engine = Some (Trace.Tracer.attach tr) } in
   List.iter
     (fun (payload, attach) ->
       ignore (E.mu_replication_latency setup ~samples:5_000 ~payload ~attach))
