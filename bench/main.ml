@@ -80,6 +80,8 @@ let () =
       trace_file := Some file;
       parse rest
     | "--metrics" :: file :: rest ->
+      if not (Filename.check_suffix file ".json") then
+        failwith (Printf.sprintf "--metrics %s: expected a FILE ending in .json" file);
       metrics_file := Some file;
       parse rest
     | "--metrics-interval" :: n :: rest ->

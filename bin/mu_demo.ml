@@ -50,6 +50,15 @@ let int_from lo =
 let pos_int = int_from 1
 let nat_int = int_from 0
 
+(* The telemetry export is JSON only; a path naming another format is an
+   argument error too, rather than JSON under a misleading name. *)
+let json_file =
+  let parse s =
+    if Filename.check_suffix s ".json" then Ok s
+    else Error (`Msg (Printf.sprintf "expected a FILE ending in .json, got %S" s))
+  in
+  Arg.conv (parse, Fmt.string)
+
 (* --- fault scenarios ------------------------------------------------------ *)
 
 let scenario_names = String.concat ", " Faults.Scenario.named
@@ -105,6 +114,16 @@ let pp_result name s = Fmt.pr "%-28s %a@." name Sim.Stats.Samples.pp_us s
 let setup ?faults seed on_engine =
   { Workload.Experiments.seed = Int64.of_int seed; faults; on_engine = Some on_engine }
 
+(* A faulted run that cannot finish (its measuring fiber parked on a
+   killed or isolated host) is an outcome, not an internal error: one
+   line naming the run and the scenario, exit 1. *)
+let unless_unfinished run f =
+  try f ()
+  with Workload.Experiments.Unfinished { scenario; at } ->
+    Fmt.epr "%s: did not finish under faults %s (gave up at %.0f us virtual)@." run scenario
+      (Sim.Stats.ns_to_us at);
+    exit 1
+
 (* --- views ---------------------------------------------------------------- *)
 
 (* What a run writes besides its own report. Each view is off unless its
@@ -119,7 +138,9 @@ type views = {
 }
 
 let views_arg =
-  let file name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc) in
+  let file ?(path = Arg.string) name doc =
+    Arg.(value & opt (some path) None & info [ name ] ~docv:"FILE" ~doc)
+  in
   Term.(
     const (fun trace metrics interval profile explain alerts ->
         { trace; metrics; interval; profile; explain; alerts })
@@ -127,9 +148,9 @@ let views_arg =
         "Record a Chrome trace-event JSON of the run to $(docv) (open in \
          ui.perfetto.dev); with --explain it carries the provenance overlay \
          (nestable-async spans and causal flow arrows)."
-    $ file "metrics"
-        "Export telemetry to $(docv) (.json with time-series, .csv, or .prom/.txt \
-         Prometheus text) and print the dashboard."
+    $ file ~path:json_file "metrics"
+        "Export telemetry (metrics and time-series) to $(docv), which must end \
+         in .json, and print the dashboard."
     $ Arg.(
         value & opt pos_int 50_000
         & info [ "metrics-interval" ] ~docv:"NS"
@@ -222,9 +243,11 @@ let observe ~explain_capacity v =
 (* Causal post-mortem of a traced run with provenance on: span-tree
    health, leader epochs, the top 5 tail outliers and the phase shares
    over request spans, the disruption windows and the fate of every
-   request open across one. Times are virtual ns printed as fixed-point
-   µs, so equal arguments give byte-identical output. [include_open]
-   keeps a window the run never closed (a stalled chaos run). *)
+   request open across one (a run with no request spans says so and
+   prints only the health, epochs and windows). Times are virtual ns
+   printed as fixed-point µs, so equal arguments give byte-identical
+   output. [include_open] keeps a window the run never closed (a stalled
+   chaos run). *)
 let print_explain ~include_open tr =
   let module T = Provenance.Tree in
   let module A = Provenance.Analyze in
@@ -246,52 +269,58 @@ let print_explain ~include_open tr =
         Fmt.pr "  t=%sus  replica %d takes over (gen %d)@." (us ep.ets) ep.epid ep.gen)
       es);
   let reqs = A.requests tree in
-  let outliers = A.top_outliers tree ~k:5 in
-  Fmt.pr "@.top %d tail outliers (of %d requests):@." (List.length outliers) (List.length reqs);
-  List.iteri
-    (fun i (s : T.span) ->
-      Fmt.pr "#%d  request span %d  pid %d  t=%sus  end-to-end %sus@." (i + 1) s.id s.pid
-        (us s.start)
-        (us (T.duration s));
-      let rows = A.phases tree s in
-      Fmt.pr "    phase attribution (sums to %sus):@." (us (A.phase_sum rows));
-      List.iter
-        (fun (r : A.phase_row) -> Fmt.pr "      %-18s %12sus  (%dx)@." r.phase (us r.total) r.count)
-        rows;
-      match A.peer_ios tree s with
-      | [] -> ()
-      | ios ->
-        Fmt.pr "    per-peer RDMA:@.";
+  (* A run that drives no client requests (the fail-over run) has no
+     request spans to rank, share out or follow across a window. *)
+  if reqs = [] then Fmt.pr "@.no request spans: the run drove no client requests@."
+  else begin
+    let outliers = A.top_outliers tree ~k:5 in
+    Fmt.pr "@.top %d tail outliers (of %d requests):@." (List.length outliers) (List.length reqs);
+    List.iteri
+      (fun i (s : T.span) ->
+        Fmt.pr "#%d  request span %d  pid %d  t=%sus  end-to-end %sus@." (i + 1) s.id s.pid
+          (us s.start)
+          (us (T.duration s));
+        let rows = A.phases tree s in
+        Fmt.pr "    phase attribution (sums to %sus):@." (us (A.phase_sum rows));
         List.iter
-          (fun (io : A.peer_io) ->
-            if io.acked < 0 then
-              Fmt.pr "      peer %d %-12s issued t=%sus  never acked@." io.peer io.op
-                (us io.issued)
-            else
-              Fmt.pr "      peer %d %-12s issued t=%sus  acked +%sus  (%s)@." io.peer io.op
-                (us io.issued)
-                (us (io.acked - io.issued))
-                io.status)
-          ios)
-    outliers;
-  (* Phase totals in first-seen order. *)
-  let shares =
-    List.fold_left
-      (fun acc s ->
-        List.fold_left
-          (fun acc (r : A.phase_row) ->
-            if List.mem_assoc r.phase acc then
-              List.map (fun (p, t) -> (p, if p = r.phase then t + r.total else t)) acc
-            else acc @ [ (r.phase, r.total) ])
-          acc (A.phases tree s))
-      [] reqs
-  in
-  let total = List.fold_left (fun t (_, p) -> t + p) 0 shares in
-  Fmt.pr "@.aggregate phase shares over %d requests:@." (List.length reqs);
-  List.iter
-    (fun (p, t) ->
-      Fmt.pr "  %-18s %14sus  %3d%%@." p (us t) (if total = 0 then 0 else t * 100 / total))
-    shares;
+          (fun (r : A.phase_row) ->
+            Fmt.pr "      %-18s %12sus  (%dx)@." r.phase (us r.total) r.count)
+          rows;
+        match A.peer_ios tree s with
+        | [] -> ()
+        | ios ->
+          Fmt.pr "    per-peer RDMA:@.";
+          List.iter
+            (fun (io : A.peer_io) ->
+              if io.acked < 0 then
+                Fmt.pr "      peer %d %-12s issued t=%sus  never acked@." io.peer io.op
+                  (us io.issued)
+              else
+                Fmt.pr "      peer %d %-12s issued t=%sus  acked +%sus  (%s)@." io.peer io.op
+                  (us io.issued)
+                  (us (io.acked - io.issued))
+                  io.status)
+            ios)
+      outliers;
+    (* Phase totals in first-seen order. *)
+    let shares =
+      List.fold_left
+        (fun acc s ->
+          List.fold_left
+            (fun acc (r : A.phase_row) ->
+              if List.mem_assoc r.phase acc then
+                List.map (fun (p, t) -> (p, if p = r.phase then t + r.total else t)) acc
+              else acc @ [ (r.phase, r.total) ])
+            acc (A.phases tree s))
+        [] reqs
+    in
+    let total = List.fold_left (fun t (_, p) -> t + p) 0 shares in
+    Fmt.pr "@.aggregate phase shares over %d requests:@." (List.length reqs);
+    List.iter
+      (fun (p, t) ->
+        Fmt.pr "  %-18s %14sus  %3d%%@." p (us t) (if total = 0 then 0 else t * 100 / total))
+      shares
+  end;
   let horizon = List.fold_left (fun m (ev : Sim.Probe.event) -> max m ev.ts) 0 events in
   let windows = A.windows tree ~horizon ~include_open in
   (match windows with
@@ -304,35 +333,37 @@ let print_explain ~include_open tr =
           (us w.wfinish)
           (us (w.wfinish - w.wstart)))
       ws);
-  let reports = A.request_reports tree in
-  (* The chaos harness parents each request under a client_op span
-     carrying (proc, req, key, op). *)
-  let label (r : A.req_report) =
-    match Option.bind (T.span tree r.rid) (fun s -> T.span tree s.T.parent) with
-    | Some p when p.T.name = "client_op" ->
-      let a k = Option.value (T.arg p.T.args k) ~default:"?" in
-      Printf.sprintf "proc=%s req=%-3s %s(%s)" (a "proc") (a "req") (a "op") (a "key")
-    | _ -> "(unlabelled)"
-  in
-  let caught = List.filter (A.open_across ~horizon windows) reports in
-  Fmt.pr "requests open across a disruption window: %d of %d@." (List.length caught)
-    (List.length reports);
-  List.iter
-    (fun (r : A.req_report) ->
-      Fmt.pr
-        "  %-24s span %-5d submitted t=%sus  %s  pickups=%d requeues=%d retries=%d  \
-         slots=[%s]  -> %s@."
-        (label r) r.rid (us r.submitted)
-        (match r.replied with
-        | Some t -> Printf.sprintf "replied t=%sus" (us t)
-        | None -> "never replied")
-        r.pickups r.requeues r.retries
-        (String.concat "," (List.map string_of_int r.slots))
-        (A.outcome_name r.verdict))
-    caught;
-  let count v = List.length (List.filter (fun r -> r.A.verdict = v) reports) in
-  Fmt.pr "totals over %d requests: ok=%d retried=%d duplicated=%d lost=%d@."
-    (List.length reports) (count A.Ok) (count A.Retried) (count A.Duplicated) (count A.Lost);
+  if reqs <> [] then begin
+    let reports = A.request_reports tree in
+    (* The chaos harness parents each request under a client_op span
+       carrying (proc, req, key, op). *)
+    let label (r : A.req_report) =
+      match Option.bind (T.span tree r.rid) (fun s -> T.span tree s.T.parent) with
+      | Some p when p.T.name = "client_op" ->
+        let a k = Option.value (T.arg p.T.args k) ~default:"?" in
+        Printf.sprintf "proc=%s req=%-3s %s(%s)" (a "proc") (a "req") (a "op") (a "key")
+      | _ -> "(unlabelled)"
+    in
+    let caught = List.filter (A.open_across ~horizon windows) reports in
+    Fmt.pr "requests open across a disruption window: %d of %d@." (List.length caught)
+      (List.length reports);
+    List.iter
+      (fun (r : A.req_report) ->
+        Fmt.pr
+          "  %-24s span %-5d submitted t=%sus  %s  pickups=%d requeues=%d retries=%d  \
+           slots=[%s]  -> %s@."
+          (label r) r.rid (us r.submitted)
+          (match r.replied with
+          | Some t -> Printf.sprintf "replied t=%sus" (us t)
+          | None -> "never replied")
+          r.pickups r.requeues r.retries
+          (String.concat "," (List.map string_of_int r.slots))
+          (A.outcome_name r.verdict))
+      caught;
+    let count v = List.length (List.filter (fun r -> r.A.verdict = v) reports) in
+    Fmt.pr "totals over %d requests: ok=%d retried=%d duplicated=%d lost=%d@."
+      (List.length reports) (count A.Ok) (count A.Retried) (count A.Duplicated) (count A.Lost)
+  end;
   tree
 
 (* After the run: print each view's report and write its file. [label]
@@ -414,8 +445,9 @@ let latency_cmd =
     let o, on_engine = observe ~explain_capacity:((samples + 200) * 256) v in
     let faults = Option.map (scenario_or_die ~n:Mu.Config.default.Mu.Config.n) faults in
     let s =
-      Workload.Experiments.mu_replication_latency (setup ?faults seed on_engine) ~samples
-        ~payload ~attach
+      unless_unfinished "latency" (fun () ->
+          Workload.Experiments.mu_replication_latency (setup ?faults seed on_engine) ~samples
+            ~payload ~attach)
     in
     pp_result (Printf.sprintf "Mu %dB" payload) s;
     report_views ~label:(Printf.sprintf "latency %dx%dB" samples payload) ~seed v o
@@ -457,7 +489,10 @@ let failover_cmd =
   let run () seed rounds faults v =
     let o, on_engine = observe ~explain_capacity:(1 lsl 21) v in
     let faults = Option.map (scenario_or_die ~n:Mu.Config.default.Mu.Config.n) faults in
-    let r = Workload.Experiments.failover (setup ?faults seed on_engine) ~rounds in
+    let r =
+      unless_unfinished "failover" (fun () ->
+          Workload.Experiments.failover (setup ?faults seed on_engine) ~rounds)
+    in
     pp_result "total fail-over" r.Workload.Experiments.total;
     pp_result "  detection" r.Workload.Experiments.detection;
     pp_result "  permission switch" r.Workload.Experiments.switch;

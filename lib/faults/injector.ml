@@ -5,7 +5,7 @@
 
 let with_host hosts pid f = match hosts pid with Some h -> f h | None -> ()
 
-let apply e ~hosts ?(restart = fun _ -> ()) action =
+let apply e ~hosts ~restart action =
   let fabric = Sim.Engine.fabric e in
   match action with
   | Scenario.Pause pid -> with_host hosts pid Sim.Host.pause
@@ -55,7 +55,7 @@ let action_event = function
     ( "fault_perm_fail",
       [ ("pid", string_of_int pid); ("forced", if forced then "1" else "0") ] )
 
-let install e ~hosts ?restart (s : Scenario.t) =
+let install e ~hosts ~restart (s : Scenario.t) =
   List.iter
     (fun { Scenario.at; action } ->
       Sim.Engine.schedule e ~at (fun () ->
@@ -72,5 +72,5 @@ let install e ~hosts ?restart (s : Scenario.t) =
                   ])
               name
           end;
-          apply e ~hosts ?restart action))
+          apply e ~hosts ~restart action))
     s.Scenario.events

@@ -9,7 +9,7 @@
 val install :
   Sim.Engine.t ->
   hosts:(int -> Sim.Host.t option) ->
-  ?restart:(int -> unit) ->
+  restart:(int -> unit) ->
   Scenario.t ->
   unit
 (** [install e ~hosts s] schedules every event of [s]. [hosts] maps a
@@ -18,4 +18,5 @@ val install :
     lookup). [restart] handles {!Scenario.Restart} events — rebooting the
     named host is a protocol-level operation (fresh process, durable
     restore, rejoin) the harness owns, so the injector only dispatches the
-    id; if absent, restarts are skipped. *)
+    id. It is required: a harness that dropped restarts would run a
+    different scenario than the one it names. *)

@@ -163,20 +163,9 @@ type t = {
   mutable prov : bool;
   mutable next_span : int;
   span_stacks : (int, int list ref) Hashtbl.t; (* fiber id -> open span stack *)
-  (* Telemetry: absent by default. [tel_on] is the flat-bool guard the
-     hot loop checks before touching any handle, so a metrics-off run
-     costs one load per event and allocates nothing. Handles are
-     resolved once in [set_metrics]. *)
-  mutable tel_on : bool;
+  (* Telemetry: a registry handle for components to resolve their
+     instruments from (see [metrics]); the engine itself records nothing. *)
   mutable reg : Telemetry.Registry.t option;
-  mutable tel_events : Telemetry.Registry.counter option;
-  mutable tel_depth : Telemetry.Registry.gauge option;
-  mutable tel_fibers : Telemetry.Registry.counter option;
-  (* Wheel-shape gauges (satellite of the profiler work): one gauge per
-     wheel level plus overflow/past heap sizes. Packed in one array so
-     the run loop updates them with plain field writes; empty when
-     metrics are off. *)
-  mutable tel_wheel : Telemetry.Registry.gauge array;
   (* Profiler: absent by default; every hook site below is one option
      check (no allocation) until [set_profiler] attaches one. *)
   mutable prof : profiler option;
@@ -221,12 +210,7 @@ let create ?(seed = 1L) () =
       prov = false;
       next_span = 0;
       span_stacks = Hashtbl.create 64;
-      tel_on = false;
       reg = None;
-      tel_events = None;
-      tel_depth = None;
-      tel_fibers = None;
-      tel_wheel = [||];
       prof = None;
       selfcost = None;
     }
@@ -242,29 +226,7 @@ let pending_events t = Wheel.length t.events + t.lane_pending
 
 (* Telemetry ------------------------------------------------------------ *)
 
-let set_metrics t reg =
-  check_attach t "Engine.set_metrics";
-  t.tel_on <- true;
-  t.reg <- Some reg;
-  t.tel_events <-
-    Some (Telemetry.Registry.counter reg ~help:"Events executed by the engine" "sim_events_total");
-  t.tel_depth <-
-    Some (Telemetry.Registry.gauge reg ~help:"Pending events in the queue" "sim_event_queue_depth");
-  t.tel_fibers <-
-    Some (Telemetry.Registry.counter reg ~help:"Fibers spawned" "sim_fibers_spawned_total");
-  t.tel_wheel <-
-    Array.init 6 (fun i ->
-        if i < 4 then
-          Telemetry.Registry.gauge reg ~help:"Events stored at this wheel level"
-            ~labels:[ ("level", string_of_int i) ]
-            "sim_wheel_level_events"
-        else if i = 4 then
-          Telemetry.Registry.gauge reg ~help:"Events beyond the wheel horizon"
-            "sim_wheel_overflow_events"
-        else
-          Telemetry.Registry.gauge reg ~help:"Events behind the wheel clock"
-            "sim_wheel_past_events")
-
+let set_metrics t reg = t.reg <- Some reg
 let metrics t = t.reg
 
 (* Profiler ------------------------------------------------------------- *)
@@ -463,15 +425,13 @@ let schedule t ~at thunk =
 let schedule_after t delay thunk = schedule t ~at:(t.now + delay) thunk
 let halt t = t.halted <- true
 
-(* Anything that watches the event stream — a probe sink, profiler,
-   self-cost sampler or metrics registry — must see every event as a
-   scheduled thunk, so an observed engine takes the slow paths of both
+(* Anything that watches the event stream — a probe sink, profiler or
+   self-cost sampler — must see every event as a scheduled thunk, so an observed engine takes the slow paths of both
    [arm] and [sleep]. *)
 let unobserved t =
   (match Probe.sink t.probe with None -> true | Some _ -> false)
   && (match t.prof with None -> true | Some _ -> false)
   && (match t.selfcost with None -> true | Some _ -> false)
-  && not t.tel_on
 
 (* Lanes ------------------------------------------------------------------- *)
 
@@ -548,8 +508,6 @@ let suspend register = Effect.perform (Suspend register)
 
 let spawn t ?(name = "fiber") ?(pid = -1) f =
   t.next_fiber <- t.next_fiber + 1;
-  if t.tel_on then
-    (match t.tel_fibers with Some c -> Telemetry.Registry.Counter.inc c | None -> ());
   let fid = t.next_fiber in
   (match t.prof with Some p -> p.prof_fiber ~tid:fid ~pid ~name | None -> ());
   if traced t then begin
@@ -693,23 +651,6 @@ let run ?until t =
           | _ -> Wheel.pop_exn t.events
         in
         t.now <- at;
-        if t.tel_on then begin
-          (match t.tel_events with
-          | Some c -> Telemetry.Registry.Counter.inc c
-          | None -> ());
-          (match t.tel_depth with
-          | Some g -> Telemetry.Registry.Gauge.set g (Wheel.length t.events)
-          | None -> ());
-          let ws = t.tel_wheel in
-          if Array.length ws = 6 then begin
-            Telemetry.Registry.Gauge.set ws.(0) (Wheel.level_events t.events 0);
-            Telemetry.Registry.Gauge.set ws.(1) (Wheel.level_events t.events 1);
-            Telemetry.Registry.Gauge.set ws.(2) (Wheel.level_events t.events 2);
-            Telemetry.Registry.Gauge.set ws.(3) (Wheel.level_events t.events 3);
-            Telemetry.Registry.Gauge.set ws.(4) (Wheel.overflow_size t.events);
-            Telemetry.Registry.Gauge.set ws.(5) (Wheel.past_size t.events)
-          end
-        end;
         (match t.prof with Some p -> p.prof_event ~now:at | None -> ());
         thunk ();
         loop ()

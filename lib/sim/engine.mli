@@ -71,8 +71,7 @@ val pending_events : t -> int
     events in the same order as one without.
 
     A lane timer fires no thunk an observer could wrap, so an observed
-    engine (probe sink, profiler, self-cost sampler or metrics registry
-    attached) queues {!arm}ed timers as ordinary events, and attaching
+    engine (probe sink, profiler or self-cost sampler attached) queues {!arm}ed timers as ordinary events, and attaching
     an observer while a lane holds entries raises [Invalid_argument]:
     attach observers before the first event. *)
 
@@ -154,15 +153,17 @@ val selfcost_queue : selfcost -> int * int * float
 
 (** {1 Telemetry}
 
-    Like tracing, telemetry is opt-in: with no registry attached every
-    instrumented site in the engine (and in components that consult
-    {!metrics} at creation time) costs a single option check. *)
+    The engine carries a metrics registry as a handle and records
+    nothing into it itself: components created after {!set_metrics}
+    resolve their own instruments via {!metrics}, and with no registry
+    attached each of their instrumented sites costs a single option
+    check. A registry does not watch the event stream, so an engine
+    with one attached executes exactly the events of a bare engine. *)
 
 val set_metrics : t -> Telemetry.Registry.t -> unit
-(** Attach a metrics registry. The engine registers [sim_events_total],
-    [sim_event_queue_depth] and [sim_fibers_spawned_total]; components
-    created afterwards resolve their own instruments via {!metrics}.
-    Raises [Invalid_argument] while a timer lane holds entries. *)
+(** Store a metrics registry for {!metrics}. May be called at any time,
+    lane timers pending or not; only components created afterwards see
+    it. *)
 
 val metrics : t -> Telemetry.Registry.t option
 
@@ -273,10 +274,10 @@ val suspend : (('a -> unit) -> unit) -> 'a
 val sleep : t -> int -> unit
 (** Suspend for the given number of virtual nanoseconds. When no event
     is due before the wake instant, the run reaches it and nothing
-    observes the event stream (no probe sink, profiler, self-cost
-    sampler or metrics registry), the fiber continues in place with the
-    clock moved forward instead: the same execution, without the two
-    events a suspension costs. *)
+    observes the event stream (no probe sink, profiler or self-cost
+    sampler), the fiber continues in place with the clock moved forward
+    instead: the same execution, without the two events a suspension
+    costs. *)
 
 val fast_forwards : t -> int
 (** Sleeps that continued in place (see {!sleep}) over the engine's

@@ -300,10 +300,6 @@ let pop t = if is_empty t then None else Some (pop_exn t)
 
 (* --- occupancy ---------------------------------------------------------- *)
 
-let level_events t l = t.lvl.(l)
-let past_size t = Heap.length t.past
-let overflow_size t = Heap.length t.overflow
-
 type stats = {
   level_events : int array;
   level_slots : int array;

@@ -51,22 +51,10 @@ val pop : 'a t -> 'a option
 
 (** {1 Occupancy}
 
-    Queue-shape introspection for the profiler and the monitor rules:
-    how deep each wheel level sits and how much spills into the
-    overflow/past heaps. Event counts per level are maintained
-    incrementally, so the accessors below are allocation-free and safe
-    to read per event (the engine exports them as telemetry gauges);
-    {!stats} additionally derives occupied-slot counts from the
-    occupancy bitmap and allocates its result. *)
-
-val level_events : 'a t -> int -> int
-(** Events currently stored at wheel level [l] (0..3). Allocation-free. *)
-
-val past_size : 'a t -> int
-(** Events in the behind-the-clock heap. Allocation-free. *)
-
-val overflow_size : 'a t -> int
-(** Events beyond the 2^32-tick horizon. Allocation-free. *)
+    Queue-shape introspection: how deep each wheel level sits and how
+    much spills into the overflow/past heaps. Event counts per level are
+    maintained incrementally; {!stats} copies them and derives
+    occupied-slot counts from the occupancy bitmap. *)
 
 type stats = {
   level_events : int array;  (** Events per level, index = level. *)

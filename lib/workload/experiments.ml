@@ -16,12 +16,14 @@ let install_faults setup e smr =
   match setup.faults with
   | None -> ()
   | Some scenario ->
-    let replicas = Mu.Smr.replicas smr in
+    (* Hosts re-resolve on every event: a restart replaces the replica
+       (and its host) under the same id. *)
     Faults.Injector.install e
       ~hosts:(fun pid ->
-        if pid >= 0 && pid < Array.length replicas then
-          Some replicas.(pid).Mu.Replica.host
+        if pid >= 0 && pid < Array.length (Mu.Smr.replicas smr) then
+          Some (Mu.Smr.replica smr pid).Mu.Replica.host
         else None)
+      ~restart:(fun pid -> Mu.Smr.restart_replica smr ~id:pid)
       scenario
 
 (* Each engine is fresh (virtual time restarts at 0), so a shared sampler
@@ -39,6 +41,8 @@ let attach_sampler sampler e =
       in
       loop ())
 
+exception Unfinished of { scenario : string; at : int }
+
 (* Run one simulation to completion of the experiment body. *)
 let run_sim setup ?until f =
   let e = Sim.Engine.create ~seed:setup.seed () in
@@ -48,9 +52,22 @@ let run_sim setup ?until f =
       result := Some (f e);
       Sim.Engine.halt e);
   Sim.Engine.run ?until e;
-  match !result with
-  | Some r -> r
-  | None -> failwith "experiment did not complete (deadlock or until-limit)"
+  match !result, setup.faults with
+  | Some r, _ -> r
+  | None, Some sc -> raise (Unfinished { scenario = sc.Faults.Scenario.name; at = Sim.Engine.now e })
+  | None, None -> failwith "experiment did not complete (deadlock or until-limit)"
+
+(* A faulted run can stall for good: a measuring fiber parked on a
+   killed or isolated host never finishes, while the survivors'
+   heartbeats keep the queue busy forever. Such a run gets [budget]
+   virtual ns past the scenario's last event; an unfaulted run is
+   unbounded. *)
+let fault_horizon setup ~budget =
+  Option.map
+    (fun sc ->
+      List.fold_left (fun m ev -> max m ev.Faults.Scenario.at) 0 sc.Faults.Scenario.events
+      + budget)
+    setup.faults
 
 (* Run [f] in a fiber of [host] and block the calling fiber until done. *)
 let on_host host f =
@@ -152,7 +169,8 @@ let boot_standalone e cfg =
   (smr, leader)
 
 let mu_latency_with_config setup ~samples ~payload ~attach cfg =
-  run_sim setup (fun e ->
+  (* 100 us a request: ~75x the fault-free median. *)
+  run_sim setup ?until:(fault_horizon setup ~budget:((samples + 100) * 100_000)) (fun e ->
       let cfg = { cfg with Mu.Config.attach } in
       let smr =
         Mu.Smr.create e cal cfg ~make_app:(fun _ ->
@@ -416,7 +434,8 @@ type failover_stats = {
 }
 
 let failover setup ~rounds =
-  run_sim setup (fun e ->
+  (* 100 ms a round: ~35x a fault-free round. *)
+  run_sim setup ?until:(fault_horizon setup ~budget:(rounds * 100_000_000)) (fun e ->
       let cfg = standalone_config () in
       let smr =
         Mu.Smr.create e cal cfg ~make_app:(fun _ ->
@@ -448,14 +467,18 @@ let failover setup ~rounds =
         done
       in
       let unique_leader () = Mu.Smr.leader smr in
-      for _ = 1 to rounds do
-        (* Stabilize: a unique established leader, scores saturated. *)
+      (* Stabilize: a unique established leader, scores saturated. An
+         injected fault can take it away during the settling sleep. *)
+      let rec stable_leader () =
         wait_until (fun () ->
             match unique_leader () with
             | Some r -> not r.Mu.Replica.need_new_followers
             | None -> false);
         Sim.Engine.sleep e 1_500_000;
-        let leader = Option.get (unique_leader ()) in
+        match unique_leader () with Some r -> r | None -> stable_leader ()
+      in
+      for _ = 1 to rounds do
+        let leader = stable_leader () in
         let next =
           Array.to_list (Mu.Smr.replicas smr)
           |> List.filter (fun (r : Mu.Replica.t) -> r.Mu.Replica.id <> leader.Mu.Replica.id)

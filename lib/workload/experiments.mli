@@ -32,12 +32,20 @@ val attach_sampler : Telemetry.Sampler.t -> Sim.Engine.t -> unit
     time. Consumes no engine PRNG. Figure and chaos runs call it from
     their [on_engine] hook. *)
 
+exception Unfinished of { scenario : string; at : int }
+(** A faulted run that could not finish: its experiment fiber was still
+    waiting at virtual time [at] under the named scenario (e.g. a
+    measuring fiber parked on a killed leader). The cluster experiments
+    bound a faulted run in virtual time, so it ends with this instead of
+    running forever. *)
+
 val run_sim : setup -> ?until:int -> (Sim.Engine.t -> 'a) -> 'a
 (** Run one simulation to completion of [f]: a fresh engine seeded from
     the setup, handed to the setup's [on_engine] hook, [f] spawned as
     the experiment fiber, and the engine run (bounded by [until] when
-    given). Fails if [f] does not complete — a deadlock or an exhausted
-    [until] budget. Exposed so external drivers (e.g. the serving
+    given). If [f] does not complete — a deadlock or an exhausted
+    [until] budget — raises {!Unfinished} when the setup carries faults
+    and [Failure] otherwise. Exposed so external drivers (e.g. the serving
     tier's surface sweep) compose with the same instrumentation contract
     as the figure experiments. *)
 

@@ -516,7 +516,8 @@ let engine_no_fast_forward_after_halt () =
   check_int "no fast-forward" 0 (Sim.Engine.fast_forwards e)
 
 (* Every observer sees the timer/wake pair, so each turns fast-forward
-   off; the virtual outcome is the same either way. *)
+   off; the virtual outcome is the same either way. A metrics registry is
+   a handle components read, not an observer: it leaves the bare run. *)
 let engine_no_fast_forward_when_observed () =
   let run attach =
     let e = Util.engine () in
@@ -540,13 +541,14 @@ let engine_no_fast_forward_when_observed () =
     }
   in
   Alcotest.(check (pair int (list int))) "bare" (3, [ 10; 20; 30 ]) (run ignore);
+  Alcotest.(check (pair int (list int))) "metrics registry" (3, [ 10; 20; 30 ])
+    (run (fun e -> Sim.Engine.set_metrics e (Telemetry.Registry.create ())));
   List.iter
     (fun (name, attach) ->
       Alcotest.(check (pair int (list int))) name (0, [ 10; 20; 30 ]) (run attach))
     [
       ("probe sink", fun e -> Sim.Probe.set_sink (Sim.Engine.probe e) ignore);
       ("profiler", fun e -> Sim.Engine.set_profiler e profiler);
-      ("metrics registry", fun e -> Sim.Engine.set_metrics e (Telemetry.Registry.create ()));
       ( "self-cost sampler",
         fun e -> Sim.Engine.set_selfcost e (Sim.Engine.selfcost_create ~clock:Sys.time ()) );
     ]
@@ -605,10 +607,13 @@ let engine_halt_before_same_instant_lane () =
   check "fires once resumed" true !fired
 
 (* An observer attached while a lane holds entries would miss them; an
-   observed engine arms through the wheel instead, as a thunk it sees. *)
+   observed engine arms through the wheel instead, as a thunk it sees. A
+   metrics registry observes nothing, so it attaches at any time and the
+   lane keeps its entries and its order. *)
 let engine_lane_observers_first () =
   let e = Util.engine () in
-  let lane = Sim.Engine.lane e ~delay:100 ignore in
+  let fired = ref [] in
+  let lane = Sim.Engine.lane e ~delay:100 (fun x -> fired := (x, Sim.Engine.now e) :: !fired) in
   Sim.Engine.arm lane 0;
   let refused name f =
     match f () with
@@ -616,11 +621,15 @@ let engine_lane_observers_first () =
     | exception Invalid_argument _ -> ()
   in
   refused "probe sink" (fun () -> Sim.Probe.set_sink (Sim.Engine.probe e) ignore);
-  refused "metrics registry" (fun () ->
-      Sim.Engine.set_metrics e (Telemetry.Registry.create ()));
   refused "self-cost sampler" (fun () ->
       Sim.Engine.set_selfcost e (Sim.Engine.selfcost_create ~clock:Sys.time ()));
+  Sim.Engine.set_metrics e (Telemetry.Registry.create ());
+  Sim.Engine.schedule e ~at:50 (fun () -> Sim.Engine.arm lane 1);
+  Sim.Engine.arm lane 2;
+  check_int "a registry leaves the entries on the lane" 3 (Sim.Engine.pending_events e);
   Sim.Engine.run e;
+  Alcotest.(check (list (pair int int)))
+    "the lane fires in order" [ (0, 100); (2, 100); (1, 150) ] (List.rev !fired);
   let seen = ref 0 in
   Sim.Probe.set_sink (Sim.Engine.probe e) ignore;
   Sim.Engine.set_profiler e
