@@ -4,23 +4,16 @@
    experiment index and EXPERIMENTS.md for a recorded run.
 
    Usage: dune exec bench/main.exe [-- --quick] [-- --only fig4 --only fig6]
-                                   [-- --seed N] [-- --bechamel] [-- --csv DIR]
-                                   [-- --metrics FILE] [-- --metrics-interval NS]
-                                   [-- --results FILE] [-- --faults SCENARIO.json]
-                                   [-- --history FILE | --no-history]
-                                   [-- --git-rev REV] [-- --stamp S]
-                                   [-- --compare] [-- --compare-with FILE]
+                                   [-- --seed N] [-- --trace FILE]
+                                   [-- --results FILE] [-- --compare-with FILE]
                                    [-- --compare-report FILE]
 
-   Every run appends one JSONL line (schema mu-bench-results/1, tagged with
-   --git-rev / --stamp) to the history log so regressions are greppable
-   across commits; --no-history disables it.
-
-   --compare diffs this run's deterministic fields against the last
-   history line (read before this run is appended) with per-field
-   tolerances (Profile.Compare) and exits nonzero on regression;
-   --compare-with substitutes an explicit baseline file (results JSON or
-   history JSONL), --compare-report writes the diff to a file. *)
+   A run writes one mu-bench-results/1 document to --results (default
+   BENCH_results.json), plus the Chrome trace when --trace is given.
+   --compare-with diffs the document's deterministic fields against a
+   baseline document with per-field tolerances (Profile.Compare) and
+   exits 1 on regression; --compare-report writes the diff to a file.
+   An argument error exits 2 (an uncaught Failure). *)
 
 module E = Workload.Experiments
 module J = Json
@@ -28,125 +21,23 @@ module J = Json
 let quick = ref false
 let only : string list ref = ref []
 let seed = ref 42L
-let with_bechamel = ref false
-let csv_dir : string option ref = ref None
 let trace_file : string option ref = ref None
 let tracer : Trace.Tracer.t option ref = ref None
-let metrics_file : string option ref = ref None
-let metrics_interval = ref 50_000
-let sampler : Telemetry.Sampler.t option ref = ref None
 let results_file = ref "BENCH_results.json"
-let history_file : string option ref = ref (Some "BENCH_history.jsonl")
-let git_rev = ref "unknown"
-let stamp = ref ""
-let faults_file : string option ref = ref None
-let faults : Faults.Scenario.t option ref = ref None
-let compare_flag = ref false
 let compare_with : string option ref = ref None
 let compare_report : string option ref = ref None
 let exit_code = ref 0
 
-(* The [--only] ids, in run order; any id starting with "ablation" selects
-   the ablations. *)
-let section_ids =
-  [ "tab1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "ablations"; "recovery";
-    "serving"; "monitor"; "engine-speed"; "profile"; "bechamel" ]
-
-let is_ablation id = String.starts_with ~prefix:"ablation" id
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--only" :: id :: rest ->
-      if not (List.mem id section_ids || is_ablation id) then
-        failwith
-          (Printf.sprintf "unknown --only id: %s (valid: %s, ablation-*)" id
-             (String.concat ", " section_ids));
-      only := id :: !only;
-      parse rest
-    | "--bechamel" :: rest ->
-      with_bechamel := true;
-      parse rest
-    | "--seed" :: n :: rest ->
-      seed := Int64.of_string n;
-      parse rest
-    | "--csv" :: dir :: rest ->
-      csv_dir := Some dir;
-      parse rest
-    | "--trace" :: file :: rest ->
-      trace_file := Some file;
-      parse rest
-    | "--metrics" :: file :: rest ->
-      if not (Filename.check_suffix file ".json") then
-        failwith (Printf.sprintf "--metrics %s: expected a FILE ending in .json" file);
-      metrics_file := Some file;
-      parse rest
-    | "--metrics-interval" :: n :: rest ->
-      metrics_interval := int_of_string n;
-      parse rest
-    | "--results" :: file :: rest ->
-      results_file := file;
-      parse rest
-    | "--history" :: file :: rest ->
-      history_file := Some file;
-      parse rest
-    | "--no-history" :: rest ->
-      history_file := None;
-      parse rest
-    | "--git-rev" :: rev :: rest ->
-      git_rev := rev;
-      parse rest
-    | "--stamp" :: s :: rest ->
-      stamp := s;
-      parse rest
-    | "--faults" :: file :: rest ->
-      faults_file := Some file;
-      parse rest
-    | "--compare" :: rest ->
-      compare_flag := true;
-      parse rest
-    | "--compare-with" :: file :: rest ->
-      compare_flag := true;
-      compare_with := Some file;
-      parse rest
-    | "--compare-report" :: file :: rest ->
-      compare_report := Some file;
-      parse rest
-    | arg :: _ -> failwith ("unknown argument: " ^ arg)
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  (match !faults_file with
-  | None -> ()
-  | Some file ->
-    let ic = open_in_bin file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    (match Faults.Scenario.of_string s with
-    | Ok sc -> faults := Some sc
-    | Error msg -> failwith (Printf.sprintf "--faults %s: %s" file msg)));
-  if !trace_file <> None then tracer := Some (Trace.Tracer.create ());
-  if !metrics_file <> None then
-    sampler :=
-      Some
-        (Telemetry.Sampler.create (Telemetry.Registry.create ()) ~interval:!metrics_interval)
-
-let want id = (!only = [] && id <> "bechamel") || List.mem id !only || (id = "bechamel" && !with_bechamel)
-
 (* Every engine an experiment creates gets the run's observers, in the
-   order tracer, provenance, telemetry sampler, then [own]. *)
+   order tracer, provenance, then [own]. *)
 let setup ?(provenance = false) ?(own = ignore) () =
   let observe e =
     Option.iter (fun tr -> Trace.Tracer.attach tr e) !tracer;
     if provenance then Sim.Engine.set_provenance e true;
-    Option.iter (fun smp -> E.attach_sampler smp e) !sampler;
     own e
   in
-  { E.seed = !seed; faults = !faults; on_engine = Some observe }
+  { E.seed = !seed; faults = None; on_engine = Some observe }
 
-let figures_run : string list ref = ref []
 let checks : (string * bool * string) list ref = ref []
 
 let record_check name ok detail =
@@ -154,48 +45,9 @@ let record_check name ok detail =
   if not ok then exit_code := 1
 let scale n = if !quick then max 100 (n / 10) else n
 
-let section id title =
-  figures_run := id :: !figures_run;
-  Fmt.pr "@.=== %s — %s ===@." id title
+let section id title = Fmt.pr "@.=== %s — %s ===@." id title
 
-(* Optional gnuplot-ready CSV dumps alongside the printed report. *)
-let csv_write name ~header rows =
-  match !csv_dir with
-  | None -> ()
-  | Some dir ->
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let oc = open_out_bin (Filename.concat dir name) in
-    output_string oc (header ^ "\n");
-    List.iter (fun row -> output_string oc (row ^ "\n")) rows;
-    close_out oc
-
-let csv_rows : (string, string list ref) Hashtbl.t = Hashtbl.create 8
-
-let csv_row file row =
-  let r =
-    match Hashtbl.find_opt csv_rows file with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.replace csv_rows file r;
-      r
-  in
-  r := row :: !r
-
-let csv_flush file ~header =
-  match Hashtbl.find_opt csv_rows file with
-  | Some r -> csv_write file ~header (List.rev !r)
-  | None -> ()
-
-let csv_samples file label s =
-  csv_row file
-    (Printf.sprintf "%s,%.3f,%.3f,%.3f" label
-       (Sim.Stats.ns_to_us (Sim.Stats.Samples.median s))
-       (Sim.Stats.ns_to_us (Sim.Stats.Samples.percentile s 1.0))
-       (Sim.Stats.ns_to_us (Sim.Stats.Samples.percentile s 99.0)))
-
-let pp_samples ?csv name ~paper s =
-  (match csv with Some file -> csv_samples file name s | None -> ());
+let pp_samples name ~paper s =
   Fmt.pr "  %-34s %-26s measured: %a@." name paper Sim.Stats.Samples.pp_us s
 
 let us ns = Sim.Stats.ns_to_us ns
@@ -266,7 +118,6 @@ let fig2 () =
 
 let fig3 () =
   section "fig3" "replication latency: standalone vs attached, payload sweep (§7.1)";
-  let pp_samples = pp_samples ~csv:"fig3.csv" in
   Fmt.pr
     "  Paper: ~1.3 us median at 64 B; flat below the 256 B inline threshold, then@.\
     \  gradual growth (+35%% at 512 B); handover attach adds ~400 ns; direct less.@.";
@@ -291,13 +142,12 @@ let fig3 () =
     (E.mu_replication_latency s ~samples:n ~payload:64 ~attach:Mu.Config.Handover);
   pp_samples "attached rds 64B (handover)" ~paper:"paper: standalone + ~400ns"
     (E.mu_replication_latency s ~samples:n ~payload:64 ~attach:Mu.Config.Handover);
-  List.assoc 64 standalone
+  samples_json (List.assoc 64 standalone)
 
 (* --- Fig. 4 ------------------------------------------------------------ *)
 
 let fig4 () =
   section "fig4" "replication latency vs other systems, 64 B (§7.1)";
-  let pp_samples = pp_samples ~csv:"fig4.csv" in
   Fmt.pr
     "  Paper: Mu 1.3 us beats every alternative by >= 2.7x (best: Hermes) and@.\
     \  APUS by ~4x; Mu's 99p-1p spread <= 0.5 us, others >= 4 us of variation.@.";
@@ -318,13 +168,12 @@ let fig4 () =
       ("APUS (mcd)", `Apus, "paper: ~4x Mu");
       ("HovercRaft", `Hovercraft, "paper: 30-60 us (excluded)");
     ];
-  mu
+  samples_json mu
 
 (* --- Fig. 5 ------------------------------------------------------------ *)
 
 let fig5 () =
   section "fig5" "end-to-end client latency (§7.2)";
-  let pp_samples = pp_samples ~csv:"fig5.csv" in
   let s = setup () in
   let n = scale 20_000 in
   Fmt.pr "  Panel 1 — financial exchange (Liquibook over eRPC):@.";
@@ -402,11 +251,6 @@ let fig6 () =
   Fmt.pr "  histogram of total fail-over (50 us buckets):@.";
   let h = Sim.Stats.Histogram.create ~bucket_width:50_000 in
   List.iter (Sim.Stats.Histogram.add h) (Sim.Stats.Samples.to_list r.E.total);
-  List.iter
-    (fun (start, count) ->
-      csv_row "fig6_hist.csv" (Printf.sprintf "%.1f,%d" (Sim.Stats.ns_to_us start) count))
-    (Sim.Stats.Histogram.buckets h);
-  csv_flush "fig6_hist.csv" ~header:"bucket_us,count";
   Fmt.pr "%a" (Sim.Stats.Histogram.pp ~max_width:44 ()) h;
   (* The order-of-magnitude comparison from §1: prior systems' fail-over
      is bounded below by their conservative timeouts. *)
@@ -453,9 +297,6 @@ let fig7 () =
       List.iter
         (fun batch ->
           let p = E.throughput_point s ~requests ~batch ~outstanding in
-          csv_row "fig7.csv"
-            (Printf.sprintf "%d,%d,%.3f,%.3f,%.3f" outstanding batch p.E.ops_per_us
-               (us p.E.median_latency_ns) (us p.E.p99_latency_ns));
           Fmt.pr "  %4d %4d %12.2f %14.2f %12.2f@." outstanding batch p.E.ops_per_us
             (us p.E.median_latency_ns) (us p.E.p99_latency_ns))
         batches;
@@ -464,15 +305,19 @@ let fig7 () =
 
 (* --- Ablations ---------------------------------------------------------- *)
 
-let ablations () =
+let ablation_prepare () =
   section "ablation-prepare" "omit-prepare optimization (§4.2, DESIGN.md §6.4)";
   let w, wo = E.ablation_omit_prepare (setup ()) ~samples:(scale 20_000) in
   pp_samples "with omit-prepare (Mu)" ~paper:"one write round" w;
-  pp_samples "prepare every propose" ~paper:"+2 read rounds + write" wo;
+  pp_samples "prepare every propose" ~paper:"+2 read rounds + write" wo
+
+let ablation_perm () =
   section "ablation-perm" "permissions vs re-read race detection (DESIGN.md §6.2)";
   let mu, dp = E.ablation_permissions (setup ()) ~samples:(scale 20_000) in
   pp_samples "Mu (permission-fenced write)" ~paper:"1 round" mu;
-  pp_samples "Disk-Paxos style write+re-read" ~paper:"2 rounds" dp;
+  pp_samples "Disk-Paxos style write+re-read" ~paper:"2 rounds" dp
+
+let ablation_shards () =
   section "ablation-shards" "parallel Mu instances for commuting ops (§8)";
   Fmt.pr
     "  Paper: \"several parallel instances of Mu could be used to replicate@.\
@@ -481,7 +326,9 @@ let ablations () =
     (fun shards ->
       let tput = E.sharded_throughput (setup ()) ~requests:(scale 20_000) ~shards in
       Fmt.pr "  %d shard(s): %6.2f ops/us@." shards tput)
-    [ 1; 2; 4 ];
+    [ 1; 2; 4 ]
+
+let ablation_pmem () =
   section "ablation-pmem" "persistent log: RDMA flush-to-PMEM extension (§1)";
   let vol = E.mu_latency_persistence (setup ()) ~samples:(scale 20_000) ~persistent:false in
   let dur = E.mu_latency_persistence (setup ()) ~samples:(scale 20_000) ~persistent:true in
@@ -490,7 +337,9 @@ let ablations () =
   Fmt.pr
     "  (One remote flush per accept: +%.2f us — consistent with the paper's@.\
     \   expectation that the SNIA persistence extension adds minimal latency.)@."
-    (us (Sim.Stats.Samples.median dur - Sim.Stats.Samples.median vol));
+    (us (Sim.Stats.Samples.median dur - Sim.Stats.Samples.median vol))
+
+let ablation_fd () =
   section "ablation-fd" "pull-score vs push heartbeats under delay spikes (§5.1)";
   let rows = E.ablation_failure_detector (setup ()) in
   Fmt.pr "  %-34s %14s %16s@." "detector" "detection (us)" "false positives";
@@ -580,21 +429,12 @@ let serving () =
     "committed/us" "shed" "p50 (us)" "p99 (us)";
   List.iter
     (fun (p : Serving.Surface.point) ->
-      csv_row "serving.csv"
-        (Printf.sprintf "%d,%d,%d,%.3f,%.3f,%d,%d,%.3f,%.3f" p.Serving.Surface.shards
-           p.Serving.Surface.batch p.Serving.Surface.doorbell p.Serving.Surface.offered_per_us
-           p.Serving.Surface.committed_per_us p.Serving.Surface.shed
-           p.Serving.Surface.suppressed
-           (us p.Serving.Surface.p50_ns)
-           (us p.Serving.Surface.p99_ns));
       Fmt.pr "  %6d %5d %8d %11.2f %13.2f %7d %9.2f %9.2f@." p.Serving.Surface.shards
         p.Serving.Surface.batch p.Serving.Surface.doorbell p.Serving.Surface.offered_per_us
         p.Serving.Surface.committed_per_us p.Serving.Surface.shed
         (us p.Serving.Surface.p50_ns)
         (us p.Serving.Surface.p99_ns))
     points;
-  csv_flush "serving.csv"
-    ~header:"shards,batch,doorbell,offered_per_us,committed_per_us,shed,suppressed,p50_us,p99_us";
   (* Acceptance: at every shard count, the largest batch (doorbell on)
      must commit more requests per us than unbatched replication. *)
   let max_batch = List.fold_left max 1 batches in
@@ -846,139 +686,109 @@ let profile_section () =
       ("frames", int frames);
     ]
 
-(* --- Bechamel microbenchmarks ------------------------------------------- *)
-
-let bechamel_suite () =
-  section "bechamel" "wall-clock microbenchmarks of the implementation hot paths";
-  let open Bechamel in
-  let eng = Sim.Engine.create ~seed:1L () in
-  let host = Sim.Host.create eng Sim.Calibration.default ~id:0 ~name:"bench" in
-  let mr =
-    Rdma.Mr.register host
-      ~size:(Mu.Log.required_size ~slots:64 ~value_cap:256)
-      ~access:Rdma.Verbs.access_rw
-  in
-  let log = Mu.Log.attach mr ~slots:64 ~value_cap:256 in
-  let value = Bytes.make 64 'x' in
-  let img = Mu.Log.encode_slot log ~proposal:7L ~value in
-  let book = Apps.Order_book.create () in
-  let rng = Sim.Rng.create 2L in
-  let flow = Workload.Generators.order_flow rng in
-  let kv = Apps.Kv_store.create () in
-  let heap_src = Sim.Heap.create () in
-  let wheel_src = Sim.Wheel.create () in
-  let idx = ref 0 in
-  let tests =
-    Test.make_grouped ~name:"mu"
-      [
-        Test.make ~name:"log/encode_slot(64B)"
-          (Staged.stage (fun () -> ignore (Mu.Log.encode_slot log ~proposal:7L ~value)));
-        Test.make ~name:"log/write+read_slot"
-          (Staged.stage (fun () ->
-               Mu.Log.write_slot_raw_local log 3 img;
-               ignore (Mu.Log.read_slot log 3)));
-        Test.make ~name:"order_book/submit+match"
-          (Staged.stage (fun () ->
-               ignore (Apps.Exchange.apply book (Workload.Generators.next_order flow))));
-        Test.make ~name:"kv/put"
-          (Staged.stage (fun () ->
-               incr idx;
-               ignore
-                 (Apps.Kv_store.apply kv
-                    (Apps.Kv_store.Put { key = string_of_int (!idx land 1023); value = "v" }))));
-        Test.make ~name:"heap/push+pop"
-          (Staged.stage (fun () ->
-               incr idx;
-               Sim.Heap.push heap_src ~key:(!idx land 255) ~seq:!idx ();
-               ignore (Sim.Heap.pop heap_src)));
-        Test.make ~name:"wheel/push+pop"
-          (Staged.stage (fun () ->
-               incr idx;
-               (* advancing key: keeps the op in the wheel proper rather
-                  than the behind-the-clock past heap *)
-               Sim.Wheel.push wheel_src ~key:(!idx + (!idx land 255)) ~seq:!idx ();
-               ignore (Sim.Wheel.pop_exn wheel_src)));
-        Test.make ~name:"rng/int64" (Staged.stage (fun () -> ignore (Sim.Rng.int64 rng)));
-        Test.make ~name:"batch/encode+decode"
-          (Staged.stage (fun () ->
-               ignore (Mu.Smr.decode_batch (Mu.Smr.encode_batch [ value ]))));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some (est :: _) -> Fmt.pr "  %-34s %10.1f ns/op@." name est
-      | Some [] | None -> Fmt.pr "  %-34s (no estimate)@." name)
-    (List.sort compare rows)
-
 let write_file file s =
   let oc = open_out_bin file in
   output_string oc s;
   close_out oc
 
+(* The [--only] ids in run order, each with its section. A section
+   returns its part of the results document, or null. *)
+let sections =
+  let plain f () =
+    f ();
+    J.Null
+  in
+  [
+    ("tab1", plain tab1);
+    ("fig2", plain fig2);
+    ("fig3", fig3);
+    ("fig4", fig4);
+    ("fig5", plain fig5);
+    ("fig6", fig6);
+    ("fig7", plain fig7);
+    ("ablation-prepare", plain ablation_prepare);
+    ("ablation-perm", plain ablation_perm);
+    ("ablation-shards", plain ablation_shards);
+    ("ablation-pmem", plain ablation_pmem);
+    ("ablation-fd", plain ablation_fd);
+    ("recovery", recovery);
+    ("serving", serving);
+    ("monitor", monitor);
+    ("engine-speed", engine_speed);
+    ("profile", profile_section);
+  ]
+
+let parse_args () =
+  let rec parse = function
+    | [] -> ()
+    | "--quick" :: rest ->
+      quick := true;
+      parse rest
+    | "--only" :: id :: rest ->
+      if not (List.mem_assoc id sections) then
+        failwith
+          (Printf.sprintf "unknown --only id: %s (valid: %s)" id
+             (String.concat ", " (List.map fst sections)));
+      only := id :: !only;
+      parse rest
+    | "--seed" :: n :: rest ->
+      seed := Int64.of_string n;
+      parse rest
+    | "--trace" :: file :: rest ->
+      trace_file := Some file;
+      parse rest
+    | "--results" :: file :: rest ->
+      results_file := file;
+      parse rest
+    | "--compare-with" :: file :: rest ->
+      compare_with := Some file;
+      parse rest
+    | "--compare-report" :: file :: rest ->
+      compare_report := Some file;
+      parse rest
+    | arg :: _ -> failwith ("unknown argument: " ^ arg)
+  in
+  parse (List.tl (Array.to_list Sys.argv))
+
 let () =
+  parse_args ();
+  if !trace_file <> None then tracer := Some (Trace.Tracer.create ());
   Fmt.pr "Mu reproduction benchmark harness (seed %Ld%s)@." !seed
     (if !quick then ", quick mode" else "");
-  let run id f = if want id then Some (f ()) else None in
-  if want "tab1" then tab1 ();
-  if want "fig2" then fig2 ();
-  let fig3 = run "fig3" fig3 in
-  let fig4 = run "fig4" fig4 in
-  if want "fig5" then fig5 ();
-  let failover = run "fig6" fig6 in
-  if want "fig7" then fig7 ();
-  if List.exists is_ablation !only || want "ablations" then ablations ();
-  let recovery = run "recovery" recovery in
-  let serving = run "serving" serving in
-  let monitor = run "monitor" monitor in
-  let engine_speed = run "engine-speed" engine_speed in
-  let profile = run "profile" profile_section in
-  if want "bechamel" then bechamel_suite ();
+  let ran =
+    List.filter_map
+      (fun (id, run) -> if !only = [] || List.mem id !only then Some (id, run ()) else None)
+      sections
+  in
+  let value id = Option.value ~default:J.Null (List.assoc_opt id ran) in
   (* The mu-bench-results/1 fields in their fixed order; a section that
      did not run is null. fig3 and fig4 measure the same 64 B
      replication run (same seed and config). *)
-  let or_null = Option.value ~default:J.Null in
-  let replication = match fig3 with Some _ -> fig3 | None -> fig4 in
+  let replication = match value "fig3" with J.Null -> value "fig4" | j -> j in
+  let engine_speed = value "engine-speed" in
   let results =
     [
       ("seed", J.Num (Int64.to_float !seed));
       ("quick", J.Bool !quick);
-      ("figures", J.List (List.rev_map (fun f -> J.Str f) !figures_run));
-      ("replication_latency_ns", or_null (Option.map samples_json replication));
-      ("failover_ns", or_null failover);
-      ("recovery", or_null recovery);
-      ("serving", or_null serving);
-      ("monitor", or_null monitor);
-      ("engine_events_per_sec", or_null (Option.bind engine_speed (J.member "events_per_sec")));
-      ("engine_speed", or_null engine_speed);
-      ("profile", or_null profile);
+      ("figures", J.List (List.map (fun (id, _) -> J.Str id) ran));
+      ("replication_latency_ns", replication);
+      ("failover_ns", value "fig6");
+      ("recovery", value "recovery");
+      ("serving", value "serving");
+      ("monitor", value "monitor");
+      ( "engine_events_per_sec",
+        Option.value ~default:J.Null (J.member "events_per_sec" engine_speed) );
+      ("engine_speed", engine_speed);
+      ("profile", value "profile");
     ]
   in
-  csv_flush "fig3.csv" ~header:"configuration,median_us,p1_us,p99_us";
-  csv_flush "fig4.csv" ~header:"system,median_us,p1_us,p99_us";
-  csv_flush "fig5.csv" ~header:"configuration,median_us,p1_us,p99_us";
-  csv_flush "fig7.csv" ~header:"outstanding,batch,ops_per_us,median_us,p99_us";
-  (match !csv_dir with
-  | Some dir -> Fmt.pr "@.CSV series written to %s/@." dir
-  | None -> ());
   (match !tracer, !trace_file with
   | Some tr, Some file ->
     Trace.Tracer.write_chrome tr file;
     Fmt.pr "@.%a" Trace.Tracer.pp_summary tr;
     Fmt.pr "Chrome trace written to %s (open in ui.perfetto.dev)@." file
   | _ -> ());
-  (* --- acceptance checks over the results ---------------------------------- *)
-  let field path =
-    List.fold_left (fun j k -> Option.bind j (J.member k)) (Some (J.Obj results)) path
-  in
-  (match Option.bind (field [ "replication_latency_ns"; "p50" ]) J.to_int with
+  (match Option.bind (J.member "p50" replication) J.to_int with
   | None -> ()
   | Some p50 ->
     (* Calibrated band for 64 B standalone replication: the paper reports
@@ -988,82 +798,38 @@ let () =
       (Printf.sprintf "p50 %.2f us (accept 0.90-2.00 us)" (us p50));
     Fmt.pr "@.check: 64B replication median in calibrated band: %.2f us %s@." (us p50)
       (if ok then "OK" else "FAIL"));
-  (match !sampler, field [ "failover_ns" ] with
-  | Some smp, Some (J.Obj _) ->
-    (* The exported score timeline must show some follower's view of the
-       paused leader crossing below the fail threshold and, after the
-       resume, back above the recover threshold. *)
-    let ok = Telemetry.Dashboard.has_fail_recover_crossing smp in
-    record_check "score_fail_recover_crossing" ok
-      "mu_score timeline crosses <2 then >6 during fail-over";
-    Fmt.pr "check: score timeline crosses fail(<2) then recover(>6): %s@."
-      (if ok then "OK" else "FAIL")
-  | _ -> ());
-  (* --- metrics export ----------------------------------------------------- *)
-  (match !sampler, !metrics_file with
-  | Some smp, Some file ->
-    Telemetry.Export.to_file ~sampler:smp (Telemetry.Sampler.registry smp) file;
-    Fmt.pr "@.Metrics written to %s@." file;
-    Fmt.pr "%s" (Telemetry.Dashboard.render ~sampler:smp (Telemetry.Sampler.registry smp))
-  | _ -> ());
-  (* --- BENCH_results.json / BENCH_history.jsonl ---------------------------- *)
-  let schema = ("schema", J.Str "mu-bench-results/1") in
   let checks =
-    ( "checks",
-      J.List
-        (List.rev_map
-           (fun (name, ok, detail) ->
-             J.Obj [ ("name", Str name); ("ok", Bool ok); ("detail", Str detail) ])
-           !checks) )
+    J.List
+      (List.rev_map
+         (fun (name, ok, detail) ->
+           J.Obj [ ("name", Str name); ("ok", Bool ok); ("detail", Str detail) ])
+         !checks)
   in
-  let doc = J.Obj ((schema :: results) @ [ checks ]) in
+  let doc =
+    J.Obj ((("schema", J.Str "mu-bench-results/1") :: results) @ [ ("checks", checks) ])
+  in
   write_file !results_file (J.to_string doc ^ "\n");
   Fmt.pr "@.Results written to %s@." !results_file;
-  (* Regression gate: diff this run against the baseline *before* the
-     history append below makes this run the new last line. A missing
-     or incomparable baseline fails the gate — a gate that silently
-     passes on a typo'd path is no gate. *)
-  (if !compare_flag then begin
-     let baseline =
-       match !compare_with with
-       | Some f -> (
-         (* Accept a results file or a history JSONL. *)
-         match Profile.Compare.load_results f with
-         | Ok j -> Ok j
-         | Error _ -> Profile.Compare.load_last_history f)
-       | None ->
-         let hist = Option.value !history_file ~default:"BENCH_history.jsonl" in
-         Profile.Compare.load_last_history hist
-     in
-     match baseline with
-     | Error msg ->
-       let msg = "baseline unavailable: " ^ msg in
-       Fmt.pr "@.=== compare vs baseline ===@.%s@." msg;
-       Option.iter (fun f -> write_file f (msg ^ "\n")) !compare_report;
-       exit_code := 1
-     | Ok baseline ->
-       let r = Profile.Compare.run ~baseline ~current:doc () in
-       Fmt.pr "@.=== compare vs baseline ===@.%a" Profile.Compare.pp r;
-       (match !compare_report with
-       | Some f ->
-         write_file f (Profile.Compare.to_string r);
-         Fmt.pr "Compare report written to %s@." f
-       | None -> ());
-       if (not r.Profile.Compare.comparable) || Profile.Compare.regressed r then
-         exit_code := 1
-   end);
-  (* Append one line per run to the history log, keyed by git revision and a
-     caller-supplied stamp (virtual or CI time — never sampled here, to keep
-     same-input runs byte-identical). *)
-  (match !history_file with
+  (* Regression gate. A missing or incomparable baseline fails it: a
+     gate that silently passes on a typo'd path is no gate. *)
+  (match !compare_with with
   | None -> ()
-  | Some file ->
-    let line =
-      J.Obj ((schema :: ("rev", J.Str !git_rev) :: ("stamp", J.Str !stamp) :: results) @ [ checks ])
-    in
-    let oc = open_out_gen [ Open_append; Open_creat; Open_wronly; Open_binary ] 0o644 file in
-    output_string oc (J.to_string line ^ "\n");
-    close_out oc;
-    Fmt.pr "History appended to %s@." file);
+  | Some file -> (
+    match Profile.Compare.load_results file with
+    | Error msg ->
+      let msg = "baseline unavailable: " ^ msg in
+      Fmt.pr "@.=== compare vs baseline ===@.%s@." msg;
+      Option.iter (fun f -> write_file f (msg ^ "\n")) !compare_report;
+      exit_code := 1
+    | Ok baseline ->
+      let r = Profile.Compare.run ~baseline ~current:doc () in
+      Fmt.pr "@.=== compare vs baseline ===@.%a" Profile.Compare.pp r;
+      (match !compare_report with
+      | Some f ->
+        write_file f (Profile.Compare.to_string r);
+        Fmt.pr "Compare report written to %s@." f
+      | None -> ());
+      if (not r.Profile.Compare.comparable) || Profile.Compare.regressed r then
+        exit_code := 1));
   Fmt.pr "@.done.@.";
   exit !exit_code

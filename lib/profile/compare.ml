@@ -1,12 +1,13 @@
 (* Perf-regression gate over mu-bench-results/1 documents.
 
    Compares the deterministic fields of a current bench results file
-   against a baseline (normally the last BENCH_history.jsonl line) with
-   per-field worse-direction tolerances. Volatile wall-clock fields
-   (events_per_sec, queue ops/s) are never compared — they measure the
-   box, not the code. Fields missing on either side, and checks ok in
-   the baseline but absent now, are skipped and listed, not failed, so
-   baselines from partial runs (--only) stay usable. *)
+   against a baseline results document (normally the committed
+   bench/BASELINE.jsonl) with per-field worse-direction tolerances.
+   Volatile wall-clock fields (events_per_sec, queue ops/s) are never
+   compared — they measure the box, not the code. Fields missing on
+   either side, and checks ok in the baseline but absent now, are
+   skipped and listed, not failed, so baselines from partial runs
+   (--only) stay usable. *)
 
 module J = Json
 
@@ -177,18 +178,3 @@ let load_results path =
     match J.of_string (String.trim s) with
     | Ok j -> Ok j
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-
-let load_last_history path =
-  match read_file path with
-  | Error msg -> Error msg
-  | Ok s -> (
-    let lines =
-      String.split_on_char '\n' s
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    match List.rev lines with
-    | [] -> Error (Printf.sprintf "%s: history is empty" path)
-    | last :: _ -> (
-      match J.of_string (String.trim last) with
-      | Ok j -> Ok j
-      | Error msg -> Error (Printf.sprintf "%s (last line): %s" path msg)))

@@ -1,9 +1,9 @@
 (** Perf-regression gate over [mu-bench-results/1] documents.
 
     Diffs the {e deterministic} fields of a current bench results file
-    against a baseline (normally the last [BENCH_history.jsonl] line)
-    with per-field worse-direction tolerances. Volatile wall-clock
-    fields are never compared. Fields missing on either side (partial
+    against a baseline document (normally the committed one-line
+    [bench/BASELINE.jsonl]) with per-field worse-direction tolerances.
+    Volatile wall-clock fields are never compared. Fields missing on either side (partial
     [--only] runs), and checks ok in the baseline but absent from the
     current document, are skipped and listed, not failed. Baselines
     with a different seed or quick flag are incomparable: the result
@@ -47,6 +47,3 @@ val to_string : result -> string
 
 val load_results : string -> (Json.t, string) Stdlib.result
 (** Parse a whole results file as one JSON document. *)
-
-val load_last_history : string -> (Json.t, string) Stdlib.result
-(** Parse the last non-empty line of a JSONL history file. *)
