@@ -1,17 +1,19 @@
 (* mu_demo — a command-line front end for the Mu reproduction.
 
-   Four subcommands build a cluster and observe it: latency (§7.1),
-   failover (§7.3), chaos (Appendix A) and serve (§8). They share one set
-   of view flags — --trace, --metrics, --profile, --explain and --alerts
-   — so any run can be traced, sampled, profiled, explained or monitored:
+   One command per job. Four subcommands build a cluster and observe it:
+   latency (§7.1), failover (§7.3), chaos (Appendix A) and serve (§8).
+   They share one set of view flags — --trace, --metrics, --profile,
+   --explain and --alerts — so any run can be traced, sampled, profiled,
+   explained or monitored. chaos also replays a repro bundle, and verify
+   runs the model-based sweep. The paper's figures are the bench's job
+   (bench/main.exe), not this tool's:
 
-     mu_demo latency    --payload 64 --samples 2000 --explain spans.json
-     mu_demo failover   --rounds 50 --profile out.folded --metrics m.json
-     mu_demo chaos      --scenario kill-restart --alerts log.json
-     mu_demo serve      --shards 4 --trace t.json
-     mu_demo compare    --samples 20000
-     mu_demo throughput --batch 32 --outstanding 2 --requests 30000
-     mu_demo verify     --cases 50 --repro bundle.json
+     mu_demo latency  --payload 64 --samples 2000 --explain spans.json
+     mu_demo failover --rounds 50 --profile out.folded --metrics m.json
+     mu_demo chaos    --scenario kill-restart --alerts log.json
+     mu_demo chaos    --scenario bundle.json --repro replayed.json
+     mu_demo serve    --shards 4 --trace t.json
+     mu_demo verify   --cases 50 --repro bundle.json
 
    All experiments are deterministic given --seed. *)
 
@@ -102,9 +104,6 @@ let setup_logs =
   Term.(
     const setup
     $ Arg.(value & opt int 0 & info [ "v"; "verbosity" ] ~docv:"N" ~doc:"0 quiet, 1 info, 2 debug."))
-
-let samples_arg default =
-  Arg.(value & opt pos_int default & info [ "samples" ] ~docv:"N" ~doc:"Number of measured requests.")
 
 let payload_arg =
   Arg.(value & opt nat_int 64 & info [ "payload" ] ~docv:"BYTES" ~doc:"Request payload size.")
@@ -452,6 +451,9 @@ let latency_cmd =
     pp_result (Printf.sprintf "Mu %dB" payload) s;
     report_views ~label:(Printf.sprintf "latency %dx%dB" samples payload) ~seed v o
   in
+  let samples =
+    Arg.(value & opt pos_int 50_000 & info [ "samples" ] ~docv:"N" ~doc:"Number of measured requests.")
+  in
   let attach =
     Arg.(
       value
@@ -461,27 +463,8 @@ let latency_cmd =
   Cmd.v
     (Cmd.info "latency" ~doc:"Measure Mu's replication latency (paper Fig. 3).")
     Term.(
-      const run $ setup_logs $ seed_arg $ samples_arg 50_000 $ payload_arg $ attach $ faults_arg
+      const run $ setup_logs $ seed_arg $ samples $ payload_arg $ attach $ faults_arg
       $ views_arg)
-
-(* --- compare -------------------------------------------------------------- *)
-
-let compare_cmd =
-  let run seed samples =
-    let setup = setup seed ignore in
-    pp_result "Mu"
-      (Workload.Experiments.mu_replication_latency setup ~samples ~payload:64
-         ~attach:Mu.Config.Standalone);
-    List.iter
-      (fun (name, system) ->
-        pp_result name
-          (Workload.Experiments.baseline_replication_latency setup ~samples ~system
-             ~payload:64))
-      [ ("Hermes", `Hermes); ("DARE", `Dare); ("APUS", `Apus); ("HovercRaft", `Hovercraft) ]
-  in
-  Cmd.v
-    (Cmd.info "compare" ~doc:"Compare Mu against DARE, APUS, Hermes, HovercRaft (Fig. 4).")
-    Term.(const run $ seed_arg $ samples_arg 20_000)
 
 (* --- failover -------------------------------------------------------------- *)
 
@@ -496,11 +479,6 @@ let failover_cmd =
     pp_result "total fail-over" r.Workload.Experiments.total;
     pp_result "  detection" r.Workload.Experiments.detection;
     pp_result "  permission switch" r.Workload.Experiments.switch;
-    let rng = Sim.Rng.create (Int64.of_int seed) in
-    Fmt.pr "prior systems (modelled): HovercRaft %.1f ms, DARE %.1f ms, Hermes %.1f ms@."
-      (Baselines.Failover_model.sample_us Baselines.Failover_model.hovercraft rng /. 1000.0)
-      (Baselines.Failover_model.sample_us Baselines.Failover_model.dare rng /. 1000.0)
-      (Baselines.Failover_model.sample_us Baselines.Failover_model.hermes rng /. 1000.0);
     report_views ~label:(Printf.sprintf "failover %d rounds" rounds) ~seed v o
   in
   let rounds =
@@ -509,68 +487,6 @@ let failover_cmd =
   Cmd.v
     (Cmd.info "failover" ~doc:"Measure fail-over time across repeated leader failures (Fig. 6).")
     Term.(const run $ setup_logs $ seed_arg $ rounds $ faults_arg $ views_arg)
-
-(* --- metrics ------------------------------------------------------------------ *)
-
-let metrics_cmd =
-  let run seed =
-    (* A short mixed workload (traffic + one fail-over), then the per-plane
-       counters each replica accumulated. *)
-    let c = Workload.Experiments.counters ~seed:(Int64.of_int seed) () in
-    Fmt.pr "fail-over:  %a@." Mu.Metrics.pp c.failover_delta;
-    List.iter (fun (id, m) -> Fmt.pr "replica %d: %a@." id Mu.Metrics.pp m) c.replicas;
-    Fmt.pr "cluster:   %a@." Mu.Metrics.pp (Mu.Metrics.total (List.map snd c.replicas));
-    match c.violations with
-    | [] -> Fmt.pr "invariants: all hold@."
-    | vs -> Fmt.pr "invariants: %a@." (Fmt.list Mu.Invariants.pp_violation) vs
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:"Run a mixed workload with one fail-over and print per-replica counters.")
-    Term.(const run $ seed_arg)
-
-(* --- throughput ------------------------------------------------------------- *)
-
-let throughput_cmd =
-  let run seed requests batch outstanding =
-    let p =
-      Workload.Experiments.throughput_point (setup seed ignore) ~requests ~batch ~outstanding
-    in
-    Fmt.pr "batch=%d outstanding=%d: %.2f ops/us, median %.2f us, p99 %.2f us@." batch
-      outstanding p.Workload.Experiments.ops_per_us
-      (Sim.Stats.ns_to_us p.Workload.Experiments.median_latency_ns)
-      (Sim.Stats.ns_to_us p.Workload.Experiments.p99_latency_ns)
-  in
-  let requests =
-    Arg.(value & opt pos_int 30_000 & info [ "requests" ] ~docv:"N" ~doc:"Requests to commit.")
-  in
-  let batch =
-    Arg.(value & opt pos_int 1 & info [ "batch" ] ~docv:"N" ~doc:"Requests coalesced per entry.")
-  in
-  let outstanding =
-    Arg.(value & opt pos_int 1 & info [ "outstanding" ] ~docv:"N" ~doc:"Concurrent slots in flight.")
-  in
-  Cmd.v
-    (Cmd.info "throughput" ~doc:"Measure one latency/throughput point (Fig. 7).")
-    Term.(const run $ seed_arg $ requests $ batch $ outstanding)
-
-(* --- detectors --------------------------------------------------------------- *)
-
-let detectors_cmd =
-  let run seed =
-    let rows = Workload.Experiments.ablation_failure_detector (setup seed ignore) in
-    Fmt.pr "%-34s %14s %16s@." "detector" "detection (us)" "false positives";
-    List.iter
-      (fun r ->
-        Fmt.pr "%-34s %14.0f %10d in %.0fs@." r.Workload.Experiments.detector
-          r.Workload.Experiments.detection_us r.Workload.Experiments.false_positives
-          r.Workload.Experiments.observation_s)
-      rows
-  in
-  Cmd.v
-    (Cmd.info "detectors"
-       ~doc:"Compare pull-score failure detection against push heartbeats (§5.1).")
-    Term.(const run $ seed_arg)
 
 (* --- chaos and verify ------------------------------------------------------- *)
 
@@ -603,14 +519,18 @@ let print_sweep ~repro_file (report : Modelcheck.Verify.report) =
 let repro_arg ~doc =
   Arg.(value & opt (some string) None & info [ "repro" ] ~docv:"FILE" ~doc)
 
-(* The chaos run's spec: a repro bundle replays its run verbatim; a named
-   scenario or scenario file runs under [clients]. *)
+(* The chaos run's spec and the verdict it is expected to reach: a repro
+   bundle replays its run verbatim and expects its recorded verdict; a
+   named scenario or scenario file runs under [clients] and expects a
+   pass. *)
 let chaos_spec ~seed ~n ~clients arg =
-  let of_scenario sc = { (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n sc) with clients } in
+  let of_scenario sc =
+    ({ (Workload.Chaos.spec ~seed:(Int64.of_int seed) ~n sc) with clients }, Workload.Chaos.Pass)
+  in
   if Faults.Scenario.by_name arg ~n = None && Sys.file_exists arg then
     let s = read_file arg in
     match Modelcheck.Repro.of_string s, Faults.Scenario.of_string s with
-    | Ok b, _ -> b.b_spec
+    | Ok b, _ -> (b.b_spec, b.b_verdict)
     | Error _, Ok _ -> of_scenario (scenario_or_die ~n arg)
     | Error bundle_msg, Error msg ->
       die "%s: neither a repro bundle (%s) nor a scenario (%s)" arg bundle_msg msg
@@ -627,28 +547,26 @@ let chaos_cmd =
            (Modelcheck.Verify.sweep ~cases ~traffic:Spec_clients ~seed:(Int64.of_int seed)
               ~log:(Fmt.pr "%s@.") ()))
     | None ->
+      let spec, expected = chaos_spec ~seed ~n ~clients:(Random { clients; ops; think }) scenario in
       let obs, on_engine = observe ~explain_capacity:(1 lsl 21) v in
-      let o =
-        Workload.Chaos.run ~on_engine
-          (chaos_spec ~seed ~n ~clients:(Random { clients; ops; think }) scenario)
-      in
+      let o = Workload.Chaos.run ~on_engine spec in
+      let verdict = Workload.Chaos.verdict o in
       Fmt.pr "%a@." Workload.Chaos.pp_outcome o;
-      if Workload.Chaos.passed o then Fmt.pr "all runs passed (invariants + linearizability)@."
-      else begin
-        (* The run's own spec, not shrunk: [verify --replay] re-runs it. *)
-        let bundle =
-          Modelcheck.Repro.to_string { b_spec = o.spec; b_verdict = Workload.Chaos.verdict o }
-        in
-        match repro_file with
-        | Some file ->
-          write_file file bundle;
-          Fmt.pr "repro bundle written to %s (not shrunk)@." file
-        | None -> Fmt.pr "repro bundle (not shrunk): %s@." bundle
-      end;
+      Fmt.pr "verdict: %s (expected %s)@."
+        (Workload.Chaos.verdict_to_string verdict)
+        (Workload.Chaos.verdict_to_string expected);
+      List.iter (Fmt.pr "invariant: %a@." Mu.Invariants.pp_violation) o.violations;
+      (* The run's own spec, not shrunk: a bundle whose verdict reproduces
+         is re-emitted byte for byte. *)
+      Option.iter
+        (fun file ->
+          write_file file (Modelcheck.Repro.to_string { b_spec = o.spec; b_verdict = verdict });
+          Fmt.pr "repro bundle written to %s@." file)
+        repro_file;
       report_views ~include_open:(not o.completed)
         ~label:(Printf.sprintf "chaos %s n=%d" scenario n)
         ~seed v obs;
-      exit (if Workload.Chaos.passed o then 0 else 1)
+      exit (if verdict = expected then 0 else 1)
   in
   let n_arg =
     Arg.(value & opt pos_int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas in the chaos run's cluster.")
@@ -660,9 +578,9 @@ let chaos_cmd =
       & info [ "scenario" ] ~docv:"SCENARIO"
           ~doc:
             ("Named scenario (" ^ scenario_names
-           ^ "), a scenario JSON file, or a repro bundle written by --repro (which \
-              replays its run verbatim: --n, --clients, --ops and --think are then \
-              ignored)."))
+           ^ "), a scenario JSON file (both expect a pass), or a repro bundle written \
+              by --repro, which replays its run verbatim (its own cluster size and \
+              clients) and expects its recorded verdict."))
   in
   let sweep_arg =
     Arg.(
@@ -694,59 +612,34 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Run Mu under injected faults (crashes, partitions, loss, forced \
-          permission failures) and check linearizability plus the Appendix A \
-          invariants. Exits non-zero on any violation.")
+          permission failures), or replay a repro bundle, and check \
+          linearizability plus the Appendix A invariants. Exits 0 iff the \
+          observed verdict is the expected one.")
     Term.(
       ret
         (const run $ setup_logs $ seed_arg $ n_arg $ scenario_arg $ sweep_arg
         $ repro_arg
             ~doc:
-              "On failure, write a repro bundle to $(docv): the failing run's whole \
-               spec and verdict (a single run is not shrunk; --sweep shrinks its \
-               first failure). $(b,verify --replay) replays it."
+              "Write the run's repro bundle to $(docv): its whole spec and observed \
+               verdict, not shrunk ($(b,--scenario) replays it). With --sweep, write \
+               the first failure's bundle, shrunk."
         $ clients_arg $ ops_arg $ think_arg $ views_arg))
 
 (* Model-based property testing (DESIGN.md §19): generated chaos specs
    with scripted clients run through the real cluster and judged
    against the pure KV model; the first failure is shrunk to a minimized,
-   byte-stable repro bundle that --replay re-executes byte-identically. *)
+   byte-stable repro bundle that chaos --scenario replays. *)
 
 let verify_cmd =
-  let run () seed cases ns inject clients ops_per_client budget repro_file replay
-      out_file quiet =
+  let run () seed cases ns inject clients ops_per_client budget repro_file quiet =
     let log = if quiet then fun _ -> () else fun s -> Fmt.pr "%s@." s in
-    match replay with
-    | Some file ->
-      (* Replay any bundle: re-execute its spec and re-emit the bundle
-         with the verdict observed — byte-identical to the input exactly
-         when the failure still reproduces. *)
-      let bundle =
-        match Modelcheck.Repro.of_string (read_file file) with
-        | Error msg -> die "%s" msg
-        | Ok bundle -> bundle
-      in
-      let r, bytes = Modelcheck.Verify.replay bundle in
-      Fmt.pr "replay: expected %s, observed %s@."
-        (Workload.Chaos.verdict_to_string bundle.b_verdict)
-        (Workload.Chaos.verdict_to_string r.verdict);
-      Option.iter (Fmt.pr "%a@." Workload.Chaos.pp_witness) r.outcome.witness;
-      List.iter
-        (fun v -> Fmt.pr "invariant: %a@." Mu.Invariants.pp_violation v)
-        r.outcome.violations;
-      Option.iter
-        (fun out ->
-          write_file out bytes;
-          Fmt.pr "re-emitted bundle written to %s@." out)
-        out_file;
-      exit (if r.verdict = bundle.b_verdict then 0 else 1)
-    | None ->
-      if ns = [] || List.exists (fun n -> n < 1) ns then
-        die "--ns: expected a non-empty list of cluster sizes >= 1";
-      exit
-        (print_sweep ~repro_file
-           (Modelcheck.Verify.sweep ~cases ~ns ~inject
-              ~traffic:(Scripted { clients; ops_per_client })
-              ~budget ~log ~seed:(Int64.of_int seed) ()))
+    if ns = [] || List.exists (fun n -> n < 1) ns then
+      die "--ns: expected a non-empty list of cluster sizes >= 1";
+    exit
+      (print_sweep ~repro_file
+         (Modelcheck.Verify.sweep ~cases ~ns ~inject
+            ~traffic:(Scripted { clients; ops_per_client })
+            ~budget ~log ~seed:(Int64.of_int seed) ()))
   in
   let cases_arg =
     Arg.(
@@ -784,24 +677,6 @@ let verify_cmd =
       & info [ "shrink-budget" ] ~docv:"N"
           ~doc:"Max candidate re-executions the shrinker may spend.")
   in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"BUNDLE"
-          ~doc:
-            "Replay a repro bundle ($(b,verify) or $(b,chaos) --repro) instead of \
-             sweeping; exits 0 iff the recorded verdict reproduces.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "With --replay: write the re-emitted bundle to $(docv) (byte-identical \
-             to the input when the failure reproduces).")
-  in
   let quiet_arg =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress per-case log lines.")
   in
@@ -816,7 +691,6 @@ let verify_cmd =
       const run $ setup_logs $ seed_arg $ cases_arg $ ns_arg $ inject_arg
       $ clients_arg $ ops_arg $ budget_arg
       $ repro_arg ~doc:"On failure, write the minimized repro bundle to $(docv)."
-      $ replay_arg $ out_arg
       $ quiet_arg)
 
 (* --- serve ------------------------------------------------------------------- *)
@@ -896,5 +770,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "mu_demo" ~doc)
-          [ latency_cmd; compare_cmd; failover_cmd; throughput_cmd; detectors_cmd;
-            metrics_cmd; chaos_cmd; verify_cmd; serve_cmd ]))
+          [ latency_cmd; failover_cmd; chaos_cmd; verify_cmd; serve_cmd ]))

@@ -1,6 +1,7 @@
 type t = {
   table : (string, string) Hashtbl.t;
-  (* (client, req_id) dedup: last id applied and its reply, per client. *)
+  (* Client sessions: the last request id applied per client, and its
+     reply. Ids only grow, so any id at or below it is a duplicate. *)
   last_applied : (int, int * Bytes.t) Hashtbl.t;
 }
 
@@ -43,14 +44,19 @@ let find t key = Hashtbl.find_opt t.table key
 
 (* --- codec -------------------------------------------------------------- *)
 
-let put_string buf s =
+let put_int buf v =
   let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int (String.length s));
-  Buffer.add_bytes buf b;
+  Bytes.set_int32_le b 0 (Int32.of_int v);
+  Buffer.add_bytes buf b
+
+let put_string buf s =
+  put_int buf (String.length s);
   Buffer.add_string buf s
 
+let get_int data off = Int32.to_int (Bytes.get_int32_le data off)
+
 let get_string data off =
-  let len = Int32.to_int (Bytes.get_int32_le data off) in
+  let len = get_int data off in
   (Bytes.sub_string data (off + 4) len, off + 4 + len)
 
 let encode_command ?(client = 0) ?(req_id = 0) cmd =
@@ -72,8 +78,8 @@ let decode_command data =
   if Bytes.length data < 9 then None
   else
     try
-      let client = Int32.to_int (Bytes.get_int32_le data 1) in
-      let req_id = Int32.to_int (Bytes.get_int32_le data 5) in
+      let client = get_int data 1 in
+      let req_id = get_int data 5 in
       match Bytes.get data 0 with
       | 'G' ->
         let key, _ = get_string data 9 in
@@ -115,7 +121,7 @@ let decode_reply data =
 
 let apply_dedup t ~client ~req_id cmd =
   match Hashtbl.find_opt t.last_applied client with
-  | Some (last, reply) when last = req_id ->
+  | Some (last, reply) when req_id <= last ->
     Option.value (decode_reply reply) ~default:Not_found
   | Some _ | None ->
     let reply = apply t cmd in
@@ -124,26 +130,40 @@ let apply_dedup t ~client ~req_id cmd =
 
 (* --- checkpointing -------------------------------------------------------- *)
 
+(* The table, then the session table: a replica that installs a
+   checkpoint must still recognise every duplicate (§5.4). *)
 let snapshot t =
   let buf = Buffer.create 1024 in
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int (Hashtbl.length t.table));
-  Buffer.add_bytes buf b;
+  put_int buf (Hashtbl.length t.table);
   Hashtbl.iter
     (fun k v ->
       put_string buf k;
       put_string buf v)
     t.table;
+  put_int buf (Hashtbl.length t.last_applied);
+  Hashtbl.iter
+    (fun client (req_id, reply) ->
+      put_int buf client;
+      put_int buf req_id;
+      put_string buf (Bytes.to_string reply))
+    t.last_applied;
   Buffer.to_bytes buf
 
 let restore data =
   let t = create () in
-  let count = Int32.to_int (Bytes.get_int32_le data 0) in
   let off = ref 4 in
-  for _ = 1 to count do
+  for _ = 1 to get_int data 0 do
     let k, o = get_string data !off in
     let v, o = get_string data o in
     Hashtbl.replace t.table k v;
+    off := o
+  done;
+  let sessions = get_int data !off in
+  off := !off + 4;
+  for _ = 1 to sessions do
+    let client = get_int data !off and req_id = get_int data (!off + 4) in
+    let reply, o = get_string data (!off + 8) in
+    Hashtbl.replace t.last_applied client (req_id, Bytes.of_string reply);
     off := o
   done;
   t
@@ -164,7 +184,7 @@ let smr_app ?(lose_put_every = 0) () =
             (* Dedup check first so a re-delivered Put is not counted (or
                lost) twice — replays must see the recorded reply. *)
             match Hashtbl.find_opt !store.last_applied client with
-            | Some (last, _) when last = req_id -> false
+            | Some (last, _) when req_id <= last -> false
             | _ -> true
           in
           if

@@ -7,7 +7,15 @@
     Commands carry a client-assigned request id; the store remembers the
     last id applied per client and turns duplicates into no-ops, giving
     exactly-once semantics on top of the SMR layer's at-least-once
-    delivery (see {!Mu.Smr}). *)
+    delivery (see {!Mu.Smr}).
+
+    The session contract: each client's request ids increase, and a
+    client has one request outstanding at a time. A request whose id is
+    at or below the client's last applied id is a duplicate (a
+    retransmission, possibly overtaken by the client's next request): it
+    is not executed and returns the reply recorded for the client's last
+    request. Sessions are part of the state, so they survive a
+    checkpoint ({!snapshot}/{!restore}). *)
 
 type t
 
@@ -31,8 +39,9 @@ val apply : t -> command -> reply
 (** Execute a command directly (no dedup). *)
 
 val apply_dedup : t -> client:int -> req_id:int -> command -> reply
-(** Execute with duplicate suppression: a (client, req_id) pair already
-    applied returns its recorded reply without re-executing. *)
+(** Execute with duplicate suppression: a [req_id] at or below the
+    client's last applied id returns the recorded reply without
+    re-executing. *)
 
 val size : t -> int
 val find : t -> string -> string option
@@ -66,4 +75,6 @@ val smr_app : ?lose_put_every:int -> unit -> Mu.Smr.app
 (** {1 Checkpointing} *)
 
 val snapshot : t -> Bytes.t
+(** The table and every client session. *)
+
 val restore : Bytes.t -> t

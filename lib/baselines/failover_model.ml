@@ -1,8 +1,3 @@
-let dare =
-  (* Randomized election timeout plus reconciliation. *)
-  Sim.Distribution.Shifted
-    { base = 24_000_000.0; jitter = Uniform { lo = 0.0; hi = 12_000_000.0 } }
-
 let hermes =
   (* Membership lease expiry dominates. *)
   Sim.Distribution.Shifted

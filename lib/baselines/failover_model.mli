@@ -6,17 +6,15 @@
     that must absorb network-latency variance (§1, §7.3). We model each as
     the sum of its published detection timeout and a reconfiguration term:
 
-    - {b DARE}: RAFT-like randomized election timeouts plus log
-      reconciliation (~30 ms).
     - {b Hermes}: membership-lease expiry before a new coordinator may
       write (>= 150 ms).
     - {b HovercRaft}: Raft with aggressive 10 ms timeouts.
 
     Mu's measured fail-over (Fig. 6) is produced by the real protocol in
-    {!Workload.Experiments.failover}; these models exist to print the
-    order-of-magnitude comparison next to it. *)
+    {!Workload.Experiments.failover}, and DARE's by its RAFT-style
+    election in {!Workload.Experiments.dare_failover}; these models exist
+    to print the order-of-magnitude comparison next to them. *)
 
-val dare : Sim.Distribution.t
 val hermes : Sim.Distribution.t
 val hovercraft : Sim.Distribution.t
 

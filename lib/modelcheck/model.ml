@@ -27,7 +27,7 @@ module Kv = struct
 
   let apply t ~client ~req_id cmd =
     match IMap.find_opt client t.last with
-    | Some (last, reply) when last = req_id -> (t, reply)
+    | Some (last, reply) when req_id <= last -> (t, reply)
     | Some _ | None ->
       let table, reply = eval t.table cmd in
       ({ table; last = IMap.add client (req_id, reply) t.last }, reply)

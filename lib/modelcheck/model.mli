@@ -21,9 +21,11 @@ module Kv : sig
 
   val apply :
     t -> client:int -> req_id:int -> Apps.Kv_store.command -> t * Apps.Kv_store.reply
-  (** Execute with duplicate suppression: re-applying a client's last
-      request id returns the recorded reply without touching the map,
-      exactly like {!Apps.Kv_store.apply_dedup}. *)
+  (** Execute with duplicate suppression. Sessions are monotone: a
+      client's ids increase, so a [req_id] at or below the client's last
+      applied id is a duplicate. It leaves the map alone and returns the
+      reply recorded for the client's last request. This is the contract
+      {!Apps.Kv_store.apply_dedup} implements. *)
 
   val find : t -> string -> string option
 end

@@ -1,6 +1,6 @@
 (** Byte-stable repro bundles (schema [mu-verify-repro/2]): the one repro
     format, written by [mu_demo chaos] and [mu_demo verify] and replayed by
-    [mu_demo verify --replay].
+    [mu_demo chaos --scenario].
 
     A bundle is the whole {!Workload.Chaos.spec}, printed by
     {!Workload.Chaos.spec_fields} (a script or random clients, and the

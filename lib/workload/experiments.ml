@@ -532,55 +532,6 @@ let dare_failover setup ~rounds =
       let d = Baselines.Dare_election.create c in
       Baselines.Dare_election.measure_failover d ~rounds)
 
-type counters = {
-  failover_delta : Mu.Metrics.t;
-  replicas : (int * Mu.Metrics.t) list;
-  violations : Mu.Invariants.violation list;
-}
-
-let counters ?reg ~seed () =
-  let e = Sim.Engine.create ~seed () in
-  Option.iter (Sim.Engine.set_metrics e) reg;
-  let smr =
-    Mu.Smr.create e Sim.Calibration.default Mu.Config.default ~make_app:(fun _ ->
-        Mu.Smr.stateless_app Fun.id)
-  in
-  let snapshot () =
-    Array.to_list (Mu.Smr.replicas smr)
-    |> List.map (fun (r : Mu.Replica.t) ->
-           (r.Mu.Replica.id, Mu.Metrics.copy r.Mu.Replica.metrics))
-  in
-  let submit n c =
-    for _ = 1 to n do
-      ignore (Mu.Smr.submit smr (Bytes.make 64 c))
-    done
-  in
-  let result = ref None in
-  Mu.Smr.start smr;
-  Sim.Engine.spawn e ~name:"driver" (fun () ->
-      Mu.Smr.wait_live smr;
-      submit 200 'm';
-      let r0 = Mu.Smr.replica smr 0 in
-      let before = List.map snd (snapshot ()) in
-      Sim.Host.pause r0.Mu.Replica.host;
-      submit 1 'f';
-      let after = List.map snd (snapshot ()) in
-      Sim.Host.resume r0.Mu.Replica.host;
-      Sim.Engine.sleep e 5_000_000;
-      submit 200 'm';
-      Sim.Engine.sleep e 2_000_000;
-      result :=
-        Some
-          {
-            failover_delta = Mu.Metrics.total (List.map2 Mu.Metrics.diff after before);
-            replicas = snapshot ();
-            violations = Mu.Invariants.check_all (Mu.Smr.replicas smr);
-          };
-      Mu.Smr.stop smr;
-      Sim.Engine.halt e);
-  Sim.Engine.run e;
-  Option.get !result
-
 (* ----------------------------------------------------------------------- *)
 (* Fig. 7 — throughput                                                      *)
 (* ----------------------------------------------------------------------- *)

@@ -114,18 +114,6 @@ val dare_failover : setup -> rounds:int -> Sim.Stats.Samples.t
     ({!Baselines.Dare_election}): pause the leader, time until a follower
     wins a term. The paper reports ~30 ms (§1). *)
 
-type counters = {
-  failover_delta : Mu.Metrics.t;  (** Cluster total over the one fail-over. *)
-  replicas : (int * Mu.Metrics.t) list;  (** Each replica's counters at the end. *)
-  violations : Mu.Invariants.violation list;
-}
-
-val counters : ?reg:Telemetry.Registry.t -> seed:int64 -> unit -> counters
-(** The per-replica counter workload ([mu_demo metrics]): a 3-replica
-    cluster commits 200 requests, loses its leader to a pause for one
-    request, and commits 200 more after the resume. [reg] is attached to
-    the engine first, so the replicas also feed its instruments. *)
-
 (** {1 Fig. 7 — throughput vs latency} *)
 
 type throughput_point = {

@@ -54,7 +54,14 @@ let kv_dedup_suppresses_duplicates () =
   (* Re-delivery of request 5 must not clobber the newer value. *)
   let r = Kv_store.apply_dedup s ~client:1 ~req_id:5 cmd in
   check "cached reply" true (r = Kv_store.Stored);
-  check "state preserved" true (Kv_store.find s "x" = Some "2")
+  check "state preserved" true (Kv_store.find s "x" = Some "2");
+  (* Sessions are monotone: a retransmission overtaken by the client's
+     next request is a duplicate too. *)
+  ignore (Kv_store.apply_dedup s ~client:1 ~req_id:6 (Kv_store.Delete { key = "x" }));
+  ignore (Kv_store.apply_dedup s ~client:2 ~req_id:1 (Kv_store.Put { key = "x"; value = "3" }));
+  ignore (Kv_store.apply_dedup s ~client:1 ~req_id:5 cmd);
+  ignore (Kv_store.apply_dedup s ~client:1 ~req_id:6 (Kv_store.Delete { key = "x" }));
+  check "older requests not re-run" true (Kv_store.find s "x" = Some "3")
 
 let kv_snapshot_restore () =
   let s = Kv_store.create () in
@@ -64,6 +71,22 @@ let kv_snapshot_restore () =
   let s' = Kv_store.restore (Kv_store.snapshot s) in
   check_int "size" 100 (Kv_store.size s');
   check "spot check" true (Kv_store.find s' "37" = Some (String.make 37 'x'))
+
+(* A replica that installs a checkpoint (§5.4) keeps every session: a
+   request re-delivered after the restore is still a duplicate. *)
+let kv_sessions_survive_checkpoint () =
+  let put client v =
+    Kv_store.encode_command ~client ~req_id:1 (Kv_store.Put { key = "a"; value = v })
+  in
+  let app = Kv_store.smr_app () in
+  ignore (app.Mu.Smr.apply (put 1 "x"));
+  ignore (app.Mu.Smr.apply (put 2 "y"));
+  let app2 = Kv_store.smr_app () in
+  app2.Mu.Smr.install (app.Mu.Smr.snapshot ());
+  check "duplicate answers its reply" true
+    (Kv_store.decode_reply (app2.Mu.Smr.apply (put 1 "x")) = Some Kv_store.Stored);
+  let get = Kv_store.encode_command ~client:3 ~req_id:1 (Kv_store.Get { key = "a" }) in
+  check "not re-run" true (Kv_store.decode_reply (app2.Mu.Smr.apply get) = Some (Kv_store.Value "y"))
 
 let kv_smr_app_end_to_end () =
   let app = Kv_store.smr_app () in
@@ -188,4 +211,5 @@ let suite =
     ("transport latency scales", `Quick, transport_latency_scales);
     ("transport legs sum to rtt", `Quick, transport_legs_sum_to_rtt);
     ("transport payload sizes", `Quick, transport_payload_sizes);
+    ("kv sessions survive a checkpoint", `Quick, kv_sessions_survive_checkpoint);
   ]
