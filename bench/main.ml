@@ -428,12 +428,9 @@ let serving () =
   Fmt.pr "  %6s %5s %8s %11s %13s %7s %9s %9s@." "shards" "batch" "doorbell" "offered/us"
     "committed/us" "shed" "p50 (us)" "p99 (us)";
   List.iter
-    (fun (p : Serving.Surface.point) ->
-      Fmt.pr "  %6d %5d %8d %11.2f %13.2f %7d %9.2f %9.2f@." p.Serving.Surface.shards
-        p.Serving.Surface.batch p.Serving.Surface.doorbell p.Serving.Surface.offered_per_us
-        p.Serving.Surface.committed_per_us p.Serving.Surface.shed
-        (us p.Serving.Surface.p50_ns)
-        (us p.Serving.Surface.p99_ns))
+    (fun { Serving.Surface.shards; batch; doorbell; report = r } ->
+      Fmt.pr "  %6d %5d %8d %11.2f %13.2f %7d %9.2f %9.2f@." shards batch doorbell
+        r.Serving.Tier.offered_per_us r.committed_per_us r.shed (us r.p50_ns) (us r.p99_ns))
     points;
   (* Acceptance: at every shard count, the largest batch (doorbell on)
      must commit more requests per us than unbatched replication. *)
@@ -444,18 +441,18 @@ let serving () =
        (String.concat "," (List.map string_of_int shard_counts)));
   Fmt.pr "  check: batch %d beats batch 1 at every shard count: %s@." max_batch
     (if ok then "OK" else "FAIL");
-  let cell (p : Serving.Surface.point) =
+  let cell { Serving.Surface.shards; batch; doorbell; report = r } =
     J.Obj
       [
-        ("shards", int p.shards);
-        ("batch", int p.batch);
-        ("doorbell", int p.doorbell);
-        ("offered_per_us", fixed 3 p.offered_per_us);
-        ("committed_per_us", fixed 3 p.committed_per_us);
-        ("shed", int p.shed);
-        ("suppressed", int p.suppressed);
-        ("p50_ns", int p.p50_ns);
-        ("p99_ns", int p.p99_ns);
+        ("shards", int shards);
+        ("batch", int batch);
+        ("doorbell", int doorbell);
+        ("offered_per_us", fixed 3 r.Serving.Tier.offered_per_us);
+        ("committed_per_us", fixed 3 r.committed_per_us);
+        ("shed", int r.shed);
+        ("suppressed", int r.suppressed);
+        ("p50_ns", int r.p50_ns);
+        ("p99_ns", int r.p99_ns);
       ]
   in
   J.Obj [ ("surface", List (List.map cell points)) ]

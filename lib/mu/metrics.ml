@@ -107,44 +107,33 @@ let create ?reg ?(id = 0) () =
     tel = Option.map (fun reg -> instruments reg ~id) reg;
   }
 
-(* The one list of counters, in [pp] order: its label, then the field's
-   getter and setter. An empty label prints after the previous counter as
-   "/v", which is how the permission fast and slow paths share one item. *)
+(* The one list of counters, in [pp] order: its label and the field's
+   getter. An empty label prints after the previous counter as "/v",
+   which is how the permission fast and slow paths share one item. *)
 let fields =
   [
-    ("proposes", (fun m -> m.proposes), fun m v -> m.proposes <- v);
-    ("commits", (fun m -> m.commits), fun m v -> m.commits <- v);
-    ("aborts", (fun m -> m.aborts), fun m v -> m.aborts <- v);
-    ("prepares", (fun m -> m.prepare_phases), fun m v -> m.prepare_phases <- v);
-    ("accepts", (fun m -> m.accept_rounds), fun m v -> m.accept_rounds <- v);
-    ("catch-up", (fun m -> m.catch_up_entries), fun m v -> m.catch_up_entries <- v);
-    ("update", (fun m -> m.update_entries), fun m v -> m.update_entries <- v);
-    ("grown", (fun m -> m.followers_grown), fun m v -> m.followers_grown <- v);
-    ("perm-req", (fun m -> m.permission_requests), fun m v -> m.permission_requests <- v);
-    ("perm-grant", (fun m -> m.permission_grants), fun m v -> m.permission_grants <- v);
-    ("fast/slow", (fun m -> m.perm_fast_path), fun m v -> m.perm_fast_path <- v);
-    ("", (fun m -> m.perm_slow_path), fun m v -> m.perm_slow_path <- v);
-    ("fd-reads", (fun m -> m.fd_reads), fun m v -> m.fd_reads <- v);
-    ("applied", (fun m -> m.entries_applied), fun m v -> m.entries_applied <- v);
-    ("recycled", (fun m -> m.slots_recycled), fun m v -> m.slots_recycled <- v);
-    ("recycle-skips", (fun m -> m.recycle_skips), fun m v -> m.recycle_skips <- v);
-    ("recycler-errors", (fun m -> m.recycler_errors), fun m v -> m.recycler_errors <- v);
+    ("proposes", fun m -> m.proposes);
+    ("commits", fun m -> m.commits);
+    ("aborts", fun m -> m.aborts);
+    ("prepares", fun m -> m.prepare_phases);
+    ("accepts", fun m -> m.accept_rounds);
+    ("catch-up", fun m -> m.catch_up_entries);
+    ("update", fun m -> m.update_entries);
+    ("grown", fun m -> m.followers_grown);
+    ("perm-req", fun m -> m.permission_requests);
+    ("perm-grant", fun m -> m.permission_grants);
+    ("fast/slow", fun m -> m.perm_fast_path);
+    ("", fun m -> m.perm_slow_path);
+    ("fd-reads", fun m -> m.fd_reads);
+    ("applied", fun m -> m.entries_applied);
+    ("recycled", fun m -> m.slots_recycled);
+    ("recycle-skips", fun m -> m.recycle_skips);
+    ("recycler-errors", fun m -> m.recycler_errors);
   ]
-
-(* A fresh counter-only value whose every field is [f] of [a]'s and [b]'s. *)
-let zip f a b =
-  let r = create () in
-  List.iter (fun (_, get, set) -> set r (f (get a) (get b))) fields;
-  r
-
-let copy m = zip (fun v _ -> v) m m
-let reset m = List.iter (fun (_, _, set) -> set m 0) fields
-let diff = zip ( - )
-let total ms = List.fold_left (zip ( + )) (create ()) ms
 
 let pp ppf m =
   List.iteri
-    (fun i (label, get, _) ->
+    (fun i (label, get) ->
       if label = "" then Fmt.pf ppf "/%d" (get m)
       else Fmt.pf ppf "%s%s=%d" (if i = 0 then "" else " ") label (get m))
     fields

@@ -1,7 +1,7 @@
 (** Per-replica counters: the one place a replica reports what it did.
 
     Each protocol fact is one call. The ints below are always on: every
-    plane bumps them as it works, harnesses snapshot or print them, and
+    plane bumps them as it works, harnesses read or print them, and
     they start from zero with each incarnation (a restart creates a new
     replica). A value created with a registry ([Replica.create] passes
     the engine's, {!Sim.Engine.set_metrics}) also resolves its
@@ -49,22 +49,6 @@ val create : ?reg:Telemetry.Registry.t -> ?id:int -> unit -> t
     (default 0). *)
 
 val pp : t Fmt.t
-
-val copy : t -> t
-(** Independent snapshot of the ints; later mutation of the original is
-    not seen, and the copy carries no instruments. *)
-
-val reset : t -> unit
-(** Zero every int in place. *)
-
-val diff : t -> t -> t
-(** [diff after before] — field-wise subtraction; with [before] a
-    {!copy} taken earlier from the same live record, the result is the
-    activity in between (e.g. the work done by one fail-over). *)
-
-val total : t list -> t
-(** Sum across replicas. [total [diff a b]] equals
-    [diff (total [a]) (total [b])] field-wise. *)
 
 (** {1 Facts with an int and an instrument} *)
 

@@ -5,17 +5,7 @@
    population; batch sizes > 1 additionally engage the leader's
    doorbell so slot writes coalesce on the wire. *)
 
-type point = {
-  shards : int;
-  batch : int;
-  doorbell : int;
-  offered_per_us : float;
-  committed_per_us : float;
-  shed : int;
-  suppressed : int;
-  p50_ns : int;
-  p99_ns : int;
-}
+type point = { shards : int; batch : int; doorbell : int; report : Tier.report }
 
 let config ~batch ~doorbell =
   {
@@ -40,19 +30,6 @@ let run_point setup ~shards ~batch ?doorbell ~clients ~think_ns ~duration () =
       Tier.run e Sim.Calibration.default (config ~batch ~doorbell) ~shards
         ~population ~duration ())
 
-let point_of ~shards ~batch ~doorbell (r : Tier.report) =
-  {
-    shards;
-    batch;
-    doorbell;
-    offered_per_us = r.Tier.offered_per_us;
-    committed_per_us = r.Tier.committed_per_us;
-    shed = r.Tier.shed;
-    suppressed = r.Tier.suppressed;
-    p50_ns = r.Tier.p50_ns;
-    p99_ns = r.Tier.p99_ns;
-  }
-
 let batching_beats_unbatched points ~batch =
   let cell sc b = List.find_opt (fun p -> p.shards = sc && p.batch = b) points in
   let shard_counts = List.sort_uniq compare (List.map (fun p -> p.shards) points) in
@@ -60,7 +37,8 @@ let batching_beats_unbatched points ~batch =
   && List.for_all
        (fun sc ->
          match (cell sc 1, cell sc batch) with
-         | Some p1, Some pk -> pk.committed_per_us > p1.committed_per_us
+         | Some p1, Some pk ->
+           pk.report.Tier.committed_per_us > p1.report.Tier.committed_per_us
          | _ -> false)
        shard_counts
 
@@ -70,9 +48,11 @@ let sweep setup ~shard_counts ~batches ~clients ~think_ns ~duration =
       List.map
         (fun batch ->
           let doorbell = if batch > 1 then 4 else 1 in
-          let rep =
-            run_point setup ~shards ~batch ~doorbell ~clients ~think_ns ~duration ()
-          in
-          point_of ~shards ~batch ~doorbell rep)
+          {
+            shards;
+            batch;
+            doorbell;
+            report = run_point setup ~shards ~batch ~doorbell ~clients ~think_ns ~duration ();
+          })
         batches)
     shard_counts

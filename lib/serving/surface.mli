@@ -8,17 +8,8 @@
     the surface measures the combined effect of coalescing on the wire
     and sharding across leaders. *)
 
-type point = {
-  shards : int;
-  batch : int;
-  doorbell : int;
-  offered_per_us : float;
-  committed_per_us : float;
-  shed : int;
-  suppressed : int;
-  p50_ns : int;
-  p99_ns : int;
-}
+type point = { shards : int; batch : int; doorbell : int; report : Tier.report }
+(** One cell: its coordinates and the tier's report of its run. *)
 
 val config : batch:int -> doorbell:int -> Mu.Config.t
 (** The per-point cluster config: pipelined (4 outstanding), fast

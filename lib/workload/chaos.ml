@@ -282,6 +282,18 @@ let client_fiber e s ~proc ~script ~records ~pending ~on_done =
     script;
   on_done ()
 
+(* Host lookups re-resolve through the cluster on every event: a restart
+   replaces the replica (and its host) under the same id, and later
+   faults must land on the new incarnation. *)
+let inject e smr scenario =
+  Faults.Injector.install e
+    ~hosts:(fun pid ->
+      if pid >= 0 && pid < Array.length (Mu.Smr.replicas smr) then
+        Some (Mu.Smr.replica smr pid).Mu.Replica.host
+      else None)
+    ~restart:(fun pid -> Mu.Smr.restart_replica smr ~id:pid)
+    scenario
+
 let run ?(on_engine = ignore) spec =
   let e = Sim.Engine.create ~seed:spec.seed () in
   on_engine e;
@@ -292,18 +304,8 @@ let run ?(on_engine = ignore) spec =
   Mu.Sharded.start s;
   let groups = List.init spec.shards (Mu.Sharded.shard s) in
   let sum f = List.fold_left (fun acc g -> acc + f g) 0 groups in
-  (* Scenario host ids are shard 0's replica ids. Host lookups re-resolve
-     through the cluster on every event: a restart replaces the replica
-     (and its host) under the same id, and later faults must land on the
-     new incarnation. *)
-  let target = Mu.Sharded.shard s 0 in
-  Faults.Injector.install e
-    ~hosts:(fun pid ->
-      if pid >= 0 && pid < Array.length (Mu.Smr.replicas target) then
-        Some (Mu.Smr.replica target pid).Mu.Replica.host
-      else None)
-    ~restart:(fun pid -> Mu.Smr.restart_replica target ~id:pid)
-    spec.scenario;
+  (* Scenario host ids are shard 0's replica ids. *)
+  inject e (Mu.Sharded.shard s 0) spec.scenario;
   (* (proc, script) per client fiber, the script built at fiber start: a
      random client splits its stream there, before it waits for a leader. *)
   let clients =

@@ -131,6 +131,13 @@ val pp_outcome : outcome Fmt.t
 (** One line naming every failed check (a crash with its message); a
     linearizability witness follows on indented lines. *)
 
+val inject : Sim.Engine.t -> Mu.Smr.t -> Faults.Scenario.t -> unit
+(** Schedule the scenario over a running cluster: scenario host ids are
+    the cluster's replica ids, re-resolved on every event (a restart
+    replaces a replica and its host under the same id), and restarts go
+    to {!Mu.Smr.restart_replica}. The one fault wiring: {!run} injects
+    into shard 0 through it, and so does every faulted figure run. *)
+
 val run : ?on_engine:(Sim.Engine.t -> unit) -> spec -> outcome
 (** One run. [on_engine] sees the fresh engine before the cluster is
     built: the one hook observers attach through (tracer, provenance,

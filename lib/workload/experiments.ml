@@ -8,24 +8,6 @@ let default_setup = { seed = 42L; faults = None; on_engine = None }
 
 let cal = Sim.Calibration.default
 
-(* Inject the setup's fault scenario (if any) over a running Mu cluster;
-   scenario host ids are replica ids. Experiments that build their own
-   topologies (baselines, microbenchmarks) don't take fault scenarios —
-   chaos belongs to the cluster experiments and [Chaos.run]. *)
-let install_faults setup e smr =
-  match setup.faults with
-  | None -> ()
-  | Some scenario ->
-    (* Hosts re-resolve on every event: a restart replaces the replica
-       (and its host) under the same id. *)
-    Faults.Injector.install e
-      ~hosts:(fun pid ->
-        if pid >= 0 && pid < Array.length (Mu.Smr.replicas smr) then
-          Some (Mu.Smr.replica smr pid).Mu.Replica.host
-        else None)
-      ~restart:(fun pid -> Mu.Smr.restart_replica smr ~id:pid)
-      scenario
-
 (* Each engine is fresh (virtual time restarts at 0), so a shared sampler
    opens a new epoch per engine; the sampler fiber ticks on virtual time
    and dies with the engine. *)
@@ -70,12 +52,29 @@ let fault_horizon setup ~budget =
     setup.faults
 
 (* Run [f] in a fiber of [host] and block the calling fiber until done. *)
-let on_host host f =
+let on_host ?(name = "driver") host f =
   let done_ = Sim.Engine.Ivar.create (Sim.Host.engine host) in
-  Sim.Host.spawn host ~name:"driver" (fun () ->
+  Sim.Host.spawn host ~name (fun () ->
       let v = f () in
       Sim.Engine.Ivar.fill done_ v);
   Sim.Engine.Ivar.read done_
+
+(* The latency figures' loop: [warmup] unrecorded calls of [op], then
+   [samples] recorded ones. [op i] (i counts from 1 through both) runs
+   request [i] and returns its latency. *)
+let measure ~warmup ~samples op =
+  let out = Sim.Stats.Samples.create () in
+  for i = 1 to warmup + samples do
+    let ns = op i in
+    if i > warmup then Sim.Stats.Samples.add out ns
+  done;
+  out
+
+(* The virtual ns [f] takes. *)
+let timed e f =
+  let t0 = Sim.Engine.now e in
+  f ();
+  Sim.Engine.now e - t0
 
 (* ----------------------------------------------------------------------- *)
 (* Fig. 2                                                                   *)
@@ -103,14 +102,13 @@ let fig2_permission_switch setup ~samples ~sizes =
               let restart = Sim.Stats.Samples.create () in
               let rereg = Sim.Stats.Samples.create () in
               for _ = 1 to samples do
-                let t0 = Sim.Engine.now e in
-                (match Rdma.Perm.change_qp_flags qa Rdma.Verbs.access_rw with
-                | Ok () -> ()
-                | Error `Qp_error -> Rdma.Qp.set_state qa Rdma.Verbs.Rts);
-                Sim.Stats.Samples.add flags (Sim.Engine.now e - t0);
-                let t0 = Sim.Engine.now e in
-                Rdma.Perm.restart_qp qa Rdma.Verbs.access_rw;
-                Sim.Stats.Samples.add restart (Sim.Engine.now e - t0);
+                Sim.Stats.Samples.add flags
+                  (timed e (fun () ->
+                       match Rdma.Perm.change_qp_flags qa Rdma.Verbs.access_rw with
+                       | Ok () -> ()
+                       | Error `Qp_error -> Rdma.Qp.set_state qa Rdma.Verbs.Rts));
+                Sim.Stats.Samples.add restart
+                  (timed e (fun () -> Rdma.Perm.restart_qp qa Rdma.Verbs.access_rw));
                 (* MR re-registration cost scales with the region size; we
                    sample the calibrated cost model directly rather than
                    allocating multi-GiB buffers. *)
@@ -152,14 +150,22 @@ let wait_for_leader e (smr : Mu.Smr.t) =
 let try_propose leader payload =
   try ignore (Mu.Replication.propose leader payload) with Mu.Replication.Aborted _ -> ()
 
+(* A started Mu cluster over an empty application, with [faults] injected
+   over it ({!Chaos.inject}). Only these cluster experiments take a fault
+   scenario; the baselines and microbenchmarks build private topologies. *)
+let empty_cluster ?client_service ?faults e cfg =
+  let smr =
+    Mu.Smr.create e cal cfg ~make_app:(fun _ -> Mu.Smr.stateless_app (fun _ -> Bytes.empty))
+  in
+  Mu.Smr.start ?client_service smr;
+  Option.iter (Chaos.inject e smr) faults;
+  smr
+
 (* A standalone Smr whose leader has established its followers with one
    "boot" proposal, ready for the Fig. 5 cross-check handlers to
    replicate on. *)
 let boot_standalone e cfg =
-  let smr =
-    Mu.Smr.create e cal cfg ~make_app:(fun _ -> Mu.Smr.stateless_app (fun _ -> Bytes.empty))
-  in
-  Mu.Smr.start ~client_service:false smr;
+  let smr = empty_cluster ~client_service:false e cfg in
   let leader = wait_for_leader e smr in
   let established = Sim.Engine.Ivar.create e in
   Sim.Host.spawn leader.Mu.Replica.host ~name:"establish" (fun () ->
@@ -171,43 +177,29 @@ let boot_standalone e cfg =
 let mu_latency_with_config setup ~samples ~payload ~attach cfg =
   (* 100 us a request: ~75x the fault-free median. *)
   run_sim setup ?until:(fault_horizon setup ~budget:((samples + 100) * 100_000)) (fun e ->
-      let cfg = { cfg with Mu.Config.attach } in
       let smr =
-        Mu.Smr.create e cal cfg ~make_app:(fun _ ->
-            Mu.Smr.stateless_app (fun _ -> Bytes.empty))
+        empty_cluster ~client_service:false ?faults:setup.faults e { cfg with Mu.Config.attach }
       in
-      Mu.Smr.start ~client_service:false smr;
-      install_faults setup e smr;
       let leader = wait_for_leader e smr in
+      let pid = leader.Mu.Replica.id and host = leader.Mu.Replica.host in
       let rng = Sim.Rng.split (Sim.Engine.rng e) in
-      let out = Sim.Stats.Samples.create () in
-      on_host leader.Mu.Replica.host (fun () ->
-          let propose_once record =
-            let body = Generators.payload rng ~size:payload in
-            let value = Mu.Smr.encode_batch [ body ] in
-            let t0 = Sim.Engine.now e in
-            (* The request span brackets exactly the measured interval, so
-               its sync children (attach/stage/propose phases) partition the
-               recorded latency. *)
-            Sim.Engine.span_scope e ~pid:leader.Mu.Replica.id
-              ~args:[ ("len", string_of_int payload) ]
-              "request"
-              (fun () ->
-                Sim.Engine.span_scope e ~pid:leader.Mu.Replica.id "attach" (fun () ->
-                    Sim.Host.cpu leader.Mu.Replica.host (Mu.Smr.attach_cost cal attach));
-                Sim.Engine.span_scope e ~pid:leader.Mu.Replica.id "stage" (fun () ->
-                    Sim.Host.cpu leader.Mu.Replica.host (Mu.Smr.stage_cost cal payload));
-                try ignore (Mu.Replication.propose leader value)
-                with Mu.Replication.Aborted _ ->
-                  Sim.Host.idle leader.Mu.Replica.host 100_000);
-            if record then Sim.Stats.Samples.add out (Sim.Engine.now e - t0)
-          in
-          for _ = 1 to 100 do
-            propose_once false
-          done;
-          for _ = 1 to samples do
-            propose_once true
-          done);
+      let out =
+        on_host host (fun () ->
+            measure ~warmup:100 ~samples (fun _ ->
+                let value = Mu.Smr.encode_batch [ Generators.payload rng ~size:payload ] in
+                (* The request span brackets exactly the measured interval, so
+                   its sync children (attach/stage/propose phases) partition
+                   the recorded latency. *)
+                timed e (fun () ->
+                    Sim.Engine.span_scope e ~pid ~args:[ ("len", string_of_int payload) ] "request"
+                      (fun () ->
+                        Sim.Engine.span_scope e ~pid "attach" (fun () ->
+                            Sim.Host.cpu host (Mu.Smr.attach_cost cal attach));
+                        Sim.Engine.span_scope e ~pid "stage" (fun () ->
+                            Sim.Host.cpu host (Mu.Smr.stage_cost cal payload));
+                        try ignore (Mu.Replication.propose leader value)
+                        with Mu.Replication.Aborted _ -> Sim.Host.idle host 100_000))))
+      in
       Mu.Smr.stop smr;
       out)
 
@@ -230,16 +222,9 @@ let baseline_replication_latency setup ~samples ~system ~payload =
         | `Hovercraft -> Baselines.Hovercraft.create c
       in
       let rng = Sim.Rng.split (Sim.Engine.rng e) in
-      let out = Sim.Stats.Samples.create () in
       on_host c.Baselines.Common.hosts.(0) (fun () ->
-          for _ = 1 to 100 do
-            ignore (engine.Baselines.Common.replicate (Generators.payload rng ~size:payload))
-          done;
-          for _ = 1 to samples do
-            Sim.Stats.Samples.add out
-              (engine.Baselines.Common.replicate (Generators.payload rng ~size:payload))
-          done);
-      out)
+          measure ~warmup:100 ~samples (fun _ ->
+              engine.Baselines.Common.replicate (Generators.payload rng ~size:payload))))
 
 (* ----------------------------------------------------------------------- *)
 (* Fig. 5 — end-to-end latency                                              *)
@@ -254,16 +239,13 @@ let end_to_end_latency setup ~samples ~app ~system =
       let compute = Apps.Transport.app_compute app cal in
       (* Request generator: real commands for the real application. *)
       let flow = Generators.order_flow rng in
-      let req_counter = ref 0 in
-      let next_request () =
-        incr req_counter;
+      let next_request req_id =
         match app with
         | Apps.Transport.Erpc -> Apps.Exchange.encode_command (Generators.next_order flow)
         | Apps.Transport.Tcp_memcached | Apps.Transport.Tcp_redis | Apps.Transport.Herd_rdma
           ->
-          Apps.Kv_store.encode_command ~client:1 ~req_id:!req_counter
-            (Generators.kv_command rng Generators.default_kv_mix ~client:1
-               ~req_id:!req_counter)
+          Apps.Kv_store.encode_command ~client:1 ~req_id
+            (Generators.kv_command rng Generators.default_kv_mix ~client:1 ~req_id)
       in
       let make_app () =
         match app with
@@ -272,7 +254,6 @@ let end_to_end_latency setup ~samples ~app ~system =
           ->
           Apps.Kv_store.smr_app ()
       in
-      let out = Sim.Stats.Samples.create () in
       (* The server-side handler: takes a request, returns when the reply
          would leave the server. *)
       let serve =
@@ -320,108 +301,93 @@ let end_to_end_latency setup ~samples ~app ~system =
                 ignore (application.Mu.Smr.apply payload))
       in
       (* Closed-loop client. *)
-      for i = 1 to samples + 50 do
-        let payload = next_request () in
-        let rtt = Apps.Transport.rtt_sample transport in
-        let t0 = Sim.Engine.now e in
-        Sim.Engine.sleep e (Apps.Transport.request_leg transport rtt);
-        serve payload;
-        Sim.Engine.sleep e (Apps.Transport.response_leg transport rtt);
-        if i > 50 then Sim.Stats.Samples.add out (Sim.Engine.now e - t0)
-      done;
-      out)
+      measure ~warmup:50 ~samples (fun i ->
+          let payload = next_request i in
+          let rtt = Apps.Transport.rtt_sample transport in
+          timed e (fun () ->
+              Sim.Engine.sleep e (Apps.Transport.request_leg transport rtt);
+              serve payload;
+              Sim.Engine.sleep e (Apps.Transport.response_leg transport rtt))))
+
+(* The Fig. 5 cross-checks' server: [execute host] on a fresh
+   unreplicated host ([id], [name]), or on the leader of a booted
+   standalone cluster after [capture host] and one proposal of the
+   request (capture-replicate-execute, Fig. 1). [run handler host]
+   drives it. *)
+let cross_check_server e ~replicated ~id ~name ?(cfg = standalone_config ())
+    ?(capture = ignore) execute run =
+  if not replicated then begin
+    let host = Sim.Host.create e cal ~id ~name in
+    run (execute host) host
+  end
+  else begin
+    let smr, leader = boot_standalone e cfg in
+    let host = leader.Mu.Replica.host in
+    let out =
+      run
+        (fun payload ->
+          capture host;
+          try_propose leader payload;
+          execute host payload)
+        host
+    in
+    Mu.Smr.stop smr;
+    out
+  end
 
 (* HERD measured on the executable server (Apps.Herd) rather than the
    calibrated transport model — a cross-check that the fabric derives the
    same end-to-end numbers the model was pinned to. *)
 let herd_real setup ~samples ~replicated =
   run_sim setup (fun e ->
-      let out = Sim.Stats.Samples.create () in
-      let run_with handler host =
+      let run handler host =
         let srv = Apps.Herd.server e cal ~host ~clients:1 ~handler in
         let cl =
           Apps.Herd.connect srv ~id:0
             ~host:(Sim.Host.create e cal ~id:99 ~name:"herd-client")
         in
-        for i = 1 to samples + 50 do
-          let t0 = Sim.Engine.now e in
-          ignore
-            (Apps.Herd.call cl
-               (Apps.Kv_store.encode_command ~client:1 ~req_id:i
-                  (Apps.Kv_store.Put { key = string_of_int (i mod 64); value = "v" })));
-          if i > 50 then Sim.Stats.Samples.add out (Sim.Engine.now e - t0)
-        done
+        measure ~warmup:50 ~samples (fun i ->
+            let req =
+              Apps.Kv_store.encode_command ~client:1 ~req_id:i
+                (Apps.Kv_store.Put { key = string_of_int (i mod 64); value = "v" })
+            in
+            timed e (fun () -> ignore (Apps.Herd.call cl req)))
       in
       let store = Apps.Kv_store.create () in
-      let execute payload =
+      let execute _ payload =
         match Apps.Kv_store.decode_command payload with
         | Some (client, req_id, cmd) ->
           Apps.Kv_store.encode_reply (Apps.Kv_store.apply_dedup store ~client ~req_id cmd)
         | None -> Bytes.empty
       in
-      if not replicated then begin
-        let host = Sim.Host.create e cal ~id:98 ~name:"herd-server" in
-        run_with execute host
-      end
-      else begin
-        let smr, leader = boot_standalone e (standalone_config ()) in
-        let handler payload =
-          try_propose leader payload;
-          execute payload
-        in
-        run_with handler leader.Mu.Replica.host;
-        Mu.Smr.stop smr
-      end;
-      out)
+      cross_check_server e ~replicated ~id:98 ~name:"herd-server" execute run)
 
 (* Liquibook measured on the executable eRPC layer (Apps.Erpc) with the
-   real matching engine, optionally replicated with Mu — the other
-   cross-check row of Fig. 5. *)
+   real matching engine, optionally replicated with Mu (direct attach) —
+   the other cross-check row of Fig. 5. *)
 let liquibook_real setup ~samples ~replicated =
   run_sim setup (fun e ->
-      let out = Sim.Stats.Samples.create () in
       let book = Apps.Order_book.create () in
-      let execute cal host payload =
+      let execute host payload =
         Sim.Host.cpu host cal.Sim.Calibration.order_match;
         match Apps.Exchange.decode_command payload with
         | Some cmd -> Apps.Exchange.encode_events (Apps.Exchange.apply book cmd)
         | None -> Bytes.empty
       in
-      let run_with handler host =
+      let run handler host =
         let srv = Apps.Erpc.server e cal ~host ~handler in
         let client_host = Sim.Host.create e cal ~id:97 ~name:"liq-client" in
         let cl = Apps.Erpc.connect srv ~host:client_host in
         let flow = Generators.order_flow (Sim.Rng.split (Sim.Engine.rng e)) in
-        let d = Sim.Engine.Ivar.create e in
-        Sim.Host.spawn client_host ~name:"liq-driver" (fun () ->
-            for i = 1 to samples + 50 do
-              let cmd = Apps.Exchange.encode_command (Generators.next_order flow) in
-              let t0 = Sim.Engine.now e in
-              ignore (Apps.Erpc.call cl cmd);
-              if i > 50 then Sim.Stats.Samples.add out (Sim.Engine.now e - t0)
-            done;
-            Sim.Engine.Ivar.fill d ());
-        Sim.Engine.Ivar.read d
+        on_host ~name:"liq-driver" client_host (fun () ->
+            measure ~warmup:50 ~samples (fun _ ->
+                let cmd = Apps.Exchange.encode_command (Generators.next_order flow) in
+                timed e (fun () -> ignore (Apps.Erpc.call cl cmd))))
       in
-      if not replicated then begin
-        let host = Sim.Host.create e cal ~id:96 ~name:"liq-server" in
-        run_with (execute cal host) host
-      end
-      else begin
-        let smr, leader =
-          boot_standalone e { (standalone_config ()) with Mu.Config.attach = Mu.Config.Direct }
-        in
-        let host = leader.Mu.Replica.host in
-        let handler payload =
-          (* Capture-replicate-execute (Fig. 1), direct attach mode. *)
-          Sim.Host.cpu host (cal.Sim.Calibration.direct_interference);
-          try_propose leader payload;
-          execute cal host payload
-        in
-        run_with handler host;
-        Mu.Smr.stop smr
-      end;
-      out)
+      cross_check_server e ~replicated ~id:96 ~name:"liq-server"
+        ~cfg:{ (standalone_config ()) with Mu.Config.attach = Mu.Config.Direct }
+        ~capture:(fun host -> Sim.Host.cpu host cal.Sim.Calibration.direct_interference)
+        execute run)
 
 (* ----------------------------------------------------------------------- *)
 (* Fig. 6 — fail-over                                                       *)
@@ -436,13 +402,7 @@ type failover_stats = {
 let failover setup ~rounds =
   (* 100 ms a round: ~35x a fault-free round. *)
   run_sim setup ?until:(fault_horizon setup ~budget:(rounds * 100_000_000)) (fun e ->
-      let cfg = standalone_config () in
-      let smr =
-        Mu.Smr.create e cal cfg ~make_app:(fun _ ->
-            Mu.Smr.stateless_app (fun _ -> Bytes.empty))
-      in
-      Mu.Smr.start smr;
-      install_faults setup e smr;
+      let smr = empty_cluster ?faults:setup.faults e (standalone_config ()) in
       Mu.Smr.wait_live smr;
       let total = Sim.Stats.Samples.create () in
       let detection = Sim.Stats.Samples.create () in
@@ -544,6 +504,37 @@ type throughput_point = {
   p99_latency_ns : int;
 }
 
+(* The closed-loop throughput driver: one fiber per [(name, submit)]
+   client, all drawing on one budget of [requests] submissions, the first
+   [requests / 10] a warm-up. Returns the steady-state rate (ops/µs) and
+   the latency of every submission after the warm-up. *)
+let closed_loop e ~requests clients =
+  let warmup = requests / 10 in
+  let completed = ref 0 in
+  let t_start = ref 0 and t_end = ref 0 in
+  let lat = Sim.Stats.Samples.create () in
+  let all_done = Sim.Engine.Ivar.create e in
+  List.iter
+    (fun (name, submit) ->
+      Sim.Engine.spawn e ~name (fun () ->
+          let rec loop () =
+            if !completed < requests then begin
+              let ns = timed e submit in
+              incr completed;
+              if !completed > warmup then Sim.Stats.Samples.add lat ns;
+              if !completed = warmup then t_start := Sim.Engine.now e;
+              if !completed = requests then begin
+                t_end := Sim.Engine.now e;
+                ignore (Sim.Engine.Ivar.try_fill all_done ())
+              end;
+              loop ()
+            end
+          in
+          loop ()))
+    clients;
+  Sim.Engine.Ivar.read all_done;
+  (float_of_int (requests - warmup) *. 1000.0 /. float_of_int (max 1 (!t_end - !t_start)), lat)
+
 let throughput_point setup ~requests ~batch ~outstanding =
   run_sim setup (fun e ->
       let value_cap = max 1024 ((batch * 80) + 64) in
@@ -561,48 +552,21 @@ let throughput_point setup ~requests ~batch ~outstanding =
           recycle_slack = 128;
         }
       in
-      let smr =
-        Mu.Smr.create e cal cfg ~make_app:(fun _ ->
-            Mu.Smr.stateless_app (fun _ -> Bytes.empty))
-      in
-      Mu.Smr.start smr;
+      let smr = empty_cluster e cfg in
       Mu.Smr.wait_live smr;
       let rng = Sim.Rng.split (Sim.Engine.rng e) in
-      let warmup = requests / 10 in
-      let completed = ref 0 in
-      let t_start = ref 0 and t_end = ref 0 in
-      let lat = Sim.Stats.Samples.create () in
       let clients = max 1 ((batch * outstanding) + if batch > 1 then batch else 0) in
-      let all_done = Sim.Engine.Ivar.create e in
-      let client () =
-        let rec loop () =
-          if !completed < requests then begin
-            let payload = Generators.payload rng ~size:64 in
-            let t0 = Sim.Engine.now e in
-            ignore (Sim.Engine.Ivar.read (Mu.Smr.submit_async ~retry:false smr payload));
-            incr completed;
-            if !completed > warmup then Sim.Stats.Samples.add lat (Sim.Engine.now e - t0);
-            if !completed = warmup then t_start := Sim.Engine.now e;
-            if !completed = requests then begin
-              t_end := Sim.Engine.now e;
-              ignore (Sim.Engine.Ivar.try_fill all_done ())
-            end;
-            loop ()
-          end
-        in
-        loop ()
+      let submit () =
+        ignore
+          (Sim.Engine.Ivar.read
+             (Mu.Smr.submit_async ~retry:false smr (Generators.payload rng ~size:64)))
       in
-      for _ = 1 to clients do
-        Sim.Engine.spawn e ~name:"client" client
-      done;
-      Sim.Engine.Ivar.read all_done;
-      let dt = max 1 (!t_end - !t_start) in
-      let measured = requests - warmup in
+      let ops_per_us, lat = closed_loop e ~requests (List.init clients (fun _ -> ("client", submit))) in
       Mu.Smr.stop smr;
       {
         batch;
         outstanding;
-        ops_per_us = float_of_int measured *. 1000.0 /. float_of_int dt;
+        ops_per_us;
         median_latency_ns = Sim.Stats.Samples.median lat;
         p99_latency_ns = Sim.Stats.Samples.percentile lat 99.0;
       })
@@ -624,35 +588,21 @@ let sharded_throughput setup ~requests ~shards =
       Mu.Sharded.start s;
       Mu.Sharded.wait_live s;
       let rng = Sim.Rng.split (Sim.Engine.rng e) in
-      let completed = ref 0 in
-      let t_start = ref 0 and t_end = ref 0 in
-      let warmup = requests / 10 in
-      let all_done = Sim.Engine.Ivar.create e in
       (* A few closed-loop clients per shard, each on its own key space so
          operations commute across shards. *)
       let clients_per_shard = 4 in
-      for shard = 0 to shards - 1 do
-        for c = 1 to clients_per_shard do
-          Sim.Engine.spawn e ~name:(Printf.sprintf "client-%d-%d" shard c) (fun () ->
-              let key = Printf.sprintf "shard%d" shard in
-              let rec loop () =
-                if !completed < requests then begin
-                  ignore (Mu.Sharded.submit s ~key (Generators.payload rng ~size:64));
-                  incr completed;
-                  if !completed = warmup then t_start := Sim.Engine.now e;
-                  if !completed = requests then begin
-                    t_end := Sim.Engine.now e;
-                    ignore (Sim.Engine.Ivar.try_fill all_done ())
-                  end;
-                  loop ()
-                end
-              in
-              loop ())
-        done
-      done;
-      Sim.Engine.Ivar.read all_done;
+      let clients =
+        List.concat_map
+          (fun shard ->
+            let key = Printf.sprintf "shard%d" shard in
+            List.init clients_per_shard (fun c ->
+                ( Printf.sprintf "client-%d-%d" shard (c + 1),
+                  fun () -> ignore (Mu.Sharded.submit s ~key (Generators.payload rng ~size:64)) )))
+          (List.init shards Fun.id)
+      in
+      let ops_per_us, _ = closed_loop e ~requests clients in
       Mu.Sharded.stop s;
-      float_of_int (requests - warmup) *. 1000.0 /. float_of_int (max 1 (!t_end - !t_start)))
+      ops_per_us)
 
 (* ----------------------------------------------------------------------- *)
 (* Ablations                                                                *)
@@ -679,35 +629,29 @@ let ablation_permissions setup ~samples =
     run_sim setup (fun e ->
         let c = Baselines.Common.create e cal ~n:3 ~mr_size:65_536 in
         let rng = Sim.Rng.split (Sim.Engine.rng e) in
-        let out = Sim.Stats.Samples.create () in
         let followers = [ 1; 2 ] in
         let needed = 1 in
+        (* One round to every follower: the quorum's completions, then the
+           stragglers'. *)
+        let round post =
+          List.iter post followers;
+          Baselines.Common.await_successes c ~node:0 ~count:needed;
+          Baselines.Common.await_successes c ~node:0 ~count:(List.length followers - needed)
+        in
+        let wr = ref 0 in
+        let readback = Bytes.create 128 in
         on_host c.Baselines.Common.hosts.(0) (fun () ->
-            let wr = ref 0 in
-            let readback = Bytes.create 128 in
-            for i = 1 to samples + 100 do
-              let payload = Generators.payload rng ~size:64 in
-              let t0 = Sim.Engine.now e in
-              List.iter
-                (fun j -> Baselines.Common.write_to c ~src:0 ~dst:j ~data:payload ~off:0)
-                followers;
-              Baselines.Common.await_successes c ~node:0 ~count:needed;
-              Baselines.Common.await_successes c ~node:0
-                ~count:(List.length followers - needed);
-              List.iter
-                (fun j ->
-                  incr wr;
-                  Rdma.Qp.post_read
-                    c.Baselines.Common.qps.(0).(j)
-                    ~wr_id:!wr ~dst:readback ~dst_off:0 ~len:64
-                    ~mr:c.Baselines.Common.mrs.(j) ~src_off:0)
-                followers;
-              Baselines.Common.await_successes c ~node:0 ~count:needed;
-              Baselines.Common.await_successes c ~node:0
-                ~count:(List.length followers - needed);
-              if i > 100 then Sim.Stats.Samples.add out (Sim.Engine.now e - t0)
-            done);
-        out)
+            measure ~warmup:100 ~samples (fun _ ->
+                let payload = Generators.payload rng ~size:64 in
+                timed e (fun () ->
+                    round (fun j ->
+                        Baselines.Common.write_to c ~src:0 ~dst:j ~data:payload ~off:0);
+                    round (fun j ->
+                        incr wr;
+                        Rdma.Qp.post_read
+                          c.Baselines.Common.qps.(0).(j)
+                          ~wr_id:!wr ~dst:readback ~dst_off:0 ~len:64
+                          ~mr:c.Baselines.Common.mrs.(j) ~src_off:0)))))
   in
   (mu, disk_paxos)
 
@@ -731,41 +675,71 @@ let spiky_cal cal =
         ];
   }
 
+(* One detector run on a fresh engine, unobserved like every detector
+   run: a "leader" host [a] and a "monitor" host [b] joined by one
+   connected QP pair. [detector] gets each end as (host, qp, cq) and
+   returns the leader's heartbeat fiber (name, one beat) and the
+   monitor's checker (name, period, one judgement: [Some false] dead,
+   [Some true] alive, [None] no change). Each alive-to-dead edge is a
+   false positive while the leader is up, and the detection latency once
+   a [fail] run pauses it at [quiet_ns]; that run gets [grace] ns more. *)
+let fd_run setup cal ~quiet_ns ~grace ~fail detector =
+  let e = Sim.Engine.create ~seed:setup.seed () in
+  let a = Sim.Host.create e cal ~id:0 ~name:"leader" in
+  let b = Sim.Host.create e cal ~id:1 ~name:"monitor" in
+  let cq_a = Rdma.Cq.create e and cq_b = Rdma.Cq.create e in
+  let qa = Rdma.Qp.create a ~cq:cq_a and qb = Rdma.Qp.create b ~cq:cq_b in
+  Rdma.Qp.connect qa qb;
+  Rdma.Qp.set_access qa Rdma.Verbs.access_rw;
+  Rdma.Qp.set_access qb Rdma.Verbs.access_rw;
+  let (hb_name, beat), (check_name, period, judge) = detector e (a, qa, cq_a) (b, qb, cq_b) in
+  let rec forever f () =
+    f ();
+    forever f ()
+  in
+  Sim.Host.spawn a ~name:hb_name (forever beat);
+  if fail then Sim.Engine.schedule e ~at:quiet_ns (fun () -> Sim.Host.pause a);
+  let fps = ref 0 and detected_at = ref None and alive = ref true in
+  Sim.Host.spawn b ~name:check_name
+    (forever (fun () ->
+         Sim.Host.idle b period;
+         match judge () with
+         | Some false when !alive ->
+           alive := false;
+           if Sim.Engine.now e < quiet_ns || not fail then incr fps
+           else if !detected_at = None then detected_at := Some (Sim.Engine.now e - quiet_ns)
+         | Some true when not !alive -> alive := true
+         | _ -> ()));
+  Sim.Engine.run ~until:(if fail then quiet_ns + grace else quiet_ns) e;
+  (!fps, !detected_at)
+
 let ablation_failure_detector setup =
   let cal = spiky_cal cal in
   let quiet_ns = 5_000_000_000 in
-  let observation_s = 5.0 in
-  (* --- pull-score (Mu, §5.1) --- *)
-  let pull_run ~fail =
-    let e = Sim.Engine.create ~seed:setup.seed () in
-    let a = Sim.Host.create e cal ~id:0 ~name:"leader" in
-    let b = Sim.Host.create e cal ~id:1 ~name:"monitor" in
-    let mr_a = Rdma.Mr.register a ~size:64 ~access:Rdma.Verbs.access_rw in
-    let cq_b = Rdma.Cq.create e and cq_a = Rdma.Cq.create e in
-    let qb = Rdma.Qp.create b ~cq:cq_b and qa = Rdma.Qp.create a ~cq:cq_a in
-    Rdma.Qp.connect qb qa;
-    Rdma.Qp.set_access qa Rdma.Verbs.access_rw;
-    Rdma.Qp.set_access qb Rdma.Verbs.access_rw;
-    Sim.Host.spawn a ~name:"hb" (fun () ->
-        let rec loop () =
-          let v = Rdma.Mr.get_i64 mr_a ~off:0 in
-          Rdma.Mr.set_i64 mr_a ~off:0 (Int64.add v 1L);
-          Sim.Host.cpu a cal.Sim.Calibration.hb_increment_interval;
-          loop ()
+  let detector name ~grace wiring =
+    let run ~fail = fd_run setup cal ~quiet_ns ~grace ~fail wiring in
+    let fps_quiet, _ = run ~fail:false in
+    let _, det = run ~fail:true in
+    {
+      detector = name;
+      detection_us = (match det with Some d -> float_of_int d /. 1000.0 | None -> nan);
+      false_positives = fps_quiet;
+      observation_s = float_of_int quiet_ns /. 1e9;
+    }
+  in
+  (* --- pull-score (Mu, §5.1): the monitor reads the leader's counter --- *)
+  let pull =
+    detector "pull-score (Mu)" ~grace:50_000_000 (fun _ (a, _, _) (_, qb, cq_b) ->
+        let mr_a = Rdma.Mr.register a ~size:64 ~access:Rdma.Verbs.access_rw in
+        let beat () =
+          Rdma.Mr.set_i64 mr_a ~off:0 (Int64.add (Rdma.Mr.get_i64 mr_a ~off:0) 1L);
+          Sim.Host.cpu a cal.Sim.Calibration.hb_increment_interval
         in
-        loop ());
-    let fps = ref 0 in
-    let detected_at = ref None in
-    let fail_at = quiet_ns in
-    if fail then Sim.Engine.schedule e ~at:fail_at (fun () -> Sim.Host.pause a);
-    Sim.Host.spawn b ~name:"monitor" (fun () ->
         let score = ref cal.Sim.Calibration.score_max in
         let last = ref (-1L) in
-        let alive = ref true in
         let buf = Bytes.create 8 in
         let wr = ref 0 in
-        let rec loop () =
-          Sim.Host.idle b cal.Sim.Calibration.fd_read_interval;
+        let judge () =
           incr wr;
           Rdma.Qp.post_read qb ~wr_id:!wr ~dst:buf ~dst_off:0 ~len:8 ~mr:mr_a ~src_off:0;
           ignore (Rdma.Cq.await cq_b);
@@ -776,89 +750,30 @@ let ablation_failure_detector setup =
             min cal.Sim.Calibration.score_max
               (max cal.Sim.Calibration.score_min
                  (if advanced then !score + 1 else !score - 1));
-          if !alive && !score < cal.Sim.Calibration.score_fail then begin
-            alive := false;
-            if Sim.Engine.now e < fail_at || not fail then incr fps
-            else if !detected_at = None then
-              detected_at := Some (Sim.Engine.now e - fail_at)
-          end
-          else if (not !alive) && !score > cal.Sim.Calibration.score_recover then
-            alive := true;
-          loop ()
+          if !score < cal.Sim.Calibration.score_fail then Some false
+          else if !score > cal.Sim.Calibration.score_recover then Some true
+          else None
         in
-        loop ());
-    let horizon = if fail then quiet_ns + 50_000_000 else quiet_ns in
-    Sim.Engine.run ~until:horizon e;
-    (!fps, !detected_at)
-  in
-  let fps_quiet, _ = pull_run ~fail:false in
-  let _, det = pull_run ~fail:true in
-  let pull =
-    {
-      detector = "pull-score (Mu)";
-      detection_us = (match det with Some d -> float_of_int d /. 1000.0 | None -> nan);
-      false_positives = fps_quiet;
-      observation_s;
-    }
+        (("hb", beat), ("monitor", cal.Sim.Calibration.fd_read_interval, judge)))
   in
   (* --- conventional push heartbeats with a timeout --- *)
-  let push_run ~timeout ~fail =
-    let e = Sim.Engine.create ~seed:setup.seed () in
-    let a = Sim.Host.create e cal ~id:0 ~name:"leader" in
-    let b = Sim.Host.create e cal ~id:1 ~name:"monitor" in
-    let mr_b = Rdma.Mr.register b ~size:64 ~access:Rdma.Verbs.access_rw in
-    let cq_a = Rdma.Cq.create e and cq_b = Rdma.Cq.create e in
-    let qa = Rdma.Qp.create a ~cq:cq_a and qb = Rdma.Qp.create b ~cq:cq_b in
-    Rdma.Qp.connect qa qb;
-    Rdma.Qp.set_access qa Rdma.Verbs.access_rw;
-    Rdma.Qp.set_access qb Rdma.Verbs.access_rw;
-    let interval = 100_000 in
-    let last_arrival = ref 0 in
-    Rdma.Mr.watch mr_b ~off:0 ~len:64 (fun ~off:_ ~len:_ -> last_arrival := Sim.Engine.now e);
-    let seq = ref 0 in
-    Sim.Host.spawn a ~name:"hb-push" (fun () ->
+  let push timeout name =
+    detector name ~grace:100_000_000 (fun e (a, qa, cq_a) (b, _, _) ->
+        let mr_b = Rdma.Mr.register b ~size:64 ~access:Rdma.Verbs.access_rw in
+        let interval = 100_000 in
+        let last_arrival = ref 0 in
+        Rdma.Mr.watch mr_b ~off:0 ~len:64 (fun ~off:_ ~len:_ -> last_arrival := Sim.Engine.now e);
+        let seq = ref 0 in
         let buf = Bytes.create 8 in
-        let rec loop () =
+        let beat () =
           incr seq;
           Bytes.set_int64_le buf 0 (Int64.of_int !seq);
           Rdma.Qp.post_write qa ~wr_id:!seq ~src:buf ~src_off:0 ~len:8 ~mr:mr_b ~dst_off:0;
           ignore (Rdma.Cq.await cq_a);
-          Sim.Host.cpu a interval;
-          loop ()
+          Sim.Host.cpu a interval
         in
-        loop ());
-    let fps = ref 0 in
-    let detected_at = ref None in
-    let fail_at = quiet_ns in
-    if fail then Sim.Engine.schedule e ~at:fail_at (fun () -> Sim.Host.pause a);
-    Sim.Host.spawn b ~name:"checker" (fun () ->
-        let suspected = ref false in
-        let rec loop () =
-          Sim.Host.idle b interval;
-          let age = Sim.Engine.now e - !last_arrival in
-          if (not !suspected) && age > timeout then begin
-            suspected := true;
-            if Sim.Engine.now e < fail_at || not fail then incr fps
-            else if !detected_at = None then
-              detected_at := Some (Sim.Engine.now e - fail_at)
-          end
-          else if !suspected && age <= timeout then suspected := false;
-          loop ()
-        in
-        loop ());
-    let horizon = if fail then quiet_ns + 100_000_000 else quiet_ns in
-    Sim.Engine.run ~until:horizon e;
-    (!fps, !detected_at)
-  in
-  let push timeout label =
-    let fps_quiet, _ = push_run ~timeout ~fail:false in
-    let _, det = push_run ~timeout ~fail:true in
-    {
-      detector = label;
-      detection_us = (match det with Some d -> float_of_int d /. 1000.0 | None -> nan);
-      false_positives = fps_quiet;
-      observation_s;
-    }
+        let judge () = Some (Sim.Engine.now e - !last_arrival <= timeout) in
+        (("hb-push", beat), ("checker", interval, judge)))
   in
   [
     pull;

@@ -2,7 +2,16 @@
     DESIGN.md's experiment index). Each driver builds a fresh simulated
     cluster, runs the workload, and returns the same statistics the paper
     plots. The bench harness ([bench/main.ml]) formats them next to the
-    paper's numbers. *)
+    paper's numbers.
+
+    The drivers share five private pieces: one warm-up-then-record
+    latency loop ([measure]: replication, end-to-end and cross-check
+    latency, the Disk-Paxos ablation), one closed-loop throughput driver
+    ([closed_loop]: Fig. 7 and the shard ablation), one leader/monitor
+    rig ([fd_run]: both detectors of the failure-detector ablation), one
+    empty-app cluster boot ([empty_cluster], with [cross_check_server]
+    for the Fig. 5 cross-checks), and one fault wiring, {!Chaos.inject},
+    which {!Chaos.run} uses too. *)
 
 type setup = {
   seed : int64;
