@@ -11,8 +11,8 @@ type request = {
      fail-over. *)
   prov : int;
   submitted : int;
-  (* Retry-ring slot whose timer will check this request, -1 if none
-     (see [arm_retry]). *)
+  (* Retry-ring slot that will check this request, -1 if none (see
+     [arm_retry]). *)
   mutable retry_slot : int;
 }
 
@@ -59,18 +59,20 @@ type t = {
   mutable resends : int;
 }
 
-(* Each armed retry is a timer on the engine's [client_retry_interval]
-   lane whose ticket is a slot number; [ring] maps a slot (mod its
-   power-of-two length) to the request it will check, or to [none] once
-   the reply landed. Tickets fire in arm order, so the live slots are
-   [head, next). *)
+(* Each armed retry is a slot: [ring] maps it (mod its power-of-two
+   length) to the request it will check, or to [none] once the reply
+   landed, and [due] to its deadline. Every slot waits the same
+   [client_retry_interval], so deadlines grow in arm order and the live
+   slots [head, next) form a FIFO: one engine event, [tick], queued for
+   the head's deadline, serves them all. *)
 and retries = {
-  lane : Sim.Engine.lane;
   mutable ring : request array;
+  mutable due : int array;
   mutable head : int;
   mutable next : int;
   mutable pending : int; (* occupied slots *)
   none : request;
+  tick : unit -> unit;
 }
 
 let replicas t = t.replicas
@@ -226,9 +228,9 @@ let requeue t reqs =
 (* A request captured by a leader that then fails stays parked in that
    leader's hands; like any SMR client, we retransmit after a timeout.
    Requests may therefore execute more than once across a leader change
-   (at-least-once; see the interface comment). The timer is a lane
-   ticket, not a closure: the request stays reachable from [retries]
-   only until its reply lands, not from the event queue for the whole
+   (at-least-once; see the interface comment). A pending retry is a ring
+   slot, not a closure: the request stays reachable from [retries] only
+   until its reply lands, not from the event queue for the whole
    interval. *)
 let client_retry_interval = 2_000_000
 
@@ -246,37 +248,52 @@ let rec arm_retry t req =
           retry_slot = -1;
         }
       in
-      let lane = Sim.Engine.lane t.engine ~delay:client_retry_interval (retry_fire t) in
-      let r = { lane; ring = Array.make 64 none; head = 0; next = 0; pending = 0; none } in
+      let rec r =
+        {
+          ring = Array.make 64 none;
+          due = Array.make 64 0;
+          head = 0;
+          next = 0;
+          pending = 0;
+          none;
+          tick = (fun () -> retry_tick t r);
+        }
+      in
       t.retries <- Some r;
       r
   in
   let slot = r.next in
   r.next <- slot + 1;
-  (* A stopped cluster's handler is released; its timers only keep
-     their events. *)
+  let cap = Array.length r.ring in
+  if slot - r.head = cap then begin
+    let ring = Array.make (2 * cap) r.none and due = Array.make (2 * cap) 0 in
+    for s = r.head to slot - 1 do
+      ring.(s land ((2 * cap) - 1)) <- r.ring.(s land (cap - 1));
+      due.(s land ((2 * cap) - 1)) <- r.due.(s land (cap - 1))
+    done;
+    r.ring <- ring;
+    r.due <- due
+  end;
+  let i = slot land (Array.length r.ring - 1) in
+  r.due.(i) <- Sim.Engine.now t.engine + client_retry_interval;
+  (* A stopped cluster keeps only the deadline, so the slot fires as a
+     no-op. *)
   if not t.stopped then begin
-    let cap = Array.length r.ring in
-    if slot - r.head = cap then begin
-      let ring = Array.make (2 * cap) r.none in
-      for s = r.head to slot - 1 do
-        ring.(s land ((2 * cap) - 1)) <- r.ring.(s land (cap - 1))
-      done;
-      r.ring <- ring
-    end;
-    r.ring.(slot land (Array.length r.ring - 1)) <- req;
+    r.ring.(i) <- req;
     req.retry_slot <- slot;
     r.pending <- r.pending + 1
   end;
-  Sim.Engine.arm r.lane slot
+  (* The tick is queued exactly while the ring is not empty. *)
+  if slot = r.head then Sim.Engine.schedule t.engine ~at:r.due.(i) r.tick
 
-(* A ticket whose request is still unanswered resends it and re-arms. *)
-and retry_fire t slot =
-  match t.retries with
-  | None -> ()
-  | Some r ->
-    r.head <- slot + 1;
-    let i = slot land (Array.length r.ring - 1) in
+(* Fire every slot due by now, in arm order: a request still unanswered
+   is resent and re-armed. [head] moves past a slot only after it fired,
+   so a re-arm never finds the ring empty and queues a second tick. Then
+   wait for the next head, if any. *)
+and retry_tick t r =
+  let now = Sim.Engine.now t.engine in
+  while r.head < r.next && r.due.(r.head land (Array.length r.due - 1)) <= now do
+    let i = r.head land (Array.length r.ring - 1) in
     let req = r.ring.(i) in
     if req != r.none then begin
       r.ring.(i) <- r.none;
@@ -288,7 +305,11 @@ and retry_fire t slot =
         Sim.Engine.Chan.send t.incoming req;
         arm_retry t req
       end
-    end
+    end;
+    r.head <- r.head + 1
+  done;
+  if r.head < r.next then
+    Sim.Engine.schedule t.engine ~at:r.due.(r.head land (Array.length r.due - 1)) r.tick
 
 let fill_responses t (r : Replica.t) idx reqs =
   match Hashtbl.find_opt t.responses (r.Replica.id, idx) with
@@ -298,7 +319,7 @@ let fill_responses t (r : Replica.t) idx reqs =
       (fun req resp ->
         if Sim.Engine.Ivar.try_fill req.resp resp && req.prov <> 0 then
           Sim.Engine.span_close t.engine ~args:[ ("idx", string_of_int idx) ] req.prov;
-        (* Answered: its pending retry timer will find the slot empty. *)
+        (* Answered: its pending retry will find the slot empty. *)
         match t.retries with
         | Some r when req.retry_slot >= 0 ->
           let i = req.retry_slot land (Array.length r.ring - 1) in
@@ -714,11 +735,10 @@ let wait_live t =
 let stop t =
   t.stopped <- true;
   Array.iter (fun r -> r.Replica.stop <- true) t.replicas;
-  (* Pending retry timers would all be no-ops now: drop the handler (it
-     holds [t]) and the requests they would have checked. *)
+  (* Pending retries would all be no-ops now: drop the requests they
+     would have checked; their deadlines still fire, as no-ops. *)
   Option.iter
     (fun r ->
-      Sim.Engine.release r.lane;
       Array.fill r.ring 0 (Array.length r.ring) r.none;
       r.pending <- 0)
     t.retries

@@ -140,9 +140,9 @@ val shed_requests : t -> int
 
 val retries_pending : t -> int
 (** Submitted requests still waiting for their reply with a client
-    retry timer armed. The timers are tickets on the engine's
-    fixed-delay lane ({!Sim.Engine.lane}); a request stays reachable
-    from one only until its reply lands. *)
+    retry armed. A pending retry is a slot in the cluster's retry ring,
+    served by one timer event for the earliest deadline; a request
+    stays reachable from its slot only until its reply lands. *)
 
 val resends : t -> int
 (** Client retransmissions so far: retry timers that found their

@@ -73,72 +73,6 @@ let[@inline] selfcost_record sc c0 =
   sc.sc_queue_wall <- sc.sc_queue_wall +. Float.max 0.0 (sc.sc_clock () -. c0 -. sc.sc_bias);
   sc.sc_queue_sampled <- sc.sc_queue_sampled + 1
 
-(* Fixed-delay timer lanes (Varghese & Lauck's observation): timers
-   armed at [now + d] with one constant [d] expire in the order they
-   were armed, because [now] never decreases and sequence numbers only
-   grow. A lane is therefore a FIFO of (key, seq, ticket) whose head is
-   its minimum; it needs no wheel placement, no cascade and no closure.
-   The lane belongs to the engine and is shared by every owner that arms
-   timers with that delay; a ticket carries its owner in the low
-   [owner_bits] and the owner's own int above them. Entries live in
-   three parallel int rings (grown by doubling): stores into them need
-   no write barrier, and they hold no pointer for the GC to follow. *)
-let owner_bits = 16
-let owner_mask = (1 lsl owner_bits) - 1
-
-type fifo = {
-  delay : int;
-  mutable keys : int array;
-  mutable seqs : int array;
-  mutable tickets : int array;
-  mutable first : int; (* ring index of the head *)
-  mutable len : int;
-  mutable fire : (int -> unit) array; (* handler per owner *)
-  mutable owners : int;
-}
-
-let fifo_create delay =
-  {
-    delay;
-    keys = Array.make 64 0;
-    seqs = Array.make 64 0;
-    tickets = Array.make 64 0;
-    first = 0;
-    len = 0;
-    fire = [||];
-    owners = 0;
-  }
-
-let fifo_grow q =
-  let cap = Array.length q.keys in
-  let copy a =
-    let b = Array.make (2 * cap) 0 in
-    for i = 0 to q.len - 1 do
-      b.(i) <- a.((q.first + i) land (cap - 1))
-    done;
-    b
-  in
-  q.keys <- copy q.keys;
-  q.seqs <- copy q.seqs;
-  q.tickets <- copy q.tickets;
-  q.first <- 0
-
-let fifo_push q ~key ~seq ticket =
-  if q.len = Array.length q.keys then fifo_grow q;
-  let i = (q.first + q.len) land (Array.length q.keys - 1) in
-  q.keys.(i) <- key;
-  q.seqs.(i) <- seq;
-  q.tickets.(i) <- ticket;
-  q.len <- q.len + 1
-
-let fifo_pop q =
-  let ticket = q.tickets.(q.first) in
-  q.first <- (q.first + 1) land (Array.length q.keys - 1);
-  q.len <- q.len - 1;
-  ticket
-
-let fifo_fire q ticket = q.fire.(ticket land owner_mask) (ticket lsr owner_bits)
-
 type t = {
   mutable now : int;
   mutable seq : int;
@@ -148,8 +82,6 @@ type t = {
   mutable running : bool;
   mutable limit : int; (* the current [run ~until] limit *)
   mutable fast_forwards : int; (* sleeps continued in place, see [sleep] *)
-  mutable lanes : fifo array; (* one per delay, see [lane] *)
-  mutable lane_pending : int; (* entries over all lanes *)
   probe : Probe.t;
   fabric : Fabric.t;
   nvm : Nvm.t;
@@ -174,14 +106,6 @@ type t = {
 
 exception Fiber_crash of string * exn
 
-(* A lane timer fires without the closure an observer hooks into, so
-   observers must come before the first lane entry: [arm] sends timers
-   to the wheel while one is attached, and attaching one while a lane
-   holds entries is refused rather than left to misattribute them. *)
-let check_attach t what =
-  if t.lane_pending > 0 then
-    invalid_arg (what ^ ": attach observers before any lane timer is armed")
-
 let () =
   Printexc.register_printer (function
     | Fiber_crash (name, exn) ->
@@ -189,40 +113,34 @@ let () =
     | _ -> None)
 
 let create ?(seed = 1L) () =
-  let t =
-    {
-      now = 0;
-      seq = 0;
-      events = Wheel.create ();
-      root_rng = Rng.create seed;
-      halted = false;
-      running = false;
-      limit = max_int;
-      fast_forwards = 0;
-      lanes = [||];
-      lane_pending = 0;
-      probe = Probe.create ();
-      fabric = Fabric.create ();
-      nvm = Nvm.create ();
-      next_fiber = 0;
-      cur_fiber = 0;
-      cur_pid = -1;
-      prov = false;
-      next_span = 0;
-      span_stacks = Hashtbl.create 64;
-      reg = None;
-      prof = None;
-      selfcost = None;
-    }
-  in
-  Probe.set_on_attach t.probe (fun () -> check_attach t "Probe.set_sink");
-  t
+  {
+    now = 0;
+    seq = 0;
+    events = Wheel.create ();
+    root_rng = Rng.create seed;
+    halted = false;
+    running = false;
+    limit = max_int;
+    fast_forwards = 0;
+    probe = Probe.create ();
+    fabric = Fabric.create ();
+    nvm = Nvm.create ();
+    next_fiber = 0;
+    cur_fiber = 0;
+    cur_pid = -1;
+    prov = false;
+    next_span = 0;
+    span_stacks = Hashtbl.create 64;
+    reg = None;
+    prof = None;
+    selfcost = None;
+  }
 
 let now t = t.now
 let rng t = t.root_rng
 let fabric t = t.fabric
 let nvm t = t.nvm
-let pending_events t = Wheel.length t.events + t.lane_pending
+let pending_events t = Wheel.length t.events
 
 (* Telemetry ------------------------------------------------------------ *)
 
@@ -231,17 +149,11 @@ let metrics t = t.reg
 
 (* Profiler ------------------------------------------------------------- *)
 
-let set_profiler t p =
-  check_attach t "Engine.set_profiler";
-  t.prof <- Some p
-
+let set_profiler t p = t.prof <- Some p
 let clear_profiler t = t.prof <- None
 let profiled t = match t.prof with Some _ -> true | None -> false
 
-let set_selfcost t sc =
-  check_attach t "Engine.set_selfcost";
-  t.selfcost <- Some sc
-
+let set_selfcost t sc = t.selfcost <- Some sc
 (* Tracing ------------------------------------------------------------- *)
 
 let probe t = t.probe
@@ -426,77 +338,12 @@ let schedule_after t delay thunk = schedule t ~at:(t.now + delay) thunk
 let halt t = t.halted <- true
 
 (* Anything that watches the event stream — a probe sink, profiler or
-   self-cost sampler — must see every event as a scheduled thunk, so an observed engine takes the slow paths of both
-   [arm] and [sleep]. *)
+   self-cost sampler — must see every event as a scheduled thunk, so an
+   observed engine takes the slow path of [sleep]. *)
 let unobserved t =
   (match Probe.sink t.probe with None -> true | Some _ -> false)
   && (match t.prof with None -> true | Some _ -> false)
   && (match t.selfcost with None -> true | Some _ -> false)
-
-(* Lanes ------------------------------------------------------------------- *)
-
-type lane = { eng : t; q : fifo; owner : int }
-
-let lane t ~delay fire =
-  if delay < 0 then invalid_arg "Engine.lane: negative delay";
-  let q =
-    match Array.find_opt (fun q -> q.delay = delay) t.lanes with
-    | Some q -> q
-    | None ->
-      let q = fifo_create delay in
-      t.lanes <- Array.append t.lanes [| q |];
-      q
-  in
-  if q.owners > owner_mask then invalid_arg "Engine.lane: too many owners";
-  if q.owners = Array.length q.fire then begin
-    let fire = Array.make (max 4 (2 * q.owners)) ignore in
-    Array.blit q.fire 0 fire 0 q.owners;
-    q.fire <- fire
-  end;
-  q.fire.(q.owners) <- fire;
-  q.owners <- q.owners + 1;
-  { eng = t; q; owner = q.owners - 1 }
-
-(* The event is the one [schedule_after t q.delay] would queue — the same
-   key and the next seq — so swapping paths reorders nothing. *)
-let arm { eng = t; q; owner } x =
-  if x < 0 || x lsr (62 - owner_bits) <> 0 then invalid_arg "Engine.arm: ticket out of range";
-  let ticket = (x lsl owner_bits) lor owner in
-  if unobserved t then begin
-    t.seq <- t.seq + 1;
-    fifo_push q ~key:(t.now + q.delay) ~seq:t.seq ticket;
-    t.lane_pending <- t.lane_pending + 1
-  end
-  else schedule t ~at:(t.now + q.delay) (fun () -> fifo_fire q ticket)
-
-let release { q; owner; _ } = q.fire.(owner) <- ignore
-
-(* Index of the lane whose head precedes the wheel's minimum (key [at])
-   and every other lane head in (key, seq) order; -1 when the wheel's
-   head comes first. Only called with lane entries pending. *)
-let lane_first t at =
-  let best = ref (-1) and bk = ref at in
-  let bs = ref (if at = max_int then max_int else Wheel.next_seq t.events) in
-  for i = 0 to Array.length t.lanes - 1 do
-    let q = t.lanes.(i) in
-    if q.len > 0 then begin
-      let k = q.keys.(q.first) and s = q.seqs.(q.first) in
-      if k < !bk || (k = !bk && s < !bs) then begin
-        best := i;
-        bk := k;
-        bs := s
-      end
-    end
-  done;
-  !best
-
-let lanes_due t at =
-  let due = ref false in
-  for i = 0 to Array.length t.lanes - 1 do
-    let q = t.lanes.(i) in
-    if q.len > 0 && q.keys.(q.first) <= at then due := true
-  done;
-  !due
 
 (* Fibers -------------------------------------------------------------- *)
 
@@ -603,8 +450,7 @@ let sleep t delay =
     t.cur_fiber <> 0 && (not t.halted)
     && d <= t.limit - t.now
     && unobserved t
-    && (not (Wheel.due_by t.events (t.now + d)))
-    && (t.lane_pending = 0 || not (lanes_due t (t.now + d)))
+    && not (Wheel.due_by t.events (t.now + d))
   then begin
     t.now <- t.now + d;
     t.fast_forwards <- t.fast_forwards + 1
@@ -623,22 +469,7 @@ let run ?until t =
   let rec loop () =
     if not t.halted then begin
       let at = Wheel.next_key t.events in
-      let li = if t.lane_pending = 0 then -1 else lane_first t at in
-      if li >= 0 then begin
-        (* Lane entries exist only while nothing observes the engine
-           (see [arm]), so a lane event needs no observer bookkeeping. *)
-        let q = t.lanes.(li) in
-        let key = q.keys.(q.first) in
-        if key > limit then t.now <- limit
-        else begin
-          let ticket = fifo_pop q in
-          t.lane_pending <- t.lane_pending - 1;
-          t.now <- key;
-          fifo_fire q ticket;
-          loop ()
-        end
-      end
-      else if at = max_int then () (* queue drained *)
+      if at = max_int then () (* queue drained *)
       else if at > limit then t.now <- limit
       else begin
         let thunk =

@@ -58,40 +58,7 @@ val halt : t -> unit
 (** Stop {!run} after the current event. *)
 
 val pending_events : t -> int
-(** Events queued, lane timers included. *)
-
-(** {1 Fixed-delay timer lanes}
-
-    Timers armed with one constant delay expire in the order they were
-    armed, so the engine keeps them in a FIFO per delay instead of its
-    timing wheel: no closure, no wheel placement, no cascade. A lane
-    timer takes the key ([now + delay]) and sequence number that
-    {!schedule_after} would have given it, and the run loop pops it in
-    the same (key, seq) order, so a run with lanes executes the same
-    events in the same order as one without.
-
-    A lane timer fires no thunk an observer could wrap, so an observed
-    engine (probe sink, profiler or self-cost sampler attached) queues {!arm}ed timers as ordinary events, and attaching
-    an observer while a lane holds entries raises [Invalid_argument]:
-    attach observers before the first event. *)
-
-type lane
-(** One owner's handle on the engine's lane for one delay. *)
-
-val lane : t -> delay:int -> (int -> unit) -> lane
-(** [lane t ~delay fire] registers [fire] as an owner of [t]'s lane for
-    [delay] ns, creating the lane on first use; every owner with the same
-    delay shares it. At most 65 536 owners per lane. *)
-
-val arm : lane -> int -> unit
-(** [arm l x] calls the owner's [fire x] at [now + delay], in scheduler
-    context. [x] must be in [\[0, 2^46)]. Allocation-free on an
-    unobserved engine. *)
-
-val release : lane -> unit
-(** Drop the owner's handler: its timers still pending fire as no-ops
-    (keeping their events), and the handler's closure is no longer
-    reachable from the engine. *)
+(** Events queued. *)
 
 (** {1 Profiling}
 
@@ -126,8 +93,7 @@ type profiler = {
 val set_profiler : t -> profiler -> unit
 (** Attach a profiler. Attach before scheduling any work: events already
     queued are not wrapped, and their intervals fall into the
-    profiler's idle bucket rather than a fiber's. Raises
-    [Invalid_argument] while a timer lane holds entries. *)
+    profiler's idle bucket rather than a fiber's. *)
 
 val clear_profiler : t -> unit
 
@@ -144,7 +110,6 @@ val selfcost_create : clock:(unit -> float) -> unit -> selfcost
 (** Measure one queue op in 64 with [clock] (wall seconds). *)
 
 val set_selfcost : t -> selfcost -> unit
-(** Raises [Invalid_argument] while a timer lane holds entries. *)
 
 val selfcost_queue : selfcost -> int * int * float
 (** [(ops, sampled, wall_s)]: total queue ops, ops measured, and wall
@@ -161,9 +126,8 @@ val selfcost_queue : selfcost -> int * int * float
     with one attached executes exactly the events of a bare engine. *)
 
 val set_metrics : t -> Telemetry.Registry.t -> unit
-(** Store a metrics registry for {!metrics}. May be called at any time,
-    lane timers pending or not; only components created afterwards see
-    it. *)
+(** Store a metrics registry for {!metrics}. May be called at any time;
+    only components created afterwards see it. *)
 
 val metrics : t -> Telemetry.Registry.t option
 
@@ -176,8 +140,7 @@ val metrics : t -> Telemetry.Registry.t option
     streams. Emitting never perturbs the simulation. *)
 
 val probe : t -> Probe.t
-(** The engine's probe; install a sink with {!Probe.set_sink}, which
-    raises [Invalid_argument] while a timer lane holds entries. *)
+(** The engine's probe; install a sink with {!Probe.set_sink}. *)
 
 val traced : t -> bool
 (** [true] iff a sink is installed. Guard argument-list construction on

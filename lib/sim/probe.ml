@@ -19,15 +19,10 @@ type event = {
   args : (string * string) list;
 }
 
-type t = { mutable sink : (event -> unit) option; mutable on_attach : unit -> unit }
+type t = { mutable sink : (event -> unit) option }
 
-let create () = { sink = None; on_attach = ignore }
-
-let set_sink t f =
-  t.on_attach ();
-  t.sink <- Some f
-
-let set_on_attach t f = t.on_attach <- f
+let create () = { sink = None }
+let set_sink t f = t.sink <- Some f
 let enabled t = t.sink <> None
 let emit t ev = match t.sink with None -> () | Some f -> f ev
 let sink t = t.sink

@@ -35,12 +35,6 @@ type t
 
 val create : unit -> t
 val set_sink : t -> (event -> unit) -> unit
-(** Install a sink, after running the hook set by {!set_on_attach}
-    (which may refuse by raising). *)
-
-val set_on_attach : t -> (unit -> unit) -> unit
-(** [set_on_attach t f] runs [f] before every {!set_sink}; the engine
-    uses it to refuse an observer while a timer lane holds entries. *)
 
 val enabled : t -> bool
 (** [true] iff a sink is installed. Check this before building argument

@@ -237,11 +237,6 @@ let next_key t =
   else if locate t then t.now
   else max_int
 
-let next_seq t =
-  if Heap.length t.past > 0 then Heap.top_seq t.past
-  else if locate t then t.bseqs.(t.cur).(t.head)
-  else max_int
-
 (* Whether the wheel proper holds a key <= [at], for [at >= t.now].
    Every level-l event sorts before every event above it, so only the
    lowest non-empty level matters. There the first live slot gives the

@@ -32,11 +32,6 @@ val next_key : 'a t -> int
     for hot loops. May advance the internal wheel clock (cascading upper
     levels down), which never changes the pop order. *)
 
-val next_seq : 'a t -> int
-(** Seq of the minimum element, the tiebreaker beside {!next_key};
-    [max_int] when empty. Allocation-free; may move the wheel clock like
-    {!next_key}. *)
-
 val due_by : 'a t -> int -> bool
 (** [due_by t at]: whether some element has key [<= at]. Unlike
     {!next_key} it never moves the wheel clock or cascades, so asking

@@ -428,64 +428,6 @@ let event_queue_matches_reference =
            (fun ~key ~seq v -> Sim.Wheel.push wheel ~key ~seq v)
            (fun () -> Sim.Wheel.pop wheel))
 
-(* Timer lanes against the same reference: a driver event walks a
-   random op list, scheduling thunks at delays across the four wheel
-   scales (level 0, levels 1-2, level 3, beyond the horizon), arming
-   timers on two lanes (two owners share the first), scheduling a thunk
-   exactly at the first lane's delay (a tie with its timers), or
-   re-queueing itself later so arms happen at many instants. Every
-   recorded event must fire at its key, and all of them in ascending
-   (key, arm order) — the order [schedule] alone would give. *)
-let lane_order_matches_reference =
-  QCheck.Test.make ~name:"event queue with timer lanes matches (key, seq) reference"
-    ~count:150
-    QCheck.(make Gen.(list_size (1 -- 150) (pair (0 -- 100) (0 -- 8))))
-    (fun ops ->
-      let e = Sim.Engine.create ~seed:1L () in
-      let d_a = 2_000 and d_b = 300_000 in
-      let next = ref 0 and expected = ref [] and fired = ref [] and ok = ref true in
-      let record at i () =
-        ok := !ok && Sim.Engine.now e = at;
-        fired := (at, i) :: !fired
-      in
-      let fire at_of i = record (at_of i) i () in
-      let keys = Hashtbl.create 64 in
-      let key_of i = Hashtbl.find keys i in
-      let lane_a1 = Sim.Engine.lane e ~delay:d_a (fire key_of) in
-      let lane_a2 = Sim.Engine.lane e ~delay:d_a (fire key_of) in
-      let lane_b = Sim.Engine.lane e ~delay:d_b (fire key_of) in
-      let fresh at =
-        let i = !next in
-        incr next;
-        Hashtbl.replace keys i at;
-        expected := (at, i) :: !expected;
-        i
-      in
-      let at_delay d =
-        let at = Sim.Engine.now e + d in
-        let i = fresh at in
-        Sim.Engine.schedule e ~at (record at i)
-      in
-      let arm l d = Sim.Engine.arm l (fresh (Sim.Engine.now e + d)) in
-      let rec drive = function
-        | [] -> ()
-        | (k, tag) :: rest -> (
-          match tag with
-          | 0 -> at_delay k; drive rest
-          | 1 -> at_delay (k * 1_009); drive rest
-          | 2 -> at_delay ((k * 524_287) land 0xFFFFFF); drive rest
-          | 3 -> at_delay (k * 1_000_003 * 4_096); drive rest
-          | 4 -> arm (if k land 1 = 0 then lane_a1 else lane_a2) d_a; drive rest
-          | 5 -> arm lane_b d_b; drive rest
-          | 6 -> at_delay d_a; drive rest
-          | _ -> Sim.Engine.schedule e ~at:(Sim.Engine.now e + (k * 97)) (fun () -> drive rest))
-      in
-      Sim.Engine.schedule e ~at:0 (fun () -> drive ops);
-      Sim.Engine.run e;
-      !ok
-      && Sim.Engine.pending_events e = 0
-      && List.rev !fired = List.sort compare !expected)
-
 (* The bit scan's word edges and the drained-but-unretired current
    bucket, spelled out: events in slots 0, 31, 32 and 255 of level 0,
    then of level 1, pop in key order, and the due check sees each one
@@ -754,7 +696,6 @@ let suite =
       kv_matches_model;
       engine_event_order;
       event_queue_matches_reference;
-      lane_order_matches_reference;
       run_determinism;
       qp_fifo_property;
       lin_checker_matches_bruteforce;

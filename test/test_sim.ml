@@ -553,97 +553,6 @@ let engine_no_fast_forward_when_observed () =
         fun e -> Sim.Engine.set_selfcost e (Sim.Engine.selfcost_create ~clock:Sys.time ()) );
     ]
 
-(* --- timer lanes: every queue view counts lane entries -------------------- *)
-
-let engine_no_fast_forward_past_due_lane () =
-  let e = Util.engine () in
-  let order = ref [] in
-  let lane = Sim.Engine.lane e ~delay:100 (fun x -> order := (x, Sim.Engine.now e) :: !order) in
-  Sim.Engine.spawn e (fun () ->
-      Sim.Engine.arm lane 1;
-      Sim.Engine.sleep e 200;
-      order := (0, Sim.Engine.now e) :: !order);
-  Sim.Engine.run e;
-  Alcotest.(check (list (pair int int))) "lane timer, then the sleeper" [ (1, 100); (0, 200) ]
-    (List.rev !order);
-  check_int "the sleep past the lane entry does not fast-forward" 0 (Sim.Engine.fast_forwards e)
-
-let engine_until_leaves_lane_pending () =
-  let e = Util.engine () in
-  let fired = ref [] in
-  let lane = Sim.Engine.lane e ~delay:1_000 (fun x -> fired := (x, Sim.Engine.now e) :: !fired) in
-  Sim.Engine.schedule e ~at:0 (fun () -> Sim.Engine.arm lane 7);
-  Sim.Engine.run ~until:500 e;
-  check "not fired before its key" true (!fired = []);
-  check_int "clock at the limit" 500 (Sim.Engine.now e);
-  check_int "still pending" 1 (Sim.Engine.pending_events e);
-  Sim.Engine.run e;
-  Alcotest.(check (list (pair int int))) "fires in the next run" [ (7, 1_000) ] !fired;
-  check_int "drained" 0 (Sim.Engine.pending_events e)
-
-let engine_pending_counts_lanes () =
-  let e = Util.engine () in
-  let a = Sim.Engine.lane e ~delay:10 ignore and b = Sim.Engine.lane e ~delay:20 ignore in
-  Sim.Engine.arm a 0;
-  Sim.Engine.arm a 1;
-  Sim.Engine.arm b 2;
-  Sim.Engine.schedule e ~at:5 ignore;
-  check_int "three lane entries and one event" 4 (Sim.Engine.pending_events e);
-  Sim.Engine.run ~until:15 e;
-  check_int "the 20 ns entry is left" 1 (Sim.Engine.pending_events e)
-
-let engine_halt_before_same_instant_lane () =
-  let e = Util.engine () in
-  let fired = ref false in
-  let lane = Sim.Engine.lane e ~delay:100 (fun _ -> fired := true) in
-  Sim.Engine.schedule e ~at:100 (fun () -> Sim.Engine.halt e);
-  (* Armed after the halting event was queued: same key, later seq. *)
-  Sim.Engine.arm lane 0;
-  Sim.Engine.run e;
-  check "halted before the lane timer" false !fired;
-  check_int "clock at the halting event" 100 (Sim.Engine.now e);
-  check_int "lane entry still pending" 1 (Sim.Engine.pending_events e);
-  Sim.Engine.run e;
-  check "fires once resumed" true !fired
-
-(* An observer attached while a lane holds entries would miss them; an
-   observed engine arms through the wheel instead, as a thunk it sees. A
-   metrics registry observes nothing, so it attaches at any time and the
-   lane keeps its entries and its order. *)
-let engine_lane_observers_first () =
-  let e = Util.engine () in
-  let fired = ref [] in
-  let lane = Sim.Engine.lane e ~delay:100 (fun x -> fired := (x, Sim.Engine.now e) :: !fired) in
-  Sim.Engine.arm lane 0;
-  let refused name f =
-    match f () with
-    | () -> Alcotest.failf "%s attached while a lane held entries" name
-    | exception Invalid_argument _ -> ()
-  in
-  refused "probe sink" (fun () -> Sim.Probe.set_sink (Sim.Engine.probe e) ignore);
-  refused "self-cost sampler" (fun () ->
-      Sim.Engine.set_selfcost e (Sim.Engine.selfcost_create ~clock:Sys.time ()));
-  Sim.Engine.set_metrics e (Telemetry.Registry.create ());
-  Sim.Engine.schedule e ~at:50 (fun () -> Sim.Engine.arm lane 1);
-  Sim.Engine.arm lane 2;
-  check_int "a registry leaves the entries on the lane" 3 (Sim.Engine.pending_events e);
-  Sim.Engine.run e;
-  Alcotest.(check (list (pair int int)))
-    "the lane fires in order" [ (0, 100); (2, 100); (1, 150) ] (List.rev !fired);
-  let seen = ref 0 in
-  Sim.Probe.set_sink (Sim.Engine.probe e) ignore;
-  Sim.Engine.set_profiler e
-    {
-      Sim.Engine.prof_event = (fun ~now:_ -> incr seen);
-      prof_attr = (fun ~pid:_ ~tid:_ ~spans:_ -> ());
-      prof_fiber = (fun ~tid:_ ~pid:_ ~name:_ -> ());
-      prof_span = (fun ~id:_ ~name:_ -> ());
-      prof_host = (fun ~pid:_ ~name:_ -> ());
-    };
-  Sim.Engine.arm lane 1;
-  Sim.Engine.run e;
-  check_int "the observed arm is an event the profiler sees" 1 !seen
-
 (* Regression (PR 8): the provenance span-stack table must not retain an
    entry per fiber that ever opened a span; entries are dropped when the
    fiber's stack empties, keeping the table bounded by fibers with an
@@ -961,11 +870,6 @@ let suite =
     ("engine no fast-forward past until", `Quick, engine_no_fast_forward_past_until);
     ("engine no fast-forward after halt", `Quick, engine_no_fast_forward_after_halt);
     ("engine no fast-forward when observed", `Quick, engine_no_fast_forward_when_observed);
-    ("engine no fast-forward past a due lane entry", `Quick, engine_no_fast_forward_past_due_lane);
-    ("engine until leaves lane entries pending", `Quick, engine_until_leaves_lane_pending);
-    ("engine pending events counts lanes", `Quick, engine_pending_counts_lanes);
-    ("engine halt before a same-instant lane entry", `Quick, engine_halt_before_same_instant_lane);
-    ("engine lane observers attach first", `Quick, engine_lane_observers_first);
     ("engine fiber crash propagates", `Quick, engine_fiber_crash_propagates);
     ("engine determinism", `Quick, engine_determinism);
     ("disabled hooks allocation-free", `Quick, disabled_hooks_allocation_free);

@@ -292,25 +292,42 @@ let sharded_commuting_ops () =
 (* Client retry. Requests submitted while the leader's host is paused
    are captured by its service loop and held there; with no reply after
    2 ms the client resends them, and the new leader commits the resend.
-   Run bare, the retry timers sit on the engine's fixed-delay lane; with
-   a profiler attached they are wheel events. Both runs must resend at
-   the same instants — each a submit time plus a multiple of 2 ms — and
-   reply and commit identically. A watcher at each candidate instant
-   reads [Mu.Smr.resends] before the instant's timers (it was queued
-   before the submit) and again after them (it re-queues itself at the
-   same instant), so every resend is pinned to its instant. *)
-let client_retry_run ~profiled =
+   [per_instant] requests are submitted in the same nanosecond at each
+   of three instants 1 us apart, after pausing the leader's host and
+   the next [paused - 1] replicas' hosts for 5 ms. Every run, observed
+   or not, keeps its retries on the cluster's one self-rearming timer,
+   so a run observed from the first event ([Profiled]) or only from
+   after the submits ([Late]: profiler and probe sink attached once the
+   retries are armed) must resend at the bare run's instants — each a submit time plus a
+   multiple of 2 ms — and reply and commit identically. A watcher at
+   each candidate instant reads [Mu.Smr.resends] before the instant's
+   timer (it was queued before the submit) and again after it (it
+   re-queues itself at the same instant), so every resend is pinned to
+   its instant. *)
+type observed = Bare | Profiled | Late
+
+type retry_run = {
+  submits : int list; (* the three submit instants *)
+  resends : (int * int) list; (* (instant, resends) at watched instants *)
+  total : int;
+  replies : (int * int * string) list;
+  commits : (int * string * int) list;
+  pending : int; (* [retries_pending] once every reply is in *)
+}
+
+let noop_profiler =
+  {
+    Sim.Engine.prof_event = (fun ~now:_ -> ());
+    prof_attr = (fun ~pid:_ ~tid:_ ~spans:_ -> ());
+    prof_fiber = (fun ~tid:_ ~pid:_ ~name:_ -> ());
+    prof_span = (fun ~id:_ ~name:_ -> ());
+    prof_host = (fun ~pid:_ ~name:_ -> ());
+  }
+
+let client_retry_run ?(per_instant = 1) ?(paused = 1) observed =
   let retry_interval = 2_000_000 in
   let e = Util.engine () in
-  if profiled then
-    Sim.Engine.set_profiler e
-      {
-        Sim.Engine.prof_event = (fun ~now:_ -> ());
-        prof_attr = (fun ~pid:_ ~tid:_ ~spans:_ -> ());
-        prof_fiber = (fun ~tid:_ ~pid:_ ~name:_ -> ());
-        prof_span = (fun ~id:_ ~name:_ -> ());
-        prof_host = (fun ~pid:_ ~name:_ -> ());
-      };
+  if observed = Profiled then Sim.Engine.set_profiler e noop_profiler;
   let commits = Hashtbl.create 16 in
   let smr =
     Mu.Smr.create e Util.default_cal Mu.Config.default ~make_app:(fun id ->
@@ -320,7 +337,7 @@ let client_retry_run ~profiled =
             Bytes.cat (Bytes.of_string "ack:") req))
   in
   Mu.Smr.start smr;
-  let resends = ref [] and replies = ref [] and pending_after = ref (-1) in
+  let submits = ref [] and resends = ref [] and replies = ref [] and pending = ref (-1) in
   let watch at =
     Sim.Engine.schedule e ~at (fun () ->
         let before = Mu.Smr.resends smr in
@@ -331,52 +348,88 @@ let client_retry_run ~profiled =
   Sim.Engine.spawn e ~name:"driver" (fun () ->
       Mu.Smr.wait_live smr;
       let leader = Option.get (Mu.Smr.leader smr) in
-      Sim.Host.pause leader.Mu.Replica.host;
-      let open_reqs = ref 3 in
-      for i = 1 to 3 do
+      let hosts =
+        List.init paused (fun k ->
+            (Mu.Smr.replica smr ((leader.Mu.Replica.id + k) mod 3)).Mu.Replica.host)
+      in
+      List.iter Sim.Host.pause hosts;
+      let open_reqs = ref (3 * per_instant) in
+      for n = 0 to 2 do
         let now = Sim.Engine.now e in
+        submits := now :: !submits;
         for k = 1 to 5 do
           watch (now + (k * retry_interval))
         done;
-        let iv = Mu.Smr.submit_async smr (Bytes.of_string (Printf.sprintf "req-%d" i)) in
-        Sim.Engine.spawn e ~name:"client" (fun () ->
-            let reply = Sim.Engine.Ivar.read iv in
-            replies := (i, Sim.Engine.now e, Bytes.to_string reply) :: !replies;
-            decr open_reqs);
+        for j = 1 to per_instant do
+          let i = (n * per_instant) + j in
+          let iv = Mu.Smr.submit_async smr (Bytes.of_string (Printf.sprintf "req-%d" i)) in
+          Sim.Engine.spawn e ~name:"client" (fun () ->
+              let reply = Sim.Engine.Ivar.read iv in
+              replies := (i, Sim.Engine.now e, Bytes.to_string reply) :: !replies;
+              decr open_reqs)
+        done;
         Sim.Engine.sleep e 1_000
       done;
+      if observed = Late then begin
+        Sim.Engine.set_profiler e noop_profiler;
+        Sim.Probe.set_sink (Sim.Engine.probe e) ignore
+      end;
       Sim.Engine.sleep e 5_000_000;
-      Sim.Host.resume leader.Mu.Replica.host;
+      List.iter Sim.Host.resume hosts;
       Util.wait_for (fun () -> !open_reqs = 0) e;
-      pending_after := Mu.Smr.retries_pending smr;
+      pending := Mu.Smr.retries_pending smr;
       (* Let the resumed ex-leader settle before counting commits. *)
       Sim.Engine.sleep e 10_000_000;
       Mu.Smr.stop smr;
       Sim.Engine.halt e);
   Sim.Engine.run ~until:120_000_000_000 e;
-  let commits =
-    List.sort compare (Hashtbl.fold (fun (id, p) n acc -> (id, p, n) :: acc) commits [])
-  in
-  (List.rev !resends, Mu.Smr.resends smr, List.sort compare !replies, commits, !pending_after)
+  {
+    submits = List.rev !submits;
+    resends = List.rev !resends;
+    total = Mu.Smr.resends smr;
+    replies = List.sort compare !replies;
+    commits =
+      List.sort compare (Hashtbl.fold (fun (id, p) n acc -> (id, p, n) :: acc) commits []);
+    pending = !pending;
+  }
 
-let client_retry_resends () =
-  let ((resends, total, replies, _, pending) as bare) = client_retry_run ~profiled:false in
-  check "at least one resend" true (total > 0);
-  check_int "every resend at a submit time plus a multiple of 2 ms" total
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 resends);
-  check_int "all three answered" 3 (List.length replies);
+let check_retry_run name ~per_instant run =
+  check (name ^ ": at least one resend") true (run.total > 0);
+  check_int (name ^ ": every resend at a submit time plus a multiple of 2 ms") run.total
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 run.resends);
+  check_int (name ^ ": all answered") (3 * per_instant) (List.length run.replies);
   List.iter
     (fun (i, _, reply) ->
       Alcotest.(check string) "reply bytes" (Printf.sprintf "ack:req-%d" i) reply)
-    replies;
-  check_int "no retry timer holds a request once all replies are in" 0 pending;
-  let resends', total', replies', commits', pending' = client_retry_run ~profiled:true in
-  let _, _, _, commits, _ = bare in
-  Alcotest.(check (list (pair int int))) "same resend instants" resends resends';
-  check_int "same resend count" total total';
-  Alcotest.(check (list (triple int int string))) "same replies and reply times" replies replies';
-  Alcotest.(check (list (triple int string int))) "same commits per payload" commits commits';
-  check_int "profiled: no retry timer left" 0 pending'
+    run.replies;
+  check_int (name ^ ": no retry timer holds a request once all replies are in") 0 run.pending
+
+let client_retry_resends () =
+  let bare = client_retry_run Bare in
+  check_retry_run "bare" ~per_instant:1 bare;
+  List.iter
+    (fun (name, observed) ->
+      let run = client_retry_run observed in
+      check_retry_run name ~per_instant:1 run;
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": same resend instants") bare.resends run.resends;
+      check_int (name ^ ": same resend count") bare.total run.total;
+      Alcotest.(check (list (triple int int string)))
+        (name ^ ": same replies and reply times") bare.replies run.replies;
+      Alcotest.(check (list (triple int string int)))
+        (name ^ ": same commits per payload") bare.commits run.commits)
+    [ ("profiled", Profiled); ("attached late", Late) ];
+  (* 75 requests pending at once double the 64-slot ring, and each
+     instant's 25 fall due together, so one timer event drains them.
+     With two of three hosts paused no replica can answer, so each is
+     resent 2 ms after its own submit, whichever ring it was armed in. *)
+  let grown = client_retry_run ~per_instant:25 ~paused:2 Bare in
+  check_retry_run "ring growth" ~per_instant:25 grown;
+  List.iter
+    (fun at ->
+      check_int "ring growth: each request resent 2 ms after its submit" 25
+        (Option.value ~default:0 (List.assoc_opt (at + 2_000_000) grown.resends)))
+    grown.submits
 
 let stop_halts_service () =
   with_smr (fun e smr ->
