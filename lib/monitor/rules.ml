@@ -105,12 +105,16 @@ let leader_flap ?fire_after ?clear_after ?(max_elections = 1) () =
         Breach (Printf.sprintf "elections=%g in window" d)
       else Ok)
 
-(* A leader is in a degraded (quorum-lost) window. *)
+(* A leader is in a degraded (quorum-lost) window, or one closed since
+   the last window: a degraded window shorter than the sampling interval
+   falls between two samples of the gauge, but its duration lands in
+   [mu_degraded_ns]. *)
 let quorum_loss ?fire_after ?clear_after () =
   spec ?fire_after ?clear_after ~name:"quorum_loss" (fun w ->
-      match Slo.value w Slo.Max "mu_quorum_lost" with
-      | Some v when v > 0.0 -> Breach "leader degraded: quorum lost"
-      | _ -> Ok)
+      let lost = Option.value ~default:0.0 (Slo.value w Slo.Max "mu_quorum_lost") in
+      if lost > 0.0 || Slo.delta w "mu_degraded_ns" > 0.0 then
+        Breach "leader degraded: quorum lost"
+      else Ok)
 
 (* Commit stall: the cluster-wide first-undecided-offset stopped
    advancing while work has been committed before (fuo > 0). The

@@ -118,7 +118,12 @@ let await_tag t ~tag ~needed =
 (* --- permission acquisition (Listing 2, lines 8-12) ------------------- *)
 
 (* Ns a new leader waits for stragglers' permission acks once it holds a
-   majority. *)
+   majority, and only while some replica missing from the acks is alive in
+   its own failure detector's view. At a fail-over the one missing ack is
+   the replaced leader's, already suspected, so the leader goes on at its
+   majority (Listing 2); a late grant still joins through
+   [grow_followers]. A failure-free establish (every boot) keeps the
+   wait. *)
 let grow_followers_grace = 100_000
 
 let acquire_followers t =
@@ -138,10 +143,14 @@ let acquire_followers t =
     end
   in
   let acks = wait_majority () in
-  (* Growing confirmed followers (§4.2): wait briefly for the stragglers so
-     timely replicas are not left behind. *)
+  (* Growing confirmed followers (§4.2): wait briefly for the live
+     stragglers so timely replicas are not left behind. *)
+  let live_straggler p =
+    (not (List.mem p.Replica.pid acks)) && Election.is_alive t p.Replica.pid
+  in
   let acks =
-    if List.length acks >= Replica.quorum_size t then acks
+    if List.mem t.Replica.id acks && not (List.exists live_straggler t.Replica.peers)
+    then acks
     else begin
       Sim.Host.idle host grow_followers_grace;
       Permissions.acked t ~gen

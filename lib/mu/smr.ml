@@ -819,6 +819,16 @@ let propose_config_entry t op =
 
 let remove_replica t ~id = propose_config_entry t (Remove id)
 
+(* A restarted replica's durable FUO can sit above slots the recycler
+   zeroed before the crash. Its log replays only up to the first missing
+   entry at or above [applied], so the FUO stops there (at [applied] if
+   it was below) and catch-up pulls the rest from the leader. *)
+let stop_fuo_at_gap (r : Replica.t) =
+  let log = r.Replica.log in
+  let fuo = ref r.Replica.applied in
+  while !fuo < Log.fuo log && Log.slot_filled log !fuo do incr fuo done;
+  Log.set_fuo log !fuo
+
 (* Checkpoint transfer (§5.4): "Mu uses the standard approach of
    check-pointing state; we do so from one of the followers" — taking the
    snapshot off the leader's critical path, falling back to the leader if
@@ -826,7 +836,7 @@ let remove_replica t ~id = propose_config_entry t (Remove id)
    pipeline, which may call it repeatedly (the first checkpoint races the
    recycler; a recycled entry forces a fresh one). Only ever moves the
    target forward; decided durable entries past the checkpoint replay
-   from the target's own log. *)
+   from the target's own log, up to its first missing one. *)
 let install_checkpoint t (newcomer : Replica.t) (l : Replica.t) =
   let id = newcomer.Replica.id in
   let source =
@@ -843,7 +853,7 @@ let install_checkpoint t (newcomer : Replica.t) (l : Replica.t) =
     let snap = t.apps.(source.Replica.id).snapshot () in
     t.apps.(id).install snap;
     newcomer.Replica.applied <- s;
-    if Log.fuo newcomer.Replica.log < s then Log.set_fuo newcomer.Replica.log s;
+    stop_fuo_at_gap newcomer;
     newcomer.Replica.zeroed_up_to <- s
   end;
   Replica.apply_committed newcomer;
@@ -962,25 +972,21 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
     | None -> ()
     | Some l -> install_checkpoint t newcomer l
   in
-  (* Recover the application first. If the durable log is complete from
-     the origin (nothing recycled before the crash), replay it locally —
-     the pure durable-restore path. Otherwise wait for a serving leader
-     and take a fresh checkpoint (§5.4). *)
-  let rec restore () =
+  (* Recover the application first: replay the durable log up to its
+     first missing entry (the pure durable-restore path). The FUO stops
+     there. A log the recycler zeroed at its start needs a fresh
+     checkpoint (§5.4): take it now if a leader serves, else catch-up
+     takes it once one does. *)
+  let restore () =
     if stopped () then false
-    else if Log.fuo log = 0 || Log.read_slot log 0 <> None then begin
+    else begin
+      let durable_fuo = Log.fuo log in
+      stop_fuo_at_gap newcomer;
+      if Log.fuo log < durable_fuo then recheckpoint ();
       Replica.apply_committed newcomer;
       publish_head ();
       true
     end
-    else
-      match serving_leader t with
-      | Some l ->
-        install_checkpoint t newcomer l;
-        true
-      | None ->
-        Sim.Host.idle newcomer.Replica.host 100_000;
-        restore ()
   in
   let finish outcome_args =
     if span <> 0 then Sim.Engine.span_close e ~pid:id ~args:outcome_args span;

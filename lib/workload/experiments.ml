@@ -447,7 +447,7 @@ let failover setup ~rounds =
           |> Mu.Smr.replica smr
         in
         let t_fail = Sim.Engine.now e in
-        Sim.Host.pause leader.Mu.Replica.host;
+        Sim.Host.stop_process leader.Mu.Replica.host;
         (* The fail-over decomposition as spans (cat "failover"): [total]
            wraps a [detect] phase (injection until the next leader's role
            flips) and a [perm_switch] phase (permission acquisition +
@@ -475,8 +475,12 @@ let failover setup ~rounds =
           Telemetry.Hdr.record hd (t_detect - t_fail);
           Telemetry.Hdr.record hs (t_live - t_detect)
         | None -> ());
-        (* Recovery: the resumed lowest-id replica reclaims leadership. *)
-        Sim.Host.resume leader.Mu.Replica.host;
+        (* Recovery: the restarted lowest id rejoins and reclaims
+           leadership with a full establish, so every round's new leader
+           is one the others have not granted yet: two permission changes
+           (§7.3). A paused leader that resumes in the idle cluster would
+           never ask again, leaving the next round one flag change. *)
+        Mu.Smr.restart_replica smr ~id:leader.Mu.Replica.id;
         wait_until (fun () ->
             match unique_leader () with
             | Some r ->

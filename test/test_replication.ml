@@ -318,18 +318,42 @@ let log_backpressure_waits_for_recycling () =
       check "recycling advanced" true (leader.Mu.Replica.zeroed_up_to > 0);
       ignore e)
 
-let grow_confirmed_followers () =
+(* r1 is paused while r0 establishes, so r0's confirmed set is just {2}.
+   The 100 us grace after the majority ack applies only while r1 is alive
+   in r0's failure-detector view: a live straggler gets it, a suspected
+   one (a replaced leader, at a fail-over) does not. Either way, when r1
+   comes back, its permission manager acks the still-pending request and
+   the next propose admits it (§4.2 "Growing confirmed followers"),
+   bringing it up to date. *)
+let grow_confirmed_followers ~suspected () =
   with_cluster (fun e smr ->
-      (* r1 is paused while r0 acquires leadership: r0's confirmed set is
-         just {2}. When r1 comes back, its permission manager acks the
-         still-pending request and the next propose admits it (§4.2
-         "Growing confirmed followers"), bringing it up to date. *)
       let r0 = Mu.Smr.replica smr 0 and r1 = Mu.Smr.replica smr 1 in
       Sim.Host.pause r1.Mu.Replica.host;
       Util.wait_for (fun () -> Mu.Replica.is_leader r0) e;
+      if suspected then Util.wait_for (fun () -> not (Mu.Election.is_alive r0 1)) e;
+      check "r1 suspected" suspected (not (Mu.Election.is_alive r0 1));
+      (* Watch the establish: when r0 first holds a majority of acks for
+         its new request, and when it has settled its followers. *)
+      let gen0 = r0.Mu.Replica.req_gen in
+      let majority_at = ref (-1) and established_at = ref (-1) in
+      Sim.Engine.spawn e ~name:"watch-establish" (fun () ->
+          while !established_at < 0 do
+            let gen = r0.Mu.Replica.req_gen in
+            if gen > gen0 then begin
+              let now = Sim.Engine.now e in
+              let acks = List.length (Mu.Permissions.acked r0 ~gen) in
+              if !majority_at < 0 && acks >= Mu.Replica.majority r0 then majority_at := now;
+              if not r0.Mu.Replica.need_new_followers then established_at := now
+            end;
+            Sim.Engine.sleep e 1_000
+          done);
       ignore (propose_ok r0 "a");
       ignore (propose_ok r0 "b");
       Alcotest.(check (list int)) "minority set" [ 2 ] r0.Mu.Replica.confirmed;
+      let settle = !established_at - !majority_at in
+      check
+        (Printf.sprintf "grace taken: %d ns after the majority ack" settle)
+        (not suspected) (settle >= 100_000);
       Sim.Host.resume r1.Mu.Replica.host;
       (* Give r1's permission manager time to process the pending request. *)
       Sim.Engine.sleep e 2_000_000;
@@ -525,7 +549,9 @@ let suite =
     ("minority follower crash tolerated", `Quick, minority_follower_crash_tolerated);
     ("majority loss blocks commit", `Quick, majority_loss_blocks_commit);
     ("log backpressure waits for recycling", `Quick, log_backpressure_waits_for_recycling);
-    ("grow confirmed followers", `Quick, grow_confirmed_followers);
+    ("grow confirmed followers", `Quick, grow_confirmed_followers ~suspected:false);
+    ("grow confirmed followers past a suspected straggler", `Quick,
+      grow_confirmed_followers ~suspected:true);
     ("five replica cluster", `Quick, five_replica_cluster);
     ("partition heals", `Quick, partition_heals);
     ("recycler skips on revoked head read", `Quick, recycler_skips_on_revoked_head_read);

@@ -160,6 +160,36 @@ let failover_under_load () =
       ignore resp2;
       check "requests were executed" true (List.mem "during" !log && List.mem "after" !log))
 
+(* Fail-over under open-loop load (§7.3): one request every 5 us on a
+   durable cluster whose leader's process is stopped, then restarted.
+   The first reply after the fault comes within 900 us: detection
+   (~600 us) plus two permission changes. The new leader does not wait
+   for the permission ack of the leader it replaced. *)
+let unavailability_under_open_loop () =
+  let cfg = { Mu.Config.default with Mu.Config.durable_state = true; max_batch = 8 } in
+  with_smr ~cfg (fun e smr ->
+      Mu.Smr.wait_live smr;
+      let generating = ref true and t_fail = ref max_int and first_reply = ref max_int in
+      Sim.Engine.spawn e ~name:"generator" (fun () ->
+          while !generating do
+            Sim.Engine.spawn e ~name:"req" (fun () ->
+                ignore (Sim.Engine.Ivar.read (Mu.Smr.submit_async smr (Bytes.of_string "x")));
+                let now = Sim.Engine.now e in
+                if now > !t_fail then first_reply := min !first_reply now);
+            Sim.Engine.sleep e 5_000
+          done);
+      Sim.Engine.sleep e 2_500_000;
+      let leader = Option.get (Mu.Smr.serving_leader smr) in
+      t_fail := Sim.Engine.now e;
+      Sim.Host.stop_process leader.Mu.Replica.host;
+      Sim.Engine.sleep e 2_000_000;
+      Mu.Smr.restart_replica smr ~id:leader.Mu.Replica.id;
+      Util.wait_for (fun () -> Mu.Smr.rejoins smr <> []) e;
+      generating := false;
+      let unavail = !first_reply - !t_fail in
+      check (Printf.sprintf "unavailable for %d ns (at most 900 us)" unavail) true
+        (unavail <= 900_000))
+
 let no_unique_leader_during_transition () =
   with_smr (fun e smr ->
       Mu.Smr.wait_live smr;
@@ -452,6 +482,7 @@ let suite =
     ("pipelining works", `Quick, pipelining_works);
     ("pipelined throughput exceeds serial", `Quick, pipelined_throughput_exceeds_serial);
     ("failover under load", `Quick, failover_under_load);
+    ("unavailability under open-loop load", `Quick, unavailability_under_open_loop);
     ("no unique leader during transition", `Quick, no_unique_leader_during_transition);
     ("recycling under smr load", `Quick, recycling_under_smr_load);
     ("recycler respects unconfirmed followers", `Quick, recycler_respects_unconfirmed_followers);
