@@ -110,10 +110,20 @@ let monitor_fiber t pid =
       Hashtbl.replace t.Replica.scores p.Replica.pid score;
       Metrics.score t.Replica.metrics ~peer:p.Replica.pid score;
       let alive = is_alive t p.Replica.pid in
-      if alive && score < c.Sim.Calibration.score_fail then
-        flip t p.Replica.pid ~score false "suspect"
-      else if (not alive) && score > c.Sim.Calibration.score_recover then
-        flip t p.Replica.pid ~score true "recover";
+      let dead =
+        if alive then score < c.Sim.Calibration.score_fail
+        else score <= c.Sim.Calibration.score_recover
+      in
+      if alive && dead then flip t p.Replica.pid ~score false "suspect"
+      else if (not alive) && not dead then flip t p.Replica.pid ~score true "recover";
+      (* A peer scored dead gets one reconnect of each of its broken pairs
+         per round, whichever end broke; its score still recovers only
+         through reads (§5.1). A record unwired during the idle holds
+         retired pairs, which reconnect leaves alone. *)
+      if dead then
+        Replica.iter_qps
+          (fun qp -> if not (Rdma.Qp.pair_rts qp) then Rdma.Qp.reconnect qp)
+          p;
       loop ()
   in
   loop ()

@@ -11,27 +11,17 @@ let last_granted t id =
   Option.value (Hashtbl.find_opt t.Replica.last_granted id) ~default:0L
 
 (* Change the access our replication QP toward [pid] grants, using Mu's
-   fast-slow path. A QP that is not operational (e.g. went to ERR when we
-   NAKed a deposed leader) cannot be fixed by a flag change, so it takes
-   the restart path directly. *)
+   fast-slow path. The slow path reconnects the pair, so a requester whose
+   end went to ERR (say, when we NAKed it as a deposed leader) gets a
+   working connection with its grant. *)
 let switch_access t pid access =
   match Replica.peer_opt t pid with
   | None -> ()
-  | Some p ->
-    if Rdma.Qp.state p.Replica.repl_qp <> Rdma.Verbs.Rts then begin
-      t.Replica.metrics.Metrics.perm_slow_path <-
-        t.Replica.metrics.Metrics.perm_slow_path + 1;
-      Rdma.Perm.restart_qp p.Replica.repl_qp access
-    end
-    else
-      match Rdma.Perm.change_qp_flags p.Replica.repl_qp access with
-      | Ok () ->
-        t.Replica.metrics.Metrics.perm_fast_path <-
-          t.Replica.metrics.Metrics.perm_fast_path + 1
-      | Error `Qp_error ->
-        t.Replica.metrics.Metrics.perm_slow_path <-
-          t.Replica.metrics.Metrics.perm_slow_path + 1;
-        Rdma.Perm.restart_qp p.Replica.repl_qp access
+  | Some p -> (
+    let m = t.Replica.metrics in
+    match Rdma.Perm.fast_slow_switch p.Replica.repl_qp access with
+    | `Fast -> m.Metrics.perm_fast_path <- m.Metrics.perm_fast_path + 1
+    | `Slow -> m.Metrics.perm_slow_path <- m.Metrics.perm_slow_path + 1)
 
 let revoke_current_holder t ~except =
   match t.Replica.perm_holder with
@@ -117,8 +107,8 @@ let request_permissions t =
   List.iter
     (fun p ->
       (* Requests ride their own QP pair; completions are not awaited — the
-         grant is observed through the ack array. *)
-      Rdma.Qp.repair p.Replica.req_qp;
+         grant is observed through the ack array. A pair in ERR flushes
+         the request; the failure detector reconnects it. *)
       Rdma.Qp.post_write p.Replica.req_qp ~wr_id:(Replica.fresh_wr_id t) ~src:buf ~src_off:0
         ~len:8 ~mr:p.Replica.remote_bg_mr ~dst_off:(Replica.bg_req_offset t.Replica.id))
     t.Replica.peers;

@@ -44,6 +44,7 @@ type t = {
   mutable election_span : int;
   mutable applied : int;
   mutable on_commit : int -> bytes -> unit;
+  mutable checkpoint : src:int -> dst:int -> int;
   mutable zeroed_up_to : int;
   mutable recycler_outstanding : int;
   metrics : Metrics.t;
@@ -131,6 +132,7 @@ let create_unwired eng calib config ~ns ~id =
       election_span = 0;
       applied = 0;
       on_commit = (fun _ _ -> ());
+      checkpoint = (fun ~src:_ ~dst:_ -> 0);
       zeroed_up_to = 0;
       recycler_outstanding = 0;
       metrics = Metrics.create ?reg:(Sim.Engine.metrics eng) ~id ();
@@ -243,11 +245,14 @@ let wire a b =
     persist_members b
   end
 
+let iter_qps f p =
+  f p.repl_qp; f p.fd_qp; f p.perm_qp; f p.req_qp; f p.misc_qp
+
 let unwire t ~pid =
   match List.find_opt (fun p -> p.pid = pid) t.peers with
   | None -> ()
   | Some p ->
-    List.iter Rdma.Qp.disconnect [ p.repl_qp; p.fd_qp; p.perm_qp; p.req_qp; p.misc_qp ];
+    iter_qps Rdma.Qp.disconnect p;
     t.peers <- List.filter (fun q -> q.pid <> pid) t.peers;
     (* Volatile per-peer state must go with the connection. In particular
        a rebooted incarnation of [pid] restarts its permission request
@@ -311,8 +316,7 @@ let set_role t role =
   t.role <- role;
   Sim.Host.ring t.replay_bell
 
-let quorum_size t = List.length t.peers + 1
-let majority t = (quorum_size t / 2) + 1
+let majority t = ((List.length t.peers + 1) / 2) + 1
 
 let fresh_prop_num t ~above =
   (* Proposal numbers are congruent to the replica id modulo a fixed

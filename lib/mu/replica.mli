@@ -15,7 +15,15 @@
 type role = Leader | Follower
 
 (** Handles to one remote peer: our QP endpoints toward it and its
-    exchanged memory-region keys. *)
+    exchanged memory-region keys.
+
+    A pair in ERR leaves it only through {!Rdma.Qp.reconnect}, which two
+    callers make: the permission granter's slow path
+    ({!Rdma.Perm.fast_slow_switch}), for the [repl_qp] of the replica it
+    grants, and the failure detector ({!Election}), for every pair of a
+    peer it scores dead, once per read interval. Until then a non-RTS
+    pair means "not yet": posts on it are flushed and the caller retries
+    later. *)
 type peer = {
   pid : int;
   repl_qp : Rdma.Qp.t;
@@ -70,6 +78,12 @@ type t = {
   (* --- execution --- *)
   mutable applied : int;  (** Log head: entries injected into the app. *)
   mutable on_commit : int -> bytes -> unit;
+  mutable checkpoint : src:int -> dst:int -> int;
+      (** Install a checkpoint of replica [src] on replica [dst] (§5.4)
+          and return [dst]'s log head after it; set by {!Smr}. A leader
+          takes one for itself or gives one to a follower when the
+          entries between them were recycled. The default installs
+          nothing and returns 0. *)
   mutable zeroed_up_to : int;  (** Recycling low-water mark (§5.3). *)
   mutable recycler_outstanding : int;
       (** Zeroing writes posted by {!Recycler} whose completions have not
@@ -125,6 +139,10 @@ val wire : t -> t -> unit
 (** Connect the planes of two replicas (idempotent per pair). When
     durable state is on, both replicas' member lists are re-persisted. *)
 
+val iter_qps : (Rdma.Qp.t -> unit) -> peer -> unit
+(** Apply to our ends of the five pairs toward this peer: [repl_qp],
+    [fd_qp], [perm_qp], [req_qp] and [misc_qp]. *)
+
 val unwire : t -> pid:int -> unit
 (** Tear down this replica's connection to peer [pid]: every QP toward it
     is force-disconnected (both endpoints go to error, Velos-style), the
@@ -164,9 +182,8 @@ val set_role : t -> role -> unit
     follower commits by piggybacking and a leader does not. *)
 
 val majority : t -> int
-
-val quorum_size : t -> int
-(** Current group size (peers + self), accounting for removals. *)
+(** A majority of the current group (peers + self), accounting for
+    removals. *)
 
 val fresh_prop_num : t -> above:int64 -> int64
 (** Next proposal number for this replica: unique across replicas

@@ -158,14 +158,6 @@ let acquire_followers t =
   in
   let cf = List.filter (fun id -> id <> t.Replica.id) acks in
   if List.length cf < remote_majority t then abort t "lost permission acks";
-  (* Our requester-side endpoints may still be in ERR from when we were
-     deposed; the grant implies the connection was re-established. *)
-  List.iter
-    (fun id ->
-      match Replica.peer_opt t id with
-      | Some p -> Rdma.Qp.repair p.Replica.repl_qp
-      | None -> ())
-    cf;
   t.Replica.confirmed <- cf;
   t.Replica.need_new_followers <- false;
   t.Replica.skip_prepare <- false
@@ -191,27 +183,35 @@ let read_fuos t =
   let _ = await_tag t ~tag ~needed:(List.length cf) in
   List.map (fun (p, buf) -> (p, Int64.to_int (Bytes.get_int64_le buf 0))) bufs
 
+(* An empty slot below [p]'s FUO was recycled (or lies under a
+   checkpoint [p] took): we are behind what [p]'s log still holds, so we
+   install [p]'s checkpoint and copy on from there. *)
 let copy_remote_slots t (p : Replica.peer) ~from_idx ~to_idx =
   let log = t.Replica.log in
   let slot_size = Log.slot_size log in
-  for idx = from_idx to to_idx - 1 do
-    let buf = Bytes.create slot_size in
-    let tag = Replica.fresh_tag t in
-    post_tracked t p ~tag ~post:(fun wr_id ->
-        Rdma.Qp.post_read p.Replica.repl_qp ~wr_id ~dst:buf ~dst_off:0 ~len:slot_size
-          ~mr:p.Replica.remote_log_mr ~src_off:(Log.slot_offset log idx));
-    let _ = await_tag t ~tag ~needed:1 in
-    if
-      Log.decode_slot
-        ~canary:(if t.Replica.config.Config.checksum_canary then Log.Checksum else Log.Flag)
-        buf
-      = None
-    then
-      abort t
-        (Printf.sprintf "catch-up read of slot %d from %d returned an empty entry" idx
-           p.Replica.pid);
-    Log.write_slot_raw_local log idx buf
-  done
+  let rec copy idx =
+    if idx < to_idx then begin
+      let buf = Bytes.create slot_size in
+      let tag = Replica.fresh_tag t in
+      post_tracked t p ~tag ~post:(fun wr_id ->
+          Rdma.Qp.post_read p.Replica.repl_qp ~wr_id ~dst:buf ~dst_off:0 ~len:slot_size
+            ~mr:p.Replica.remote_log_mr ~src_off:(Log.slot_offset log idx));
+      let _ = await_tag t ~tag ~needed:1 in
+      if
+        Log.decode_slot
+          ~canary:(if t.Replica.config.Config.checksum_canary then Log.Checksum else Log.Flag)
+          buf
+        <> None
+      then (Log.write_slot_raw_local log idx buf; copy (idx + 1))
+      else if t.Replica.checkpoint ~src:p.Replica.pid ~dst:t.Replica.id > idx then
+        copy (Log.fuo log)
+      else
+        abort t
+          (Printf.sprintf "catch-up read of slot %d from %d returned an empty entry" idx
+             p.Replica.pid)
+    end
+  in
+  copy from_idx
 
 let leader_catch_up t fuos =
   tspan t "catch_up" @@ fun () ->
@@ -236,6 +236,12 @@ let update_followers t fuos =
   let posted = ref 0 in
   List.iter
     (fun (p, f) ->
+      (* A follower behind our recycled prefix takes our checkpoint first. *)
+      let f =
+        if f < my_fuo && (f < t.Replica.zeroed_up_to || not (Log.slot_filled log f)) then
+          max f (t.Replica.checkpoint ~src:t.Replica.id ~dst:p.Replica.pid)
+        else f
+      in
       if f < my_fuo then begin
         for idx = f to my_fuo - 1 do
           (* A decided slot we are about to copy must never be empty; an
@@ -285,12 +291,6 @@ let stragglers t =
 let grow_followers t =
   let newcomers = stragglers t in
   if newcomers <> [] then begin
-    List.iter
-      (fun id ->
-        match Replica.peer_opt t id with
-        | Some p -> Rdma.Qp.repair p.Replica.repl_qp
-        | None -> ())
-      newcomers;
     t.Replica.metrics.Metrics.followers_grown <-
       t.Replica.metrics.Metrics.followers_grown + List.length newcomers;
     t.Replica.confirmed <- List.sort compare (t.Replica.confirmed @ newcomers);

@@ -176,6 +176,63 @@ let apply_config _t (r : Replica.t) op =
        the membership change in the log (§5.4). *)
     ()
 
+(* A restarted replica's durable FUO can sit above slots the recycler
+   zeroed before the crash. Its log replays only up to the first missing
+   entry at or above [applied], so the FUO stops there (at [applied] if
+   it was below) and catch-up pulls the rest from the leader. *)
+let stop_fuo_at_gap (r : Replica.t) =
+  let log = r.Replica.log in
+  let fuo = ref r.Replica.applied in
+  while !fuo < Log.fuo log && Log.slot_filled log !fuo do incr fuo done;
+  Log.set_fuo log !fuo
+
+(* Checkpoint transfer (§5.4): install [source]'s application state on
+   [newcomer]. Only ever moves the target forward; decided durable
+   entries past the checkpoint replay from the target's own log, up to
+   its first missing one. *)
+let install_from t ~(source : Replica.t) (newcomer : Replica.t) =
+  let s = source.Replica.applied in
+  if s > newcomer.Replica.applied then begin
+    t.apps.(newcomer.Replica.id).install (t.apps.(source.Replica.id).snapshot ());
+    newcomer.Replica.applied <- s;
+    stop_fuo_at_gap newcomer;
+    newcomer.Replica.zeroed_up_to <- s
+  end;
+  Replica.apply_committed newcomer;
+  Rdma.Mr.set_i64 newcomer.Replica.bg_mr ~off:Replica.bg_log_head_offset
+    (Int64.of_int newcomer.Replica.applied)
+
+(* A joining or rejoining replica's checkpoint: "Mu uses the standard
+   approach of check-pointing state; we do so from one of the followers"
+   — taking the snapshot off the leader's critical path, falling back to
+   the leader if no live follower exists. Shared by [add_replica] and the
+   rejoin pipeline, which may call it repeatedly (the first checkpoint
+   races the recycler; a recycled entry forces a fresh one). *)
+let install_checkpoint t (newcomer : Replica.t) (l : Replica.t) =
+  let id = newcomer.Replica.id in
+  let source =
+    Array.to_list t.replicas
+    |> List.find_opt (fun (r : Replica.t) ->
+           r.Replica.id <> l.Replica.id
+           && r.Replica.id <> id
+           && (not r.Replica.removed)
+           && Sim.Host.process_alive r.Replica.host)
+    |> Option.value ~default:l
+  in
+  install_from t ~source newcomer
+
+(* A leader's checkpoint between two live members ([Replica.checkpoint]).
+   The target's log between its FUO and the checkpoint may hold undecided
+   entries; they are zeroed, so no later catch-up copies them as decided. *)
+let checkpoint t ~src ~dst =
+  let r = t.replicas.(dst) and source = t.replicas.(src) in
+  let log = r.Replica.log in
+  for idx = Log.fuo log to min source.Replica.applied (Log.fuo log + Log.slots log) - 1 do
+    Log.zero_slot_local log idx
+  done;
+  install_from t ~source r;
+  r.Replica.applied
+
 (* [config_floor]: log index below which configuration entries are
    replayed as no-ops. A rejoining replica reconstructs current
    membership directly from the survivors while it is wired back in;
@@ -185,6 +242,7 @@ let apply_config _t (r : Replica.t) op =
    or above the floor were decided after the rewiring and apply
    normally. *)
 let install_commit_hook ?(config_floor = 0) t (r : Replica.t) =
+  r.Replica.checkpoint <- checkpoint t;
   r.Replica.on_commit <-
     (fun idx value ->
       match decode_batch value with
@@ -819,47 +877,6 @@ let propose_config_entry t op =
 
 let remove_replica t ~id = propose_config_entry t (Remove id)
 
-(* A restarted replica's durable FUO can sit above slots the recycler
-   zeroed before the crash. Its log replays only up to the first missing
-   entry at or above [applied], so the FUO stops there (at [applied] if
-   it was below) and catch-up pulls the rest from the leader. *)
-let stop_fuo_at_gap (r : Replica.t) =
-  let log = r.Replica.log in
-  let fuo = ref r.Replica.applied in
-  while !fuo < Log.fuo log && Log.slot_filled log !fuo do incr fuo done;
-  Log.set_fuo log !fuo
-
-(* Checkpoint transfer (§5.4): "Mu uses the standard approach of
-   check-pointing state; we do so from one of the followers" — taking the
-   snapshot off the leader's critical path, falling back to the leader if
-   no live follower exists. Shared by [add_replica] and the rejoin
-   pipeline, which may call it repeatedly (the first checkpoint races the
-   recycler; a recycled entry forces a fresh one). Only ever moves the
-   target forward; decided durable entries past the checkpoint replay
-   from the target's own log, up to its first missing one. *)
-let install_checkpoint t (newcomer : Replica.t) (l : Replica.t) =
-  let id = newcomer.Replica.id in
-  let source =
-    Array.to_list t.replicas
-    |> List.find_opt (fun (r : Replica.t) ->
-           r.Replica.id <> l.Replica.id
-           && r.Replica.id <> id
-           && (not r.Replica.removed)
-           && Sim.Host.process_alive r.Replica.host)
-    |> Option.value ~default:l
-  in
-  let s = source.Replica.applied in
-  if s > newcomer.Replica.applied then begin
-    let snap = t.apps.(source.Replica.id).snapshot () in
-    t.apps.(id).install snap;
-    newcomer.Replica.applied <- s;
-    stop_fuo_at_gap newcomer;
-    newcomer.Replica.zeroed_up_to <- s
-  end;
-  Replica.apply_committed newcomer;
-  Rdma.Mr.set_i64 newcomer.Replica.bg_mr ~off:Replica.bg_log_head_offset
-    (Int64.of_int newcomer.Replica.applied)
-
 (* A replica [id] not yet wired, in this cluster's durable namespace. *)
 let fresh_incarnation t ~id =
   Replica.create_unwired t.engine t.calibration t.cfg ~ns:t.replicas.(0).Replica.durable_ns ~id
@@ -927,7 +944,6 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
      and this fiber is the sole consumer of the newcomer's replication CQ
      until the replica starts at parity. *)
   let read_remote (p : Replica.peer) ~src_off ~len ~dst =
-    Rdma.Qp.repair p.Replica.repl_qp;
     if Rdma.Qp.state p.Replica.repl_qp <> Rdma.Verbs.Rts then false
     else begin
       Rdma.Qp.post_read p.Replica.repl_qp ~wr_id:(Replica.fresh_wr_id newcomer)

@@ -50,19 +50,6 @@ let change_qp_flags qp access =
         Ok ()
       end)
 
-let restart_qp qp access =
-  span qp "perm_restart" (fun () ->
-      timed (Qp.host qp) ~path:"restart" @@ fun () ->
-      let host = Qp.host qp in
-      let c = cal qp in
-      (* The QP is torn down first, so operations arriving during the cycle are
-         denied — this is what makes the slow path robust. *)
-      Qp.set_state qp Verbs.Reset;
-      Sim.Host.cpu host
-        (Sim.Distribution.sample_ns c.Sim.Calibration.perm_qp_restart (Sim.Host.rng host));
-      Qp.set_access qp access;
-      Qp.set_state qp Verbs.Rts)
-
 let rereg_mr mr access =
   let host = Mr.host mr in
   Sim.Engine.trace_span (Sim.Host.engine host) ~cat:"rdma" ~pid:(Sim.Host.id host) "mr_rereg"
@@ -73,12 +60,23 @@ let rereg_mr mr access =
       Sim.Host.cpu host (Sim.Distribution.sample_ns d (Sim.Host.rng host));
       Mr.set_access mr access)
 
+(* The slow path: cycle the pair ({!Qp.reconnect}), then install the
+   flags. *)
+let slow qp access =
+  span qp "perm_restart" (fun () ->
+      timed (Qp.host qp) ~path:"restart" @@ fun () ->
+      Qp.reconnect qp;
+      Qp.set_access qp access);
+  `Slow
+
 let fast_slow_switch qp access =
-  match change_qp_flags qp access with
-  | Ok () -> ()
-  | Error `Qp_error ->
-    let host = Qp.host qp in
-    let e = Sim.Host.engine host in
-    if Sim.Engine.traced e then
-      Sim.Engine.trace_instant e ~cat:"rdma" ~pid:(Sim.Host.id host) "perm_slow_path";
-    restart_qp qp access
+  (* A pair with an end out of RTS cannot take a flag change. *)
+  if not (Qp.pair_rts qp) then slow qp access
+  else
+    match change_qp_flags qp access with
+    | Ok () -> `Fast
+    | Error `Qp_error ->
+      let e = Sim.Host.engine (Qp.host qp) in
+      if Sim.Engine.traced e then
+        Sim.Engine.trace_instant e ~cat:"rdma" ~pid:(Sim.Host.id (Qp.host qp)) "perm_slow_path";
+      slow qp access

@@ -1,4 +1,7 @@
-type link = { mutable up : bool }
+(* Shared by both ends of a pair. [retired] marks a pair that
+   {!disconnect} tore down for good; [cycling] a pair that {!reconnect}
+   is taking through reset → init → RTR → RTS. *)
+type link = { mutable up : bool; mutable retired : bool; mutable cycling : bool }
 
 (* A posted receive buffer awaiting a Send from the peer. *)
 type recv = { rwr_id : int; rdst : Bytes.t; rdst_off : int; rmax_len : int }
@@ -56,7 +59,7 @@ let create host ~cq =
     outstanding = 0;
     last_arrival = 0;
     last_completion = 0;
-    link = { up = true };
+    link = { up = true; retired = false; cycling = false };
     recvq = Queue.create ();
     pending_sends = Queue.create ();
   }
@@ -65,7 +68,7 @@ let connect a b =
   if a.peer <> None || b.peer <> None then invalid_arg "Qp.connect: already connected";
   a.peer <- Some b;
   b.peer <- Some a;
-  let link = { up = true } in
+  let link = { up = true; retired = false; cycling = false } in
   a.link <- link;
   b.link <- link;
   a.state <- Verbs.Rts;
@@ -74,6 +77,8 @@ let connect a b =
 let host t = t.host
 let peer t = t.peer
 let state t = t.state
+let pair_rts t =
+  t.state = Verbs.Rts && match t.peer with Some p -> p.state = Verbs.Rts | None -> false
 let access t = t.acc
 let set_access t acc = t.acc <- acc
 
@@ -91,18 +96,47 @@ let mark_err t =
   end
 
 let set_state t s = if s = Verbs.Err then mark_err t else t.state <- s
-let repair t = if t.state = Verbs.Err then t.state <- Verbs.Rts
 
 (* Tear down a connection for good: both endpoints go to ERR and stay
-   there (repair would bring them back, but a disconnected pair is meant
-   to be replaced by fresh QPs — the re-establishment path a host takes
-   after a reboot). Posted-but-undelivered operations still complete,
-   with whatever status the transport assigns them. *)
+   there, since a disconnected pair is replaced by fresh QPs (the
+   re-establishment path a host takes after a reboot), never reconnected.
+   Posted-but-undelivered operations still complete, with whatever status
+   the transport assigns them. *)
 let disconnect t =
+  t.link.retired <- true;
   mark_err t;
   match t.peer with Some p -> mark_err p | None -> ()
 let outstanding t = t.outstanding
 let set_link_up t up = t.link.up <- up
+
+(* The one way out of ERR (§5.2, Fig. 2): both ends are torn down at once,
+   so operations arriving during the cycle are denied, and come back to
+   RTS together only if the handshake can cross — both NICs answer and the
+   link carries both ways. The cycle is charged once, on the caller. *)
+let reconnect t =
+  match t.peer with
+  | Some p when not (t.link.retired || t.link.cycling) ->
+    let carries a b =
+      Sim.Host.nic_reachable b.host
+      && match
+           Sim.Fabric.find (Sim.Engine.fabric (engine t)) ~src:(Sim.Host.id a.host)
+             ~dst:(Sim.Host.id b.host)
+         with
+         | Some f -> not f.Sim.Fabric.blocked
+         | None -> true
+    in
+    t.link.cycling <- true;
+    t.state <- Verbs.Reset;
+    p.state <- Verbs.Reset;
+    Sim.Host.cpu t.host
+      (Sim.Distribution.sample_ns (cal t).Sim.Calibration.perm_qp_restart (Sim.Host.rng t.host));
+    t.link.cycling <- false;
+    if t.link.up && (not t.link.retired) && carries t p && carries p t then begin
+      t.state <- Verbs.Rts;
+      p.state <- Verbs.Rts
+    end
+    else (mark_err t; mark_err p)
+  | Some _ | None -> ()
 
 let tel_post t =
   match t.tel with
@@ -198,6 +232,29 @@ let tx_delay t ~payload =
   in
   c.Sim.Calibration.nic_tx + fetch
 
+(* A lost request or ack: the requester's QP goes to ERR at once and the
+   completion waits out the RC transport timeout. *)
+let timeout t ~t0 ~wr_id ~kind ~prov =
+  mark_err t;
+  deliver_completion t
+    ~at:(t0 + (cal t).Sim.Calibration.rnic_timeout)
+    ~wr_id ~kind ~status:Verbs.Operation_timeout ~prov ~before:ignore ()
+
+(* A responder that denies the operation NAKs it: both ends of the
+   connection go to ERR (§5.2). *)
+let nak t resp ~wr_id ~kind ~prov =
+  mark_err resp;
+  let back = Sim.Engine.now (engine t) + (cal t).Sim.Calibration.nic_rx + wire_delay t ~len:0 in
+  deliver_completion t ~at:back ~wr_id ~kind ~status:Verbs.Remote_access_error ~prov
+    ~before:(fun () -> mark_err t)
+    ()
+
+(* Work posted to a non-RTS QP is flushed. *)
+let flush t ~wr_id ~kind ~prov =
+  deliver_completion t
+    ~at:(Sim.Engine.now (engine t) + (cal t).Sim.Calibration.cq_poll)
+    ~wr_id ~kind ~status:Verbs.Flushed ~prov ~before:ignore ()
+
 (* --- injected fabric faults -------------------------------------------- *)
 
 (* Outcome of one directed leg under the engine's fault table: either the
@@ -290,23 +347,11 @@ let post t ~wr_id ~kind ~payload_out ~payload_back ~mr ~off ~len ~need_write ~ap
         (t0 + tx_delay t ~payload:payload_out + wire_delay t ~len:payload_out + req.extra)
     in
     Sim.Engine.schedule e ~at:arrive (fun () ->
-        if req.lost || (not t.link.up) || not (Sim.Host.nic_reachable resp.host) then begin
+        if req.lost || (not t.link.up) || not (Sim.Host.nic_reachable resp.host) then
           (* RC retransmits silently until the transport timeout fires. *)
-          mark_err t;
-          deliver_completion t
-            ~at:(t0 + c.Sim.Calibration.rnic_timeout)
-            ~wr_id ~kind ~status:Verbs.Operation_timeout ~prov
-            ~before:(fun () -> ())
-            ()
-        end
-        else if not (responder_allows resp ~mr ~off ~len ~need_write) then begin
-          (* NAK: both ends of the connection go to ERR (§5.2). *)
-          mark_err resp;
-          let back = Sim.Engine.now e + c.Sim.Calibration.nic_rx + wire_delay t ~len:0 in
-          deliver_completion t ~at:back ~wr_id ~kind ~status:Verbs.Remote_access_error ~prov
-            ~before:(fun () -> mark_err t)
-            ()
-        end
+          timeout t ~t0 ~wr_id ~kind ~prov
+        else if not (responder_allows resp ~mr ~off ~len ~need_write) then
+          nak t resp ~wr_id ~kind ~prov
         else begin
           apply ();
           match eval_leg t ~src:dst ~dst:src with
@@ -314,12 +359,7 @@ let post t ~wr_id ~kind ~payload_out ~payload_back ~mr ~off ~len ~need_write ~ap
             (* The operation took effect at the responder but the ack never
                makes it back — the adversarial asymmetric-partition case.
                The requester cannot tell this from a dropped request. *)
-            mark_err t;
-            deliver_completion t
-              ~at:(t0 + c.Sim.Calibration.rnic_timeout)
-              ~wr_id ~kind ~status:Verbs.Operation_timeout ~prov
-              ~before:(fun () -> ())
-              ()
+            timeout t ~t0 ~wr_id ~kind ~prov
           | { lost = false; extra } ->
             (* Writes into persistent memory are acknowledged only once
                flushed (SNIA RDMA persistence extension, paper §1). *)
@@ -336,13 +376,7 @@ let post t ~wr_id ~kind ~payload_out ~payload_back ~mr ~off ~len ~need_write ~ap
         end)
   | Verbs.Rts, Some _ -> invalid_arg "Qp.post: MR does not belong to the peer host"
   | Verbs.Rts, None -> invalid_arg "Qp.post: not connected"
-  | (Verbs.Reset | Verbs.Init | Verbs.Rtr | Verbs.Err), _ ->
-    (* Work posted to a non-RTS QP is flushed. *)
-    deliver_completion t
-      ~at:(Sim.Engine.now e + c.Sim.Calibration.cq_poll)
-      ~wr_id ~kind ~status:Verbs.Flushed ~prov
-      ~before:(fun () -> ())
-      ()
+  | (Verbs.Reset | Verbs.Init | Verbs.Rtr | Verbs.Err), _ -> flush t ~wr_id ~kind ~prov
 
 (* Both Writes go through here, so a zero Write costs, faults and draws
    exactly what a payload Write of the same length does. *)
@@ -431,26 +465,13 @@ let post_send t ~wr_id ~src ~src_off ~len =
       arrival_time t (t0 + tx_delay t ~payload:len + wire_delay t ~len + req.extra)
     in
     Sim.Engine.schedule e ~at:arrive (fun () ->
-        if req.lost || (not t.link.up) || not (Sim.Host.nic_reachable resp.host) then begin
-          mark_err t;
-          deliver_completion t
-            ~at:(t0 + c.Sim.Calibration.rnic_timeout)
-            ~wr_id ~kind:`Send ~status:Verbs.Operation_timeout ~prov
-            ~before:(fun () -> ())
-            ()
-        end
+        if req.lost || (not t.link.up) || not (Sim.Host.nic_reachable resp.host) then
+          timeout t ~t0 ~wr_id ~kind:`Send ~prov
         else if
           match resp.state with
           | Verbs.Rtr | Verbs.Rts -> false
           | Verbs.Reset | Verbs.Init | Verbs.Err -> true
-        then begin
-          mark_err resp;
-          let back = Sim.Engine.now e + c.Sim.Calibration.nic_rx + wire_delay t ~len:0 in
-          deliver_completion t ~at:back ~wr_id ~kind:`Send
-            ~status:Verbs.Remote_access_error ~prov
-            ~before:(fun () -> mark_err t)
-            ()
-        end
+        then nak t resp ~wr_id ~kind:`Send ~prov
         else begin
           let notify ~arrived_at ~len:got =
             if got < 0 then
@@ -463,18 +484,12 @@ let post_send t ~wr_id ~src ~src_off ~len =
               match eval_leg t ~src:did ~dst:sid with
               | { lost = true; _ } ->
                 (* Delivered, but the ack never returns. *)
-                mark_err t;
-                deliver_completion t
-                  ~at:(t0 + c.Sim.Calibration.rnic_timeout)
-                  ~wr_id ~kind:`Send ~status:Verbs.Operation_timeout ~prov
-                  ~before:(fun () -> ())
-                  ()
+                timeout t ~t0 ~wr_id ~kind:`Send ~prov
               | { lost = false; extra } ->
                 deliver_completion t
                   ~at:(arrived_at + wire_delay t ~len:0 + c.Sim.Calibration.cq_poll + extra)
                   ~wr_id ~kind:`Send ~status:Verbs.Success ~byte_len:got ~prov
-                  ~before:(fun () -> ())
-                  ()
+                  ~before:ignore ()
           in
           if Queue.is_empty resp.recvq then
             (* RNR: the requester NIC retries until a buffer is posted. *)
@@ -484,11 +499,6 @@ let post_send t ~wr_id ~src ~src_off ~len =
           else consume_recv resp ~payload ~at:(Sim.Engine.now e) ~notify
         end)
   | Verbs.Rts, None -> invalid_arg "Qp.post_send: not connected"
-  | (Verbs.Reset | Verbs.Init | Verbs.Rtr | Verbs.Err), _ ->
-    deliver_completion t
-      ~at:(Sim.Engine.now e + c.Sim.Calibration.cq_poll)
-      ~wr_id ~kind:`Send ~status:Verbs.Flushed ~prov
-      ~before:(fun () -> ())
-      ()
+  | (Verbs.Reset | Verbs.Init | Verbs.Rtr | Verbs.Err), _ -> flush t ~wr_id ~kind:`Send ~prov
 
 let posted_recvs t = Queue.length t.recvq

@@ -36,6 +36,10 @@ val connect : t -> t -> unit
 val host : t -> Sim.Host.t
 val peer : t -> t option
 val state : t -> Verbs.qp_state
+
+val pair_rts : t -> bool
+(** Both ends of the pair are in RTS: the pair carries work. *)
+
 val access : t -> Verbs.access
 (** What the {e remote} peer may do to this host's memory via this QP. *)
 
@@ -45,16 +49,25 @@ val set_access : t -> Verbs.access -> unit
 
 val set_state : t -> Verbs.qp_state -> unit
 
-val repair : t -> unit
-(** Requester-side recovery after ERR: back to RTS so new work can be
-    posted (the "gracefully handling broken RDMA connections" machinery of
-    §6; its latency is folded into the permission grant). *)
+val reconnect : t -> unit
+(** The only way out of ERR: cycle both ends of the pair through reset →
+    init → RTR → RTS (§5.2, Fig. 2's slow path). Both ends leave their
+    state at once, so operations arriving during the cycle are denied;
+    the calibrated [perm_qp_restart] time is charged once, on this end's
+    host, so call it from a fiber of that host. Both ends return to RTS
+    only if, when the cycle ends, both NICs are reachable and the link
+    carries both ways; otherwise both stay in ERR and the caller tries
+    again later. Access flags are kept. A reconnect of a pair that is
+    already cycling, or that {!disconnect} retired, does nothing. A
+    caller whose process dies mid-cycle leaves the pair cycling until
+    {!disconnect} replaces it. *)
 
 val disconnect : t -> unit
-(** Move both endpoints to ERR permanently — the pair is being replaced,
-    not repaired. Used when a host reboots: its surviving peers tear down
-    the stale connections and establish fresh QPs to the new incarnation
-    (QP re-establishment, as in Velos' connection recovery). *)
+(** Move both endpoints to ERR for good: the pair is being replaced, and
+    {!reconnect} never brings it back. Used when a host reboots: its
+    surviving peers tear down the stale connections and establish fresh
+    QPs to the new incarnation (QP re-establishment, as in Velos'
+    connection recovery). *)
 
 val outstanding : t -> int
 (** Posted but not yet completed work requests on this QP. *)

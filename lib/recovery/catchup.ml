@@ -53,8 +53,9 @@ let run ~batch ~idle_ns ~idle ~target ~fuo ~pull ~install ~commit ~recheckpoint 
       | Some l ->
         let start = fuo () in
         let upto = min l (start + batch) in
+        (* True when the round ended in a recheckpoint. *)
         let rec pull_batch idx =
-          if idx >= upto then flush ~start idx
+          if idx >= upto then (flush ~start idx; false)
           else
             match pull idx with
             | Entry img ->
@@ -63,17 +64,20 @@ let run ~batch ~idle_ns ~idle ~target ~fuo ~pull ~install ~commit ~recheckpoint 
             | Recycled ->
               flush ~start idx;
               p.recheckpoints <- p.recheckpoints + 1;
-              recheckpoint ()
-            | Unreachable -> flush ~start idx
+              recheckpoint ();
+              true
+            | Unreachable -> flush ~start idx; false
         in
-        pull_batch start;
+        let recycled = pull_batch start in
         p.rounds <- p.rounds + 1;
         (* Idle after a full batch (the rate bound) or a round that fell
            short of [upto] (a failed read). A backlog under one batch is
            closed at once: idling there would let a leader that commits
-           during the idle stay ahead for ever. *)
+           during the idle stay ahead for ever. A round that ended in a
+           recheckpoint pulled nothing past it, so it has no rate to
+           bound. *)
         let reached = fuo () in
-        if reached - start >= batch || reached < upto then idle idle_ns;
+        if (not recycled) && (reached - start >= batch || reached < upto) then idle idle_ns;
         loop ()
   in
   loop ()

@@ -17,7 +17,8 @@ type pull_result =
   | Entry of bytes
   | Recycled
       (** The leader recycled this slot (§5.3); the driver calls
-          [recheckpoint] and re-reads its position. *)
+          [recheckpoint] and re-reads its position at once, without
+          idling. *)
   | Unreachable  (** Transient failure; the round ends, retried after [idle_ns]. *)
 
 type progress = {

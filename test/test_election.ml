@@ -153,6 +153,33 @@ let without_fate_sharing_stuck_leader_keeps_beating () =
       check "still beating (flag off)" true
         (Int64.compare (Mu.Election.read_own_heartbeat r0) v0 > 0))
 
+(* Each pair of replicas shares one fd QP pair for both directions. A
+   partition times out both sides' reads, leaving both ends in ERR; after
+   the heal each side's detector reconnects the pair of a peer it scores
+   dead, and both read and score each other again. *)
+let partitioned_fd_pair_reconnects () =
+  with_cluster (fun e smr ->
+      let r0 = Mu.Smr.replica smr 0 and r1 = Mu.Smr.replica smr 1 in
+      let fd (r : Mu.Replica.t) pid = (Mu.Replica.peer r pid).Mu.Replica.fd_qp in
+      let err qp = Rdma.Qp.state qp = Rdma.Verbs.Err in
+      Sim.Engine.sleep e 2_000_000;
+      let fabric = Sim.Engine.fabric e in
+      Sim.Fabric.partition fabric [ 0 ] [ 1; 2 ];
+      Util.wait_for
+        (fun () ->
+          err (fd r0 1) && err (fd r1 0)
+          && (not (Mu.Election.is_alive r0 1))
+          && not (Mu.Election.is_alive r1 0))
+        e;
+      Sim.Fabric.heal fabric;
+      let reads (r : Mu.Replica.t) = r.Mu.Replica.metrics.Mu.Metrics.fd_reads in
+      let reads0 = reads r0 and reads1 = reads r1 in
+      Util.wait_for (fun () -> Mu.Election.is_alive r0 1 && Mu.Election.is_alive r1 0) e;
+      check "both ends back in RTS" true
+        (Rdma.Qp.state (fd r0 1) = Rdma.Verbs.Rts && Rdma.Qp.state (fd r1 0) = Rdma.Verbs.Rts);
+      check "both sides read again" true (reads r0 > reads0 && reads r1 > reads1);
+      check_int "replica 0 leads again" 0 (Util.leader_of smr e).Mu.Replica.id)
+
 let suite =
   [
     ("lowest id becomes leader", `Quick, lowest_id_becomes_leader);
@@ -166,4 +193,5 @@ let suite =
     ("role generation counts changes", `Quick, role_generation_counts_changes);
     ("fate sharing stops heartbeat", `Quick, fate_sharing_stops_heartbeat);
     ("no fate sharing: stuck leader beats", `Quick, without_fate_sharing_stuck_leader_keeps_beating);
+    ("partitioned fd pair reconnects", `Quick, partitioned_fd_pair_reconnects);
   ]

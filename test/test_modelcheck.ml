@@ -775,4 +775,6 @@ let suite =
     ("random-client sweep shrinks to a bundle", `Quick, random_sweep_shrinks_to_bundle);
     ("golden: seed 19 passes", `Quick, golden_passes "verify_seed19.json");
     ("golden: seed 7 case 19 passes", `Quick, golden_passes "verify_seed7_case19.json");
+    ("golden: seed 14 case 36 passes", `Quick, golden_passes "verify_seed14_case36.json");
+    ("golden: seed 13 case 7 passes", `Quick, golden_passes "verify_seed13_case7.json");
   ]

@@ -112,7 +112,6 @@ let deposed_writer_fails_fast () =
       let p2 = Mu.Replica.peer r1 2 in
       let ok =
         on_replica r1 (fun () ->
-            Rdma.Qp.repair p2.Mu.Replica.repl_qp;
             Rdma.Qp.post_write p2.Mu.Replica.repl_qp ~wr_id:(Mu.Replica.fresh_wr_id r1)
               ~src:(Bytes.make 8 'x') ~src_off:0 ~len:8 ~mr:p2.Mu.Replica.remote_log_mr
               ~dst_off:Mu.Log.min_proposal_offset;

@@ -253,10 +253,11 @@ let repair_after_error () =
       Rdma.Qp.post_write qa ~wr_id:1 ~src:(Bytes.make 8 'x') ~src_off:0 ~len:8 ~mr:mr_b
         ~dst_off:0;
       ignore (Rdma.Cq.await cq_a);
-      (* Re-grant and repair both sides; the next write must succeed. *)
+      check "NAK breaks both ends" true
+        (Rdma.Qp.state qa = Rdma.Verbs.Err && Rdma.Qp.state qb = Rdma.Verbs.Err);
+      (* Re-grant and reconnect the pair; the next write must succeed. *)
       Rdma.Qp.set_access qb Rdma.Verbs.access_rw;
-      Rdma.Qp.repair qa;
-      Rdma.Qp.repair qb;
+      Rdma.Qp.reconnect qa;
       Rdma.Qp.post_write qa ~wr_id:2 ~src:(Bytes.make 8 'y') ~src_off:0 ~len:8 ~mr:mr_b
         ~dst_off:0;
       Alcotest.check Util.check_status "works again" Rdma.Verbs.Success (await_status cq_a))
@@ -410,15 +411,78 @@ let qp_flags_switch_quiescent () =
       check "took ~120us" true (dt > 80_000 && dt < 250_000);
       check "flags applied" true ((Rdma.Qp.access qa).Rdma.Verbs.remote_write = false))
 
+(* A switch on a pair with an end in ERR skips the flag change and takes
+   the QP restart, which brings both ends back. *)
 let qp_restart_switch () =
   Util.run_fiber (fun e ->
-      let _a, _b, qa, _qb, _, _ = Util.qp_pair e in
-      Rdma.Qp.set_state qa Rdma.Verbs.Err;
+      let _a, _b, qa, qb, _, _ = Util.qp_pair e in
+      Rdma.Qp.set_state qb Rdma.Verbs.Err;
       let t0 = Sim.Engine.now e in
-      Rdma.Perm.restart_qp qa Rdma.Verbs.access_rw;
+      let path = Rdma.Perm.fast_slow_switch qa Rdma.Verbs.access_ro in
       let dt = Sim.Engine.now e - t0 in
+      check "slow path" true (path = `Slow);
       check "took ~1.2ms (10x flags, Fig. 2)" true (dt > 800_000 && dt < 2_500_000);
-      check "operational" true (Rdma.Qp.state qa = Rdma.Verbs.Rts))
+      check "both ends operational" true
+        (Rdma.Qp.state qa = Rdma.Verbs.Rts && Rdma.Qp.state qb = Rdma.Verbs.Rts);
+      check "flags applied" true ((Rdma.Qp.access qa).Rdma.Verbs.remote_write = false))
+
+(* --- Reconnect ------------------------------------------------------------- *)
+
+let both_err qa qb = Rdma.Qp.state qa = Rdma.Verbs.Err && Rdma.Qp.state qb = Rdma.Verbs.Err
+
+let reconnect_restores_both_ends () =
+  Util.run_fiber (fun e ->
+      let _a, _b, qa, qb, _, _ = Util.qp_pair e in
+      Rdma.Qp.set_state qa Rdma.Verbs.Err;
+      Rdma.Qp.set_state qb Rdma.Verbs.Err;
+      let t0 = Sim.Engine.now e in
+      Rdma.Qp.reconnect qa;
+      let dt = Sim.Engine.now e - t0 in
+      check "charged the QP restart" true (dt > 800_000 && dt < 2_500_000);
+      check "both ends in RTS" true
+        (Rdma.Qp.state qa = Rdma.Verbs.Rts && Rdma.Qp.state qb = Rdma.Verbs.Rts);
+      check "access kept" true (Rdma.Qp.access qb = Rdma.Verbs.access_rw))
+
+(* The handshake cannot cross a blocked link or reach a dead NIC: both ends
+   stay in ERR, and the attempt still costs the cycle. *)
+let reconnect_fails_when_unreachable () =
+  let attempt cut =
+    Util.run_fiber (fun e ->
+        let _a, b, qa, qb, _, _ = Util.qp_pair e in
+        Rdma.Qp.set_state qa Rdma.Verbs.Err;
+        cut e b;
+        let t0 = Sim.Engine.now e in
+        Rdma.Qp.reconnect qa;
+        let dt = Sim.Engine.now e - t0 in
+        check "charged the QP restart" true (dt > 800_000 && dt < 2_500_000);
+        check "both ends stay in ERR" true (both_err qa qb))
+  in
+  attempt (fun e _ -> Sim.Fabric.block (Sim.Engine.fabric e) ~src:1 ~dst:0);
+  attempt (fun _ b -> Sim.Host.kill_host b)
+
+(* A retired pair is replaced, never revived; a pair already cycling is
+   left to the cycle in progress. Neither attempt costs anything. *)
+let reconnect_leaves_retired_and_cycling_pairs () =
+  Util.run_fiber (fun e ->
+      let _a, _b, qa, qb, _, _ = Util.qp_pair e in
+      Rdma.Qp.disconnect qa;
+      let t0 = Sim.Engine.now e in
+      Rdma.Qp.reconnect qb;
+      check "free" true (Sim.Engine.now e = t0);
+      check "retired pair stays down" true (both_err qa qb));
+  Util.run_fiber (fun e ->
+      let _a, _b, qc, qd, _, _ = Util.qp_pair e in
+      Rdma.Qp.set_state qc Rdma.Verbs.Err;
+      let second = ref (-1) in
+      Sim.Engine.spawn e ~name:"second" (fun () ->
+          Sim.Engine.sleep e 1_000;
+          let t1 = Sim.Engine.now e in
+          Rdma.Qp.reconnect qd;
+          second := Sim.Engine.now e - t1);
+      Rdma.Qp.reconnect qc;
+      check_int "second reconnect did nothing" 0 !second;
+      check "one cycle brought both back" true
+        (Rdma.Qp.state qc = Rdma.Verbs.Rts && Rdma.Qp.state qd = Rdma.Verbs.Rts))
 
 let rereg_scales_with_size () =
   Util.run_fiber (fun e ->
@@ -452,12 +516,11 @@ let flags_hazard_with_inflight () =
               | Ok () -> ()
               | Error `Qp_error ->
                 incr errors;
-                Rdma.Perm.restart_qp qb Rdma.Verbs.access_rw
+                Rdma.Qp.reconnect qb
           done);
       let i = ref 0 in
       while !i < 2_000 && !errors = 0 do
         incr i;
-        Rdma.Qp.repair qa;
         Rdma.Qp.post_write qa ~wr_id:!i ~src:(Bytes.make 8 'x') ~src_off:0 ~len:8 ~mr:mr_b
           ~dst_off:0;
         ignore (Rdma.Cq.await cq_a)
@@ -468,7 +531,7 @@ let flags_hazard_with_inflight () =
 let fast_slow_switch_always_lands () =
   Util.run_fiber (fun e ->
       let _a, _b, qa, _qb, _, _ = Util.qp_pair e in
-      Rdma.Perm.fast_slow_switch qa Rdma.Verbs.access_ro;
+      check "fast path" true (Rdma.Perm.fast_slow_switch qa Rdma.Verbs.access_ro = `Fast);
       check "state operational" true (Rdma.Qp.state qa = Rdma.Verbs.Rts);
       check "flags applied" true ((Rdma.Qp.access qa).Rdma.Verbs.remote_write = false))
 
@@ -507,4 +570,8 @@ let suite =
     ("perm: rereg scales with size", `Quick, rereg_scales_with_size);
     ("perm: flags hazard with inflight", `Quick, flags_hazard_with_inflight);
     ("perm: fast-slow always lands", `Quick, fast_slow_switch_always_lands);
+    ("reconnect restores both ends", `Quick, reconnect_restores_both_ends);
+    ("reconnect fails when unreachable", `Quick, reconnect_fails_when_unreachable);
+    ("reconnect leaves retired and cycling pairs", `Quick,
+     reconnect_leaves_retired_and_cycling_pairs);
   ]

@@ -128,6 +128,36 @@ let catchup_recheckpoints_after_recycle () =
     check_int "only the live suffix pulled" 4 p.Recovery.Catchup.entries
   | Recovery.Catchup.Stopped _ -> Alcotest.fail "catch-up stopped unexpectedly"
 
+(* A round that meets a recycled slot pulls nothing past it, so the
+   recheckpoint is followed by the next round at once, not by an idle:
+   neither when the checkpoint lands short of the round's end nor when it
+   jumps a whole batch. The final round is under one batch, so this run
+   never idles. *)
+let catchup_recycled_round_does_not_idle () =
+  List.iter
+    (fun restored ->
+      let fuo = ref 0 in
+      let idles = ref 0 in
+      match
+        Recovery.Catchup.run ~batch:4 ~idle_ns:10
+          ~idle:(fun _ -> incr idles)
+          ~target:(fun () -> Some (restored + 2))
+          ~fuo:(fun () -> !fuo)
+          ~pull:(fun i ->
+            if i < restored then Recovery.Catchup.Recycled
+            else Recovery.Catchup.Entry (Bytes.create 1))
+          ~install:(fun _ _ -> ())
+          ~commit:(fun i -> fuo := max !fuo i)
+          ~recheckpoint:(fun () -> fuo := restored)
+          ~stopped:(fun () -> false)
+          ()
+      with
+      | Recovery.Catchup.Parity p ->
+        check_int "one recheckpoint" 1 p.Recovery.Catchup.recheckpoints;
+        check_int (Printf.sprintf "no idle (checkpoint at %d)" restored) 0 !idles
+      | Recovery.Catchup.Stopped _ -> Alcotest.fail "catch-up stopped unexpectedly")
+    [ 2; 6 ]
+
 let catchup_stops_and_waits () =
   (* [stopped] wins immediately. *)
   (match
@@ -677,6 +707,8 @@ let suite =
       catchup_converges_on_advancing_target);
     ("catch-up recheckpoints after recycle", `Quick, catchup_recheckpoints_after_recycle);
     ("catch-up stops and waits", `Quick, catchup_stops_and_waits);
+    ("catch-up does not idle after a recycled round", `Quick,
+     catchup_recycled_round_does_not_idle);
     ("backpressure bounds the queue", `Quick, backpressure_bounds_queue);
     ("degraded-window accounting", `Quick, degrade_window_accounting);
     ("follower kill-restart reaches parity", `Quick, follower_kill_restart_reaches_parity);

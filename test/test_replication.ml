@@ -461,12 +461,17 @@ let recycler_skips_on_revoked_head_read () =
     (leader.Mu.Replica.metrics.Mu.Metrics.recycler_errors >= 1);
   check "nothing zeroed at the revoked follower" true
     (Mu.Log.read_slot f1.Mu.Replica.log 0 <> None);
-  (* Permission restored and the NAK-broken QP pair repaired (what the
-     permission plane does after a re-grant): the next round recycles the
-     full prefix. *)
+  (* Permission restored and the NAK-broken QP pair reconnected from the
+     leader's side (one cycle brings both ends back): the next round
+     recycles the full prefix. *)
   Rdma.Qp.set_access (Mu.Replica.peer f1 0).Mu.Replica.misc_qp Rdma.Verbs.access_rw;
-  Rdma.Qp.repair (Mu.Replica.peer leader 1).Mu.Replica.misc_qp;
-  Rdma.Qp.repair (Mu.Replica.peer f1 0).Mu.Replica.misc_qp;
+  let misc = (Mu.Replica.peer leader 1).Mu.Replica.misc_qp in
+  check "NAK broke the pair" true (Rdma.Qp.state misc = Rdma.Verbs.Err);
+  Sim.Host.spawn leader.Mu.Replica.host ~name:"reconnect" (fun () -> Rdma.Qp.reconnect misc);
+  Sim.Engine.run ~until:(Sim.Engine.now e + 5_000_000) e;
+  check "pair back in RTS" true
+    (Rdma.Qp.state misc = Rdma.Verbs.Rts
+    && Rdma.Qp.state (Mu.Replica.peer f1 0).Mu.Replica.misc_qp = Rdma.Verbs.Rts);
   run_recycle e leader;
   check_int "recovered round advances" 6 leader.Mu.Replica.zeroed_up_to
 
@@ -518,7 +523,6 @@ let completion_tags_never_clash () =
       let tag = Mu.Replica.group_tag 5 in
       let stale, tracked =
         on_replica r1 (fun () ->
-            Rdma.Qp.repair p2.Mu.Replica.repl_qp;
             read (Mu.Replica.fresh_wr_id r1);
             let stale = Mu.Replication.drain_completion r1 in
             let wr = Mu.Replica.fresh_wr_id r1 in
