@@ -1,11 +1,17 @@
+(* Monomorphic tables with the generic hash: the same buckets, so the
+   same iteration order (and snapshot bytes) as [Hashtbl]'s, without
+   polymorphic comparison. *)
+module Stbl = Hashtbl.Make (struct include String let hash = Hashtbl.hash end)
+module Ctbl = Hashtbl.Make (struct include Int let hash = Hashtbl.hash end)
+
 type t = {
-  table : (string, string) Hashtbl.t;
+  table : string Stbl.t;
   (* Client sessions: the last request id applied per client, and its
      reply. Ids only grow, so any id at or below it is a duplicate. *)
-  last_applied : (int, int * Bytes.t) Hashtbl.t;
+  last_applied : (int * Bytes.t) Ctbl.t;
 }
 
-let create () = { table = Hashtbl.create 1024; last_applied = Hashtbl.create 64 }
+let create () = { table = Stbl.create 1024; last_applied = Ctbl.create 64 }
 
 type command =
   | Get of { key : string }
@@ -28,19 +34,19 @@ let pp_reply ppf = function
 let apply t cmd =
   match cmd with
   | Get { key } -> (
-    match Hashtbl.find_opt t.table key with Some v -> Value v | None -> Not_found)
+    match Stbl.find_opt t.table key with Some v -> Value v | None -> Not_found)
   | Put { key; value } ->
-    Hashtbl.replace t.table key value;
+    Stbl.replace t.table key value;
     Stored
   | Delete { key } ->
-    if Hashtbl.mem t.table key then begin
-      Hashtbl.remove t.table key;
+    if Stbl.mem t.table key then begin
+      Stbl.remove t.table key;
       Deleted
     end
     else Not_found
 
-let size t = Hashtbl.length t.table
-let find t key = Hashtbl.find_opt t.table key
+let size t = Stbl.length t.table
+let find t key = Stbl.find_opt t.table key
 
 (* --- codec -------------------------------------------------------------- *)
 
@@ -120,12 +126,12 @@ let decode_reply data =
     with Invalid_argument _ -> None
 
 let apply_dedup t ~client ~req_id cmd =
-  match Hashtbl.find_opt t.last_applied client with
+  match Ctbl.find_opt t.last_applied client with
   | Some (last, reply) when req_id <= last ->
     Option.value (decode_reply reply) ~default:Not_found
   | Some _ | None ->
     let reply = apply t cmd in
-    Hashtbl.replace t.last_applied client (req_id, encode_reply reply);
+    Ctbl.replace t.last_applied client (req_id, encode_reply reply);
     reply
 
 (* --- checkpointing -------------------------------------------------------- *)
@@ -134,14 +140,14 @@ let apply_dedup t ~client ~req_id cmd =
    checkpoint must still recognise every duplicate (§5.4). *)
 let snapshot t =
   let buf = Buffer.create 1024 in
-  put_int buf (Hashtbl.length t.table);
-  Hashtbl.iter
+  put_int buf (Stbl.length t.table);
+  Stbl.iter
     (fun k v ->
       put_string buf k;
       put_string buf v)
     t.table;
-  put_int buf (Hashtbl.length t.last_applied);
-  Hashtbl.iter
+  put_int buf (Ctbl.length t.last_applied);
+  Ctbl.iter
     (fun client (req_id, reply) ->
       put_int buf client;
       put_int buf req_id;
@@ -155,7 +161,7 @@ let restore data =
   for _ = 1 to get_int data 0 do
     let k, o = get_string data !off in
     let v, o = get_string data o in
-    Hashtbl.replace t.table k v;
+    Stbl.replace t.table k v;
     off := o
   done;
   let sessions = get_int data !off in
@@ -163,7 +169,7 @@ let restore data =
   for _ = 1 to sessions do
     let client = get_int data !off and req_id = get_int data (!off + 4) in
     let reply, o = get_string data (!off + 8) in
-    Hashtbl.replace t.last_applied client (req_id, Bytes.of_string reply);
+    Ctbl.replace t.last_applied client (req_id, Bytes.of_string reply);
     off := o
   done;
   t
@@ -180,15 +186,13 @@ let smr_app ?(lose_put_every = 0) () =
       (fun payload ->
         match decode_command payload with
         | Some (client, req_id, cmd) ->
-          let fresh =
+          if
+            lose_put_every > 0
             (* Dedup check first so a re-delivered Put is not counted (or
                lost) twice — replays must see the recorded reply. *)
-            match Hashtbl.find_opt !store.last_applied client with
-            | Some (last, _) when req_id <= last -> false
-            | _ -> true
-          in
-          if
-            lose_put_every > 0 && fresh
+            && (match Ctbl.find_opt !store.last_applied client with
+               | Some (last, _) when req_id <= last -> false
+               | _ -> true)
             &&
             match cmd with
             | Put _ ->
@@ -197,7 +201,7 @@ let smr_app ?(lose_put_every = 0) () =
             | _ -> false
           then begin
             let reply = encode_reply Stored in
-            Hashtbl.replace !store.last_applied client (req_id, reply);
+            Ctbl.replace !store.last_applied client (req_id, reply);
             reply
           end
           else encode_reply (apply_dedup !store ~client ~req_id cmd)

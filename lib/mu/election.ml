@@ -2,11 +2,11 @@ let log_src = Logs.Src.create "mu.election" ~doc:"Leader election (pull-score)"
 
 module L = (val Logs.src_log log_src : Logs.LOG)
 
-let read_own_heartbeat t = Rdma.Mr.get_i64 t.Replica.bg_mr ~off:Replica.bg_hb_offset
+let read_own_heartbeat t = Rdma.Mr.get_int t.Replica.bg_mr ~off:Replica.bg_hb_offset
 
 let is_alive t id =
   if id = t.Replica.id then true
-  else Option.value (Hashtbl.find_opt t.Replica.alive id) ~default:true
+  else Option.value (Replica.Itbl.find_opt t.Replica.alive id) ~default:true
 
 (* Replication-plane activity check for fate sharing: a propose call in
    flight for longer than the configured bound means the replication
@@ -25,7 +25,7 @@ let heartbeat_fiber t =
     else begin
       if not (t.Replica.config.Config.fate_sharing && replication_stuck t) then begin
         let v = read_own_heartbeat t in
-        Rdma.Mr.set_i64 t.Replica.bg_mr ~off:Replica.bg_hb_offset (Int64.add v 1L)
+        Rdma.Mr.set_int t.Replica.bg_mr ~off:Replica.bg_hb_offset (v + 1)
       end;
       Sim.Host.cpu t.Replica.host c.Sim.Calibration.hb_increment_interval;
       loop ()
@@ -40,7 +40,7 @@ let clamp c v =
 (* Flip this replica's verdict on [pid]: the alive table, a trace instant
    named [name], and the provenance election span. *)
 let flip t pid ~score verdict name =
-  Hashtbl.replace t.Replica.alive pid verdict;
+  Replica.Itbl.replace t.Replica.alive pid verdict;
   let e = Replica.engine t in
   if Sim.Engine.traced e then
     Sim.Engine.trace_instant e ~cat:"mu" ~pid:t.Replica.id
@@ -64,7 +64,7 @@ let flip t pid ~score verdict name =
 
 let readmit t pid =
   let score = (Replica.cal t).Sim.Calibration.score_max in
-  Hashtbl.replace t.Replica.scores pid score;
+  Replica.Itbl.replace t.Replica.scores pid score;
   if not (is_alive t pid) then flip t pid ~score true "recover"
 
 (* One monitor fiber per peer id: read its counter, score it, update the
@@ -74,8 +74,8 @@ let readmit t pid =
    dead one forever. *)
 let monitor_fiber t pid =
   let c = Replica.cal t in
-  Hashtbl.replace t.Replica.scores pid c.Sim.Calibration.score_max;
-  Hashtbl.replace t.Replica.alive pid true;
+  Replica.Itbl.replace t.Replica.scores pid c.Sim.Calibration.score_max;
+  Replica.Itbl.replace t.Replica.alive pid true;
   let buf = Bytes.create 8 in
   let rec loop () =
     if t.Replica.stop || t.Replica.removed then ()
@@ -93,21 +93,21 @@ let monitor_fiber t pid =
           let wc = Rdma.Cq.await p.Replica.fd_cq in
           match wc.Rdma.Verbs.status with
           | Rdma.Verbs.Success ->
-            let v = Bytes.get_int64_le buf 0 in
-            let prev = Hashtbl.find_opt t.Replica.last_hb p.Replica.pid in
-            Hashtbl.replace t.Replica.last_hb p.Replica.pid v;
-            (match prev with None -> true | Some v0 -> Int64.compare v v0 > 0)
+            let v = Int64.to_int (Bytes.get_int64_le buf 0) in
+            let prev = Replica.Itbl.find_opt t.Replica.last_hb p.Replica.pid in
+            Replica.Itbl.replace t.Replica.last_hb p.Replica.pid v;
+            (match prev with None -> true | Some v0 -> v > v0)
           | Rdma.Verbs.Remote_access_error | Rdma.Verbs.Operation_timeout
           | Rdma.Verbs.Flushed ->
             false
         end
       in
       let score =
-        Option.value (Hashtbl.find_opt t.Replica.scores p.Replica.pid)
+        Option.value (Replica.Itbl.find_opt t.Replica.scores p.Replica.pid)
           ~default:c.Sim.Calibration.score_max
       in
       let score = clamp c (if advanced then score + 1 else score - 1) in
-      Hashtbl.replace t.Replica.scores p.Replica.pid score;
+      Replica.Itbl.replace t.Replica.scores p.Replica.pid score;
       Metrics.score t.Replica.metrics ~peer:p.Replica.pid score;
       let alive = is_alive t p.Replica.pid in
       let dead =

@@ -34,4 +34,4 @@ val readmit : Replica.t -> int -> unit
     the survivors once a rejoined incarnation reaches log parity,
     releasing the floor score it pinned while rewiring. *)
 
-val read_own_heartbeat : Replica.t -> int64
+val read_own_heartbeat : Replica.t -> int

@@ -13,13 +13,13 @@ type slot = { proposal : int64; value : bytes }
 (* One-byte entry checksum, never zero so an absent entry (zeroed slot)
    can always be told apart from a present one. *)
 let checksum_of ~proposal ~len ~sum =
-  let p = Int64.to_int (Int64.logand proposal 0xffffL) in
+  let p = proposal land 0xffff in
   Char.chr (1 + (((p land 0xff) + (p lsr 8) + len + sum) mod 255))
 
 let checksum ~proposal ~value =
   let sum = ref 0 in
   Bytes.iter (fun c -> sum := !sum + Char.code c) value;
-  checksum_of ~proposal ~len:(Bytes.length value) ~sum:!sum
+  checksum_of ~proposal:(Int64.to_int proposal) ~len:(Bytes.length value) ~sum:!sum
 
 let header_size = 16
 let min_proposal_offset = 0
@@ -50,8 +50,8 @@ let entry_bytes ~value_len = entry_header + value_len + 1
 
 let min_proposal t = Rdma.Mr.get_i64 t.mr ~off:min_proposal_offset
 let set_min_proposal t v = Rdma.Mr.set_i64 t.mr ~off:min_proposal_offset v
-let fuo t = Int64.to_int (Rdma.Mr.get_i64 t.mr ~off:fuo_offset)
-let set_fuo t v = Rdma.Mr.set_i64 t.mr ~off:fuo_offset (Int64.of_int v)
+let fuo t = Rdma.Mr.get_int t.mr ~off:fuo_offset
+let set_fuo t v = Rdma.Mr.set_int t.mr ~off:fuo_offset v
 
 (* An entry is written as one contiguous image: proposal, length, value
    bytes, then the canary as the very last byte. Under left-to-right DMA
@@ -79,9 +79,10 @@ let decode_image buf off ~value_cap ~canary =
    load and allocates nothing. *)
 let read_slot t idx =
   let off = slot_offset t idx in
-  let proposal = Rdma.Mr.get_i64 t.mr ~off in
-  if proposal = 0L then None
+  let proposal = Rdma.Mr.get_int t.mr ~off in
+  if proposal = 0 then None
   else
+    let proposal = Int64.of_int proposal in
     let len = Int32.to_int (Rdma.Mr.get_i32 t.mr ~off:(off + 8)) in
     if len < 0 || len > t.value_cap then None
     else
@@ -96,8 +97,8 @@ let read_slot t idx =
    where they lie. *)
 let slot_filled t idx =
   let off = slot_offset t idx in
-  let proposal = Rdma.Mr.get_i64 t.mr ~off in
-  (not (Int64.equal proposal 0L))
+  let proposal = Rdma.Mr.get_int t.mr ~off in
+  proposal <> 0
   &&
   let len = Int32.to_int (Rdma.Mr.get_i32 t.mr ~off:(off + 8)) in
   len >= 0 && len <= t.value_cap

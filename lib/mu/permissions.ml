@@ -8,7 +8,7 @@ let read_req t id = Rdma.Mr.get_i64 t.Replica.bg_mr ~off:(Replica.bg_req_offset 
 let read_ack t id = Rdma.Mr.get_i64 t.Replica.bg_mr ~off:(Replica.bg_ack_offset id)
 
 let last_granted t id =
-  Option.value (Hashtbl.find_opt t.Replica.last_granted id) ~default:0L
+  Option.value (Replica.Itbl.find_opt t.Replica.last_granted id) ~default:0L
 
 (* Change the access our replication QP toward [pid] grants, using Mu's
    fast-slow path. The slow path reconnects the pair, so a requester whose
@@ -62,7 +62,7 @@ let handle_request t requester gen =
       revoke_current_holder t ~except:requester;
       if requester <> t.Replica.id then switch_access t requester Rdma.Verbs.access_rw;
       t.Replica.perm_holder <- Some requester;
-      Hashtbl.replace t.Replica.last_granted requester gen;
+      Replica.Itbl.replace t.Replica.last_granted requester gen;
       write_ack t requester gen)
 
 let pending_request t =

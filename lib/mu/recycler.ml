@@ -77,7 +77,7 @@ let zero_ranges t ~from_idx ~to_idx =
               then complete := false
               else begin
                 let wr = Replica.fresh_wr_id t in
-                Hashtbl.replace t.Replica.inflight wr
+                Replica.Itbl.replace t.Replica.inflight wr
                   (p.Replica.pid, Replica.recycler_tag);
                 t.Replica.recycler_outstanding <- t.Replica.recycler_outstanding + 1;
                 Rdma.Qp.post_zero p.Replica.repl_qp ~wr_id:wr ~len ~mr:p.Replica.remote_log_mr

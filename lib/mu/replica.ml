@@ -1,5 +1,10 @@
 type role = Leader | Follower
 
+(* No protocol code iterates these tables, so their hash decides no
+   order; the identity suits keys that are small or sequential (peer
+   ids, work-request ids, slot indices). *)
+module Itbl = Hashtbl.Make (struct include Int let hash x = x land max_int end)
+
 type peer = {
   pid : int;
   repl_qp : Rdma.Qp.t;
@@ -25,13 +30,13 @@ type t = {
   repl_cq : Rdma.Cq.t;
   mutable peers : peer list;
   mutable leader_estimate : int;
-  scores : (int, int) Hashtbl.t;
-  alive : (int, bool) Hashtbl.t;
-  last_hb : (int, int64) Hashtbl.t;
+  scores : int Itbl.t;
+  alive : bool Itbl.t;
+  last_hb : int Itbl.t;
   mutable role : role;
   mutable role_generation : int;
   mutable perm_holder : int option;
-  last_granted : (int, int64) Hashtbl.t;
+  last_granted : int64 Itbl.t;
   mutable req_gen : int64;
   mutable confirmed : int list;
   mutable need_new_followers : bool;
@@ -39,7 +44,7 @@ type t = {
   mutable skip_prepare : bool;
   mutable wr_seq : int;
   mutable tag_seq : int;
-  inflight : (int, int * int) Hashtbl.t;
+  inflight : (int * int) Itbl.t;
   mutable propose_started_at : int option;
   mutable election_span : int;
   mutable applied : int;
@@ -113,13 +118,13 @@ let create_unwired eng calib config ~ns ~id =
       repl_cq = Rdma.Cq.create eng;
       peers = [];
       leader_estimate = 0;
-      scores = Hashtbl.create 8;
-      alive = Hashtbl.create 8;
-      last_hb = Hashtbl.create 8;
+      scores = Itbl.create 8;
+      alive = Itbl.create 8;
+      last_hb = Itbl.create 8;
       role = Follower;
       role_generation = 0;
       perm_holder = None;
-      last_granted = Hashtbl.create 8;
+      last_granted = Itbl.create 8;
       req_gen = 0L;
       confirmed = [];
       need_new_followers = true;
@@ -127,7 +132,7 @@ let create_unwired eng calib config ~ns ~id =
       skip_prepare = false;
       wr_seq = 0;
       tag_seq = 0;
-      inflight = Hashtbl.create 64;
+      inflight = Itbl.create 64;
       propose_started_at = None;
       election_span = 0;
       applied = 0;
@@ -261,11 +266,11 @@ let unwire t ~pid =
        The request it last wrote into our background MR goes too: left in
        place, our permission fiber would grant it to the new incarnation
        the moment it is rewired, revoking whoever serves now. *)
-    Hashtbl.remove t.last_granted pid;
+    Itbl.remove t.last_granted pid;
     Rdma.Mr.set_i64 t.bg_mr ~off:(bg_req_offset pid) 0L;
-    Hashtbl.remove t.last_hb pid;
-    Hashtbl.remove t.scores pid;
-    Hashtbl.remove t.alive pid;
+    Itbl.remove t.last_hb pid;
+    Itbl.remove t.scores pid;
+    Itbl.remove t.alive pid;
     membership_changed t;
     let confirmed = List.filter (fun i -> i <> pid) t.confirmed in
     if confirmed <> t.confirmed then begin
@@ -346,5 +351,5 @@ let apply_committed t =
         (Printf.sprintf "replica %d: hole at applied index %d (fuo %d)" t.id t.applied fuo));
     t.applied <- t.applied + 1;
     (* Publish the new log head for the recycler (§5.3). *)
-    Rdma.Mr.set_i64 t.bg_mr ~off:bg_log_head_offset (Int64.of_int t.applied)
+    Rdma.Mr.set_int t.bg_mr ~off:bg_log_head_offset t.applied
   done

@@ -14,6 +14,9 @@
 
 type role = Leader | Follower
 
+module Itbl : Hashtbl.S with type key = int
+(** Int-keyed tables for the per-peer and per-work-request state below. *)
+
 (** Handles to one remote peer: our QP endpoints toward it and its
     exchanged memory-region keys.
 
@@ -52,14 +55,14 @@ type t = {
   mutable peers : peer list;  (** Excludes self; sorted by id. *)
   (* --- leader election state (§5.1) --- *)
   mutable leader_estimate : int;
-  scores : (int, int) Hashtbl.t;  (** Pull-score per peer id. *)
-  alive : (int, bool) Hashtbl.t;
-  last_hb : (int, int64) Hashtbl.t;
+  scores : int Itbl.t;  (** Pull-score per peer id. *)
+  alive : bool Itbl.t;
+  last_hb : int Itbl.t;
   mutable role : role;  (** Change it with {!set_role}. *)
   mutable role_generation : int;  (** Bumped on every role change. *)
   (* --- permission state (§5.2) --- *)
   mutable perm_holder : int option;  (** Who may write my log. *)
-  last_granted : (int, int64) Hashtbl.t;  (** Per requester: last acked gen. *)
+  last_granted : int64 Itbl.t;  (** Per requester: last acked gen. *)
   mutable req_gen : int64;  (** My own request generation counter. *)
   (* --- replication-plane leader state (§4) --- *)
   mutable confirmed : int list;  (** Confirmed followers (peer ids). *)
@@ -69,7 +72,7 @@ type t = {
   mutable skip_prepare : bool;  (** Omit-prepare optimization (§4.2). *)
   mutable wr_seq : int;
   mutable tag_seq : int;  (** Last tag {!fresh_tag} handed out. *)
-  inflight : (int, int * int) Hashtbl.t;  (** wr_id → (peer id, tag). *)
+  inflight : (int * int) Itbl.t;  (** wr_id → (peer id, tag). *)
   mutable propose_started_at : int option;  (** For fate sharing (§5.1). *)
   mutable election_span : int;
       (** Provenance span open from the moment this replica suspects its

@@ -26,7 +26,7 @@ let abort t reason =
   (* Resetting [inflight] also forgets any recycler writes still in
      flight; their completions will be discarded as stale, so the
      outstanding count restarts from zero with the next leadership. *)
-  Hashtbl.reset t.Replica.inflight;
+  Replica.Itbl.reset t.Replica.inflight;
   t.Replica.recycler_outstanding <- 0;
   raise (Aborted reason)
 
@@ -51,7 +51,7 @@ let check_own_permission t =
 
 let post_tracked t (p : Replica.peer) ~tag ~post =
   let wr = Replica.fresh_wr_id t in
-  Hashtbl.replace t.Replica.inflight wr (p.Replica.pid, tag);
+  Replica.Itbl.replace t.Replica.inflight wr (p.Replica.pid, tag);
   post wr
 
 (* Completions of the recycler's fire-and-forget zeroing writes arrive on
@@ -63,7 +63,7 @@ let post_tracked t (p : Replica.peer) ~tag ~post =
    its standing, whatever plane posted it.) *)
 let note_recycler t ~pid ~tag ~status =
   if tag = Replica.recycler_tag then begin
-    t.Replica.recycler_outstanding <- max 0 (t.Replica.recycler_outstanding - 1);
+    t.Replica.recycler_outstanding <- Int.max 0 (t.Replica.recycler_outstanding - 1);
     match status with
     | Rdma.Verbs.Success -> ()
     | status ->
@@ -88,10 +88,10 @@ let drain_completion ?timeout t =
   match wc with
   | None -> None
   | Some wc -> (
-    match Hashtbl.find_opt t.Replica.inflight wc.Rdma.Verbs.wr_id with
+    match Replica.Itbl.find_opt t.Replica.inflight wc.Rdma.Verbs.wr_id with
     | None -> None (* stale: belongs to an aborted round *)
     | Some (pid, tg) -> (
-      Hashtbl.remove t.Replica.inflight wc.Rdma.Verbs.wr_id;
+      Replica.Itbl.remove t.Replica.inflight wc.Rdma.Verbs.wr_id;
       note_recycler t ~pid ~tag:tg ~status:wc.Rdma.Verbs.status;
       match wc.Rdma.Verbs.status with
       | Rdma.Verbs.Success -> Some (pid, tg)

@@ -41,9 +41,10 @@ type t = {
   mutable rejoins : rejoin list;
   mutable degraded_windows : int;
   mutable degraded_total_ns : int;
-  (* Leader-side response cache: (replica id, slot index) → responses of
-     the batch committed at that slot, filled by the on-commit hook. *)
-  responses : (int * int, bytes list) Hashtbl.t;
+  (* Leader-side response cache: (replica id, slot index), packed by
+     [response_key], → responses of the batch committed at that slot,
+     filled by the on-commit hook. *)
+  responses : bytes list Replica.Itbl.t;
   (* Provenance: payload image → request span, so the commit hook — which
      only sees decoded payload bytes — can stamp an "applied" point per
      (request, slot). A request applied under two slots is a duplicate. *)
@@ -164,8 +165,8 @@ let apply_config _t (r : Replica.t) op =
     end
     else begin
       r.Replica.peers <- List.filter (fun p -> p.Replica.pid <> id) r.Replica.peers;
-      Hashtbl.remove r.Replica.alive id;
-      Hashtbl.remove r.Replica.scores id;
+      Replica.Itbl.remove r.Replica.alive id;
+      Replica.Itbl.remove r.Replica.scores id;
       if List.mem id r.Replica.confirmed then begin
         r.Replica.confirmed <- List.filter (fun c -> c <> id) r.Replica.confirmed;
         r.Replica.need_new_followers <- true
@@ -199,8 +200,8 @@ let install_from t ~(source : Replica.t) (newcomer : Replica.t) =
     newcomer.Replica.zeroed_up_to <- s
   end;
   Replica.apply_committed newcomer;
-  Rdma.Mr.set_i64 newcomer.Replica.bg_mr ~off:Replica.bg_log_head_offset
-    (Int64.of_int newcomer.Replica.applied)
+  Rdma.Mr.set_int newcomer.Replica.bg_mr ~off:Replica.bg_log_head_offset
+    newcomer.Replica.applied
 
 (* A joining or rejoining replica's checkpoint: "Mu uses the standard
    approach of check-pointing state; we do so from one of the followers"
@@ -233,6 +234,10 @@ let checkpoint t ~src ~dst =
   install_from t ~source r;
   r.Replica.applied
 
+(* Replica ids stay below [Replica.max_replicas] and slot indices below
+   2^40, so the slot index takes the low bits the table hashes on. *)
+let response_key (r : Replica.t) idx = idx lor (r.Replica.id lsl 40)
+
 (* [config_floor]: log index below which configuration entries are
    replayed as no-ops. A rejoining replica reconstructs current
    membership directly from the survivors while it is wired back in;
@@ -264,7 +269,7 @@ let install_commit_hook ?(config_floor = 0) t (r : Replica.t) =
               | None -> ())
             payloads;
         if r.Replica.role = Replica.Leader then
-          Hashtbl.replace t.responses (r.Replica.id, idx) resps)
+          Replica.Itbl.replace t.responses (response_key r idx) resps)
 
 (* --- leader service ----------------------------------------------------- *)
 
@@ -370,9 +375,9 @@ and retry_tick t r =
     Sim.Engine.schedule t.engine ~at:r.due.(r.head land (Array.length r.due - 1)) r.tick
 
 let fill_responses t (r : Replica.t) idx reqs =
-  match Hashtbl.find_opt t.responses (r.Replica.id, idx) with
+  match Replica.Itbl.find_opt t.responses (response_key r idx) with
   | Some resps when List.length resps = List.length reqs ->
-    Hashtbl.remove t.responses (r.Replica.id, idx);
+    Replica.Itbl.remove t.responses (response_key r idx);
     List.iter2
       (fun req resp ->
         if Sim.Engine.Ivar.try_fill req.resp resp && req.prov <> 0 then
@@ -484,7 +489,7 @@ let serve_windowed t (r : Replica.t) =
     (* One wire write must stay physically contiguous, so a group never
        crosses the circular-log wrap boundary (§5.3). *)
     let room = Log.slots r.Replica.log - (base mod Log.slots r.Replica.log) in
-    let limit = max 1 (min t.cfg.Config.doorbell room) in
+    let limit = Int.max 1 (Int.min t.cfg.Config.doorbell room) in
     let rec gather acc count =
       if count = limit then (List.rev acc, count)
       else
@@ -676,7 +681,7 @@ let create eng calibration cfg ~make_app =
       rejoins = [];
       degraded_windows = 0;
       degraded_total_ns = 0;
-      responses = Hashtbl.create 64;
+      responses = Replica.Itbl.create 64;
       prov_requests = Hashtbl.create 64;
       establish_span = 0;
       establish_end = 0;
@@ -848,7 +853,7 @@ let propose_config_entry t op =
                let fuo_buf = Bytes.create 8 in
                Bytes.set_int64_le fuo_buf 0 (Int64.of_int (idx + 1));
                let wr = Replica.fresh_wr_id r in
-               Hashtbl.replace r.Replica.inflight wr (p.Replica.pid, Replica.config_tag);
+               Replica.Itbl.replace r.Replica.inflight wr (p.Replica.pid, Replica.config_tag);
                Rdma.Qp.post_write p.Replica.repl_qp ~wr_id:wr ~src:fuo_buf ~src_off:0
                  ~len:8 ~mr:p.Replica.remote_log_mr ~dst_off:Log.fuo_offset
              | Some _ | None -> ()
@@ -953,8 +958,8 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
     end
   in
   let publish_head () =
-    Rdma.Mr.set_i64 newcomer.Replica.bg_mr ~off:Replica.bg_log_head_offset
-      (Int64.of_int newcomer.Replica.applied)
+    Rdma.Mr.set_int newcomer.Replica.bg_mr ~off:Replica.bg_log_head_offset
+      newcomer.Replica.applied
   in
   let target () =
     match leader_peer () with
@@ -1122,9 +1127,9 @@ let restart_fiber t id =
           if r.Replica.id <> id && not r.Replica.removed then begin
             Replica.unwire r ~pid:id;
             Replica.wire r newcomer;
-            Hashtbl.replace r.Replica.scores id
+            Replica.Itbl.replace r.Replica.scores id
               t.calibration.Sim.Calibration.score_min;
-            Hashtbl.replace r.Replica.alive id false;
+            Replica.Itbl.replace r.Replica.alive id false;
             if Sim.Host.process_alive r.Replica.host then
               config_floor := max !config_floor (Log.fuo r.Replica.log)
           end)

@@ -48,12 +48,17 @@ let[@inline] stored t ~off ~len =
   match !(t.watches) with [] -> () | ws -> fire ws ~off ~len
 
 let get_i64 t ~off = Sim.Mem.get_i64 t.mem off
+let get_int t ~off = Sim.Mem.get_int t.mem off
 let get_i32 t ~off = Sim.Mem.get_i32 t.mem off
 let get_char t ~off = Sim.Mem.get_char t.mem off
 let get_bytes t ~off ~len = Sim.Mem.sub t.mem ~off ~len
 
 let set_i64 t ~off v =
   Sim.Mem.set_i64 t.mem off v;
+  stored t ~off ~len:8
+
+let set_int t ~off v =
+  Sim.Mem.set_int t.mem off v;
   stored t ~off ~len:8
 
 let set_bytes t ~off b =

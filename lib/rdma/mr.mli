@@ -58,11 +58,17 @@ val is_persistent : t -> bool
     [Invalid_argument]. *)
 
 val get_i64 : t -> off:int -> int64
+val get_int : t -> off:int -> int
+(** {!get_i64} as an unboxed [int], for counters that fit in 62 bits. *)
+
 val get_i32 : t -> off:int -> int32
 val get_char : t -> off:int -> char
 val get_bytes : t -> off:int -> len:int -> Bytes.t
 
 val set_i64 : t -> off:int -> int64 -> unit
+val set_int : t -> off:int -> int -> unit
+(** {!set_i64} of [Int64.of_int v], unboxed. *)
+
 val set_bytes : t -> off:int -> Bytes.t -> unit
 
 val write_from : t -> off:int -> src:Bytes.t -> src_off:int -> len:int -> unit

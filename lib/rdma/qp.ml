@@ -187,12 +187,12 @@ let prov_post t ~kind ~len =
 (* Monotonic clocks preserve RC's in-order guarantees even though wire
    jitter is sampled independently per operation. *)
 let arrival_time t ideal =
-  let at = max ideal (t.last_arrival + 1) in
+  let at = Int.max ideal (t.last_arrival + 1) in
   t.last_arrival <- at;
   at
 
 let completion_time t ideal =
-  let at = max ideal (t.last_completion + 1) in
+  let at = Int.max ideal (t.last_completion + 1) in
   t.last_completion <- at;
   at
 

@@ -70,7 +70,6 @@ let push t ~key ~seq value =
   done
 
 let top_key t = if t.size = 0 then max_int else t.keys.(0)
-let top_seq t = if t.size = 0 then max_int else t.seqs.(0)
 
 let sift_down t =
   let i = ref 0 in

@@ -21,9 +21,6 @@ val push : 'a t -> key:int -> seq:int -> 'a -> unit
 val top_key : 'a t -> int
 (** Key of the minimum element; [max_int] when empty. Allocation-free. *)
 
-val top_seq : 'a t -> int
-(** Sequence of the minimum element; [max_int] when empty. *)
-
 val top : 'a t -> 'a
 (** The minimum element without removing it. Raises [Invalid_argument]
     when empty. *)

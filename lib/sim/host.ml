@@ -127,7 +127,7 @@ let arm b = b.rung <- false
 (* First grid instant at or after [at], strictly after the park. *)
 let next_tick b at =
   let k = if at <= b.origin then 1 else (at - b.origin + b.period - 1) / b.period in
-  b.origin + (max k 1 * b.period)
+  b.origin + (Int.max k 1 * b.period)
 
 let unpark b =
   b.parked <- false;

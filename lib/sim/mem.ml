@@ -172,6 +172,25 @@ let set_i64 t off v =
       set_byte t (off + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
     done
 
+(* The same little-endian word as [get_i64]/[set_i64], as an unboxed
+   [int]: the top bit is dropped on a load, so it holds only counters
+   that fit in 62 bits. *)
+let get_int t off =
+  check t off 8;
+  if off land page_mask <= page_size - 8 then begin
+    let id = page_id t off in
+    if id = 0 then 0 else Int64.to_int (Bytes.get_int64_le (chunk t id) (pos id off))
+  end
+  else Int64.to_int (get_i64 t off)
+
+let set_int t off v =
+  check t off 8;
+  if off land page_mask <= page_size - 8 then begin
+    let id = wid t off in
+    Bytes.set_int64_le (chunk t id) (pos id off) (Int64.of_int v)
+  end
+  else set_i64 t off (Int64.of_int v)
+
 let get_i32 t off =
   check t off 4;
   if off land page_mask <= page_size - 4 then begin
@@ -201,7 +220,7 @@ let blit_from_bytes src src_off t off len =
   check t off len;
   let rec go s d n =
     if n > 0 then begin
-      let k = min n (page_size - (d land page_mask)) in
+      let k = Int.min n (page_size - (d land page_mask)) in
       let id = wid t d in
       Bytes.blit src s (chunk t id) (pos id d) k;
       go (s + k) (d + k) (n - k)
@@ -214,7 +233,7 @@ let sub t ~off ~len =
   let b = Bytes.create len in
   let rec go s d n =
     if n > 0 then begin
-      let k = min n (page_size - (s land page_mask)) in
+      let k = Int.min n (page_size - (s land page_mask)) in
       let id = page_id t s in
       if id = 0 then Bytes.fill b d k '\000' else Bytes.blit (chunk t id) (pos id s) b d k;
       go (s + k) (d + k) (n - k)
@@ -235,8 +254,8 @@ let fill t ~off ~len c =
     if n > 0 then begin
       let di = d lsr dir_bits in
       let dir = Array.unsafe_get t.dirs di in
-      let in_dir = min n (dir_size - (d land dir_mask)) in
-      let whole_dir = d land dir_mask = 0 && in_dir = min dir_size (t.size - d) in
+      let in_dir = Int.min n (dir_size - (d land dir_mask)) in
+      let whole_dir = d land dir_mask = 0 && in_dir = Int.min dir_size (t.size - d) in
       if c = '\000' && (dir == zero_dir || whole_dir) then begin
         if dir != zero_dir then begin
           for pi = 0 to Array.length dir - 1 do
@@ -249,7 +268,7 @@ let fill t ~off ~len c =
       end
       else begin
         let o = d land page_mask in
-        let k = min n (page_size - o) in
+        let k = Int.min n (page_size - o) in
         (if c <> '\000' then begin
            let id = wid t d in
            Bytes.fill (chunk t id) (pos id d) k c
@@ -258,7 +277,7 @@ let fill t ~off ~len c =
            let pi = page_in_dir d in
            let id = dir.(pi) in
            if id = 0 then ()
-           else if o = 0 && k = min page_size (t.size - d) then begin
+           else if o = 0 && k = Int.min page_size (t.size - d) then begin
              dir.(pi) <- 0;
              release t id
            end

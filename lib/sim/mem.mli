@@ -48,6 +48,13 @@ val get_i64 : t -> int -> int64
 
 val set_i64 : t -> int -> int64 -> unit
 
+val get_int : t -> int -> int
+(** The little-endian 64-bit word at the offset, unboxed. Only for values
+    that fit in 62 bits (counters): a wider word loses its top bit. *)
+
+val set_int : t -> int -> int -> unit
+(** [set_i64] of [Int64.of_int v], without boxing [v]. *)
+
 val blit_from_bytes : Bytes.t -> int -> t -> int -> int -> unit
 (** [blit_from_bytes src src_off t off len] stores [len] bytes of [src]
     starting at [src_off] into the region at [off]. *)

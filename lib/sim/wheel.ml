@@ -24,7 +24,15 @@
    So every bucket is seq-sorted at all times and the front of the
    current level-0 bucket is the global minimum.
 
-   Allocation. Buckets are parallel int/int/[Obj.t] arrays (grown
+   Same-instant segment. A push at exactly [now] (a sleep's wake event,
+   a Suspend/Ivar/Chan wake, a spawn) skips [place] and goes to a FIFO
+   ring, drained right after the level-0 bucket holding [now]. Its seq
+   is larger than that of every event already queued at [now], so it
+   would have been appended to that bucket's tail anyway; [locate]
+   never moves the clock while the ring holds events, so everything in
+   it keeps key [now].
+
+   Allocation. Buckets are parallel int/[Obj.t] arrays (grown
    geometrically, never shrunk) and occupancy is a 1024-bit bitmap in
    32-bit words, so a push/pop cycle allocates nothing. Payload slots
    are overwritten with an immediate dummy the moment an event leaves
@@ -44,7 +52,6 @@ let dummy : Obj.t = Obj.repr 0
 type 'a t = {
   mutable now : int; (* every wheel event has key >= now *)
   bkeys : int array array; (* bucket b = level*256 + slot *)
-  bseqs : int array array;
   bvals : Obj.t array array;
   sizes : int array;
   occ : int array; (* occupancy bitmap, 32 bits per word *)
@@ -52,6 +59,10 @@ type 'a t = {
   mutable head : int; (* consumed prefix of [cur] *)
   mutable count : int; (* events in the wheel proper *)
   lvl : int array; (* events per level, maintained by place/cascade/pop *)
+  mutable seg : Obj.t array; (* same-instant ring, power-of-two capacity *)
+  mutable seg_head : int;
+  mutable seg_len : int;
+  mutable npast : int; (* [Heap.length past], read here without a call *)
   past : Obj.t Heap.t;
   overflow : Obj.t Heap.t;
 }
@@ -60,7 +71,6 @@ let create () =
   {
     now = 0;
     bkeys = Array.make buckets [||];
-    bseqs = Array.make buckets [||];
     bvals = Array.make buckets [||];
     sizes = Array.make buckets 0;
     occ = Array.make (buckets / 32) 0;
@@ -68,11 +78,15 @@ let create () =
     head = 0;
     count = 0;
     lvl = Array.make levels 0;
+    seg = [||];
+    seg_head = 0;
+    seg_len = 0;
+    npast = 0;
     past = Heap.create ();
     overflow = Heap.create ();
   }
 
-let length t = t.count + Heap.length t.past + Heap.length t.overflow
+let length t = t.count + t.seg_len + t.npast + Heap.length t.overflow
 let is_empty t = length t = 0
 
 let[@inline] set_bit t b = t.occ.(b lsr 5) <- t.occ.(b lsr 5) lor (1 lsl (b land 31))
@@ -82,18 +96,18 @@ let grow_bucket t b =
   let cap = Array.length t.bkeys.(b) in
   let ncap = if cap = 0 then 8 else cap * 2 in
   let nkeys = Array.make ncap 0 in
-  let nseqs = Array.make ncap 0 in
   let nvals = Array.make ncap dummy in
   Array.blit t.bkeys.(b) 0 nkeys 0 t.sizes.(b);
-  Array.blit t.bseqs.(b) 0 nseqs 0 t.sizes.(b);
   Array.blit t.bvals.(b) 0 nvals 0 t.sizes.(b);
   t.bkeys.(b) <- nkeys;
-  t.bseqs.(b) <- nseqs;
   t.bvals.(b) <- nvals
 
 (* Place an event already known to satisfy [now <= key < now + horizon
-   region] into its level/slot. Does not touch [count]. *)
-let place t ~key ~seq v =
+   region] into its level/slot. Does not touch [count]. A bucket keeps
+   no seqs: it holds each key's events in seq order (see above), which
+   is all a level-0 slot needs. Bucket indices are below [buckets] by
+   construction, hence the unsafe accesses. *)
+let place t ~key v =
   let x = key lxor t.now in
   let l =
     if x < 1 lsl bits then 0
@@ -102,21 +116,38 @@ let place t ~key ~seq v =
     else 3
   in
   let b = (l * slots) + ((key lsr (l * bits)) land mask) in
-  let n = t.sizes.(b) in
-  if n = Array.length t.bkeys.(b) then grow_bucket t b;
-  t.bkeys.(b).(n) <- key;
-  t.bseqs.(b).(n) <- seq;
-  t.bvals.(b).(n) <- v;
-  t.sizes.(b) <- n + 1;
-  t.lvl.(l) <- t.lvl.(l) + 1;
+  let n = Array.unsafe_get t.sizes b in
+  if n = Array.length (Array.unsafe_get t.bkeys b) then grow_bucket t b;
+  Array.unsafe_set (Array.unsafe_get t.bkeys b) n key;
+  Array.unsafe_set (Array.unsafe_get t.bvals b) n v;
+  Array.unsafe_set t.sizes b (n + 1);
+  Array.unsafe_set t.lvl l (Array.unsafe_get t.lvl l + 1);
   if n = 0 then set_bit t b
+
+let seg_push t v =
+  let cap = Array.length t.seg in
+  if t.seg_len = cap then begin
+    let ncap = if cap = 0 then 8 else cap * 2 in
+    let nseg = Array.make ncap dummy in
+    for i = 0 to cap - 1 do
+      nseg.(i) <- t.seg.((t.seg_head + i) land (cap - 1))
+    done;
+    t.seg <- nseg;
+    t.seg_head <- 0
+  end;
+  t.seg.((t.seg_head + t.seg_len) land (Array.length t.seg - 1)) <- v;
+  t.seg_len <- t.seg_len + 1
 
 let push t ~key ~seq value =
   let v = Obj.repr value in
-  if key < t.now then Heap.push t.past ~key ~seq v
+  if key = t.now then seg_push t v
+  else if key < t.now then begin
+    Heap.push t.past ~key ~seq v;
+    t.npast <- t.npast + 1
+  end
   else if key lxor t.now >= horizon then Heap.push t.overflow ~key ~seq v
   else begin
-    place t ~key ~seq v;
+    place t ~key v;
     t.count <- t.count + 1
   end
 
@@ -161,18 +192,18 @@ let cascade t b =
   clear_bit t b;
   let src = b / slots in
   t.lvl.(src) <- t.lvl.(src) - n;
-  let keys = t.bkeys.(b) and seqs = t.bseqs.(b) and vals = t.bvals.(b) in
+  let keys = t.bkeys.(b) and vals = t.bvals.(b) in
   for i = 0 to n - 1 do
     let v = vals.(i) in
     vals.(i) <- dummy;
-    place t ~key:keys.(i) ~seq:seqs.(i) v
+    place t ~key:keys.(i) v
   done
 
 (* Advance to the next wheel event: leaves [cur]/[head] on its level-0
    bucket with [t.now] equal to its key and returns [true]; returns
    [false] when the wheel and overflow are both empty. *)
 let rec locate t =
-  if t.cur >= 0 && t.head < t.sizes.(t.cur) then true
+  if (t.cur >= 0 && t.head < t.sizes.(t.cur)) || t.seg_len > 0 then true
   else begin
     if t.cur >= 0 then begin
       (* fully drained: retire the bucket *)
@@ -183,9 +214,9 @@ let rec locate t =
     end;
     if t.count > 0 then begin
       (* Level 0 holds only the current revolution, so scanning from
-         [now]'s slot (inclusive — a same-instant push may have refilled
-         it) forward is exhaustive. *)
-      let s0 = scan t 0 (t.now land mask) in
+         [now]'s slot (inclusive: no bucket is current before the
+         first pop) forward is exhaustive. *)
+      let s0 = if t.lvl.(0) > 0 then scan t 0 (t.now land mask) else -1 in
       if s0 >= 0 then begin
         t.now <- t.now land lnot mask lor s0;
         t.cur <- s0;
@@ -201,7 +232,9 @@ let rec locate t =
         let rec up l =
           if l >= levels then invalid_arg "Wheel: occupancy out of sync"
           else begin
-            let sl = scan t l (((t.now lsr (l * bits)) land mask) + 1) in
+            let sl =
+              if t.lvl.(l) = 0 then -1 else scan t l (((t.now lsr (l * bits)) land mask) + 1)
+            in
             if sl < 0 then up (l + 1)
             else begin
               let keep = lnot ((1 lsl ((l + 1) * bits)) - 1) in
@@ -221,10 +254,10 @@ let rec locate t =
       while
         (not (Heap.is_empty t.overflow)) && Heap.top_key t.overflow lxor t.now < horizon
       do
-        let key = Heap.top_key t.overflow and seq = Heap.top_seq t.overflow in
+        let key = Heap.top_key t.overflow in
         let v = Heap.top t.overflow in
         Heap.drop t.overflow;
-        place t ~key ~seq v;
+        place t ~key v;
         t.count <- t.count + 1
       done;
       locate t
@@ -233,7 +266,7 @@ let rec locate t =
   end
 
 let next_key t =
-  if Heap.length t.past > 0 then Heap.top_key t.past
+  if t.npast > 0 then Heap.top_key t.past
   else if locate t then t.now
   else max_int
 
@@ -269,25 +302,38 @@ let wheel_due t at =
   end
 
 let due_by t at =
-  (Heap.length t.past > 0 && Heap.top_key t.past <= at)
+  (t.npast > 0 && Heap.top_key t.past <= at)
+  || (t.seg_len > 0 && at >= t.now)
   || (t.count > 0 && at >= t.now && wheel_due t at)
   || (Heap.length t.overflow > 0 && Heap.top_key t.overflow <= at)
 
 let pop_exn t =
-  if Heap.length t.past > 0 then begin
+  if t.npast > 0 then begin
     let v = Heap.top t.past in
     Heap.drop t.past;
+    t.npast <- t.npast - 1;
     (Obj.obj v : 'a)
   end
   else if locate t then begin
     let b = t.cur and i = t.head in
-    let v = t.bvals.(b).(i) in
-    t.bvals.(b).(i) <- dummy;
-    t.head <- i + 1;
-    t.count <- t.count - 1;
-    (* [cur] is always a level-0 bucket. *)
-    t.lvl.(0) <- t.lvl.(0) - 1;
-    (Obj.obj v : 'a)
+    if b >= 0 && i < t.sizes.(b) then begin
+      let v = t.bvals.(b).(i) in
+      t.bvals.(b).(i) <- dummy;
+      t.head <- i + 1;
+      t.count <- t.count - 1;
+      (* [cur] is always a level-0 bucket. *)
+      t.lvl.(0) <- t.lvl.(0) - 1;
+      (Obj.obj v : 'a)
+    end
+    else begin
+      (* The bucket at [now] is drained: the same-instant ring is next. *)
+      let h = t.seg_head in
+      let v = t.seg.(h) in
+      t.seg.(h) <- dummy;
+      t.seg_head <- (h + 1) land (Array.length t.seg - 1);
+      t.seg_len <- t.seg_len - 1;
+      (Obj.obj v : 'a)
+    end
   end
   else invalid_arg "Wheel.pop_exn: empty"
 
@@ -316,9 +362,12 @@ let stats t =
     done;
     level_slots.(l) <- !n
   done;
+  let level_events = Array.copy t.lvl in
+  (* The same-instant ring is the tail of level 0's current slot. *)
+  level_events.(0) <- level_events.(0) + t.seg_len;
   {
-    level_events = Array.copy t.lvl;
+    level_events;
     level_slots;
-    past = Heap.length t.past;
+    past = t.npast;
     overflow = Heap.length t.overflow;
   }

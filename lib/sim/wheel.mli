@@ -10,10 +10,12 @@
     push and amortised-O(1) pop; events beyond the horizon wait in an
     overflow min-heap, and events pushed behind the wheel clock (which
     [next_key] may advance past a [run ~until] limit) go to a small
-    "past" heap that always drains first. Buckets are parallel
-    int/payload arrays and a push/pop cycle allocates nothing; vacated
-    payload slots are cleared immediately so retired event closures are
-    never retained by the queue. *)
+    "past" heap that always drains first. A push at exactly the wheel
+    clock goes to a FIFO ring drained right after the clock's level-0
+    bucket, where it would have been appended anyway. Buckets are
+    parallel int/payload arrays and a push/pop cycle allocates nothing;
+    vacated payload slots are cleared immediately so retired event
+    closures are never retained by the queue. *)
 
 type 'a t
 

@@ -92,7 +92,7 @@ let key_name i =
 
 let poisson_gap rng ~rate =
   if rate <= 0.0 then invalid_arg "Generators.poisson_gap: rate must be positive";
-  max 1 (int_of_float (Sim.Rng.exponential rng ~mean:(1.0 /. rate)))
+  Int.max 1 (int_of_float (Sim.Rng.exponential rng ~mean:(1.0 /. rate)))
 
 let diurnal_rate ~base ~amplitude ~period_ns ~now =
   if period_ns <= 0 then invalid_arg "Generators.diurnal_rate: period must be positive";
@@ -103,17 +103,29 @@ let diurnal_rate ~base ~amplitude ~period_ns ~now =
 
 let think_gap rng ~mean_ns =
   if mean_ns <= 0 then invalid_arg "Generators.think_gap: mean must be positive";
-  max 0 (int_of_float (Sim.Rng.exponential rng ~mean:(float_of_int mean_ns)))
+  Int.max 0 (int_of_float (Sim.Rng.exponential rng ~mean:(float_of_int mean_ns)))
 
 type kv_mix = { read_ratio : float; keys : int; value_size : int; theta : float }
 
 let default_kv_mix = { read_ratio = 0.5; keys = 10_000; value_size = 32; theta = 0.99 }
 
+(* The last mix's sampler: callers keep one mix, so its CDF is resolved
+   once instead of looked up by [(n, theta)] on every command. *)
+let kv_sampler = ref None
+
 let kv_command rng mix ~client:_ ~req_id:_ =
+  let sample =
+    match !kv_sampler with
+    | Some (n, theta, s) when n = mix.keys && Float.equal theta mix.theta -> s
+    | _ ->
+      let s = zipf_sampler ~n:mix.keys ~theta:mix.theta in
+      kv_sampler := Some (mix.keys, mix.theta, s);
+      s
+  in
   (* Printf rather than [key_name]: the keys are the same, but the
      allocation [key_name] saves here made the GC run later in the
      kv-closed benchmark and raised its peak RSS by 1.7 MiB. *)
-  let key = Printf.sprintf "key-%08d" (zipf rng ~n:mix.keys ~theta:mix.theta) in
+  let key = Printf.sprintf "key-%08d" (sample rng) in
   if Sim.Rng.float rng < mix.read_ratio then Apps.Kv_store.Get { key }
   else
     Apps.Kv_store.Put

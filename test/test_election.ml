@@ -31,14 +31,14 @@ let heartbeats_advance () =
       let v0 = Mu.Election.read_own_heartbeat r0 in
       Sim.Engine.sleep e 1_000_000;
       let v1 = Mu.Election.read_own_heartbeat r0 in
-      check "counter moved" true (Int64.compare v1 v0 > 0))
+      check "counter moved" true (v1 > v0))
 
 let scores_saturate_when_healthy () =
   with_cluster (fun e smr ->
       Sim.Engine.sleep e 3_000_000;
       Array.iter
         (fun (r : Mu.Replica.t) ->
-          Hashtbl.iter
+          Mu.Replica.Itbl.iter
             (fun peer score ->
               check
                 (Printf.sprintf "replica %d's score for %d at max" r.Mu.Replica.id peer)
@@ -131,7 +131,7 @@ let fate_sharing_stops_heartbeat () =
       let v0 = Mu.Election.read_own_heartbeat r0 in
       Sim.Engine.sleep e 1_000_000;
       let v1 = Mu.Election.read_own_heartbeat r0 in
-      check "heartbeat frozen while stuck" true (Int64.equal v0 v1);
+      check "heartbeat frozen while stuck" true (v0 = v1);
       (* Other replicas depose the wedged leader. *)
       let r1 = Mu.Smr.replica smr 1 in
       Util.wait_for (fun () -> Mu.Replica.is_leader r1) e;
@@ -140,7 +140,7 @@ let fate_sharing_stops_heartbeat () =
       let v2 = Mu.Election.read_own_heartbeat r0 in
       Sim.Engine.sleep e 1_000_000;
       check "heartbeat resumes when unstuck" true
-        (Int64.compare (Mu.Election.read_own_heartbeat r0) v2 > 0))
+        (Mu.Election.read_own_heartbeat r0 > v2))
 
 let without_fate_sharing_stuck_leader_keeps_beating () =
   with_cluster (fun e smr ->
@@ -151,7 +151,7 @@ let without_fate_sharing_stuck_leader_keeps_beating () =
       let v0 = Mu.Election.read_own_heartbeat r0 in
       Sim.Engine.sleep e 1_000_000;
       check "still beating (flag off)" true
-        (Int64.compare (Mu.Election.read_own_heartbeat r0) v0 > 0))
+        (Mu.Election.read_own_heartbeat r0 > v0))
 
 (* Each pair of replicas shares one fd QP pair for both directions. A
    partition times out both sides' reads, leaving both ends in ERR; after

@@ -54,7 +54,7 @@ let removed_replica_ignored_by_election () =
       Sim.Engine.sleep e 3_000_000;
       let r0 = Mu.Smr.replica smr 0 in
       check "r0 still leads" true (Mu.Replica.is_leader r0);
-      check "r2 not in alive table" true (not (Hashtbl.mem r0.Mu.Replica.alive 2)))
+      check "r2 not in alive table" true (not (Mu.Replica.Itbl.mem r0.Mu.Replica.alive 2)))
 
 let add_replica_receives_state () =
   with_smr (fun e smr ->

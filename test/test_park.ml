@@ -52,6 +52,42 @@ let build_allocation_budget () =
   let mib = ((Gc.quick_stat ()).Gc.major_words -. before) *. 8. /. 1048576. in
   if mib >= 4.0 then Alcotest.failf "building a live cluster took %.1f MiB of major words" mib
 
+(* Minor words per committed request of a warm closed-loop KV client on a
+   bare 3-replica cluster: the commands are encoded before the count
+   starts, so it is the protocol, the engine and the store. *)
+let kv_minor_words_per_commit () =
+  let e = Util.engine () in
+  let smr =
+    Mu.Smr.create e Util.default_cal Mu.Config.default ~make_app:(fun _ ->
+        Apps.Kv_store.smr_app ())
+  in
+  Mu.Smr.start smr;
+  let cmds =
+    Array.init 1200 (fun i ->
+        let key = Printf.sprintf "key-%d" (i mod 97) in
+        let cmd = if i mod 2 = 0 then Apps.Kv_store.Put { key; value = "v" } else Get { key } in
+        Apps.Kv_store.encode_command ~client:1 ~req_id:(i + 1) cmd)
+  in
+  let words = ref 0.0 in
+  Sim.Engine.spawn e ~name:"client" (fun () ->
+      Mu.Smr.wait_live smr;
+      for i = 0 to 199 do
+        ignore (Mu.Smr.submit smr cmds.(i))
+      done;
+      let w0 = Gc.minor_words () in
+      for i = 200 to 1199 do
+        ignore (Mu.Smr.submit smr cmds.(i))
+      done;
+      words := Gc.minor_words () -. w0;
+      Sim.Engine.halt e);
+  Sim.Engine.run ~until:1_000_000_000 e;
+  !words /. 1000.0
+
+let kv_commit_allocation_budget () =
+  let per = kv_minor_words_per_commit () and budget = 1085.66 *. 1.02 in
+  if per > budget then
+    Alcotest.failf "a KV commit allocates %.1f minor words (budget %.1f)" per budget
+
 (* --- poll-grid pinning ------------------------------------------------------ *)
 
 (* Replicas with no fibers running; replica 0 may write every log. *)
@@ -482,6 +518,7 @@ let suite =
   [
     ("idle event budget", `Quick, idle_event_budget);
     ("build allocation budget", `Quick, build_allocation_budget);
+    ("kv commit allocation budget", `Quick, kv_commit_allocation_budget);
     ("replayer applies on its poll grid", `Quick, replayer_applies_on_grid);
     ("permission manager grants on its poll grid", `Quick, permission_manager_grants_on_grid);
     ("pages on demand", `Quick, pages_on_demand);

@@ -96,8 +96,8 @@ let requests_served_in_id_order () =
       Rdma.Mr.set_i64 r2.Mu.Replica.bg_mr ~off:(Mu.Replica.bg_req_offset 0) 1000L;
       Util.wait_for
         (fun () ->
-          Option.value (Hashtbl.find_opt r2.Mu.Replica.last_granted 0) ~default:0L = 1000L
-          && Option.value (Hashtbl.find_opt r2.Mu.Replica.last_granted 1) ~default:0L = 1000L)
+          Option.value (Mu.Replica.Itbl.find_opt r2.Mu.Replica.last_granted 0) ~default:0L = 1000L
+          && Option.value (Mu.Replica.Itbl.find_opt r2.Mu.Replica.last_granted 1) ~default:0L = 1000L)
         e;
       (* Served 0 then 1: final holder is 1. *)
       check "holder is the higher id (served last)" true

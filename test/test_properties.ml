@@ -368,11 +368,15 @@ let engine_event_order =
    pushes into slot 0, 31, 32 or 255 of a level relative to that key
    (the first and last bit of an occupancy word, and both sides of a
    word boundary), and [Wheel.due_by] queries against the reference
-   minimum — before and after the pop they precede. *)
+   minimum — before and after the pop they precede. Two more aim at the
+   wheel's same-instant segment: two pushes just ahead of the clock, a
+   pop, then a push at the popped key between that pop and the next
+   (the segment must wait for the rest of the key's bucket), and a push
+   at the popped key followed by due queries just before and at it. *)
 let event_queue_matches_reference =
   QCheck.Test.make ~name:"event queue matches sorted-list reference (heap and wheel)"
     ~count:150
-    QCheck.(make Gen.(list_size (1 -- 150) (pair (0 -- 100) (0 -- 9))))
+    QCheck.(make Gen.(list_size (1 -- 150) (pair (0 -- 100) (0 -- 11))))
     (fun ops ->
       let run_backend ?due push pop =
         let reference = ref [] in
@@ -394,6 +398,13 @@ let event_queue_matches_reference =
           push ~key ~seq:!seq (key, !seq);
           reference := (key, !seq) :: !reference
         in
+        let check_due at =
+          match due with
+          | None -> ()
+          | Some due_by ->
+            let expect = List.exists (fun (key, _) -> key <= at) !reference in
+            ok := !ok && due_by at = expect
+        in
         List.iter
           (fun (k, tag) ->
             match tag with
@@ -407,13 +418,18 @@ let event_queue_matches_reference =
               let l = k mod 4 and slot = [| 0; 31; 32; 255 |].(k / 4 mod 4) in
               let span = 1 lsl (8 * (l + 1)) in
               do_push (!last land lnot (span - 1) lor (slot lsl (8 * l)) lor (k land 7))
-            | _ -> (
-              match due with
-              | None -> ()
-              | Some due_by ->
-                let at = !last + (k * k) in
-                let expect = List.exists (fun (key, _) -> key <= at) !reference in
-                ok := !ok && due_by at = expect))
+            | 10 ->
+              let ahead = !last + 1 + (k land 7) in
+              do_push ahead;
+              do_push ahead;
+              do_pop ();
+              do_push !last;
+              do_pop ()
+            | 11 ->
+              do_push !last;
+              check_due (!last - 1);
+              check_due !last
+            | _ -> check_due (!last + (k * k)))
           ops;
         while !reference <> [] && !ok do
           do_pop ()

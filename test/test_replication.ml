@@ -526,13 +526,13 @@ let completion_tags_never_clash () =
             read (Mu.Replica.fresh_wr_id r1);
             let stale = Mu.Replication.drain_completion r1 in
             let wr = Mu.Replica.fresh_wr_id r1 in
-            Hashtbl.replace r1.Mu.Replica.inflight wr (2, tag);
+            Mu.Replica.Itbl.replace r1.Mu.Replica.inflight wr (2, tag);
             read wr;
             (stale, Mu.Replication.drain_completion r1))
       in
       check "untracked completion is stale" true (stale = None);
       check "tracked completion carries its tag" true (tracked = Some (2, tag));
-      check_int "nothing left in flight" 0 (Hashtbl.length r1.Mu.Replica.inflight))
+      check_int "nothing left in flight" 0 (Mu.Replica.Itbl.length r1.Mu.Replica.inflight))
 
 let suite =
   [
