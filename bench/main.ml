@@ -542,7 +542,7 @@ let monitor () =
 
 (* --- Engine event-rate microbench ---------------------------------------- *)
 
-(* Pre-wheel baseline, measured on this box at the PR-8 cut point with the
+(* Boxed-heap baseline, measured on this box at the PR-8 cut point with the
    boxed-entry binary heap and Fun.protect resume path (64 fibers x 20k
    sleeps, metrics/trace off). Events/sec is wall-clock and so only
    meaningful relative to the same box; minor words per event is a pure
@@ -551,12 +551,15 @@ let heap_baseline_events_per_sec = 5.92e6
 let heap_baseline_minor_words_per_event = 35.5
 let queue_depth = 8192
 
+(* kv-closed's queue sits at 16-63 events when it pops (DESIGN.md §17). *)
+let shallow_queue_depth = 32
+
 (* Raw queue throughput at a fixed depth: a pop immediately followed by a
    push of a slightly later key, the steady-state pattern of a busy
-   engine. Same op sequence for both backends, so the ratio is a
-   same-box, load-insensitive measure of the wheel swap. *)
-let queue_ops_per_sec push pop =
-  let depth = queue_depth and ops = if !quick then 200_000 else 2_000_000 in
+   engine. Same op sequence for both queues, so the ratio is a
+   same-box, load-insensitive comparison of [Sim.Evq] with [Sim.Heap]. *)
+let queue_ops_per_sec depth push pop =
+  let ops = if !quick then 200_000 else 2_000_000 in
   let keys = Array.init 65_536 (fun i -> i * 2_654_435_761 land 0xFFFFF) in
   for i = 0 to depth - 1 do
     push ~key:keys.(i) ~seq:i
@@ -568,6 +571,22 @@ let queue_ops_per_sec push pop =
   done;
   let dt = Unix.gettimeofday () -. t0 in
   if dt > 0.0 then float_of_int ops /. dt else 0.0
+
+(* [Sim.Heap] and [Sim.Evq] ops/s at [depth], each on a fresh queue. *)
+let queue_pair depth =
+  let h = Sim.Heap.create () in
+  let heap =
+    queue_ops_per_sec depth
+      (fun ~key ~seq -> Sim.Heap.push h ~key ~seq ())
+      (fun () -> ignore (Sim.Heap.pop h))
+  in
+  let q = Sim.Evq.create () in
+  let evq =
+    queue_ops_per_sec depth
+      (fun ~key ~seq -> Sim.Evq.push q ~key ~seq ())
+      (fun () -> ignore (Sim.Evq.pop_exn q))
+  in
+  (heap, evq)
 
 let engine_speed () =
   section "engine-speed" "wall-clock event throughput of the simulation core";
@@ -601,31 +620,25 @@ let engine_speed () =
     words_per_event heap_baseline_minor_words_per_event;
   Fmt.pr "  vs recorded heap baseline on this box: %.2fx events/s@."
     (rate /. heap_baseline_events_per_sec);
-  (* Same-box raw queue comparison at depth 8192. *)
-  let h = Sim.Heap.create () in
-  let heap_ops =
-    queue_ops_per_sec
-      (fun ~key ~seq -> Sim.Heap.push h ~key ~seq ())
-      (fun () -> ignore (Sim.Heap.pop h))
-  in
-  let w = Sim.Wheel.create () in
-  let wheel_ops =
-    queue_ops_per_sec
-      (fun ~key ~seq -> Sim.Wheel.push w ~key ~seq ())
-      (fun () -> ignore (Sim.Wheel.pop_exn w))
-  in
-  let speedup = if heap_ops > 0.0 then wheel_ops /. heap_ops else 0.0 in
-  Fmt.pr "  raw queue at depth 8192: heap %.2e ops/s, wheel %.2e ops/s (%.1fx)@." heap_ops
-    wheel_ops speedup;
-  (* Same-box, load-insensitive speedup gate for the wheel swap. *)
+  (* Same-box raw queue comparison at depth 8192, and at the depth
+     kv-closed runs at (reported, not gated). *)
+  let heap_ops, evq_ops = queue_pair queue_depth in
+  let speedup = if heap_ops > 0.0 then evq_ops /. heap_ops else 0.0 in
+  Fmt.pr "  raw queue at depth %d: heap %.2e ops/s, evq %.2e ops/s (%.1fx)@." queue_depth
+    heap_ops evq_ops speedup;
+  let heap32, evq32 = queue_pair shallow_queue_depth in
+  Fmt.pr "  raw queue at depth %d: heap %.2e ops/s, evq %.2e ops/s (%.1fx)@."
+    shallow_queue_depth heap32 evq32
+    (if heap32 > 0.0 then evq32 /. heap32 else 0.0);
+  (* Same-box, load-insensitive speedup gate for the engine's queue. *)
   let ok_queue = speedup >= 1.5 in
   record_check "engine_speed_queue_speedup" ok_queue
-    (Printf.sprintf "wheel %.2fx heap at depth 8192 (floor 1.5x)" speedup);
-  Fmt.pr "  check: wheel >= 1.5x heap on raw queue ops: %s@."
+    (Printf.sprintf "evq %.2fx heap at depth 8192 (floor 1.5x)" speedup);
+  Fmt.pr "  check: evq >= 1.5x heap on raw queue ops: %s@."
     (if ok_queue then "OK" else "FAIL");
   (* Allocation is a count, not a clock: the ceiling is hard. 24 words
      per event sits well under the 35.5 the heap engine spent and well
-     over the 14.1 the wheel engine measures, absorbing minor runtime
+     over the 14.0 the engine measures, absorbing minor runtime
      variation without hiding a per-event box. *)
   let ok_alloc = words_per_event <= 24.0 in
   record_check "engine_speed_alloc_ceiling" ok_alloc
@@ -647,8 +660,11 @@ let engine_speed () =
       ("minor_words_per_event", fixed 2 words_per_event);
       ("queue_depth", int queue_depth);
       ("heap_queue_ops_per_sec", fixed 0 heap_ops);
-      ("wheel_queue_ops_per_sec", fixed 0 wheel_ops);
+      ("evq_queue_ops_per_sec", fixed 0 evq_ops);
       ("queue_speedup", fixed 2 speedup);
+      ("shallow_queue_depth", int shallow_queue_depth);
+      ("shallow_heap_queue_ops_per_sec", fixed 0 heap32);
+      ("shallow_evq_queue_ops_per_sec", fixed 0 evq32);
       ("heap_baseline_events_per_sec", fixed 0 heap_baseline_events_per_sec);
       ("heap_baseline_minor_words_per_event", fixed 1 heap_baseline_minor_words_per_event);
     ]

@@ -76,7 +76,7 @@ let[@inline] selfcost_record sc c0 =
 type t = {
   mutable now : int;
   mutable seq : int;
-  events : (unit -> unit) Wheel.t;
+  events : (unit -> unit) Evq.t;
   root_rng : Rng.t;
   mutable halted : bool;
   mutable running : bool;
@@ -116,7 +116,7 @@ let create ?(seed = 1L) () =
   {
     now = 0;
     seq = 0;
-    events = Wheel.create ();
+    events = Evq.create ();
     root_rng = Rng.create seed;
     halted = false;
     running = false;
@@ -140,7 +140,7 @@ let now t = t.now
 let rng t = t.root_rng
 let fabric t = t.fabric
 let nvm t = t.nvm
-let pending_events t = Wheel.length t.events
+let pending_events t = Evq.length t.events
 
 (* Telemetry ------------------------------------------------------------ *)
 
@@ -330,9 +330,9 @@ let schedule t ~at thunk =
   match t.selfcost with
   | Some sc when selfcost_tick sc ->
     let c0 = sc.sc_clock () in
-    Wheel.push t.events ~key:at ~seq:t.seq thunk;
+    Evq.push t.events ~key:at ~seq:t.seq thunk;
     selfcost_record sc c0
-  | _ -> Wheel.push t.events ~key:at ~seq:t.seq thunk
+  | _ -> Evq.push t.events ~key:at ~seq:t.seq thunk
 
 let schedule_after t delay thunk = schedule t ~at:(t.now + delay) thunk
 let halt t = t.halted <- true
@@ -450,7 +450,7 @@ let sleep t delay =
     t.cur_fiber <> 0 && (not t.halted)
     && d <= t.limit - t.now
     && unobserved t
-    && not (Wheel.due_by t.events (t.now + d))
+    && not (Evq.due_by t.events (t.now + d))
   then begin
     t.now <- t.now + d;
     t.fast_forwards <- t.fast_forwards + 1
@@ -468,7 +468,7 @@ let run ?until t =
   t.limit <- limit;
   let rec loop () =
     if not t.halted then begin
-      let at = Wheel.next_key t.events in
+      let at = Evq.next_key t.events in
       if at = max_int then () (* queue drained *)
       else if at > limit then t.now <- limit
       else begin
@@ -476,10 +476,10 @@ let run ?until t =
           match t.selfcost with
           | Some sc when selfcost_tick sc ->
             let c0 = sc.sc_clock () in
-            let th = Wheel.pop_exn t.events in
+            let th = Evq.pop_exn t.events in
             selfcost_record sc c0;
             th
-          | _ -> Wheel.pop_exn t.events
+          | _ -> Evq.pop_exn t.events
         in
         t.now <- at;
         (match t.prof with Some p -> p.prof_event ~now:at | None -> ());

@@ -1,6 +1,5 @@
 (* Profile library: virtual-time profiler determinism and exactness,
-   the perf-regression compare gate, wheel occupancy stats, span pairing
-   and per-frame totals. *)
+   the perf-regression compare gate, span pairing and per-frame totals. *)
 
 module E = Workload.Experiments
 module Vt = Profile.Vt
@@ -201,31 +200,6 @@ let compare_check_broken () =
   check "the report names it" true
     (Util.contains_substring (Profile.Compare.to_string gone) "check smr_agree ")
 
-(* --- wheel occupancy ------------------------------------------------------ *)
-
-let wheel_stats () =
-  let w = Sim.Wheel.create () in
-  Sim.Wheel.push w ~key:10 ~seq:0 "l0";
-  Sim.Wheel.push w ~key:10_000 ~seq:1 "l1";
-  Sim.Wheel.push w ~key:5_000_000 ~seq:2 "l2";
-  Sim.Wheel.push w ~key:(1 lsl 33) ~seq:3 "far";
-  let s = Sim.Wheel.stats w in
-  check_int "short delay sits at level 0" 1 s.Sim.Wheel.level_events.(0);
-  check_int "10us delay sits at level 1" 1 s.Sim.Wheel.level_events.(1);
-  check_int "5ms delay sits at level 2" 1 s.Sim.Wheel.level_events.(2);
-  check_int "beyond-horizon event overflows" 1 s.Sim.Wheel.overflow;
-  let in_levels = Array.fold_left ( + ) 0 s.Sim.Wheel.level_events in
-  check_int "stats account for every queued event" (Sim.Wheel.length w)
-    (in_levels + s.Sim.Wheel.past + s.Sim.Wheel.overflow);
-  check "occupied slots are counted" true
-    (Array.fold_left ( + ) 0 s.Sim.Wheel.level_slots >= 3);
-  (* Popping advances the wheel clock; pushing behind it lands in the
-     past heap, which still drains first. *)
-  check_str "pops in key order" "l0" (Sim.Wheel.pop_exn w);
-  Sim.Wheel.push w ~key:1 ~seq:4 "late";
-  check_int "behind-the-clock push goes to the past heap" 1 (Sim.Wheel.stats w).Sim.Wheel.past;
-  check_str "past heap drains first" "late" (Sim.Wheel.pop_exn w)
-
 (* --- span pairing and frame totals ------------------------------------------ *)
 
 let ev ts kind name = { Sim.Probe.ts; kind; name; cat = "t"; pid = 1; tid = 1; id = 0; args = [] }
@@ -268,7 +242,6 @@ let suite =
     Alcotest.test_case "compare: higher-is-better direction" `Quick compare_higher_is_better;
     Alcotest.test_case "compare: seed mismatch is incomparable" `Quick compare_seed_mismatch;
     Alcotest.test_case "compare: broken check regresses" `Quick compare_check_broken;
-    Alcotest.test_case "wheel occupancy stats" `Quick wheel_stats;
     Alcotest.test_case "attrib: exclusive vs inclusive" `Quick attrib_exclusive;
     Alcotest.test_case "attrib: frame totals from folded stacks" `Quick attrib_frame_totals;
   ]

@@ -354,70 +354,90 @@ let engine_event_order =
       List.length fired = List.length times && ordered fired)
 
 (* Event-queue model test (PR 8): random push/pop interleavings checked
-   against a sorted-list reference, asserting the (key, seq) FIFO
-   tie-break total order and payload integrity. Runs the same op
-   sequence through both backends — the binary heap and the timing
-   wheel — so the wheel swap is provably order-preserving. Keys are
-   spread across four scales so the wheel's level-0 slots, upper
-   levels, far-future overflow heap (beyond the 2^32 horizon) and past
-   heap (pushes behind an advanced wheel clock) are all exercised.
-   Pushes use a globally monotonic seq, the contract the engine
-   provides and the wheel's bucket ordering relies on. Three more ops
-   aim at the wheel's bit scan and its due check: pushes at the last
-   popped key (they land in the drained-but-unretired current bucket),
-   pushes into slot 0, 31, 32 or 255 of a level relative to that key
-   (the first and last bit of an occupancy word, and both sides of a
-   word boundary), and [Wheel.due_by] queries against the reference
-   minimum — before and after the pop they precede. Two more aim at the
-   wheel's same-instant segment: two pushes just ahead of the clock, a
-   pop, then a push at the popped key between that pop and the next
-   (the segment must wait for the rest of the key's bucket), and a push
-   at the popped key followed by due queries just before and at it. *)
+   against a sorted reference (a set of (key, seq) pairs), asserting the
+   (key, seq) FIFO tie-break total order and payload integrity. Runs the
+   same op sequence through both queues — [Sim.Heap], the reference
+   heap, and [Sim.Evq], the engine's — so the engine's queue is provably
+   order-preserving. Keys are spread across four scales, up to beyond
+   2^32. Pushes use a globally monotonic seq, the contract the engine
+   provides and Evq's same-instant ring relies on. The other ops aim at
+   Evq's clock (the key of the last pop that moved it forward):
+   - pushes at the last popped key, which go to the ring;
+   - a burst of more than 512 pushes at one key ahead of the clock,
+     interleaved with pops: the heap's arrays grow past their initial
+     512 entries, only the seq breaks ties, and once the clock reaches
+     the key the ring fills behind the heap's entries at it;
+   - a push at the clock, then a push, a pop, a push and a pop behind
+     it: pops behind the clock must not move it back, or the second
+     push would pass the ring;
+   - two pushes just ahead of the clock, a pop, then a push at the
+     popped key between that pop and the next (the ring waits for the
+     heap's other entry at that key);
+   - [Evq.due_by] queries against the reference minimum, including just
+     before and at the clock right after a push at it. *)
+module Ref_queue = Set.Make (struct
+  type t = int * int
+
+  let compare (k1, s1) (k2, s2) = if k1 <> k2 then Int.compare k1 k2 else Int.compare s1 s2
+end)
+
 let event_queue_matches_reference =
-  QCheck.Test.make ~name:"event queue matches sorted-list reference (heap and wheel)"
+  QCheck.Test.make ~name:"event queue matches sorted-list reference (heap and evq)"
     ~count:150
     QCheck.(make Gen.(list_size (1 -- 150) (pair (0 -- 100) (0 -- 11))))
     (fun ops ->
       let run_backend ?due push pop =
-        let reference = ref [] in
+        let reference = ref Ref_queue.empty in
         let seq = ref 0 in
         let ok = ref true in
         let last = ref 0 in
         let do_pop () =
           match pop () with
-          | None -> ok := !ok && !reference = []
+          | None -> ok := !ok && Ref_queue.is_empty !reference
           | Some (k, s) ->
-            (match List.sort compare !reference with
-            | m :: _ -> ok := !ok && m = (k, s)
-            | [] -> ok := false);
+            ok := !ok && Ref_queue.min_elt_opt !reference = Some (k, s);
             last := k;
-            reference := List.filter (fun x -> x <> (k, s)) !reference
+            reference := Ref_queue.remove (k, s) !reference
         in
         let do_push key =
           incr seq;
           push ~key ~seq:!seq (key, !seq);
-          reference := (key, !seq) :: !reference
+          reference := Ref_queue.add (key, !seq) !reference
         in
         let check_due at =
           match due with
           | None -> ()
           | Some due_by ->
-            let expect = List.exists (fun (key, _) -> key <= at) !reference in
+            let expect =
+              match Ref_queue.min_elt_opt !reference with Some (key, _) -> key <= at | None -> false
+            in
             ok := !ok && due_by at = expect
         in
         List.iter
           (fun (k, tag) ->
             match tag with
-            | 0 -> do_push k (* level 0 *)
-            | 1 -> do_push (k * 1_009) (* levels 1-2 *)
-            | 2 -> do_push ((k * 524_287) land 0xFFFFFF) (* level 3 *)
-            | 3 -> do_push (k * 1_000_003 * 4_096) (* overflow beyond 2^32 *)
+            | 0 -> do_push k
+            | 1 -> do_push (k * 1_009)
+            | 2 -> do_push ((k * 524_287) land 0xFFFFFF)
+            | 3 -> do_push (k * 1_000_003 * 4_096) (* beyond 2^32 *)
             | 4 | 5 -> do_pop ()
             | 6 -> do_push !last
-            | 7 ->
-              let l = k mod 4 and slot = [| 0; 31; 32; 255 |].(k / 4 mod 4) in
-              let span = 1 lsl (8 * (l + 1)) in
-              do_push (!last land lnot (span - 1) lor (slot lsl (8 * l)) lor (k land 7))
+            | 7 when k mod 8 = 0 ->
+              let key = !last + 1 + k in
+              for _ = 1 to 600 do
+                do_push key
+              done;
+              for _ = 1 to 300 do
+                do_pop ();
+                do_push key
+              done
+            | 8 when !last >= 2 ->
+              let clock = !last in
+              do_push clock;
+              do_push (clock - 2);
+              do_pop ();
+              do_push (clock - 1);
+              do_pop ()
             | 10 ->
               let ahead = !last + 1 + (k land 7) in
               do_push ahead;
@@ -431,46 +451,59 @@ let event_queue_matches_reference =
               check_due !last
             | _ -> check_due (!last + (k * k)))
           ops;
-        while !reference <> [] && !ok do
+        while (not (Ref_queue.is_empty !reference)) && !ok do
           do_pop ()
         done;
         !ok
       in
       let heap = Sim.Heap.create () in
-      let wheel = Sim.Wheel.create () in
+      let evq = Sim.Evq.create () in
       run_backend (fun ~key ~seq v -> Sim.Heap.push heap ~key ~seq v) (fun () ->
           Sim.Heap.pop heap)
-      && run_backend ~due:(Sim.Wheel.due_by wheel)
-           (fun ~key ~seq v -> Sim.Wheel.push wheel ~key ~seq v)
-           (fun () -> Sim.Wheel.pop wheel))
+      && run_backend ~due:(Sim.Evq.due_by evq)
+           (fun ~key ~seq v -> Sim.Evq.push evq ~key ~seq v)
+           (fun () -> Sim.Evq.pop evq))
 
-(* The bit scan's word edges and the drained-but-unretired current
-   bucket, spelled out: events in slots 0, 31, 32 and 255 of level 0,
-   then of level 1, pop in key order, and the due check sees each one
-   exactly from its key on while the emptied bucket stays invisible. *)
-let wheel_scan_edges () =
-  let w = Sim.Wheel.create () in
+(* [Evq.due_by] at its edges, spelled out: each key is due from exactly
+   that key on, a popped key is no longer due, and a push at the key
+   just popped (into the same-instant ring) is due at it and not one
+   before. Two entries at 500 leave one in the heap at the clock after
+   the first pop: it is due, and it pops before a later ring push. *)
+let evq_due_edges () =
+  let q = Sim.Evq.create () in
   let seq = ref 0 in
   let push key =
     incr seq;
-    Sim.Wheel.push w ~key ~seq:!seq key
+    Sim.Evq.push q ~key ~seq:!seq key
   in
-  let keys = [ 0; 31; 32; 255; 256 * 31; 256 * 32; 256 * 255; 256 * 256 ] in
+  let due = Sim.Evq.due_by q in
+  let keys = [ 0; 1; 31; 32; 255; 256; 65_536; 1 lsl 33 ] in
   List.iter push (List.rev keys);
   List.iter
     (fun k ->
-      if k > 0 && Sim.Wheel.due_by w (k - 1) then Alcotest.failf "due before %d" k;
-      if not (Sim.Wheel.due_by w k) then Alcotest.failf "not due at %d" k;
-      match Sim.Wheel.pop w with
+      if k > 0 && due (k - 1) then Alcotest.failf "due before %d" k;
+      if not (due k) then Alcotest.failf "not due at %d" k;
+      match Sim.Evq.pop q with
       | Some got when got = k ->
-        (* The bucket [k] came from is drained but not yet retired. *)
-        if Sim.Wheel.due_by w k then Alcotest.failf "drained bucket %d still due" k;
+        if due k then Alcotest.failf "popped %d still due" k;
         push k;
-        if not (Sim.Wheel.due_by w k) then Alcotest.failf "refilled bucket %d not due" k;
-        if Sim.Wheel.pop w <> Some k then Alcotest.failf "refill of %d lost" k
+        if k > 0 && due (k - 1) then Alcotest.failf "ring push at %d due before it" k;
+        if not (due k) then Alcotest.failf "ring push at %d not due" k;
+        if Sim.Evq.pop q <> Some k then Alcotest.failf "ring push at %d lost" k
       | _ -> Alcotest.failf "expected %d" k)
     keys;
-  Alcotest.(check bool) "drained" true (Sim.Wheel.is_empty w && not (Sim.Wheel.due_by w max_int))
+  Alcotest.(check bool) "drained" true (Sim.Evq.is_empty q && not (due max_int));
+  let q = Sim.Evq.create () in
+  let due = Sim.Evq.due_by q in
+  Sim.Evq.push q ~key:500 ~seq:1 "heap first";
+  Sim.Evq.push q ~key:500 ~seq:2 "heap second";
+  Alcotest.(check string) "first" "heap first" (Sim.Evq.pop_exn q);
+  Alcotest.(check bool) "heap entry at the clock is due" true (due 500 && not (due 499));
+  Sim.Evq.push q ~key:500 ~seq:3 "ring";
+  Alcotest.(check string) "heap entry at the clock pops before the ring" "heap second"
+    (Sim.Evq.pop_exn q);
+  Alcotest.(check string) "ring last" "ring" (Sim.Evq.pop_exn q);
+  Alcotest.(check bool) "empty" false (due max_int)
 
 (* QP FIFO under randomized payload sizes and timing: writes posted on one
    QP always apply in order, so the last write's value persists and every
@@ -718,4 +751,4 @@ let suite =
       consensus_safety;
       kv_checker_matches_bruteforce;
     ]
-  @ [ ("wheel scan edges and drained bucket", `Quick, wheel_scan_edges) ]
+  @ [ ("evq due_by edges and the ring", `Quick, evq_due_edges) ]

@@ -311,36 +311,38 @@ let heap_interleaved () =
     end
   done
 
-(* --- Wheel ---------------------------------------------------------------- *)
+(* --- Evq -------------------------------------------------------------------- *)
 
-let wheel_ordering () =
-  let w = Sim.Wheel.create () in
+(* The engine's queue. The test names are the ones these tests had when
+   they covered the timing wheel that [Sim.Evq] replaced. *)
+
+let evq_ordering () =
+  let q = Sim.Evq.create () in
   let xs = [ (5, 'a'); (1, 'b'); (3, 'c'); (1, 'd'); (4, 'e') ] in
-  List.iteri (fun seq (k, v) -> Sim.Wheel.push w ~key:k ~seq v) xs;
-  let popped = List.init 5 (fun _ -> Option.get (Sim.Wheel.pop w)) in
+  List.iteri (fun seq (k, v) -> Sim.Evq.push q ~key:k ~seq v) xs;
+  let popped = List.init 5 (fun _ -> Option.get (Sim.Evq.pop q)) in
   Alcotest.(check (list char)) "sorted by key then seq" [ 'b'; 'd'; 'c'; 'e'; 'a' ] popped;
-  check "empty after" true (Sim.Wheel.is_empty w)
+  check "empty after" true (Sim.Evq.is_empty q)
 
-let wheel_fifo_within_key () =
-  let w = Sim.Wheel.create () in
+let evq_fifo_within_key () =
+  let q = Sim.Evq.create () in
   for i = 0 to 99 do
-    Sim.Wheel.push w ~key:7 ~seq:i i
+    Sim.Evq.push q ~key:7 ~seq:i i
   done;
   for i = 0 to 99 do
-    check_int "fifo" i (Option.get (Sim.Wheel.pop w))
+    check_int "fifo" i (Option.get (Sim.Evq.pop q))
   done
 
-(* Random interleaving across key scales that exercise every internal
-   region: level-0 slots, upper levels, the far-future overflow heap
-   (keys beyond the 2^32 horizon) and the "past" heap (keys below a
-   clock the wheel already advanced past). *)
-let wheel_interleaved () =
-  let w = Sim.Wheel.create () in
+(* Random interleaving across key scales from a few ns to beyond 2^32,
+   so pushes land in the heap ahead of the clock, in the same-instant
+   ring at it, and behind it. *)
+let evq_interleaved () =
+  let q = Sim.Evq.create () in
   let r = Sim.Rng.create 13L in
   let reference = ref [] in
   let seq = ref 0 in
   for _ = 1 to 1000 do
-    if Sim.Rng.float r < 0.6 || Sim.Wheel.is_empty w then begin
+    if Sim.Rng.float r < 0.6 || Sim.Evq.is_empty q then begin
       let k =
         match Sim.Rng.int r 4 with
         | 0 -> Sim.Rng.int r 50
@@ -349,17 +351,17 @@ let wheel_interleaved () =
         | _ -> (1 lsl 33) + Sim.Rng.int r 1_000_000
       in
       incr seq;
-      Sim.Wheel.push w ~key:k ~seq:!seq (k, !seq);
+      Sim.Evq.push q ~key:k ~seq:!seq (k, !seq);
       reference := (k, !seq) :: !reference
     end
     else begin
-      let k, s = Option.get (Sim.Wheel.pop w) in
+      let k, s = Option.get (Sim.Evq.pop q) in
       let sorted = List.sort compare !reference in
       Alcotest.(check (pair int int)) "pop is minimum" (List.hd sorted) (k, s);
       reference := List.filter (fun x -> x <> (k, s)) !reference
     end
   done;
-  check_int "length agrees" (List.length !reference) (Sim.Wheel.length w)
+  check_int "length agrees" (List.length !reference) (Sim.Evq.length q)
 
 (* Regression (PR 8): a popped payload must be unreachable from the queue
    the moment it leaves. The original heap moved the last entry to the
@@ -383,25 +385,25 @@ let heap_pop_releases_payload () =
   check_int "heap empty" 0 (Sim.Heap.length h);
   check "heap released popped payload" false released
 
-let wheel_pop_releases_payload () =
-  (* One near key (wheel bucket) and one far key (overflow heap): both
-     storage regions must clear their slots. *)
-  let t = Sim.Wheel.create () in
+let evq_pop_releases_payload () =
+  (* One key at the clock (the same-instant ring) and one ahead of it
+     (the heap): both storage regions must clear their slots. *)
+  let t = Sim.Evq.create () in
   let w = Weak.create 2 in
   let () =
     let a = ref 1 and b = ref 2 in
     Weak.set w 0 (Some a);
     Weak.set w 1 (Some b);
-    Sim.Wheel.push t ~key:5 ~seq:1 a;
-    Sim.Wheel.push t ~key:(1 lsl 40) ~seq:2 b;
-    check_int "near first" 1 !(Sim.Wheel.pop_exn t);
-    check_int "far second" 2 !(Sim.Wheel.pop_exn t)
+    Sim.Evq.push t ~key:0 ~seq:1 a;
+    Sim.Evq.push t ~key:(1 lsl 40) ~seq:2 b;
+    check_int "ring first" 1 !(Sim.Evq.pop_exn t);
+    check_int "heap second" 2 !(Sim.Evq.pop_exn t)
   in
   Gc.full_major ();
-  let near = Weak.check w 0 and far = Weak.check w 1 in
-  check_int "wheel empty" 0 (Sim.Wheel.length t);
-  check "wheel released near payload" false near;
-  check "wheel released far payload" false far
+  let ring = Weak.check w 0 and heap = Weak.check w 1 in
+  check_int "queue empty" 0 (Sim.Evq.length t);
+  check "queue released ring payload" false ring;
+  check "queue released heap payload" false heap
 
 (* --- Engine --------------------------------------------------------------- *)
 
@@ -853,10 +855,10 @@ let suite =
     ("heap fifo within key", `Quick, heap_fifo_within_key);
     ("heap interleaved", `Quick, heap_interleaved);
     ("heap pop releases payload", `Quick, heap_pop_releases_payload);
-    ("wheel ordering", `Quick, wheel_ordering);
-    ("wheel fifo within key", `Quick, wheel_fifo_within_key);
-    ("wheel interleaved", `Quick, wheel_interleaved);
-    ("wheel pop releases payload", `Quick, wheel_pop_releases_payload);
+    ("wheel ordering", `Quick, evq_ordering);
+    ("wheel fifo within key", `Quick, evq_fifo_within_key);
+    ("wheel interleaved", `Quick, evq_interleaved);
+    ("wheel pop releases payload", `Quick, evq_pop_releases_payload);
     ("engine time advances", `Quick, engine_time_advances);
     ("engine same-time fifo", `Quick, engine_same_time_fifo);
     ("engine until limit", `Quick, engine_until_limit);
