@@ -127,9 +127,10 @@ let encode_slot t ~proposal ~value =
     (match t.canary with Flag -> '\001' | Checksum -> checksum ~proposal ~value);
   img
 
-let decode_slot ?(canary = Flag) img =
+let decode_slot t img =
   if Bytes.length img < entry_header + 1 then None
-  else decode_image img 0 ~value_cap:(Bytes.length img - entry_header - 1) ~canary
+  else
+    decode_image img 0 ~value_cap:(Bytes.length img - entry_header - 1) ~canary:t.canary
 
 let write_slot_raw_local t idx img =
   let len = Bytes.length img in

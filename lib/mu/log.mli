@@ -83,8 +83,9 @@ val encode_slot : t -> proposal:int64 -> value:bytes -> Bytes.t
     the leader RDMA-writes into follower logs. Raises if [value] exceeds
     the value capacity. *)
 
-val decode_slot : ?canary:canary_mode -> Bytes.t -> slot option
-(** Parse a slot image (as produced by {!encode_slot} or read remotely). *)
+val decode_slot : t -> Bytes.t -> slot option
+(** Parse a slot image (as produced by {!encode_slot} or read remotely)
+    under this log's canary mode. *)
 
 val write_slot_local : t -> int -> proposal:int64 -> value:bytes -> unit
 val write_slot_raw_local : t -> int -> Bytes.t -> unit

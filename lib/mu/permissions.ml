@@ -49,21 +49,14 @@ let handle_request t requester gen =
       m "t=%dns replica %d grants write access to %d (gen %Ld)"
         (Sim.Engine.now (Replica.engine t))
         t.Replica.id requester gen);
-  Sim.Engine.span_scope (Replica.engine t) ~pid:t.Replica.id
-    ~args:[ ("requester", string_of_int requester) ]
-    "perm_grant"
-  @@ fun () ->
-  Sim.Engine.trace_span (Replica.engine t) ~cat:"mu" ~pid:t.Replica.id
-    ~args:[ ("requester", string_of_int requester) ]
-    "perm_grant"
-    (fun () ->
-      t.Replica.metrics.Metrics.permission_grants <-
-        t.Replica.metrics.Metrics.permission_grants + 1;
-      revoke_current_holder t ~except:requester;
-      if requester <> t.Replica.id then switch_access t requester Rdma.Verbs.access_rw;
-      t.Replica.perm_holder <- Some requester;
-      Replica.Itbl.replace t.Replica.last_granted requester gen;
-      write_ack t requester gen)
+  Replica.phase t ~args:[ ("requester", string_of_int requester) ] "perm_grant" @@ fun () ->
+  t.Replica.metrics.Metrics.permission_grants <-
+    t.Replica.metrics.Metrics.permission_grants + 1;
+  revoke_current_holder t ~except:requester;
+  if requester <> t.Replica.id then switch_access t requester Rdma.Verbs.access_rw;
+  t.Replica.perm_holder <- Some requester;
+  Replica.Itbl.replace t.Replica.last_granted requester gen;
+  write_ack t requester gen
 
 let pending_request t =
   (* Requests are served in requester-id order (§5.2). *)

@@ -120,14 +120,8 @@ let recycle_once t =
     if min_head > t.Replica.zeroed_up_to then begin
       let count = min_head - t.Replica.zeroed_up_to in
       let complete =
-        Sim.Engine.span_scope (Replica.engine t) ~pid:t.Replica.id
-          ~args:[ ("slots", string_of_int count) ]
-          "recycle"
-        @@ fun () ->
-        Sim.Engine.trace_span (Replica.engine t) ~cat:"mu" ~pid:t.Replica.id
-          ~args:[ ("slots", string_of_int count) ]
-          "recycle"
-          (fun () -> zero_ranges t ~from_idx:t.Replica.zeroed_up_to ~to_idx:min_head)
+        Replica.phase t ~args:[ ("slots", string_of_int count) ] "recycle" @@ fun () ->
+        zero_ranges t ~from_idx:t.Replica.zeroed_up_to ~to_idx:min_head
       in
       (* The watermark only advances once every follower's copy of the
          range has a zeroing write posted; a cut-short round retries. *)

@@ -74,6 +74,16 @@ let bg_size ~n:_ = 16 + (16 * max_replicas)
 let engine t = Sim.Host.engine t.host
 let cal t = Sim.Host.calibration t.host
 
+(* A trace span's end event is emitted even when the phase aborts
+   (trace_span uses Fun.protect), so traces of failed rounds stay
+   well-nested. With provenance on, the phase is also a stack-scoped
+   provenance span: nested phases parent naturally, and the RDMA posts
+   issued inside become its per-peer children. *)
+let phase t ?args name f =
+  let e = engine t in
+  Sim.Engine.span_scope e ~pid:t.id ?args name @@ fun () ->
+  Sim.Engine.trace_span e ~cat:"mu" ~pid:t.id ?args name f
+
 (* NVM regions are keyed by owner id; with several clusters on one
    engine (§8 sharding) the replica id alone would collide, so the
    cluster's durable namespace is folded into the owner. *)
@@ -111,6 +121,8 @@ let create_unwired eng calib config ~ns ~id =
       host;
       id;
       log =
+        (* The one place the canary mode is chosen: every decode reads it
+           from the log. *)
         Log.attach
           ~canary:(if config.Config.checksum_canary then Log.Checksum else Log.Flag)
           log_mr ~slots:config.Config.log_slots ~value_cap:config.Config.value_cap;

@@ -83,10 +83,13 @@ type t = {
   mutable on_commit : int -> bytes -> unit;
   mutable checkpoint : src:int -> dst:int -> int;
       (** Install a checkpoint of replica [src] on replica [dst] (§5.4)
-          and return [dst]'s log head after it; set by {!Smr}. A leader
-          takes one for itself or gives one to a follower when the
-          entries between them were recycled. The default installs
-          nothing and returns 0. *)
+          and return [dst]'s log head after it; set by {!Smr} to its one
+          checkpoint install, which first zeroes the slots of [dst] that
+          the checkpoint skips (at most one lap below it). A leader takes
+          one for itself or gives one to a follower when the entries
+          between them were recycled; {!Smr.add_replica} and the rejoin
+          pipeline use the same install. The default installs nothing
+          and returns 0. *)
   mutable zeroed_up_to : int;  (** Recycling low-water mark (§5.3). *)
   mutable recycler_outstanding : int;
       (** Zeroing writes posted by {!Recycler} whose completions have not
@@ -171,6 +174,12 @@ val group_tag : int -> int
 
 val engine : t -> Sim.Engine.t
 val cal : t -> Sim.Calibration.t
+
+val phase : t -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+(** [phase t name f] runs [f] as a protocol phase of [t]: a ["mu"] trace
+    span and a provenance span, both named [name] and attributed to [t]'s
+    host. The trace span ends even when [f] raises. *)
+
 val peer : t -> int -> peer
 val peer_opt : t -> int -> peer option
 val fresh_wr_id : t -> int

@@ -4,17 +4,6 @@ let log_src = Logs.Src.create "mu.replication" ~doc:"Replication plane"
 
 module L = (val Logs.src_log log_src : Logs.LOG)
 
-(* Protocol-phase span, attributed to this replica's host. A span's end
-   event is emitted even when the phase aborts (trace_span uses
-   Fun.protect), so traces of failed rounds stay well-nested. With
-   provenance on, the phase is also a stack-scoped provenance span: nested
-   phases parent naturally, and the RDMA posts issued inside become its
-   per-peer children. *)
-let tspan t name f =
-  let e = Replica.engine t in
-  Sim.Engine.span_scope e ~pid:t.Replica.id name @@ fun () ->
-  Sim.Engine.trace_span e ~cat:"mu" ~pid:t.Replica.id name f
-
 let abort t reason =
   L.debug (fun m ->
       m "t=%dns replica %d aborts propose: %s"
@@ -127,7 +116,7 @@ let await_tag t ~tag ~needed =
 let grow_followers_grace = 100_000
 
 let acquire_followers t =
-  tspan t "perm_acquire" @@ fun () ->
+  Replica.phase t "perm_acquire" @@ fun () ->
   let host = t.Replica.host in
   let gen = Permissions.request_permissions t in
   let deadline = Sim.Engine.now (Replica.engine t) + 500_000_000 in
@@ -164,8 +153,11 @@ let acquire_followers t =
 
 (* --- leader catch-up (Listing 5) --------------------------------------- *)
 
-let read_fuos t =
-  tspan t "read_fuos" @@ fun () ->
+(* Read the 8-byte log-header word at [off] (FUO or minProposal) from
+   every confirmed follower. Listings 2 and 5 read them all ("abort if
+   any read fails"): the value-visibility argument of Invariant A.6
+   needs the full set, not just a majority. *)
+let read_words t ~off =
   let cf = confirmed_peers t in
   let tag = Replica.fresh_tag t in
   let bufs =
@@ -174,14 +166,22 @@ let read_fuos t =
         let buf = Bytes.create 8 in
         post_tracked t p ~tag ~post:(fun wr_id ->
             Rdma.Qp.post_read p.Replica.repl_qp ~wr_id ~dst:buf ~dst_off:0 ~len:8
-              ~mr:p.Replica.remote_log_mr ~src_off:Log.fuo_offset);
+              ~mr:p.Replica.remote_log_mr ~src_off:off);
         (p, buf))
       cf
   in
-  (* Listing 5 reads every confirmed follower's FUO ("abort if any read
-     fails"), so we wait for all of them. *)
-  let _ = await_tag t ~tag ~needed:(List.length cf) in
+  ignore (await_tag t ~tag ~needed:(List.length cf));
   List.map (fun (p, buf) -> (p, Int64.to_int (Bytes.get_int64_le buf 0))) bufs
+
+let read_fuos t = Replica.phase t "read_fuos" @@ fun () -> read_words t ~off:Log.fuo_offset
+
+(* Write [fuo] into [p]'s log header, tracked under [tag]. *)
+let post_fuo t (p : Replica.peer) ~tag fuo =
+  let buf = Bytes.create 8 in
+  Bytes.set_int64_le buf 0 (Int64.of_int fuo);
+  post_tracked t p ~tag ~post:(fun wr_id ->
+      Rdma.Qp.post_write p.Replica.repl_qp ~wr_id ~src:buf ~src_off:0 ~len:8
+        ~mr:p.Replica.remote_log_mr ~dst_off:Log.fuo_offset)
 
 (* An empty slot below [p]'s FUO was recycled (or lies under a
    checkpoint [p] took): we are behind what [p]'s log still holds, so we
@@ -197,12 +197,9 @@ let copy_remote_slots t (p : Replica.peer) ~from_idx ~to_idx =
           Rdma.Qp.post_read p.Replica.repl_qp ~wr_id ~dst:buf ~dst_off:0 ~len:slot_size
             ~mr:p.Replica.remote_log_mr ~src_off:(Log.slot_offset log idx));
       let _ = await_tag t ~tag ~needed:1 in
-      if
-        Log.decode_slot
-          ~canary:(if t.Replica.config.Config.checksum_canary then Log.Checksum else Log.Flag)
-          buf
-        <> None
-      then (Log.write_slot_raw_local log idx buf; copy (idx + 1))
+      if Log.decode_slot log buf <> None then (
+        Log.write_slot_raw_local log idx buf;
+        copy (idx + 1))
       else if t.Replica.checkpoint ~src:p.Replica.pid ~dst:t.Replica.id > idx then
         copy (Log.fuo log)
       else
@@ -214,7 +211,7 @@ let copy_remote_slots t (p : Replica.peer) ~from_idx ~to_idx =
   copy from_idx
 
 let leader_catch_up t fuos =
-  tspan t "catch_up" @@ fun () ->
+  Replica.phase t "catch_up" @@ fun () ->
   let log = t.Replica.log in
   let my_fuo = Log.fuo log in
   match List.fold_left (fun acc (p, f) -> match acc with Some (_, best) when best >= f -> acc | _ -> Some (p, f)) None fuos with
@@ -229,7 +226,7 @@ let leader_catch_up t fuos =
 (* --- update followers (Listing 6) -------------------------------------- *)
 
 let update_followers t fuos =
-  tspan t "update_followers" @@ fun () ->
+  Replica.phase t "update_followers" @@ fun () ->
   let log = t.Replica.log in
   let my_fuo = Log.fuo log in
   let tag = Replica.fresh_tag t in
@@ -261,18 +258,14 @@ let update_followers t fuos =
                 ~dst_off:(Log.slot_offset log idx));
           incr posted
         done;
-        let fuo_buf = Bytes.create 8 in
-        Bytes.set_int64_le fuo_buf 0 (Int64.of_int my_fuo);
-        post_tracked t p ~tag ~post:(fun wr_id ->
-            Rdma.Qp.post_write p.Replica.repl_qp ~wr_id ~src:fuo_buf ~src_off:0 ~len:8
-              ~mr:p.Replica.remote_log_mr ~dst_off:Log.fuo_offset);
+        post_fuo t p ~tag my_fuo;
         incr posted
       end)
     fuos;
   if !posted > 0 then ignore (await_tag t ~tag ~needed:!posted)
 
 let become_leader t =
-  tspan t "become_leader" @@ fun () ->
+  Replica.phase t "become_leader" @@ fun () ->
   acquire_followers t;
   let fuos = read_fuos t in
   leader_catch_up t fuos;
@@ -304,35 +297,15 @@ let grow_followers t =
 
 (* --- prepare phase (Listing 2, lines 17-29) ---------------------------- *)
 
-let read_min_proposals t =
-  let cf = confirmed_peers t in
-  let tag = Replica.fresh_tag t in
-  let bufs =
-    List.map
-      (fun p ->
-        let buf = Bytes.create 8 in
-        post_tracked t p ~tag ~post:(fun wr_id ->
-            Rdma.Qp.post_read p.Replica.repl_qp ~wr_id ~dst:buf ~dst_off:0 ~len:8
-              ~mr:p.Replica.remote_log_mr ~src_off:Log.min_proposal_offset);
-        (p.Replica.pid, buf))
-      cf
-  in
-  (* Listing 2 prepare: every confirmed follower must answer ("abort if
-     any read fails") — the value-visibility argument of Invariant A.6
-     needs the full set, not just a majority. *)
-  let ok = await_tag t ~tag ~needed:(List.length cf) in
-  List.filter_map
-    (fun (pid, buf) -> if List.mem pid ok then Some (Bytes.get_int64_le buf 0) else None)
-    bufs
-
 let prepare_phase t ~idx =
-  tspan t "prepare" @@ fun () ->  t.Replica.metrics.Metrics.prepare_phases <- t.Replica.metrics.Metrics.prepare_phases + 1;
+  Replica.phase t "prepare" @@ fun () ->
+  t.Replica.metrics.Metrics.prepare_phases <- t.Replica.metrics.Metrics.prepare_phases + 1;
   let log = t.Replica.log in
-  let minps = read_min_proposals t in
+  let minps = read_words t ~off:Log.min_proposal_offset in
   check_own_permission t;
   let highest =
     List.fold_left
-      (fun acc mp -> if Int64.compare mp acc > 0 then mp else acc)
+      (fun acc (_, mp) -> Int64.max acc (Int64.of_int mp))
       (Log.min_proposal log) minps
   in
   let prop_num = Replica.fresh_prop_num t ~above:highest in
@@ -359,12 +332,9 @@ let prepare_phase t ~idx =
       cf
   in
   let ok = await_tag t ~tag ~needed:(List.length cf) in
-  let canary =
-    if t.Replica.config.Config.checksum_canary then Log.Checksum else Log.Flag
-  in
   let remote_slots =
     List.filter_map
-      (fun (pid, buf) -> if List.mem pid ok then Log.decode_slot ~canary buf else None)
+      (fun (pid, buf) -> if List.mem pid ok then Log.decode_slot log buf else None)
       bufs
   in
   let all_slots =
@@ -425,7 +395,8 @@ let post_accept t ~tag ~idx ~imgs =
     (confirmed_peers t)
 
 let accept_phase t ~prop_num ~value ~idx =
-  tspan t "accept" @@ fun () ->  t.Replica.metrics.Metrics.accept_rounds <- t.Replica.metrics.Metrics.accept_rounds + 1;
+  Replica.phase t "accept" @@ fun () ->
+  t.Replica.metrics.Metrics.accept_rounds <- t.Replica.metrics.Metrics.accept_rounds + 1;
   let img = Log.encode_slot t.Replica.log ~proposal:prop_num ~value in
   let tag = Replica.fresh_tag t in
   post_accept t ~tag ~idx ~imgs:[ img ];
@@ -462,7 +433,7 @@ let propose t value =
   Fun.protect
     ~finally:(fun () -> t.Replica.propose_started_at <- None)
     (fun () ->
-      tspan t "propose" @@ fun () ->
+      Replica.phase t "propose" @@ fun () ->
       if t.Replica.need_new_followers then become_leader t
       else grow_followers t;
       let committed_at = ref (-1) in
@@ -477,7 +448,7 @@ let propose t value =
         accept_phase t ~prop_num ~value:v ~idx;
         (* Only our own value's commit ends the client-visible replication. *)
         let since = if adopted = None then t.Replica.propose_started_at else None in
-        commit t ~within:(tspan t "commit") ?since ~upto:(idx + 1);
+        commit t ~within:(Replica.phase t "commit") ?since ~upto:(idx + 1);
         if adopted = None then committed_at := idx
       done;
       t.Replica.metrics.Metrics.commits <- t.Replica.metrics.Metrics.commits + 1;

@@ -59,6 +59,12 @@ val post_accept : Replica.t -> tag:int -> idx:int -> imgs:Bytes.t list -> unit
     [Log.slots - (idx mod Log.slots)]. With [persistent_log], the flush
     cost is paid once for the group. *)
 
+val post_fuo : Replica.t -> Replica.peer -> tag:int -> int -> unit
+(** [post_fuo r p ~tag fuo] posts one RDMA Write of [fuo] into peer [p]'s
+    log header, its completion tracked under [tag] (Listing 6's FUO
+    update, and the final bump that tells a removed replica its [Remove]
+    committed). *)
+
 val remote_majority : Replica.t -> int
 (** Number of remote completions that constitute a majority with self. *)
 

@@ -187,52 +187,46 @@ let stop_fuo_at_gap (r : Replica.t) =
   while !fuo < Log.fuo log && Log.slot_filled log !fuo do incr fuo done;
   Log.set_fuo log !fuo
 
-(* Checkpoint transfer (§5.4): install [source]'s application state on
-   [newcomer]. Only ever moves the target forward; decided durable
-   entries past the checkpoint replay from the target's own log, up to
-   its first missing one. *)
-let install_from t ~(source : Replica.t) (newcomer : Replica.t) =
+(* The one checkpoint install (§5.4): [source]'s application state onto
+   [target], which only moves forward; returns the target's log head.
+   Before [applied] and [zeroed_up_to] jump to the checkpoint s, the
+   target's slots [max applied (s - log_slots), s) are zeroed: they may
+   hold undecided entries or an older lap's, which the recycler (§5.3)
+   never zeroes below its watermark, so a later catch-up could copy them
+   as decided. Decided durable entries past s replay from the target's
+   own log, up to its first missing one. *)
+let install_checkpoint t ~(source : Replica.t) (target : Replica.t) =
   let s = source.Replica.applied in
-  if s > newcomer.Replica.applied then begin
-    t.apps.(newcomer.Replica.id).install (t.apps.(source.Replica.id).snapshot ());
-    newcomer.Replica.applied <- s;
-    stop_fuo_at_gap newcomer;
-    newcomer.Replica.zeroed_up_to <- s
+  if s > target.Replica.applied then begin
+    let log = target.Replica.log in
+    for idx = Int.max target.Replica.applied (s - Log.slots log) to s - 1 do
+      Log.zero_slot_local log idx
+    done;
+    t.apps.(target.Replica.id).install (t.apps.(source.Replica.id).snapshot ());
+    target.Replica.applied <- s;
+    stop_fuo_at_gap target;
+    target.Replica.zeroed_up_to <- s
   end;
-  Replica.apply_committed newcomer;
-  Rdma.Mr.set_int newcomer.Replica.bg_mr ~off:Replica.bg_log_head_offset
-    newcomer.Replica.applied
+  Replica.apply_committed target;
+  Rdma.Mr.set_int target.Replica.bg_mr ~off:Replica.bg_log_head_offset target.Replica.applied;
+  target.Replica.applied
 
-(* A joining or rejoining replica's checkpoint: "Mu uses the standard
-   approach of check-pointing state; we do so from one of the followers"
-   — taking the snapshot off the leader's critical path, falling back to
-   the leader if no live follower exists. Shared by [add_replica] and the
-   rejoin pipeline, which may call it repeatedly (the first checkpoint
-   races the recycler; a recycled entry forces a fresh one). *)
-let install_checkpoint t (newcomer : Replica.t) (l : Replica.t) =
-  let id = newcomer.Replica.id in
-  let source =
-    Array.to_list t.replicas
-    |> List.find_opt (fun (r : Replica.t) ->
-           r.Replica.id <> l.Replica.id
-           && r.Replica.id <> id
-           && (not r.Replica.removed)
-           && Sim.Host.process_alive r.Replica.host)
-    |> Option.value ~default:l
-  in
-  install_from t ~source newcomer
-
-(* A leader's checkpoint between two live members ([Replica.checkpoint]).
-   The target's log between its FUO and the checkpoint may hold undecided
-   entries; they are zeroed, so no later catch-up copies them as decided. *)
-let checkpoint t ~src ~dst =
-  let r = t.replicas.(dst) and source = t.replicas.(src) in
-  let log = r.Replica.log in
-  for idx = Log.fuo log to min source.Replica.applied (Log.fuo log + Log.slots log) - 1 do
-    Log.zero_slot_local log idx
-  done;
-  install_from t ~source r;
-  r.Replica.applied
+(* Where a joining or rejoining replica [id] takes its checkpoint: "Mu
+   uses the standard approach of check-pointing state; we do so from one
+   of the followers" — a live follower of leader [l], off the leader's
+   critical path, or [l] itself if none is live. [add_replica] and the
+   rejoin pipeline use it; the rejoin may install repeatedly (the first
+   checkpoint races the recycler; a recycled entry forces a fresh one).
+   A leader's own catch-up and update-followers name their source
+   ([Replica.checkpoint]). *)
+let follower_source t ~(l : Replica.t) id =
+  Array.to_list t.replicas
+  |> List.find_opt (fun (r : Replica.t) ->
+         r.Replica.id <> l.Replica.id
+         && r.Replica.id <> id
+         && (not r.Replica.removed)
+         && Sim.Host.process_alive r.Replica.host)
+  |> Option.value ~default:l
 
 (* Replica ids stay below [Replica.max_replicas] and slot indices below
    2^40, so the slot index takes the low bits the table hashes on. *)
@@ -247,7 +241,8 @@ let response_key (r : Replica.t) idx = idx lor (r.Replica.id lsl 40)
    or above the floor were decided after the rewiring and apply
    normally. *)
 let install_commit_hook ?(config_floor = 0) t (r : Replica.t) =
-  r.Replica.checkpoint <- checkpoint t;
+  r.Replica.checkpoint <-
+    (fun ~src ~dst -> install_checkpoint t ~source:t.replicas.(src) t.replicas.(dst));
   r.Replica.on_commit <-
     (fun idx value ->
       match decode_batch value with
@@ -850,12 +845,7 @@ let propose_config_entry t op =
              let idx = Replication.propose r payload in
              match removed_peer with
              | Some p when Rdma.Qp.state p.Replica.repl_qp = Rdma.Verbs.Rts ->
-               let fuo_buf = Bytes.create 8 in
-               Bytes.set_int64_le fuo_buf 0 (Int64.of_int (idx + 1));
-               let wr = Replica.fresh_wr_id r in
-               Replica.Itbl.replace r.Replica.inflight wr (p.Replica.pid, Replica.config_tag);
-               Rdma.Qp.post_write p.Replica.repl_qp ~wr_id:wr ~src:fuo_buf ~src_off:0
-                 ~len:8 ~mr:p.Replica.remote_log_mr ~dst_off:Log.fuo_offset
+               Replication.post_fuo r p ~tag:Replica.config_tag (idx + 1)
              | Some _ | None -> ()
            with Replication.Aborted _ -> ());
           Sim.Engine.Ivar.fill done_ ());
@@ -895,14 +885,13 @@ let add_replica t () =
     (fun r -> if not r.Replica.removed then Replica.wire r newcomer)
     t.replicas;
   t.replicas <- Array.append t.replicas [| newcomer |];
-  let new_apps = Array.init (id + 1) (fun i -> if i < id then t.apps.(i) else t.apps.(0)) in
-  (* The newcomer runs a fresh instance of the first app; state is then
-     overwritten by the checkpoint. *)
-  t.apps <- new_apps;
+  (* The newcomer runs its own app object, as a restarted replica does;
+     its state then comes from the checkpoint. *)
+  t.apps <- Array.append t.apps [| t.make_app id |];
   install_commit_hook t newcomer;
   (match leader t with
   | Some l ->
-    install_checkpoint t newcomer l;
+    ignore (install_checkpoint t ~source:(follower_source t ~l id) newcomer);
     l.Replica.need_new_followers <- true
   | None -> ());
   start_replica t newcomer;
@@ -937,7 +926,6 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
   let e = t.engine in
   let id = newcomer.Replica.id in
   let log = newcomer.Replica.log in
-  let canary = if t.cfg.Config.checksum_canary then Log.Checksum else Log.Flag in
   let slot_size = Log.slot_size log in
   let stopped () = newcomer.Replica.stop || newcomer.Replica.removed in
   let leader_peer () =
@@ -978,7 +966,7 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
       if not (read_remote p ~src_off:(Log.slot_offset log idx) ~len:slot_size ~dst:buf)
       then Recovery.Catchup.Unreachable
       else (
-        match Log.decode_slot ~canary buf with
+        match Log.decode_slot log buf with
         | Some _ -> Recovery.Catchup.Entry buf
         | None -> Recovery.Catchup.Recycled)
   in
@@ -991,7 +979,7 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
   let recheckpoint () =
     match serving_leader t with
     | None -> ()
-    | Some l -> install_checkpoint t newcomer l
+    | Some l -> ignore (install_checkpoint t ~source:(follower_source t ~l id) newcomer)
   in
   (* Recover the application first: replay the durable log up to its
      first missing entry (the pure durable-restore path). The FUO stops

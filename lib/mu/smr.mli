@@ -91,8 +91,10 @@ val remove_replica : t -> id:int -> unit
 
 val add_replica : t -> unit -> Replica.t
 (** Add a fresh replica (next free id): propose the configuration entry,
-    wire the newcomer, transfer an application checkpoint (taken from a
-    follower, per §5.4), and start its planes (fiber context).
+    wire the newcomer with its own application object ([make_app id]),
+    install an application checkpoint taken from a live follower (§5.4;
+    the leader if none is live) through the same install as every other
+    checkpoint, and start its planes (fiber context).
 
     Known simplification: replicas started before the newcomer joined do
     not spawn a failure-detector monitor for it. Because ids only grow,

@@ -4,14 +4,14 @@
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let make_log ?(slots = 16) ?(value_cap = 64) () =
+let make_log ?canary ?(slots = 16) ?(value_cap = 64) () =
   let e = Util.engine () in
   let h = Util.host e ~id:0 in
   let mr =
     Rdma.Mr.register h ~size:(Mu.Log.required_size ~slots ~value_cap)
       ~access:Rdma.Verbs.access_rw
   in
-  Mu.Log.attach mr ~slots ~value_cap
+  Mu.Log.attach ?canary mr ~slots ~value_cap
 
 let header_fields () =
   let log = make_log () in
@@ -128,15 +128,31 @@ let stale_canary_would_lie_without_zeroing () =
 let decode_slot_roundtrip () =
   let log = make_log () in
   let img = Mu.Log.encode_slot log ~proposal:11L ~value:(Bytes.of_string "roundtrip") in
-  match Mu.Log.decode_slot img with
+  match Mu.Log.decode_slot log img with
   | Some { Mu.Log.proposal; value } ->
     Alcotest.(check int64) "proposal" 11L proposal;
     Alcotest.(check string) "value" "roundtrip" (Bytes.to_string value)
   | None -> Alcotest.fail "decode failed"
 
 let decode_garbage_is_none () =
-  check "short" true (Mu.Log.decode_slot (Bytes.make 4 'x') = None);
-  check "zeros" true (Mu.Log.decode_slot (Bytes.make 64 '\000') = None)
+  let log = make_log () in
+  check "short" true (Mu.Log.decode_slot log (Bytes.make 4 'x') = None);
+  check "zeros" true (Mu.Log.decode_slot log (Bytes.make 64 '\000') = None)
+
+(* A checksum-mode log decodes under its own canary: its image round-trips,
+   and a corrupted middle byte, which a flag-mode log would accept, is
+   rejected. *)
+let decode_slot_checksum_roundtrip () =
+  let sum_log = make_log ~canary:Mu.Log.Checksum () in
+  let img = Mu.Log.encode_slot sum_log ~proposal:7L ~value:(Bytes.of_string "summed") in
+  (match Mu.Log.decode_slot sum_log img with
+  | Some { Mu.Log.proposal; value } ->
+    Alcotest.(check int64) "proposal" 7L proposal;
+    Alcotest.(check string) "value" "summed" (Bytes.to_string value)
+  | None -> Alcotest.fail "checksum decode failed");
+  Bytes.set img 14 (Char.chr (Char.code (Bytes.get img 14) lxor 0xff));
+  check "checksum log rejects corruption" true (Mu.Log.decode_slot sum_log img = None);
+  check "flag log trusts the final byte" true (Mu.Log.decode_slot (make_log ()) img <> None)
 
 let required_size_consistent () =
   let slots = 32 and value_cap = 100 in
@@ -276,6 +292,7 @@ let suite =
     ("recycling zeroing rationale", `Quick, stale_canary_would_lie_without_zeroing);
     ("decode slot roundtrip", `Quick, decode_slot_roundtrip);
     ("decode garbage is none", `Quick, decode_garbage_is_none);
+    ("decode slot checksum roundtrip", `Quick, decode_slot_checksum_roundtrip);
     ("required size consistent", `Quick, required_size_consistent);
     ("attach rejects small mr", `Quick, attach_rejects_small_mr);
     ("checksum canary detects corruption", `Quick, checksum_canary_detects_corruption);

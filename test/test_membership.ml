@@ -77,6 +77,40 @@ let add_replica_receives_state () =
       check "newcomer applying" true (newcomer.Mu.Replica.applied > 0);
       ignore e)
 
+(* The newcomer runs its own application object: a counting app (its
+   reply is its apply count) answers every submit after the join with the
+   next number, and replica 0's object is applied once per commit. *)
+let newcomer_gets_own_app () =
+  let counts = Array.make 8 0 in
+  let make_app id =
+    {
+      Mu.Smr.apply =
+        (fun _ ->
+          counts.(id) <- counts.(id) + 1;
+          Bytes.of_string (string_of_int counts.(id)));
+      snapshot = (fun () -> Bytes.of_string (string_of_int counts.(id)));
+      install = (fun b -> counts.(id) <- int_of_string (Bytes.to_string b));
+    }
+  in
+  with_smr ~make_app (fun e smr ->
+      Mu.Smr.wait_live smr;
+      let submit i = Bytes.to_string (Mu.Smr.submit smr (Bytes.of_string (string_of_int i))) in
+      for i = 1 to 5 do
+        ignore (submit i)
+      done;
+      let newcomer = Mu.Smr.add_replica smr () in
+      let replies = List.init 10 (fun i -> submit (6 + i)) in
+      Alcotest.(check (list string))
+        "consecutive replies after the join"
+        (List.init 10 (fun i -> string_of_int (6 + i)))
+        replies;
+      check_int "one apply per commit on replica 0" 15 counts.(0);
+      (* A follower applies up to the FUO it has seen, one entry behind
+         the leader until the next accept. *)
+      Util.wait_for
+        (fun () -> counts.(1) >= 14 && counts.(newcomer.Mu.Replica.id) = counts.(1))
+        e)
+
 let add_then_remove_leader_failover () =
   with_smr (fun e smr ->
       Mu.Smr.wait_live smr;
@@ -160,6 +194,7 @@ let suite =
     ("remove follower", `Quick, remove_follower);
     ("removed replica ignored by election", `Quick, removed_replica_ignored_by_election);
     ("add replica receives state", `Quick, add_replica_receives_state);
+    ("newcomer gets its own app", `Quick, newcomer_gets_own_app);
     ("add then remove leader failover", `Quick, add_then_remove_leader_failover);
     ( "membership changes under asymmetric partition",
       `Quick,

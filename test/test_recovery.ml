@@ -532,10 +532,14 @@ let degrade_window_accounting () =
    rejoin at parity and a leader that is not regrowing its followers —
    within 100 ms, and the whole history must be linearizable. Each
    restart used to leave stale permission state behind that made later
-   rounds stall. Kept under ten rounds: leaders change faster than
-   [recycle_interval], so the recycler never runs and the log fills. *)
-let repeated_leader_restarts_settle ~seed ~rounds =
-  let cfg = { durable_cfg with Mu.Config.max_batch = 8 } in
+   rounds stall. At the default [recycle_interval] it is kept under ten
+   rounds: leaders change faster than the interval, so the recycler never
+   runs and the log fills. At 1 ms the recycler runs, and past one log
+   lap a fail-back leader installs a checkpoint over slots of the
+   previous lap, which the install must zero. *)
+let repeated_leader_restarts_settle ?(recycle_interval = durable_cfg.Mu.Config.recycle_interval)
+    ~seed ~rounds () =
+  let cfg = { durable_cfg with Mu.Config.max_batch = 8; recycle_interval } in
   with_smr ~cfg ~seed (fun e smr ->
       Mu.Smr.wait_live smr;
       let rng = Sim.Rng.split (Sim.Engine.rng e) in
@@ -603,11 +607,19 @@ let repeated_leader_restarts_settle ~seed ~rounds =
       generating := false;
       check "every request answered" true (within 100_000_000 (fun () -> !open_ops = 0));
       check "history linearizable" true (Workload.Linearizability.check !history);
-      check "no invariant violations" true
-        (Mu.Invariants.check_all (Mu.Smr.replicas smr) = []))
+      check_int
+        (Printf.sprintf "seed %Ld: invariant violations" seed)
+        0
+        (List.length (Mu.Invariants.check_all (Mu.Smr.replicas smr))))
 
 let repeated_leader_restarts () =
-  List.iter (fun seed -> repeated_leader_restarts_settle ~seed ~rounds:8) [ 1L; 3L ]
+  List.iter (fun seed -> repeated_leader_restarts_settle ~seed ~rounds:8 ()) [ 1L; 3L ]
+
+let leader_restarts_past_a_lap () =
+  List.iter
+    (fun seed ->
+      repeated_leader_restarts_settle ~recycle_interval:1_000_000 ~seed ~rounds:14 ())
+    [ 1L; 3L ]
 
 (* --- determinism --------------------------------------------------------- *)
 
@@ -719,6 +731,7 @@ let suite =
     ("restart of running replica is a no-op", `Quick, restart_of_running_replica_is_noop);
     ("quorum loss sheds then resumes", `Quick, quorum_loss_sheds_then_resumes);
     ("repeated leader restarts settle", `Quick, repeated_leader_restarts);
+    ("leader restarts past a log lap", `Quick, leader_restarts_past_a_lap);
     ("recovery runs deterministic", `Quick, recovery_runs_are_deterministic);
     ("durable off is unchanged", `Quick, durable_off_run_is_unchanged);
     ("durable namespaces follow creation", `Quick, durable_namespaces_follow_creation);
