@@ -125,14 +125,15 @@ let decode_reply data =
       | _ -> None
     with Invalid_argument _ -> None
 
+(* The session keeps the encoded reply; the caller gets a copy, so a
+   transport that reuses the reply's bytes cannot change the record. *)
 let apply_dedup t ~client ~req_id cmd =
   match Ctbl.find_opt t.last_applied client with
-  | Some (last, reply) when req_id <= last ->
-    Option.value (decode_reply reply) ~default:Not_found
+  | Some (last, reply) when req_id <= last -> Bytes.copy reply
   | Some _ | None ->
-    let reply = apply t cmd in
-    Ctbl.replace t.last_applied client (req_id, encode_reply reply);
-    reply
+    let reply = encode_reply (apply t cmd) in
+    Ctbl.replace t.last_applied client (req_id, reply);
+    Bytes.copy reply
 
 (* --- checkpointing -------------------------------------------------------- *)
 
@@ -204,7 +205,7 @@ let smr_app ?(lose_put_every = 0) () =
             Ctbl.replace !store.last_applied client (req_id, reply);
             reply
           end
-          else encode_reply (apply_dedup !store ~client ~req_id cmd)
+          else apply_dedup !store ~client ~req_id cmd
         | None -> Bytes.empty);
     snapshot = (fun () -> snapshot !store);
     install = (fun data -> store := restore data);

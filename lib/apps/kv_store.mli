@@ -38,10 +38,11 @@ val pp_reply : reply Fmt.t
 val apply : t -> command -> reply
 (** Execute a command directly (no dedup). *)
 
-val apply_dedup : t -> client:int -> req_id:int -> command -> reply
-(** Execute with duplicate suppression: a [req_id] at or below the
-    client's last applied id returns the recorded reply without
-    re-executing. *)
+val apply_dedup : t -> client:int -> req_id:int -> command -> Bytes.t
+(** Execute with duplicate suppression and return the encoded reply
+    ({!encode_reply}): a [req_id] at or below the client's last applied
+    id returns the recorded reply without re-executing. The result is a
+    fresh copy of the bytes the session records. *)
 
 val size : t -> int
 val find : t -> string -> string option

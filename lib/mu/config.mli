@@ -22,7 +22,7 @@ type t = {
   recycle_interval : int;  (** Period of the log-recycling scan (§5.3). *)
   recycle_slack : int;  (** Slots kept free so the log is never full (§5.3). *)
   fate_sharing : bool
-      (** Leader-election thread stops heartbeating when the replication
+      (** The heartbeat counter stops advancing when the replication
           thread is stuck (§5.1). The paper describes but does not
           implement this; we implement it behind this flag. *);
   fate_sharing_stuck_after : int

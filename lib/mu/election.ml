@@ -8,31 +8,6 @@ let is_alive t id =
   if id = t.Replica.id then true
   else Option.value (Replica.Itbl.find_opt t.Replica.alive id) ~default:true
 
-(* Replication-plane activity check for fate sharing: a propose call in
-   flight for longer than the configured bound means the replication
-   thread is stuck and we should stop advertising liveness (§5.1). *)
-let replication_stuck t =
-  match t.Replica.propose_started_at with
-  | None -> false
-  | Some started ->
-    Sim.Engine.now (Replica.engine t) - started
-    > t.Replica.config.Config.fate_sharing_stuck_after
-
-let heartbeat_fiber t =
-  let c = Replica.cal t in
-  let rec loop () =
-    if t.Replica.stop || t.Replica.removed then ()
-    else begin
-      if not (t.Replica.config.Config.fate_sharing && replication_stuck t) then begin
-        let v = read_own_heartbeat t in
-        Rdma.Mr.set_int t.Replica.bg_mr ~off:Replica.bg_hb_offset (v + 1)
-      end;
-      Sim.Host.cpu t.Replica.host c.Sim.Calibration.hb_increment_interval;
-      loop ()
-    end
-  in
-  loop ()
-
 let clamp c v =
   let lo = c.Sim.Calibration.score_min and hi = c.Sim.Calibration.score_max in
   if v < lo then lo else if v > hi then hi else v
@@ -187,7 +162,7 @@ let role_fiber t ~on_role_change =
   loop ()
 
 let start t ~on_role_change =
-  Sim.Host.spawn t.Replica.host ~name:"heartbeat" (fun () -> heartbeat_fiber t);
+  Replica.start_heartbeat t;
   List.iter
     (fun p ->
       Sim.Host.spawn t.Replica.host

@@ -1,7 +1,9 @@
 (** Leader election via pull-score failure detection (§5.1).
 
     Every replica continually increments a heartbeat counter in its local
-    background MR. For each peer, a monitor fiber RDMA-Reads the peer's
+    background MR; here the counter is computed when it is read
+    ({!Replica.settle_heartbeat}), so it costs no fiber and no event. For
+    each peer, a monitor fiber RDMA-Reads the peer's
     counter every [fd_read_interval] and keeps a score: +1 when the counter
     advanced since the previous read, −1 otherwise, capped to
     [score_min, score_max]. A peer is declared failed when its score drops
@@ -16,11 +18,12 @@
     among the replicas [i] considers alive (itself included).
 
     Fate sharing (§5.1, optional via {!Config.fate_sharing}): the
-    heartbeat fiber stops incrementing while the replication plane is stuck
-    inside a propose call, so a wedged leader gets replaced. *)
+    counter stops advancing while the replication plane is stuck inside
+    a propose call, so a wedged leader gets replaced. *)
 
 val start : Replica.t -> on_role_change:(Replica.role -> unit) -> unit
-(** Spawn the heartbeat, per-peer monitor, and role-decision fibers.
+(** Start the heartbeat counter and spawn the per-peer monitor and
+    role-decision fibers.
     [on_role_change] fires from the role fiber whenever this replica's
     role flips. *)
 
@@ -35,3 +38,4 @@ val readmit : Replica.t -> int -> unit
     releasing the floor score it pinned while rewiring. *)
 
 val read_own_heartbeat : Replica.t -> int
+(** This replica's heartbeat counter, settled to the current instant. *)

@@ -46,6 +46,9 @@ type t = {
   mutable tag_seq : int;
   inflight : (int * int) Itbl.t;
   mutable propose_started_at : int option;
+  mutable hb_started : bool;
+  mutable hb_value : int;
+  mutable hb_next : int;
   mutable election_span : int;
   mutable applied : int;
   mutable on_commit : int -> bytes -> unit;
@@ -83,6 +86,50 @@ let phase t ?args name f =
   let e = engine t in
   Sim.Engine.span_scope e ~pid:t.id ?args name @@ fun () ->
   Sim.Engine.trace_span e ~cat:"mu" ~pid:t.id ?args name f
+
+(* The heartbeat counter (§5.1), computed when it is read. It advances
+   by one at every instant of its grid ([hb_next], then every
+   [hb_increment_interval]) while the host runs and the replica is
+   started, not stopped and not removed. With fate sharing, an instant
+   more than [fate_sharing_stuck_after] into a propose call is skipped.
+   Those inputs only change through the setters below and the host's
+   liveness hook, each of which settles the counter first, so between
+   two settles they are constant and the ticks can be counted at once.
+   Ticks at the current instant count. *)
+let settle_heartbeat t =
+  let now = Sim.Engine.now (engine t) in
+  let running =
+    match Sim.Host.liveness t.host with
+    | Sim.Host.Running -> true
+    | Sim.Host.Paused | Sim.Host.Process_stopped | Sim.Host.Host_dead -> false
+  in
+  if t.hb_next <= now && t.hb_started && (not t.stop) && (not t.removed) && running then begin
+    let period = (cal t).Sim.Calibration.hb_increment_interval in
+    let last =
+      match t.propose_started_at with
+      | Some started when t.config.Config.fate_sharing ->
+        Int.min now (started + t.config.Config.fate_sharing_stuck_after)
+      | Some _ | None -> now
+    in
+    if last >= t.hb_next then begin
+      t.hb_value <- t.hb_value + ((last - t.hb_next) / period) + 1;
+      Rdma.Mr.set_int t.bg_mr ~off:bg_hb_offset t.hb_value
+    end;
+    t.hb_next <- t.hb_next + ((((now - t.hb_next) / period) + 1) * period)
+  end
+
+let start_heartbeat t =
+  t.hb_started <- true;
+  t.hb_next <- Sim.Engine.now (engine t)
+
+let set_propose_started_at t v =
+  settle_heartbeat t;
+  t.propose_started_at <- v
+
+let halt ?(removed = false) t =
+  settle_heartbeat t;
+  t.stop <- true;
+  if removed then t.removed <- true
 
 (* NVM regions are keyed by owner id; with several clusters on one
    engine (§8 sharding) the replica id alone would collide, so the
@@ -146,6 +193,9 @@ let create_unwired eng calib config ~ns ~id =
       tag_seq = 0;
       inflight = Itbl.create 64;
       propose_started_at = None;
+      hb_started = false;
+      hb_value = 0;
+      hb_next = 0;
       election_span = 0;
       applied = 0;
       on_commit = (fun _ _ -> ());
@@ -168,6 +218,12 @@ let create_unwired eng calib config ~ns ~id =
       Sim.Host.ring t.perm_bell);
   Rdma.Mr.watch bg_mr ~off:(bg_ack_offset 0) ~len:(8 * max_replicas) (fun ~off:_ ~len:_ ->
       Sim.Host.ring t.ack_bell);
+  Rdma.Mr.on_read bg_mr ~off:bg_hb_offset (fun () -> settle_heartbeat t);
+  Sim.Host.on_liveness host (fun next ->
+      settle_heartbeat t;
+      match next with
+      | Sim.Host.Running -> t.hb_next <- Sim.Engine.now eng
+      | Sim.Host.Paused | Sim.Host.Process_stopped | Sim.Host.Host_dead -> ());
   t
 
 (* Who is wired in decides whose requests the permission manager serves

@@ -73,7 +73,13 @@ type t = {
   mutable wr_seq : int;
   mutable tag_seq : int;  (** Last tag {!fresh_tag} handed out. *)
   inflight : (int * int) Itbl.t;  (** wr_id → (peer id, tag). *)
-  mutable propose_started_at : int option;  (** For fate sharing (§5.1). *)
+  mutable propose_started_at : int option;
+      (** For fate sharing (§5.1). Change it with {!set_propose_started_at}. *)
+  mutable hb_started : bool;  (** Set by {!start_heartbeat}. *)
+  mutable hb_value : int;
+      (** The heartbeat counter as of the last {!settle_heartbeat}. *)
+  mutable hb_next : int;
+      (** The first instant of the counter's grid not yet counted. *)
   mutable election_span : int;
       (** Provenance span open from the moment this replica suspects its
           leader estimate until it takes over (or the suspicion clears);
@@ -99,8 +105,9 @@ type t = {
   metrics : Metrics.t;
       (** This incarnation's counters, with the engine's registry
           instruments when it has one. *)
-  mutable removed : bool;  (** Membership: removed from the group (§5.4). *)
-  mutable stop : bool;  (** Shut this replica's fibers down. *)
+  mutable removed : bool;
+      (** Membership: removed from the group (§5.4). Set it with {!halt}. *)
+  mutable stop : bool;  (** Shut this replica's fibers down. Set it with {!halt}. *)
   (* --- parked pollers (see {!Sim.Host.park}) --- *)
   replay_bell : Sim.Host.doorbell;
       (** The replayer's: rung by any store into the log while a follower,
@@ -155,6 +162,37 @@ val unwire : t -> pid:int -> unit
     peer record is dropped, and per-peer volatile state (permission
     grants, heartbeats, scores) is cleared so a rebooted incarnation of
     [pid] can be {!wire}d afresh. No-op if [pid] is not a peer. *)
+
+(** {1 The heartbeat counter (§5.1)}
+
+    The counter at {!bg_hb_offset} is computed when it is read; no fiber
+    increments it. It advances by one at the instant {!start_heartbeat}
+    runs and every [hb_increment_interval] after, while the host is
+    [Running], the replica is neither [stop] nor [removed] and, with
+    [fate_sharing], the replication plane is not stuck (a propose call
+    in flight for more than [fate_sharing_stuck_after]). After a pause
+    the first increment falls at the resume instant and the grid
+    restarts there; after a crash the counter is frozen. Any load of the
+    word (a local read or a monitor's RDMA Read, through
+    {!Rdma.Mr.on_read}) settles it up to the current instant first, and
+    so does every change of an input: the host's liveness (through
+    {!Sim.Host.on_liveness}), [stop], [removed] and
+    [propose_started_at]. *)
+
+val settle_heartbeat : t -> unit
+(** Bring the stored counter up to the current instant; ticks at this
+    instant count. *)
+
+val start_heartbeat : t -> unit
+(** Start the counter's grid at the current instant ({!Election.start}
+    calls it once). *)
+
+val set_propose_started_at : t -> int option -> unit
+(** The one writer of [propose_started_at]. *)
+
+val halt : ?removed:bool -> t -> unit
+(** Set [stop] (and [removed] when [removed] is true), which freezes the
+    counter. *)
 
 (** {1 Accessors and helpers} *)
 

@@ -429,9 +429,9 @@ let wait_log_space t ~idx =
 let propose t value =
   if t.Replica.stop || t.Replica.removed then raise (Aborted "replica stopped");
   t.Replica.metrics.Metrics.proposes <- t.Replica.metrics.Metrics.proposes + 1;
-  t.Replica.propose_started_at <- Some (Sim.Engine.now (Replica.engine t));
+  Replica.set_propose_started_at t (Some (Sim.Engine.now (Replica.engine t)));
   Fun.protect
-    ~finally:(fun () -> t.Replica.propose_started_at <- None)
+    ~finally:(fun () -> Replica.set_propose_started_at t None)
     (fun () ->
       Replica.phase t "propose" @@ fun () ->
       if t.Replica.need_new_followers then become_leader t

@@ -159,10 +159,7 @@ let noop = encode_batch []
 let apply_config _t (r : Replica.t) op =
   match op with
   | Remove id ->
-    if id = r.Replica.id then begin
-      r.Replica.removed <- true;
-      r.Replica.stop <- true
-    end
+    if id = r.Replica.id then Replica.halt ~removed:true r
     else begin
       r.Replica.peers <- List.filter (fun p -> p.Replica.pid <> id) r.Replica.peers;
       Replica.Itbl.remove r.Replica.alive id;
@@ -463,7 +460,7 @@ let serve_windowed t (r : Replica.t) =
   in
   (* The oldest group in flight is the replication activity fate sharing watches (§5.1). *)
   let note_oldest () =
-    r.Replica.propose_started_at <- Option.map (fun g -> g.posted) (Queue.peek_opt window)
+    Replica.set_propose_started_at r (Option.map (fun g -> g.posted) (Queue.peek_opt window))
   in
   let restore_window () =
     Queue.iter
@@ -792,7 +789,7 @@ let wait_live t =
 
 let stop t =
   t.stopped <- true;
-  Array.iter (fun r -> r.Replica.stop <- true) t.replicas;
+  Array.iter (fun r -> Replica.halt r) t.replicas;
   (* Pending retries would all be no-ops now: drop the requests they
      would have checked; their deadlines still fire, as no-ops. *)
   Option.iter

@@ -36,9 +36,9 @@ val create :
     fibers are started until {!start}. *)
 
 val start : ?client_service:bool -> t -> unit
-(** Spawn all planes on every replica: heartbeat + monitors + role fiber
-    (election), permission management, replayer, recycler, and the leader
-    service loop. [client_service:false] omits the service loop — for
+(** Start all planes on every replica: the heartbeat counter, monitors
+    and role fiber (election), permission management, replayer,
+    recycler, and the leader service loop. [client_service:false] omits the service loop — for
     harnesses (e.g. the standalone latency benches, §7.1) that drive
     {!Replication.propose} themselves. *)
 

@@ -1,11 +1,14 @@
-(* A watch is shared by every alias of a registration: overlapping MRs
-   are one piece of memory, so a store through either is seen by both. *)
+(* Watches and read hooks are shared by every alias of a registration:
+   overlapping MRs are one piece of memory, so a store or a load through
+   either is seen by both. *)
 type watch = { lo : int; hi : int; fn : off:int -> len:int -> unit }
+type read_hook = { word : int; before : unit -> unit }
+type hooks = { mutable watches : watch list; mutable reads : read_hook list }
 
 type t = {
   host : Sim.Host.t;
   mem : Sim.Mem.t;
-  watches : watch list ref;
+  hooks : hooks;
   mutable access : Verbs.access;
   mutable valid : bool;
   persistent : bool;
@@ -21,7 +24,7 @@ let register ?(persistent = false) ?mem host ~size ~access =
         invalid_arg "Mr.register: memory size does not match region size";
       m
   in
-  { host; mem; watches = ref []; access; valid = true; persistent }
+  { host; mem; hooks = { watches = []; reads = [] }; access; valid = true; persistent }
 
 let alias t ~access = { t with access; valid = true }
 let host t = t.host
@@ -35,7 +38,11 @@ let is_persistent t = t.persistent
 
 let watch t ~off ~len fn =
   if not (in_bounds t ~off ~len) then invalid_arg "Mr.watch: range out of bounds";
-  t.watches := !(t.watches) @ [ { lo = off; hi = off + len; fn } ]
+  t.hooks.watches <- t.hooks.watches @ [ { lo = off; hi = off + len; fn } ]
+
+let on_read t ~off f =
+  if not (in_bounds t ~off ~len:8) then invalid_arg "Mr.on_read: word out of bounds";
+  t.hooks.reads <- t.hooks.reads @ [ { word = off; before = f } ]
 
 let rec fire ws ~off ~len =
   match ws with
@@ -45,13 +52,37 @@ let rec fire ws ~off ~len =
     fire rest ~off ~len
 
 let[@inline] stored t ~off ~len =
-  match !(t.watches) with [] -> () | ws -> fire ws ~off ~len
+  match t.hooks.watches with [] -> () | ws -> fire ws ~off ~len
 
-let get_i64 t ~off = Sim.Mem.get_i64 t.mem off
-let get_int t ~off = Sim.Mem.get_int t.mem off
-let get_i32 t ~off = Sim.Mem.get_i32 t.mem off
-let get_char t ~off = Sim.Mem.get_char t.mem off
-let get_bytes t ~off ~len = Sim.Mem.sub t.mem ~off ~len
+let rec run_reads rs ~off ~len =
+  match rs with
+  | [] -> ()
+  | r :: rest ->
+    if off < r.word + 8 && off + len > r.word then r.before ();
+    run_reads rest ~off ~len
+
+let[@inline] loading t ~off ~len =
+  match t.hooks.reads with [] -> () | rs -> run_reads rs ~off ~len
+
+let get_i64 t ~off =
+  loading t ~off ~len:8;
+  Sim.Mem.get_i64 t.mem off
+
+let get_int t ~off =
+  loading t ~off ~len:8;
+  Sim.Mem.get_int t.mem off
+
+let get_i32 t ~off =
+  loading t ~off ~len:4;
+  Sim.Mem.get_i32 t.mem off
+
+let get_char t ~off =
+  loading t ~off ~len:1;
+  Sim.Mem.get_char t.mem off
+
+let get_bytes t ~off ~len =
+  loading t ~off ~len;
+  Sim.Mem.sub t.mem ~off ~len
 
 let set_i64 t ~off v =
   Sim.Mem.set_i64 t.mem off v;

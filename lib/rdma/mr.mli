@@ -24,7 +24,7 @@ val register :
 
 val alias : t -> access:Verbs.access -> t
 (** Register the same memory again with different flags (overlapping MR).
-    The alias shares the original's watches. *)
+    The alias shares the original's watches and read hooks. *)
 
 val host : t -> Sim.Host.t
 val size : t -> int
@@ -48,12 +48,23 @@ val watch : t -> off:int -> len:int -> (off:int -> len:int -> unit) -> unit
     pollers ring a {!Sim.Host.doorbell} from it, and the two-sided
     baselines (APUS, Hermes) and HERD add their own poll-phase delay. *)
 
+val on_read : t -> off:int -> (unit -> unit) -> unit
+(** [on_read t ~off f] calls [f ()] before every load that overlaps the
+    8-byte word at [off]: local loads through the getters below and
+    remote Reads (at their arrival instant, through {!Qp}), via this MR
+    or any alias of it. [f] may store into the word, and the load sees
+    that store. This is how a value that changes on a fixed schedule is
+    computed when it is read instead of stored at every change: Mu's
+    heartbeat counter ([Mu.Replica.settle_heartbeat]). A load through
+    an MR with no read hook pays one match. *)
+
 val is_persistent : t -> bool
 
 (** {1 Memory access}
 
     Local loads and stores by the owning process; the transport uses
-    the same calls for remote Reads and Writes. None allocates except
+    the same calls for remote Reads and Writes. Loads run the read hooks
+    they overlap first ({!on_read}). None allocates except
     {!get_bytes}'s result. Out-of-range offsets raise
     [Invalid_argument]. *)
 

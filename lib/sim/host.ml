@@ -12,6 +12,7 @@ type t = {
   mutable next_jitter_at : int;
   tel_jitter : Telemetry.Hdr.t option;
   mutable bells : doorbell list;
+  mutable on_liveness : (liveness -> unit) list;
 }
 
 (* A parked poller. [origin] and [period] are the poll grid the fiber
@@ -52,6 +53,7 @@ let create engine calibration ~id ~name =
                ~labels:[ ("host", name) ] "sim_sched_jitter_ns")
         | None -> None);
       bells = [];
+      on_liveness = [];
     }
   in
   schedule_next_jitter t;
@@ -169,6 +171,14 @@ let park ?until b ~period =
     check t
   end
 
+let on_liveness t f = t.on_liveness <- t.on_liveness @ [ f ]
+
+(* Every transition goes through here: the hooks see the old state and
+   the instant, and are told the new one. *)
+let transition t next =
+  List.iter (fun f -> f next) t.on_liveness;
+  t.state <- next
+
 let spawn t ~name f =
   Engine.spawn t.engine ~name:(Printf.sprintf "%s/%s" t.name name) ~pid:t.id (fun () ->
       check t;
@@ -177,7 +187,7 @@ let spawn t ~name f =
 let pause t =
   match t.state with
   | Running ->
-    t.state <- Paused;
+    transition t Paused;
     Engine.trace_instant t.engine ~pid:t.id "host_pause";
     t.resume_gate <- Engine.Ivar.create t.engine;
     (* A busy poller would block on the gate at its next grid tick and
@@ -191,7 +201,7 @@ let pause t =
 let resume t =
   match t.state with
   | Paused ->
-    t.state <- Running;
+    transition t Running;
     Engine.trace_instant t.engine ~pid:t.id "host_resume";
     Engine.Ivar.fill t.resume_gate ()
   | Running | Process_stopped | Host_dead -> ()
@@ -200,9 +210,9 @@ let stop_process t =
   match t.state with
   | Host_dead -> ()
   | Running | Paused | Process_stopped ->
-    t.state <- Process_stopped;
+    transition t Process_stopped;
     Engine.trace_instant t.engine ~pid:t.id "host_stop"
 
 let kill_host t =
-  t.state <- Host_dead;
+  transition t Host_dead;
   Engine.trace_instant t.engine ~pid:t.id "host_kill"

@@ -58,6 +58,14 @@ val resume : t -> unit
 val stop_process : t -> unit
 val kill_host : t -> unit
 
+val on_liveness : t -> (liveness -> unit) -> unit
+(** [on_liveness t f] calls [f next] at every transition of [t] made by
+    the four functions above, just before it happens: {!liveness} still
+    reads the old state and [next] is the new one. A value computed from
+    the host's liveness over time (Mu's heartbeat counter) settles
+    itself up to the transition instant here. Hooks run in the order
+    they were added. *)
+
 (** {1 Parked pollers}
 
     A fiber that busy-polls memory every [period] ns can park instead

@@ -41,7 +41,7 @@ let run_sim setup ?until f =
 
 (* A faulted run can stall for good: a measuring fiber parked on a
    killed or isolated host never finishes, while the survivors'
-   heartbeats keep the queue busy forever. Such a run gets [budget]
+   failure-detector monitors keep the queue busy forever. Such a run gets [budget]
    virtual ns past the scenario's last event; an unfaulted run is
    unbounded. *)
 let fault_horizon setup ~budget =
@@ -355,7 +355,7 @@ let herd_real setup ~samples ~replicated =
       let execute _ payload =
         match Apps.Kv_store.decode_command payload with
         | Some (client, req_id, cmd) ->
-          Apps.Kv_store.encode_reply (Apps.Kv_store.apply_dedup store ~client ~req_id cmd)
+          Apps.Kv_store.apply_dedup store ~client ~req_id cmd
         | None -> Bytes.empty
       in
       cross_check_server e ~replicated ~id:98 ~name:"herd-server" execute run)

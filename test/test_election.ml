@@ -126,7 +126,7 @@ let fate_sharing_stops_heartbeat () =
       let r0 = Mu.Smr.replica smr 0 in
       Sim.Engine.sleep e 2_000_000;
       (* Wedge the replication plane: pretend a propose has been stuck. *)
-      r0.Mu.Replica.propose_started_at <- Some (Sim.Engine.now e - 1_000_000);
+      Mu.Replica.set_propose_started_at r0 (Some (Sim.Engine.now e - 1_000_000));
       Sim.Engine.sleep e 1_000_000;
       let v0 = Mu.Election.read_own_heartbeat r0 in
       Sim.Engine.sleep e 1_000_000;
@@ -135,7 +135,7 @@ let fate_sharing_stops_heartbeat () =
       (* Other replicas depose the wedged leader. *)
       let r1 = Mu.Smr.replica smr 1 in
       Util.wait_for (fun () -> Mu.Replica.is_leader r1) e;
-      r0.Mu.Replica.propose_started_at <- None;
+      Mu.Replica.set_propose_started_at r0 None;
       Sim.Engine.sleep e 1_000_000;
       let v2 = Mu.Election.read_own_heartbeat r0 in
       Sim.Engine.sleep e 1_000_000;
@@ -146,7 +146,7 @@ let without_fate_sharing_stuck_leader_keeps_beating () =
   with_cluster (fun e smr ->
       let r0 = Mu.Smr.replica smr 0 in
       Sim.Engine.sleep e 2_000_000;
-      r0.Mu.Replica.propose_started_at <- Some 0;
+      Mu.Replica.set_propose_started_at r0 (Some 0);
       Sim.Engine.sleep e 2_000_000;
       let v0 = Mu.Election.read_own_heartbeat r0 in
       Sim.Engine.sleep e 1_000_000;
@@ -180,6 +180,106 @@ let partitioned_fd_pair_reconnects () =
       check "both sides read again" true (reads r0 > reads0 && reads r1 > reads1);
       check_int "replica 0 leads again" 0 (Util.leader_of smr e).Mu.Replica.id)
 
+(* --- the computed heartbeat counter ---------------------------------------- *)
+
+let period = Util.default_cal.Sim.Calibration.hb_increment_interval
+
+(* A wired cluster with no fiber running; replica 0's counter starts at
+   [origin], off the engine's time origin. *)
+let origin = 1_003
+
+let counter ?(cfg = Mu.Config.default) () =
+  let e = Util.engine () in
+  let rs = Mu.Replica.create_cluster e Util.default_cal cfg in
+  Sim.Engine.run ~until:origin e;
+  Mu.Replica.start_heartbeat rs.(0);
+  (e, rs.(0), rs)
+
+let read_at e r at =
+  Sim.Engine.run ~until:at e;
+  Mu.Election.read_own_heartbeat r
+
+let counter_increments_per_interval () =
+  let e, r0, rs = counter () in
+  check_int "tick at the start instant" 1 (read_at e r0 origin);
+  check_int "just before the second tick" 1 (read_at e r0 (origin + period - 1));
+  check_int "at the second tick" 2 (read_at e r0 (origin + period));
+  check_int "ten intervals on" 11 (read_at e r0 (origin + (10 * period) + 3));
+  check_int "an unstarted counter stays at zero" 0 (Mu.Election.read_own_heartbeat rs.(1))
+
+let counter_frozen_across_pause () =
+  let e, r0, _ = counter () in
+  ignore (read_at e r0 (origin + (2 * period) + 1));
+  Sim.Host.pause r0.Mu.Replica.host;
+  check_int "ticks up to the pause" 3 (read_at e r0 (origin + (2 * period) + 1));
+  check_int "frozen while paused" 3 (read_at e r0 (origin + (10 * period)));
+  let resumed = origin + (10 * period) + 7 in
+  Sim.Engine.run ~until:resumed e;
+  Sim.Host.resume r0.Mu.Replica.host;
+  check_int "an increment at the resume instant" 4 (read_at e r0 resumed);
+  check_int "the grid restarts there" 4 (read_at e r0 (resumed + period - 1));
+  check_int "one interval after the resume" 5 (read_at e r0 (resumed + period))
+
+let counter_frozen_after_crash () =
+  List.iter
+    (fun (what, crash) ->
+      let e, r0, _ = counter () in
+      Sim.Engine.run ~until:(origin + (2 * period)) e;
+      crash r0;
+      check_int (what ^ ": ticks up to the crash count") 3
+        (Mu.Election.read_own_heartbeat r0);
+      check_int (what ^ ": frozen after it") 3 (read_at e r0 (origin + (100 * period))))
+    [
+      ("stop_process", fun r -> Sim.Host.stop_process r.Mu.Replica.host);
+      ("kill_host", fun r -> Sim.Host.kill_host r.Mu.Replica.host);
+      ("halt", fun r -> Mu.Replica.halt r);
+    ]
+
+(* Fate sharing freezes the counter at the first tick more than
+   [fate_sharing_stuck_after] into a propose call, exactly, and the grid
+   carries on underneath. *)
+let counter_fate_sharing_exact () =
+  let cfg =
+    { Mu.Config.default with Mu.Config.fate_sharing = true; fate_sharing_stuck_after = 12_000 }
+  in
+  let e, r0, _ = counter ~cfg () in
+  Sim.Engine.run ~until:(origin + 1) e;
+  Mu.Replica.set_propose_started_at r0 (Some (origin + 1));
+  (* Stuck from origin + 12 002 on: the ticks at +5 000 and +10 000 count. *)
+  check_int "last tick before stuck" 3 (read_at e r0 (origin + (2 * period)));
+  check_int "frozen once stuck" 3 (read_at e r0 (origin + (50 * period) + 2));
+  Mu.Replica.set_propose_started_at r0 None;
+  check_int "no tick until the grid's next instant" 3
+    (read_at e r0 (origin + (51 * period) - 1));
+  check_int "the old grid resumes" 4 (read_at e r0 (origin + (51 * period)))
+
+(* A monitor's RDMA Read settles the counter at its arrival instant: a
+   local read at that same instant returns the same value, and both
+   follow the counting rule. *)
+let monitor_read_agrees_with_local () =
+  let e, r0, rs = counter () in
+  let arrived = ref (-1) and local = ref (-1) and remote = ref (-1) in
+  Rdma.Mr.on_read r0.Mu.Replica.bg_mr ~off:Mu.Replica.bg_hb_offset (fun () ->
+      if !arrived < 0 then begin
+        arrived := Sim.Engine.now e;
+        Sim.Engine.schedule e ~at:!arrived (fun () ->
+            local := Mu.Election.read_own_heartbeat r0)
+      end);
+  let r1 = rs.(1) in
+  let p = Mu.Replica.peer r1 0 in
+  Sim.Engine.run ~until:(origin + (7 * period) + 2_500) e;
+  Sim.Host.spawn r1.Mu.Replica.host ~name:"reader" (fun () ->
+      let buf = Bytes.create 8 in
+      Rdma.Qp.post_read p.Mu.Replica.fd_qp ~wr_id:1 ~dst:buf ~dst_off:0 ~len:8
+        ~mr:p.Mu.Replica.remote_bg_mr ~src_off:Mu.Replica.bg_hb_offset;
+      let wc = Rdma.Cq.await p.Mu.Replica.fd_cq in
+      check "read succeeded" true (wc.Rdma.Verbs.status = Rdma.Verbs.Success);
+      remote := Int64.to_int (Bytes.get_int64_le buf 0));
+  Sim.Engine.run ~until:(origin + (20 * period)) e;
+  check "read arrived" true (!arrived > origin);
+  check_int "remote and local agree" !local !remote;
+  check_int "counting rule at the arrival instant" (((!arrived - origin) / period) + 1) !remote
+
 let suite =
   [
     ("lowest id becomes leader", `Quick, lowest_id_becomes_leader);
@@ -194,4 +294,9 @@ let suite =
     ("fate sharing stops heartbeat", `Quick, fate_sharing_stops_heartbeat);
     ("no fate sharing: stuck leader beats", `Quick, without_fate_sharing_stuck_leader_keeps_beating);
     ("partitioned fd pair reconnects", `Quick, partitioned_fd_pair_reconnects);
+    ("counter increments per interval", `Quick, counter_increments_per_interval);
+    ("counter frozen across a pause", `Quick, counter_frozen_across_pause);
+    ("counter frozen after a crash", `Quick, counter_frozen_after_crash);
+    ("counter frozen exactly by fate sharing", `Quick, counter_fate_sharing_exact);
+    ("monitor read agrees with local read", `Quick, monitor_read_agrees_with_local);
   ]

@@ -9,7 +9,7 @@ let kv_handler () =
   fun payload ->
     match Apps.Kv_store.decode_command payload with
     | Some (client, req_id, cmd) ->
-      Apps.Kv_store.encode_reply (Apps.Kv_store.apply_dedup store ~client ~req_id cmd)
+      Apps.Kv_store.apply_dedup store ~client ~req_id cmd
     | None -> Bytes.empty
 
 let with_sim f =
@@ -111,7 +111,7 @@ let herd_over_mu () =
          with Mu.Replication.Aborted _ -> ());
         match Apps.Kv_store.decode_command payload with
         | Some (client, req_id, cmd) ->
-          Apps.Kv_store.encode_reply (Apps.Kv_store.apply_dedup store ~client ~req_id cmd)
+          Apps.Kv_store.apply_dedup store ~client ~req_id cmd
         | None -> Bytes.empty
       in
       let srv =
