@@ -125,15 +125,15 @@ let decode_reply data =
       | _ -> None
     with Invalid_argument _ -> None
 
-(* The session keeps the encoded reply; the caller gets a copy, so a
-   transport that reuses the reply's bytes cannot change the record. *)
+(* The session keeps the encoded reply and the caller gets those same
+   bytes, as the lose-put path of [smr_app] does. *)
 let apply_dedup t ~client ~req_id cmd =
   match Ctbl.find_opt t.last_applied client with
-  | Some (last, reply) when req_id <= last -> Bytes.copy reply
+  | Some (last, reply) when req_id <= last -> reply
   | Some _ | None ->
     let reply = encode_reply (apply t cmd) in
     Ctbl.replace t.last_applied client (req_id, reply);
-    Bytes.copy reply
+    reply
 
 (* --- checkpointing -------------------------------------------------------- *)
 

@@ -41,8 +41,9 @@ val apply : t -> command -> reply
 val apply_dedup : t -> client:int -> req_id:int -> command -> Bytes.t
 (** Execute with duplicate suppression and return the encoded reply
     ({!encode_reply}): a [req_id] at or below the client's last applied
-    id returns the recorded reply without re-executing. The result is a
-    fresh copy of the bytes the session records. *)
+    id returns the recorded reply without re-executing. The result is
+    the bytes the session records, not a copy: callers must not mutate
+    it. *)
 
 val size : t -> int
 val find : t -> string -> string option

@@ -49,6 +49,7 @@ type t = {
   mutable hb_started : bool;
   mutable hb_value : int;
   mutable hb_next : int;
+  mutable hb_last : int;
   mutable election_span : int;
   mutable applied : int;
   mutable on_commit : int -> bytes -> unit;
@@ -95,7 +96,8 @@ let phase t ?args name f =
    Those inputs only change through the setters below and the host's
    liveness hook, each of which settles the counter first, so between
    two settles they are constant and the ticks can be counted at once.
-   Ticks at the current instant count. *)
+   Ticks at the current instant count, each instant at most once
+   ([hb_last]). *)
 let settle_heartbeat t =
   let now = Sim.Engine.now (engine t) in
   let running =
@@ -112,7 +114,9 @@ let settle_heartbeat t =
       | Some _ | None -> now
     in
     if last >= t.hb_next then begin
-      t.hb_value <- t.hb_value + ((last - t.hb_next) / period) + 1;
+      let skipped = (last - t.hb_next) / period in
+      t.hb_value <- t.hb_value + skipped + 1;
+      t.hb_last <- t.hb_next + (skipped * period);
       Rdma.Mr.set_int t.bg_mr ~off:bg_hb_offset t.hb_value
     end;
     t.hb_next <- t.hb_next + ((((now - t.hb_next) / period) + 1) * period)
@@ -196,6 +200,7 @@ let create_unwired eng calib config ~ns ~id =
       hb_started = false;
       hb_value = 0;
       hb_next = 0;
+      hb_last = min_int;
       election_span = 0;
       applied = 0;
       on_commit = (fun _ _ -> ());
@@ -219,10 +224,15 @@ let create_unwired eng calib config ~ns ~id =
   Rdma.Mr.watch bg_mr ~off:(bg_ack_offset 0) ~len:(8 * max_replicas) (fun ~off:_ ~len:_ ->
       Sim.Host.ring t.ack_bell);
   Rdma.Mr.on_read bg_mr ~off:bg_hb_offset (fun () -> settle_heartbeat t);
+  (* A resume restarts the grid at its instant, unless a pause at that
+     same instant has already counted it. *)
   Sim.Host.on_liveness host (fun next ->
       settle_heartbeat t;
       match next with
-      | Sim.Host.Running -> t.hb_next <- Sim.Engine.now eng
+      | Sim.Host.Running ->
+        let now = Sim.Engine.now eng in
+        t.hb_next <-
+          (if t.hb_last = now then now + calib.Sim.Calibration.hb_increment_interval else now)
       | Sim.Host.Paused | Sim.Host.Process_stopped | Sim.Host.Host_dead -> ());
   t
 

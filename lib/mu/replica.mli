@@ -80,6 +80,9 @@ type t = {
       (** The heartbeat counter as of the last {!settle_heartbeat}. *)
   mutable hb_next : int;
       (** The first instant of the counter's grid not yet counted. *)
+  mutable hb_last : int;
+      (** The last instant counted ([min_int] before the first), so a
+          pause and a resume at one instant count it once. *)
   mutable election_span : int;
       (** Provenance span open from the moment this replica suspects its
           leader estimate until it takes over (or the suspicion clears);
@@ -172,7 +175,9 @@ val unwire : t -> pid:int -> unit
     [fate_sharing], the replication plane is not stuck (a propose call
     in flight for more than [fate_sharing_stuck_after]). After a pause
     the first increment falls at the resume instant and the grid
-    restarts there; after a crash the counter is frozen. Any load of the
+    restarts there; each instant counts at most once, so a pause that
+    counted a tick at the resume instant leaves the next increment one
+    interval later. After a crash the counter is frozen. Any load of the
     word (a local read or a monitor's RDMA Read, through
     {!Rdma.Mr.on_read}) settles it up to the current instant first, and
     so does every change of an input: the host's liveness (through

@@ -38,11 +38,12 @@ type 'a t = {
   mutable ring_len : int;
 }
 
-(* The heap's arrays start at 512 entries, the smallest power of two
-   past [Max_young_wosize] (256 words): they are allocated directly on
-   the major heap and never copied by a minor collection, and no
-   perfbench queue (at most 255 events deep) makes them grow. *)
-let initial = 512
+(* Both sizes are measured choices (DESIGN §17 "Set-up time is a GC
+   phase"), not derived ones. The heap's arrays start at 256 entries
+   and the ring at 512; no perfbench queue makes either grow (at most
+   134 events in the heap and 84 in the ring). *)
+let initial = 256
+let ring_initial = 512
 
 let create () =
   {
@@ -52,7 +53,7 @@ let create () =
     seqs = Array.make initial 0;
     slots = Array.init initial Fun.id;
     vals = Array.make initial dummy;
-    ring = [||];
+    ring = Array.make ring_initial dummy;
     ring_head = 0;
     ring_len = 0;
   }
@@ -80,8 +81,7 @@ let grow t =
 let ring_push t v =
   let cap = Array.length t.ring in
   if t.ring_len = cap then begin
-    let ncap = if cap = 0 then 8 else cap * 2 in
-    let ring = Array.make ncap dummy in
+    let ring = Array.make (cap * 2) dummy in
     for i = 0 to cap - 1 do
       ring.(i) <- t.ring.((t.ring_head + i) land (cap - 1))
     done;

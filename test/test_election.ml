@@ -218,7 +218,15 @@ let counter_frozen_across_pause () =
   Sim.Host.resume r0.Mu.Replica.host;
   check_int "an increment at the resume instant" 4 (read_at e r0 resumed);
   check_int "the grid restarts there" 4 (read_at e r0 (resumed + period - 1));
-  check_int "one interval after the resume" 5 (read_at e r0 (resumed + period))
+  check_int "one interval after the resume" 5 (read_at e r0 (resumed + period));
+  (* A pause and a resume on a tick's instant count that tick once. *)
+  let tick = resumed + (3 * period) in
+  Sim.Engine.run ~until:tick e;
+  Sim.Host.pause r0.Mu.Replica.host;
+  Sim.Host.resume r0.Mu.Replica.host;
+  check_int "the tick at the pause and resume instant" 7 (read_at e r0 tick);
+  check_int "counted once" 7 (read_at e r0 (tick + period - 1));
+  check_int "the next tick" 8 (read_at e r0 (tick + period))
 
 let counter_frozen_after_crash () =
   List.iter

@@ -84,7 +84,7 @@ let kv_minor_words_per_commit () =
   !words /. 1000.0
 
 let kv_commit_allocation_budget () =
-  let per = kv_minor_words_per_commit () and budget = 1012.87 *. 1.02 in
+  let per = kv_minor_words_per_commit () and budget = 1006.87 *. 1.02 in
   if per > budget then
     Alcotest.failf "a KV commit allocates %.1f minor words (budget %.1f)" per budget
 

@@ -365,8 +365,9 @@ let engine_event_order =
    - pushes at the last popped key, which go to the ring;
    - a burst of more than 512 pushes at one key ahead of the clock,
      interleaved with pops: the heap's arrays grow past their initial
-     512 entries, only the seq breaks ties, and once the clock reaches
-     the key the ring fills behind the heap's entries at it;
+     256 entries, only the seq breaks ties, and once the clock reaches
+     the key the ring fills behind the heap's entries at it and grows
+     past its initial 512;
    - a push at the clock, then a push, a pop, a push and a pop behind
      it: pops behind the clock must not move it back, or the second
      push would pass the ring;
@@ -427,7 +428,7 @@ let event_queue_matches_reference =
               for _ = 1 to 600 do
                 do_push key
               done;
-              for _ = 1 to 300 do
+              for _ = 1 to 600 do
                 do_pop ();
                 do_push key
               done
